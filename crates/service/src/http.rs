@@ -1,7 +1,9 @@
 //! A deliberately small HTTP/1.1 server over `std::net` — no external
 //! dependencies, one short-lived thread per connection, `Connection:
-//! close` semantics. Exactly what the five-route job API needs and
-//! nothing more.
+//! close` semantics. The accept loop sleeps in `poll(2)` until a
+//! connection is pending (waking every 20 ms only to look at the stop
+//! flag), so an idle round trip costs microseconds, not a timer tick.
+//! Exactly what the five-route job API needs and nothing more.
 //!
 //! | Method | Path                 | Purpose                                   |
 //! |--------|----------------------|-------------------------------------------|
@@ -210,18 +212,14 @@ fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'stati
             if let Some(id) = rest.strip_suffix("/result") {
                 let resp = match sched.result_text(id) {
                     Some(text) => Response::json(200, "OK", text),
-                    None if sched.knows(id) => {
-                        // Known but unfinished: stream what exists so
-                        // far — the status doc plus a `partial` object
-                        // (cycle, epoch series, deliveries) as of the
-                        // job's last durable checkpoint.
-                        let partial = sched
-                            .partial_json(id)
-                            .map(|d| d.render())
-                            .unwrap_or_default();
-                        Response::json(202, "Accepted", partial)
-                    }
-                    None => Response::error(404, "Not Found", "unknown job"),
+                    // Known but unfinished: stream what exists so
+                    // far — the status doc plus a `partial` object
+                    // (cycle, epoch series, deliveries) as of the
+                    // job's last durable checkpoint.
+                    None => match sched.partial_text(id) {
+                        Some(partial) => Response::json(202, "Accepted", partial),
+                        None => Response::error(404, "Not Found", "unknown job"),
+                    },
                 };
                 ("result", resp)
             } else if let Some(id) = rest.strip_suffix("/progress") {
@@ -288,11 +286,13 @@ fn handle(
     );
 }
 
-/// Accept connections until `should_stop` turns true (checked between
-/// accepts; the listener runs non-blocking with a short sleep so
-/// shutdown latency is tens of milliseconds). Connections get the
-/// default 10-second request read deadline; request events go to
-/// `log` (pass [`ObsLog::disabled`] for silence).
+/// Accept connections until `should_stop` turns true. The loop sleeps
+/// in the kernel until a connection is pending, so a request is picked
+/// up within microseconds; `should_stop` is re-checked after every
+/// accept and at least every [`STOP_CHECK`], which bounds shutdown
+/// latency to tens of milliseconds. Connections get the default
+/// 10-second request read deadline; request events go to `log` (pass
+/// [`ObsLog::disabled`] for silence).
 pub fn serve(
     listener: TcpListener,
     sched: Scheduler,
@@ -300,6 +300,57 @@ pub fn serve(
     should_stop: impl Fn() -> bool,
 ) -> std::io::Result<()> {
     serve_with(listener, sched, READ_DEADLINE, log, should_stop)
+}
+
+/// Longest the accept loop waits for a connection before it looks at
+/// `should_stop` again. It bounds shutdown latency only: a pending
+/// connection ends the wait at once.
+const STOP_CHECK: Duration = Duration::from_millis(20);
+
+/// Block until `listener` has a connection to accept or `timeout` has
+/// passed, whichever is first. Returning early (a signal interrupted
+/// the wait, the connection was reset before the accept) is harmless:
+/// the listener is non-blocking and the caller loops.
+#[cfg(unix)]
+#[allow(unsafe_code)]
+fn wait_acceptable(listener: &TcpListener, timeout: Duration) {
+    use std::os::fd::AsRawFd;
+    /// `struct pollfd` of `poll(2)`.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
+    }
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type NFds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type NFds = std::ffi::c_uint;
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: NFds, timeout_ms: i32) -> i32;
+    }
+    const POLLIN: i16 = 0x001;
+    let mut fd = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+    // SAFETY: `fd` is one valid, initialised `pollfd` that outlives the
+    // call and `nfds` is 1, so `poll` reads and writes only that
+    // struct; the descriptor is open because `listener` is borrowed.
+    // The result is ignored on purpose: ready, timed out and EINTR all
+    // lead back to the non-blocking `accept`.
+    unsafe {
+        poll(&mut fd, 1, timeout_ms);
+    }
+}
+
+/// Without `poll(2)` the wait is a plain sleep: correct, but a
+/// connection then waits for the timer.
+#[cfg(not(unix))]
+fn wait_acceptable(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
 }
 
 /// [`serve`] with an explicit per-connection request read deadline
@@ -331,7 +382,7 @@ pub fn serve_with(
                 handlers.retain(|h| !h.is_finished());
             }
             Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
+                wait_acceptable(&listener, STOP_CHECK);
             }
             Err(e) => return Err(e),
         }

@@ -119,10 +119,76 @@ struct JobRecord {
     /// gauge measures this run's progress, not the checkpoint's head
     /// start.
     cycles_at_start: u64,
+    /// What `checkpoint.json` says to a client, held exactly as long as
+    /// that file exists: set when a checkpoint lands (or is found at
+    /// recovery), dropped when the result replaces it.
+    partial: Option<Arc<PartialHead>>,
+}
+
+impl JobRecord {
+    fn queued(spec: CampaignSpec) -> JobRecord {
+        JobRecord {
+            spec,
+            phase: JobPhase::Queued,
+            error: None,
+            cycles_done: 0,
+            checkpointed: None,
+            started: None,
+            cycles_at_start: 0,
+            partial: None,
+        }
+    }
+}
+
+/// The client-facing part of one durable checkpoint, rendered once when
+/// the checkpoint lands so that a `202` neither re-reads nor re-parses
+/// `checkpoint.json`. It holds the cycle, the stream offset and the
+/// epoch series, never the deliveries: those are spliced from
+/// `deliveries.jsonl` per request, so nothing that grows with the
+/// job's length stays in memory.
+struct PartialHead {
+    /// The `partial` object up to and including the `[` that opens its
+    /// `deliveries` array.
+    open: String,
+    /// Leading entries of the delivery stream the checkpoint vouches for.
+    delivery_offset: u64,
+}
+
+impl PartialHead {
+    /// The head of a checkpoint document; `None` when it lacks the
+    /// cycle or the offset (then there is nothing to show a client).
+    fn of(checkpoint: &JsonValue) -> Option<PartialHead> {
+        let cycle = checkpoint.get("cycle")?.as_u64()?;
+        let delivery_offset = checkpoint.get("delivery_offset")?.as_u64()?;
+        // The epoch series inside the checkpoint is the client-facing
+        // time series; the surrounding sampler counters are resume
+        // internals.
+        let series = checkpoint
+            .get("epochs")
+            .and_then(|ep| ep.get("series"))
+            .cloned()
+            .unwrap_or(JsonValue::Null);
+        let mut open = obj([
+            ("cycle", cycle.into()),
+            ("delivery_offset", delivery_offset.into()),
+            ("epochs", series),
+            ("deliveries", JsonValue::Arr(Vec::new())),
+        ])
+        .render();
+        open.truncate(open.len() - "]}".len());
+        Some(PartialHead {
+            open,
+            delivery_offset,
+        })
+    }
 }
 
 struct SchedState {
     queue: VecDeque<String>,
+    /// Queue slots promised to submissions whose spec is still being
+    /// made durable; they count against `queue_cap` but no worker can
+    /// see them yet.
+    reserved: usize,
     jobs: HashMap<String, JobRecord>,
     next_id: u64,
     running: usize,
@@ -189,12 +255,29 @@ impl Scheduler {
     /// `job_interrupted`, `job_recovered`) all carry the job id, so a
     /// single grep reconstructs any job's history.
     pub fn start_with_log(cfg: ServiceConfig, log: ObsLog) -> std::io::Result<Scheduler> {
+        let sched = Scheduler::recovered(cfg, log)?;
+        let mut handles = sched.inner.workers.lock().unwrap();
+        for i in 0..sched.inner.cfg.workers.max(1) {
+            let inner = Arc::clone(&sched.inner);
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("noc-service-worker-{i}"))
+                    .spawn(move || worker_loop(&inner))?,
+            );
+        }
+        drop(handles);
+        Ok(sched)
+    }
+
+    /// The scheduler as recovery leaves it — spool created, unfinished
+    /// jobs back in the queue — before any worker runs.
+    fn recovered(cfg: ServiceConfig, log: ObsLog) -> std::io::Result<Scheduler> {
         fs::create_dir_all(&cfg.spool)?;
-        let workers = cfg.workers.max(1);
         let inner = Arc::new(SchedInner {
             cfg,
             state: Mutex::new(SchedState {
                 queue: VecDeque::new(),
+                reserved: 0,
                 jobs: HashMap::new(),
                 next_id: 1,
                 running: 0,
@@ -215,16 +298,6 @@ impl Scheduler {
         });
         let sched = Scheduler { inner };
         sched.recover()?;
-        let mut handles = sched.inner.workers.lock().unwrap();
-        for i in 0..workers {
-            let inner = Arc::clone(&sched.inner);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("noc-service-worker-{i}"))
-                    .spawn(move || worker_loop(&inner))?,
-            );
-        }
-        drop(handles);
         Ok(sched)
     }
 
@@ -260,10 +333,18 @@ impl Scheduler {
                 JobPhase::Queued
             };
             let total = spec.total_cycles();
+            // A completed job's checkpoint is spent (a crash may have
+            // left the file behind); any other job shows a client its
+            // last durable checkpoint from the first poll on.
+            let partial = (phase != JobPhase::Completed)
+                .then(|| fs::read_to_string(dir.join("checkpoint.json")).ok())
+                .flatten()
+                .and_then(|text| JsonValue::parse(&text).ok())
+                .and_then(|doc| PartialHead::of(&doc))
+                .map(Arc::new);
             state.jobs.insert(
                 id.clone(),
                 JobRecord {
-                    spec,
                     phase,
                     error: fs::read_to_string(dir.join("error.txt")).ok(),
                     cycles_done: if phase == JobPhase::Completed {
@@ -271,9 +352,8 @@ impl Scheduler {
                     } else {
                         0
                     },
-                    checkpointed: None,
-                    started: None,
-                    cycles_at_start: 0,
+                    partial,
+                    ..JobRecord::queued(spec)
                 },
             );
             if phase == JobPhase::Queued {
@@ -291,36 +371,30 @@ impl Scheduler {
     /// whose retry hint scales with the backlog (see [`retry_after_hint`]).
     pub fn submit(&self, spec: CampaignSpec) -> Result<String, SubmitError> {
         spec.validate().map_err(SubmitError::Invalid)?;
+        // Take the id and a queue slot, but keep the job out of the
+        // queue until its directory and spec are on disk: a worker that
+        // is awake (just finishing another job) would otherwise pop it
+        // and fail opening a delivery stream in a directory that does
+        // not exist yet.
         let id = {
             let mut state = self.inner.state.lock().unwrap();
-            if state.queue.len() >= self.inner.cfg.queue_cap {
+            let depth = state.queue.len() + state.reserved;
+            if depth >= self.inner.cfg.queue_cap {
                 self.inner.rejected.fetch_add(1, Ordering::Relaxed);
                 let mean = (state.job_secs_count > 0)
                     .then(|| state.job_secs_sum / state.job_secs_count as f64);
                 return Err(SubmitError::QueueFull {
                     retry_after_secs: retry_after_hint(
-                        state.queue.len(),
+                        depth,
                         self.inner.cfg.workers.max(1),
                         mean,
                         self.inner.cfg.retry_after_secs,
                     ),
                 });
             }
+            state.reserved += 1;
             let id = format!("job-{:06}", state.next_id);
             state.next_id += 1;
-            state.jobs.insert(
-                id.clone(),
-                JobRecord {
-                    spec: spec.clone(),
-                    phase: JobPhase::Queued,
-                    error: None,
-                    cycles_done: 0,
-                    checkpointed: None,
-                    started: None,
-                    cycles_at_start: 0,
-                },
-            );
-            state.queue.push_back(id.clone());
             id
         };
         // Durable spec before the submission is acknowledged: a job the
@@ -329,9 +403,7 @@ impl Scheduler {
         let write = fs::create_dir_all(&dir)
             .and_then(|()| write_atomic(&dir.join("spec.json"), &spec.to_json().render()));
         if let Err(e) = write {
-            let mut state = self.inner.state.lock().unwrap();
-            state.queue.retain(|q| q != &id);
-            state.jobs.remove(&id);
+            self.inner.state.lock().unwrap().reserved -= 1;
             return Err(SubmitError::Io(e));
         }
         self.inner.submitted.fetch_add(1, Ordering::Relaxed);
@@ -342,6 +414,12 @@ impl Scheduler {
                 ("name", spec.name.clone().into()),
             ],
         );
+        {
+            let mut state = self.inner.state.lock().unwrap();
+            state.reserved -= 1;
+            state.jobs.insert(id.clone(), JobRecord::queued(spec));
+            state.queue.push_back(id.clone());
+        }
         self.inner.work.notify_one();
         Ok(id)
     }
@@ -353,9 +431,14 @@ impl Scheduler {
     /// Status document for one job, or `None` for an unknown id.
     pub fn status_json(&self, id: &str) -> Option<JsonValue> {
         let state = self.inner.state.lock().unwrap();
-        let rec = state.jobs.get(id)?;
+        state.jobs.get(id).map(|rec| Scheduler::status_doc(id, rec))
+    }
+
+    /// The status document of one job (the whole `GET /jobs/:id` body and
+    /// the leading fields of the `202` and progress bodies).
+    fn status_doc(id: &str, rec: &JobRecord) -> JsonValue {
         let total = rec.spec.total_cycles();
-        Some(obj([
+        obj([
             ("id", id.into()),
             ("name", rec.spec.name.clone().into()),
             ("phase", rec.phase.tag().into()),
@@ -384,7 +467,7 @@ impl Scheduler {
                 },
             ),
             ("spec", rec.spec.to_json()),
-        ]))
+        ])
     }
 
     /// The completed result document (raw JSON text), `None` while the
@@ -397,11 +480,6 @@ impl Scheduler {
             }
         }
         fs::read_to_string(self.job_dir(id).join("result.json")).ok()
-    }
-
-    /// Whether the id names a known job.
-    pub fn knows(&self, id: &str) -> bool {
-        self.inner.state.lock().unwrap().jobs.contains_key(id)
     }
 
     /// Jobs waiting for a worker.
@@ -422,12 +500,47 @@ impl Scheduler {
         (state.job_secs_count > 0).then(|| state.job_secs_sum / state.job_secs_count as f64)
     }
 
-    /// Partial-progress document for a job that is not finished yet:
-    /// the status fields plus a `partial` object carrying the cycle,
-    /// epoch series and deliveries-so-far at the job's last durable
-    /// checkpoint (`partial` is `null` before the first checkpoint).
-    /// `None` for an unknown id.
-    pub fn partial_json(&self, id: &str) -> Option<JsonValue> {
+    /// Partial-progress document (rendered) for a job that is not
+    /// finished yet: the status fields plus a `partial` object carrying
+    /// the cycle, epoch series and deliveries-so-far at the job's last
+    /// durable checkpoint (`partial` is `null` before the first
+    /// checkpoint). `None` for an unknown id.
+    ///
+    /// Nothing is parsed on this path: the head of `partial` was
+    /// rendered when the checkpoint landed, and the deliveries are the
+    /// stream's first `delivery_offset` lines as they stand on disk.
+    pub fn partial_text(&self, id: &str) -> Option<String> {
+        let (status, head) = {
+            let state = self.inner.state.lock().unwrap();
+            let rec = state.jobs.get(id)?;
+            (Scheduler::status_doc(id, rec), rec.partial.clone())
+        };
+        let items = head.as_ref().and_then(|head| {
+            let stream = self.job_dir(id).join("deliveries.jsonl");
+            JsonlStream::prefix_items(&stream, head.delivery_offset)
+        });
+        // `{status fields}` reopened to take `partial` as its last field.
+        let mut body = status.render();
+        body.pop();
+        body.push_str(",\"partial\":");
+        match (head, items) {
+            (Some(head), Some(items)) => {
+                body.push_str(&head.open);
+                body.push_str(&items);
+                body.push_str("]}");
+            }
+            _ => body.push_str("null"),
+        }
+        body.push('}');
+        Some(body)
+    }
+
+    /// The `202` body built the way it was before [`PartialHead`]: the
+    /// spooled checkpoint re-read and re-parsed, every delivery line
+    /// parsed and rendered again. The reference [`Scheduler::partial_text`]
+    /// is compared with, byte for byte.
+    #[cfg(test)]
+    fn partial_json_from_disk(&self, id: &str) -> Option<JsonValue> {
         let status = self.status_json(id)?;
         let dir = self.job_dir(id);
         let partial = fs::read_to_string(dir.join("checkpoint.json"))
@@ -436,9 +549,6 @@ impl Scheduler {
             .and_then(|doc| {
                 let cycle = doc.get("cycle")?.as_u64()?;
                 let offset = doc.get("delivery_offset")?.as_u64()?;
-                // The epoch series inside the checkpoint is the
-                // client-facing time series; the surrounding sampler
-                // counters are resume internals.
                 let series = doc
                     .get("epochs")
                     .and_then(|ep| ep.get("series"))
@@ -717,6 +827,7 @@ fn worker_loop(inner: &Arc<SchedInner>) {
                 JobOutcome::Completed => {
                     rec.phase = JobPhase::Completed;
                     rec.cycles_done = rec.spec.total_cycles();
+                    rec.partial = None;
                     inner.completed.fetch_add(1, Ordering::Relaxed);
                     inner.log.event(
                         "job_completed",
@@ -811,33 +922,7 @@ fn run_job(inner: &Arc<SchedInner>, id: &str) -> JobOutcome {
         Err(e) => return JobOutcome::Failed(fail(&dir, &format!("opening delivery stream: {e}"))),
     };
     let run = sim.run_streamed(&mut gen, &mut stream, resume.as_ref(), |doc| {
-        let write_started = Instant::now();
-        let ok = write_atomic(&checkpoint_path, &doc.render()).is_ok();
-        let write_secs = write_started.elapsed().as_secs_f64();
-        if ok {
-            inner.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
-            inner
-                .checkpoint_write_nanos
-                .fetch_add((write_secs * 1e9) as u64, Ordering::Relaxed);
-            if let Some(cycle) = doc.get("cycle").and_then(JsonValue::as_u64) {
-                let mut state = inner.state.lock().unwrap();
-                if let Some(rec) = state.jobs.get_mut(id) {
-                    rec.cycles_done = cycle;
-                    rec.checkpointed = Some(Instant::now());
-                }
-                inner.log.event(
-                    "job_checkpoint",
-                    &[
-                        ("job", id.into()),
-                        ("cycle", cycle.into()),
-                        ("write_secs", write_secs.into()),
-                    ],
-                );
-            }
-        }
-        // A checkpoint that failed to persist must not become the one
-        // we stop on; keep running unless it is safely spooled.
-        !(ok && inner.shutdown.load(Ordering::SeqCst))
+        spool_checkpoint(inner, id, &checkpoint_path, doc)
     });
     match run {
         Err(e) => JobOutcome::Failed(fail(&dir, &e.to_string())),
@@ -868,6 +953,43 @@ fn run_job(inner: &Arc<SchedInner>, id: &str) -> JobOutcome {
             JobOutcome::Completed
         }
     }
+}
+
+/// Make one checkpoint of job `id` durable and, once it is, publish it:
+/// progress and the `202` head on the job's record, the counters, the
+/// log. Runs after the deliveries the checkpoint references were
+/// fsynced into the stream. Returns whether the job keeps running.
+fn spool_checkpoint(inner: &SchedInner, id: &str, path: &Path, doc: &JsonValue) -> bool {
+    let write_started = Instant::now();
+    let ok = write_atomic(path, &doc.render()).is_ok();
+    let write_secs = write_started.elapsed().as_secs_f64();
+    if ok {
+        inner.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
+        inner
+            .checkpoint_write_nanos
+            .fetch_add((write_secs * 1e9) as u64, Ordering::Relaxed);
+        if let Some(cycle) = doc.get("cycle").and_then(JsonValue::as_u64) {
+            let head = PartialHead::of(doc).map(Arc::new);
+            let mut state = inner.state.lock().unwrap();
+            if let Some(rec) = state.jobs.get_mut(id) {
+                rec.cycles_done = cycle;
+                rec.checkpointed = Some(Instant::now());
+                rec.partial = head;
+            }
+            drop(state);
+            inner.log.event(
+                "job_checkpoint",
+                &[
+                    ("job", id.into()),
+                    ("cycle", cycle.into()),
+                    ("write_secs", write_secs.into()),
+                ],
+            );
+        }
+    }
+    // A checkpoint that failed to persist must not become the one
+    // we stop on; keep running unless it is safely spooled.
+    !(ok && inner.shutdown.load(Ordering::SeqCst))
 }
 
 /// Execute a `fault_campaign` job. Campaigns are thousands of short
@@ -925,7 +1047,167 @@ fn fail(dir: &Path, msg: &str) -> String {
 
 #[cfg(test)]
 mod tests {
-    use super::retry_after_hint;
+    use super::*;
+    use noc_sim::DeliveryStream;
+
+    fn scratch_spool(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("noc-sched-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// A `202` body with the one field that reads the clock blanked, so
+    /// that two bodies built microseconds apart compare byte for byte.
+    fn without_age(body: &str) -> String {
+        const KEY: &str = "\"checkpoint_age_secs\":";
+        let at = body.find(KEY).expect("status carries the age") + KEY.len();
+        let len = body[at..].find(',').expect("age is not the last field");
+        [&body[..at], &body[at + len..]].concat()
+    }
+
+    /// The served `202` against the from-disk reference, byte for byte.
+    fn assert_served_equals_reference(sched: &Scheduler, id: &str, when: &str) -> String {
+        let served = sched.partial_text(id).expect("job is known");
+        let reference = sched
+            .partial_json_from_disk(id)
+            .expect("job is known")
+            .render();
+        assert_eq!(without_age(&served), without_age(&reference), "{when}");
+        served
+    }
+
+    /// The one `202` construction in production (head kept in memory,
+    /// deliveries spliced from the stream) serves exactly the bytes of
+    /// the construction it replaced, at every state a poll can meet.
+    /// The test plays the worker itself on a scheduler that has none,
+    /// so each comparison happens at a known point of the job.
+    #[test]
+    fn served_202_equals_the_from_disk_reference_at_every_poll_point() {
+        let spool = scratch_spool("differential");
+        let sched = Scheduler::recovered(ServiceConfig::new(&spool), ObsLog::disabled()).unwrap();
+        let spec = CampaignSpec {
+            rate: 0.2,
+            sample_every: 100,
+            checkpoint_every: 150,
+            ..CampaignSpec::default()
+        };
+        let id = sched.submit(spec.clone()).unwrap();
+        let dir = sched.job_dir(&id);
+
+        let body = assert_served_equals_reference(&sched, &id, "before the first checkpoint");
+        assert!(body.ends_with(",\"partial\":null}"), "{body}");
+
+        let sim = spec.simulator(spec.checkpoint_every).unwrap();
+        let mut gen = spec.generator().unwrap();
+        let stream_path = dir.join("deliveries.jsonl");
+        let mut stream = JsonlStream::open(&stream_path).unwrap();
+        let checkpoint_path = dir.join("checkpoint.json");
+        let mut checkpoints = 0u64;
+        let mut polls_between_append_and_checkpoint = 0u64;
+        let mut last_body = String::new();
+        sim.run_streamed(&mut gen, &mut stream, None, |doc| {
+            // The batch is in the stream, its checkpoint is not written:
+            // the served prefix must still end at the previous offset.
+            let served_offset = sched.inner.state.lock().unwrap().jobs[&id]
+                .partial
+                .as_ref()
+                .map_or(0, |head| head.delivery_offset);
+            let appended = JsonlStream::read_prefix(&stream_path, served_offset + 1).is_some();
+            polls_between_append_and_checkpoint += u64::from(appended);
+            assert_served_equals_reference(&sched, &id, "between append and checkpoint");
+
+            assert!(spool_checkpoint(&sched.inner, &id, &checkpoint_path, doc));
+            checkpoints += 1;
+            last_body = assert_served_equals_reference(&sched, &id, "after a checkpoint");
+            true
+        })
+        .unwrap();
+        assert!(checkpoints >= 5, "only {checkpoints} checkpoints");
+        assert!(polls_between_append_and_checkpoint >= 3);
+        assert!(stream.len() > 100, "too quiet to exercise the splice");
+        assert!(last_body.contains("\"load_imbalance\":"), "no epoch series");
+
+        // A restart on this spool (a SIGKILL leaves exactly these
+        // files): before any worker runs, the first poll shows the last
+        // durable checkpoint, rebuilt from the spool.
+        let partial_of = |body: &str| body[body.find(",\"partial\":").unwrap()..].to_string();
+        let restarted =
+            Scheduler::recovered(ServiceConfig::new(&spool), ObsLog::disabled()).unwrap();
+        let body = assert_served_equals_reference(&restarted, &id, "first poll after a restart");
+        assert_eq!(partial_of(&body), partial_of(&last_body));
+        let _ = fs::remove_dir_all(&spool);
+    }
+
+    /// A queued id is one a worker may run at once, so by then its
+    /// spool directory and spec must be on disk. The test is the worker
+    /// here: it pops as fast as it can while another thread submits.
+    #[test]
+    fn a_job_is_queued_only_after_its_spec_is_durable() {
+        let spool = scratch_spool("submit-order");
+        let mut cfg = ServiceConfig::new(&spool);
+        cfg.queue_cap = 64;
+        let sched = Scheduler::recovered(cfg, ObsLog::disabled()).unwrap();
+        std::thread::scope(|scope| {
+            let submitter = scope.spawn(|| {
+                for seed in 0..50 {
+                    let spec = CampaignSpec {
+                        seed,
+                        ..CampaignSpec::default()
+                    };
+                    sched.submit(spec).unwrap();
+                }
+            });
+            let mut popped = 0;
+            while popped < 50 {
+                let next = sched.inner.state.lock().unwrap().queue.pop_front();
+                if let Some(id) = next {
+                    assert!(
+                        sched.job_dir(&id).join("spec.json").exists(),
+                        "{id} was in the queue before its spec was on disk"
+                    );
+                    popped += 1;
+                }
+            }
+            submitter.join().unwrap();
+        });
+        let _ = fs::remove_dir_all(&spool);
+    }
+
+    /// The head is a copy of `checkpoint.json` and goes when it goes:
+    /// a scheduler that has completed many jobs holds none.
+    #[test]
+    fn completed_jobs_hold_no_partial_head() {
+        let spool = scratch_spool("heads");
+        let mut cfg = ServiceConfig::new(&spool);
+        cfg.queue_cap = 200;
+        let sched = Scheduler::start(cfg).unwrap();
+        let spec = CampaignSpec {
+            warmup_cycles: 50,
+            measure_cycles: 150,
+            drain_cycles: 100,
+            checkpoint_every: 100,
+            ..CampaignSpec::default()
+        };
+        for seed in 0..200 {
+            sched
+                .submit(CampaignSpec {
+                    seed,
+                    ..spec.clone()
+                })
+                .unwrap();
+        }
+        assert!(sched.drain(std::time::Duration::from_secs(300)));
+        assert!(sched.inner.checkpoint_writes.load(Ordering::Relaxed) >= 200);
+        let state = sched.inner.state.lock().unwrap();
+        assert_eq!(state.jobs.len(), 200);
+        for (id, rec) in &state.jobs {
+            assert_eq!(rec.phase, JobPhase::Completed, "{id}: {:?}", rec.error);
+            assert!(rec.partial.is_none(), "{id} still holds its 202 head");
+        }
+        drop(state);
+        sched.shutdown();
+        let _ = fs::remove_dir_all(&spool);
+    }
 
     #[test]
     fn retry_hint_falls_back_before_any_completion() {

@@ -76,12 +76,39 @@ impl JsonlStream {
         &self.path
     }
 
-    /// Read the first `offset` entries of the stream at `path` as
-    /// parsed JSON values — the non-destructive read used to serve
-    /// partial results. Returns `None` when the file is missing or
-    /// holds fewer than `offset` complete lines (e.g. a read racing a
-    /// concurrent repair), which callers treat as "not available yet".
-    pub fn read_prefix(path: &Path, offset: u64) -> Option<Vec<JsonValue>> {
+    /// The first `offset` entries of the stream at `path` as the items
+    /// of a JSON array, comma-separated and without the brackets — the
+    /// non-destructive read used to serve partial results. The lines
+    /// are spliced as bytes, not parsed: each is the canonical
+    /// rendering [`DeliveryStream::append`] wrote, so re-rendering its
+    /// parse would reproduce it. Returns `None` when the file is
+    /// missing or holds fewer than `offset` complete lines (e.g. a read
+    /// racing a concurrent repair), which callers treat as "not
+    /// available yet".
+    pub fn prefix_items(path: &Path, offset: u64) -> Option<String> {
+        let mut bytes = fs::read(path).ok()?;
+        let mut lines = 0u64;
+        let mut end = 0usize;
+        while lines < offset {
+            end += bytes[end..].iter().position(|&b| b == b'\n')? + 1;
+            lines += 1;
+        }
+        // Drop the tail and the last newline; the inner ones become
+        // the separators (a rendered line holds no raw newline).
+        bytes.truncate(end.saturating_sub(1));
+        for b in &mut bytes {
+            if *b == b'\n' {
+                *b = b',';
+            }
+        }
+        String::from_utf8(bytes).ok()
+    }
+
+    /// The first `offset` entries parsed one by one: what
+    /// [`JsonlStream::prefix_items`] replaced, kept as the reference
+    /// the tests compare it with.
+    #[cfg(test)]
+    pub(crate) fn read_prefix(path: &Path, offset: u64) -> Option<Vec<JsonValue>> {
         let text = fs::read_to_string(path).ok()?;
         let mut out = Vec::with_capacity(offset as usize);
         for line in text.split_inclusive('\n') {
@@ -254,6 +281,30 @@ mod tests {
         s.append(&[d(1)]).unwrap();
         assert!(s.truncate(5).is_err());
         assert_eq!(s.len(), 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The spliced prefix is, byte for byte, what rendering the parsed
+    /// prefix gives — at every offset, with a torn tail, and both are
+    /// absent together.
+    #[test]
+    fn prefix_items_equal_the_rendered_parse_of_the_same_prefix() {
+        let dir = scratch("splice");
+        let path = dir.join("deliveries.jsonl");
+        let mut s = JsonlStream::open(&path).unwrap();
+        s.append(&[d(1), d(2)]).unwrap();
+        s.append(&[d(3)]).unwrap();
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"id\":4,\"kind").unwrap(); // torn append
+        drop(f);
+        for offset in 0..=4 {
+            let parsed =
+                JsonlStream::read_prefix(&path, offset).map(|items| JsonValue::Arr(items).render());
+            let spliced = JsonlStream::prefix_items(&path, offset).map(|i| format!("[{i}]"));
+            assert_eq!(spliced, parsed, "offset {offset}");
+            assert_eq!(spliced.is_some(), offset <= 3, "offset {offset}");
+        }
+        assert!(JsonlStream::prefix_items(&dir.join("absent.jsonl"), 0).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 

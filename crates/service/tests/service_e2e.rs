@@ -6,7 +6,7 @@
 use noc_service::client::jobs;
 use noc_service::{CampaignSpec, Scheduler, ServiceConfig, SubmitError};
 use noc_sim::MemoryStream;
-use noc_telemetry::json::JsonValue;
+use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::Snapshot;
 use std::io::BufRead;
 use std::path::PathBuf;
@@ -175,11 +175,19 @@ fn queue_backpressure_rejects_with_retry_hint() {
     cfg.retry_after_secs = 7;
     let sched = Scheduler::start(cfg).unwrap();
 
-    // A worker may drain up to one job from the queue while we flood,
-    // so over-fill by enough that rejection is guaranteed.
+    // The flood must not race the worker: a job (~250 ms) outlasts the
+    // few fsync-bound submits of a flood (~3 ms each) many times over,
+    // so none can complete and free a slot while the queue fills. The
+    // worker may still take one job out of the queue, so over-fill by
+    // enough that rejection is guaranteed.
+    let slow_spec = |seed| {
+        let mut spec = quick_spec(seed);
+        spec.measure_cycles = 40_000;
+        spec
+    };
     let mut rejected = None;
     for seed in 0..6 {
-        match sched.submit(quick_spec(seed)) {
+        match sched.submit(slow_spec(seed)) {
             Ok(_) => {}
             Err(SubmitError::QueueFull { retry_after_secs }) => {
                 rejected = Some(retry_after_secs);
@@ -203,7 +211,7 @@ fn queue_backpressure_rejects_with_retry_hint() {
         .expect("completions must feed the mean");
     let mut scaled = None;
     for seed in 100..110 {
-        match sched.submit(quick_spec(seed)) {
+        match sched.submit(slow_spec(seed)) {
             Ok(_) => {}
             Err(SubmitError::QueueFull { retry_after_secs }) => {
                 scaled = Some(retry_after_secs);
@@ -220,6 +228,71 @@ fn queue_backpressure_rejects_with_retry_hint() {
         scaled, expected,
         "retry hint must scale from the mean job duration ({mean:.3}s)"
     );
+    sched.shutdown();
+}
+
+/// A job becomes visible to the workers only once its spool directory
+/// and spec are durable. With submitters racing workers that are awake
+/// (each finishing one job as the next arrives), a job queued before
+/// its directory existed used to fail with "opening delivery stream: No
+/// such file or directory".
+#[test]
+fn concurrent_submitters_never_lose_a_job_to_the_spool_race() {
+    let scratch = Scratch::new("submit-race");
+    let mut cfg = ServiceConfig::new(scratch.0.join("spool"));
+    cfg.workers = 2;
+    cfg.queue_cap = 200;
+    let sched = Scheduler::start(cfg).unwrap();
+
+    let ids: Vec<String> = std::thread::scope(|scope| {
+        let submitters: Vec<_> = (0..4u64)
+            .map(|t| {
+                let sched = &sched;
+                scope.spawn(move || {
+                    (0..50u64)
+                        .map(|k| {
+                            let mut spec = quick_spec(t * 50 + k);
+                            spec.warmup_cycles = 20;
+                            spec.measure_cycles = 60;
+                            spec.drain_cycles = 60;
+                            let id = sched.submit(spec).expect("queue has room for all 200");
+                            // Closed loop, as a caller waiting for its
+                            // result: the queue stays near empty, so a
+                            // worker that is just finishing a job takes
+                            // the new one the instant it is queued.
+                            let queued = || {
+                                let status = sched.status_json(&id).unwrap();
+                                status.get("phase").unwrap().as_str() == Some("queued")
+                            };
+                            while queued() {
+                                std::thread::yield_now();
+                            }
+                            id
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        submitters
+            .into_iter()
+            .flat_map(|h| h.join().expect("submitter panicked"))
+            .collect()
+    });
+    assert!(sched.drain(Duration::from_secs(120)), "jobs must finish");
+
+    assert_eq!(ids.len(), 200);
+    for id in &ids {
+        let status = sched.status_json(id).unwrap();
+        assert_eq!(
+            status.get("phase").unwrap().as_str(),
+            Some("completed"),
+            "{id}: {}",
+            status.get("error").unwrap().render()
+        );
+    }
+    assert!(sched
+        .metrics_text()
+        .contains("noc_service_jobs_failed_total 0"));
     sched.shutdown();
 }
 
@@ -358,12 +431,44 @@ fn daemon_survives_sigkill_with_identical_results() {
     }
 }
 
+/// The `partial` object a `202` must carry for the spool state in
+/// `dir`, built the slow way — the checkpoint parsed, every delivery
+/// line it vouches for parsed and rendered again — as the daemon built
+/// it before it kept the head in memory and spliced the stream.
+fn partial_from_spool(dir: &std::path::Path) -> String {
+    let text = std::fs::read_to_string(dir.join("checkpoint.json")).unwrap();
+    let doc = JsonValue::parse(&text).unwrap();
+    let offset = doc.get("delivery_offset").unwrap().as_u64().unwrap();
+    let stream = std::fs::read_to_string(dir.join("deliveries.jsonl")).unwrap();
+    let deliveries: Vec<JsonValue> = stream
+        .lines()
+        .take(offset as usize)
+        .map(|line| JsonValue::parse(line).unwrap())
+        .collect();
+    assert_eq!(deliveries.len() as u64, offset);
+    obj([
+        ("cycle", doc.get("cycle").unwrap().clone()),
+        ("delivery_offset", offset.into()),
+        (
+            "epochs",
+            doc.get("epochs")
+                .and_then(|ep| ep.get("series"))
+                .cloned()
+                .unwrap_or(JsonValue::Null),
+        ),
+        ("deliveries", JsonValue::Arr(deliveries)),
+    ])
+    .render()
+}
+
 /// The streamed-results crash drill: partial results must be served
 /// while the job runs, and a SIGKILL landing *between* a delivery-
 /// stream append and its checkpoint write (simulated by padding the
 /// stream with entries and a torn line past the last checkpoint) must
 /// leave both the final report and the delivery stream byte-identical
-/// to an uninterrupted reference after restart.
+/// to an uninterrupted reference after restart. On the way, the first
+/// poll after the restart — before the job has run again — must serve
+/// the last durable checkpoint, byte for byte what the spool holds.
 #[test]
 fn daemon_streams_partial_results_and_recovers_the_stream_after_sigkill() {
     let scratch = Scratch::new("stream-drill");
@@ -373,6 +478,7 @@ fn daemon_streams_partial_results_and_recovers_the_stream_after_sigkill() {
     spec.measure_cycles = 6_000;
     spec.drain_cycles = 800;
     spec.checkpoint_every = 500;
+    spec.sample_every = 200;
     let (reference, reference_jsonl) = reference_run(&spec);
     assert!(
         !reference_jsonl.is_empty(),
@@ -380,16 +486,20 @@ fn daemon_streams_partial_results_and_recovers_the_stream_after_sigkill() {
     );
     let reference_lines: Vec<&str> = reference_jsonl.lines().collect();
 
-    let mut daemon = Daemon::start(&spool, &["--workers", "1"]);
-    let resp = jobs::submit(&daemon.addr, &spec.to_json().render()).unwrap();
-    assert_eq!(resp.status, 201, "{}", resp.body);
-    let id = JsonValue::parse(&resp.body)
-        .unwrap()
-        .get("id")
-        .unwrap()
-        .as_str()
-        .unwrap()
-        .to_string();
+    // A job that never ends is submitted first. It does nothing before
+    // the kill but keep the second worker busy; after it, with one
+    // worker, it holds the drilled job in the queue.
+    let mut blocker = quick_spec(40);
+    blocker.measure_cycles = 4_000_000_000;
+    let mut daemon = Daemon::start(&spool, &["--workers", "2"]);
+    let submit = |spec: &CampaignSpec| {
+        let resp = jobs::submit(&daemon.addr, &spec.to_json().render()).unwrap();
+        assert_eq!(resp.status, 201, "{}", resp.body);
+        let doc = JsonValue::parse(&resp.body).unwrap();
+        doc.get("id").unwrap().as_str().unwrap().to_string()
+    };
+    let blocker_id = submit(&blocker);
+    let id = submit(&spec);
 
     // Wait for the first durable checkpoint, then fetch the partial
     // result the running job serves on 202.
@@ -465,6 +575,35 @@ fn daemon_streams_partial_results_and_recovers_the_stream_after_sigkill() {
             std::fs::write(&stream_path, &text).unwrap();
         }
     }
+
+    // Restart with one worker: recovery queues the jobs in id order, so
+    // the worker takes the blocker and the drilled job waits with its
+    // spool untouched. Its `202` is the status document with `partial`
+    // as the last field, and `partial` is what the spool holds — the
+    // debris past the checkpoint's offset left out.
+    if spool.join(&id).join("checkpoint.json").exists() {
+        let mut daemon = Daemon::start(&spool, &["--workers", "1"]);
+        let served = jobs::result(&daemon.addr, &id).unwrap();
+        let status = jobs::status(&daemon.addr, &id).unwrap();
+        assert_eq!((served.status, status.status), (202, 200));
+        assert!(
+            status.body.contains("\"phase\":\"queued\""),
+            "{}",
+            status.body
+        );
+        let expected = format!(
+            "{},\"partial\":{}}}",
+            status.body.strip_suffix('}').unwrap(),
+            partial_from_spool(&spool.join(&id))
+        );
+        assert_eq!(served.body, expected, "first 202 after the restart");
+        assert!(
+            served.body.contains("\"load_imbalance\":"),
+            "no epoch series"
+        );
+        daemon.kill9();
+    }
+    std::fs::remove_dir_all(spool.join(&blocker_id)).unwrap();
 
     let daemon = Daemon::start(&spool, &["--workers", "1"]);
     let done = poll_until(Duration::from_secs(180), || {
