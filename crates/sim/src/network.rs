@@ -6,28 +6,31 @@
 //! always has — a misrouted departure onto it is dropped and its credit
 //! restored.
 //!
-//! # Stepping modes
+//! # The stepper
 //!
-//! [`Network::step`] has two interchangeable execution strategies that
-//! produce bit-identical results:
+//! [`Network::step`] is one stepper whose shard count is the thread
+//! count ([`Network::set_threads`]; one shard, no worker threads, by
+//! default). The node grid is partitioned into contiguous row bands in
+//! topology node order, and a cycle runs in three phases:
 //!
-//! * **Serial** (default): every router stepped in id order on the
-//!   calling thread, allocation-free in steady state.
-//! * **Sharded parallel** ([`Network::set_threads`] > 1): the node grid
-//!   is partitioned into contiguous row bands in topology node order,
-//!   each stepped by a persistent worker on a [`crate::WorkerPool`]. A
-//!   cycle runs in three phases — deliver (arrivals partitioned by
-//!   destination shard), shard-step (each shard steps its routers into
-//!   shard-local buffers), merge (shard buffers appended to the wire
-//!   ring in fixed shard order). Because link latency is ≥ 1 cycle, a
-//!   router's step never reads another router's same-cycle output, so
-//!   shards are independent within a cycle and the merge order alone
-//!   fixes the result — wraparound and cut links included, since the
-//!   wiring table only changes *which* ring slot entries are written,
-//!   never when they are read; see ARCHITECTURE.md §2.1 for the full
-//!   determinism argument.
+//! * **A** — take this cycle's slot off the wire wheel and partition
+//!   its arrivals by destination shard, preserving arrival order (with
+//!   one shard the slot is handed over whole);
+//! * **B** — each shard, on the calling thread or a persistent
+//!   [`crate::WorkerPool`] worker, delivers its arrivals, injects from
+//!   its NIs and steps its routers into shard-local buffers;
+//! * **C** — the shard buffers are merged into the wheel, the delivery
+//!   log and the counters in fixed shard order (= router-id order).
 //!
-//! Independently of the thread count, an **active-router worklist**
+//! Because link latency is ≥ 1 cycle, a router's step never reads
+//! another router's same-cycle output, so shards are independent within
+//! a cycle and the merge order alone fixes the result: every shard
+//! count is bit-identical — wraparound and cut links included, since
+//! the wiring table only changes *which* wheel slot entries are written,
+//! never when they are read; see ARCHITECTURE.md §2.1 for the full
+//! determinism argument. The stepper is allocation-free in steady state.
+//!
+//! Independently of the shard count, an **active-router worklist**
 //! skips [`shield_router::Router::step_into`] for routers that are
 //! provably inert this cycle ([`shield_router::Router::is_idle`]): no
 //! buffered flits, no pending crossbar grants, no scheduled faults. At
@@ -102,7 +105,7 @@ enum Wire {
 
 impl Wire {
     /// The router (or node) index this wire is travelling towards — the
-    /// key arrivals are partitioned by in the parallel stepper.
+    /// key phase A partitions arrivals by.
     fn dest(&self) -> usize {
         match self {
             Wire::Flit { router, .. }
@@ -113,16 +116,16 @@ impl Wire {
     }
 }
 
-/// Reusable per-shard working state for the parallel stepper. All
-/// buffers keep their capacity across cycles.
+/// Reusable per-shard working state of the stepper. All buffers keep
+/// their capacity across cycles.
 #[derive(Default)]
 struct ShardScratch {
     /// This shard's slice of the cycle's arrivals, in global order.
     arrivals: Vec<Wire>,
     /// Wire traffic produced by this shard's routers, in router order,
     /// each tagged with its arrival delay in cycles (`>= 1`) — links
-    /// have per-class latencies, so departures no longer share a single
-    /// ring slot. Phase C distributes them into the wheel.
+    /// have per-class latencies, so departures do not share a single
+    /// wheel slot. Phase C distributes them into the wheel.
     wires_out: Vec<(u32, Wire)>,
     /// Packets completed at this shard's NIs this cycle.
     deliveries: Vec<DeliveredPacket>,
@@ -161,7 +164,7 @@ impl ShardScratch {
 /// Rebalance intervals retained by the stepper profile ring.
 const PROFILE_CAP: usize = 64;
 
-/// Wall-clock profile of one rebalance interval of the parallel
+/// Wall-clock profile of one rebalance interval of a multi-shard
 /// stepper: how long each shard's phase B took, how many router steps
 /// it executed, and how imbalanced the row-weight partition was before
 /// and after the interval-closing re-cut.
@@ -251,9 +254,11 @@ fn cut_block(chiplet_rows: Option<usize>, h: usize, nshards: usize) -> usize {
     }
 }
 
-/// Everything the parallel stepper owns: the worker pool plus the
-/// shard partition (contiguous row bands over router ids).
-struct ParState {
+/// The stepper's shard partition (contiguous row bands over router
+/// ids) and the worker pool that steps it. A one-shard partition has no
+/// workers and no cut to move: it is never rebalanced.
+struct Partition {
+    /// `shards - 1` background workers; the caller steps a shard too.
     pool: WorkerPool,
     /// Per shard: the `[start, end)` router-id range it owns.
     bounds: Vec<(usize, usize)>,
@@ -275,8 +280,9 @@ struct ParState {
     interval_steps: Vec<u64>,
     /// First cycle of the open interval.
     interval_start: Cycle,
-    /// Completed interval profiles, a fixed-capacity ring (steady-state
-    /// profiling allocates nothing; old intervals are overwritten).
+    /// Completed interval profiles, a fixed-capacity ring built at the
+    /// first re-cut (empty until then; afterwards profiling allocates
+    /// nothing and old intervals are overwritten).
     profile: Vec<IntervalProfile>,
     /// Next ring slot to overwrite.
     profile_head: usize,
@@ -284,7 +290,7 @@ struct ParState {
     profile_len: usize,
 }
 
-impl ParState {
+impl Partition {
     fn new(threads: usize, mesh: Mesh, chiplet_rows: Option<usize>) -> Self {
         let w = mesh.w as usize;
         let h = mesh.h as usize;
@@ -312,30 +318,30 @@ impl ParState {
                 *slot = s;
             }
         }
-        ParState {
+        Partition {
             // The caller participates in every broadcast, so `nshards`
             // shards need only `nshards - 1` background workers.
             pool: WorkerPool::new(nshards - 1),
             bounds,
             shard_of,
-            shards: (0..nshards)
-                .map(|_| ShardScratch::with_bounds(mesh.len()))
-                .collect(),
+            // A lone shard's span never moves, so its buffers just grow
+            // to steady capacity during warm-up — and the short
+            // scenarios of a campaign, which build a network each,
+            // never pay for a bound they do not reach.
+            shards: if nshards == 1 {
+                vec![ShardScratch::default()]
+            } else {
+                (0..nshards)
+                    .map(|_| ShardScratch::with_bounds(mesh.len()))
+                    .collect()
+            },
             row_weight: vec![0; h],
             mesh,
             chiplet_rows,
             interval_nanos: vec![0; nshards],
             interval_steps: vec![0; nshards],
             interval_start: 0,
-            // Fully preallocated (per-shard vectors included) so
-            // recording an interval in steady state allocates nothing.
-            profile: (0..PROFILE_CAP)
-                .map(|_| IntervalProfile {
-                    shard_nanos: vec![0; nshards],
-                    shard_steps: vec![0; nshards],
-                    ..IntervalProfile::default()
-                })
-                .collect(),
+            profile: Vec::new(),
             profile_head: 0,
             profile_len: 0,
         }
@@ -374,6 +380,18 @@ impl ParState {
         let imbalance_before = weight_imbalance(&self.bounds, &self.row_weight, w);
         let closed_interval = cycle > self.interval_start;
         if closed_interval {
+            if self.profile.is_empty() {
+                // Fully preallocated (per-shard vectors included) so
+                // recording an interval in steady state allocates
+                // nothing.
+                self.profile = (0..PROFILE_CAP)
+                    .map(|_| IntervalProfile {
+                        shard_nanos: vec![0; nshards],
+                        shard_steps: vec![0; nshards],
+                        ..IntervalProfile::default()
+                    })
+                    .collect();
+            }
             let rec = &mut self.profile[self.profile_head];
             rec.start_cycle = self.interval_start;
             rec.end_cycle = cycle;
@@ -433,16 +451,18 @@ impl ParState {
     }
 }
 
-/// One shard's mutable view of the network for phase B of a parallel
-/// cycle: disjoint slices of the routers, NIs and link counters, plus
-/// the shard scratch. No two shards alias, and nothing here touches the
-/// wire ring — cross-shard traffic only flows through `wires_out`,
+/// One shard's mutable view of the network for phase B of a cycle:
+/// disjoint slices of the routers, NIs and link counters, plus the
+/// shard scratch. No two shards alias, and nothing here touches the
+/// wire wheel — cross-shard traffic only flows through `wires_out`,
 /// merged serially in phase C.
 struct ShardCtx<'a, O: Observer> {
     base: usize,
     /// This shard's slice of the network wiring table.
     wiring: &'a [WiringRow],
     skip_idle: bool,
+    /// Step idle routers anyway and assert the step was a no-op.
+    audit: bool,
     /// Router→NI link latency (the config's uniform `link_latency`).
     local_delay: u32,
     routers: &'a mut [Router],
@@ -454,13 +474,14 @@ struct ShardCtx<'a, O: Observer> {
 }
 
 impl<O: Observer> ShardCtx<'_, O> {
-    /// One shard's share of a cycle: deliver arrivals, inject, step.
-    /// Mirrors the serial stepper's per-router order exactly.
+    /// One shard's share of a cycle: deliver arrivals, inject, step —
+    /// each in router-id order.
     fn run(&mut self, cycle: Cycle) {
         let ShardCtx {
             base,
             wiring,
             skip_idle,
+            audit,
             local_delay,
             routers,
             nis,
@@ -473,7 +494,13 @@ impl<O: Observer> ShardCtx<'_, O> {
         for w in scratch.arrivals.drain(..) {
             apply_arrival(w, base, routers, nis, &mut scratch.deliveries, cycle, *obs);
         }
+        // NI injection (one flit per node per cycle). `inject` on an NI
+        // with nothing queued and nothing mid-send is a pure no-op, so
+        // the (at light load, vast) idle majority skips the call.
         for local in 0..nis.len() {
+            if !nis[local].pending_work() {
+                continue;
+            }
             if let Some((vc, flit)) = nis[local].inject(cycle) {
                 scratch.flits_injected += 1;
                 if O::ENABLED {
@@ -491,12 +518,17 @@ impl<O: Observer> ShardCtx<'_, O> {
             }
         }
         for local in 0..routers.len() {
-            if *skip_idle && routers[local].is_idle() {
+            let idle = routers[local].is_idle();
+            if idle && *skip_idle && !*audit {
                 scratch.routers_skipped += 1;
                 continue;
             }
+            let before = (idle && *audit).then(|| audit_snapshot(&routers[local]));
             routers[local].step_into_observed(cycle, &mut scratch.step_out, *obs);
             scratch.routers_stepped += 1;
+            if let Some(before) = before {
+                audit_check(&routers[local], &scratch.step_out, before);
+            }
             process_router_outputs(
                 base + local,
                 cycle,
@@ -516,8 +548,8 @@ impl<O: Observer> ShardCtx<'_, O> {
     }
 }
 
-/// The raw-parts view of the mesh that phase B of a parallel cycle
-/// hands to [`WorkerPool::broadcast`]: base pointers into the network's
+/// The raw-parts view of the mesh that phase B of a cycle hands to
+/// [`WorkerPool::broadcast`]: base pointers into the network's
 /// per-router arrays plus the shard bounds. Carving each shard's slices
 /// out through raw pointers — instead of building a per-cycle `Vec` of
 /// pre-split, `Mutex`-wrapped contexts — keeps the phase allocation-free
@@ -526,7 +558,7 @@ impl<O: Observer> ShardCtx<'_, O> {
 /// # Safety
 ///
 /// `run(i)` materialises `&mut` slices from the base pointers. That is
-/// sound because the one caller (`Network::step_parallel`) upholds:
+/// sound because the one caller (`Network::step_observed`) upholds:
 ///
 /// * `bounds` are disjoint, ascending `[lo, hi)` intervals within every
 ///   pointed-to array (`routers`, `nis`, `link_flits`, `link_free`,
@@ -544,6 +576,7 @@ impl<O: Observer> ShardCtx<'_, O> {
 struct ShardTasks<'a, O: Observer> {
     cycle: Cycle,
     skip_idle: bool,
+    audit: bool,
     local_delay: u32,
     bounds: &'a [(usize, usize)],
     wiring: &'a [WiringRow],
@@ -568,11 +601,14 @@ impl<O: Observer> ShardTasks<'_, O> {
     unsafe fn run(&self, i: usize) {
         let (lo, hi) = self.bounds[i];
         let len = hi - lo;
-        let started = std::time::Instant::now();
+        // Phase-B time only feeds the rebalance profile, which a lone
+        // shard never records.
+        let started = (self.bounds.len() > 1).then(std::time::Instant::now);
         ShardCtx {
             base: lo,
             wiring: &self.wiring[lo..hi],
             skip_idle: self.skip_idle,
+            audit: self.audit,
             local_delay: self.local_delay,
             routers: std::slice::from_raw_parts_mut(self.routers.add(lo), len),
             nis: std::slice::from_raw_parts_mut(self.nis.add(lo), len),
@@ -582,13 +618,41 @@ impl<O: Observer> ShardTasks<'_, O> {
             obs: &mut *self.obs.add(i),
         }
         .run(self.cycle);
-        (*self.shards.add(i)).step_nanos += started.elapsed().as_nanos() as u64;
+        if let Some(started) = started {
+            (*self.shards.add(i)).step_nanos += started.elapsed().as_nanos() as u64;
+        }
     }
 }
 
+/// Snapshot the observable state of one router for the worklist audit:
+/// stats, every output credit counter, buffered flits.
+fn audit_snapshot(r: &Router) -> (RouterStats, Vec<u8>, usize) {
+    let v = r.config().vcs;
+    let mut credits = Vec::with_capacity(5 * v);
+    for dir in Direction::ALL {
+        for vc in 0..v {
+            credits.push(r.credit(dir.port(), VcId(vc as u8)));
+        }
+    }
+    (*r.stats(), credits, r.buffered_flits())
+}
+
+/// Assert that stepping an idle router changed nothing observable.
+fn audit_check(r: &Router, out: &StepOutput, before: (RouterStats, Vec<u8>, usize)) {
+    let id = r.id();
+    assert!(
+        out.departures.is_empty() && out.credits.is_empty() && out.dropped.is_empty(),
+        "worklist audit: idle router {id} produced output"
+    );
+    assert_eq!(
+        before,
+        audit_snapshot(r),
+        "worklist audit: idle router {id} changed state"
+    );
+}
+
 /// Deliver one arriving wire to its router or NI. `base` is the id of
-/// `routers[0]`/`nis[0]` (0 for the serial stepper, the shard's first
-/// router in the parallel one).
+/// `routers[0]`/`nis[0]` (the shard's first router).
 fn apply_arrival<O: Observer>(
     w: Wire,
     base: usize,
@@ -636,11 +700,9 @@ fn apply_arrival<O: Observer>(
     }
 }
 
-/// Turn one router's [`StepOutput`] into wire traffic and counters.
-/// Shared verbatim by the serial and parallel steppers; both collect
-/// `(arrival delay, wire)` pairs and distribute them into the wire
-/// wheel afterwards (the serial path right after the router loop, the
-/// parallel path in phase C).
+/// Turn one router's [`StepOutput`] into wire traffic and counters:
+/// `(arrival delay, wire)` pairs collected per shard and distributed
+/// into the wire wheel in phase C.
 ///
 /// Delays follow the link class baked into `wiring_row`:
 ///
@@ -779,32 +841,16 @@ pub struct Network {
     wiring: Vec<WiringRow>,
     routers: Vec<Router>,
     nis: Vec<NetworkInterface>,
-    /// Bitmap over nodes (64 per word): bit set ⇔ that NI may have
-    /// injection work (a queued packet or an in-progress send). Set
-    /// when an offer is accepted, cleared by the serial stepper once
-    /// the NI drains; the injection loop walks set bits only, so the
-    /// large majority of NIs that idle through a light-load cycle are
-    /// never touched. Conservative (a set bit with nothing pending is
-    /// a one-visit no-op), never stale-clear.
-    ni_live: Vec<u64>,
     /// The wire wheel: in-flight wire traffic bucketed by arrival
     /// cycle; slot 0 arrives this cycle. Sized for the longest link
     /// class at construction and grown on demand when serialisation
     /// pacing pushes an arrival past the horizon.
     wires: Vec<Vec<Wire>>,
-    /// Spare vector swapped with `wires[0]` each cycle so arrival
-    /// processing reuses capacity instead of reallocating.
-    arrivals_scratch: Vec<Wire>,
-    /// Serial stepper's reusable `(delay, wire)` departure buffer,
-    /// drained into the wheel after the router loop.
-    wire_out_scratch: Vec<(u32, Wire)>,
     /// Per router, per output port: the first cycle the outgoing link
     /// accepts another flit — the serialisation pacing state of narrow
     /// (`width_denom > 1`) links. Full-width links neither consult nor
     /// advance it (their entries stay 0).
     link_free: Vec<[Cycle; 5]>,
-    /// Reusable per-router step output (cleared, not reallocated).
-    step_scratch: StepOutput,
     deliveries: Vec<DeliveredPacket>,
     /// Flits sent per router per output port (`[router][port]`) —
     /// the link-utilisation matrix behind congestion heatmaps.
@@ -829,10 +875,10 @@ pub struct Network {
     /// `(cycle, router, dir)` order so the next due event pops off the
     /// end at each cycle boundary.
     pending_link_faults: Vec<LinkFaultEvent>,
-    /// Parallel stepper state; `None` = serial.
-    par: Option<ParState>,
+    /// The shard partition the stepper runs over (one shard by default).
+    part: Partition,
     /// Cycles between load-aware shard repartitions (`0` = static
-    /// partition). Only consulted by the parallel stepper.
+    /// partition). Only consulted when there is more than one shard.
     rebalance_every: u64,
     /// Flits that fell off the mesh edge after a misroute.
     pub flits_edge_dropped: u64,
@@ -852,14 +898,7 @@ impl Network {
 
     /// Build a network and pre-apply a fault campaign (each event
     /// manifests at its scheduled cycle).
-    ///
-    /// Honours the `NOC_TOPOLOGY` environment variable (`mesh`, `torus`
-    /// or `cutmesh<N>`) when — and only when — the config carries the
-    /// default [`TopologySpec::MeshK`]: explicit topology specs always
-    /// win. The override reuses `mesh_k` as both grid dimensions, so CI
-    /// can re-run the mesh test matrix on other topologies untouched.
     pub fn with_faults(cfg: NetworkConfig, kind: RouterKind, plan: &FaultPlan) -> Self {
-        let cfg = apply_routing_override(apply_topology_override(cfg));
         cfg.validate().expect("invalid network configuration");
         let mesh = cfg.grid();
         let topo = Arc::new(Topology::from_spec(&cfg));
@@ -946,12 +985,8 @@ impl Network {
             wiring,
             routers,
             nis,
-            ni_live: vec![0; mesh.len().div_ceil(64)],
             wires: (0..slots).map(|_| Vec::new()).collect(),
-            arrivals_scratch: Vec::new(),
-            wire_out_scratch: Vec::new(),
             link_free: vec![[0; 5]; mesh.len()],
-            step_scratch: StepOutput::default(),
             deliveries: Vec::new(),
             link_flits: vec![[0; 5]; mesh.len()],
             cycles_stepped: 0,
@@ -961,7 +996,7 @@ impl Network {
             routers_skipped: 0,
             escape,
             pending_link_faults,
-            par: None,
+            part: Partition::new(1, mesh, cfg.topology.chiplet_k().map(usize::from)),
             rebalance_every: rebalance_every_default(),
             flits_edge_dropped: 0,
             flits_dropped: 0,
@@ -1199,11 +1234,11 @@ impl Network {
         &self.nis[id]
     }
 
-    /// Set how many OS threads step the mesh each cycle (`0` = one per
-    /// available CPU, `1` = the serial stepper). Thread counts beyond
-    /// the mesh's row count are clamped — shards are whole row bands.
-    /// Results are bit-identical for every thread count; see the module
-    /// docs. Can be changed at any cycle boundary.
+    /// Set how many OS threads step the mesh each cycle, one shard each
+    /// (`0` = one per available CPU, `1` = the calling thread alone).
+    /// Thread counts beyond the mesh's row count are clamped — shards
+    /// are whole row bands. Results are bit-identical for every thread
+    /// count; see the module docs. Can be changed at any cycle boundary.
     pub fn set_threads(&mut self, threads: usize) {
         let t = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -1211,25 +1246,19 @@ impl Network {
             threads
         };
         let t = t.min(self.mesh.h as usize).max(1);
-        if t <= 1 {
-            self.par = None;
-        } else if self.threads() != t {
-            self.par = Some(ParState::new(
-                t,
-                self.mesh,
-                self.cfg.topology.chiplet_k().map(usize::from),
-            ));
+        if self.threads() != t {
+            self.part = Partition::new(t, self.mesh, self.part.chiplet_rows);
         }
     }
 
-    /// Threads stepping the mesh (1 = serial).
+    /// Threads stepping the mesh (= shards).
     pub fn threads(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.pool.workers() + 1)
+        self.part.shards.len()
     }
 
-    /// Set how often (in cycles) the parallel stepper repartitions its
+    /// Set how often (in cycles) a multi-shard stepper repartitions its
     /// row bands from the current per-row active-router counts — see
-    /// [`ParState::rebalance`]. `0` keeps the initial static even
+    /// [`Partition::rebalance`]. `0` keeps the initial static even
     /// split. Purely a performance knob: results are bit-identical for
     /// every cadence and thread count. Defaults to 1024, or the
     /// `NOC_SIM_REBALANCE` environment variable when set.
@@ -1254,12 +1283,12 @@ impl Network {
         self.skip_idle
     }
 
-    /// Test hook: step idle routers anyway (serial mode only) and panic
-    /// if any "idle" step turns out to be observable — i.e. it produced
-    /// departures, credits or drops, or changed the router's stats,
-    /// credit counters or buffered-flit count. Used by the worklist
-    /// soundness property test; costs a heap snapshot per idle router
-    /// per cycle, so leave it off outside tests.
+    /// Test hook: step idle routers anyway (at every shard count) and
+    /// panic if any "idle" step turns out to be observable — i.e. it
+    /// produced departures, credits or drops, or changed the router's
+    /// stats, credit counters or buffered-flit count. Used by the
+    /// worklist soundness property test; costs a heap snapshot per idle
+    /// router per cycle, so leave it off outside tests.
     pub fn set_worklist_audit(&mut self, on: bool) {
         self.worklist_audit = on;
     }
@@ -1487,9 +1516,7 @@ impl Network {
         let mut refused = 0;
         for p in packets.drain(..) {
             let node = self.mesh.id_of(p.src).index();
-            if self.nis[node].offer(p) {
-                self.ni_live[node / 64] |= 1 << (node % 64);
-            } else {
+            if !self.nis[node].offer(p) {
                 refused += 1;
             }
         }
@@ -1588,42 +1615,38 @@ impl Network {
         }
     }
 
-    /// Completed rebalance-interval profiles of the parallel stepper,
-    /// oldest first: per-shard phase-B wall-clock time, router steps
-    /// and the partition imbalance before/after each re-cut. Empty when
-    /// stepping serially, when rebalancing is off, or before the first
-    /// re-cut. Wall-clock data — excluded from reports and checkpoints.
+    /// Completed rebalance-interval profiles of the stepper, oldest
+    /// first: per-shard phase-B wall-clock time, router steps and the
+    /// partition imbalance before/after each re-cut. Empty with one
+    /// shard, when rebalancing is off, or before the first re-cut.
+    /// Wall-clock data — excluded from reports and checkpoints.
     pub fn shard_profile(&self) -> Vec<IntervalProfile> {
-        self.par.as_ref().map_or_else(Vec::new, ParState::profiles)
+        self.part.profiles()
     }
 
-    /// Number of stepper shards (1 when serial). This is how many
-    /// observers [`Network::step_observed`] needs; it only changes when
+    /// Number of stepper shards. This is how many observers
+    /// [`Network::step_observed`] needs; it only changes when
     /// [`Network::set_threads`] does.
     pub fn shard_count(&self) -> usize {
-        self.par.as_ref().map_or(1, |p| p.shards.len())
+        self.part.shards.len()
     }
 
     /// Advance the whole network by one cycle.
     pub fn step(&mut self, cycle: Cycle) {
-        self.apply_due_link_faults(cycle);
-        if self.par.is_some() {
-            // A `Vec` of zero-sized observers never allocates, so the
-            // untraced hot path stays allocation-free.
-            let mut nulls = vec![NullObserver; self.shard_count()];
-            self.step_parallel(cycle, &mut nulls);
-        } else {
-            self.step_serial(cycle, &mut NullObserver);
-        }
+        // A `Vec` of zero-sized observers never allocates, so the
+        // untraced hot path stays allocation-free.
+        let mut nulls = vec![NullObserver; self.shard_count()];
+        self.step_observed(cycle, &mut nulls);
     }
 
     /// Advance one cycle while recording telemetry events.
     ///
     /// `obs` must hold at least [`Network::shard_count`] observers;
-    /// shard `s` records into `obs[s]` (the serial stepper uses
-    /// `obs[0]` only). Hand each shard one ring of a
+    /// shard `s` records into `obs[s]`. Hand each shard one ring of a
     /// [`noc_telemetry::ShardedTracer`] and merge afterwards; the
     /// merged stream is identical for every thread count.
+    ///
+    /// This is the one stepper; the module docs describe its phases.
     pub fn step_observed<O: Observer + Send>(&mut self, cycle: Cycle, obs: &mut [O]) {
         assert!(
             obs.len() >= self.shard_count(),
@@ -1632,136 +1655,18 @@ impl Network {
             self.shard_count()
         );
         self.apply_due_link_faults(cycle);
-        if self.par.is_some() {
-            self.step_parallel(cycle, obs);
-        } else {
-            self.step_serial(cycle, &mut obs[0]);
-        }
-    }
-
-    /// The serial stepper: arrivals, injection, then every router in id
-    /// order, writing wire traffic straight into the ring.
-    fn step_serial<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
-        self.cycles_stepped += 1;
-        // 1. Deliver wire traffic scheduled for this cycle. Swap the
-        // arriving slot with the spare vector so both keep their
-        // capacity as they circulate through the ring.
-        let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
-        std::mem::swap(&mut arrivals, &mut self.wires[0]);
-        self.wires.rotate_left(1);
-        for w in arrivals.drain(..) {
-            apply_arrival(
-                w,
-                0,
-                &mut self.routers,
-                &mut self.nis,
-                &mut self.deliveries,
-                cycle,
-                obs,
-            );
-        }
-        self.arrivals_scratch = arrivals;
-
-        // 2. NI injection (one flit per node per cycle). Only NIs on
-        // the live bitmap can have anything to send; walking its set
-        // bits skips the (at light load, vast) idle majority without
-        // even a call. `inject` on a drained NI is a pure no-op, so
-        // eliding it is unobservable.
-        for wi in 0..self.ni_live.len() {
-            let mut live = self.ni_live[wi];
-            while live != 0 {
-                let node = wi * 64 + live.trailing_zeros() as usize;
-                live &= live - 1;
-                if let Some((vc, flit)) = self.nis[node].inject(cycle) {
-                    self.flits_injected += 1;
-                    if O::ENABLED {
-                        obs.record(Event {
-                            cycle,
-                            router: node as u16,
-                            kind: EventKind::FlitInject {
-                                packet: flit.packet.0,
-                                seq: flit.seq.0,
-                                vc: vc.0,
-                            },
-                        });
-                    }
-                    self.routers[node].receive_flit(Direction::Local.port(), vc, flit);
-                }
-                if !self.nis[node].pending_work() {
-                    self.ni_live[wi] &= !(1 << (node % 64));
-                }
-            }
-        }
-
-        // 3. Routers compute one cycle, reusing one StepOutput across
-        // the whole mesh. Departures collect as `(delay, wire)` pairs
-        // (links have per-class latencies) and spill into the wheel
-        // after the loop; the wheel already rotated, so a delay-`d`
-        // wire lands in slot `d - 1`, taken `d` cycles from now.
-        let local_delay = self.cfg.link_latency;
-        let mut out = std::mem::take(&mut self.step_scratch);
-        for id in 0..self.routers.len() {
-            let idle = self.routers[id].is_idle();
-            if idle && self.skip_idle && !self.worklist_audit {
-                self.routers_skipped += 1;
-                continue;
-            }
-            let audit = idle.then(|| self.worklist_audit.then(|| self.audit_snapshot(id)));
-            self.routers[id].step_into_observed(cycle, &mut out, obs);
-            self.routers_stepped += 1;
-            if let Some(Some(snap)) = audit {
-                self.audit_check(id, &out, snap);
-            }
-            let mut any_departure = false;
-            process_router_outputs(
-                id,
-                cycle,
-                local_delay,
-                &mut self.routers[id],
-                &mut self.nis[id],
-                &self.wiring[id],
-                &mut out,
-                &mut self.wire_out_scratch,
-                &mut self.link_flits[id],
-                &mut self.link_free[id],
-                &mut self.flits_dropped,
-                &mut self.flits_edge_dropped,
-                &mut any_departure,
-            );
-            if any_departure {
-                self.last_activity = cycle;
-            }
-        }
-        self.step_scratch = out;
-        spill_into_wheel(&mut self.wires, &mut self.wire_out_scratch);
-    }
-
-    /// The sharded parallel stepper. Three phases per cycle:
-    ///
-    /// * **A (serial)**: rotate the wire ring and partition this cycle's
-    ///   arrivals by destination shard, preserving arrival order.
-    /// * **B (parallel)**: each shard applies its arrivals, injects from
-    ///   its NIs and steps its routers, writing departures, credits and
-    ///   counters into shard-local buffers. Shards touch disjoint state.
-    /// * **C (serial)**: append shard buffers to the wire ring and the
-    ///   delivery log in shard order — which equals router-id order, the
-    ///   exact order the serial stepper produces.
-    fn step_parallel<O: Observer + Send>(&mut self, cycle: Cycle, obs: &mut [O]) {
         self.cycles_stepped += 1;
         // Load-aware repartition at the epoch cadence, from the router
         // state *at this cycle boundary* (before any of this cycle's
         // arrivals or injections) — the same state every thread count
         // and every resumed run observes, so the partition is a pure
         // function of (cycle, worklist state).
-        if self.rebalance_every != 0 && cycle.is_multiple_of(self.rebalance_every) {
-            self.par
-                .as_mut()
-                .expect("parallel step requires ParState")
-                .rebalance(&self.routers, cycle);
+        if self.part.shards.len() > 1
+            && self.rebalance_every != 0
+            && cycle.is_multiple_of(self.rebalance_every)
+        {
+            self.part.rebalance(&self.routers, cycle);
         }
-        let mut arrivals = std::mem::take(&mut self.arrivals_scratch);
-        std::mem::swap(&mut arrivals, &mut self.wires[0]);
-        self.wires.rotate_left(1);
 
         let Network {
             cfg,
@@ -1773,16 +1678,17 @@ impl Network {
             link_flits,
             link_free,
             skip_idle,
+            worklist_audit,
             routers_stepped,
             routers_skipped,
-            par,
+            part,
             flits_edge_dropped,
             flits_dropped,
             flits_injected,
             last_activity,
             ..
         } = self;
-        let ParState {
+        let Partition {
             pool,
             bounds,
             shard_of,
@@ -1790,13 +1696,22 @@ impl Network {
             interval_nanos,
             interval_steps,
             ..
-        } = par.as_mut().expect("parallel step requires ParState");
+        } = part;
 
-        // Phase A: partition arrivals by destination shard. Each shard's
-        // queue is a subsequence of the global arrival order, so per-
-        // destination delivery order matches the serial stepper.
-        for w in arrivals.drain(..) {
-            shards[shard_of[w.dest()]].arrivals.push(w);
+        // Phase A: rotate the wheel (the slot arriving now becomes the
+        // farthest one) and hand its contents to the shards. Each
+        // shard's queue is a subsequence of the global arrival order, so
+        // per-destination delivery order is the same for every shard
+        // count. A lone shard takes the whole slot by swapping vectors,
+        // so both keep their capacity as they circulate.
+        wires.rotate_left(1);
+        let arriving = wires.last_mut().expect("the wheel has at least two slots");
+        if let [only] = shards.as_mut_slice() {
+            std::mem::swap(&mut only.arrivals, arriving);
+        } else {
+            for w in arriving.drain(..) {
+                shards[shard_of[w.dest()]].arrivals.push(w);
+            }
         }
 
         // Phase B: hand each shard its disjoint slice of the mesh (and
@@ -1804,15 +1719,12 @@ impl Network {
         // through `ShardTasks`'s raw pointers so the phase allocates
         // nothing. The safety contract on `ShardTasks` holds here:
         // `bounds` are disjoint ascending row bands covering the mesh,
-        // the length assert guarantees per-shard observers, and the
-        // borrowed arrays are untouched until the broadcast returns.
-        assert!(
-            obs.len() >= shards.len(),
-            "phase B needs one observer per shard"
-        );
+        // the length assert above guarantees per-shard observers, and
+        // the borrowed arrays are untouched until the broadcast returns.
         let tasks = ShardTasks {
             cycle,
             skip_idle: *skip_idle,
+            audit: *worklist_audit,
             local_delay: cfg.link_latency,
             bounds,
             wiring,
@@ -1827,8 +1739,7 @@ impl Network {
         pool.broadcast(tasks.bounds.len(), &|i| unsafe { tasks.run(i) });
 
         // Phase C: merge in fixed shard order (= router-id order), so
-        // each wheel slot receives a subsequence of the serial
-        // stepper's push order.
+        // each wheel slot receives its wires in router-id order.
         for (s, scratch) in shards.iter_mut().enumerate() {
             spill_into_wheel(wires, &mut scratch.wires_out);
             deliveries.append(&mut scratch.deliveries);
@@ -1844,34 +1755,6 @@ impl Network {
                 *last_activity = cycle;
             }
         }
-        self.arrivals_scratch = arrivals;
-    }
-
-    /// Snapshot the observable state of one router for the worklist
-    /// audit: stats, every output credit counter, buffered flits.
-    fn audit_snapshot(&self, id: usize) -> (RouterStats, Vec<u8>, usize) {
-        let r = &self.routers[id];
-        let v = self.cfg.router.vcs;
-        let mut credits = Vec::with_capacity(5 * v);
-        for dir in Direction::ALL {
-            for vc in 0..v {
-                credits.push(r.credit(dir.port(), VcId(vc as u8)));
-            }
-        }
-        (*r.stats(), credits, r.buffered_flits())
-    }
-
-    /// Assert that stepping an idle router changed nothing observable.
-    fn audit_check(&self, id: usize, out: &StepOutput, before: (RouterStats, Vec<u8>, usize)) {
-        assert!(
-            out.departures.is_empty() && out.credits.is_empty() && out.dropped.is_empty(),
-            "worklist audit: idle router {id} produced output"
-        );
-        let after = self.audit_snapshot(id);
-        assert_eq!(
-            before, after,
-            "worklist audit: idle router {id} changed state"
-        );
     }
 
     /// Check the credit-conservation invariant on every link and panic
@@ -2166,7 +2049,7 @@ impl Snapshot for Network {
     /// every router and NI, the wire ring (slot 0 first — the slot
     /// arriving next cycle), the link-utilisation matrix and the
     /// global counters. Excluded as rebuildable from configuration:
-    /// the topology, the wiring table, the parallel stepper (thread
+    /// the topology, the wiring table, the shard partition (thread
     /// count is a performance knob — results are bit-identical for any
     /// value, see the module docs) and the empty per-cycle scratch
     /// buffers. Also excluded — deliberately — is the delivery log: it
@@ -2250,18 +2133,6 @@ impl Restore for Network {
         for (i, (n, s)) in self.nis.iter_mut().zip(nis).enumerate() {
             n.restore(s).map_err(|e| e.within(&format!("nis[{i}]")))?;
         }
-        // The live-NI bitmap is derived state (not serialised);
-        // re-derive it from the restored injection queues and sends.
-        for (wi, word) in self.ni_live.iter_mut().enumerate() {
-            let mut w = 0u64;
-            for b in 0..64 {
-                let node = wi * 64 + b;
-                if node < self.nis.len() && self.nis[node].pending_work() {
-                    w |= 1 << b;
-                }
-            }
-            *word = w;
-        }
         // The wheel's base length is fixed by the link classes (which
         // the config fingerprint pinned above), but serialisation
         // pacing may have grown it past that; adopt the snapshot's
@@ -2328,51 +2199,11 @@ impl Restore for Network {
         self.flits_dropped = u64_field(v, "flits_dropped")?;
         self.flits_injected = u64_field(v, "flits_injected")?;
         self.last_activity = u64_field(v, "last_activity")?;
-        // Per-cycle scratch is empty at every cycle boundary; leave the
-        // parallel stepper alone — thread count is orthogonal to state.
-        self.arrivals_scratch.clear();
-        self.wire_out_scratch.clear();
+        // The shard partition is left alone: its per-cycle scratch is
+        // empty at every cycle boundary, and the thread count is
+        // orthogonal to state.
         Ok(())
     }
-}
-
-/// Apply the `NOC_TOPOLOGY` environment override: `mesh` (no-op),
-/// `torus` or `cutmesh<N>[:seed]` (N = links to cut). Only configs
-/// still carrying the default [`TopologySpec::MeshK`] are rewritten — a
-/// config that names its topology explicitly always wins — so the
-/// existing `mesh_k`-based test matrix can be replayed on other
-/// topologies without touching any test. Parsing (including the cut
-/// clamp and the default `0xC0FFEE ^ k` seed) is shared with the bench
-/// and CLI `--topology` flags via [`TopologySpec::parse_arg`].
-fn apply_topology_override(mut cfg: NetworkConfig) -> NetworkConfig {
-    if cfg.topology != TopologySpec::MeshK {
-        return cfg;
-    }
-    let Ok(raw) = std::env::var("NOC_TOPOLOGY") else {
-        return cfg;
-    };
-    cfg.topology =
-        TopologySpec::parse_arg(&raw, cfg.mesh_k).unwrap_or_else(|e| panic!("NOC_TOPOLOGY: {e}"));
-    cfg
-}
-
-/// Apply the `NOC_ROUTING` environment override: `static` (no-op) or
-/// `adaptive`. Like `NOC_TOPOLOGY`, only configs still carrying the
-/// default [`RoutingMode::Static`] are rewritten — an explicit routing
-/// mode always wins — so the whole existing test matrix can be
-/// replayed under adaptive routing (the CI `adaptive-matrix` leg)
-/// without touching any test. Parsing is shared with the CLI
-/// `--routing` flags and the service spec field via
-/// [`RoutingMode::parse_arg`].
-fn apply_routing_override(mut cfg: NetworkConfig) -> NetworkConfig {
-    if cfg.routing != RoutingMode::Static {
-        return cfg;
-    }
-    let Ok(raw) = std::env::var("NOC_ROUTING") else {
-        return cfg;
-    };
-    cfg.routing = RoutingMode::parse_arg(&raw).unwrap_or_else(|e| panic!("NOC_ROUTING: {e}"));
-    cfg
 }
 
 /// Default shard-rebalance cadence: the `NOC_SIM_REBALANCE` environment
@@ -2381,12 +2212,15 @@ fn apply_routing_override(mut cfg: NetworkConfig) -> NetworkConfig {
 /// enough to track traffic phases. Like `NOC_SIM_THREADS` this is a
 /// pure performance knob; results are bit-identical for every value.
 fn rebalance_every_default() -> u64 {
-    match std::env::var("NOC_SIM_REBALANCE") {
-        Ok(raw) => raw
-            .parse()
-            .unwrap_or_else(|_| panic!("NOC_SIM_REBALANCE: `{raw}` is not a cycle count")),
-        Err(_) => 1024,
-    }
+    env_u64(std::env::var("NOC_SIM_REBALANCE").ok().as_deref()).unwrap_or(1024)
+}
+
+/// Parse the value of a result-neutral performance variable
+/// (`NOC_SIM_THREADS`, `NOC_SIM_REBALANCE`). Unset or unparsable means
+/// "use the default": a typo in an inherited environment must not take
+/// a run (or, in the daemon, every job) down.
+pub(crate) fn env_u64(raw: Option<&str>) -> Option<u64> {
+    raw?.parse().ok()
 }
 
 /// Precompute the per-router wiring table from the topology. For every
@@ -2420,4 +2254,19 @@ fn build_wiring(topo: &Topology, default_latency: u32) -> Vec<WiringRow> {
             row
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_u64;
+
+    #[test]
+    fn env_u64_falls_back_on_anything_unparsable() {
+        assert_eq!(env_u64(None), None);
+        assert_eq!(env_u64(Some("0")), Some(0));
+        assert_eq!(env_u64(Some("64")), Some(64));
+        for bad in ["", "fast", "-1", "1.5", "64 ", "18446744073709551616"] {
+            assert_eq!(env_u64(Some(bad)), None, "`{bad}`");
+        }
+    }
 }

@@ -106,7 +106,10 @@ impl WorkerPool {
     /// calls [`WorkerPool::broadcast`] always participates too, so the
     /// effective parallelism of a broadcast is `workers + 1`.
     pub fn new(workers: usize) -> Self {
-        let spin = if std::thread::available_parallelism().map_or(1, |p| p.get()) > 1 {
+        // Only workers read `spin`; a worker-less pool (every one-shard
+        // `Network` owns one) skips the query, which reads cgroup files.
+        let spin = if workers > 0 && std::thread::available_parallelism().map_or(1, |p| p.get()) > 1
+        {
             10_000
         } else {
             0

@@ -2,7 +2,7 @@
 //! deadlock watchdog, epoch sampling and report assembly.
 
 use crate::delivery::{DeliveryStream, MemoryStream};
-use crate::network::Network;
+use crate::network::{env_u64, Network};
 use crate::stats::NetworkReport;
 use noc_faults::FaultPlan;
 use noc_telemetry::json::{obj, JsonValue};
@@ -60,14 +60,11 @@ impl PacketSource for TrafficGenerator {
 }
 
 /// Default stepper thread count, read from `NOC_SIM_THREADS` (`1` =
-/// serial, `0` = one per CPU). Having every `Simulator` honour the
-/// variable lets CI run the whole test suite on the parallel stepper as
-/// a nondeterminism canary without touching any call site.
+/// one shard, `0` = one per CPU). Having every `Simulator` honour the
+/// variable lets CI run the whole test suite on a multi-shard stepper
+/// as a nondeterminism canary without touching any call site.
 fn env_threads() -> usize {
-    std::env::var("NOC_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+    env_u64(std::env::var("NOC_SIM_THREADS").ok().as_deref()).map_or(1, |t| t as usize)
 }
 
 /// Rolling state for the epoch sampler: the counter values at the last
@@ -238,7 +235,7 @@ impl<S: PacketSource, F: FnMut(&JsonValue) -> bool> CoreSource for Checkpointing
 
 impl Simulator {
     /// Configure a simulation. The stepper thread count defaults from
-    /// the `NOC_SIM_THREADS` environment variable (serial when unset).
+    /// the `NOC_SIM_THREADS` environment variable (one thread when unset).
     pub fn new(
         net_cfg: NetworkConfig,
         sim_cfg: SimConfig,
@@ -258,7 +255,7 @@ impl Simulator {
     }
 
     /// Set how many threads step the mesh (`0` = one per CPU, `1` =
-    /// serial). Results are bit-identical for every value; see
+    /// the calling thread alone). Results are bit-identical for every value; see
     /// [`Network::set_threads`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;

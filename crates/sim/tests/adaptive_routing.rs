@@ -8,6 +8,8 @@
 //! finds a circular wait), and the `fail_router` ≡ all-incident-link
 //! equivalence pin.
 
+mod common;
+
 use noc_faults::{FaultPlan, LinkFaultEvent};
 use noc_sim::Network;
 use noc_topology::Irregular;
@@ -68,7 +70,7 @@ fn adaptive_cfg(spec: TopologySpec) -> NetworkConfig {
     cfg.mesh_k = 8;
     cfg.topology = spec;
     cfg.routing = RoutingMode::Adaptive;
-    cfg
+    common::replayed(cfg)
 }
 
 /// Offer traffic for `inject_cycles`, then step until drained. Panics
@@ -181,13 +183,7 @@ fn adaptive_routes_around_link_faults_where_static_xy_loses_packets() {
         "every scheduled link fault healed into the escape tables"
     );
 
-    // The static contrast arm: skipped under the NOC_ROUTING override,
-    // which would rewrite this config back to adaptive and make the
-    // loss assertion below vacuous. The adaptive half above is the
-    // override-safe part of the test.
-    if std::env::var("NOC_ROUTING").is_ok() {
-        return;
-    }
+    // The static contrast arm (pinned static, so never replayed).
     cfg.routing = RoutingMode::Static;
     let mut net = Network::with_faults(cfg, RouterKind::Protected, &plan);
     let mut src = Source::new(cfg.grid(), 40, 0x5EED);

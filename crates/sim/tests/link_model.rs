@@ -11,6 +11,8 @@
 //! presence counts measure link occupancy without any test-only
 //! accessors.
 
+mod common;
+
 use noc_faults::FaultPlan;
 use noc_sim::Network;
 use noc_telemetry::json::JsonValue;
@@ -30,7 +32,7 @@ fn boundary_cfg(d2d: LinkClass) -> NetworkConfig {
         d2d,
     };
     cfg.validate().expect("boundary config is valid");
-    cfg
+    common::replayed(cfg)
 }
 
 /// Wires currently in flight that match `tag` and whose `field` names
@@ -200,6 +202,7 @@ fn credit_conservation_holds_under_randomized_mixed_latency_wirings() {
         cfg.mesh_k = 4;
         cfg.topology = topology;
         cfg.validate().expect("randomized chiplet config is valid");
+        let cfg = common::replayed(cfg);
         let mut net = Network::with_faults(cfg, RouterKind::Protected, &FaultPlan::none());
         let (w, h) = (net.mesh().w, net.mesh().h);
         let label = format!("case {case}: {topology:?}");

@@ -1,6 +1,6 @@
 //! The network's per-cycle hot path must be allocation-free in steady
-//! state — including the sharded parallel stepper and its load-aware
-//! rebalancing partitioner. All scratch (shard buffers, worklists, the
+//! state — at every shard count of the one stepper, including its
+//! load-aware rebalancing partitioner. All scratch (shard buffers, worklists, the
 //! row-weight array the rebalancer scans, the pool's job slot) is
 //! preallocated and reused; a rebalance moves shard boundaries purely
 //! in place.
@@ -100,12 +100,17 @@ fn tick(rng: &mut Rng, k: u8, cycle: u64, next_id: &mut u64, out: &mut Vec<Packe
 
 #[test]
 fn steady_state_network_step_allocates_nothing() {
-    // Serial covers the SoA router stepper behind the network wrapper;
-    // the parallel legs cover shard scratch, the worker-pool broadcast
-    // and the load-aware rebalancer (cadence 64: the measured window
-    // below crosses several rebalances).
+    // One shard (the default, and the path of four of the five
+    // benchmark workloads) covers the SoA router stepper, the slot
+    // hand-over of phase A and the inline broadcast — with the cadence
+    // set, too: a lone shard has no cut to move, so it must neither
+    // rebalance nor record profiles. The multi-shard legs cover arrival
+    // partitioning, the worker-pool broadcast and the load-aware
+    // rebalancer (cadence 64: the measured window below crosses several
+    // rebalances).
     for (label, threads, rebalance) in [
-        ("serial", 1usize, 0u64),
+        ("1 shard", 1usize, 0u64),
+        ("1 shard, cadence set", 1, 64),
         ("2 shards + rebalance", 2, 64),
         ("4 shards + rebalance", 4, 64),
     ] {
@@ -157,7 +162,7 @@ fn steady_state_network_step_allocates_nothing() {
 
         // The zero-allocation window above must have exercised the
         // spatial counter plane (plain u64 bumps on the routers) and,
-        // on the parallel legs, the shard step-time profiling ring
+        // on the multi-shard legs, the shard step-time profiling ring
         // (preallocated records, `copy_from_slice` in steady state) —
         // prove both actually ran rather than vacuously not allocating.
         let grid = net.spatial_grid();
@@ -165,12 +170,11 @@ fn steady_state_network_step_allocates_nothing() {
             grid.metric("occ_integral").unwrap().iter().sum::<u64>() > 0,
             "{label}: occupancy-integral counters must tick under load"
         );
-        if rebalance > 0 {
-            assert!(
-                !net.shard_profile().is_empty(),
-                "{label}: the measured window crosses rebalances, so \
-                 profile intervals must have been recorded"
-            );
-        }
+        assert_eq!(
+            !net.shard_profile().is_empty(),
+            threads > 1 && rebalance > 0,
+            "{label}: profile intervals are recorded exactly when there \
+             is a cut to move and the window crosses rebalances"
+        );
     }
 }

@@ -1,7 +1,9 @@
-//! Equivalence suite for the sharded parallel stepper and the
-//! active-router worklist: for identical seeds and fault campaigns, the
-//! observable end state of a run must be bit-identical for every thread
-//! count and for the worklist on or off.
+//! Equivalence suite for the sharded stepper and the active-router
+//! worklist: for identical seeds and fault campaigns, the observable end
+//! state of a run must be bit-identical for every shard count and for
+//! the worklist on or off.
+
+mod common;
 
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::stats::RouterEventTotals;
@@ -34,10 +36,10 @@ impl Source {
         }
     }
 
-    /// A source covering exactly the network's (override-resolved)
-    /// grid, so the suite stays valid when `NOC_TOPOLOGY` rewrites a
-    /// `mesh_k` config onto a grid of different dimensions (the
-    /// chiplet-star override does; torus/cutmesh preserve them).
+    /// A source covering exactly the network's grid, so the suite
+    /// stays valid when a replay (see `common`) puts a `mesh_k` config
+    /// onto a grid of different dimensions (the chiplet star does;
+    /// torus/cutmesh preserve them).
     fn for_net(net: &Network, seed: u64, rate: f64) -> Self {
         Source {
             rng: StdRng::seed_from_u64(seed),
@@ -133,21 +135,27 @@ fn fingerprint(net: &Network) -> Fingerprint {
     }
 }
 
-/// The grid dimensions of a `mesh_k = k` config after the
-/// `NOC_TOPOLOGY` override (mirrors [`Network::with_faults`]): sources
-/// and fault plans sized off them stay in range when the override
-/// changes the grid (the chiplet-star override does).
-fn resolved_dims(k: u8) -> (u8, u8) {
+/// The paper's config on a `k`×`k` mesh — or on whatever the current
+/// CI leg replays the suite on (see `common`).
+fn mesh_cfg(k: u8) -> NetworkConfig {
     let mut cfg = NetworkConfig::paper();
     cfg.mesh_k = k;
-    if let Ok(raw) = std::env::var("NOC_TOPOLOGY") {
-        cfg.topology = TopologySpec::parse_arg(&raw, k).expect("NOC_TOPOLOGY parses");
-    }
-    cfg.dims()
+    common::replayed(cfg)
 }
 
+/// The paper's config on a 6×6 grid wired as `spec` (routing mode as
+/// replayed).
+fn spec_cfg(spec: TopologySpec) -> NetworkConfig {
+    let mut cfg = NetworkConfig::paper();
+    cfg.mesh_k = 6;
+    cfg.topology = spec;
+    common::replayed(cfg)
+}
+
+/// Node count of [`mesh_cfg`]`(k)`: fault plans sized off it stay in
+/// range when a replay changes the grid.
 fn resolved_nodes(k: u8) -> usize {
-    let (w, h) = resolved_dims(k);
+    let (w, h) = mesh_cfg(k).dims();
     w as usize * h as usize
 }
 
@@ -212,9 +220,7 @@ fn run_rb(
     skip_idle: bool,
     rebalance_every: u64,
 ) -> Fingerprint {
-    let mut net_cfg = NetworkConfig::paper();
-    net_cfg.mesh_k = k;
-    let mut net = Network::with_faults(net_cfg, kind, plan);
+    let mut net = Network::with_faults(mesh_cfg(k), kind, plan);
     net.set_threads(threads);
     net.set_skip_idle(skip_idle);
     net.set_rebalance_every(rebalance_every);
@@ -229,8 +235,8 @@ fn run_rb(
 }
 
 /// The headline guarantee: for every campaign, router kind and tested
-/// thread count, the parallel stepper's end state is bit-identical to
-/// the serial stepper's.
+/// thread count, the multi-shard end state is bit-identical to the
+/// one-shard end state (which the committed goldens pin absolutely).
 #[test]
 fn parallel_step_matches_serial_for_every_thread_count() {
     for (k, seed) in [(4u8, 0xA11CE), (6u8, 0x5EED)] {
@@ -250,8 +256,8 @@ fn parallel_step_matches_serial_for_every_thread_count() {
 /// The load-aware shard rebalancer is purely an optimisation: moving
 /// row boundaries between shards (every cycle, or at the production
 /// cadence) never changes a single observable, at any thread count.
-/// The serial reference never even builds shards, so this also pins
-/// that the rebalance path is unobservable from outside the stepper.
+/// The one-shard reference never rebalances, so this also pins that
+/// the rebalance path is unobservable from outside the stepper.
 #[test]
 fn load_aware_rebalancing_preserves_equivalence() {
     let (k, seed) = (6u8, 0x5EED);
@@ -292,6 +298,8 @@ fn worklist_on_and_off_are_equivalent() {
 /// Property test for the worklist invariant: in audit mode the network
 /// steps routers the worklist would have skipped and panics if any such
 /// step produces output or changes stats, credits or buffered flits.
+/// The audit lives in the one router loop, so it runs on one shard and
+/// on four.
 #[test]
 fn worklist_is_sound() {
     let mut pick = StdRng::seed_from_u64(0x1D7E);
@@ -303,21 +311,25 @@ fn worklist_is_sound() {
             let ix = pick.random_range(0..cs.len());
             cs.swap_remove(ix)
         };
-        let mut net_cfg = NetworkConfig::paper();
-        net_cfg.mesh_k = k;
-        let mut net = Network::with_faults(net_cfg, kind, &plan);
-        net.set_worklist_audit(true);
-        let mut src = Source::for_net(&net, seed, 0.03);
-        for cycle in 0..700u64 {
-            if cycle < 500 {
-                net.offer_packets(src.tick(cycle));
+        for threads in [1usize, 4] {
+            let mut net = Network::with_faults(mesh_cfg(k), kind, &plan);
+            net.set_threads(threads);
+            net.set_worklist_audit(true);
+            let mut src = Source::for_net(&net, seed, 0.03);
+            for cycle in 0..700u64 {
+                if cycle < 500 {
+                    net.offer_packets(src.tick(cycle));
+                }
+                // Panics inside the audit if an "idle" router was
+                // observable.
+                net.step(cycle);
             }
-            // Panics inside the audit if an "idle" router was observable.
-            net.step(cycle);
+            assert_eq!(
+                net.routers_skipped(),
+                0,
+                "case {case} ({name}, {threads} threads): the audit steps every router"
+            );
         }
-        // Silence unused-variable warnings while keeping the context
-        // printable from a debugger on failure.
-        let _ = (case, name);
     }
 }
 
@@ -335,9 +347,7 @@ fn worklist_skips_most_idle_routers_at_low_load() {
         true,
     );
     drop(fp);
-    let mut net_cfg = NetworkConfig::paper();
-    net_cfg.mesh_k = 6;
-    let mut net = Network::new(net_cfg, RouterKind::Protected);
+    let mut net = Network::new(mesh_cfg(6), RouterKind::Protected);
     let mut src = Source::for_net(&net, 0x10AD, 0.005);
     for cycle in 0..500u64 {
         net.offer_packets(src.tick(cycle));
@@ -357,15 +367,14 @@ fn worklist_skips_most_idle_routers_at_low_load() {
 /// rate is consistent with them.
 #[test]
 fn report_exposes_worklist_skip_rate() {
-    let mut net_cfg = NetworkConfig::paper();
-    net_cfg.mesh_k = 6;
+    let net_cfg = mesh_cfg(6);
     let sim_cfg = noc_types::SimConfig {
         warmup_cycles: 100,
         measure_cycles: 400,
         drain_cycles: 500,
         seed: 0,
     };
-    let (w, h) = resolved_dims(6);
+    let (w, h) = net_cfg.dims();
     let nodes = w as u64 * h as u64;
     let mut src = Source {
         rng: StdRng::seed_from_u64(0x10AD),
@@ -409,9 +418,7 @@ fn parallel_step_matches_serial_on_torus_and_cut_mesh() {
         ),
     ] {
         let run_spec = |threads: usize, rebalance_every: u64| {
-            let mut net_cfg = NetworkConfig::paper();
-            net_cfg.mesh_k = 6;
-            net_cfg.topology = spec;
+            let net_cfg = spec_cfg(spec);
             let mut net = Network::new(net_cfg, RouterKind::Protected);
             net.set_threads(threads);
             net.set_rebalance_every(rebalance_every);
@@ -440,7 +447,7 @@ fn parallel_step_matches_serial_on_torus_and_cut_mesh() {
 /// The spatial metrics plane rides the same determinism guarantee as
 /// the rest of the stepper: the exported per-router counter grid (the
 /// heatmap document) is bit-identical — byte-for-byte in its JSON
-/// rendering — between the serial stepper and every thread count, on
+/// rendering — between one shard and every thread count, on
 /// meshes, tori and cut meshes, healthy and under fault campaigns.
 /// Counters are router-owned and merged in fixed shard order, so this
 /// holds by construction; the test pins it against regressions.
@@ -477,9 +484,7 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
     ];
     for (name, spec, plan) in cases {
         let grid_bytes = |threads: usize| {
-            let mut net_cfg = NetworkConfig::paper();
-            net_cfg.mesh_k = 6;
-            net_cfg.topology = spec;
+            let net_cfg = spec_cfg(spec);
             let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &plan);
             net.set_threads(threads);
             net.set_rebalance_every(64);
@@ -522,9 +527,7 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
 /// bounds that tile the run.
 #[test]
 fn shard_profile_records_rebalance_intervals() {
-    let mut net_cfg = NetworkConfig::paper();
-    net_cfg.mesh_k = 6;
-    let mut net = Network::new(net_cfg, RouterKind::Protected);
+    let mut net = Network::new(mesh_cfg(6), RouterKind::Protected);
     net.set_threads(4);
     net.set_rebalance_every(100);
     let mut src = Source::for_net(&net, 0x50F1, 0.05);
@@ -556,8 +559,9 @@ fn shard_profile_records_rebalance_intervals() {
             assert_eq!(rec.end_cycle, next.start_cycle, "intervals must tile");
         }
     }
-    // Serial runs (and parallel runs without rebalancing) record none.
-    let mut serial = Network::new(NetworkConfig::paper(), RouterKind::Protected);
+    // One-shard runs (and multi-shard runs without rebalancing) record
+    // none.
+    let mut serial = Network::new(mesh_cfg(8), RouterKind::Protected);
     serial.set_threads(1);
     for cycle in 0..300u64 {
         serial.step(cycle);
@@ -569,7 +573,7 @@ fn shard_profile_records_rebalance_intervals() {
 /// with latency > 1 and serialised narrow links land departures deeper
 /// in the wire wheel, and chiplet-boundary sharding cuts partitions at
 /// die edges — none of which may change a single observable versus the
-/// serial stepper. The star campaign also kills a hub router mid-run
+/// one-shard run. The star campaign also kills a hub router mid-run
 /// (`fail_router`, which recomputes the up*/down* tables around it) so
 /// re-routing around a dead die crossing is part of the equivalence;
 /// the XY-routed chiplet mesh cannot detour, so it runs a permanent
@@ -616,9 +620,7 @@ fn parallel_step_matches_serial_on_chiplet_topologies() {
     ];
     for (name, spec, dead, plan) in cases {
         let run_spec = |threads: usize, rebalance_every: u64| {
-            let mut net_cfg = NetworkConfig::paper();
-            net_cfg.mesh_k = 6;
-            net_cfg.topology = spec;
+            let net_cfg = spec_cfg(spec);
             net_cfg.validate().unwrap();
             let (w, h) = net_cfg.dims();
             let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &plan);
@@ -663,7 +665,7 @@ fn parallel_step_matches_serial_on_chiplet_topologies() {
 }
 
 /// The exported heatmap document (chiplet-major keys included) is
-/// byte-identical between the serial stepper and every thread count on
+/// byte-identical between one shard and every thread count on
 /// a hierarchical topology.
 #[test]
 fn chiplet_spatial_grid_is_bit_identical_across_thread_counts() {
@@ -673,9 +675,7 @@ fn chiplet_spatial_grid_is_bit_identical_across_thread_counts() {
         d2d: noc_types::LinkClass::D2D_DEFAULT,
     };
     let grid_bytes = |threads: usize| {
-        let mut net_cfg = NetworkConfig::paper();
-        net_cfg.mesh_k = 6;
-        net_cfg.topology = spec;
+        let net_cfg = spec_cfg(spec);
         let mut net = Network::new(net_cfg, RouterKind::Protected);
         net.set_threads(threads);
         net.set_rebalance_every(64);
@@ -722,9 +722,7 @@ fn parallel_step_matches_serial_under_adaptive_with_mid_run_link_faults() {
         ("torus", TopologySpec::Torus { w: 6, h: 6 }),
     ] {
         let run_spec = |threads: usize, rebalance_every: u64| {
-            let mut net_cfg = NetworkConfig::paper();
-            net_cfg.mesh_k = 6;
-            net_cfg.topology = spec;
+            let mut net_cfg = spec_cfg(spec);
             net_cfg.routing = noc_types::RoutingMode::Adaptive;
             let mut net = Network::new(net_cfg, RouterKind::Protected);
             net.set_threads(threads);
@@ -767,12 +765,10 @@ fn parallel_step_matches_serial_under_adaptive_with_mid_run_link_faults() {
 }
 
 /// Thread counts beyond the row count clamp instead of misbehaving, and
-/// `set_threads(1)` returns to the serial path.
+/// `set_threads(1)` returns to one shard.
 #[test]
 fn thread_count_knob_clamps_and_reverts() {
-    let mut net_cfg = NetworkConfig::paper();
-    net_cfg.mesh_k = 2;
-    let mut net = Network::new(net_cfg, RouterKind::Protected);
+    let mut net = Network::new(mesh_cfg(2), RouterKind::Protected);
     net.set_threads(16);
     let rows = net.mesh().h as usize;
     assert!(

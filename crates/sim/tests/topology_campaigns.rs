@@ -3,9 +3,13 @@
 //! loss, and killing a router mid-campaign reroutes all remaining
 //! traffic around it.
 
+mod common;
+
 use noc_sim::Network;
 use noc_topology::Topology;
-use noc_types::{Coord, Mesh, NetworkConfig, Packet, PacketId, PacketKind, TopologySpec};
+use noc_types::{
+    Coord, Mesh, NetworkConfig, Packet, PacketId, PacketKind, RoutingMode, TopologySpec,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use shield_router::RouterKind;
@@ -99,6 +103,7 @@ fn torus_campaign_delivers_every_packet() {
     let mut cfg = NetworkConfig::paper();
     cfg.mesh_k = 8;
     cfg.topology = TopologySpec::Torus { w: 8, h: 8 };
+    let cfg = common::replayed(cfg);
     let mut net = Network::new(cfg, RouterKind::Protected);
     let mut src = Source::new(cfg.grid(), 0.04, 0x70B05);
     run_to_drain(&mut net, &mut src, 700, 4_000);
@@ -108,11 +113,11 @@ fn torus_campaign_delivers_every_packet() {
     // one per link plus the ejection at the destination — so the
     // longest possible delivery is 9; a mesh-routed far corner pair
     // would show up as 15.
-    // The hop bound pins static minimal-wrap DOR. Under the
-    // NOC_ROUTING=adaptive override a packet may transfer to the
-    // escape class, which routes up*/down* over the non-wrap grid
-    // links, so non-minimal deliveries are legal there.
-    if std::env::var("NOC_ROUTING").is_err() {
+    // The hop bound pins static minimal-wrap DOR. Replayed under
+    // adaptive routing a packet may transfer to the escape class,
+    // which routes up*/down* over the non-wrap grid links, so
+    // non-minimal deliveries are legal there.
+    if cfg.routing == RoutingMode::Static {
         let max_hops = net.deliveries().iter().map(|d| d.hops).max().unwrap();
         assert!(
             max_hops <= 9,
@@ -131,6 +136,7 @@ fn cut_mesh_campaign_delivers_every_packet() {
         cuts: 4,
         seed: 0x5C155,
     };
+    let cfg = common::replayed(cfg);
     let mut net = Network::new(cfg, RouterKind::Protected);
     let Topology::Irregular(ir) = net.topology() else {
         panic!("CutMesh must build an irregular topology");
@@ -156,6 +162,7 @@ fn killing_a_router_mid_campaign_reroutes_everything() {
         cuts: 0,
         seed: 0,
     };
+    let cfg = common::replayed(cfg);
     let dead = Coord::new(3, 3);
     let dead_id = cfg.grid().id_of(dead).index();
     let mut net = Network::new(cfg, RouterKind::Protected);

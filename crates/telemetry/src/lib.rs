@@ -18,8 +18,8 @@
 //!   steady-state tracing stays off the heap too;
 //! * [`ShardedTracer::merged`] produces a **canonical** stream — a
 //!   stable sort by `(cycle, router)` — resting on the same ownership
-//!   argument that makes the parallel stepper bit-identical to the
-//!   serial one: every event of a given `(cycle, router)` is recorded
+//!   argument that makes the stepper bit-identical at every shard
+//!   count: every event of a given `(cycle, router)` is recorded
 //!   by the one shard that owns the router, in an order fixed by the
 //!   simulation itself, so the merged stream is byte-identical for
 //!   every thread count.

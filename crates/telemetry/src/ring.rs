@@ -84,7 +84,7 @@ impl EventRing {
 /// One event ring per stepper shard, merged back in deterministic
 /// order.
 ///
-/// The parallel stepper hands shard `s` exclusive access to ring `s`
+/// The stepper hands shard `s` exclusive access to ring `s`
 /// for the duration of a cycle. Every event names the router it
 /// happened at (NI inject/eject events use the node's router id), and
 /// each router's events — ejects, then its injection, then its step —

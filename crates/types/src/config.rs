@@ -235,22 +235,21 @@ impl TopologySpec {
         }
     }
 
-    /// Parse a CLI/env topology argument over a `k × k` grid: `mesh`,
+    /// Parse a topology argument over a `k × k` grid: `mesh`,
     /// `torus`, `cutmesh<N>[:seed]` (`N` = links to cut; the optional
     /// seed drives the deterministic cut selection and defaults to
-    /// `0xC0FFEE ^ k`, the historical `NOC_TOPOLOGY` value),
+    /// `0xC0FFEE ^ k`),
     /// `chipletmesh<KC>x<KN>[:lat[:den]]` (a `KC × KC` grid of
     /// `KN × KN` chiplets; `lat`/`den` override the d2d link latency
     /// and width denominator), or `chipletstar<C>x<KN>[:lat[:den]]`
     /// (`C` chiplets around a hub row). Bare `chipletmesh` /
     /// `chipletstar` derive their shape from `k` (a `k × k` grid split
     /// into chiplets where `k` is even, and two chiplets of side
-    /// `k / 2` around the hub respectively), so the `NOC_TOPOLOGY`
-    /// override maps default mesh configs onto chiplet graphs of
-    /// comparable size. The one shared parser behind the
-    /// `NOC_TOPOLOGY` override, the bench `--topology` flag and the
-    /// CLI/service campaign specs, so every entry point names the same
-    /// graph for the same string.
+    /// `k / 2` around the hub respectively), so a default mesh config
+    /// maps onto a chiplet graph of comparable size. The one shared
+    /// parser behind the bench `--topology` flag and the CLI/service
+    /// campaign specs, so every entry point names the same graph for
+    /// the same string.
     ///
     /// Cut counts are clamped to what connectivity allows: a `k × k`
     /// grid has `2k(k−1)` links and needs `n−1` of them to stay
@@ -393,9 +392,9 @@ impl RoutingMode {
         }
     }
 
-    /// Parse a CLI/env routing argument: `static` (or empty) and
-    /// `adaptive` — the one grammar behind the `NOC_ROUTING` override,
-    /// the CLI `--routing` flag and the service spec field.
+    /// Parse a routing argument: `static` (or empty) and `adaptive` —
+    /// the one grammar behind the CLI `--routing` flag and the service
+    /// spec field.
     pub fn parse_arg(arg: &str) -> Result<RoutingMode, String> {
         match arg.trim() {
             "" | "static" => Ok(RoutingMode::Static),

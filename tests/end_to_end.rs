@@ -174,3 +174,53 @@ fn prelude_quickstart_shape() {
     );
     assert!(report.delivered() > 0);
 }
+
+/// Stdout of one `noc-cli` run whose environment is clean except for
+/// `env`.
+fn cli_stdout(args: &[&str], env: &[(&str, &str)]) -> String {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .args(args)
+        .env_clear()
+        .envs(env.iter().copied())
+        .output()
+        .expect("noc-cli starts");
+    assert!(
+        out.status.success(),
+        "noc-cli {args:?} under {env:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8(out.stdout).expect("noc-cli prints UTF-8")
+}
+
+/// The environment cannot change what a production run simulates: the
+/// variables CI uses to replay test suites on other topologies and
+/// routing modes are read by the test harness only, never by the
+/// library behind `noc-cli` and the daemon.
+#[test]
+fn inherited_replay_variables_do_not_change_a_cli_run() {
+    let replay = [("NOC_TOPOLOGY", "torus"), ("NOC_ROUTING", "adaptive")];
+    let simulate = ["simulate", "--mesh", "4", "--cycles", "2000", "--seed", "7"];
+    assert_eq!(cli_stdout(&simulate, &[]), cli_stdout(&simulate, &replay));
+
+    let campaign = [
+        "campaign",
+        "--quick",
+        "--mesh",
+        "4",
+        "--routing",
+        "both",
+        "--scenarios",
+        "3",
+    ];
+    // Everything but the wall-clock `throughput` line.
+    let simulated = |env: &[(&str, &str)]| -> Vec<String> {
+        cli_stdout(&campaign, env)
+            .lines()
+            .filter(|l| !l.starts_with("throughput"))
+            .map(str::to_owned)
+            .collect()
+    };
+    let clean = simulated(&[]);
+    assert!(clean.iter().any(|l| l.starts_with("routing=static")));
+    assert_eq!(clean, simulated(&[("NOC_ROUTING", "adaptive")]));
+}
