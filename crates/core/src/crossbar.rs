@@ -80,15 +80,16 @@ impl Crossbar {
     ///
     /// ```
     /// use noc_faults::{FaultMap, FaultSite};
-    /// use noc_types::PortId;
+    /// use noc_types::{PortId, RouterConfig};
     /// use shield_router::{Crossbar, crossbar::XbPath};
     ///
-    /// let xb = Crossbar::new(5);
-    /// let healthy = FaultMap::healthy();
+    /// let cfg = RouterConfig::paper();
+    /// let xb = Crossbar::new(cfg.ports);
+    /// let healthy = FaultMap::healthy(&cfg);
     /// assert_eq!(xb.path_to(&healthy, PortId(2)), Some(XbPath::Primary));
     ///
     /// // The paper's example: M3 dead → out3 reached via M2.
-    /// let m3_dead = FaultMap::from_sites([FaultSite::XbMux { out_port: PortId(2) }]);
+    /// let m3_dead = FaultMap::from_sites(&cfg, [FaultSite::XbMux { out_port: PortId(2) }]);
     /// assert_eq!(xb.path_to(&m3_dead, PortId(2)), Some(XbPath::Secondary));
     /// assert_eq!(xb.sa2_target(&m3_dead, PortId(2)), Some(PortId(1)));
     /// ```
@@ -118,6 +119,7 @@ impl Crossbar {
 mod tests {
     use super::*;
     use noc_faults::FaultSite;
+    use noc_types::RouterConfig;
 
     fn xb() -> Crossbar {
         Crossbar::new(5)
@@ -125,6 +127,10 @@ mod tests {
 
     fn p(i: u8) -> PortId {
         PortId(i)
+    }
+
+    fn faults<const N: usize>(sites: [FaultSite; N]) -> FaultMap {
+        FaultMap::from_sites(&RouterConfig::paper(), sites)
     }
 
     #[test]
@@ -153,7 +159,7 @@ mod tests {
     #[test]
     fn healthy_crossbar_uses_primary_everywhere() {
         let x = xb();
-        let f = FaultMap::healthy();
+        let f = faults([]);
         for o in 0..5 {
             assert_eq!(x.path_to(&f, p(o)), Some(XbPath::Primary));
             assert_eq!(x.sa2_target(&f, p(o)), Some(p(o)));
@@ -165,7 +171,7 @@ mod tests {
         // Paper example: M3 (0-indexed M2) faulty → out3 (p(2)) reached
         // via M2 (p(1)) by arbitrating for output port 2 (p(1)).
         let x = xb();
-        let f = FaultMap::from_sites([FaultSite::XbMux { out_port: p(2) }]);
+        let f = faults([FaultSite::XbMux { out_port: p(2) }]);
         assert_eq!(x.path_to(&f, p(2)), Some(XbPath::Secondary));
         assert_eq!(x.sa2_target(&f, p(2)), Some(p(1)));
         // Other outputs unaffected.
@@ -175,7 +181,7 @@ mod tests {
     #[test]
     fn sa2_arbiter_fault_also_takes_secondary() {
         let x = xb();
-        let f = FaultMap::from_sites([FaultSite::Sa2Arbiter { out_port: p(3) }]);
+        let f = faults([FaultSite::Sa2Arbiter { out_port: p(3) }]);
         assert_eq!(x.path_to(&f, p(3)), Some(XbPath::Secondary));
         assert_eq!(x.sa2_target(&f, p(3)), Some(p(2)));
     }
@@ -183,7 +189,7 @@ mod tests {
     #[test]
     fn paper_m2_m4_example_is_tolerated_but_third_fault_fatal() {
         let x = xb();
-        let mut f = FaultMap::from_sites([
+        let mut f = faults([
             FaultSite::XbMux { out_port: p(1) },
             FaultSite::XbMux { out_port: p(3) },
         ]);
@@ -198,7 +204,7 @@ mod tests {
     #[test]
     fn secondary_circuit_fault_plus_mux_fault_is_fatal() {
         let x = xb();
-        let f = FaultMap::from_sites([
+        let f = faults([
             FaultSite::XbMux { out_port: p(4) },
             FaultSite::XbSecondary { out_port: p(4) },
         ]);
@@ -208,7 +214,7 @@ mod tests {
     #[test]
     fn secondary_alone_keeps_primary_working() {
         let x = xb();
-        let f = FaultMap::from_sites([FaultSite::XbSecondary { out_port: p(0) }]);
+        let f = faults([FaultSite::XbSecondary { out_port: p(0) }]);
         assert_eq!(x.path_to(&f, p(0)), Some(XbPath::Primary));
     }
 

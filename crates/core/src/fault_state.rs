@@ -12,6 +12,12 @@ use noc_telemetry::{Event, EventKind, NullObserver, Observer};
 use noc_types::{Cycle, PortId, RouterConfig, VcId};
 
 /// Fault bookkeeping with manifestation and detection times.
+///
+/// The `active`/`detected` maps are functions of the schedule, the
+/// detection model and the clock. They change only on the cycles a
+/// fault manifests, is detected, or a transient window ends, so the
+/// state keeps the range `[refreshed_at, next_edge)` over which they
+/// are exact and re-derives them only when the clock leaves it.
 #[derive(Debug, Clone)]
 pub struct FaultState {
     /// Every injected permanent fault with its manifestation cycle.
@@ -21,42 +27,63 @@ pub struct FaultState {
     /// beyond the paper's permanent-fault scope.
     transients: Vec<(FaultSite, Cycle, u32)>,
     detection: DetectionModel,
-    /// Sites already *detected* (correction engaged) — refreshed lazily.
+    /// Sites already *detected* (correction engaged).
     detected: FaultMap,
     /// Sites manifested (whether or not detected).
     active: FaultMap,
     /// Cycle of the most recent refresh.
     refreshed_at: Cycle,
+    /// First cycle after `refreshed_at` at which the maps may differ.
+    /// Anything that changes the schedule or the detection model sets
+    /// it to 0 (an empty range), so the next refresh re-derives.
+    next_edge: Cycle,
 }
 
 impl FaultState {
-    /// A healthy router with the given detection model.
-    pub fn new(detection: DetectionModel) -> Self {
+    /// A healthy router of configuration `cfg` with the given detection
+    /// model.
+    pub fn new(cfg: &RouterConfig, detection: DetectionModel) -> Self {
         FaultState {
             injected: Vec::new(),
             transients: Vec::new(),
             detection,
-            detected: FaultMap::healthy(),
-            active: FaultMap::healthy(),
+            detected: FaultMap::healthy(cfg),
+            active: FaultMap::healthy(cfg),
             refreshed_at: 0,
+            next_edge: 0,
         }
     }
 
     /// Schedule (or immediately manifest) a permanent fault at `cycle`.
+    ///
+    /// # Panics
+    /// Panics, here and not when the fault would manifest, on a site
+    /// the router does not have ([`FaultSite::in_range`]).
     pub fn inject(&mut self, site: FaultSite, cycle: Cycle) {
+        if let Err(e) = self.active.check(site) {
+            panic!("{e}");
+        }
         self.injected.push((site, cycle));
-        // Force re-evaluation on next refresh even if time already passed.
+        self.next_edge = 0;
+        // A fault in the past manifests without waiting for a refresh.
         if cycle <= self.refreshed_at {
             self.active.inject(site);
-            if cycle + self.detection.latency() as Cycle <= self.refreshed_at {
+            if cycle.saturating_add(self.detection.latency().into()) <= self.refreshed_at {
                 self.detected.inject(site);
             }
         }
     }
 
     /// Schedule a transient upset on `site` for `[cycle, cycle + duration)`.
+    ///
+    /// # Panics
+    /// As [`FaultState::inject`].
     pub fn inject_transient(&mut self, site: FaultSite, cycle: Cycle, duration: u32) {
+        if let Err(e) = self.active.check(site) {
+            panic!("{e}");
+        }
         self.transients.push((site, cycle, duration));
+        self.next_edge = 0;
     }
 
     /// Whether any transient upsets are scheduled.
@@ -77,128 +104,146 @@ impl FaultState {
     /// maps are cleared and repopulated on the next `refresh`.
     pub fn set_detection(&mut self, detection: DetectionModel) {
         self.detection = detection;
-        self.active = FaultMap::healthy();
-        self.detected = FaultMap::healthy();
+        self.active.clear();
+        self.detected.clear();
+        self.next_edge = 0;
     }
 
-    /// Advance the fault clock to `now`; must be called once per cycle by
-    /// the router before evaluating its pipeline.
+    /// Advance the fault clock to `now`. Correct for any non-decreasing
+    /// sequence of cycles: a router may refresh every cycle (a faulted
+    /// router does — it is never worklist-skipped) or jump.
     pub fn refresh(&mut self, now: Cycle) {
         self.refresh_observed(now, 0, &mut NullObserver);
     }
 
     /// [`FaultState::refresh`] with a telemetry observer; `router` only
-    /// labels the emitted events.
+    /// labels the emitted events. Returns whether the maps were
+    /// re-derived, so a caller caching words computed from them knows
+    /// when to recompute.
     ///
-    /// Fault events are edge-triggered on exact cycles (`at == now` for
-    /// activation, `at + latency == now` for detection, window end for
-    /// transient clearing), which keeps emission allocation-free: no
-    /// before/after map diffing. This is sound because any router with a
-    /// scheduled fault is never inert ([`FaultState::is_inert`]), so the
-    /// network worklist steps it — and therefore refreshes it — on every
-    /// cycle, including each edge. Faults injected at an already-elapsed
-    /// cycle manifest correctly but emit no (retroactive) event.
-    pub fn refresh_observed<O: Observer>(&mut self, now: Cycle, router: u16, obs: &mut O) {
+    /// On a quiet cycle — `now` inside `[refreshed_at, next_edge)` —
+    /// this is one range test. Otherwise the clock crossed an edge (or
+    /// the range was invalidated): the maps are re-derived from the
+    /// schedule, and a fault event is emitted for every edge since the
+    /// previous refresh, stamped with the edge's own cycle (`at` for
+    /// activation, `at + latency` for detection, window end for
+    /// transient clearing), in cycle order and within a cycle in
+    /// schedule order — what refreshing on every cycle would have
+    /// emitted. When the clock has not advanced (the first refresh of
+    /// cycle 0, or the first after a restore), the edges of `now` itself
+    /// are emitted. Faults injected at an already-elapsed cycle manifest
+    /// correctly but emit no (retroactive) event.
+    #[inline]
+    pub fn refresh_observed<O: Observer>(&mut self, now: Cycle, router: u16, obs: &mut O) -> bool {
+        if self.refreshed_at <= now && now < self.next_edge {
+            self.refreshed_at = now;
+            return false;
+        }
+        self.cross_edges(now, router, obs);
+        true
+    }
+
+    /// The slow path of [`FaultState::refresh_observed`].
+    fn cross_edges<O: Observer>(&mut self, now: Cycle, router: u16, obs: &mut O) {
+        if O::ENABLED {
+            let mut edge = now.min(self.refreshed_at.saturating_add(1));
+            while edge <= now {
+                self.emit_edges_at(edge, router, obs);
+                edge = self.next_edge_after(edge);
+            }
+        }
+        self.derive_maps(now);
         self.refreshed_at = now;
-        let lat = self.detection.latency() as Cycle;
-        if self.transients.is_empty() {
-            // Permanent faults only: the maps grow monotonically.
-            for &(site, at) in &self.injected {
-                if at <= now {
-                    self.active.inject(site);
-                }
-                if at + lat <= now {
+        self.next_edge = self.next_edge_after(now);
+    }
+
+    /// The cycles at which one scheduled fault can change the maps or
+    /// emits an event: manifestation and detection, and for a transient
+    /// the end of its window.
+    fn edges(&self) -> impl Iterator<Item = Cycle> + '_ {
+        let lat = Cycle::from(self.detection.latency());
+        let permanent = self
+            .injected
+            .iter()
+            .flat_map(move |&(_, at)| [at, at.saturating_add(lat)]);
+        let transient = self.transients.iter().flat_map(move |&(_, start, dur)| {
+            [
+                start,
+                start.saturating_add(lat),
+                start.saturating_add(dur.into()),
+            ]
+        });
+        permanent.chain(transient)
+    }
+
+    /// The first edge after `cycle` (`Cycle::MAX` when there is none).
+    fn next_edge_after(&self, cycle: Cycle) -> Cycle {
+        self.edges()
+            .filter(|&e| e > cycle)
+            .min()
+            .unwrap_or(Cycle::MAX)
+    }
+
+    /// Set `active`/`detected` to what the schedule says at `now`.
+    fn derive_maps(&mut self, now: Cycle) {
+        let lat = Cycle::from(self.detection.latency());
+        self.active.clear();
+        self.detected.clear();
+        let windows = self
+            .injected
+            .iter()
+            .map(|&(site, at)| (site, at, Cycle::MAX))
+            .chain(
+                self.transients
+                    .iter()
+                    .map(|&(site, start, dur)| (site, start, start.saturating_add(dur.into()))),
+            );
+        for (site, start, end) in windows {
+            if start <= now && now < end {
+                self.active.inject(site);
+                if start.saturating_add(lat) <= now {
                     self.detected.inject(site);
                 }
-                if O::ENABLED {
-                    if at == now {
-                        obs.record(Event {
-                            cycle: now,
-                            router,
-                            kind: EventKind::FaultActivated {
-                                site,
-                                transient: false,
-                            },
-                        });
-                    }
-                    if at + lat == now {
-                        obs.record(Event {
-                            cycle: now,
-                            router,
-                            kind: EventKind::FaultDetected { site },
-                        });
-                    }
-                }
             }
-            return;
         }
-        // With transients in play the active set can shrink, so rebuild.
-        let mut active = FaultMap::healthy();
-        let mut detected = FaultMap::healthy();
+    }
+
+    /// Emit the fault events of cycle `edge`.
+    fn emit_edges_at<O: Observer>(&self, edge: Cycle, router: u16, obs: &mut O) {
+        let lat = Cycle::from(self.detection.latency());
+        let mut emit = |kind| {
+            obs.record(Event {
+                cycle: edge,
+                router,
+                kind,
+            })
+        };
         for &(site, at) in &self.injected {
-            if at <= now {
-                active.inject(site);
+            if at == edge {
+                emit(EventKind::FaultActivated {
+                    site,
+                    transient: false,
+                });
             }
-            if at + lat <= now {
-                detected.inject(site);
-            }
-            if O::ENABLED {
-                if at == now {
-                    obs.record(Event {
-                        cycle: now,
-                        router,
-                        kind: EventKind::FaultActivated {
-                            site,
-                            transient: false,
-                        },
-                    });
-                }
-                if at + lat == now {
-                    obs.record(Event {
-                        cycle: now,
-                        router,
-                        kind: EventKind::FaultDetected { site },
-                    });
-                }
+            if at.saturating_add(lat) == edge {
+                emit(EventKind::FaultDetected { site });
             }
         }
         for &(site, start, duration) in &self.transients {
-            let end = start + duration as Cycle;
-            if start <= now && now < end {
-                active.inject(site);
-                if start + lat <= now {
-                    detected.inject(site);
-                }
+            let end = start.saturating_add(duration.into());
+            if start == edge {
+                emit(EventKind::FaultActivated {
+                    site,
+                    transient: true,
+                });
             }
-            if O::ENABLED {
-                if start == now {
-                    obs.record(Event {
-                        cycle: now,
-                        router,
-                        kind: EventKind::FaultActivated {
-                            site,
-                            transient: true,
-                        },
-                    });
-                }
-                if start + lat == now && now < end {
-                    obs.record(Event {
-                        cycle: now,
-                        router,
-                        kind: EventKind::FaultDetected { site },
-                    });
-                }
-                if end == now {
-                    obs.record(Event {
-                        cycle: now,
-                        router,
-                        kind: EventKind::FaultCleared { site },
-                    });
-                }
+            if start.saturating_add(lat) == edge && edge < end {
+                emit(EventKind::FaultDetected { site });
+            }
+            if end == edge {
+                emit(EventKind::FaultCleared { site });
             }
         }
-        self.active = active;
-        self.detected = detected;
     }
 
     /// Faults that have manifested (affect behaviour).
@@ -298,7 +343,7 @@ impl Snapshot for FaultState {
     fn snapshot(&self) -> JsonValue {
         // Only the *schedule* is stored. The `active`/`detected` maps are
         // pure functions of (schedule, detection model, refreshed_at) and
-        // are replayed on restore — see `Restore` below.
+        // are re-derived on restore — see `Restore` below.
         obj([
             ("detection", self.detection.snapshot()),
             ("refreshed_at", self.refreshed_at.into()),
@@ -331,30 +376,44 @@ impl Snapshot for FaultState {
 }
 
 impl Restore for FaultState {
+    /// Everything is decoded and every site checked against the
+    /// router's shape before any field is written: a doctored or
+    /// corrupt checkpoint fails typed, and leaves this state as it was.
     fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        self.detection = decode_field(v, "detection")?;
-        self.injected = arr_field(v, "injected")?
+        let site_of = |e: &JsonValue| -> Result<FaultSite, SnapshotError> {
+            let site = decode_field(e, "site")?;
+            self.active.check(site).map_err(SnapshotError::new)?;
+            Ok(site)
+        };
+        let detection = decode_field(v, "detection")?;
+        let injected = arr_field(v, "injected")?
             .iter()
-            .map(|e| Ok((decode_field(e, "site")?, u64_field(e, "at")?)))
+            .map(|e| Ok((site_of(e)?, u64_field(e, "at")?)))
             .collect::<Result<_, SnapshotError>>()
             .map_err(|e| e.within("injected"))?;
-        self.transients = arr_field(v, "transients")?
+        let transients = arr_field(v, "transients")?
             .iter()
             .map(|e| {
                 Ok((
-                    decode_field(e, "site")?,
+                    site_of(e)?,
                     u64_field(e, "at")?,
                     u64_field(e, "duration")? as u32,
                 ))
             })
             .collect::<Result<_, SnapshotError>>()
             .map_err(|e| e.within("transients"))?;
-        // Replaying the refresh at the recorded clock reproduces the
-        // active/detected maps exactly: both refresh paths derive the
-        // maps from the schedule and `now` alone.
-        self.active = FaultMap::healthy();
-        self.detected = FaultMap::healthy();
-        self.refresh(u64_field(v, "refreshed_at")?);
+        let refreshed_at = u64_field(v, "refreshed_at")?;
+        self.detection = detection;
+        self.injected = injected;
+        self.transients = transients;
+        // The maps are functions of (schedule, detection model, clock):
+        // derive them at the recorded clock, and leave the range empty
+        // so the first refresh after the restore takes the edge path
+        // (a snapshot does not say whether cycle `refreshed_at` itself
+        // was stepped; `refresh_observed` resolves that).
+        self.derive_maps(refreshed_at);
+        self.refreshed_at = refreshed_at;
+        self.next_edge = 0;
         Ok(())
     }
 }
@@ -362,11 +421,11 @@ impl Restore for FaultState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_faults::DetectionModel;
+    use crate::reference::Rng;
 
     #[test]
     fn faults_manifest_at_their_cycle() {
-        let mut fs = FaultState::new(DetectionModel::Ideal);
+        let mut fs = FaultState::new(&RouterConfig::paper(), DetectionModel::Ideal);
         fs.inject(FaultSite::Sa1Arbiter { port: PortId(1) }, 100);
         fs.refresh(99);
         assert!(!fs.sa1_faulty(PortId(1)));
@@ -379,7 +438,7 @@ mod tests {
 
     #[test]
     fn delayed_detection_leaves_latent_window() {
-        let mut fs = FaultState::new(DetectionModel::Delayed(10));
+        let mut fs = FaultState::new(&RouterConfig::paper(), DetectionModel::Delayed(10));
         let site = FaultSite::XbMux {
             out_port: PortId(2),
         };
@@ -394,7 +453,7 @@ mod tests {
 
     #[test]
     fn inject_in_the_past_applies_immediately() {
-        let mut fs = FaultState::new(DetectionModel::Ideal);
+        let mut fs = FaultState::new(&RouterConfig::paper(), DetectionModel::Ideal);
         fs.refresh(500);
         fs.inject(FaultSite::RcPrimary { port: PortId(0) }, 200);
         assert!(fs.rc_primary_faulty(PortId(0)));
@@ -402,7 +461,7 @@ mod tests {
 
     #[test]
     fn counts_by_stage() {
-        let mut fs = FaultState::new(DetectionModel::Ideal);
+        let mut fs = FaultState::new(&RouterConfig::paper(), DetectionModel::Ideal);
         fs.inject(FaultSite::RcPrimary { port: PortId(0) }, 0);
         fs.inject(FaultSite::RcDuplicate { port: PortId(0) }, 0);
         fs.inject(
@@ -415,5 +474,170 @@ mod tests {
         assert_eq!(fs.count(), 3);
         assert_eq!(fs.count_stage(PipelineStage::Rc), 2);
         assert_eq!(fs.count_stage(PipelineStage::Xb), 1);
+    }
+
+    // -----------------------------------------------------------------
+    // Differential: the edge-driven clock against a per-cycle replay
+    // -----------------------------------------------------------------
+
+    impl FaultState {
+        /// The oracle: the refresh this type used before its clock
+        /// became edge-driven — both maps rebuilt from the whole
+        /// schedule, and an event emitted only when an edge falls on
+        /// exactly `now` — meant to be called on every cycle.
+        fn rebuilt_at<O: Observer>(
+            &self,
+            now: Cycle,
+            router: u16,
+            obs: &mut O,
+        ) -> (FaultMap, FaultMap) {
+            let lat = self.detection.latency() as Cycle;
+            let mut active = FaultMap::healthy(&RouterConfig::paper());
+            let mut detected = active;
+            let mut emit = |kind| {
+                obs.record(Event {
+                    cycle: now,
+                    router,
+                    kind,
+                })
+            };
+            for &(site, at) in &self.injected {
+                if at <= now {
+                    active.inject(site);
+                }
+                if at + lat <= now {
+                    detected.inject(site);
+                }
+                if at == now {
+                    emit(EventKind::FaultActivated {
+                        site,
+                        transient: false,
+                    });
+                }
+                if at + lat == now {
+                    emit(EventKind::FaultDetected { site });
+                }
+            }
+            for &(site, start, duration) in &self.transients {
+                let end = start + duration as Cycle;
+                if start <= now && now < end {
+                    active.inject(site);
+                    if start + lat <= now {
+                        detected.inject(site);
+                    }
+                }
+                if start == now {
+                    emit(EventKind::FaultActivated {
+                        site,
+                        transient: true,
+                    });
+                }
+                if start + lat == now && now < end {
+                    emit(EventKind::FaultDetected { site });
+                }
+                if end == now {
+                    emit(EventKind::FaultCleared { site });
+                }
+            }
+            (active, detected)
+        }
+    }
+
+    #[derive(Default)]
+    struct Recorder(Vec<Event>);
+
+    impl Observer for Recorder {
+        fn record(&mut self, event: Event) {
+            self.0.push(event);
+        }
+    }
+
+    #[test]
+    fn edge_driven_clock_matches_a_per_cycle_replay() {
+        let cfg = RouterConfig::paper();
+        let sites = FaultSite::enumerate(&cfg);
+        // Activations, detections, clearings seen over all schedules.
+        let mut seen = [0usize; 3];
+        for seed in 0..48 {
+            let mut rng = Rng(seed * 7919 + 1);
+            let detection = |rng: &mut Rng| match rng.below(3) {
+                0 => DetectionModel::Ideal,
+                _ => DetectionModel::Delayed(rng.below(9) as u32),
+            };
+            let mut fs = FaultState::new(&cfg, detection(&mut rng));
+            // Carries the same schedule; only `rebuilt_at` reads it.
+            let mut oracle = fs.clone();
+            let (mut got, mut want) = (Recorder::default(), Recorder::default());
+            // The oracle has been replayed for every cycle below this.
+            let mut replayed: Cycle = 0;
+            let mut now: Cycle = 0;
+            for _ in 0..120 {
+                fs.refresh_observed(now, 7, &mut got);
+                let mut maps = None;
+                while replayed <= now {
+                    maps = Some(oracle.rebuilt_at(replayed, 7, &mut want));
+                    replayed += 1;
+                }
+                if let Some(maps) = maps {
+                    assert_eq!((fs.active, fs.detected), maps, "seed {seed}, cycle {now}");
+                }
+                assert_eq!(got.0, want.0, "seed {seed}, cycle {now}");
+
+                // Change the schedule between refreshes, as a caller
+                // may: faults in the past, at `now` and in the future;
+                // overlapping, same-site and zero-length transients.
+                let site = sites[rng.below(sites.len() as u64) as usize];
+                let when = (now + rng.below(30)).saturating_sub(rng.below(12));
+                let mutated = match rng.below(8) {
+                    0 | 1 => {
+                        fs.inject(site, when);
+                        oracle.inject(site, when);
+                        true
+                    }
+                    2 | 3 => {
+                        let duration = rng.below(4) as u32 * rng.below(12) as u32;
+                        fs.inject_transient(site, when, duration);
+                        oracle.inject_transient(site, when, duration);
+                        true
+                    }
+                    4 if rng.below(4) == 0 => {
+                        let d = detection(&mut rng);
+                        fs.set_detection(d);
+                        oracle.set_detection(d);
+                        true
+                    }
+                    5 if rng.below(3) == 0 => {
+                        let text = fs.snapshot().render();
+                        let before = (fs.active, fs.detected);
+                        fs = FaultState::new(&cfg, DetectionModel::Ideal);
+                        fs.restore(&JsonValue::parse(&text).unwrap()).unwrap();
+                        assert_eq!((fs.active, fs.detected), before, "restored maps");
+                        assert_eq!(fs.snapshot().render(), text);
+                        true
+                    }
+                    _ => false,
+                };
+                // Mostly the next cycle; sometimes a jump over several
+                // edges; sometimes the same cycle again (which re-emits
+                // nothing unless the schedule changed in between).
+                now += match rng.below(10) {
+                    0 if !mutated => 0,
+                    1 | 2 => 2 + rng.below(25),
+                    _ => 1,
+                };
+            }
+            for e in &got.0 {
+                match e.kind {
+                    EventKind::FaultActivated { .. } => seen[0] += 1,
+                    EventKind::FaultDetected { .. } => seen[1] += 1,
+                    EventKind::FaultCleared { .. } => seen[2] += 1,
+                    _ => unreachable!("a fault clock emits fault events only"),
+                }
+            }
+        }
+        assert!(
+            seen.iter().all(|&n| n > 100),
+            "the schedules must exercise every edge kind: {seen:?}"
+        );
     }
 }

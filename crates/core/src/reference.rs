@@ -371,7 +371,7 @@ fn reference_step(r: &mut Router, cycle: Cycle, out: &mut StepOutput) {
 // ---------------------------------------------------------------------
 
 /// Deterministic split-mix style generator (no external crates).
-struct Rng(u64);
+pub(crate) struct Rng(pub(crate) u64);
 
 impl Rng {
     fn next(&mut self) -> u64 {
@@ -383,7 +383,7 @@ impl Rng {
         (x ^ (x >> 31)).wrapping_mul(0x9E3779B97F4A7C15) >> 16
     }
 
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n
     }
 
@@ -421,62 +421,88 @@ fn random_fault_site(rng: &mut Rng, p: usize, v: usize) -> FaultSite {
     }
 }
 
-/// Drive a real router and a reference-stepped clone with one identical
-/// random schedule and compare them cycle by cycle.
-fn run_differential(kind: RouterKind, cfg: RouterConfig, seed: u64) {
-    const CYCLES: Cycle = 192;
-    const INJECT_UNTIL: Cycle = 150;
+/// A fault schedule, applied identically to both routers.
+#[derive(Default)]
+struct Schedule {
+    detection: Option<DetectionModel>,
+    permanents: Vec<(FaultSite, Cycle)>,
+    /// `(site, start, duration)`.
+    transients: Vec<(FaultSite, Cycle, u32)>,
+}
 
+const CYCLES: Cycle = 192;
+const INJECT_UNTIL: Cycle = 150;
+
+/// Drive a real router and a reference-stepped clone with one identical
+/// random fault schedule and compare them cycle by cycle.
+fn run_differential(kind: RouterKind, cfg: RouterConfig, seed: u64) {
     let mut rng = Rng(seed.wrapping_mul(2654435761).wrapping_add(99991));
-    let mesh = Mesh::new(4);
-    let here = Coord::new(1, 1); // interior: all five ports live
 
     // Fault schedule: a handful of random permanent faults (and one
     // transient) manifesting while traffic flows; half the seeds use
-    // delayed detection so latent windows overlap the traffic. Recorded
-    // first, then applied identically to both routers.
-    let detection = rng
-        .chance(60)
-        .then(|| DetectionModel::Delayed(rng.below(12) as u32 + 1));
-    let mut permanents: Vec<(FaultSite, Cycle)> = Vec::new();
+    // delayed detection so latent windows overlap the traffic.
+    let mut schedule = Schedule {
+        detection: rng
+            .chance(60)
+            .then(|| DetectionModel::Delayed(rng.below(12) as u32 + 1)),
+        ..Schedule::default()
+    };
     for _ in 0..rng.below(4) {
         let site = random_fault_site(&mut rng, cfg.ports, cfg.vcs);
-        permanents.push((site, rng.below(INJECT_UNTIL)));
+        schedule.permanents.push((site, rng.below(INJECT_UNTIL)));
     }
-    let transient = rng.chance(50).then(|| {
+    if rng.chance(50) {
         let site = random_fault_site(&mut rng, cfg.ports, cfg.vcs);
-        (site, rng.below(INJECT_UNTIL), rng.below(20) as u32 + 1)
-    });
+        schedule
+            .transients
+            .push((site, rng.below(INJECT_UNTIL), rng.below(20) as u32 + 1));
+    }
 
     // Guaranteed Shield-mechanism coverage on protected routers: a VA1
     // arbiter-set fault (forces lending) and an SA1 arbiter fault
     // (forces the bypass default winner and its re-pointing transfer).
     if kind == RouterKind::Protected {
-        permanents.push((
+        schedule.permanents.push((
             FaultSite::Va1ArbiterSet {
                 port: PortId(rng.below(cfg.ports as u64) as u8),
                 vc: VcId(rng.below(cfg.vcs as u64) as u8),
             },
             rng.below(40),
         ));
-        permanents.push((
+        schedule.permanents.push((
             FaultSite::Sa1Arbiter {
                 port: PortId(rng.below(cfg.ports as u64) as u8),
             },
             rng.below(40),
         ));
     }
+    drive(kind, cfg, rng, &schedule, &format!("seed {seed}"));
+}
+
+/// Drive a real router and a reference-stepped clone under `schedule`
+/// with identical random traffic from `rng`, comparing outputs and
+/// snapshots every cycle. Returns the real router, for checks that a
+/// directed schedule exercised what it was written for.
+fn drive(
+    kind: RouterKind,
+    cfg: RouterConfig,
+    mut rng: Rng,
+    schedule: &Schedule,
+    label: &str,
+) -> Router {
+    let mesh = Mesh::new(4);
+    let here = Coord::new(1, 1); // interior: all five ports live
 
     let mut real = Router::new_xy(7, here, mesh, cfg, kind);
     let mut reference = Router::new_xy(7, here, mesh, cfg, kind);
     for r in [&mut real, &mut reference] {
-        if let Some(d) = detection {
+        if let Some(d) = schedule.detection {
             r.set_detection(d);
         }
-        for &(site, at) in &permanents {
+        for &(site, at) in &schedule.permanents {
             r.inject_fault(site, at);
         }
-        if let Some((site, at, dur)) = transient {
+        for &(site, at, dur) in &schedule.transients {
             r.inject_transient(site, at, dur);
         }
     }
@@ -548,20 +574,20 @@ fn run_differential(kind: RouterKind, cfg: RouterConfig, seed: u64) {
 
         assert_eq!(
             out_real.departures, out_ref.departures,
-            "departures diverged (kind {kind:?}, seed {seed}, cycle {cycle})"
+            "departures diverged (kind {kind:?}, {label}, cycle {cycle})"
         );
         assert_eq!(
             out_real.credits, out_ref.credits,
-            "credit returns diverged (kind {kind:?}, seed {seed}, cycle {cycle})"
+            "credit returns diverged (kind {kind:?}, {label}, cycle {cycle})"
         );
         assert_eq!(
             out_real.dropped, out_ref.dropped,
-            "drops diverged (kind {kind:?}, seed {seed}, cycle {cycle})"
+            "drops diverged (kind {kind:?}, {label}, cycle {cycle})"
         );
         assert_eq!(
             real.snapshot().render(),
             reference.snapshot().render(),
-            "router state diverged (kind {kind:?}, seed {seed}, cycle {cycle})"
+            "router state diverged (kind {kind:?}, {label}, cycle {cycle})"
         );
 
         // Feed the outputs back as the network would: upstream credit
@@ -576,6 +602,7 @@ fn run_differential(kind: RouterKind, cfg: RouterConfig, seed: u64) {
         }
         // Dropped flits (baseline crossbar faults) are simply lost.
     }
+    real
 }
 
 #[test]
@@ -587,9 +614,178 @@ fn bitmask_kernels_match_reference_baseline() {
 
 #[test]
 fn bitmask_kernels_match_reference_protected() {
-    for seed in 0..6 {
+    // The protected router is where fault state reaches the kernels as
+    // mask algebra (lender search, VA2 exclusion, blocked-port words,
+    // the SA2 target table): more seeds than the baseline gets.
+    for seed in 0..40 {
         run_differential(RouterKind::Protected, RouterConfig::paper(), seed);
     }
+}
+
+/// Run one directed schedule over several traffic seeds, under ideal
+/// and under delayed detection.
+fn drive_directed(
+    kind: RouterKind,
+    label: &str,
+    permanents: Vec<(FaultSite, Cycle)>,
+    transients: Vec<(FaultSite, Cycle, u32)>,
+    mut check: impl FnMut(&Router),
+) {
+    for detection in [None, Some(DetectionModel::Delayed(5))] {
+        let schedule = Schedule {
+            detection,
+            permanents: permanents.clone(),
+            transients: transients.clone(),
+        };
+        for seed in 0..6 {
+            let label = format!("{label}, {detection:?}, seed {seed}");
+            let router = drive(
+                kind,
+                RouterConfig::paper(),
+                Rng(seed * 31 + 5),
+                &schedule,
+                &label,
+            );
+            check(&router);
+        }
+    }
+}
+
+#[test]
+fn directed_all_but_one_va1_set_faulty_queues_borrowers_on_one_lender() {
+    // Port 0 keeps one healthy arbiter set, port 2 likewise but losing
+    // the others one by one while traffic flows: every other VC must
+    // borrow from the same lender, one per cycle (borrow-wait).
+    let va1 = |port, vc, at| {
+        (
+            FaultSite::Va1ArbiterSet {
+                port: PortId(port),
+                vc: VcId(vc),
+            },
+            at,
+        )
+    };
+    let permanents = vec![
+        va1(0, 0, 0),
+        va1(0, 1, 0),
+        va1(0, 3, 0),
+        va1(2, 1, 20),
+        va1(2, 2, 45),
+        va1(2, 3, 70),
+    ];
+    let (mut borrows, mut waits) = (0, 0);
+    drive_directed(
+        RouterKind::Protected,
+        "one lender",
+        permanents,
+        vec![],
+        |r| {
+            borrows += r.stats().va_borrows;
+            waits += r.stats().va_borrow_waits;
+        },
+    );
+    assert!(borrows > 0 && waits > 0, "{borrows} borrows, {waits} waits");
+}
+
+#[test]
+fn directed_transients_open_and_close_mid_packet() {
+    // Short upsets on one component of every stage, back to back, so
+    // windows open and close while packets are in the affected stage.
+    let mut transients = Vec::new();
+    for (i, at) in (10..INJECT_UNTIL).step_by(9).enumerate() {
+        let port = PortId((i % 5) as u8);
+        let site = match i % 4 {
+            0 => FaultSite::RcPrimary { port },
+            1 => FaultSite::Va1ArbiterSet {
+                port,
+                vc: VcId((i % 4) as u8),
+            },
+            2 => FaultSite::Sa1Arbiter { port },
+            _ => FaultSite::XbMux { out_port: port },
+        };
+        transients.push((site, at, 3 + (i % 6) as u32));
+    }
+    let mut mechanisms = 0;
+    drive_directed(
+        RouterKind::Protected,
+        "transients",
+        vec![],
+        transients,
+        |r| {
+            let s = r.stats();
+            mechanisms +=
+                s.rc_duplicate_uses + s.va_borrows + s.sa_bypass_grants + s.secondary_path_flits;
+        },
+    );
+    assert!(mechanisms > 0, "no upset met a packet");
+}
+
+#[test]
+fn directed_dead_ports_and_unreachable_outputs_block_without_diverging() {
+    // SA1 arbiter and bypass of the west input both dead: that port can
+    // never win switch allocation again. Primary mux of output 2 dead
+    // together with its secondary source (mux 1): output 2 unreachable.
+    let west = noc_types::Direction::West.port();
+    let permanents = vec![
+        (FaultSite::Sa1Arbiter { port: west }, 30),
+        (FaultSite::Sa1Bypass { port: west }, 60),
+        (
+            FaultSite::XbMux {
+                out_port: PortId(2),
+            },
+            40,
+        ),
+        (
+            FaultSite::XbMux {
+                out_port: PortId(1),
+            },
+            80,
+        ),
+    ];
+    drive_directed(RouterKind::Protected, "blocked", permanents, vec![], |r| {
+        assert!(r.is_failed(), "the schedule exceeds the router's tolerance");
+        assert!(r.buffered_flits() > 0, "blocked flits stay buffered");
+    });
+}
+
+#[test]
+fn directed_mux_faults_land_between_sa_grant_and_xb_traversal() {
+    // A crossbar mux upset every few cycles on every output in turn:
+    // some manifest in the cycle between a grant and its traversal,
+    // which the protected router must cancel (and the baseline drops).
+    let transients: Vec<_> = (12..INJECT_UNTIL)
+        .step_by(5)
+        .enumerate()
+        .map(|(i, at)| {
+            (
+                FaultSite::XbMux {
+                    out_port: PortId((i % 5) as u8),
+                },
+                at,
+                2,
+            )
+        })
+        .collect();
+    let mut dropped = 0;
+    drive_directed(
+        RouterKind::Baseline,
+        "mux upsets",
+        vec![],
+        transients.clone(),
+        |r| {
+            dropped += r.stats().flits_dropped;
+        },
+    );
+    assert!(dropped > 0, "no upset met a granted traversal");
+    drive_directed(
+        RouterKind::Protected,
+        "mux upsets",
+        vec![],
+        transients,
+        |r| {
+            assert_eq!(r.stats().flits_dropped, 0);
+        },
+    );
 }
 
 #[test]

@@ -353,6 +353,18 @@ pub struct Router {
     pub(crate) sa2: Vec<RoundRobinArbiter>,
     pub(crate) xbar: Crossbar,
     pub(crate) faults: FaultState,
+    /// Per output, the SA stage-2 arbiter (= crossbar mux) a flit headed
+    /// there competes for: the output itself, its secondary source when
+    /// the correction logic knows the primary path dead, `None` when
+    /// unreachable. A function of the detected fault map (the identity
+    /// on a baseline router), so it is recomputed only when
+    /// `FaultState::refresh_observed` reports re-derived maps.
+    pub(crate) sa2_target: Vec<Option<PortId>>,
+    /// Per output, the downstream VCs whose VA stage-2 arbiter is *not*
+    /// known-faulty (Section V-B3's exclusion; all-ones on a baseline
+    /// router; bits above `V` carry no meaning). Recomputed with
+    /// `sa2_target`.
+    pub(crate) va2_ok: Vec<u32>,
     /// SA winners awaiting crossbar traversal (filled by SA at cycle t,
     /// drained by XB at t+1).
     pub(crate) xb_queue: Vec<XbGrant>,
@@ -410,7 +422,9 @@ impl Router {
             sa1: (0..p).map(|_| RoundRobinArbiter::new(v)).collect(),
             sa2: (0..p).map(|_| RoundRobinArbiter::new(p)).collect(),
             xbar: Crossbar::new(p),
-            faults: FaultState::new(detection),
+            faults: FaultState::new(&cfg, detection),
+            sa2_target: PortId::all(p).map(Some).collect(),
+            va2_ok: vec![!0; p],
             xb_queue: Vec::with_capacity(p),
             port_flits: 0,
             rc_pointer: vec![0; p],
@@ -479,12 +493,19 @@ impl Router {
     }
 
     /// Schedule a permanent fault to manifest at `cycle`.
+    ///
+    /// # Panics
+    /// Panics, at injection time, on a site this router does not have
+    /// (`FaultSite::in_range`).
     pub fn inject_fault(&mut self, site: FaultSite, cycle: Cycle) {
         self.faults.inject(site, cycle);
     }
 
     /// Schedule a transient upset on `site` for `[cycle, cycle+duration)`
     /// (extension beyond the paper's permanent-fault scope).
+    ///
+    /// # Panics
+    /// As [`Router::inject_fault`].
     pub fn inject_transient(&mut self, site: FaultSite, cycle: Cycle, duration: u32) {
         self.faults.inject_transient(site, cycle, duration);
     }
@@ -698,12 +719,27 @@ impl Router {
     ) {
         out.clear();
         self.stats.occ_integral += self.buffered_flits() as u64;
-        self.faults.refresh_observed(cycle, self.id, obs);
+        if self.faults.refresh_observed(cycle, self.id, obs) {
+            self.refresh_fault_tables();
+        }
         self.xb_stage(cycle, out, obs);
         self.sa_stage(cycle, obs);
         self.va_stage(cycle, obs);
         self.rc_stage(cycle, obs);
         self.sync_nonidle_ports();
+    }
+
+    /// Recompute the per-output tables the stages read in place of
+    /// per-VC fault queries, from the freshly derived detected map.
+    fn refresh_fault_tables(&mut self) {
+        if self.kind != RouterKind::Protected {
+            return; // the baseline router has no correction logic
+        }
+        let detected = self.faults.detected();
+        for out in PortId::all(self.cfg.ports) {
+            self.sa2_target[out.index()] = self.xbar.sa2_target(detected, out);
+            self.va2_ok[out.index()] = !detected.va2_word(out);
+        }
     }
 
     /// Re-derive [`Router::nonidle_ports`] from the per-port masks.
@@ -734,8 +770,7 @@ impl Router {
             let g = self.xb_queue[i];
             // Re-validate the physical path: a fault may have manifested
             // between grant and traversal.
-            let mux_now_faulty = self.faults.xb_mux_faulty(g.mux);
-            if mux_now_faulty {
+            if self.faults.active().xb_mux_word() & (1 << g.mux.index()) != 0 {
                 match self.kind {
                     RouterKind::Baseline => {
                         // The baseline router is unaware: the flit is

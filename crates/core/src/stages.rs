@@ -3,7 +3,6 @@
 
 use crate::router::{Router, RouterKind, RoutingAlgorithm, XbGrant, DEFAULT_WINNER_PERIOD};
 use noc_arbiter::Arbiter;
-use noc_faults::FaultSite;
 use noc_telemetry::{Event, EventKind, Observer};
 use noc_topology::adaptive::{candidate_mask, dirs_in};
 use noc_types::{Coord, Cycle, Direction, PortId, VcGlobalState, VcId};
@@ -35,10 +34,6 @@ pub(crate) struct StageScratch {
     /// stage-1 picks: stage 2 walks only these instead of every
     /// `(out, out_vc)` pair.
     va2_touched: Vec<u32>,
-    /// Per-output bitmask of downstream VCs whose stage-2 arbiter is
-    /// *not* known-faulty. All-ones when no fault is detected; rebuilt
-    /// at stage entry otherwise (protected router only).
-    va2_ok: Vec<u32>,
     /// SA requests, indexed `port * v + vc`.
     sa_requests: Vec<Option<SaRequest>>,
     /// Per-port bitmask of VCs with an SA request this cycle, built
@@ -56,7 +51,6 @@ impl StageScratch {
             va_picks: Vec::with_capacity(p * v),
             va_stage2: vec![0; p * v],
             va2_touched: vec![0; p],
-            va2_ok: vec![0; p],
             sa_requests: vec![None; p * v],
             sa_port_req: vec![0; p],
             sa_port_winner: vec![None; p],
@@ -236,6 +230,17 @@ impl Router {
     pub(crate) fn rc_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
         let v = self.cfg.vcs;
         let adaptive = matches!(self.route, RoutingAlgorithm::Adaptive { .. });
+        // Fault words, bit = input port. A protected port is blocked
+        // while its primary-unit fault is still undetected (conservative
+        // stall) or once the duplicate is dead too (failure).
+        let (active, detected) = (self.faults.active(), self.faults.detected());
+        let rc_faulty = active.rc_primary_word();
+        let rc_blocked = rc_faulty & (!detected.rc_primary_word() | active.rc_duplicate_word());
+        // Bit = output port: primary path known dead (Section V-D hint).
+        let primary_dead = match self.kind {
+            RouterKind::Baseline => 0,
+            RouterKind::Protected => detected.xb_primary_dead_word(),
+        };
         for port_idx in 0..self.cfg.ports {
             let port_id = PortId(port_idx as u8);
             let routing = self.ports[port_idx].routing_mask();
@@ -265,7 +270,7 @@ impl Router {
                 } else {
                     self.route.route_masked(dst, v)
                 };
-                let primary_faulty = self.faults.rc_primary_faulty(port_id);
+                let primary_faulty = rc_faulty & (1 << port_idx) != 0;
                 let mut misrouted = false;
                 let mut duplicate = false;
                 let computed = match (self.kind, primary_faulty) {
@@ -279,11 +284,7 @@ impl Router {
                         Some(PortId(((correct.0 as usize + 1) % self.cfg.ports) as u8))
                     }
                     (RouterKind::Protected, true) => {
-                        if self.faults.latent(FaultSite::RcPrimary { port: port_id }) {
-                            // Fault not yet detected: conservative stall.
-                            None
-                        } else if self.faults.rc_duplicate_faulty(port_id) {
-                            // Both units dead: routing impossible (failure).
+                        if rc_blocked & (1 << port_idx) != 0 {
                             None
                         } else {
                             // Switch to the duplicate unit — same result,
@@ -324,12 +325,9 @@ impl Router {
                     // later.
                     fields.fsp = false;
                     fields.sp = None;
-                    if self.kind == RouterKind::Protected {
-                        let detected = self.faults.detected();
-                        if detected.xb_primary_dead(out) {
-                            fields.sp = Some(self.xbar.secondary_source(out));
-                            fields.fsp = true;
-                        }
+                    if primary_dead & (1 << out.index()) != 0 {
+                        fields.sp = Some(self.xbar.secondary_source(out));
+                        fields.fsp = true;
                     }
                     self.ports[port_idx].sync_state(vc_id);
                     self.rc_pointer[port_idx] = (vc_id.index() + 1) % v;
@@ -352,11 +350,14 @@ impl Router {
     /// per-VC scan, which skipped every VC not in `VcAlloc`), and forms
     /// each request mask from whole words: free downstream VCs are
     /// `!out_vc_busy[out]`, the topology restriction is `vmask`, and
-    /// known-faulty stage-2 arbiters are masked via a per-output
-    /// exclusion word that is all-ones on the (overwhelmingly common)
-    /// no-detected-faults path. Stage 2 visits only the `(out, out_vc)`
-    /// pairs touched by stage-1 picks, in the same out-major /
-    /// ascending-VC order as the old exhaustive sweep.
+    /// known-faulty stage-2 arbiters are masked via the per-output
+    /// exclusion word `Router::va2_ok` (Section V-B3's
+    /// inherent-redundancy tolerance; kept current at fault edges). A
+    /// borrower's lender is the first set bit, from the VC after its
+    /// own, of the port's lendable-and-healthy-and-not-yet-lent word —
+    /// the order a per-VC scan tries them in. Stage 2 visits only the
+    /// `(out, out_vc)` pairs touched by stage-1 picks, in the same
+    /// out-major / ascending-VC order as the old exhaustive sweep.
     pub(crate) fn va_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
         // Whole-stage skip: no VC anywhere awaits allocation — common
         // for routers that are merely forwarding already-active packets.
@@ -387,25 +388,7 @@ impl Router {
             _ => 0,
         };
 
-        // Per-output exclusion of known-faulty stage-2 arbiters
-        // (Section V-B3's inherent-redundancy tolerance). Healthy
-        // routers take the constant all-ones path.
-        if self.kind == RouterKind::Protected && !self.faults.detected().is_empty() {
-            for out_idx in 0..p {
-                let mut ok = all_vcs;
-                for ovc in 0..v {
-                    if self.faults.detected().is_faulty(FaultSite::Va2Arbiter {
-                        out_port: PortId(out_idx as u8),
-                        out_vc: VcId(ovc as u8),
-                    }) {
-                        ok &= !(1 << ovc);
-                    }
-                }
-                self.scratch.va2_ok[out_idx] = ok;
-            }
-        } else {
-            self.scratch.va2_ok.fill(all_vcs);
-        }
+        let (active, detected) = (self.faults.active(), self.faults.detected());
 
         // ---- Stage 1: each waiting VC picks one free downstream VC ----
         self.scratch.va_picks.clear();
@@ -414,7 +397,16 @@ impl Router {
             // Stage 1 never changes a VC's G state (only stage 2 does),
             // so the mask snapshot stays valid across the walk.
             let mut pending = self.ports[port_idx].vc_alloc_mask();
-            // Bit per VC: lender already serving a borrower this cycle.
+            // Bit per VC: arbiter set faulty; of those, not yet detected.
+            let va1_faulty = active.va1_word(port_id);
+            let va1_latent = va1_faulty & !detected.va1_word(port_id);
+            // Bit per VC: a possible lender — arbiters healthy and not
+            // in use, i.e. G is Idle or Active (past VA, in the SA
+            // stage), matching `VcGlobalState::lendable_for_va` and
+            // Section V-B1 ("not utilizing its VA arbiters").
+            let lenders = all_vcs & !(self.ports[port_idx].routing_mask() | pending) & !va1_faulty;
+            // Bit per VC: lender already serving a borrower this cycle
+            // (a lender serves one).
             let mut lent: u32 = 0;
             while pending != 0 {
                 let vc_idx = pending.trailing_zeros() as usize;
@@ -424,33 +416,22 @@ impl Router {
                 let out = fields.r.expect("VcAlloc implies a routed VC");
 
                 // Whose arbiter set performs the allocation?
-                let own_faulty = self.faults.va1_faulty(port_id, vc_id);
+                let own_faulty = va1_faulty & (1 << vc_idx) != 0;
                 let owner: Option<VcId> = if !own_faulty {
                     Some(vc_id)
                 } else {
                     match self.kind {
                         RouterKind::Baseline => None, // blocked for good
                         RouterKind::Protected => {
-                            if self.faults.latent(FaultSite::Va1ArbiterSet {
-                                port: port_id,
-                                vc: vc_id,
-                            }) {
+                            if va1_latent & (1 << vc_idx) != 0 {
                                 None // undetected: stall
                             } else {
-                                // Scan the other VCs of this input port for
-                                // a lender whose arbiters are healthy and
-                                // not in use: its G state must be Idle or
-                                // Active — i.e. past VA, in the SA stage —
-                                // matching `VcGlobalState::lendable_for_va`
-                                // and Section V-B1 ("not utilizing its VA
-                                // arbiters"). A lender serves one borrower
-                                // per cycle.
-                                let lender =
-                                    (1..v).map(|d| VcId(((vc_idx + d) % v) as u8)).find(|&l| {
-                                        lent & (1 << l.index()) == 0
-                                            && !self.faults.va1_faulty(port_id, l)
-                                            && self.ports[port_idx].vc(l).fields.g.lendable_for_va()
-                                    });
+                                // The faulty VC itself is not in
+                                // `lenders`, so the search covers the
+                                // other VCs only.
+                                let free = lenders & !lent;
+                                let lender = (free != 0)
+                                    .then(|| VcId(first_set_from(free, (vc_idx + 1) % v, v) as u8));
                                 if lender.is_none() {
                                     // Scenario 2: intended lenders busy in
                                     // VA — wait a cycle.
@@ -478,7 +459,7 @@ impl Router {
                 // datelines: RC deposited the legal set in `vmask`) and
                 // the known-faulty-VA2 exclusion — three word ops.
                 let mut req = !self.out_vc_busy[out.index()]
-                    & self.scratch.va2_ok[out.index()]
+                    & self.va2_ok[out.index()]
                     & fields.vmask
                     & all_vcs;
                 if adaptive_upper != 0 && out.index() != 0 && req & adaptive_upper != 0 {
@@ -532,6 +513,7 @@ impl Router {
             // Same out-major / ascending-out_vc order as an exhaustive
             // sweep; the mask walk just skips the request-free pairs.
             let mut touched = self.scratch.va2_touched[out_idx];
+            let va2_faulty = active.va2_word(PortId(out_idx as u8));
             while touched != 0 {
                 let ovc_idx = touched.trailing_zeros() as usize;
                 touched &= touched - 1;
@@ -540,10 +522,7 @@ impl Router {
                 // the requestors retry forever; in the protected router
                 // (ideal detection) this arbiter receives no requests, and
                 // during a latent window it stalls.
-                if self
-                    .faults
-                    .va2_faulty(PortId(out_idx as u8), VcId(ovc_idx as u8))
-                {
+                if va2_faulty & (1 << ovc_idx) != 0 {
                     continue;
                 }
                 if let Some(winner) = self.va2[out_idx * v + ovc_idx].arbitrate(req) {
@@ -620,10 +599,7 @@ impl Router {
                 let vc = self.ports[port_idx].vc(vc_id);
                 let out = vc.fields.r.expect("active VC is routed");
                 let out_vc = vc.fields.o.expect("active VC holds a downstream VC");
-                let target = match self.kind {
-                    RouterKind::Baseline => Some(out),
-                    RouterKind::Protected => self.xbar.sa2_target(self.faults.detected(), out),
-                };
+                let target = self.sa2_target[out.index()];
                 // Refresh the SP/FSP observability fields before any
                 // skip: a VC stalled on credits, or blocked on an
                 // unreachable output, must still report its current
@@ -661,25 +637,28 @@ impl Router {
         let sa_grants_before = self.stats.sa_grants;
 
         // ---- Stage 1: per input port, pick one VC ----
+        // Fault words, bit = port. A protected port is blocked while its
+        // arbiter fault is still undetected (stall) or once the bypass
+        // is dead too (failure).
+        let (active, detected) = (self.faults.active(), self.faults.detected());
+        let sa1_faulty = active.sa1_word();
+        let sa1_blocked = sa1_faulty & (!detected.sa1_word() | active.sa1_bypass_word());
+        let sa2_faulty = active.sa2_word();
         self.scratch.sa_port_winner.fill(None);
         for port_idx in 0..p {
-            let port_id = PortId(port_idx as u8);
             let req_mask = self.scratch.sa_port_req[port_idx];
             if req_mask == 0 {
                 continue;
             }
-            if !self.faults.sa1_faulty(port_id) {
+            if sa1_faulty & (1 << port_idx) == 0 {
                 self.scratch.sa_port_winner[port_idx] = self.sa1[port_idx].arbitrate(req_mask);
                 continue;
             }
             match self.kind {
                 RouterKind::Baseline => {} // arbiter dead: port blocked
                 RouterKind::Protected => {
-                    if self.faults.latent(FaultSite::Sa1Arbiter { port: port_id }) {
-                        continue; // undetected: stall
-                    }
-                    if self.faults.sa1_bypass_faulty(port_id) {
-                        continue; // bypass dead too: port blocked (failure)
+                    if sa1_blocked & (1 << port_idx) != 0 {
+                        continue;
                     }
                     // Bypass path: the default winner is chosen without
                     // arbitration (Section V-C1). The register rotates
@@ -750,9 +729,9 @@ impl Router {
                 continue;
             }
             // A faulty stage-2 arbiter grants nothing. Protected VCs never
-            // target a known-faulty arbiter (sa2_target redirects them);
+            // target a known-faulty arbiter (`sa2_target` redirects them);
             // during a latent window, or in the baseline, they stall here.
-            if self.faults.sa2_faulty(PortId(target_idx as u8)) {
+            if sa2_faulty & (1 << target_idx) != 0 {
                 continue;
             }
             if let Some(wport) = self.sa2[target_idx].arbitrate(mask) {

@@ -44,14 +44,14 @@ fn flit(id: u64, dst: Coord) -> Flit {
     Flit::new(PacketId(id), FlitSeq(0), FlitKind::Single, HERE, dst, 0)
 }
 
-/// Drive `router` under sustained 5-port traffic for `cycles`, reusing
+/// Drive `router` under sustained 5-port traffic over `cycles`, reusing
 /// one `StepOutput` and recycling credits instantly. `occupancy` is the
 /// upstream's credit view and must persist across calls. Returns flits
 /// sent.
 fn run(
     router: &mut Router,
     out: &mut StepOutput,
-    cycles: u64,
+    cycles: std::ops::Range<u64>,
     id: &mut u64,
     occupancy: &mut [[u32; 4]; 5],
 ) -> u64 {
@@ -64,7 +64,7 @@ fn run(
     ];
     let mesh = Mesh::new(8);
     let mut sent = 0u64;
-    for cycle in 0..cycles {
+    for cycle in cycles {
         for (p, dir) in Direction::ALL.iter().enumerate() {
             let vc = VcId((cycle % 4) as u8);
             if occupancy[p][vc.index()] < 4 {
@@ -96,21 +96,53 @@ fn run(
 
 #[test]
 fn steady_state_router_step_allocates_nothing() {
-    for (label, kind, faults) in [
-        ("baseline healthy", RouterKind::Baseline, &[][..]),
-        ("protected healthy", RouterKind::Protected, &[][..]),
+    let mux = FaultSite::XbMux {
+        out_port: Direction::East.port(),
+    };
+    let west = Direction::West.port();
+    for (label, kind, faults, transients) in [
+        ("baseline healthy", RouterKind::Baseline, &[][..], &[][..]),
+        ("protected healthy", RouterKind::Protected, &[][..], &[][..]),
         (
             // Secondary-path traffic exercises the XB fault machinery.
             "protected faulty mux",
             RouterKind::Protected,
-            &[FaultSite::XbMux {
-                out_port: Direction::East.port(),
-            }][..],
+            &[mux][..],
+            &[][..],
+        ),
+        (
+            // Every Shield mechanism at once: duplicate RC, a borrowed
+            // VA arbiter set, the SA bypass, the secondary path.
+            "protected, one fault per stage",
+            RouterKind::Protected,
+            &[
+                FaultSite::RcPrimary {
+                    port: Direction::Local.port(),
+                },
+                FaultSite::Va1ArbiterSet {
+                    port: Direction::North.port(),
+                    vc: VcId(1),
+                },
+                FaultSite::Sa1Arbiter { port: west },
+                mux,
+            ][..],
+            &[][..],
+        ),
+        (
+            // A transient that opens and closes inside the measured
+            // window: the fault clock crosses two edges there.
+            "protected, permanent fault + scheduled transient",
+            RouterKind::Protected,
+            &[mux][..],
+            &[(FaultSite::Sa1Arbiter { port: west }, 600, 50)][..],
         ),
     ] {
         let mut r = Router::new_xy(0, HERE, Mesh::new(8), RouterConfig::paper(), kind);
         for &f in faults {
             r.inject_fault(f, 0);
+        }
+        for &(site, at, duration) in transients {
+            r.inject_transient(site, at, duration);
         }
         let mut out = StepOutput::default();
         let mut id = 0u64;
@@ -118,10 +150,10 @@ fn steady_state_router_step_allocates_nothing() {
 
         // Warm-up: scratch vectors, the XB queue and `StepOutput` grow to
         // their steady capacity during the first cycles.
-        run(&mut r, &mut out, 500, &mut id, &mut occupancy);
+        run(&mut r, &mut out, 0..500, &mut id, &mut occupancy);
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let sent = run(&mut r, &mut out, 500, &mut id, &mut occupancy);
+        let sent = run(&mut r, &mut out, 500..1000, &mut id, &mut occupancy);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
 
         assert!(sent > 0, "{label}: traffic must actually flow");

@@ -823,3 +823,25 @@ fn oversized_vc_count_is_a_construction_error_not_a_panic() {
     }
     assert!(departed, "top VC of a 6-VC port flows through the pipeline");
 }
+
+#[test]
+#[should_panic(expected = "fault site RC[P200] outside a 5-port 4-VC router")]
+fn injecting_a_site_the_router_lacks_panics_at_injection_time() {
+    let mut r = router(RouterKind::Protected);
+    // Scheduled far in the future: refused now, not at cycle 1,000,000.
+    r.inject_fault(FaultSite::RcPrimary { port: PortId(200) }, 1_000_000);
+}
+
+#[test]
+#[should_panic(expected = "fault site VA1[P2.VC9] outside a 5-port 4-VC router")]
+fn scheduling_a_transient_on_a_site_the_router_lacks_panics() {
+    let mut r = router(RouterKind::Protected);
+    r.inject_transient(
+        FaultSite::Va1ArbiterSet {
+            port: PortId(2),
+            vc: VcId(9),
+        },
+        600,
+        50,
+    );
+}

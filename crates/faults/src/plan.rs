@@ -215,17 +215,20 @@ impl FaultPlan {
     ) -> Self {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut events = Vec::new();
+        // One candidate pool per stage, in enumeration order.
+        let pools = PipelineStage::ALL.map(|stage| {
+            let mut pool = FaultSite::enumerate_stage(cfg, stage);
+            pool.retain(|s| !inj.baseline_sites_only || !s.is_correction_circuitry());
+            pool
+        });
+        let mut available = Vec::new();
         for r in 0..routers {
             if inj.router_fraction < 1.0 && rng.random::<f64>() >= inj.router_fraction {
                 continue;
             }
             // Running fault state of this router, for tolerance checks.
-            let mut map = FaultMap::healthy();
-            for stage in PipelineStage::ALL {
-                let pool: Vec<FaultSite> = FaultSite::enumerate_stage(cfg, stage)
-                    .into_iter()
-                    .filter(|s| !inj.baseline_sites_only || !s.is_correction_circuitry())
-                    .collect();
+            let mut map = FaultMap::healthy(cfg);
+            for pool in &pools {
                 if pool.is_empty() {
                     continue;
                 }
@@ -237,21 +240,18 @@ impl FaultPlan {
                     if t >= inj.horizon {
                         break;
                     }
-                    let available: Vec<FaultSite> = pool
-                        .iter()
-                        .copied()
-                        .filter(|&s| {
-                            if map.is_faulty(s) {
-                                return false;
-                            }
-                            if !inj.tolerated_only {
-                                return true;
-                            }
-                            let mut trial = map.clone();
-                            trial.inject(s);
-                            !trial.router_failed(cfg, crate::site::canonical_secondary_source)
-                        })
-                        .collect();
+                    available.clear();
+                    available.extend(pool.iter().copied().filter(|&s| {
+                        if map.is_faulty(s) {
+                            return false;
+                        }
+                        if !inj.tolerated_only {
+                            return true;
+                        }
+                        let mut trial = map;
+                        trial.inject(s);
+                        !trial.router_failed(cfg, crate::site::canonical_secondary_source)
+                    }));
                     let Some(&site) = available.choose(&mut rng) else {
                         break;
                     };
@@ -360,13 +360,16 @@ impl FaultPlan {
         self.events.is_empty() && self.transients.is_empty() && self.link_faults.is_empty()
     }
 
-    /// The final fault map of one router once every event has fired.
-    pub fn final_map(&self, router: RouterId) -> FaultMap {
-        self.events
-            .iter()
-            .filter(|e| e.router == router)
-            .map(|e| e.site)
-            .collect()
+    /// The final fault map of one router (of configuration `cfg`) once
+    /// every event has fired.
+    pub fn final_map(&self, cfg: &RouterConfig, router: RouterId) -> FaultMap {
+        FaultMap::from_sites(
+            cfg,
+            self.events
+                .iter()
+                .filter(|e| e.router == router)
+                .map(|e| e.site),
+        )
     }
 }
 
@@ -423,7 +426,7 @@ mod tests {
             assert!(!e.site.is_correction_circuitry());
         }
         for r in 0..4 {
-            let map = plan.final_map(RouterId(r));
+            let map = plan.final_map(&cfg, RouterId(r));
             for stage in PipelineStage::ALL {
                 assert!(map.count_stage(stage) <= 1, "cap of one fault per stage");
             }
@@ -450,9 +453,11 @@ mod tests {
         assert_eq!(plan.events()[0].cycle, 0);
         assert_eq!(plan.detection().latency(), 8);
         assert!(plan
-            .final_map(RouterId(3))
+            .final_map(&RouterConfig::paper(), RouterId(3))
             .is_faulty(FaultSite::Sa1Arbiter { port: PortId(2) }));
-        assert!(plan.final_map(RouterId(0)).is_empty());
+        assert!(plan
+            .final_map(&RouterConfig::paper(), RouterId(0))
+            .is_empty());
     }
 
     #[test]
@@ -488,5 +493,56 @@ mod tests {
             plan.events().iter().map(|e| e.router).collect();
         assert!(affected.len() < 40, "roughly a quarter of 64 routers");
         assert!(!affected.is_empty());
+    }
+
+    /// FNV-1a over a plan's permanent events (cycle, router, rendered
+    /// site), for the identity pin below.
+    fn events_fnv(plan: &FaultPlan) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for e in plan.events() {
+            eat(&e.cycle.to_le_bytes());
+            eat(&e.router.0.to_le_bytes());
+            eat(e.site.to_string().as_bytes());
+        }
+        h
+    }
+
+    #[test]
+    fn uniform_random_plans_are_pinned() {
+        let cfg = RouterConfig::paper();
+        let acc = InjectionConfig::accelerated_accumulating(16_500, 33_000);
+        let untolerated = InjectionConfig {
+            tolerated_only: false,
+            ..acc
+        };
+        let quarter = InjectionConfig {
+            router_fraction: 0.25,
+            ..acc
+        };
+        // Recorded at the commit before the word-map rewrite of the
+        // builder: any change to the number or order of RNG draws, or
+        // to the candidate order, moves these.
+        let pins: [(&str, &InjectionConfig, u64, usize, u64); 4] = [
+            ("tolerated, seed 1", &acc, 1, 441, 0x6faf_1969_7da8_5f9a),
+            ("tolerated, seed 11", &acc, 11, 448, 0xe225_529a_5924_2da5),
+            ("untolerated", &untolerated, 1, 441, 0xcad1_bda7_c47a_22b1),
+            (
+                "quarter of routers",
+                &quarter,
+                1,
+                115,
+                0xb40d_abbf_da24_63ac,
+            ),
+        ];
+        for (label, inj, seed, events, fnv) in pins {
+            let plan = FaultPlan::uniform_random(&cfg, 64, inj, seed);
+            assert_eq!(plan.len(), events, "{label}: event count");
+            assert_eq!(events_fnv(&plan), fnv, "{label}: event list");
+        }
     }
 }

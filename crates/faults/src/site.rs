@@ -127,34 +127,66 @@ impl FaultSite {
         )
     }
 
+    /// Whether a `ports`-port, `vcs`-VC router has this component.
+    pub(crate) fn fits(self, ports: usize, vcs: usize) -> bool {
+        let (port, vc) = match self {
+            FaultSite::RcPrimary { port }
+            | FaultSite::RcDuplicate { port }
+            | FaultSite::Sa1Arbiter { port }
+            | FaultSite::Sa1Bypass { port } => (port, None),
+            FaultSite::Sa2Arbiter { out_port }
+            | FaultSite::XbMux { out_port }
+            | FaultSite::XbSecondary { out_port } => (out_port, None),
+            FaultSite::Va1ArbiterSet { port, vc } => (port, Some(vc)),
+            FaultSite::Va2Arbiter { out_port, out_vc } => (out_port, Some(out_vc)),
+        };
+        port.index() < ports && vc.is_none_or(|vc| vc.index() < vcs)
+    }
+
+    /// Whether a router of configuration `cfg` has this component. The
+    /// codec parses any `u8` port or VC, so a site read from outside the
+    /// program (a fault plan, a snapshot) must pass this before it is
+    /// injected.
+    pub fn in_range(self, cfg: &RouterConfig) -> bool {
+        self.fits(cfg.ports, cfg.vcs)
+    }
+
+    /// Every fault site of a `ports`-port, `vcs`-VC router, in the
+    /// canonical order of [`FaultSite::enumerate`], without allocating.
+    pub(crate) fn all(ports: usize, vcs: usize) -> impl Iterator<Item = FaultSite> {
+        let per_vc =
+            move || PortId::all(ports).flat_map(move |p| VcId::all(vcs).map(move |vc| (p, vc)));
+        PortId::all(ports)
+            .flat_map(|port| {
+                [
+                    FaultSite::RcPrimary { port },
+                    FaultSite::RcDuplicate { port },
+                ]
+            })
+            .chain(per_vc().map(|(port, vc)| FaultSite::Va1ArbiterSet { port, vc }))
+            .chain(per_vc().map(|(out_port, out_vc)| FaultSite::Va2Arbiter { out_port, out_vc }))
+            .chain(PortId::all(ports).flat_map(|port| {
+                [
+                    FaultSite::Sa1Arbiter { port },
+                    FaultSite::Sa1Bypass { port },
+                ]
+            }))
+            .chain(PortId::all(ports).flat_map(|out_port| {
+                [
+                    FaultSite::Sa2Arbiter { out_port },
+                    FaultSite::XbMux { out_port },
+                    FaultSite::XbSecondary { out_port },
+                ]
+            }))
+    }
+
     /// Enumerate every fault site of a router with the given
-    /// configuration, in a fixed canonical order.
+    /// configuration, in a fixed canonical order: RC units (original,
+    /// duplicate) per port; VA1 sets, then VA2 arbiters, port-major;
+    /// SA1 (arbiter, bypass) per port; SA2, crossbar mux and secondary
+    /// path per output.
     pub fn enumerate(cfg: &RouterConfig) -> Vec<FaultSite> {
-        let mut sites = Vec::new();
-        for port in PortId::all(cfg.ports) {
-            sites.push(FaultSite::RcPrimary { port });
-            sites.push(FaultSite::RcDuplicate { port });
-        }
-        for port in PortId::all(cfg.ports) {
-            for vc in VcId::all(cfg.vcs) {
-                sites.push(FaultSite::Va1ArbiterSet { port, vc });
-            }
-        }
-        for out_port in PortId::all(cfg.ports) {
-            for out_vc in VcId::all(cfg.vcs) {
-                sites.push(FaultSite::Va2Arbiter { out_port, out_vc });
-            }
-        }
-        for port in PortId::all(cfg.ports) {
-            sites.push(FaultSite::Sa1Arbiter { port });
-            sites.push(FaultSite::Sa1Bypass { port });
-        }
-        for out_port in PortId::all(cfg.ports) {
-            sites.push(FaultSite::Sa2Arbiter { out_port });
-            sites.push(FaultSite::XbMux { out_port });
-            sites.push(FaultSite::XbSecondary { out_port });
-        }
-        sites
+        Self::all(cfg.ports, cfg.vcs).collect()
     }
 
     /// Enumerate the fault sites belonging to one pipeline stage.
@@ -345,6 +377,22 @@ mod tests {
             FaultSite::enumerate_stage(&cfg, PipelineStage::Xb).len(),
             15
         );
+    }
+
+    #[test]
+    fn in_range_follows_the_router_shape() {
+        let cfg = RouterConfig::paper();
+        assert!(FaultSite::enumerate(&cfg).iter().all(|s| s.in_range(&cfg)));
+        for outside in [
+            "RC[P5]",
+            "RC[P200]",
+            "XBsec[P32]",
+            "VA1[P2.VC4]",
+            "VA2[P5.VC0]",
+        ] {
+            let site: FaultSite = outside.parse().expect("the codec takes any u8");
+            assert!(!site.in_range(&cfg), "{outside}");
+        }
     }
 
     #[test]

@@ -118,7 +118,7 @@ fn xb_bounds(cfg: &RouterConfig, xbar: &Crossbar) -> (u32, u32) {
             })
             .collect();
         let count = sites.len() as u32;
-        let map = FaultMap::from_sites(sites);
+        let map = FaultMap::from_sites(cfg, sites);
         let alive = PortId::all(p).all(|o| xbar.path_to(&map, o).is_some());
         if alive {
             max_tolerated = max_tolerated.max(count);
@@ -129,7 +129,7 @@ fn xb_bounds(cfg: &RouterConfig, xbar: &Crossbar) -> (u32, u32) {
     // fault is tolerated by construction; search pairs.
     let all_sites = FaultSite::enumerate_stage(cfg, noc_faults::PipelineStage::Xb);
     let single_fatal = all_sites.iter().any(|&s| {
-        let map = FaultMap::from_sites([s]);
+        let map = FaultMap::from_sites(cfg, [s]);
         PortId::all(p).any(|o| xbar.path_to(&map, o).is_none())
     });
     if single_fatal {
@@ -138,7 +138,7 @@ fn xb_bounds(cfg: &RouterConfig, xbar: &Crossbar) -> (u32, u32) {
     let mut pair_fatal = false;
     'outer: for (i, &a) in all_sites.iter().enumerate() {
         for &b in &all_sites[i + 1..] {
-            let map = FaultMap::from_sites([a, b]);
+            let map = FaultMap::from_sites(cfg, [a, b]);
             if PortId::all(p).any(|o| xbar.path_to(&map, o).is_none()) {
                 pair_fatal = true;
                 break 'outer;
@@ -163,7 +163,7 @@ pub fn monte_carlo_faults_to_failure(
     for _ in 0..trials {
         let mut order = sites.clone();
         order.shuffle(&mut rng);
-        let mut map = FaultMap::healthy();
+        let mut map = FaultMap::healthy(cfg);
         let mut n = 0u32;
         for site in order {
             map.inject(site);
@@ -243,7 +243,7 @@ pub fn monte_carlo_weighted(
     let mut counts: Vec<u32> = Vec::with_capacity(trials);
     for _ in 0..trials {
         let mut alive: Vec<usize> = (0..sites.len()).collect();
-        let mut map = FaultMap::healthy();
+        let mut map = FaultMap::healthy(cfg);
         let mut n = 0u32;
         while !alive.is_empty() {
             let total: f64 = alive.iter().map(|&i| weights[i]).sum();

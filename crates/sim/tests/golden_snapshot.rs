@@ -121,6 +121,39 @@ fn committed_golden_artefact_restores_into_a_live_network() {
     );
 }
 
+#[test]
+fn checkpoint_with_a_fault_site_the_router_lacks_fails_typed() {
+    use noc_faults::{DetectionModel, FaultSite};
+    use noc_types::{PortId, RouterId};
+    let mut net_cfg = NetworkConfig::paper();
+    net_cfg.mesh_k = 4;
+    let site = FaultSite::Sa1Arbiter { port: PortId(1) };
+    let plan = FaultPlan::at_start([(RouterId(5), site)], DetectionModel::Ideal);
+    let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &plan);
+    for cycle in 0..10 {
+        net.step(cycle);
+    }
+    // A checkpoint edited (or corrupted) in the daemon's spool: the
+    // codec parses any u8 port and VC, the 5-port 4-VC router has no
+    // VC 9.
+    let text = net.snapshot().render();
+    assert_eq!(text.matches("\"SA1[P1]\"").count(), 1);
+    let doctored = JsonValue::parse(&text.replace("\"SA1[P1]\"", "\"VA1[P2.VC9]\"")).unwrap();
+    let mut fresh = Network::with_faults(net_cfg, RouterKind::Protected, &FaultPlan::none());
+    let err = fresh
+        .restore(&doctored)
+        .expect_err("a site outside the router's shape must be refused")
+        .to_string();
+    assert!(
+        err.contains("fault site VA1[P2.VC9] outside a 5-port 4-VC router"),
+        "{err}"
+    );
+    // The undoctored text still restores.
+    fresh
+        .restore(&JsonValue::parse(&text).unwrap())
+        .expect("the original checkpoint restores");
+}
+
 /// A tiny deterministic PRNG for the property tests (no `rand` so the
 /// picks are independent of the workspace RNG).
 struct Lcg(u64);

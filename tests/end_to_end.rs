@@ -78,7 +78,7 @@ fn accumulating_fault_campaign_never_fails_a_protected_router() {
     // Structurally: every router's final fault map is tolerated.
     let xbar = shield_noc::router::Crossbar::new(5);
     for r in 0..net.nodes() as u16 {
-        let map = plan.final_map(shield_noc::types::RouterId(r));
+        let map = plan.final_map(&RouterConfig::paper(), shield_noc::types::RouterId(r));
         assert!(
             !map.router_failed(&RouterConfig::paper(), |o| xbar.secondary_source(o)),
             "router {r} must survive its campaign"
