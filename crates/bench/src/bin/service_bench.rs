@@ -14,7 +14,10 @@
 //!
 //! Unlike the simulation benches these numbers are wall-clock and
 //! machine-dependent; the envelope's machine note says so. `--quick`
-//! shortens both parts.
+//! shortens both parts, and checkpoints its jobs every 250 cycles (the
+//! perf ledger's job): a cadence shorter than a spool commit, so the
+//! printed checkpoints written and skipped per job show the daemon's
+//! readiness gate at work.
 //!
 //! `--long-gate` runs neither measurement: it is the CI regression
 //! gate — one ≥200k-cycle campaign at the dense 1k-cycle cadence,
@@ -58,14 +61,21 @@ impl Drop for Scratch {
     }
 }
 
-/// Jobs/second through the scheduler: submit `jobs` campaigns, wait
-/// for the queue to drain, divide.
-fn scheduler_throughput(jobs: u64, measure: u64) -> JsonValue {
+/// The value of an unlabelled counter in Prometheus text.
+fn counter(metrics: &str, name: &str) -> f64 {
+    let line = metrics.lines().find(|l| l.split(' ').next() == Some(name));
+    line.and_then(|l| l.rsplit(' ').next()?.parse().ok())
+        .unwrap_or_else(|| panic!("no counter {name}"))
+}
+
+/// Jobs/second through the scheduler: submit `jobs` campaigns that
+/// checkpoint every `every` cycles, wait for the queue to drain, divide.
+fn scheduler_throughput(jobs: u64, measure: u64, every: u64) -> JsonValue {
     let scratch = Scratch::new("throughput");
     let mut cfg = ServiceConfig::new(scratch.0.join("spool"));
     cfg.workers = 2;
     cfg.queue_cap = jobs as usize + 1;
-    cfg.default_checkpoint_every = 5_000;
+    cfg.default_checkpoint_every = every;
     let sched = Scheduler::start(cfg).expect("scheduler starts");
     let start = Instant::now();
     for seed in 0..jobs {
@@ -78,10 +88,14 @@ fn scheduler_throughput(jobs: u64, measure: u64) -> JsonValue {
         "benchmark batch must finish"
     );
     let wall = start.elapsed().as_secs_f64();
+    let metrics = sched.metrics_text();
     sched.shutdown();
     println!(
-        "scheduler: {jobs} jobs x {measure} measured cycles in {wall:.2}s -> {:.2} jobs/s",
-        jobs as f64 / wall
+        "scheduler: {jobs} jobs x {measure} measured cycles in {wall:.2}s -> {:.2} jobs/s; \
+         per job {:.1} checkpoints written, {:.1} skipped (spool busy)",
+        jobs as f64 / wall,
+        counter(&metrics, "noc_service_checkpoint_writes_total") / jobs as f64,
+        counter(&metrics, "noc_service_checkpoints_skipped_total") / jobs as f64,
     );
     JsonValue::Obj(vec![
         ("jobs".into(), jobs.into()),
@@ -185,8 +199,12 @@ fn main() {
         return;
     }
     let quick = std::env::args().any(|a| a == "--quick");
-    let (jobs, measure) = if quick { (6, 2_000) } else { (24, 20_000) };
-    let scheduler = scheduler_throughput(jobs, measure);
+    let (jobs, measure, every) = if quick {
+        (6, 2_000, 250)
+    } else {
+        (24, 20_000, 5_000)
+    };
+    let scheduler = scheduler_throughput(jobs, measure, every);
     let overhead = checkpoint_overhead(measure * 5);
     let doc = bench_envelope(
         "service",

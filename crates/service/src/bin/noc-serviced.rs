@@ -10,11 +10,11 @@
 //! how scripts and the CI harness discover the port.
 //!
 //! SIGTERM / SIGINT trigger a graceful shutdown: the listener stops
-//! accepting, running jobs stop at their next checkpoint (already on
-//! disk by then) and the process exits; a later start on the same
-//! spool resumes everything. SIGKILL is survivable too — that is the
-//! point of the checkpoint spool — it just forfeits up to one
-//! checkpoint interval of work.
+//! accepting, each running job stops on its next checkpoint boundary,
+//! once that checkpoint is on disk, and the process exits; a later
+//! start on the same spool resumes everything. SIGKILL is survivable
+//! too — that is the point of the checkpoint spool — it just forfeits
+//! up to one checkpoint interval plus one commit of work.
 
 use noc_service::http::serve;
 use noc_service::{ObsLog, Scheduler, ServiceConfig};

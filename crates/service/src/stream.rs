@@ -2,8 +2,8 @@
 //!
 //! One JSON object per line, in delivery order, each the
 //! [`noc_telemetry::snapshot::Snapshot`] rendering of a
-//! [`DeliveredPacket`]. The simulator appends a batch (fsynced) at
-//! every checkpoint boundary *before* the checkpoint document that
+//! [`DeliveredPacket`]. A batch is appended (fsynced) at every
+//! checkpoint boundary taken, *before* the checkpoint document that
 //! references the new offset is written, so after any crash the stream
 //! is at least as long as the latest durable checkpoint's
 //! `delivery_offset`; the tail past that offset — appends whose
@@ -15,14 +15,20 @@
 //! newline); [`JsonlStream::open`] repairs it by cutting the file back
 //! to the last complete line, which is always safe for the same
 //! reason: a torn append's checkpoint was never written.
+//!
+//! A running job does not append on its stepping thread: it steps
+//! against a [`QueuedStream`], which leaves each batch in a [`Mailbox`]
+//! for the job's writer thread to append (ARCHITECTURE.md §5.3).
 
 use noc_sim::DeliveryStream;
 use noc_telemetry::json::JsonValue;
 use noc_telemetry::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use noc_types::DeliveredPacket;
 use std::fs;
-use std::io::Write;
+use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard};
 
 fn io_err(context: &str, e: std::io::Error) -> SnapshotError {
     SnapshotError::new(format!("{context}: {e}"))
@@ -76,36 +82,58 @@ impl JsonlStream {
         &self.path
     }
 
-    /// The first `offset` entries of the stream at `path` as the items
-    /// of a JSON array, comma-separated and without the brackets — the
-    /// non-destructive read used to serve partial results. The lines
-    /// are spliced as bytes, not parsed: each is the canonical
-    /// rendering [`DeliveryStream::append`] wrote, so re-rendering its
-    /// parse would reproduce it. Returns `None` when the file is
-    /// missing or holds fewer than `offset` complete lines (e.g. a read
-    /// racing a concurrent repair), which callers treat as "not
-    /// available yet".
-    pub fn prefix_items(path: &Path, offset: u64) -> Option<String> {
-        let mut bytes = fs::read(path).ok()?;
-        let mut lines = 0u64;
-        let mut end = 0usize;
-        while lines < offset {
-            end += bytes[end..].iter().position(|&b| b == b'\n')? + 1;
-            lines += 1;
+    /// Append to `out` the first `offset` entries of the stream at
+    /// `path` as the items of a JSON array, comma-separated and without
+    /// the brackets — the non-destructive read used to serve partial
+    /// results. The lines are spliced as bytes, not parsed: each is the
+    /// canonical rendering [`DeliveryStream::append`] wrote, so
+    /// re-rendering its parse would reproduce it. The file is read
+    /// straight into `out`: a copy of the stream beside the body it
+    /// goes into doubled what every request thread's allocator arena
+    /// grew to, and a running job's writer adds an arena. Returns
+    /// `false`, with `out` as it was, when the file is missing or holds
+    /// fewer than `offset` complete lines (e.g. a read racing a
+    /// concurrent repair), which callers treat as "not available yet".
+    pub fn splice_prefix(path: &Path, offset: u64, out: &mut String) -> bool {
+        let start = out.len();
+        let mut bytes = std::mem::take(out).into_bytes();
+        let mut splice = || {
+            fs::File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
+            let mut end = start;
+            for _ in 0..offset {
+                end += bytes[end..].iter().position(|&b| b == b'\n')? + 1;
+            }
+            // Drop the tail and the last newline; the inner ones become
+            // the separators (a rendered line holds no raw newline).
+            bytes.truncate(end.saturating_sub(1).max(start));
+            for b in &mut bytes[start..] {
+                if *b == b'\n' {
+                    *b = b',';
+                }
+            }
+            Some(())
+        };
+        let spliced = splice().is_some();
+        if !spliced {
+            bytes.truncate(start);
         }
-        // Drop the tail and the last newline; the inner ones become
-        // the separators (a rendered line holds no raw newline).
-        bytes.truncate(end.saturating_sub(1));
-        for b in &mut bytes {
-            if *b == b'\n' {
-                *b = b',';
+        match String::from_utf8(bytes) {
+            Ok(text) => {
+                *out = text;
+                spliced
+            }
+            // Not a stream `append` wrote: give `out` back as it was.
+            Err(e) => {
+                let mut bytes = e.into_bytes();
+                bytes.truncate(start);
+                *out = String::from_utf8(bytes).expect("what `out` held");
+                false
             }
         }
-        String::from_utf8(bytes).ok()
     }
 
     /// The first `offset` entries parsed one by one: what
-    /// [`JsonlStream::prefix_items`] replaced, kept as the reference
+    /// [`JsonlStream::splice_prefix`] replaced, kept as the reference
     /// the tests compare it with.
     #[cfg(test)]
     pub(crate) fn read_prefix(path: &Path, offset: u64) -> Option<Vec<JsonValue>> {
@@ -129,17 +157,22 @@ impl DeliveryStream for JsonlStream {
         if batch.is_empty() {
             return Ok(());
         }
-        let mut buf = String::new();
-        for d in batch {
-            buf.push_str(&d.snapshot().render());
-            buf.push('\n');
-        }
-        let mut f = fs::OpenOptions::new()
+        let f = fs::OpenOptions::new()
             .append(true)
             .open(&self.path)
             .map_err(|e| io_err("opening stream for append", e))?;
-        f.write_all(buf.as_bytes())
-            .map_err(|e| io_err("appending to stream", e))?;
+        // Line by line through a small buffer: a batch rendered whole
+        // into one `String` first is a peak the daemon's resident set
+        // keeps (+14 % measured).
+        let mut out = BufWriter::with_capacity(16 << 10, f);
+        for d in batch {
+            out.write_all(d.snapshot().render().as_bytes())
+                .and_then(|()| out.write_all(b"\n"))
+                .map_err(|e| io_err("appending to stream", e))?;
+        }
+        let f = out
+            .into_inner()
+            .map_err(|e| io_err("appending to stream", e.into_error()))?;
         f.sync_data().map_err(|e| io_err("syncing stream", e))?;
         self.entries += batch.len() as u64;
         Ok(())
@@ -156,6 +189,9 @@ impl DeliveryStream for JsonlStream {
                 self.path.display(),
                 self.entries
             )));
+        }
+        if offset == 0 && self.entries == 0 {
+            return Ok(Vec::new());
         }
         let text = fs::read_to_string(&self.path).map_err(|e| io_err("reading stream", e))?;
         let mut prefix = Vec::with_capacity(offset as usize);
@@ -179,16 +215,248 @@ impl DeliveryStream for JsonlStream {
                 prefix.len()
             )));
         }
-        let f = fs::OpenOptions::new()
-            .write(true)
-            .open(&self.path)
-            .map_err(|e| io_err("opening stream for truncate", e))?;
-        f.set_len(byte_end as u64)
-            .map_err(|e| io_err("truncating stream", e))?;
-        f.sync_all()
-            .map_err(|e| io_err("syncing truncated stream", e))?;
-        self.entries = offset;
+        // With `offset == entries` there is nothing to cut: `open` left
+        // the file exactly its complete lines, and every append since
+        // was whole.
+        if offset < self.entries {
+            let f = fs::OpenOptions::new()
+                .write(true)
+                .open(&self.path)
+                .map_err(|e| io_err("opening stream for truncate", e))?;
+            f.set_len(byte_end as u64)
+                .map_err(|e| io_err("truncating stream", e))?;
+            f.sync_all()
+                .map_err(|e| io_err("syncing truncated stream", e))?;
+            self.entries = offset;
+        }
         Ok(prefix)
+    }
+}
+
+/// What a commit is made of: the stream, the deliveries to append to it
+/// and the checkpoint that names them (`None` for the deliveries past a
+/// run's last checkpoint).
+pub(crate) type Work<C> = (JsonlStream, Vec<DeliveredPacket>, Option<C>);
+
+/// The hand-off point between a job's stepping thread (the *worker*)
+/// and the thread that does its spool I/O (the *writer*). The worker
+/// leaves delivery batches and the checkpoint `C` that names them; the
+/// writer takes both, commits them — append, then checkpoint — and
+/// reports back. At most one checkpoint is pending (the latest wins:
+/// it names every batch before it) and at most one commit is in flight.
+pub(crate) struct Mailbox<C> {
+    mail: Mutex<Mail<C>>,
+    /// Signalled on every change either side may be waiting for.
+    changed: Condvar,
+}
+
+struct Mail<C> {
+    /// The spooled stream; `None` while a commit has it (in flight).
+    stream: Option<JsonlStream>,
+    /// Deliveries handed over and not yet taken by the writer.
+    batch: Vec<DeliveredPacket>,
+    /// The pending checkpoint, which names everything in `batch`.
+    checkpoint: Option<C>,
+    /// Entries in the stream as the worker sees it: on disk, in flight
+    /// and in `batch`.
+    entries: u64,
+    /// The worker hands over nothing more.
+    closed: bool,
+    /// The first failed commit. Nothing is committed after it: a later
+    /// append would leave a hole in the stream.
+    error: Option<String>,
+    /// Checkpoints committed, and boundaries skipped while busy.
+    committed: u64,
+    skipped: u64,
+}
+
+impl<C> Mail<C> {
+    /// No checkpoint is pending and no commit is in flight.
+    fn idle(&self) -> bool {
+        self.checkpoint.is_none() && self.stream.is_some()
+    }
+}
+
+impl<C> Mailbox<C> {
+    /// A mailbox in front of `stream`, idle and empty.
+    pub(crate) fn new(stream: JsonlStream) -> Mailbox<C> {
+        Mailbox {
+            mail: Mutex::new(Mail {
+                entries: stream.entries,
+                stream: Some(stream),
+                batch: Vec::new(),
+                checkpoint: None,
+                closed: false,
+                error: None,
+                committed: 0,
+                skipped: 0,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    /// Every update below leaves the mail valid at each step, so a
+    /// guard poisoned by a panic on the other side is still good.
+    fn lock(&self) -> MutexGuard<'_, Mail<C>> {
+        self.mail.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// The worker's end: a [`DeliveryStream`] that is always ready once
+    /// `urgent` (a requested shutdown) is set.
+    pub(crate) fn queued<'a>(&'a self, urgent: &'a AtomicBool) -> QueuedStream<'a, C> {
+        QueuedStream {
+            mailbox: self,
+            urgent,
+        }
+    }
+
+    /// Worker: leave the checkpoint that names every batch appended so
+    /// far. It replaces one still pending.
+    pub(crate) fn hand_over(&self, checkpoint: C) {
+        self.lock().checkpoint = Some(checkpoint);
+        self.changed.notify_all();
+    }
+
+    /// Worker: block until nothing is pending or in flight (or a commit
+    /// has failed, after which nothing will move).
+    pub(crate) fn wait_idle(&self) {
+        let mut mail = self.lock();
+        while !mail.idle() && mail.error.is_none() {
+            mail = self.changed.wait(mail).unwrap_or_else(|e| e.into_inner());
+        }
+    }
+
+    /// Worker: hand over nothing more. With `drop_checkpoint` a
+    /// checkpoint still pending is dropped (the run has finished and
+    /// its result supersedes it); the deliveries never are.
+    pub(crate) fn close(&self, drop_checkpoint: bool) {
+        let mut mail = self.lock();
+        mail.closed = true;
+        if drop_checkpoint {
+            mail.checkpoint = None;
+        }
+        drop(mail);
+        self.changed.notify_all();
+    }
+
+    /// Writer: block until there is something to commit and take it;
+    /// `None` once the mailbox is closed and empty, or a commit failed.
+    pub(crate) fn take(&self) -> Option<Work<C>> {
+        let mut mail = self.lock();
+        while mail.checkpoint.is_none() && !mail.closed && mail.error.is_none() {
+            mail = self.changed.wait(mail).unwrap_or_else(|e| e.into_inner());
+        }
+        if mail.error.is_some() || (mail.checkpoint.is_none() && mail.batch.is_empty()) {
+            return None;
+        }
+        let stream = mail.stream.take()?;
+        Some((
+            stream,
+            std::mem::take(&mut mail.batch),
+            mail.checkpoint.take(),
+        ))
+    }
+
+    /// Writer: the commit that took `stream` has ended; `result` says
+    /// whether it committed a checkpoint, or why it failed.
+    pub(crate) fn done(&self, stream: JsonlStream, result: Result<bool, String>) {
+        let mut mail = self.lock();
+        mail.stream = Some(stream);
+        match result {
+            Ok(checkpointed) => mail.committed += u64::from(checkpointed),
+            Err(e) => mail.error = Some(e),
+        }
+        drop(mail);
+        self.changed.notify_all();
+    }
+
+    /// The writer's whole life: one commit after another until the
+    /// mailbox is closed and empty. A commit that panics counts as
+    /// failed, so the worker is never left waiting for it.
+    pub(crate) fn serve(
+        &self,
+        mut commit: impl FnMut(&mut JsonlStream, &[DeliveredPacket], Option<C>) -> Result<(), String>,
+    ) {
+        while let Some((mut stream, batch, checkpoint)) = self.take() {
+            let checkpointed = checkpoint.is_some();
+            let attempt = std::panic::AssertUnwindSafe(|| commit(&mut stream, &batch, checkpoint));
+            let result = std::panic::catch_unwind(attempt).unwrap_or_else(|panic| {
+                Err(format!("commit panicked: {}", panic_message(&*panic)))
+            });
+            self.done(stream, result.map(|()| checkpointed));
+        }
+    }
+
+    /// After the writer has returned: the first commit error if there
+    /// was one, else `(checkpoints committed, boundaries skipped)`.
+    pub(crate) fn outcome(&self) -> Result<(u64, u64), String> {
+        let mail = self.lock();
+        match &mail.error {
+            Some(e) => Err(e.clone()),
+            None => Ok((mail.committed, mail.skipped)),
+        }
+    }
+}
+
+/// The text of a caught panic (`panic!` with a literal or a format).
+pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
+    panic
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| panic.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("(no message)")
+}
+
+/// The [`DeliveryStream`] a job steps against: `append` leaves the
+/// batch in the [`Mailbox`] and returns, and `ready` keeps the
+/// simulator from building a checkpoint the writer could not take yet.
+/// Dropping it closes the mailbox, so a worker that unwinds still lets
+/// its writer go.
+pub(crate) struct QueuedStream<'a, C> {
+    mailbox: &'a Mailbox<C>,
+    urgent: &'a AtomicBool,
+}
+
+impl<C> DeliveryStream for QueuedStream<'_, C> {
+    fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
+        let mut mail = self.mailbox.lock();
+        if let Some(e) = &mail.error {
+            return Err(SnapshotError::new(e.clone()));
+        }
+        mail.batch.extend_from_slice(batch);
+        mail.entries += batch.len() as u64;
+        Ok(())
+    }
+
+    fn ready(&self) -> bool {
+        let mut mail = self.mailbox.lock();
+        // A failed commit counts as ready: the append that follows
+        // reports it and ends the run.
+        let ready = mail.idle() || mail.error.is_some() || self.urgent.load(Ordering::SeqCst);
+        mail.skipped += u64::from(!ready);
+        ready
+    }
+
+    fn len(&self) -> u64 {
+        self.mailbox.lock().entries
+    }
+
+    fn truncate(&mut self, offset: u64) -> Result<Vec<DeliveredPacket>, SnapshotError> {
+        let mut mail = self.mailbox.lock();
+        // A run truncates before its first append, so the stream is
+        // here and holds everything handed over.
+        let Some(stream) = mail.stream.as_mut() else {
+            return Err(SnapshotError::new("truncating a stream mid-commit"));
+        };
+        let prefix = stream.truncate(offset)?;
+        mail.entries = offset;
+        Ok(prefix)
+    }
+}
+
+impl<C> Drop for QueuedStream<'_, C> {
+    fn drop(&mut self) {
+        self.mailbox.close(false);
     }
 }
 
@@ -250,6 +518,38 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `truncate(len)` is asked of every fresh job (0 of 0) and of a
+    /// resume whose stream ends at its checkpoint: it returns the
+    /// entries and leaves the file alone.
+    #[test]
+    fn truncate_to_the_current_length_cuts_nothing() {
+        let dir = scratch("truncate-all");
+        let path = dir.join("deliveries.jsonl");
+        let mut s = JsonlStream::open(&path).unwrap();
+        assert_eq!(s.truncate(0).unwrap(), vec![]);
+        assert_eq!(fs::read(&path).unwrap(), b"");
+
+        s.append(&[d(1), d(2), d(3)]).unwrap();
+        let whole = fs::read(&path).unwrap();
+        assert_eq!(s.truncate(3).unwrap(), vec![d(1), d(2), d(3)]);
+        assert_eq!((s.len(), fs::read(&path).unwrap()), (3, whole.clone()));
+
+        // Just repaired: `open` has cut the torn line, nothing is left
+        // for `truncate` to cut.
+        let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
+        f.write_all(b"{\"id\":4,\"kind").unwrap();
+        drop(f);
+        let mut s = JsonlStream::open(&path).unwrap();
+        assert_eq!(s.truncate(3).unwrap(), vec![d(1), d(2), d(3)]);
+        assert_eq!((s.len(), fs::read(&path).unwrap()), (3, whole.clone()));
+
+        // One entry less still cuts, durably.
+        assert_eq!(s.truncate(2).unwrap(), vec![d(1), d(2)]);
+        assert!(whole.starts_with(&fs::read(&path).unwrap()));
+        assert_eq!(JsonlStream::open(&path).unwrap().len(), 2);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn open_repairs_a_torn_final_line() {
         let dir = scratch("torn");
@@ -297,14 +597,22 @@ mod tests {
         let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"id\":4,\"kind").unwrap(); // torn append
         drop(f);
+        let spliced = |path: &Path, offset| {
+            let mut body = String::from("[");
+            let ok = JsonlStream::splice_prefix(path, offset, &mut body);
+            assert!(ok || body == "[", "a failed splice left {body:?}");
+            ok.then(|| body + "]")
+        };
         for offset in 0..=4 {
             let parsed =
                 JsonlStream::read_prefix(&path, offset).map(|items| JsonValue::Arr(items).render());
-            let spliced = JsonlStream::prefix_items(&path, offset).map(|i| format!("[{i}]"));
+            let spliced = spliced(&path, offset);
             assert_eq!(spliced, parsed, "offset {offset}");
             assert_eq!(spliced.is_some(), offset <= 3, "offset {offset}");
         }
-        assert!(JsonlStream::prefix_items(&dir.join("absent.jsonl"), 0).is_none());
+        assert!(spliced(&dir.join("absent.jsonl"), 0).is_none());
+        fs::write(dir.join("binary.jsonl"), b"\xff\n").unwrap();
+        assert!(spliced(&dir.join("binary.jsonl"), 1).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -319,6 +627,89 @@ mod tests {
         assert_eq!(two[0].get("id").and_then(|v| v.as_u64()), Some(1));
         assert!(JsonlStream::read_prefix(&path, 4).is_none());
         assert!(JsonlStream::read_prefix(&dir.join("absent.jsonl"), 0).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A commit for the mailbox tests: append, nothing else.
+    fn append_only(
+        stream: &mut JsonlStream,
+        batch: &[DeliveredPacket],
+        _checkpoint: Option<u64>,
+    ) -> Result<(), String> {
+        stream.append(batch).map_err(|e| e.to_string())
+    }
+
+    /// Once shutdown is requested every boundary is taken, whatever the
+    /// writer is doing: the batches add up and the latest checkpoint,
+    /// which names them all, replaces the pending one.
+    #[test]
+    fn an_urgent_stream_is_always_ready_and_the_latest_checkpoint_wins() {
+        let dir = scratch("urgent");
+        let mailbox = Mailbox::new(JsonlStream::open(dir.join("deliveries.jsonl")).unwrap());
+        let urgent = AtomicBool::new(false);
+        let mut stream = mailbox.queued(&urgent);
+        assert!(stream.ready());
+        stream.append(&[d(1)]).unwrap();
+        mailbox.hand_over(1u64);
+        assert!(!stream.ready(), "a checkpoint is pending");
+        urgent.store(true, Ordering::SeqCst);
+        assert!(stream.ready());
+        stream.append(&[d(2), d(3)]).unwrap();
+        mailbox.hand_over(3u64);
+        assert_eq!(stream.len(), 3);
+
+        let (on_disk, batch, checkpoint) = mailbox.take().unwrap();
+        assert_eq!(
+            (on_disk.len(), batch, checkpoint),
+            (0, vec![d(1), d(2), d(3)], Some(3))
+        );
+        assert!(stream.ready(), "in flight, but urgent");
+        mailbox.done(on_disk, Ok(true));
+        assert_eq!(mailbox.outcome(), Ok((1, 1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A worker that unwinds drops its stream, which lets the writer
+    /// go once it has appended what was handed over.
+    #[test]
+    fn dropping_the_queued_stream_releases_the_writer() {
+        let dir = scratch("release");
+        let path = dir.join("deliveries.jsonl");
+        let mailbox = Mailbox::<u64>::new(JsonlStream::open(&path).unwrap());
+        let urgent = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope.spawn(|| mailbox.serve(append_only));
+            let mut stream = mailbox.queued(&urgent);
+            stream.append(&[d(1), d(2)]).unwrap();
+        });
+        assert_eq!(JsonlStream::open(&path).unwrap().len(), 2);
+        assert_eq!(mailbox.outcome(), Ok((0, 0)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A commit that panics is a failed commit: the worker waiting for
+    /// it wakes, the next append reports it, nothing more is taken.
+    #[test]
+    fn a_commit_that_panics_reaches_the_worker_as_an_error() {
+        let dir = scratch("commit-panics");
+        let mailbox = Mailbox::new(JsonlStream::open(dir.join("deliveries.jsonl")).unwrap());
+        let urgent = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            scope
+                .spawn(|| mailbox.serve(|_, _, _: Option<u64>| panic!("injected into the commit")));
+            let mut stream = mailbox.queued(&urgent);
+            stream.append(&[d(1)]).unwrap();
+            mailbox.hand_over(1);
+            mailbox.wait_idle();
+            assert!(stream.ready(), "so that the append below is reached");
+            let heard = stream.append(&[d(2)]).unwrap_err().to_string();
+            assert!(
+                heard.contains("commit panicked: injected into the commit"),
+                "{heard}"
+            );
+        });
+        let error = mailbox.outcome().unwrap_err();
+        assert_eq!(error, "commit panicked: injected into the commit");
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -143,6 +143,8 @@ fn metrics_progress_and_jsonl_logs_are_first_class() {
         "noc_service_jobs_submitted_total",
         "noc_service_checkpoint_writes_total",
         "noc_service_checkpoint_write_seconds_total",
+        "noc_service_checkpoints_skipped_total",
+        "noc_service_spool_wait_seconds_total",
         "noc_service_http_requests_total{endpoint=\"submit\"} 1",
         "noc_service_http_request_seconds_total{endpoint=\"metrics\"}",
     ] {
@@ -277,6 +279,14 @@ fn metrics_progress_and_jsonl_logs_are_first_class() {
         }),
         "submit must be logged with request and job ids"
     );
+    // The completion says what the spool's readiness gate did: as many
+    // checkpoints written as the log has `job_checkpoint` events, and
+    // the boundaries it skipped.
+    let completed = events.iter().find(|(e, _)| e == "job_completed").unwrap();
+    let count = |field: &str| completed.1.get(field).and_then(JsonValue::as_u64);
+    let logged = events.iter().filter(|(e, _)| e == "job_checkpoint").count();
+    assert_eq!(count("checkpoints_written"), Some(logged as u64));
+    assert!(count("checkpoints_skipped").is_some());
     // Checkpoint events carry their write timing.
     assert!(
         events.iter().any(|(e, doc)| {

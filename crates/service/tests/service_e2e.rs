@@ -1,7 +1,8 @@
 //! End-to-end campaign service tests: scheduler completion against a
 //! direct-simulator reference, queue backpressure, and the full daemon
 //! crash drill — SIGKILL mid-campaign, restart on the same spool, and
-//! byte-identical results versus uninterrupted runs.
+//! byte-identical results versus uninterrupted runs — plus the graceful
+//! one: SIGTERM mid-campaign stops on a checkpoint that is on disk.
 
 use noc_service::client::jobs;
 use noc_service::{CampaignSpec, Scheduler, ServiceConfig, SubmitError};
@@ -304,6 +305,12 @@ struct Daemon {
 
 impl Daemon {
     fn start(spool: &PathBuf, extra: &[&str]) -> Daemon {
+        Daemon::start_logging_to(Stdio::null(), spool, extra)
+    }
+
+    /// [`Daemon::start`] with the daemon's JSONL event log (its
+    /// standard error) sent to `log`.
+    fn start_logging_to(log: Stdio, spool: &PathBuf, extra: &[&str]) -> Daemon {
         let mut child = Command::new(env!("CARGO_BIN_EXE_noc-serviced"))
             .arg("--port")
             .arg("0")
@@ -311,7 +318,7 @@ impl Daemon {
             .arg(spool)
             .args(extra)
             .stdout(Stdio::piped())
-            .stderr(Stdio::null())
+            .stderr(log)
             .spawn()
             .expect("daemon must start");
         let stdout = child.stdout.take().unwrap();
@@ -335,6 +342,23 @@ impl Daemon {
         // checkpoint is flushed — the crash we are drilling for.
         let _ = self.child.kill();
         let _ = self.child.wait();
+    }
+
+    /// SIGTERM, then wait for the daemon to leave on its own.
+    fn terminate(&mut self) -> std::process::ExitStatus {
+        extern "C" {
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        const SIGTERM: i32 = 15;
+        // SAFETY: `kill` takes no pointers; the pid is this process's
+        // own child, not yet reaped, so it cannot name another process.
+        assert_eq!(unsafe { kill(self.child.id() as i32, SIGTERM) }, 0);
+        let mut exited = None;
+        poll_until(Duration::from_secs(60), || {
+            exited = self.child.try_wait().expect("child is ours to wait for");
+            exited.is_some()
+        });
+        exited.expect("a graceful shutdown takes one checkpoint interval, not a minute")
     }
 }
 
@@ -621,6 +645,94 @@ fn daemon_streams_partial_results_and_recovers_the_stream_after_sigkill() {
     assert_eq!(
         final_jsonl, reference_jsonl,
         "delivery stream diverged after SIGKILL + truncate-on-restore + replay"
+    );
+}
+
+/// The graceful drill: SIGTERM while a job is between checkpoints. The
+/// worker takes the next boundary, waits until its writer has that
+/// checkpoint on disk, and only then reports the job interrupted — so
+/// what the spool holds is a checkpoint, the deliveries it names, and
+/// nothing half-written; a restart finishes the job byte-identical to
+/// an uninterrupted run, report and delivery stream.
+#[test]
+fn daemon_stops_on_sigterm_at_a_durable_checkpoint_and_resumes_identically() {
+    let scratch = Scratch::new("sigterm");
+    let spool = scratch.0.join("spool");
+    let log_path = scratch.0.join("daemon.jsonl");
+
+    // Three hundred boundaries long: the job is still far from done
+    // when the signal arrives two checkpoints in.
+    let mut spec = quick_spec(51);
+    spec.measure_cycles = 150_000;
+    spec.checkpoint_every = 500;
+    spec.sample_every = 5_000;
+    let (reference, reference_jsonl) = reference_run(&spec);
+
+    let log = std::fs::File::create(&log_path).unwrap();
+    let mut daemon = Daemon::start_logging_to(log.into(), &spool, &["--workers", "1"]);
+    let resp = jobs::submit(&daemon.addr, &spec.to_json().render()).unwrap();
+    assert_eq!(resp.status, 201, "{}", resp.body);
+    let doc = JsonValue::parse(&resp.body).unwrap();
+    let id = doc.get("id").unwrap().as_str().unwrap().to_string();
+    let cycles_done = |addr: &str| {
+        let resp = jobs::status(addr, &id).ok()?;
+        JsonValue::parse(&resp.body)
+            .ok()?
+            .get("cycles_done")?
+            .as_u64()
+    };
+    let progressed = poll_until(Duration::from_secs(120), || {
+        cycles_done(&daemon.addr).is_some_and(|c| c >= 1_000)
+    });
+    assert!(progressed, "job must checkpoint before the signal");
+    assert!(daemon.terminate().success(), "SIGTERM is a clean exit");
+
+    // The spool: a checkpoint, at least the deliveries it names, every
+    // line whole, no temporary file.
+    let dir = spool.join(&id);
+    let checkpoint = std::fs::read_to_string(dir.join("checkpoint.json"))
+        .expect("the job was stopped, not finished: its checkpoint is there");
+    let checkpoint = JsonValue::parse(&checkpoint).expect("checkpoint parses");
+    let offset = checkpoint.get("delivery_offset").unwrap().as_u64().unwrap();
+    let cycle = checkpoint.get("cycle").unwrap().as_u64().unwrap();
+    assert!((1_000..spec.total_cycles()).contains(&cycle), "{cycle}");
+    let stream_path = dir.join("deliveries.jsonl");
+    let stream = std::fs::read_to_string(&stream_path).unwrap();
+    assert!(stream.ends_with('\n'), "torn line after a graceful stop");
+    assert!(stream.lines().count() as u64 >= offset);
+    assert!(
+        stream.lines().count() > 0,
+        "too quiet to exercise the stream"
+    );
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let name = entry.unwrap().file_name().to_string_lossy().into_owned();
+        assert!(!name.ends_with(".tmp"), "{name} left behind");
+    }
+    // The log: the job was interrupted at exactly that checkpoint.
+    let log = std::fs::read_to_string(&log_path).unwrap();
+    let interrupted: Vec<JsonValue> = log
+        .lines()
+        .filter_map(|line| JsonValue::parse(line).ok())
+        .filter(|e| e.get("event").and_then(JsonValue::as_str) == Some("job_interrupted"))
+        .collect();
+    assert_eq!(interrupted.len(), 1, "{log}");
+    assert_eq!(
+        interrupted[0].get("job").unwrap().as_str(),
+        Some(id.as_str())
+    );
+    assert_eq!(interrupted[0].get("cycles").unwrap().as_u64(), Some(cycle));
+
+    let daemon = Daemon::start(&spool, &["--workers", "1"]);
+    let done = poll_until(Duration::from_secs(180), || {
+        jobs::result(&daemon.addr, &id).is_ok_and(|resp| resp.status == 200)
+    });
+    assert!(done, "resumed job must complete");
+    let resp = jobs::result(&daemon.addr, &id).unwrap();
+    assert_eq!(report_of(&resp.body), reference, "report after SIGTERM");
+    assert_eq!(
+        std::fs::read_to_string(&stream_path).unwrap(),
+        reference_jsonl,
+        "delivery stream after SIGTERM + resume"
     );
 }
 

@@ -22,11 +22,29 @@ use noc_types::DeliveredPacket;
 /// checkpoint offset) and truncation back to an offset on restore.
 pub trait DeliveryStream {
     /// Append a batch of deliveries to the end of the stream. The
-    /// batch must be durable (for durable implementations) before this
-    /// returns `Ok` — the simulator appends *before* emitting the
-    /// checkpoint that references the new offset, so a crash between
-    /// the two leaves a stream tail the next resume truncates away.
+    /// simulator appends *before* emitting the checkpoint that
+    /// references the new offset, and a durable implementation owes
+    /// exactly that order to the disk: the batch must be durable before
+    /// the checkpoint that names it is — not necessarily before this
+    /// returns. An implementation may therefore take the batch now and
+    /// write it behind the simulator's back, as long as it writes the
+    /// checkpoint after it and reports a failed write from a later
+    /// `append`. A crash between the two leaves a stream tail the next
+    /// resume truncates away.
     fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError>;
+
+    /// Whether the stream can take a checkpoint now. The simulator asks
+    /// once at every due checkpoint boundary, before it appends or
+    /// builds anything; on `false` it skips the boundary — no append,
+    /// no snapshot, no call to the checkpoint sink — and the next
+    /// boundary taken carries the deliveries of both intervals. The
+    /// checkpoint cadence is thereby a *minimum* spacing: a stream that
+    /// is still writing the previous checkpoint says `false` rather
+    /// than make the run wait. Any checkpoint is a valid resume point,
+    /// so which boundaries are taken never changes a result.
+    fn ready(&self) -> bool {
+        true
+    }
 
     /// Number of entries currently in the stream.
     fn len(&self) -> u64;

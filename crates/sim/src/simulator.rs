@@ -176,11 +176,13 @@ impl<F: FnMut(Cycle, &mut Vec<Packet>)> CoreSource for FnSource<F> {
 
 /// The resumable loop's source: forwards packet generation, spools new
 /// deliveries into the stream, and emits a checkpoint document every
-/// `every` cycles. Ordering is load-bearing: deliveries are appended
-/// (durably, for durable streams) **before** the checkpoint document
-/// referencing their offset is handed to the sink, so a crash between
-/// the two leaves at worst a stream tail past the last durable
-/// checkpoint — which the next resume truncates away.
+/// `every` cycles at which the stream is [`DeliveryStream::ready`] (a
+/// boundary it is not ready for is skipped whole; the next one taken
+/// carries the larger batch). Ordering is load-bearing: deliveries are
+/// appended **before** the checkpoint document referencing their offset
+/// is handed to the sink, so a crash between the two leaves at worst a
+/// stream tail past the last durable checkpoint — which the next resume
+/// truncates away.
 struct CheckpointingSource<'a, S, F> {
     source: &'a mut S,
     every: Cycle,
@@ -200,7 +202,7 @@ impl<S: PacketSource, F: FnMut(&JsonValue) -> bool> CoreSource for Checkpointing
 
     fn cycle_done(&mut self, cycle: Cycle, net: &Network, epochs: &Option<EpochState>) -> bool {
         let next = cycle + 1;
-        if self.every == 0 || !next.is_multiple_of(self.every) {
+        if self.every == 0 || !next.is_multiple_of(self.every) || !self.stream.ready() {
             return true;
         }
         if let Err(e) = self.stream.append(&net.deliveries()[self.cursor..]) {
@@ -354,10 +356,11 @@ impl Simulator {
     /// [`Simulator::run_resumable`] with an explicit delivery stream.
     ///
     /// New deliveries are appended to `stream` at every checkpoint
-    /// boundary *before* the checkpoint document (which records the
-    /// resulting stream offset as `delivery_offset`) reaches
-    /// `on_checkpoint`, and once more when the run completes — so after
-    /// a completed run the stream holds the full delivery log. When
+    /// boundary the stream is [`DeliveryStream::ready`] for, *before*
+    /// the checkpoint document (which records the resulting stream
+    /// offset as `delivery_offset`) reaches `on_checkpoint`, and once
+    /// more when the run completes — so after a completed run the
+    /// stream holds the full delivery log. When
     /// resuming, `stream` must be the stream the checkpointed run was
     /// appending to: it is truncated back to the checkpointed offset
     /// (discarding entries from cycles about to be re-executed) and the
@@ -527,8 +530,8 @@ impl Simulator {
                 cycles_run = cycle + 1;
                 break;
             }
-            if net.in_flight_flits() > 0
-                && cycle.saturating_sub(net.last_activity) > WATCHDOG_CYCLES
+            if cycle.saturating_sub(net.last_activity) > WATCHDOG_CYCLES
+                && net.in_flight_flits() > 0
             {
                 outcome = SimOutcome::DeadlockSuspected;
                 cycles_run = cycle + 1;
