@@ -1,7 +1,8 @@
 //! Whole-network simulation throughput: cycles/second under moderate
 //! load — the cost that bounds Figure-7/8 runs. Tracks the serial hot
-//! path (`BENCH_hotpath.json`) and the sharded parallel stepper plus
-//! active-router worklist (`BENCH_parallel_step.json`).
+//! path (`BENCH_hotpath.json`) and, ad hoc, the sharded parallel stepper
+//! plus active-router worklist (the recorded parallel numbers are the
+//! ledger's `sim_chiplet_par2` rows, `benchmark/README.md`).
 //!
 //! Matrix: 8×8 and 16×16 meshes × uniform low/high load and canneal ×
 //! a pre-worklist serial baseline and threads ∈ {1, 2, 4, 8}. Pass
@@ -9,7 +10,7 @@
 //! a substring filter on the bench names.
 
 use noc_bench::{apply_topology_arg, bench_envelope, bench_with, measurement_json, Measurement};
-use noc_sim::{IntervalProfile, Network};
+use noc_sim::Network;
 use noc_telemetry::json::{obj, JsonValue};
 use noc_traffic::{AppId, SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::NetworkConfig;
@@ -35,63 +36,6 @@ fn run_once(k: u8, traffic: &TrafficConfig, threads: usize, skip_idle: bool) {
         net.step(cycle);
     }
     black_box(net.packet_counters());
-}
-
-/// One untimed profiled run: the sharded stepper with an explicit
-/// rebalance cadence, surfacing `Network::shard_profile` — per-shard
-/// phase-B wall time and router-step counts for every rebalance
-/// interval — as a JSON series. Each interval record carries the
-/// wall-clock load-imbalance ratio (`time_imbalance`, slowest shard
-/// over mean) and the row-weight imbalance before/after the
-/// interval-closing re-cut; `rebalance_effectiveness` is their ratio
-/// (how much the re-cut helped, 1.0 = no change).
-fn profile_run(
-    k: u8,
-    label: &str,
-    traffic: &TrafficConfig,
-    threads: usize,
-    cadence: u64,
-) -> JsonValue {
-    let mut cfg = NetworkConfig::paper();
-    cfg.mesh_k = k;
-    let cfg = apply_topology_arg(cfg);
-    let mut net = Network::new(cfg, RouterKind::Protected);
-    net.set_threads(threads);
-    net.set_skip_idle(true);
-    net.set_rebalance_every(cadence);
-    let mut gen = TrafficGenerator::new(*traffic, cfg.grid(), 1);
-    let mut pkts = Vec::new();
-    for cycle in 0..CYCLES {
-        pkts.clear();
-        gen.tick_into(cycle, &mut pkts);
-        net.offer_packets_from(&mut pkts);
-        net.step(cycle);
-    }
-    let profiles = net.shard_profile();
-    let effectiveness: Vec<JsonValue> = profiles
-        .iter()
-        .map(|p| {
-            if p.imbalance_after > 0.0 {
-                (p.imbalance_before / p.imbalance_after).into()
-            } else {
-                1.0f64.into()
-            }
-        })
-        .collect();
-    let time_imbalance: Vec<JsonValue> =
-        profiles.iter().map(|p| p.time_imbalance().into()).collect();
-    obj([
-        (
-            "bench",
-            format!("mesh_{k}x{k}/2k_cycles/{label}/threads_{threads}/rebalance_{cadence}").into(),
-        ),
-        ("load_imbalance_ratio", JsonValue::Arr(time_imbalance)),
-        ("rebalance_effectiveness", JsonValue::Arr(effectiveness)),
-        (
-            "intervals",
-            JsonValue::Arr(profiles.iter().map(IntervalProfile::to_json).collect()),
-        ),
-    ])
 }
 
 fn main() {
@@ -164,33 +108,14 @@ fn main() {
             }
         }
     }
-    // Untimed profiled runs: the per-interval shard profile under a
-    // tight rebalance cadence (several re-cuts across the 2k cycles),
-    // on the busy workload where imbalance actually moves.
-    let mut profiles = Vec::new();
-    for k in [8u8, 16] {
-        let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.10);
-        for threads in [2usize, 4] {
-            let name = format!("mesh_{k}x{k}/2k_cycles/uniform_0.10/threads_{threads}");
-            if filters.is_empty() || filters.iter().any(|f| name.contains(f.as_str())) {
-                profiles.push(profile_run(k, "uniform_0.10", &traffic, threads, 256));
-            }
-        }
-    }
-
     let rows: Vec<JsonValue> = json.into_iter().flatten().collect();
     let doc = bench_envelope(
         "mesh_sim",
         "Whole-network simulation throughput across mesh size, load and \
-         stepper thread count, plus the per-rebalance-interval shard \
-         profile (step-time/step-count per shard, load-imbalance ratio \
-         and rebalance-effectiveness series).",
+         stepper thread count.",
         topology_tag,
         "ad-hoc run; see the committed BENCH_*.json files for recorded numbers",
-        obj([
-            ("results", JsonValue::Arr(rows)),
-            ("shard_profile", JsonValue::Arr(profiles)),
-        ]),
+        obj([("results", JsonValue::Arr(rows))]),
     );
     println!("\nJSON:\n{}", doc.render());
 }

@@ -108,7 +108,6 @@ fn main() {
          would differ on other hosts",
         JsonValue::Arr(rows),
     );
-    let path = write_json(std::path::Path::new("."), "BENCH_reliability", &doc)
-        .expect("write BENCH_reliability.json");
+    let path = write_json(quick, "BENCH_reliability", &doc).expect("write BENCH_reliability.json");
     println!("\nwrote {}", path.display());
 }

@@ -226,7 +226,6 @@ fn main() {
             ("checkpoint_overhead".into(), overhead),
         ]),
     );
-    let path = write_json(std::path::Path::new("."), "BENCH_service", &doc)
-        .expect("write BENCH_service.json");
+    let path = write_json(quick, "BENCH_service", &doc).expect("write BENCH_service.json");
     println!("\nwrote {}", path.display());
 }

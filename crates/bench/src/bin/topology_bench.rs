@@ -16,12 +16,13 @@
 //!    stepper cutting along chiplet boundaries. The row records the
 //!    bit-identity of the two runs (deliveries, counters and the
 //!    per-router heatmap all byte-equal) and the shard-profile
-//!    imbalance actually measured across rebalance intervals.
+//!    imbalance actually measured across profiling intervals.
 //!
-//! `--quick` shortens the windows; the committed `BENCH_topology.json`
-//! is a full run. Throughput here is simulation semantics, not
-//! wall-clock, so the numbers are machine-independent; the machine note
-//! records the host anyway for provenance.
+//! `--quick` shortens the windows and writes under `target/experiments/`;
+//! the committed `BENCH_topology.json` is a full run. Throughput here is
+//! simulation semantics, not wall-clock, so the numbers are
+//! machine-independent; the machine note records the host anyway for
+//! provenance.
 
 use noc_bench::{bench_envelope, write_json};
 use noc_faults::{FaultPlan, InjectionConfig};
@@ -109,9 +110,6 @@ fn run_campaign_4096(threads: usize, cycles: u64, inject_until: u64) -> Campaign
     );
     let mut net = Network::with_faults(cfg, RouterKind::Protected, &plan);
     net.set_threads(threads);
-    if threads > 1 {
-        net.set_rebalance_every(128);
-    }
     let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.004);
     let mut gen = TrafficGenerator::for_topology(traffic, net.topology(), 0xD1E5);
     let mut pkts = Vec::new();
@@ -213,7 +211,7 @@ fn main() {
     let delivered = serial.counters.2;
     println!(
         "chipletmesh8x8  4096 routers, {cycles} cycles: {delivered} delivered, \
-         serial == 8 threads (bit-identical), {} rebalance intervals, \
+         serial == 8 threads (bit-identical), {} profile intervals, \
          max time imbalance {:.2}",
         parallel.profile_intervals, parallel.max_time_imbalance
     );
@@ -232,7 +230,7 @@ fn main() {
             "shard_profile".into(),
             JsonValue::Obj(vec![
                 (
-                    "rebalance_intervals".into(),
+                    "profile_intervals".into(),
                     (parallel.profile_intervals as u64).into(),
                 ),
                 (
@@ -260,7 +258,6 @@ fn main() {
          differ on other hosts",
         JsonValue::Arr(rows),
     );
-    let path = write_json(std::path::Path::new("."), "BENCH_topology", &doc)
-        .expect("write BENCH_topology.json");
+    let path = write_json(quick, "BENCH_topology", &doc).expect("write BENCH_topology.json");
     println!("\nwrote {}", path.display());
 }

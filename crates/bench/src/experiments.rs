@@ -5,7 +5,6 @@ use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::run_batch;
 use noc_traffic::{AppId, Suite, TrafficConfig};
 use noc_types::{NetworkConfig, RouterConfig};
-use serde::Serialize;
 use shield_router::RouterKind;
 
 /// Configuration of a Figure-7/8 style experiment.
@@ -42,7 +41,7 @@ impl FigureConfig {
 }
 
 /// One application's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureRow {
     /// Application name.
     pub app: String,
@@ -59,7 +58,7 @@ pub struct FigureRow {
 }
 
 /// A full figure: all applications of one suite plus the overall row.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FigureResult {
     /// Which suite (SPLASH-2 → Figure 7, PARSEC → Figure 8).
     pub suite: Suite,

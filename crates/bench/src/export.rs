@@ -60,9 +60,23 @@ pub fn measurement_json(m: &Measurement, cycles_per_iter: u64) -> JsonValue {
     ])
 }
 
-/// Write a JSON value to `<dir>/<name>.json`, creating the directory.
-pub fn write_json(dir: &Path, name: &str, value: &JsonValue) -> std::io::Result<PathBuf> {
-    std::fs::create_dir_all(dir)?;
+/// Where a bench binary's `BENCH_*.json` goes: a full run re-records
+/// the committed artefact in the current directory, a `--quick` smoke
+/// writes under [`default_dir`] — CI runs the smokes from the repository
+/// root and must not replace full-scale numbers with quick-scale ones.
+fn bench_dir(quick: bool) -> PathBuf {
+    if quick {
+        default_dir()
+    } else {
+        PathBuf::from(".")
+    }
+}
+
+/// Write a bench artefact to `<name>.json` in [`bench_dir`]`(quick)`,
+/// creating the directory.
+pub fn write_json(quick: bool, name: &str, value: &JsonValue) -> std::io::Result<PathBuf> {
+    let dir = bench_dir(quick);
+    std::fs::create_dir_all(&dir)?;
     let path = dir.join(format!("{name}.json"));
     std::fs::write(&path, value.render() + "\n")?;
     Ok(path)
@@ -177,6 +191,13 @@ mod tests {
         let read = std::fs::read_to_string(&path).unwrap();
         assert_eq!(read, "x\n1\n");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn quick_runs_do_not_write_over_committed_artefacts() {
+        assert_eq!(bench_dir(false), Path::new("."));
+        assert_eq!(bench_dir(true), default_dir());
+        assert!(default_dir().starts_with("target"), "git-ignored");
     }
 
     #[test]

@@ -16,7 +16,6 @@ use noc_types::{Cycle, Direction, RouterConfig, RouterId};
 use rand::rngs::StdRng;
 use rand::seq::IndexedRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled permanent-fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,7 +71,7 @@ pub struct TransientEvent {
 /// window between manifestation and detection the affected component is
 /// treated as *stalled* (operations through it retry), which preserves
 /// packet conservation while still costing cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DetectionModel {
     /// Faults are detected (and the correction circuitry engaged) in the
     /// same cycle they manifest.
@@ -92,7 +91,7 @@ impl DetectionModel {
 }
 
 /// Configuration of the stochastic injection process.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InjectionConfig {
     /// Mean of the uniform inter-arrival distribution, in cycles
     /// (the paper uses 10,000,000; harness runs scale this down).

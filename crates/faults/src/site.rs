@@ -1,10 +1,9 @@
 //! Fault-site addressing over the router component graph.
 
 use noc_types::{Direction, PortId, RouterConfig, RouterId, VcId};
-use serde::{Deserialize, Serialize};
 
 /// The four stages of the router control pipeline (Figure 2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum PipelineStage {
     /// Routing computation.
     Rc,
@@ -42,7 +41,7 @@ impl std::fmt::Display for PipelineStage {
 ///
 /// The granularity follows the paper's correction circuitry exactly:
 /// these are the units Section V either protects or adds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
     /// The original RC unit of an input port (baseline circuit).
     RcPrimary {

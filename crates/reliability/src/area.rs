@@ -25,7 +25,6 @@
 use crate::gates::Component;
 use crate::inventory::{baseline_inventory, correction_inventory, StageInventory};
 use noc_types::RouterConfig;
-use serde::Serialize;
 
 /// Wiring/placement factor applied to correction-circuitry area.
 pub const CORRECTION_WIRING_FACTOR: f64 = 1.30;
@@ -49,7 +48,7 @@ pub struct AreaPowerModel {
 }
 
 /// Results of the Section VI-A analysis.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AreaPowerReport {
     /// Baseline router area (arbitrary units: density-weighted
     /// transistors).

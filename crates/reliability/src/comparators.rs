@@ -28,11 +28,10 @@
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::Serialize;
 
 /// A group of fault sites with bounded tolerance: the architecture fails
 /// once more than `tolerable` faults land in one group.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct FaultGroup {
     /// Label for reporting.
     pub name: &'static str,
@@ -43,7 +42,7 @@ pub struct FaultGroup {
 }
 
 /// A redundancy model: the router fails when any group fails.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RedundancyModel {
     /// Architecture name.
     pub name: &'static str,
@@ -204,7 +203,7 @@ impl RedundancyModel {
 }
 
 /// Re-derived Table III row: model vs published.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct DerivedComparison {
     /// Architecture.
     pub name: &'static str,

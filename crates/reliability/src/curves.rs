@@ -8,10 +8,8 @@
 //! owns the curve arithmetic: survival fractions per fault count and
 //! the truncated mean faults-to-failure they imply.
 
-use serde::Serialize;
-
 /// One point of a faults-to-failure curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CurvePoint {
     /// Faults injected per scenario at this point.
     pub faults: u32,
@@ -38,7 +36,7 @@ impl CurvePoint {
 
 /// A survival curve over increasing fault counts, for one
 /// (topology, routing mode) configuration.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultsToFailureCurve {
     /// Points in increasing fault order.
     pub points: Vec<CurvePoint>,

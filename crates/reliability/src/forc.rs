@@ -17,13 +17,11 @@
 //! comparator has 11.7 FIT at `Vdd = 1 V`, `T = 300 K` (Table I). Every
 //! other number in Tables I and II then follows from transistor counts.
 
-use serde::{Deserialize, Serialize};
-
 /// Boltzmann's constant in eV/K.
 pub const BOLTZMANN_EV: f64 = 8.617_333e-5;
 
 /// TDDB fitting parameters (Srinivasan et al., via Wu et al.).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ForcParams {
     /// Voltage-exponent intercept `a`.
     pub a: f64,
@@ -52,7 +50,7 @@ impl Default for ForcParams {
 }
 
 /// The calibrated TDDB model: evaluates FORC and per-FET FIT.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TddbModel {
     /// Fitting parameters.
     pub params: ForcParams,

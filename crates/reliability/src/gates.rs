@@ -24,10 +24,9 @@
 //! is then reproduced to 0.8%).
 
 use crate::forc::TddbModel;
-use serde::{Deserialize, Serialize};
 
 /// A component class instantiable in the router.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Component {
     /// An `n`-bit magnitude comparator.
     Comparator {

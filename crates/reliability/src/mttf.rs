@@ -3,7 +3,6 @@
 use crate::gates::GateLibrary;
 use crate::inventory::{baseline_inventory, correction_inventory, total_fit};
 use noc_types::RouterConfig;
-use serde::Serialize;
 
 /// MTTF in hours of a component with the given FIT (Equation 1/4):
 /// `MTTF = 10⁹ / FIT`.
@@ -37,7 +36,7 @@ pub fn mttf_parallel_textbook(lambda1_fit: f64, lambda2_fit: f64) -> f64 {
 }
 
 /// The full Section-VII analysis for one router configuration.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct MttfReport {
     /// FIT of the baseline pipeline (sum of Table I).
     pub baseline_fit: f64,

@@ -15,11 +15,10 @@ use noc_types::{PortId, RouterConfig};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
 use shield_router::Crossbar;
 
 /// Per-stage and overall faults-to-failure bounds (Section VIII-A..E).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpfAnalysis {
     /// Minimum faults to cause failure, per stage (RC, VA, SA, XB).
     pub stage_min: [u32; 4],
@@ -275,7 +274,7 @@ pub fn monte_carlo_weighted(
 }
 
 /// Result of the Monte-Carlo faults-to-failure experiment.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct MonteCarloSpf {
     /// Number of random fault sequences.
     pub trials: usize,
@@ -288,7 +287,7 @@ pub struct MonteCarloSpf {
 }
 
 /// One row of Table III.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SpfComparison {
     /// Architecture name.
     pub architecture: &'static str,

@@ -17,10 +17,9 @@
 //!   series with the primary mux tree.
 
 use noc_faults::PipelineStage;
-use serde::Serialize;
 
 /// One element on a stage's critical path.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PathElement {
     /// Element name (for reporting).
     pub name: &'static str,
@@ -138,7 +137,7 @@ impl TimingModel {
 }
 
 /// Timing of one stage.
-#[derive(Debug, Clone, Copy, Serialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct StageTiming {
     /// Stage.
     pub stage: PipelineStage,
@@ -151,7 +150,7 @@ pub struct StageTiming {
 }
 
 /// All four stages' timing.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CriticalPathReport {
     /// RC, VA, SA, XB in order.
     pub per_stage: [StageTiming; 4],

@@ -144,13 +144,11 @@ struct ShardScratch {
 }
 
 impl ShardScratch {
-    /// Preallocate every buffer to its hard per-cycle bound — at most
-    /// five wires and one completed packet per router per cycle — for
-    /// a shard that may come to own up to `nodes` routers. Rebalancing
-    /// can hand a shard a much larger span than it started with, so
-    /// sizing for the *current* span would make the first busy cycle
-    /// after a boundary move grow the buffers; sizing for the grid
-    /// keeps the steady-state stepper allocation-free.
+    /// Preallocate every buffer for a shard that owns `nodes` routers:
+    /// five wires and one completed packet per router per cycle, more
+    /// than sustained traffic produces. A shard's span is fixed when
+    /// its partition is built, so the stepper is allocation-free from
+    /// the first cycle.
     fn with_bounds(nodes: usize) -> Self {
         ShardScratch {
             arrivals: Vec::with_capacity(5 * nodes),
@@ -161,13 +159,15 @@ impl ShardScratch {
     }
 }
 
-/// Rebalance intervals retained by the stepper profile ring.
+/// Cycles per profiling interval of a multi-shard stepper.
+const PROFILE_INTERVAL: Cycle = 1024;
+
+/// Profiling intervals retained by the stepper profile ring.
 const PROFILE_CAP: usize = 64;
 
-/// Wall-clock profile of one rebalance interval of a multi-shard
-/// stepper: how long each shard's phase B took, how many router steps
-/// it executed, and how imbalanced the row-weight partition was before
-/// and after the interval-closing re-cut.
+/// Wall-clock profile of one [`PROFILE_INTERVAL`]-cycle interval of a
+/// multi-shard stepper: how long each shard's phase B took and how many
+/// router steps it executed.
 ///
 /// The timings are wall clock and therefore *nondeterministic*; they
 /// exist for bench harnesses and the service progress endpoint, and
@@ -176,18 +176,12 @@ const PROFILE_CAP: usize = 64;
 pub struct IntervalProfile {
     /// First cycle of the interval (inclusive).
     pub start_cycle: Cycle,
-    /// Last cycle of the interval (exclusive; the re-cut cycle).
+    /// Last cycle of the interval (exclusive).
     pub end_cycle: Cycle,
     /// Per-shard wall-clock nanoseconds spent in phase B.
     pub shard_nanos: Vec<u64>,
     /// Per-shard router steps executed.
     pub shard_steps: Vec<u64>,
-    /// Row-weight imbalance (max shard weight / mean shard weight)
-    /// under the cuts the interval ran with, measured at its close.
-    pub imbalance_before: f64,
-    /// The same measure under the fresh cuts — how much the re-cut
-    /// helped (rebalance effectiveness = before / after).
-    pub imbalance_after: f64,
 }
 
 impl IntervalProfile {
@@ -202,41 +196,66 @@ impl IntervalProfile {
             max as f64 * self.shard_nanos.len() as f64 / total as f64
         }
     }
-
-    /// Canonical JSON rendering (bench harness output).
-    pub fn to_json(&self) -> JsonValue {
-        obj([
-            ("start_cycle", self.start_cycle.into()),
-            ("end_cycle", self.end_cycle.into()),
-            (
-                "shard_nanos",
-                JsonValue::Arr(self.shard_nanos.iter().map(|&n| n.into()).collect()),
-            ),
-            (
-                "shard_steps",
-                JsonValue::Arr(self.shard_steps.iter().map(|&n| n.into()).collect()),
-            ),
-            ("imbalance_before", self.imbalance_before.into()),
-            ("imbalance_after", self.imbalance_after.into()),
-            ("time_imbalance", self.time_imbalance().into()),
-        ])
-    }
 }
 
-/// Row-weight imbalance of a shard partition: max shard weight over
-/// mean shard weight (1.0 = perfectly balanced).
-fn weight_imbalance(bounds: &[(usize, usize)], row_weight: &[usize], w: usize) -> f64 {
-    let mut max = 0usize;
-    let mut total = 0usize;
-    for &(lo, hi) in bounds {
-        let s: usize = row_weight[lo / w..hi / w].iter().sum();
-        max = max.max(s);
-        total += s;
+/// The profile of a multi-shard stepper: the interval being accumulated
+/// plus a ring of the last [`PROFILE_CAP`] closed ones. Everything is
+/// allocated when the partition is built, per-shard vectors included,
+/// so profiling never allocates afterwards.
+struct ShardProfile {
+    /// The open interval (`start_cycle == end_cycle` until its first
+    /// cycle is recorded).
+    open: IntervalProfile,
+    /// Closed intervals; old ones are overwritten.
+    ring: Vec<IntervalProfile>,
+    /// Next ring slot to overwrite.
+    head: usize,
+    /// Closed intervals recorded (saturates at [`PROFILE_CAP`]).
+    len: usize,
+}
+
+impl ShardProfile {
+    fn new(nshards: usize) -> Self {
+        let empty = IntervalProfile {
+            shard_nanos: vec![0; nshards],
+            shard_steps: vec![0; nshards],
+            ..IntervalProfile::default()
+        };
+        ShardProfile {
+            ring: vec![empty.clone(); PROFILE_CAP],
+            open: empty,
+            head: 0,
+            len: 0,
+        }
     }
-    if total == 0 {
-        1.0
-    } else {
-        max as f64 * bounds.len() as f64 / total as f64
+
+    /// Account `cycle` to the open interval — which starts at the first
+    /// cycle it sees, so a partition built mid-run reports true bounds —
+    /// and close it at every multiple of [`PROFILE_INTERVAL`].
+    fn end_cycle(&mut self, cycle: Cycle) {
+        if self.open.start_cycle == self.open.end_cycle {
+            self.open.start_cycle = cycle;
+        }
+        self.open.end_cycle = cycle + 1;
+        if self.open.end_cycle.is_multiple_of(PROFILE_INTERVAL) {
+            // The overwritten slot's vectors become the next open
+            // interval's, so nothing is allocated.
+            std::mem::swap(&mut self.ring[self.head], &mut self.open);
+            self.head = (self.head + 1) % PROFILE_CAP;
+            self.len = (self.len + 1).min(PROFILE_CAP);
+            self.open.start_cycle = cycle + 1;
+            self.open.end_cycle = cycle + 1;
+            self.open.shard_nanos.fill(0);
+            self.open.shard_steps.fill(0);
+        }
+    }
+
+    /// Closed intervals, oldest first.
+    fn closed(&self) -> Vec<IntervalProfile> {
+        let start = (self.head + PROFILE_CAP - self.len) % PROFILE_CAP;
+        (0..self.len)
+            .map(|i| self.ring[(start + i) % PROFILE_CAP].clone())
+            .collect()
     }
 }
 
@@ -255,8 +274,9 @@ fn cut_block(chiplet_rows: Option<usize>, h: usize, nshards: usize) -> usize {
 }
 
 /// The stepper's shard partition (contiguous row bands over router
-/// ids) and the worker pool that steps it. A one-shard partition has no
-/// workers and no cut to move: it is never rebalanced.
+/// ids) and the worker pool that steps it. The cut is a function of
+/// `(grid, shard count, die size)` alone: after [`Partition::new`] only
+/// the shard scratch and the profile are ever written.
 struct Partition {
     /// `shards - 1` background workers; the caller steps a shard too.
     pool: WorkerPool,
@@ -265,32 +285,15 @@ struct Partition {
     /// Router id → owning shard.
     shard_of: Vec<usize>,
     shards: Vec<ShardScratch>,
-    /// Reusable per-grid-row weight buffer for load-aware rebalancing.
-    row_weight: Vec<usize>,
-    /// Grid geometry (shards are whole row bands).
-    mesh: Mesh,
-    /// Hierarchical topologies only: the chiplet side length in rows.
-    /// When set (and the grid has at least one block per shard), shard
-    /// cuts snap to multiples of it, so cross-shard wires are exactly
-    /// the slow d2d links and each chiplet steps on one thread.
-    chiplet_rows: Option<usize>,
-    /// Per-shard phase-B nanoseconds accumulated this interval.
-    interval_nanos: Vec<u64>,
-    /// Per-shard router steps accumulated this interval.
-    interval_steps: Vec<u64>,
-    /// First cycle of the open interval.
-    interval_start: Cycle,
-    /// Completed interval profiles, a fixed-capacity ring built at the
-    /// first re-cut (empty until then; afterwards profiling allocates
-    /// nothing and old intervals are overwritten).
-    profile: Vec<IntervalProfile>,
-    /// Next ring slot to overwrite.
-    profile_head: usize,
-    /// Completed intervals recorded (saturates at [`PROFILE_CAP`]).
-    profile_len: usize,
+    /// Wall-clock profile; `None` for a lone shard, which has no
+    /// imbalance to report and so reads no clock.
+    profile: Option<ShardProfile>,
 }
 
 impl Partition {
+    /// Cut the grid into `threads` even bands. `chiplet_rows` is the
+    /// chiplet side length on hierarchical topologies (see
+    /// [`cut_block`]).
     fn new(threads: usize, mesh: Mesh, chiplet_rows: Option<usize>) -> Self {
         let w = mesh.w as usize;
         let h = mesh.h as usize;
@@ -322,132 +325,22 @@ impl Partition {
             // The caller participates in every broadcast, so `nshards`
             // shards need only `nshards - 1` background workers.
             pool: WorkerPool::new(nshards - 1),
-            bounds,
-            shard_of,
-            // A lone shard's span never moves, so its buffers just grow
-            // to steady capacity during warm-up — and the short
-            // scenarios of a campaign, which build a network each,
-            // never pay for a bound they do not reach.
+            // A lone shard's buffers just grow to steady capacity
+            // during warm-up, so the short scenarios of a campaign,
+            // which build a network each, never pay for a bound they do
+            // not reach.
             shards: if nshards == 1 {
                 vec![ShardScratch::default()]
             } else {
-                (0..nshards)
-                    .map(|_| ShardScratch::with_bounds(mesh.len()))
+                bounds
+                    .iter()
+                    .map(|&(lo, hi)| ShardScratch::with_bounds(hi - lo))
                     .collect()
             },
-            row_weight: vec![0; h],
-            mesh,
-            chiplet_rows,
-            interval_nanos: vec![0; nshards],
-            interval_steps: vec![0; nshards],
-            interval_start: 0,
-            profile: Vec::new(),
-            profile_head: 0,
-            profile_len: 0,
+            bounds,
+            shard_of,
+            profile: (nshards > 1).then(|| ShardProfile::new(nshards)),
         }
-    }
-
-    /// Recompute the shard partition from the current per-row load.
-    ///
-    /// Each grid row weighs `1 + (non-idle routers in the row)`: the
-    /// constant term keeps all-idle regions from collapsing shards to
-    /// zero width (an idle router still costs its `is_idle` check and
-    /// arrival handling), and the active count tracks where the real
-    /// pipeline-stepping work sits. Shard `s` then ends at the first
-    /// row where the cumulative weight reaches `(s + 1) / nshards` of
-    /// the total, bounded so every remaining shard keeps at least one
-    /// row. Buffers are reused; this never allocates.
-    ///
-    /// Deterministic by construction: the weights are a pure function
-    /// of router state at the cycle boundary — which is bit-identical
-    /// at every thread count — and the cuts are a pure function of the
-    /// weights. No wall-clock timing, no load feedback, so a resumed
-    /// run repartitions exactly like the original did.
-    fn rebalance(&mut self, routers: &[Router], cycle: Cycle) {
-        let w = self.mesh.w as usize;
-        let h = self.mesh.h as usize;
-        let nshards = self.bounds.len();
-        for (row, weight) in self.row_weight.iter_mut().enumerate() {
-            let active = routers[row * w..(row + 1) * w]
-                .iter()
-                .filter(|r| !r.is_idle())
-                .count();
-            *weight = 1 + active;
-        }
-        // Close the profiling interval under the cuts it ran with
-        // (wall-clock bookkeeping only — the partition below is a pure
-        // function of the weights, never of the timings).
-        let imbalance_before = weight_imbalance(&self.bounds, &self.row_weight, w);
-        let closed_interval = cycle > self.interval_start;
-        if closed_interval {
-            if self.profile.is_empty() {
-                // Fully preallocated (per-shard vectors included) so
-                // recording an interval in steady state allocates
-                // nothing.
-                self.profile = (0..PROFILE_CAP)
-                    .map(|_| IntervalProfile {
-                        shard_nanos: vec![0; nshards],
-                        shard_steps: vec![0; nshards],
-                        ..IntervalProfile::default()
-                    })
-                    .collect();
-            }
-            let rec = &mut self.profile[self.profile_head];
-            rec.start_cycle = self.interval_start;
-            rec.end_cycle = cycle;
-            rec.shard_nanos.copy_from_slice(&self.interval_nanos);
-            rec.shard_steps.copy_from_slice(&self.interval_steps);
-            rec.imbalance_before = imbalance_before;
-            // `imbalance_after` is filled in below, once the new cuts
-            // exist.
-            self.profile_head = (self.profile_head + 1) % PROFILE_CAP;
-            self.profile_len = (self.profile_len + 1).min(PROFILE_CAP);
-            self.interval_nanos.fill(0);
-            self.interval_steps.fill(0);
-            self.interval_start = cycle;
-        }
-        let total: usize = self.row_weight.iter().sum();
-        // Cut at single-row granularity on flat grids, whole
-        // chiplet-row blocks on hierarchical ones (see `cut_block`) —
-        // either way a pure function of the weights.
-        let block = cut_block(self.chiplet_rows, h, nshards);
-        let nblocks = h.div_ceil(block);
-        let mut row = 0;
-        let mut cum = 0;
-        for s in 0..nshards {
-            let start = row;
-            // Leave at least one block for each shard after this one.
-            let max_end = nblocks - (nshards - 1 - s);
-            loop {
-                let next = (row + block).min(h);
-                cum += self.row_weight[row..next].iter().sum::<usize>();
-                row = next;
-                if row.div_ceil(block) >= max_end || cum * nshards >= total * (s + 1) {
-                    break;
-                }
-            }
-            self.bounds[s] = (start * w, row * w);
-        }
-        debug_assert_eq!(row, h, "rebalance must cover every grid row");
-        for (s, &(lo, hi)) in self.bounds.iter().enumerate() {
-            for slot in &mut self.shard_of[lo..hi] {
-                *slot = s;
-            }
-        }
-        if closed_interval {
-            let last = (self.profile_head + PROFILE_CAP - 1) % PROFILE_CAP;
-            self.profile[last].imbalance_after =
-                weight_imbalance(&self.bounds, &self.row_weight, w);
-        }
-    }
-
-    /// Completed interval profiles, oldest first (at most
-    /// [`PROFILE_CAP`], older intervals overwritten).
-    fn profiles(&self) -> Vec<IntervalProfile> {
-        let start = (self.profile_head + PROFILE_CAP - self.profile_len) % PROFILE_CAP;
-        (0..self.profile_len)
-            .map(|i| self.profile[(start + i) % PROFILE_CAP].clone())
-            .collect()
     }
 }
 
@@ -601,8 +494,8 @@ impl<O: Observer> ShardTasks<'_, O> {
     unsafe fn run(&self, i: usize) {
         let (lo, hi) = self.bounds[i];
         let len = hi - lo;
-        // Phase-B time only feeds the rebalance profile, which a lone
-        // shard never records.
+        // Phase-B time only feeds the shard profile, which a lone shard
+        // does not keep.
         let started = (self.bounds.len() > 1).then(std::time::Instant::now);
         ShardCtx {
             base: lo,
@@ -877,9 +770,6 @@ pub struct Network {
     pending_link_faults: Vec<LinkFaultEvent>,
     /// The shard partition the stepper runs over (one shard by default).
     part: Partition,
-    /// Cycles between load-aware shard repartitions (`0` = static
-    /// partition). Only consulted when there is more than one shard.
-    rebalance_every: u64,
     /// Flits that fell off the mesh edge after a misroute.
     pub flits_edge_dropped: u64,
     /// Flits destroyed inside faulty baseline crossbars.
@@ -997,7 +887,6 @@ impl Network {
             escape,
             pending_link_faults,
             part: Partition::new(1, mesh, cfg.topology.chiplet_k().map(usize::from)),
-            rebalance_every: rebalance_every_default(),
             flits_edge_dropped: 0,
             flits_dropped: 0,
             flits_injected: 0,
@@ -1237,8 +1126,10 @@ impl Network {
     /// Set how many OS threads step the mesh each cycle, one shard each
     /// (`0` = one per available CPU, `1` = the calling thread alone).
     /// Thread counts beyond the mesh's row count are clamped — shards
-    /// are whole row bands. Results are bit-identical for every thread
-    /// count; see the module docs. Can be changed at any cycle boundary.
+    /// are even bands of whole rows, of whole dies on a chiplet grid
+    /// with at least one die row per shard — and the cut is fixed until
+    /// the next call. Results are bit-identical for every thread count;
+    /// see the module docs. Can be changed at any cycle boundary.
     pub fn set_threads(&mut self, threads: usize) {
         let t = if threads == 0 {
             std::thread::available_parallelism().map_or(1, |p| p.get())
@@ -1247,28 +1138,14 @@ impl Network {
         };
         let t = t.min(self.mesh.h as usize).max(1);
         if self.threads() != t {
-            self.part = Partition::new(t, self.mesh, self.part.chiplet_rows);
+            let chiplet_rows = self.cfg.topology.chiplet_k().map(usize::from);
+            self.part = Partition::new(t, self.mesh, chiplet_rows);
         }
     }
 
     /// Threads stepping the mesh (= shards).
     pub fn threads(&self) -> usize {
         self.part.shards.len()
-    }
-
-    /// Set how often (in cycles) a multi-shard stepper repartitions its
-    /// row bands from the current per-row active-router counts — see
-    /// [`Partition::rebalance`]. `0` keeps the initial static even
-    /// split. Purely a performance knob: results are bit-identical for
-    /// every cadence and thread count. Defaults to 1024, or the
-    /// `NOC_SIM_REBALANCE` environment variable when set.
-    pub fn set_rebalance_every(&mut self, every: u64) {
-        self.rebalance_every = every;
-    }
-
-    /// Cycles between load-aware shard repartitions (`0` = static).
-    pub fn rebalance_every(&self) -> u64 {
-        self.rebalance_every
     }
 
     /// Enable or disable the active-router worklist (default: enabled).
@@ -1589,9 +1466,9 @@ impl Network {
         self.routers.iter().filter(|r| !r.is_idle()).count() as u64
     }
 
-    /// Spatial load-imbalance ratio: max over grid rows of the
-    /// rebalancer's row weight (`1 +` non-idle routers in the row)
-    /// divided by the mean row weight. `1.0` = perfectly balanced.
+    /// Spatial load-imbalance ratio: max over grid rows of the row
+    /// weight `1 +` (non-idle routers in the row), divided by the mean
+    /// row weight. `1.0` = perfectly balanced.
     /// A pure function of cycle-boundary router state — deterministic
     /// across thread counts, unlike the wall-clock
     /// [`Network::shard_profile`].
@@ -1615,13 +1492,17 @@ impl Network {
         }
     }
 
-    /// Completed rebalance-interval profiles of the stepper, oldest
-    /// first: per-shard phase-B wall-clock time, router steps and the
-    /// partition imbalance before/after each re-cut. Empty with one
-    /// shard, when rebalancing is off, or before the first re-cut.
-    /// Wall-clock data — excluded from reports and checkpoints.
+    /// Closed profiling intervals of the stepper, oldest first (at most
+    /// the last 64): per-shard phase-B wall-clock time and router steps.
+    /// A multi-shard stepper closes one at every multiple of 1024
+    /// cycles; empty with one shard or before the first close, and
+    /// [`Network::set_threads`] starts it afresh. Wall-clock data —
+    /// excluded from reports and checkpoints.
     pub fn shard_profile(&self) -> Vec<IntervalProfile> {
-        self.part.profiles()
+        self.part
+            .profile
+            .as_ref()
+            .map_or_else(Vec::new, ShardProfile::closed)
     }
 
     /// Number of stepper shards. This is how many observers
@@ -1656,17 +1537,6 @@ impl Network {
         );
         self.apply_due_link_faults(cycle);
         self.cycles_stepped += 1;
-        // Load-aware repartition at the epoch cadence, from the router
-        // state *at this cycle boundary* (before any of this cycle's
-        // arrivals or injections) — the same state every thread count
-        // and every resumed run observes, so the partition is a pure
-        // function of (cycle, worklist state).
-        if self.part.shards.len() > 1
-            && self.rebalance_every != 0
-            && cycle.is_multiple_of(self.rebalance_every)
-        {
-            self.part.rebalance(&self.routers, cycle);
-        }
 
         let Network {
             cfg,
@@ -1693,9 +1563,7 @@ impl Network {
             bounds,
             shard_of,
             shards,
-            interval_nanos,
-            interval_steps,
-            ..
+            profile,
         } = part;
 
         // Phase A: rotate the wheel (the slot arriving now becomes the
@@ -1748,12 +1616,17 @@ impl Network {
             *flits_injected += std::mem::take(&mut scratch.flits_injected);
             let stepped = std::mem::take(&mut scratch.routers_stepped);
             *routers_stepped += stepped;
-            interval_steps[s] += stepped;
-            interval_nanos[s] += std::mem::take(&mut scratch.step_nanos);
+            if let Some(profile) = profile {
+                profile.open.shard_steps[s] += stepped;
+                profile.open.shard_nanos[s] += std::mem::take(&mut scratch.step_nanos);
+            }
             *routers_skipped += std::mem::take(&mut scratch.routers_skipped);
             if std::mem::take(&mut scratch.any_departure) {
                 *last_activity = cycle;
             }
+        }
+        if let Some(profile) = profile {
+            profile.end_cycle(cycle);
         }
     }
 
@@ -2206,23 +2079,6 @@ impl Restore for Network {
     }
 }
 
-/// Default shard-rebalance cadence: the `NOC_SIM_REBALANCE` environment
-/// variable (cycles between repartitions, `0` = static partition), or
-/// 1024 — coarse enough that the O(routers) weight scan is noise, fine
-/// enough to track traffic phases. Like `NOC_SIM_THREADS` this is a
-/// pure performance knob; results are bit-identical for every value.
-fn rebalance_every_default() -> u64 {
-    env_u64(std::env::var("NOC_SIM_REBALANCE").ok().as_deref()).unwrap_or(1024)
-}
-
-/// Parse the value of a result-neutral performance variable
-/// (`NOC_SIM_THREADS`, `NOC_SIM_REBALANCE`). Unset or unparsable means
-/// "use the default": a typo in an inherited environment must not take
-/// a run (or, in the daemon, every job) down.
-pub(crate) fn env_u64(raw: Option<&str>) -> Option<u64> {
-    raw?.parse().ok()
-}
-
 /// Precompute the per-router wiring table from the topology. For every
 /// output direction the entry names the downstream router, the input
 /// port our link enters it through, and the link's physical class —
@@ -2254,19 +2110,4 @@ fn build_wiring(topo: &Topology, default_latency: u32) -> Vec<WiringRow> {
             row
         })
         .collect()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::env_u64;
-
-    #[test]
-    fn env_u64_falls_back_on_anything_unparsable() {
-        assert_eq!(env_u64(None), None);
-        assert_eq!(env_u64(Some("0")), Some(0));
-        assert_eq!(env_u64(Some("64")), Some(64));
-        for bad in ["", "fast", "-1", "1.5", "64 ", "18446744073709551616"] {
-            assert_eq!(env_u64(Some(bad)), None, "`{bad}`");
-        }
-    }
 }

@@ -2,7 +2,7 @@
 //! deadlock watchdog, epoch sampling and report assembly.
 
 use crate::delivery::{DeliveryStream, MemoryStream};
-use crate::network::{env_u64, Network};
+use crate::network::Network;
 use crate::stats::NetworkReport;
 use noc_faults::FaultPlan;
 use noc_telemetry::json::{obj, JsonValue};
@@ -39,7 +39,6 @@ pub struct Simulator {
     kind: RouterKind,
     plan: FaultPlan,
     threads: usize,
-    rebalance_every: Option<u64>,
     sample_every: Option<Cycle>,
     checkpoint_every: Cycle,
 }
@@ -65,6 +64,14 @@ impl PacketSource for TrafficGenerator {
 /// as a nondeterminism canary without touching any call site.
 fn env_threads() -> usize {
     env_u64(std::env::var("NOC_SIM_THREADS").ok().as_deref()).map_or(1, |t| t as usize)
+}
+
+/// Parse the value of `NOC_SIM_THREADS`, a result-neutral performance
+/// variable. Unset or unparsable means "use the default": a typo in an
+/// inherited environment must not take a run (or, in the daemon, every
+/// job) down.
+fn env_u64(raw: Option<&str>) -> Option<u64> {
+    raw?.parse().ok()
 }
 
 /// Rolling state for the epoch sampler: the counter values at the last
@@ -250,7 +257,6 @@ impl Simulator {
             kind,
             plan,
             threads: env_threads(),
-            rebalance_every: None,
             sample_every: None,
             checkpoint_every: 0,
         }
@@ -261,16 +267,6 @@ impl Simulator {
     /// [`Network::set_threads`].
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Override the load-aware shard-rebalance cadence (`0` keeps the
-    /// static even partition). Results are bit-identical for every
-    /// value; see [`Network::set_rebalance_every`]. Defaults to the
-    /// network's own default (the `NOC_SIM_REBALANCE` environment
-    /// variable, else 1024).
-    pub fn with_rebalance_every(mut self, every: u64) -> Self {
-        self.rebalance_every = Some(every);
         self
     }
 
@@ -485,9 +481,6 @@ impl Simulator {
     fn build_network(&self) -> Network {
         let mut net = Network::with_faults(self.net_cfg, self.kind, &self.plan);
         net.set_threads(self.threads);
-        if let Some(every) = self.rebalance_every {
-            net.set_rebalance_every(every);
-        }
         net
     }
 
@@ -579,5 +572,20 @@ impl Simulator {
         report.epochs = epochs.map(|e| e.series);
         report.deadlock = deadlock;
         (report, outcome)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::env_u64;
+
+    #[test]
+    fn env_u64_falls_back_on_anything_unparsable() {
+        assert_eq!(env_u64(None), None);
+        assert_eq!(env_u64(Some("0")), Some(0));
+        assert_eq!(env_u64(Some("64")), Some(64));
+        for bad in ["", "fast", "-1", "1.5", "64 ", "18446744073709551616"] {
+            assert_eq!(env_u64(Some(bad)), None, "`{bad}`");
+        }
     }
 }

@@ -3,13 +3,12 @@
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::{FlightRecord, SpatialGrid, TimeSeries};
 use noc_types::{Cycle, DeliveredPacket};
-use serde::Serialize;
 
 /// Number of log2 histogram buckets in a [`LatencySummary`].
 pub const LATENCY_BUCKETS: usize = 32;
 
 /// Summary statistics of a latency sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencySummary {
     /// Number of samples.
     pub count: usize,
@@ -117,7 +116,7 @@ impl LatencySummary {
 }
 
 /// The full result of one simulation run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NetworkReport {
     /// Measurement window the report covers (packets *created* in it).
     pub window: (Cycle, Cycle),
@@ -174,7 +173,7 @@ pub struct NetworkReport {
 }
 
 /// Network-wide sums of [`shield_router::RouterStats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouterEventTotals {
     /// RC computations served by duplicate units.
     pub rc_duplicate_uses: u64,

@@ -1,7 +1,8 @@
 //! Equivalence suite for the sharded stepper and the active-router
 //! worklist: for identical seeds and fault campaigns, the observable end
-//! state of a run must be bit-identical for every shard count and for
-//! the worklist on or off.
+//! state of a run must be bit-identical for every shard count — even
+//! bands, uneven ones (3 shards on 4 rows, 4 on 6) and a count changed
+//! mid-run — and for the worklist on or off.
 
 mod common;
 
@@ -152,17 +153,13 @@ fn spec_cfg(spec: TopologySpec) -> NetworkConfig {
     common::replayed(cfg)
 }
 
-/// Node count of [`mesh_cfg`]`(k)`: fault plans sized off it stay in
-/// range when a replay changes the grid.
-fn resolved_nodes(k: u8) -> usize {
-    let (w, h) = mesh_cfg(k).dims();
-    w as usize * h as usize
-}
-
-/// The campaigns the equivalence matrix runs: healthy meshes, permanent
-/// campaigns on both router kinds, and a transient storm.
-fn campaigns(k: u8, fault_seed: u64) -> Vec<(String, RouterKind, FaultPlan)> {
-    let nodes = resolved_nodes(k);
+/// The campaigns the equivalence matrix runs on `net_cfg`'s grid (sized
+/// off the config, so plans stay in range when a replay changes the
+/// grid): healthy meshes, permanent campaigns on both router kinds, and
+/// a transient storm.
+fn campaigns(net_cfg: &NetworkConfig, fault_seed: u64) -> Vec<(String, RouterKind, FaultPlan)> {
+    let (w, h) = net_cfg.dims();
+    let nodes = w as usize * h as usize;
     let cfg = RouterConfig::paper();
     let inj = InjectionConfig::accelerated_accumulating(300, 600);
     vec![
@@ -204,26 +201,9 @@ fn run(
     threads: usize,
     skip_idle: bool,
 ) -> Fingerprint {
-    run_rb(k, kind, plan, seed, rate, threads, skip_idle, 0)
-}
-
-/// `run` with an explicit load-aware shard-rebalance cadence
-/// (`0` = static even partition).
-#[allow(clippy::too_many_arguments)]
-fn run_rb(
-    k: u8,
-    kind: RouterKind,
-    plan: &FaultPlan,
-    seed: u64,
-    rate: f64,
-    threads: usize,
-    skip_idle: bool,
-    rebalance_every: u64,
-) -> Fingerprint {
     let mut net = Network::with_faults(mesh_cfg(k), kind, plan);
     net.set_threads(threads);
     net.set_skip_idle(skip_idle);
-    net.set_rebalance_every(rebalance_every);
     let mut src = Source::for_net(&net, seed, rate);
     for cycle in 0..900u64 {
         if cycle < 600 {
@@ -240,9 +220,9 @@ fn run_rb(
 #[test]
 fn parallel_step_matches_serial_for_every_thread_count() {
     for (k, seed) in [(4u8, 0xA11CE), (6u8, 0x5EED)] {
-        for (name, kind, plan) in campaigns(k, seed ^ 0xFA) {
+        for (name, kind, plan) in campaigns(&mesh_cfg(k), seed ^ 0xFA) {
             let serial = run(k, kind, &plan, seed, 0.02, 1, true);
-            for threads in [2usize, 4, 8] {
+            for threads in [2usize, 3, 4, 8] {
                 let parallel = run(k, kind, &plan, seed, 0.02, threads, true);
                 assert_eq!(
                     serial, parallel,
@@ -253,26 +233,48 @@ fn parallel_step_matches_serial_for_every_thread_count() {
     }
 }
 
-/// The load-aware shard rebalancer is purely an optimisation: moving
-/// row boundaries between shards (every cycle, or at the production
-/// cadence) never changes a single observable, at any thread count.
-/// The one-shard reference never rebalances, so this also pins that
-/// the rebalance path is unobservable from outside the stepper.
+/// [`Network::set_threads`] may be called at any cycle boundary: a run
+/// re-partitioned 1 → 3 → 2 → 4 → 1 shards mid-flight — wires on the
+/// wheel, faults pending, packets half-sent — ends in exactly the
+/// one-shard run's state, so where the cuts fall is unobservable.
 #[test]
-fn load_aware_rebalancing_preserves_equivalence() {
-    let (k, seed) = (6u8, 0x5EED);
-    for (name, kind, plan) in campaigns(k, seed ^ 0xFA) {
-        let serial = run(k, kind, &plan, seed, 0.02, 1, true);
-        for threads in [2usize, 4, 8] {
-            // Cadence 1 re-partitions before every parallel phase —
-            // maximum stress; 64 is a coarse production-like cadence.
-            for cadence in [1u64, 64] {
-                let parallel = run_rb(k, kind, &plan, seed, 0.02, threads, true, cadence);
-                assert_eq!(
-                    serial, parallel,
-                    "divergence: campaign={name} threads={threads} rebalance={cadence}"
-                );
-            }
+fn changing_the_shard_count_mid_run_is_unobservable() {
+    for (topology, spec) in [
+        ("mesh", TopologySpec::MeshK),
+        ("torus", TopologySpec::Torus { w: 6, h: 6 }),
+        (
+            "chipletmesh",
+            TopologySpec::ChipletMesh {
+                k_chip: 2,
+                k_node: 3,
+                d2d: noc_types::LinkClass::D2D_DEFAULT,
+            },
+        ),
+    ] {
+        let net_cfg = spec_cfg(spec);
+        for (name, kind, plan) in campaigns(&net_cfg, 0x5117) {
+            let run_switching = |switches: &[(u64, usize)]| {
+                let mut net = Network::with_faults(net_cfg, kind, &plan);
+                let mut src = Source::for_net(&net, 0x5EED, 0.03);
+                for cycle in 0..900u64 {
+                    if let Some(&(_, threads)) = switches.iter().find(|&&(at, _)| at == cycle) {
+                        net.set_threads(threads);
+                        assert_eq!(net.threads(), threads);
+                    }
+                    if cycle < 600 {
+                        net.offer_packets(src.tick(cycle));
+                    }
+                    net.step(cycle);
+                }
+                fingerprint(&net)
+            };
+            let serial = run_switching(&[]);
+            assert!(!serial.deliveries.is_empty(), "{topology}/{name}");
+            assert_eq!(
+                serial,
+                run_switching(&[(150, 3), (350, 2), (500, 4), (700, 1)]),
+                "divergence: topology={topology} campaign={name}"
+            );
         }
     }
 }
@@ -282,7 +284,7 @@ fn load_aware_rebalancing_preserves_equivalence() {
 #[test]
 fn worklist_on_and_off_are_equivalent() {
     let k = 4u8;
-    for (name, kind, plan) in campaigns(k, 0x1D1E) {
+    for (name, kind, plan) in campaigns(&mesh_cfg(k), 0x1D1E) {
         let on = run(k, kind, &plan, 0xBEEF, 0.01, 1, true);
         let mut off = run(k, kind, &plan, 0xBEEF, 0.01, 1, false);
         // The stepped/skipped split is the one observable the toggle
@@ -307,7 +309,7 @@ fn worklist_is_sound() {
         let k = pick.random_range(2u8..=5);
         let seed = pick.random_range(0u64..1_000);
         let (name, kind, plan) = {
-            let mut cs = campaigns(k, seed ^ 0xC0);
+            let mut cs = campaigns(&mesh_cfg(k), seed ^ 0xC0);
             let ix = pick.random_range(0..cs.len());
             cs.swap_remove(ix)
         };
@@ -417,11 +419,10 @@ fn parallel_step_matches_serial_on_torus_and_cut_mesh() {
             },
         ),
     ] {
-        let run_spec = |threads: usize, rebalance_every: u64| {
+        let run_spec = |threads: usize| {
             let net_cfg = spec_cfg(spec);
             let mut net = Network::new(net_cfg, RouterKind::Protected);
             net.set_threads(threads);
-            net.set_rebalance_every(rebalance_every);
             let mut src = Source::square(0x7070, 6, 0.03);
             for cycle in 0..800u64 {
                 if cycle < 550 {
@@ -431,15 +432,13 @@ fn parallel_step_matches_serial_on_torus_and_cut_mesh() {
             }
             fingerprint(&net)
         };
-        let serial = run_spec(1, 0);
-        for threads in [2usize, 4, 8] {
-            for rebalance in [0u64, 64] {
-                let parallel = run_spec(threads, rebalance);
-                assert_eq!(
-                    serial, parallel,
-                    "divergence: topology={name} threads={threads} rebalance={rebalance}"
-                );
-            }
+        let serial = run_spec(1);
+        for threads in [2usize, 3, 4, 8] {
+            assert_eq!(
+                serial,
+                run_spec(threads),
+                "divergence: topology={name} threads={threads}"
+            );
         }
     }
 }
@@ -487,7 +486,6 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
             let net_cfg = spec_cfg(spec);
             let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &plan);
             net.set_threads(threads);
-            net.set_rebalance_every(64);
             let mut src = Source::square(0x9EA7, 6, 0.03);
             for cycle in 0..800u64 {
                 if cycle < 550 {
@@ -510,7 +508,7 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
                 "{name}: expected nonzero {metric} totals"
             );
         }
-        for threads in [2usize, 4, 8] {
+        for threads in [2usize, 3, 4, 8] {
             assert_eq!(
                 serial,
                 grid_bytes(threads),
@@ -520,50 +518,55 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
     }
 }
 
-/// Shard step-time profiling is observable through
-/// [`Network::shard_profile`] when load-aware rebalancing is on: each
-/// closed interval carries per-shard wall-clock and step counts, the
-/// recomputed weight imbalance before/after the re-cut, and interval
-/// bounds that tile the run.
+/// The cut that is kept is the balanced one, and [`Network::shard_profile`]
+/// shows it: on the benchmark's 1024-router chiplet mesh two shards are
+/// two die rows each, so under uniform load each executes half the
+/// router steps of every interval (a deterministic count). A
+/// multi-shard stepper closes an interval every 1024 cycles — the
+/// cadence `benchmark/trace` averages `time_imbalance` over — with
+/// per-shard wall-clock and step counts and bounds that tile the run;
+/// one shard records nothing.
 #[test]
-fn shard_profile_records_rebalance_intervals() {
-    let mut net = Network::new(mesh_cfg(6), RouterKind::Protected);
-    net.set_threads(4);
-    net.set_rebalance_every(100);
-    let mut src = Source::for_net(&net, 0x50F1, 0.05);
-    for cycle in 0..900u64 {
-        if cycle < 700 {
+fn the_static_cut_is_balanced_and_profiled_every_1024_cycles() {
+    let mut net_cfg = NetworkConfig::paper();
+    net_cfg.topology = TopologySpec::ChipletMesh {
+        k_chip: 4,
+        k_node: 8,
+        d2d: noc_types::LinkClass::D2D_DEFAULT,
+    };
+    for seed in [1u64, 2, 3] {
+        let mut net = Network::new(net_cfg, RouterKind::Protected);
+        net.set_threads(2);
+        let mut src = Source::for_net(&net, seed, 0.02);
+        for cycle in 0..3_100u64 {
             net.offer_packets(src.tick(cycle));
+            net.step(cycle);
         }
-        net.step(cycle);
-    }
-    let profile = net.shard_profile();
-    assert!(
-        profile.len() >= 3,
-        "900 cycles at cadence 100 must close several intervals, got {}",
-        profile.len()
-    );
-    let shards = net.threads();
-    for (i, rec) in profile.iter().enumerate() {
-        assert_eq!(rec.shard_nanos.len(), shards, "interval {i}");
-        assert_eq!(rec.shard_steps.len(), shards, "interval {i}");
-        assert!(rec.end_cycle > rec.start_cycle, "interval {i} is non-empty");
-        assert!(
-            rec.shard_steps.iter().sum::<u64>() > 0,
-            "interval {i}: a loaded mesh steps routers"
+        let profile = net.shard_profile();
+        let bounds: Vec<(u64, u64)> = profile
+            .iter()
+            .map(|rec| (rec.start_cycle, rec.end_cycle))
+            .collect();
+        assert_eq!(
+            bounds,
+            [(0, 1024), (1024, 2048), (2048, 3072)],
+            "seed {seed}"
         );
-        assert!(rec.time_imbalance() >= 1.0, "interval {i}");
-        assert!(rec.imbalance_before >= 1.0, "interval {i}");
-        assert!(rec.imbalance_after >= 1.0, "interval {i}");
-        if let Some(next) = profile.get(i + 1) {
-            assert_eq!(rec.end_cycle, next.start_cycle, "intervals must tile");
+        for rec in &profile {
+            let at = rec.start_cycle;
+            assert_eq!(rec.shard_nanos.len(), 2, "seed {seed} interval {at}");
+            assert_eq!(rec.shard_steps.len(), 2, "seed {seed} interval {at}");
+            assert!(rec.time_imbalance() >= 1.0, "seed {seed} interval {at}");
+            let share = rec.shard_steps[0] as f64 / rec.shard_steps.iter().sum::<u64>() as f64;
+            assert!(
+                (0.45..=0.55).contains(&share),
+                "seed {seed} interval {at}: shard 0 executed {share:.2} of the router steps"
+            );
         }
     }
-    // One-shard runs (and multi-shard runs without rebalancing) record
-    // none.
     let mut serial = Network::new(mesh_cfg(8), RouterKind::Protected);
     serial.set_threads(1);
-    for cycle in 0..300u64 {
+    for cycle in 0..1_100u64 {
         serial.step(cycle);
     }
     assert!(serial.shard_profile().is_empty());
@@ -619,13 +622,12 @@ fn parallel_step_matches_serial_on_chiplet_topologies() {
         ),
     ];
     for (name, spec, dead, plan) in cases {
-        let run_spec = |threads: usize, rebalance_every: u64| {
+        let run_spec = |threads: usize| {
             let net_cfg = spec_cfg(spec);
             net_cfg.validate().unwrap();
             let (w, h) = net_cfg.dims();
             let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &plan);
             net.set_threads(threads);
-            net.set_rebalance_every(rebalance_every);
             let dead_id = dead.map(|c| net.mesh().id_of(c).index());
             let mut src = Source {
                 rng: StdRng::seed_from_u64(0xC417),
@@ -647,19 +649,17 @@ fn parallel_step_matches_serial_on_chiplet_topologies() {
             }
             fingerprint(&net)
         };
-        let serial = run_spec(1, 0);
+        let serial = run_spec(1);
         assert!(
             !serial.deliveries.is_empty(),
             "{name}: cross-die traffic must actually flow"
         );
-        for threads in [2usize, 4, 8] {
-            for rebalance in [0u64, 64] {
-                let parallel = run_spec(threads, rebalance);
-                assert_eq!(
-                    serial, parallel,
-                    "divergence: topology={name} threads={threads} rebalance={rebalance}"
-                );
-            }
+        for threads in [2usize, 3, 4, 8] {
+            assert_eq!(
+                serial,
+                run_spec(threads),
+                "divergence: topology={name} threads={threads}"
+            );
         }
     }
 }
@@ -678,7 +678,6 @@ fn chiplet_spatial_grid_is_bit_identical_across_thread_counts() {
         let net_cfg = spec_cfg(spec);
         let mut net = Network::new(net_cfg, RouterKind::Protected);
         net.set_threads(threads);
-        net.set_rebalance_every(64);
         let mut src = Source::square(0x9EA7, 6, 0.03);
         for cycle in 0..600u64 {
             if cycle < 450 {
@@ -699,7 +698,7 @@ fn chiplet_spatial_grid_is_bit_identical_across_thread_counts() {
         "hierarchical grid keeps its die size"
     );
     assert!(grid.metric("flits_routed").unwrap().iter().sum::<u64>() > 0);
-    for threads in [2usize, 4, 8] {
+    for threads in [2usize, 3, 4, 8] {
         assert_eq!(
             serial,
             grid_bytes(threads),
@@ -721,12 +720,11 @@ fn parallel_step_matches_serial_under_adaptive_with_mid_run_link_faults() {
         ("mesh", TopologySpec::Mesh { w: 6, h: 6 }),
         ("torus", TopologySpec::Torus { w: 6, h: 6 }),
     ] {
-        let run_spec = |threads: usize, rebalance_every: u64| {
+        let run_spec = |threads: usize| {
             let mut net_cfg = spec_cfg(spec);
             net_cfg.routing = noc_types::RoutingMode::Adaptive;
             let mut net = Network::new(net_cfg, RouterKind::Protected);
             net.set_threads(threads);
-            net.set_rebalance_every(rebalance_every);
             let mut src = Source::square(0xADA7, 6, 0.03);
             for cycle in 0..900u64 {
                 if cycle == 300 {
@@ -742,24 +740,21 @@ fn parallel_step_matches_serial_under_adaptive_with_mid_run_link_faults() {
             }
             (fingerprint(&net), net.spatial_grid().to_json().render())
         };
-        let (serial, serial_grid) = run_spec(1, 0);
+        let (serial, serial_grid) = run_spec(1);
         assert!(
             !serial.deliveries.is_empty(),
             "{name}: adaptive traffic must actually flow"
         );
-        for threads in [2usize, 4, 8] {
-            for rebalance in [0u64, 64] {
-                let (parallel, grid) = run_spec(threads, rebalance);
-                assert_eq!(
-                    serial, parallel,
-                    "divergence: topology={name} threads={threads} rebalance={rebalance}"
-                );
-                assert_eq!(
-                    serial_grid, grid,
-                    "spatial grid divergence: topology={name} threads={threads} \
-                     rebalance={rebalance}"
-                );
-            }
+        for threads in [2usize, 3, 4, 8] {
+            let (parallel, grid) = run_spec(threads);
+            assert_eq!(
+                serial, parallel,
+                "divergence: topology={name} threads={threads}"
+            );
+            assert_eq!(
+                serial_grid, grid,
+                "spatial grid divergence: topology={name} threads={threads}"
+            );
         }
     }
 }

@@ -39,13 +39,8 @@ fn generator(cfg: &NetworkConfig) -> TrafficGenerator {
 }
 
 fn simulator(cfg: NetworkConfig, kind: RouterKind, plan: FaultPlan, threads: usize) -> Simulator {
-    // Load-aware shard rebalancing stays ON at a cadence coprime with
-    // the checkpoint cadence, so resumed parallel runs re-partition at
-    // different absolute cycles than the uninterrupted reference run —
-    // which must not matter, because shard boundaries are unobservable.
     Simulator::new(cfg, sim_cfg(), kind, plan)
         .with_threads(threads)
-        .with_rebalance_every(97)
         .with_sample_every(250)
         .with_checkpoint_every(317)
 }

@@ -79,14 +79,11 @@ fn traced_run(
     kind: RouterKind,
     plan: FaultPlan,
     threads: usize,
-    rebalance_every: u64,
 ) -> (NetworkReport, Vec<Event>, u64) {
     let mut net_cfg = NetworkConfig::paper();
     net_cfg.mesh_k = k;
     let mut src = Source::new(k, 0.02, 0x7E1E);
-    let sim = Simulator::new(net_cfg, sim_cfg(), kind, plan)
-        .with_threads(threads)
-        .with_rebalance_every(rebalance_every);
+    let sim = Simulator::new(net_cfg, sim_cfg(), kind, plan).with_threads(threads);
     let (report, _outcome, tracer) = sim.run_traced(|c, out| src.tick(c, out), CAPACITY);
     (report, tracer.merged(), tracer.dropped())
 }
@@ -124,7 +121,7 @@ fn campaigns(k: u8) -> Vec<(String, RouterKind, FaultPlan)> {
 #[test]
 fn trace_counts_equal_router_event_totals() {
     for (name, kind, plan) in campaigns(4) {
-        let (report, merged, dropped) = traced_run(4, kind, plan, 1, 0);
+        let (report, merged, dropped) = traced_run(4, kind, plan, 1);
         assert_eq!(dropped, 0, "{name}: ring too small for a lossless trace");
         let c = EventCounts::tally(&merged);
         let t = &report.router_events;
@@ -150,21 +147,16 @@ fn merged_trace_is_identical_across_thread_counts() {
         &InjectionConfig::accelerated_accumulating(300, 500),
         0xD0,
     );
-    let (_, serial, dropped) = traced_run(6, RouterKind::Protected, plan.clone(), 1, 0);
+    let (_, serial, dropped) = traced_run(6, RouterKind::Protected, plan.clone(), 1);
     assert_eq!(dropped, 0);
     assert!(!serial.is_empty());
-    // Static partition and aggressive load-aware rebalancing must both
-    // reproduce the serial trace byte for byte.
     for threads in [2usize, 4] {
-        for rebalance in [0u64, 50] {
-            let (_, parallel, dropped) =
-                traced_run(6, RouterKind::Protected, plan.clone(), threads, rebalance);
-            assert_eq!(dropped, 0);
-            assert_eq!(
-                serial, parallel,
-                "merged trace diverged at {threads} threads (rebalance={rebalance})"
-            );
-        }
+        let (_, parallel, dropped) = traced_run(6, RouterKind::Protected, plan.clone(), threads);
+        assert_eq!(dropped, 0);
+        assert_eq!(
+            serial, parallel,
+            "merged trace diverged at {threads} threads"
+        );
     }
 }
 

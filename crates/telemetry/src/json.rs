@@ -1,12 +1,11 @@
 //! A minimal JSON document model with a writer and a validating
 //! parser.
 //!
-//! The workspace's `serde` is an offline no-op shim (see
-//! `crates/compat/serde`), so exporters hand-roll their JSON through
-//! this module instead. The parser exists so tests and the CI leg can
-//! *validate* what the exporters wrote — round-tripping our own output
-//! is the contract, not general-purpose JSON compliance, though the
-//! parser does accept arbitrary well-formed documents.
+//! Exporters hand-roll their JSON through this module. The parser
+//! exists so tests and the CI leg can *validate* what the exporters
+//! wrote — round-tripping our own output is the contract, not
+//! general-purpose JSON compliance, though the parser does accept
+//! arbitrary well-formed documents.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

@@ -41,9 +41,9 @@ pub struct EpochSample {
     /// Non-idle routers at the end of the epoch.
     pub active_routers: u64,
     /// Load-imbalance ratio at the end of the epoch: max over mesh rows
-    /// of the rebalancer's row weight, divided by the mean row weight
-    /// (1.0 = perfectly balanced; computed from cycle-boundary state,
-    /// so it is deterministic across thread counts).
+    /// of the row weight (1 + non-idle routers), divided by the mean row
+    /// weight (1.0 = perfectly balanced; computed from cycle-boundary
+    /// state, so it is deterministic across thread counts).
     pub load_imbalance: f64,
 }
 

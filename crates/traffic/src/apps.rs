@@ -24,10 +24,8 @@
 //! only set the operating point, which the harness reports alongside
 //! the results.
 
-use serde::{Deserialize, Serialize};
-
 /// Which benchmark suite an application belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Suite {
     /// SPLASH-2 (Figure 7).
     Splash2,
@@ -36,7 +34,7 @@ pub enum Suite {
 }
 
 /// The sixteen modelled applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[allow(missing_docs)]
 pub enum AppId {
     // SPLASH-2
@@ -157,7 +155,7 @@ impl std::fmt::Display for AppId {
 }
 
 /// The parameter vector of one application model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AppModel {
     /// Which application this is.
     pub id: AppId,

@@ -5,11 +5,10 @@ use crate::synthetic::SyntheticPattern;
 use noc_types::{Coord, Cycle, Mesh, Packet, PacketId, PacketKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// What traffic to generate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficSpec {
     /// A synthetic pattern with Bernoulli injection.
     Synthetic {
@@ -25,7 +24,7 @@ pub enum TrafficSpec {
 }
 
 /// Traffic configuration handed to the harness.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// The traffic specification.
     pub spec: TrafficSpec,

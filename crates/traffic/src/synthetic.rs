@@ -6,10 +6,9 @@
 
 use noc_types::{Coord, Mesh};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// A synthetic destination pattern.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SyntheticPattern {
     /// Every other node equally likely.
     UniformRandom,

@@ -1,13 +1,12 @@
 //! Configuration structs for the router model and the network simulator.
 
 use crate::geometry::Mesh;
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of one router.
 ///
 /// The paper's evaluation point (Section VI) is `ports = 5`, `vcs = 4`,
 /// `buffer_depth = 4`, with a 32-bit datapath.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RouterConfig {
     /// Number of input (= output) ports, `P`.
     pub ports: usize,
@@ -83,7 +82,7 @@ impl Default for RouterConfig {
 /// width factor: a `width_denom = 4` link carries one flit per 4
 /// cycles (quarter width), so flits serialize onto it with 4-cycle
 /// spacing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LinkClass {
     /// Link traversal latency in cycles (`>= 1`).
     pub latency: u32,
@@ -141,7 +140,7 @@ impl LinkClass {
 /// this spec is the serialisable configuration handle. Every variant is
 /// embedded in a rectangular grid, so router ids and coordinates keep
 /// their row-major meaning throughout the stack.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum TopologySpec {
     /// Square `mesh_k × mesh_k` mesh driven by [`NetworkConfig::mesh_k`]
     /// — the historical (and default) configuration.
@@ -373,7 +372,7 @@ fn parse_chiplet_dims(rest: &str, whole: &str) -> Result<(u8, u8, LinkClass), St
 /// `vcs >= 2` so the escape class is non-empty. Topologies that are
 /// already table-routed and self-healing (cut mesh, chiplet star) keep
 /// their up\*/down\* tables under either mode.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum RoutingMode {
     /// The topology's deterministic scheme (XY / DOR-dateline /
     /// up\*/down\*).
@@ -407,7 +406,7 @@ impl RoutingMode {
 }
 
 /// Parameters of the simulated network.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NetworkConfig {
     /// Mesh side length `k` for the default [`TopologySpec::MeshK`]
     /// topology (the paper's latency study uses `k = 8`). Ignored by the
@@ -415,11 +414,9 @@ pub struct NetworkConfig {
     pub mesh_k: u8,
     /// Which network graph to build (default: square mesh of side
     /// [`NetworkConfig::mesh_k`]).
-    #[serde(default)]
     pub topology: TopologySpec,
     /// How packets pick output ports (default: the topology's static
     /// scheme).
-    #[serde(default)]
     pub routing: RoutingMode,
     /// Per-router configuration.
     pub router: RouterConfig,
@@ -579,7 +576,7 @@ impl Default for NetworkConfig {
 }
 
 /// Parameters of one simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SimConfig {
     /// Cycles to run before statistics start (pipeline warm-up).
     pub warmup_cycles: u64,

@@ -8,10 +8,9 @@ use crate::geometry::Coord;
 use crate::ids::{FlitSeq, PacketId};
 use crate::Cycle;
 use bytes::Bytes;
-use serde::{Deserialize, Serialize};
 
 /// The role of a flit within its packet.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlitKind {
     /// First flit: allocates router resources (triggers RC and VA).
     Head,
@@ -42,7 +41,7 @@ impl FlitKind {
 /// The destination coordinate rides in every flit so the model can assert
 /// mis-routing invariants, although only the head flit's copy is consulted
 /// by the RC stage (as in the real microarchitecture).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketId,
@@ -59,7 +58,6 @@ pub struct Flit {
     /// Cycle at which the flit entered the network (left the NI).
     pub injected_at: Cycle,
     /// Payload bytes (shared, cheap to clone).
-    #[serde(skip)]
     pub payload: Bytes,
     /// Number of routers this flit has traversed so far (for invariants
     /// and hop statistics; not part of the hardware state).

@@ -9,11 +9,10 @@
 //! scheme.
 
 use crate::ids::{PortId, RouterId};
-use serde::{Deserialize, Serialize};
 
 /// A position in the 2-D grid. `(0, 0)` is the north-west corner; `x` grows
 /// eastwards and `y` grows southwards.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
     /// Column (grows east).
     pub x: u8,
@@ -84,7 +83,7 @@ impl std::fmt::Display for Coord {
 ///
 /// The numeric values double as the canonical [`PortId`] assignment:
 /// `Local = 0`, `North = 1`, `East = 2`, `South = 3`, `West = 4`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum Direction {
     /// The port connected to the local processing element / network interface.
@@ -150,7 +149,7 @@ impl std::fmt::Display for Direction {
 /// A rectangular `w × h` grid: bidirectional id/coordinate mapping and XY
 /// routing. [`Mesh::new`] keeps the historical square `k × k` shape;
 /// [`Mesh::rect`] builds rectangles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Mesh {
     /// Width (number of columns; `x < w`).
     pub w: u8,

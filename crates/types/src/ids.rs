@@ -5,12 +5,10 @@
 //! type system keeps ports, VCs and routers from being confused with each
 //! other (following the “smaller integers” guidance for hot types).
 
-use serde::{Deserialize, Serialize};
-
 /// Identifies one router in the network.
 ///
 /// Routers in a `k × k` mesh are numbered row-major: `id = y * k + x`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct RouterId(pub u16);
 
 impl RouterId {
@@ -31,7 +29,7 @@ impl std::fmt::Display for RouterId {
 ///
 /// For the canonical 5-port mesh router the mapping to directions is given
 /// by [`crate::geometry::Direction`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PortId(pub u8);
 
 impl PortId {
@@ -54,7 +52,7 @@ impl std::fmt::Display for PortId {
 }
 
 /// Identifies one virtual channel within an input port (`0..V`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct VcId(pub u8);
 
 impl VcId {
@@ -77,7 +75,7 @@ impl std::fmt::Display for VcId {
 }
 
 /// Globally unique packet identifier, assigned at injection time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PacketId(pub u64);
 
 impl std::fmt::Display for PacketId {
@@ -87,7 +85,7 @@ impl std::fmt::Display for PacketId {
 }
 
 /// Position of a flit within its packet (head flit has sequence 0).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FlitSeq(pub u16);
 
 #[cfg(test)]

@@ -9,10 +9,9 @@ use crate::flit::{Flit, FlitKind};
 use crate::geometry::Coord;
 use crate::ids::{FlitSeq, PacketId};
 use crate::Cycle;
-use serde::{Deserialize, Serialize};
 
 /// Coherence-level packet class, which determines length in flits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PacketKind {
     /// 1-flit control packet (request / ack / invalidate).
     Control,
@@ -32,7 +31,7 @@ impl PacketKind {
 }
 
 /// A packet, as seen by the network interfaces.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id assigned at creation.
     pub id: PacketId,
@@ -102,7 +101,7 @@ impl Packet {
 }
 
 /// Summary of one delivered packet, recorded by the sink-side NI.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DeliveredPacket {
     /// The packet id.
     pub id: PacketId,

@@ -11,11 +11,10 @@
 //! state verbatim.
 
 use crate::ids::{PortId, VcId};
-use serde::{Deserialize, Serialize};
 
 /// The `G` (global state) field of an input VC: which pipeline stage the
 /// packet occupying this VC is in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VcGlobalState {
     /// No packet allocated to this VC.
     Idle,
@@ -39,7 +38,7 @@ impl VcGlobalState {
 }
 
 /// The per-VC architectural state fields (baseline + protected).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VcStateFields {
     /// `G`: pipeline state of the packet in this VC.
     pub g: VcGlobalState,
