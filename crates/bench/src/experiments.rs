@@ -1,6 +1,7 @@
-//! Drivers for the latency figures and the ablation/extension studies.
+//! The latency figures (Figures 7 and 8): driver, table and CSV.
 
-use crate::harness::{run_simulation, ExperimentScale};
+use crate::export::{export_csv, figure_csv};
+use crate::harness::{run_simulation_with, Options};
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::run_batch;
 use noc_traffic::{AppId, Suite, TrafficConfig};
@@ -10,8 +11,6 @@ use shield_router::RouterKind;
 /// Configuration of a Figure-7/8 style experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct FigureConfig {
-    /// Quick or full scale.
-    pub scale: ExperimentScale,
     /// Mesh side (the paper uses 8).
     pub mesh_k: u8,
     /// Mean of the uniform fault inter-arrival, in cycles. `None`
@@ -23,10 +22,9 @@ pub struct FigureConfig {
 }
 
 impl FigureConfig {
-    /// Default experiment at the given scale.
-    pub fn at_scale(scale: ExperimentScale) -> Self {
+    /// The paper's experiment: 8×8 mesh, derived fault mean.
+    pub fn paper() -> Self {
         FigureConfig {
-            scale,
             mesh_k: 8,
             fault_mean_cycles: None,
         }
@@ -72,14 +70,15 @@ pub struct FigureResult {
 /// Run a Figure-7/8 experiment: for every application of `suite`,
 /// simulate the protected 8×8 mesh fault-free and under the accelerated
 /// uniform-random fault process, and report the latency increase.
-pub fn run_figure(suite: Suite, cfg: &FigureConfig) -> FigureResult {
+/// `opts.scale` sets windows and seeds.
+pub fn run_figure(suite: Suite, cfg: &FigureConfig, opts: &Options) -> FigureResult {
     let apps: &[AppId] = match suite {
         Suite::Splash2 => &AppId::SPLASH2,
         Suite::Parsec => &AppId::PARSEC,
     };
     let mut net = NetworkConfig::paper();
     net.mesh_k = cfg.mesh_k;
-    let seeds = cfg.scale.seeds();
+    let seeds = opts.scale.seeds();
 
     // Jobs: (app, faulty?, seed) — all independent, run in parallel.
     let mut jobs = Vec::new();
@@ -89,18 +88,17 @@ pub fn run_figure(suite: Suite, cfg: &FigureConfig) -> FigureResult {
             jobs.push((app, true, seed));
         }
     }
-    let cfg_copy = *cfg;
     let results = run_batch(jobs.clone(), 0, move |(app, faulty, seed)| {
-        let sim = cfg_copy.scale.sim_config(seed);
+        let sim = opts.scale.sim_config(seed);
         let horizon = sim.warmup_cycles + sim.measure_cycles;
         let plan = if faulty {
             let inj = InjectionConfig::accelerated_accumulating(
-                cfg_copy.resolved_fault_mean(horizon),
+                cfg.resolved_fault_mean(horizon),
                 horizon,
             );
             FaultPlan::uniform_random(
                 &RouterConfig::paper(),
-                (cfg_copy.mesh_k as usize).pow(2),
+                (cfg.mesh_k as usize).pow(2),
                 &inj,
                 seed ^ 0xFA17,
             )
@@ -108,12 +106,13 @@ pub fn run_figure(suite: Suite, cfg: &FigureConfig) -> FigureResult {
             FaultPlan::none()
         };
         let faults = plan.len();
-        let report = run_simulation(
+        let report = run_simulation_with(
             &net,
             &sim,
             &TrafficConfig::app(app),
             RouterKind::Protected,
             &plan,
+            opts,
         );
         (
             report.mean_latency(),
@@ -201,22 +200,54 @@ pub fn figure_table(result: &FigureResult) -> crate::tables::Table {
     t
 }
 
+/// One latency figure end to end: run, print the table and the overall
+/// line, export the CSV.
+fn figure(suite: Suite, opts: &Options) {
+    let (figure, name, paper_pct, csv) = match suite {
+        Suite::Splash2 => (7, "SPLASH-2", 10, "fig7_splash2"),
+        Suite::Parsec => (8, "PARSEC", 13, "fig8_parsec"),
+    };
+    let scale = opts.scale;
+    eprintln!("running Figure {figure} at {scale:?} scale (pass --quick for a fast run)...");
+    let result = run_figure(suite, &FigureConfig::paper(), opts);
+    figure_table(&result).print();
+    println!(
+        "\nOverall {name} latency increase: {:+.1}% (paper: ~{paper_pct}%)",
+        result.overall_increase_pct
+    );
+    export_csv(csv, &figure_csv(&result));
+}
+
+/// Regenerates **Figure 7**: impact of faults on NoC latency running
+/// SPLASH-2 traffic on an 8×8 mesh of protected routers (paper: overall
+/// latency increase ≈10%).
+pub(crate) fn fig7_splash2(opts: &Options) {
+    figure(Suite::Splash2, opts);
+}
+
+/// Regenerates **Figure 8**: impact of faults on NoC latency running
+/// PARSEC traffic on an 8×8 mesh of protected routers (paper: overall
+/// latency increase ≈13%).
+pub(crate) fn fig8_parsec(opts: &Options) {
+    figure(Suite::Parsec, opts);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::{run_simulation, ExperimentScale};
 
     #[test]
     fn quick_figure_runs_and_shows_nonnegative_increase() {
         // One light app keeps the smoke test fast.
         let cfg = FigureConfig {
-            scale: ExperimentScale::Quick,
             mesh_k: 4,
             fault_mean_cycles: None,
         };
         // Use the internal pieces directly on a single app.
         let mut net = NetworkConfig::paper();
         net.mesh_k = 4;
-        let sim = cfg.scale.sim_config(1);
+        let sim = ExperimentScale::Quick.sim_config(1);
         let clean = run_simulation(
             &net,
             &sim,

@@ -1,5 +1,5 @@
-//! Simulation glue: configuration → report, with scale presets and
-//! opt-in telemetry (`--trace`, `--sample-every`).
+//! Simulation glue: configuration → report, with scale presets and the
+//! per-run [`Options`] every experiment honours.
 
 use noc_faults::FaultPlan;
 use noc_sim::{NetworkReport, Simulator};
@@ -9,26 +9,18 @@ use shield_router::RouterKind;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// How big an experiment to run. Binaries map `--quick` to
+/// How big an experiment to run; `--quick` selects
 /// [`ExperimentScale::Quick`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExperimentScale {
     /// Short windows, one seed — CI and smoke runs (seconds).
     Quick,
     /// The defaults used for the committed EXPERIMENTS.md numbers.
+    #[default]
     Full,
 }
 
 impl ExperimentScale {
-    /// Parse from process args: `--quick` anywhere selects Quick.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            ExperimentScale::Quick
-        } else {
-            ExperimentScale::Full
-        }
-    }
-
     /// The simulation window for this scale.
     pub fn sim_config(self, seed: u64) -> SimConfig {
         match self {
@@ -56,86 +48,53 @@ impl ExperimentScale {
     }
 }
 
-/// Stepper thread count for experiment binaries: `--threads N` on the
-/// command line wins, then the `NOC_SIM_THREADS` environment variable,
-/// else serial. `0` means one thread per available CPU. Results are
-/// bit-identical at every value (see `noc_sim::Network::set_threads`);
-/// the knob only changes wall-clock.
-pub fn sim_threads() -> usize {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            if let Some(n) = args.next().and_then(|v| v.parse().ok()) {
-                return n;
-            }
-        }
+/// A `--topology` value whose syntax has been checked. It is resolved
+/// against each configuration's own `mesh_k` when applied, so one
+/// argument serves every grid size an experiment visits.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct TopologyArg(String);
+
+impl TopologyArg {
+    /// Check `arg` against the [`TopologySpec::parse_arg`] grammar
+    /// (shared with the CLI and the campaign service).
+    pub fn parse(arg: &str) -> Result<Self, String> {
+        TopologySpec::parse_arg(arg, NetworkConfig::paper().mesh_k)?;
+        Ok(TopologyArg(arg.to_string()))
     }
-    std::env::var("NOC_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
+
+    fn spec(&self, mesh_k: u8) -> TopologySpec {
+        TopologySpec::parse_arg(&self.0, mesh_k)
+            .expect("checked by TopologyArg::parse; the grammar does not depend on the grid side")
+    }
 }
 
-/// Topology knob for experiment binaries: `--topology
-/// mesh|torus|cutmesh<N>[:seed]` rewrites a config still carrying the
-/// default [`TopologySpec::MeshK`] into the named topology over the
-/// same `mesh_k` grid (the grammar is [`TopologySpec::parse_arg`], the
-/// same one the CLI and the campaign service use). Configs that name
-/// their topology explicitly win.
-pub fn apply_topology_arg(net: NetworkConfig) -> NetworkConfig {
-    let mut net = net;
-    if net.topology != TopologySpec::MeshK {
-        return net;
-    }
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == "--topology" {
-            let value = args.next().unwrap_or_default();
-            match TopologySpec::parse_arg(&value, net.mesh_k) {
-                Ok(spec) => net.topology = spec,
-                Err(e) => panic!("--topology: {e}"),
-            }
-        }
-    }
-    net
-}
-
-/// Telemetry options every experiment binary understands:
-///
-/// * `--trace <dir>` — record the run into per-shard event rings and
-///   write `trace_<n>.jsonl` plus `trace_<n>.chrome.json` (load the
-///   latter in `chrome://tracing` / Perfetto) into `<dir>`, one pair
-///   per simulation the binary runs;
-/// * `--sample-every <cycles>` — attach an epoch time-series sampler
-///   ([`noc_sim::NetworkReport::epochs`]); with `--trace` the series is
-///   also written as `epochs_<n>.csv`.
-///
-/// Untouched runs pay nothing: without `--trace` the simulator steps
-/// with the compiled-out [`noc_telemetry::NullObserver`].
-#[derive(Debug, Clone, Default)]
-pub struct TelemetryArgs {
-    /// Trace output directory (`--trace <dir>`), `None` = tracing off.
+/// What `noc-bench`'s command line says about *how* to run, parsed once
+/// in `main` and passed down to every experiment and simulation.
+/// `Options::default()` is a plain full-scale run.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Options {
+    /// `--quick`: reduced windows and seeds.
+    pub scale: ExperimentScale,
+    /// `--threads N`: stepper threads (`0` = one per CPU); `None`
+    /// leaves [`Simulator::new`]'s `NOC_SIM_THREADS` default. Results
+    /// are bit-identical at every value (see
+    /// `noc_sim::Network::set_threads`); only wall-clock changes.
+    pub threads: Option<usize>,
+    /// `--topology mesh|torus|cutmesh<N>[:seed]|…`: rewrites a config
+    /// still carrying the default [`TopologySpec::MeshK`] into the named
+    /// topology over the same `mesh_k` grid. Configs that name their
+    /// topology explicitly win.
+    pub topology: Option<TopologyArg>,
+    /// `--trace <dir>`: record each simulation into per-shard event
+    /// rings and write `trace_<n>.jsonl` plus `trace_<n>.chrome.json`
+    /// (load the latter in `chrome://tracing` / Perfetto) into `<dir>`,
+    /// one pair per simulation run. Without it the simulator steps with
+    /// the compiled-out [`noc_telemetry::NullObserver`].
     pub trace_dir: Option<PathBuf>,
-    /// Epoch length in cycles (`--sample-every <n>`), `0` = sampling off.
+    /// `--sample-every <cycles>`: attach an epoch time-series sampler
+    /// ([`noc_sim::NetworkReport::epochs`]); with `--trace` the series
+    /// is also written as `epochs_<n>.csv`. `0` = sampling off.
     pub sample_every: u64,
-}
-
-impl TelemetryArgs {
-    /// Parse from the process arguments.
-    pub fn from_args() -> Self {
-        let mut out = TelemetryArgs::default();
-        let mut args = std::env::args();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--trace" => out.trace_dir = args.next().map(PathBuf::from),
-                "--sample-every" => {
-                    out.sample_every = args.next().and_then(|v| v.parse().ok()).unwrap_or(0);
-                }
-                _ => {}
-            }
-        }
-        out
-    }
 }
 
 /// Event-ring capacity per stepper shard for `--trace` runs. Long
@@ -145,14 +104,13 @@ impl TelemetryArgs {
 const TRACE_CAPACITY: usize = 1 << 20;
 
 /// Distinguishes the trace files of successive simulations within one
-/// binary run (a sweep traces every point it visits).
+/// process (a sweep traces every point it visits).
 static TRACE_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Run one simulation end to end: build the traffic generator from
-/// `traffic`, wire it into the simulator, return the report.
-///
-/// Honours the global `--threads` / `NOC_SIM_THREADS` knob and the
-/// [`TelemetryArgs`] flags.
+/// `traffic`, wire it into the simulator, return the report. A pure
+/// function of its arguments (plus [`Simulator::new`]'s
+/// `NOC_SIM_THREADS` default).
 pub fn run_simulation(
     net: &NetworkConfig,
     sim: &SimConfig,
@@ -160,26 +118,31 @@ pub fn run_simulation(
     kind: RouterKind,
     plan: &FaultPlan,
 ) -> NetworkReport {
-    run_simulation_telemetry(net, sim, traffic, kind, plan, &TelemetryArgs::from_args())
+    run_simulation_with(net, sim, traffic, kind, plan, &Options::default())
 }
 
-/// [`run_simulation`] with explicit [`TelemetryArgs`] (the entry point
-/// for callers that don't own the process arguments).
-pub fn run_simulation_telemetry(
+/// [`run_simulation`] under explicit [`Options`] — what the experiments
+/// call.
+pub fn run_simulation_with(
     net: &NetworkConfig,
     sim: &SimConfig,
     traffic: &TrafficConfig,
     kind: RouterKind,
     plan: &FaultPlan,
-    tel: &TelemetryArgs,
+    opts: &Options,
 ) -> NetworkReport {
-    let net = apply_topology_arg(*net);
+    let mut net = *net;
+    if let (TopologySpec::MeshK, Some(arg)) = (net.topology, &opts.topology) {
+        net.topology = arg.spec(net.mesh_k);
+    }
     let mut generator = TrafficGenerator::new(*traffic, net.grid(), sim.seed ^ 0x5EED);
-    let simulator = Simulator::new(net, *sim, kind, plan.clone())
-        .with_threads(sim_threads())
-        .with_sample_every(tel.sample_every);
+    let mut simulator =
+        Simulator::new(net, *sim, kind, plan.clone()).with_sample_every(opts.sample_every);
+    if let Some(threads) = opts.threads {
+        simulator = simulator.with_threads(threads);
+    }
     let source = |cycle, out: &mut Vec<_>| generator.tick_into(cycle, out);
-    match &tel.trace_dir {
+    match &opts.trace_dir {
         None => simulator.run_with(source).0,
         Some(dir) => {
             let (report, _outcome, tracer) = simulator.run_traced(source, TRACE_CAPACITY);
@@ -244,6 +207,36 @@ mod tests {
     }
 
     #[test]
+    fn topology_option_rewrites_only_a_default_mesh() {
+        let mut net = NetworkConfig::paper();
+        net.mesh_k = 4;
+        let sim = SimConfig::smoke(5);
+        let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.02);
+        let latency = |net: &NetworkConfig, opts: &Options| {
+            let plan = FaultPlan::none();
+            run_simulation_with(net, &sim, &traffic, RouterKind::Protected, &plan, opts)
+                .mean_latency()
+        };
+        let plain = Options::default();
+        let torus = Options {
+            topology: Some(TopologyArg::parse("torus").unwrap()),
+            ..Options::default()
+        };
+        let mut explicit_torus = net;
+        explicit_torus.topology = TopologySpec::Torus { w: 4, h: 4 };
+        assert_eq!(latency(&net, &torus), latency(&explicit_torus, &plain));
+        assert_ne!(latency(&net, &torus), latency(&net, &plain));
+        // A config that names its topology wins over the option.
+        let mut explicit_mesh = net;
+        explicit_mesh.topology = TopologySpec::Mesh { w: 4, h: 4 };
+        assert_eq!(
+            latency(&explicit_mesh, &torus),
+            latency(&explicit_mesh, &plain)
+        );
+        assert!(TopologyArg::parse("klein-bottle").is_err());
+    }
+
+    #[test]
     fn traced_run_writes_jsonl_chrome_and_epoch_files() {
         let dir = std::env::temp_dir().join("shield_noc_trace_test");
         let _ = std::fs::remove_dir_all(&dir);
@@ -251,17 +244,18 @@ mod tests {
         net.mesh_k = 4;
         let sim = SimConfig::smoke(7);
         let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.02);
-        let tel = TelemetryArgs {
+        let opts = Options {
             trace_dir: Some(dir.clone()),
             sample_every: 100,
+            ..Options::default()
         };
-        let report = run_simulation_telemetry(
+        let report = run_simulation_with(
             &net,
             &sim,
             &traffic,
             RouterKind::Protected,
             &FaultPlan::none(),
-            &tel,
+            &opts,
         );
         assert!(report.delivered() > 0);
         assert!(

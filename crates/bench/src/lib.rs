@@ -3,45 +3,29 @@
 //! The experiment harness: regenerates every table and figure of the
 //! paper's evaluation from the models in this workspace.
 //!
-//! | Paper artefact | Binary |
-//! |----------------|--------|
-//! | Table I (baseline stage FITs) | `table1` |
-//! | Table II (correction-circuitry FITs) | `table2` |
-//! | Equations 4–7 (MTTF, 6×) | `mttf` |
-//! | Table III (SPF comparison) | `table3_spf` |
-//! | §VI-A (area 31%, power 30%) | `area_power` |
-//! | §VI-B (critical path) | `critical_path` |
-//! | Figure 7 (SPLASH-2 latency) | `fig7_splash2` |
-//! | Figure 8 (PARSEC latency) | `fig8_parsec` |
-//! | §VIII-E VC sweep (ablation) | `spf_vc_sweep` |
-//! | per-mechanism latency (ablation) | `ablation_mechanisms` |
-//! | load–latency curves (extension) | `load_latency` |
-//! | transient-upset storms (extension) | `transient_storm` |
-//! | detection-latency sensitivity (extension) | `detection_sweep` |
-//! | fault cost vs design point (extension) | `design_sweep` |
-//! | MTTF vs operating conditions (extension) | `mttf_conditions` |
-//! | reliability vs radix (extension) | `radix_sweep` |
-//! | the whole evaluation in one run | `all_experiments` |
+//! One binary, `noc-bench <experiment|all|list>`; every experiment is
+//! one function registered once in [`registry::EXPERIMENTS`]. Run
+//! `noc-bench list` for the artefact → experiment table. The flags
+//! (`--quick`, `--threads`, `--topology`, `--trace`, `--sample-every`)
+//! are parsed once, by [`registry::parse`], into the [`Options`] every
+//! experiment receives.
 //!
-//! Every binary accepts `--quick` for a reduced run (shorter windows,
-//! fewer seeds) and prints the same rows the paper reports. Microbenches
-//! live under `benches/` and time themselves with [`microbench`].
+//! Wall-clock performance is not measured here: the perf ledger under
+//! `benchmark/` is the only source of performance numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod analytic;
+mod campaigns;
 pub mod experiments;
 pub mod export;
 pub mod harness;
-pub mod microbench;
+pub mod registry;
+mod sweeps;
 pub mod tables;
 
 pub use experiments::{FigureConfig, FigureResult, FigureRow};
-pub use export::{
-    bench_envelope, figure_csv, measurement_json, write_csv, write_json, SCHEMA_VERSION,
-};
-pub use harness::{
-    apply_topology_arg, run_simulation, sim_threads, ExperimentScale, TelemetryArgs,
-};
-pub use microbench::{bench, bench_with, Measurement};
+pub use export::{figure_csv, write_csv};
+pub use harness::{run_simulation, run_simulation_with, ExperimentScale, Options, TopologyArg};
 pub use tables::Table;

@@ -551,7 +551,7 @@ fn drive(
                     if let Some(flit) = feed.queue.pop() {
                         feed.credits -= 1;
                         let (p_id, v_id) = (PortId(port as u8), VcId(vc as u8));
-                        real.receive_flit(p_id, v_id, flit.clone());
+                        real.receive_flit(p_id, v_id, flit);
                         reference.receive_flit(p_id, v_id, flit);
                     }
                 }

@@ -729,7 +729,7 @@ fn router_is_nonidle_exactly_while_it_holds_traffic() {
     let mut r = router(RouterKind::Protected);
     let flits = packet(1, PacketKind::Data, EAST_DST);
     let total = flits.len();
-    r.receive_flit(Direction::Local.port(), VcId(0), flits[0].clone());
+    r.receive_flit(Direction::Local.port(), VcId(0), flits[0]);
     assert!(
         !r.is_idle(),
         "a buffered head flit must mark the router active"
@@ -745,7 +745,7 @@ fn router_is_nonidle_exactly_while_it_holds_traffic() {
             seen += 1;
         }
         if next < total {
-            r.receive_flit(Direction::Local.port(), VcId(0), flits[next].clone());
+            r.receive_flit(Direction::Local.port(), VcId(0), flits[next]);
             next += 1;
         }
         cycle += 1;

@@ -333,7 +333,6 @@ impl FromSnapshot for PacketKind {
 
 impl Snapshot for Flit {
     fn snapshot(&self) -> JsonValue {
-        let payload: String = self.payload.iter().map(|b| format!("{b:02x}")).collect();
         obj([
             ("packet", self.packet.snapshot()),
             ("seq", self.seq.snapshot()),
@@ -342,7 +341,9 @@ impl Snapshot for Flit {
             ("dst", self.dst.snapshot()),
             ("created_at", self.created_at.into()),
             ("injected_at", self.injected_at.into()),
-            ("payload", payload.into()),
+            // Flits carry no payload; the key stays so documents keep
+            // their bytes.
+            ("payload", "".into()),
             ("hops", (self.hops as u64).into()),
         ])
     }
@@ -350,16 +351,9 @@ impl Snapshot for Flit {
 
 impl FromSnapshot for Flit {
     fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let payload_hex = str_field(v, "payload")?;
-        if payload_hex.len() % 2 != 0 {
-            return Err(SnapshotError::new("payload hex has odd length"));
+        if !str_field(v, "payload")?.is_empty() {
+            return Err(SnapshotError::new("payload: flits carry no payload"));
         }
-        let payload: Vec<u8> = (0..payload_hex.len() / 2)
-            .map(|i| {
-                u8::from_str_radix(&payload_hex[2 * i..2 * i + 2], 16)
-                    .map_err(|e| SnapshotError::new(format!("payload byte {i}: {e}")))
-            })
-            .collect::<Result<_, _>>()?;
         let mut flit = Flit::new(
             decode_field(v, "packet")?,
             decode_field(v, "seq")?,
@@ -370,9 +364,6 @@ impl FromSnapshot for Flit {
         );
         flit.injected_at = u64_field(v, "injected_at")?;
         flit.hops = u64_field(v, "hops")? as u16;
-        if !payload.is_empty() {
-            flit.payload = bytes::Bytes::from(payload);
-        }
         Ok(flit)
     }
 }
@@ -568,7 +559,7 @@ mod tests {
     }
 
     #[test]
-    fn flit_round_trips_with_payload_and_hops() {
+    fn flit_round_trips_with_hops_and_rejects_a_payload() {
         let mut f = Flit::new(
             PacketId(9),
             FlitSeq(1),
@@ -576,11 +567,16 @@ mod tests {
             Coord::new(0, 0),
             Coord::new(3, 5),
             10,
-        )
-        .with_payload(bytes::Bytes::from_static(b"\x01\xff"));
+        );
         f.injected_at = 14;
         f.hops = 3;
         round_trip(f);
+        let text = f
+            .snapshot()
+            .render()
+            .replace(r#""payload":"""#, r#""payload":"01ff""#);
+        let err = Flit::from_snapshot(&JsonValue::parse(&text).unwrap()).unwrap_err();
+        assert!(err.to_string().contains("payload"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 use crate::geometry::Coord;
 use crate::ids::{FlitSeq, PacketId};
 use crate::Cycle;
-use bytes::Bytes;
 
 /// The role of a flit within its packet.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,7 +40,7 @@ impl FlitKind {
 /// The destination coordinate rides in every flit so the model can assert
 /// mis-routing invariants, although only the head flit's copy is consulted
 /// by the RC stage (as in the real microarchitecture).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// The packet this flit belongs to.
     pub packet: PacketId,
@@ -57,15 +56,13 @@ pub struct Flit {
     pub created_at: Cycle,
     /// Cycle at which the flit entered the network (left the NI).
     pub injected_at: Cycle,
-    /// Payload bytes (shared, cheap to clone).
-    pub payload: Bytes,
     /// Number of routers this flit has traversed so far (for invariants
     /// and hop statistics; not part of the hardware state).
     pub hops: u16,
 }
 
 impl Flit {
-    /// Construct a flit with an empty payload.
+    /// Construct a flit.
     pub fn new(
         packet: PacketId,
         seq: FlitSeq,
@@ -82,15 +79,8 @@ impl Flit {
             dst,
             created_at,
             injected_at: created_at,
-            payload: Bytes::new(),
             hops: 0,
         }
-    }
-
-    /// Attach a payload.
-    pub fn with_payload(mut self, payload: Bytes) -> Self {
-        self.payload = payload;
-        self
     }
 }
 
@@ -126,10 +116,10 @@ mod tests {
     }
 
     #[test]
-    fn payload_attaches_without_copying_semantics_change() {
-        let f = flit(FlitKind::Body).with_payload(Bytes::from_static(b"abcd"));
-        assert_eq!(&f.payload[..], b"abcd");
-        let g = f.clone();
-        assert_eq!(f.payload, g.payload);
+    fn flit_is_small_plain_data() {
+        fn assert_copy<T: Copy>() {}
+        assert_copy::<Flit>();
+        assert!(std::mem::size_of::<Flit>() <= 40);
+        assert!(!std::mem::needs_drop::<Flit>());
     }
 }

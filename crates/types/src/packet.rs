@@ -31,7 +31,7 @@ impl PacketKind {
 }
 
 /// A packet, as seen by the network interfaces.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Packet {
     /// Unique id assigned at creation.
     pub id: PacketId,
