@@ -1,18 +1,19 @@
-//! The extension experiments that drive `Network`, the campaign engine
-//! and the checkpoint stream directly rather than one `run_simulation`
-//! per point: the topology load sweep, the static-vs-adaptive survival
-//! curves, and the checkpoint-cost gate. Everything printed and
-//! exported is simulation semantics — machine-independent; wall-clock
-//! is the perf ledger's business (`benchmark/`).
+//! The extension experiments that read a `Network` back after its run,
+//! or drive the campaign engine and the checkpoint stream, rather than
+//! one `run_simulation` per point: the topology load sweep, the
+//! static-vs-adaptive survival curves, and the checkpoint-cost gate.
+//! Everything printed and exported is simulation semantics —
+//! machine-independent; wall-clock is the perf ledger's business
+//! (`benchmark/`).
 
 use crate::export::export_csv;
 use crate::harness::{ExperimentScale, Options};
 use noc_campaign::{run_campaign, summarise, CampaignConfig};
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_service::{CampaignSpec, JsonlStream};
-use noc_sim::Network;
+use noc_sim::{Network, Simulator};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
-use noc_types::{LinkClass, NetworkConfig, RouterConfig, RoutingMode, TopologySpec};
+use noc_types::{LinkClass, NetworkConfig, RouterConfig, RoutingMode, SimConfig, TopologySpec};
 use shield_router::RouterKind;
 use std::time::Instant;
 
@@ -31,34 +32,32 @@ fn run_point(spec: TopologySpec, offered: f64, warmup: u64, measure: u64) -> Poi
     cfg.mesh_k = K;
     cfg.topology = spec;
     cfg.validate().expect("bench topology is valid");
-    let (w, h) = cfg.dims();
     let mut net = Network::new(cfg, RouterKind::Protected);
     let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, offered);
     let mut gen =
         TrafficGenerator::for_topology(traffic, net.topology(), 0x70B0 ^ offered.to_bits());
-    let mut pkts = Vec::new();
-    for cycle in 0..warmup {
-        pkts.clear();
-        gen.tick_into(cycle, &mut pkts);
-        net.offer_packets_from(&mut pkts);
-        net.step(cycle);
-    }
-    let (_, _, ejected_before, _) = net.packet_counters();
-    let delivered_before = net.deliveries().len();
-    for cycle in warmup..warmup + measure {
-        pkts.clear();
-        gen.tick_into(cycle, &mut pkts);
-        net.offer_packets_from(&mut pkts);
-        net.step(cycle);
-    }
-    let (_, _, ejected_after, _) = net.packet_counters();
-    let window = &net.deliveries()[delivered_before..];
-    let lat_sum: u64 = window.iter().map(|d| d.ejected_at - d.created_at).sum();
-    let nodes = (w as u64 * h as u64) as f64;
+    // No drain: the run stops with the window, saturated or not.
+    let phases = SimConfig {
+        warmup_cycles: warmup,
+        measure_cycles: measure,
+        drain_cycles: 0,
+        seed: 0,
+    };
+    Simulator::new(cfg, phases, RouterKind::Protected, FaultPlan::none())
+        .run_on(&mut net, |cycle, out| gen.tick_into(cycle, out));
+    // Accepted load is what left the network inside the window, whenever
+    // it was created — not the report's created-in-window count.
+    let (accepted, lat_sum) = net
+        .deliveries()
+        .iter()
+        .filter(|d| d.ejected_at >= warmup)
+        .fold((0u64, 0u64), |(n, sum), d| {
+            (n + 1, sum + (d.ejected_at - d.created_at))
+        });
     Point {
         offered,
-        accepted: (ejected_after - ejected_before) as f64 / (nodes * measure as f64),
-        avg_latency: lat_sum as f64 / window.len().max(1) as f64,
+        accepted: accepted as f64 / (cfg.nodes() as u64 * measure) as f64,
+        avg_latency: lat_sum as f64 / accepted.max(1) as f64,
     }
 }
 
@@ -95,15 +94,14 @@ fn run_campaign_4096(threads: usize, cycles: u64, inject_until: u64) -> Campaign
     net.set_threads(threads);
     let traffic = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.004);
     let mut gen = TrafficGenerator::for_topology(traffic, net.topology(), 0xD1E5);
-    let mut pkts = Vec::new();
-    for cycle in 0..cycles {
-        if cycle < inject_until {
-            pkts.clear();
-            gen.tick_into(cycle, &mut pkts);
-            net.offer_packets_from(&mut pkts);
-        }
-        net.step(cycle);
-    }
+    let phases = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: inject_until,
+        drain_cycles: cycles - inject_until,
+        seed: 0,
+    };
+    Simulator::new(cfg, phases, RouterKind::Protected, plan)
+        .run_on(&mut net, |cycle, out| gen.tick_into(cycle, out));
     CampaignEnd {
         deliveries_debug: format!("{:?}", net.deliveries()),
         heatmap: net.spatial_grid().to_json().render(),

@@ -5,6 +5,7 @@
 use crate::harness::{ExperimentScale, Options, TopologyArg};
 use crate::tables::Table;
 use crate::{analytic, campaigns, experiments, sweeps};
+use noc_types::args::Flags;
 
 /// One row of the experiment table.
 #[derive(Debug, Clone, Copy)]
@@ -109,39 +110,23 @@ pub fn usage() -> String {
     )
 }
 
-fn value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(String::as_str)
-        .ok_or_else(|| format!("{flag} needs a value"))
-}
-
 /// Parse the process arguments (without `argv[0]`). Anything not
 /// understood is an error: a mistyped `--quick` must not silently start
 /// a full-scale run.
 pub fn parse(args: &[String]) -> Result<(Command, Options), String> {
     let mut command = None;
     let mut opts = Options::default();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg {
             "--quick" => opts.scale = ExperimentScale::Quick,
-            "--threads" => {
-                let v = value(args, &mut i, "--threads")?;
-                opts.threads = Some(v.parse().map_err(|e| format!("--threads {v:?}: {e}"))?);
-            }
+            "--threads" => opts.threads = Some(flags.value(arg)?),
             "--topology" => {
-                let v = value(args, &mut i, "--topology")?;
-                opts.topology =
-                    Some(TopologyArg::parse(v).map_err(|e| format!("--topology: {e}"))?);
+                let topology = TopologyArg::parse(flags.text(arg)?);
+                opts.topology = Some(topology.map_err(|e| format!("--topology: {e}"))?);
             }
-            "--trace" => opts.trace_dir = Some(value(args, &mut i, "--trace")?.into()),
-            "--sample-every" => {
-                let v = value(args, &mut i, "--sample-every")?;
-                opts.sample_every = v
-                    .parse()
-                    .map_err(|e| format!("--sample-every {v:?}: {e}"))?;
-            }
+            "--trace" => opts.trace_dir = Some(flags.value(arg)?),
+            "--sample-every" => opts.sample_every = flags.value(arg)?,
             flag if flag.starts_with('-') => return Err(format!("unknown flag {flag:?}")),
             name if command.is_some() => return Err(format!("unexpected argument {name:?}")),
             "all" => command = Some(Command::All),
@@ -154,7 +139,6 @@ pub fn parse(args: &[String]) -> Result<(Command, Options), String> {
                 command = Some(Command::Run(e));
             }
         }
-        i += 1;
     }
     Ok((command.ok_or("no experiment named")?, opts))
 }

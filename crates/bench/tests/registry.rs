@@ -137,3 +137,22 @@ fn a_flag_nobody_understood_is_exit_status_2() {
         "usage carries the table"
     );
 }
+
+/// `noc-bench table1 | head -1`: the reader is gone before the first
+/// table prints, and the experiment ends quietly — killed by SIGPIPE,
+/// not by a `println!` panic.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    use std::os::unix::process::ExitStatusExt;
+    let (stdout, reader) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_noc-bench"))
+        .arg("table1")
+        .stdout(std::os::fd::OwnedFd::from(stdout))
+        .output()
+        .expect("noc-bench runs");
+    const SIGPIPE: i32 = 13;
+    assert_eq!(out.status.signal(), Some(SIGPIPE), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}

@@ -1,6 +1,11 @@
 //! Campaign execution: thousands of seeded fault scenarios per
 //! configuration, run in parallel over serial networks and classified.
 //!
+//! A scenario is a [`Simulator`] run — no warm-up, `inject_cycles` of
+//! measurement, `drain_cycles` of drain, `stall_cycles` forwarded as
+//! the stall horizon — on the network built here from the scenario's
+//! [`FaultPlan`]; the run loop is the simulator's (ARCHITECTURE.md §2).
+//!
 //! Every scenario is a fully deterministic function of the campaign
 //! seed, the fault count and the scenario index — the same fault sets
 //! and the same traffic are replayed under every routing mode, so the
@@ -10,9 +15,10 @@
 
 use crate::scenario::LinkPool;
 use noc_faults::{FaultPlan, LinkFaultEvent};
-use noc_sim::{run_batch, Network};
+use noc_sim::{run_batch, Network, SimOutcome, Simulator};
 use noc_types::{
     splitmix64, Cycle, Mesh, NetworkConfig, Packet, PacketId, PacketKind, RouterId, RoutingMode,
+    SimConfig,
 };
 use shield_router::RouterKind;
 
@@ -176,17 +182,6 @@ pub struct CampaignRun {
     pub scenarios_per_sec: f64,
 }
 
-/// Raw per-run measurements, before classification.
-struct RawRun {
-    offered: u64,
-    delivered: u64,
-    misdelivered: u64,
-    drained: bool,
-    mean_latency_x100: u64,
-    cycles_run: Cycle,
-    wait_cycle: Vec<String>,
-}
-
 /// Deterministic uniform-random source over all routers.
 struct Source {
     rng: u64,
@@ -196,8 +191,7 @@ struct Source {
 }
 
 impl Source {
-    fn tick(&mut self, cycle: Cycle) -> Vec<Packet> {
-        let mut out = Vec::new();
+    fn tick_into(&mut self, cycle: Cycle, out: &mut Vec<Packet>) {
         let n = self.grid.len() as u64;
         for src in self.grid.coords() {
             if splitmix64(&mut self.rng) % 1000 >= self.rate_permille {
@@ -219,7 +213,6 @@ impl Source {
             self.next += 1;
             out.push(Packet::new(PacketId(self.next), kind, src, dst, cycle));
         }
-        out
     }
 }
 
@@ -232,44 +225,43 @@ fn mix(parts: &[u64]) -> u64 {
     h
 }
 
-/// Simulate one scenario to completion (or to a stall verdict).
+/// Simulate and classify one scenario: `set` is the fault set behind
+/// the curve point `faults` (empty for a fault-free baseline run, which
+/// passes `baseline_x100 = 0` and is read for its latency only).
 fn run_one(
     cc: &CampaignConfig,
     mode: RoutingMode,
-    faults: &[LinkFaultEvent],
-    traffic_seed: u64,
-) -> RawRun {
+    faults: u32,
+    scenario: u32,
+    set: &[LinkFaultEvent],
+    baseline_x100: u64,
+) -> ScenarioResult {
     let mut cfg = cc.base;
     cfg.routing = mode;
-    let plan = FaultPlan::none().with_link_faults(faults.to_vec());
+    let plan = FaultPlan::none().with_link_faults(set.to_vec());
     let mut net = Network::with_faults(cfg, cc.router_kind, &plan);
-    let grid = net.topology().grid();
+    // The traffic seed depends on the scenario index only, so a
+    // baseline pairs exactly with the faulted runs it classifies.
+    let traffic_seed = mix(&[cc.seed, 0x7_72AF, scenario as u64]);
     let mut src = Source {
         rng: traffic_seed,
-        grid,
+        grid: net.topology().grid(),
         rate_permille: cc.rate_permille,
         next: 0,
     };
-    let budget = cc.inject_cycles + cc.drain_cycles;
-    let mut cycle: Cycle = 0;
-    let mut drained = false;
-    while cycle < budget {
-        if cycle < cc.inject_cycles {
-            net.offer_packets(src.tick(cycle));
-        }
-        net.step(cycle);
-        cycle += 1;
-        if cycle >= cc.inject_cycles {
-            if net.in_flight_flits() == 0 && net.queued_packets() == 0 {
-                drained = true;
-                break;
-            }
-            if net.last_activity + cc.stall_cycles < cycle {
-                break; // wedged — classify from the flight record
-            }
-        }
-    }
-    let (offered, _injected, ejected, misdelivered) = net.packet_counters();
+    let phases = SimConfig {
+        warmup_cycles: 0,
+        measure_cycles: cc.inject_cycles,
+        drain_cycles: cc.drain_cycles,
+        seed: traffic_seed,
+    };
+    // The campaign's stall rule is `cycles_run − last_activity >
+    // stall_cycles`; the simulator compares the cycle it just stepped,
+    // which is `cycles_run − 1`.
+    let (report, outcome) = Simulator::new(cfg, phases, cc.router_kind, plan)
+        .with_watchdog(cc.stall_cycles.saturating_sub(1))
+        .run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
+    let drained = outcome == SimOutcome::DrainedEarly;
     let deliveries = net.deliveries();
     let mean_latency_x100 = if deliveries.is_empty() {
         0
@@ -280,37 +272,61 @@ fn run_one(
             .sum();
         total * 100 / deliveries.len() as u64
     };
-    let wait_cycle = if drained {
+    // A run that reached its horizon undrained has no flight record in
+    // its report (only the watchdog attaches one), so ask the network.
+    let wait_cycle: Vec<String> = if drained {
         Vec::new()
     } else {
-        net.flight_record(cycle)
+        net.flight_record(report.cycles_run)
             .cycle_edges
             .map(|edges| edges.iter().map(|e| e.to_string()).collect())
             .unwrap_or_default()
     };
-    RawRun {
-        offered,
-        delivered: ejected,
-        misdelivered,
-        drained,
+    ScenarioResult {
+        mode,
+        faults,
+        placed: set.len() as u32,
+        scenario,
+        outcome: classify(
+            drained,
+            !wait_cycle.is_empty(),
+            report.delivered < report.offered || report.misdelivered > 0,
+            mean_latency_x100,
+            baseline_x100,
+            cc.degraded_threshold_pct,
+        ),
+        offered: report.offered,
+        delivered: report.delivered,
         mean_latency_x100,
-        cycles_run: cycle,
+        drained,
+        cycles_run: report.cycles_run,
         wait_cycle,
     }
 }
 
-fn classify(raw: &RawRun, baseline_x100: u64, threshold_pct: u64) -> Outcome {
-    if !raw.drained {
-        return if raw.wait_cycle.is_empty() {
-            Outcome::LostPackets
-        } else {
+/// Classify a finished run: whether it drained, whether the flight
+/// record of an undrained run named a circular wait, whether packets
+/// were lost or misdelivered, and its mean latency against the
+/// fault-free baseline (both ×100; a baseline of 0 never degrades).
+fn classify(
+    drained: bool,
+    circular_wait: bool,
+    lost: bool,
+    latency_x100: u64,
+    baseline_x100: u64,
+    threshold_pct: u64,
+) -> Outcome {
+    if !drained {
+        return if circular_wait {
             Outcome::Deadlocked
+        } else {
+            Outcome::LostPackets
         };
     }
-    if raw.delivered < raw.offered || raw.misdelivered > 0 {
+    if lost {
         return Outcome::LostPackets;
     }
-    if baseline_x100 > 0 && raw.mean_latency_x100 * 100 > baseline_x100 * threshold_pct {
+    if baseline_x100 > 0 && latency_x100 * 100 > baseline_x100 * threshold_pct {
         return Outcome::Degraded;
     }
     Outcome::DeliveredAll
@@ -328,24 +344,17 @@ pub fn run_campaign(cc: &CampaignConfig) -> Result<CampaignRun, String> {
     let started = std::time::Instant::now();
 
     // Fault-free baselines: one per (mode, scenario) traffic stream.
-    // The traffic seed depends on the scenario index only, so the
-    // baseline pairs exactly with the faulted runs it classifies.
     let base_jobs: Vec<(RoutingMode, u32)> = cc
         .modes
         .iter()
         .flat_map(|&m| (0..cc.scenarios_per_point).map(move |s| (m, s)))
         .collect();
-    let base_raw = run_batch(base_jobs.clone(), cc.threads, |(mode, sc)| {
-        run_one(cc, mode, &[], mix(&[cc.seed, 0x7_72AF, sc as u64]))
+    let base_x100 = run_batch(base_jobs.clone(), cc.threads, |(mode, sc)| {
+        run_one(cc, mode, 0, sc, &[], 0).mean_latency_x100
     });
-    let baselines: Vec<(RoutingMode, u64)> = base_jobs
-        .iter()
-        .zip(&base_raw)
-        .map(|(&(mode, _), raw)| (mode, raw.mean_latency_x100))
-        .collect();
     let baseline_of = |mode: RoutingMode, sc: u32| -> u64 {
         let ix = cc.modes.iter().position(|&m| m == mode).unwrap_or(0);
-        base_raw[ix * cc.scenarios_per_point as usize + sc as usize].mean_latency_x100
+        base_x100[ix * cc.scenarios_per_point as usize + sc as usize]
     };
 
     // Fault sets: one per (faults, scenario), shared by every mode.
@@ -371,40 +380,74 @@ pub fn run_campaign(cc: &CampaignConfig) -> Result<CampaignRun, String> {
                 .flat_map(move |f| (0..cc.scenarios_per_point).map(move |s| (m, f, s)))
         })
         .collect();
-    let raw = run_batch(jobs.clone(), cc.threads, |(mode, faults, sc)| {
+    let results = run_batch(jobs, cc.threads, |(mode, faults, sc)| {
         run_one(
             cc,
             mode,
+            faults,
+            sc,
             set_of(faults, sc),
-            mix(&[cc.seed, 0x7_72AF, sc as u64]),
+            baseline_of(mode, sc),
         )
     });
 
-    let results: Vec<ScenarioResult> = jobs
-        .iter()
-        .zip(&raw)
-        .map(|(&(mode, faults, sc), r)| ScenarioResult {
-            mode,
-            faults,
-            placed: set_of(faults, sc).len() as u32,
-            scenario: sc,
-            outcome: classify(r, baseline_of(mode, sc), cc.degraded_threshold_pct),
-            offered: r.offered,
-            delivered: r.delivered,
-            mean_latency_x100: r.mean_latency_x100,
-            drained: r.drained,
-            cycles_run: r.cycles_run,
-            wait_cycle: r.wait_cycle.clone(),
-        })
-        .collect();
-
     let elapsed_ms = started.elapsed().as_millis().max(1) as u64;
-    let total_runs = (base_raw.len() + raw.len()) as f64;
+    let total_runs = (base_x100.len() + results.len()) as f64;
     Ok(CampaignRun {
         config: cc.clone(),
+        baselines: base_jobs
+            .iter()
+            .map(|&(mode, _)| mode)
+            .zip(base_x100)
+            .collect(),
         results,
-        baselines,
         elapsed_ms,
         scenarios_per_sec: total_runs * 1000.0 / elapsed_ms as f64,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn classify_names_the_four_outcomes() {
+        // An undrained run is judged by its flight record alone.
+        assert_eq!(classify(false, true, false, 0, 0, 150), Outcome::Deadlocked);
+        assert_eq!(
+            classify(false, false, false, 0, 0, 150),
+            Outcome::LostPackets
+        );
+        // A drained run that lost packets is lost however fast it was.
+        assert_eq!(
+            classify(true, false, true, 2_000, 2_000, 150),
+            Outcome::LostPackets
+        );
+        assert_eq!(
+            classify(true, false, false, 2_000, 2_000, 150),
+            Outcome::DeliveredAll
+        );
+        assert_eq!(
+            classify(true, false, false, 9_000, 2_000, 150),
+            Outcome::Degraded
+        );
+    }
+
+    #[test]
+    fn degraded_starts_strictly_past_the_threshold() {
+        // Baseline 20.00 cycles at 150 %: 30.00 is still within, 30.01 is not.
+        assert_eq!(
+            classify(true, false, false, 3_000, 2_000, 150),
+            Outcome::DeliveredAll
+        );
+        assert_eq!(
+            classify(true, false, false, 3_001, 2_000, 150),
+            Outcome::Degraded
+        );
+        // Nothing delivered fault-free: no baseline to degrade from.
+        assert_eq!(
+            classify(true, false, false, 3_001, 0, 150),
+            Outcome::DeliveredAll
+        );
+    }
 }

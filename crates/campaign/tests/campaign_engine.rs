@@ -153,3 +153,65 @@ fn degenerate_configs_are_rejected() {
     cc.rate_permille = 0;
     assert!(run_campaign(&cc).is_err(), "no traffic");
 }
+
+/// FNV-1a over every field of every [`noc_campaign::ScenarioResult`]
+/// and over `baselines`, for the identity pin below.
+fn run_fnv(run: &noc_campaign::CampaignRun) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for (mode, latency) in &run.baselines {
+        eat(mode.tag().as_bytes());
+        eat(&latency.to_le_bytes());
+    }
+    for r in &run.results {
+        eat(r.mode.tag().as_bytes());
+        eat(r.outcome.tag().as_bytes());
+        for n in [r.faults, r.placed, r.scenario, u32::from(r.drained)] {
+            eat(&n.to_le_bytes());
+        }
+        for n in [r.offered, r.delivered, r.mean_latency_x100, r.cycles_run] {
+            eat(&n.to_le_bytes());
+        }
+        for edge in &r.wait_cycle {
+            eat(edge.as_bytes());
+        }
+    }
+    h
+}
+
+#[test]
+fn scenario_results_are_pinned() {
+    let chiplet = TopologySpec::parse_arg("chipletmesh2x4", 8).expect("chiplet spec parses");
+    // Recorded at the commit before scenarios became `Simulator` runs:
+    // a change to the traffic draws, the fault sets, the injection
+    // window, the drain test or the stall rule moves these.
+    let pins: [(&str, u8, TopologySpec, u64); 3] = [
+        (
+            "6x6 mesh",
+            6,
+            TopologySpec::Mesh { w: 6, h: 6 },
+            0xdb2f_1b4c_949a_2dfb,
+        ),
+        (
+            "6x6 torus",
+            6,
+            TopologySpec::Torus { w: 6, h: 6 },
+            0xb95e_9e28_cfaa_c4d1,
+        ),
+        ("chipletmesh2x4", 8, chiplet, 0xb87d_3268_a1e9_ab95),
+    ];
+    for (label, k, topology, fnv) in pins {
+        let mut base = mesh_cfg(k);
+        base.topology = topology;
+        let mut cc = CampaignConfig::quick(base);
+        cc.scenarios_per_point = 20;
+        cc.seed = 0x1D_E117;
+        let run = run_campaign(&cc).expect("campaign runs");
+        assert_eq!(run.results.len(), 2 * 2 * 20, "{label}: cell count");
+        assert_eq!(run_fnv(&run), fnv, "{label}: every scenario field");
+    }
+}

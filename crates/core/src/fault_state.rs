@@ -86,11 +86,6 @@ impl FaultState {
         self.next_edge = 0;
     }
 
-    /// Whether any transient upsets are scheduled.
-    pub fn has_transients(&self) -> bool {
-        !self.transients.is_empty()
-    }
-
     /// Whether this state can never change: no permanent faults were ever
     /// injected and no transients are scheduled. For an inert state,
     /// [`FaultState::refresh`] is a pure no-op (the maps stay healthy at
@@ -309,16 +304,6 @@ impl FaultState {
     /// Whether the SA stage-2 arbiter of `out_port` is faulty.
     pub fn sa2_faulty(&self, out_port: PortId) -> bool {
         self.active.is_faulty(FaultSite::Sa2Arbiter { out_port })
-    }
-
-    /// Whether the crossbar mux `M_out` is faulty.
-    pub fn xb_mux_faulty(&self, out_port: PortId) -> bool {
-        self.active.is_faulty(FaultSite::XbMux { out_port })
-    }
-
-    /// Whether the secondary path of `out_port` is faulty.
-    pub fn xb_secondary_faulty(&self, out_port: PortId) -> bool {
-        self.active.is_faulty(FaultSite::XbSecondary { out_port })
     }
 
     /// The failure predicate of Section VIII: the protected router has

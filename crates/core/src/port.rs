@@ -265,11 +265,6 @@ impl InputPort {
         flit
     }
 
-    /// Number of VCs.
-    pub fn num_vcs(&self) -> usize {
-        self.vcs.len()
-    }
-
     /// Shared access to one VC.
     pub fn vc(&self, vc: VcId) -> &VirtualChannel {
         &self.vcs[vc.index()]

@@ -19,6 +19,29 @@ pub enum RouterKind {
     Protected,
 }
 
+impl RouterKind {
+    /// Stable lower-case tag: the CLI flag value, the service spec
+    /// field and the snapshot fingerprint all spell a kind this way.
+    pub fn tag(self) -> &'static str {
+        match self {
+            RouterKind::Baseline => "baseline",
+            RouterKind::Protected => "protected",
+        }
+    }
+
+    /// Parse a `--router` / `router_kind` argument: the inverse of
+    /// [`RouterKind::tag`].
+    pub fn parse_arg(arg: &str) -> Result<RouterKind, String> {
+        match arg {
+            "baseline" => Ok(RouterKind::Baseline),
+            "protected" => Ok(RouterKind::Protected),
+            other => Err(format!(
+                "unrecognised router kind {other:?} (expected protected | baseline)"
+            )),
+        }
+    }
+}
+
 /// A flit leaving the router this cycle.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Departure {
@@ -523,11 +546,6 @@ impl Router {
     /// without replacing it).
     pub fn set_routing(&mut self, route: RoutingAlgorithm) {
         self.route = route;
-    }
-
-    /// Whether the router routes adaptively.
-    pub fn is_adaptive(&self) -> bool {
-        matches!(self.route, RoutingAlgorithm::Adaptive { .. })
     }
 
     /// Remove `dir` from the adaptive live-link mask (a link fault on

@@ -254,12 +254,6 @@ impl FaultMap {
         self.per_port[XB_MUX]
     }
 
-    /// Output ports whose secondary path is faulty.
-    #[inline]
-    pub fn xb_secondary_word(&self) -> u32 {
-        self.per_port[XB_SECONDARY]
-    }
-
     /// Output ports whose *normal* path is unusable: the crossbar mux or
     /// the SA2 arbiter is faulty ([`FaultMap::xb_primary_dead`]).
     #[inline]
@@ -314,14 +308,6 @@ impl FaultMap {
     /// crossbar model, which knows the secondary topology.
     pub fn xb_dead(&self, out_port: PortId) -> bool {
         self.xb_primary_dead(out_port) && self.xb_secondary_dead(out_port)
-    }
-
-    /// All VA stage-2 arbiters of one output port are faulty: no packet
-    /// can ever be allocated a VC towards that port (a failure mode the
-    /// paper's Section-VIII counting omits but that follows from its own
-    /// Section V-B3 mechanism).
-    pub fn va2_dead(&self, out_port: PortId, vcs: usize) -> bool {
-        VcId::all(vcs).all(|out_vc| self.is_faulty(FaultSite::Va2Arbiter { out_port, out_vc }))
     }
 
     /// Whether the router, as a whole, can still perform its function for

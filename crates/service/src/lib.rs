@@ -3,7 +3,7 @@
 //! The campaign service: long simulation campaigns as **resumable
 //! jobs** behind a std-only HTTP daemon (ARCHITECTURE.md §5).
 //!
-//! Three layers, each usable on its own:
+//! The layers, each usable on its own:
 //!
 //! * [`spec::CampaignSpec`] — the JSON job description and its
 //!   translation into `Simulator`/`TrafficGenerator` configuration;
@@ -18,6 +18,8 @@
 //!   (202 + deliveries-so-far) while a job is still running, and
 //!   `GET /jobs/:id/progress` serves the live per-router heatmap and
 //!   load-imbalance series from the job's last durable checkpoint;
+//! * [`daemon`] — the flags, banner and foreground serve call that
+//!   `noc-serviced` and `noc-cli serve` share;
 //! * [`obs`] — structured JSONL logs with request/job correlation
 //!   ids, per-endpoint HTTP metrics behind `GET /metrics`, and the
 //!   Prometheus text-format validator the tests pin `/metrics` with.
@@ -35,6 +37,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod daemon;
 mod fsio;
 pub mod http;
 pub mod obs;

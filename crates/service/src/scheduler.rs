@@ -824,11 +824,6 @@ impl Scheduler {
         out
     }
 
-    /// Whether a shutdown has been requested.
-    pub fn shutting_down(&self) -> bool {
-        self.inner.shutdown.load(Ordering::SeqCst)
-    }
-
     /// Graceful shutdown: stop handing out queued jobs, interrupt each
     /// running job at its next checkpoint boundary (once that checkpoint
     /// is on disk) and join every worker. Interrupted and queued jobs stay

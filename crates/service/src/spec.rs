@@ -32,9 +32,10 @@ pub struct CampaignSpec {
     pub topology: String,
     /// `baseline` or `protected`.
     pub router_kind: RouterKind,
-    /// Synthetic pattern name (`uniform_random`, `transpose`,
-    /// `bit_complement`, `bit_reverse`, `shuffle`, `tornado`,
-    /// `neighbour` or `hotspot:<fraction>`).
+    /// Synthetic pattern name, in the grammar of
+    /// [`SyntheticPattern::parse_arg`] (`uniform_random`, `transpose`,
+    /// `bit_reverse`, `hotspot:<fraction>`, …); the bit-permutation
+    /// patterns need a power-of-two node count.
     pub pattern: String,
     /// Offered load in packets per node per cycle.
     pub rate: f64,
@@ -112,27 +113,6 @@ fn opt_str(v: &JsonValue, key: &str, default: &str) -> Result<String, String> {
     }
 }
 
-/// Parse a synthetic-pattern name as documented on
-/// [`CampaignSpec::pattern`].
-pub fn parse_pattern(name: &str) -> Result<SyntheticPattern, String> {
-    match name {
-        "uniform_random" => Ok(SyntheticPattern::UniformRandom),
-        "transpose" => Ok(SyntheticPattern::Transpose),
-        "bit_complement" => Ok(SyntheticPattern::BitComplement),
-        "bit_reverse" => Ok(SyntheticPattern::BitReverse),
-        "shuffle" => Ok(SyntheticPattern::Shuffle),
-        "tornado" => Ok(SyntheticPattern::Tornado),
-        "neighbour" => Ok(SyntheticPattern::Neighbour),
-        s if s.starts_with("hotspot:") => {
-            let fraction: f64 = s["hotspot:".len()..]
-                .parse()
-                .map_err(|_| format!("bad hotspot fraction in {s:?}"))?;
-            Ok(SyntheticPattern::Hotspot { fraction })
-        }
-        other => Err(format!("unknown traffic pattern {other:?}")),
-    }
-}
-
 impl CampaignSpec {
     /// Parse and validate a spec document. Unknown keys are rejected so
     /// a typo'd field name fails loudly instead of silently defaulting.
@@ -171,11 +151,7 @@ impl CampaignSpec {
             mesh_k: u8::try_from(opt_u64(v, "mesh_k", d.mesh_k as u64)?)
                 .map_err(|_| "`mesh_k` out of range".to_string())?,
             topology: opt_str(v, "topology", &d.topology)?,
-            router_kind: match opt_str(v, "router_kind", "protected")?.as_str() {
-                "baseline" => RouterKind::Baseline,
-                "protected" => RouterKind::Protected,
-                other => return Err(format!("unknown router kind {other:?}")),
-            },
+            router_kind: RouterKind::parse_arg(&opt_str(v, "router_kind", d.router_kind.tag())?)?,
             pattern: opt_str(v, "pattern", &d.pattern)?,
             rate: opt_f64(v, "rate", d.rate)?,
             warmup_cycles: opt_u64(v, "warmup_cycles", d.warmup_cycles)?,
@@ -208,14 +184,7 @@ impl CampaignSpec {
             ("name", self.name.clone().into()),
             ("mesh_k", (self.mesh_k as u64).into()),
             ("topology", self.topology.clone().into()),
-            (
-                "router_kind",
-                match self.router_kind {
-                    RouterKind::Baseline => "baseline",
-                    RouterKind::Protected => "protected",
-                }
-                .into(),
-            ),
+            ("router_kind", self.router_kind.tag().into()),
             ("pattern", self.pattern.clone().into()),
             ("rate", self.rate.into()),
             ("warmup_cycles", self.warmup_cycles.into()),
@@ -253,8 +222,9 @@ impl CampaignSpec {
         if self.kind == "fault_campaign" && (self.scenarios == 0 || self.max_faults == 0) {
             return Err("`fault_campaign` needs `scenarios` ≥ 1 and `max_faults` ≥ 1".into());
         }
-        parse_pattern(&self.pattern)?;
-        self.network_config()?.validate()
+        let cfg = self.network_config()?;
+        cfg.validate()?;
+        SyntheticPattern::parse_arg(&self.pattern, cfg.nodes()).map(drop)
     }
 
     /// Total cycles the campaign will run (before any early drain).
@@ -329,7 +299,8 @@ impl CampaignSpec {
     /// spec: same spec → same packet stream).
     pub fn generator(&self) -> Result<TrafficGenerator, String> {
         let cfg = self.network_config()?;
-        let traffic = TrafficConfig::synthetic(parse_pattern(&self.pattern)?, self.rate);
+        let pattern = SyntheticPattern::parse_arg(&self.pattern, cfg.nodes())?;
+        let traffic = TrafficConfig::synthetic(pattern, self.rate);
         let topo = Topology::from_spec(&cfg);
         Ok(TrafficGenerator::for_topology(traffic, &topo, self.seed))
     }
@@ -371,6 +342,39 @@ mod tests {
         assert!(CampaignSpec::from_text("{\"pattern\": \"zigzag\"}").is_err());
         assert!(CampaignSpec::from_text("{\"topology\": \"klein-bottle\"}").is_err());
         assert!(CampaignSpec::from_text("not json").is_err());
+    }
+
+    #[test]
+    fn patterns_share_the_cli_grammar_and_are_checked_against_the_grid() {
+        let with = |fields: &str| CampaignSpec::from_text(&format!("{{{fields}}}"));
+        for (a, b) in [
+            ("uniform", "uniform_random"),
+            ("bitcomplement", "bit_complement"),
+            ("bitreverse", "bit_reverse"),
+            ("neighbour", "neighbor"),
+            ("hotspot", "hotspot:0.2"),
+        ] {
+            for name in [a, b] {
+                let spec = with(&format!("\"pattern\": \"{name}\"")).unwrap();
+                assert_eq!(spec.pattern, name, "echoed as submitted");
+                assert!(spec.generator().is_ok());
+            }
+        }
+        for bad in ["hotspot:NaN", "hotspot:-1", "hotspot:7"] {
+            assert!(with(&format!("\"pattern\": \"{bad}\"")).is_err(), "{bad}");
+        }
+        for grid in [
+            "\"mesh_k\": 5",
+            "\"mesh_k\": 6",
+            "\"topology\": \"chipletstar2x4\"",
+        ] {
+            for name in ["bit_reverse", "shuffle", "bitcomplement"] {
+                let err = with(&format!("{grid}, \"pattern\": \"{name}\"")).unwrap_err();
+                assert!(err.contains(name) && err.contains("nodes"), "{err}");
+            }
+            assert!(with(&format!("{grid}, \"pattern\": \"transpose\"")).is_ok());
+        }
+        assert!(with("\"router_kind\": \"sideways\"").is_err());
     }
 
     #[test]

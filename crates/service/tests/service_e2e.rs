@@ -808,4 +808,17 @@ fn daemon_returns_429_and_404_properly() {
         "zero-latency d2d class must 400: {}",
         resp.body
     );
+
+    // A pattern the grid cannot carry, or a hotspot fraction that is no
+    // fraction, is turned away with the CLI's own message.
+    for (body, names) in [
+        ("{\"mesh_k\": 5, \"pattern\": \"bit_reverse\"}", "25 nodes"),
+        ("{\"mesh_k\": 6, \"pattern\": \"shuffle\"}", "36 nodes"),
+        ("{\"pattern\": \"hotspot:NaN\"}", "[0, 1]"),
+        ("{\"pattern\": \"hotspot:7\"}", "[0, 1]"),
+    ] {
+        let resp = noc_service::client::request(&daemon.addr, "POST", "/jobs", Some(body)).unwrap();
+        assert_eq!(resp.status, 400, "{body} must 400: {}", resp.body);
+        assert!(resp.body.contains(names), "{body}: {}", resp.body);
+    }
 }

@@ -1874,14 +1874,7 @@ fn config_fingerprint(cfg: &NetworkConfig, kind: RouterKind) -> JsonValue {
         ),
         ("link_latency", (cfg.link_latency as u64).into()),
         ("ni_queue_packets", (cfg.ni_queue_packets as u64).into()),
-        (
-            "router_kind",
-            match kind {
-                RouterKind::Baseline => "baseline",
-                RouterKind::Protected => "protected",
-            }
-            .into(),
-        ),
+        ("router_kind", kind.tag().into()),
     ]);
     // The routing mode joined the config after the v4 golden
     // checkpoints were recorded; fingerprint it only when it departs

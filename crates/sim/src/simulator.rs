@@ -14,8 +14,9 @@ use noc_traffic::TrafficGenerator;
 use noc_types::{Cycle, NetworkConfig, Packet, SimConfig};
 use shield_router::RouterKind;
 
-/// Cycles without any crossbar traversal (while flits are buffered)
-/// after which the watchdog declares a suspected deadlock.
+/// Default stall horizon: cycles without any crossbar traversal (while
+/// flits are buffered) after which the watchdog declares a suspected
+/// deadlock. See [`Simulator::with_watchdog`].
 const WATCHDOG_CYCLES: Cycle = 10_000;
 
 /// How a run ended.
@@ -41,6 +42,7 @@ pub struct Simulator {
     threads: usize,
     sample_every: Option<Cycle>,
     checkpoint_every: Cycle,
+    watchdog: Cycle,
 }
 
 /// A packet source whose state can be checkpointed and restored, so a
@@ -259,6 +261,7 @@ impl Simulator {
             threads: env_threads(),
             sample_every: None,
             checkpoint_every: 0,
+            watchdog: WATCHDOG_CYCLES,
         }
     }
 
@@ -287,6 +290,17 @@ impl Simulator {
         self
     }
 
+    /// Set the stall horizon (default 10,000): the run ends as
+    /// [`SimOutcome::DeadlockSuspected`] on the first cycle `c` with
+    /// `c − last_activity > cycles` while flits are buffered. The
+    /// campaign engine forwards `stall_cycles − 1`, which is its own
+    /// rule `cycles_run − last_activity > stall_cycles` (`cycles_run`
+    /// is `c + 1`).
+    pub fn with_watchdog(mut self, cycles: Cycle) -> Self {
+        self.watchdog = cycles;
+        self
+    }
+
     /// Run the simulation.
     ///
     /// `source` is called once per cycle during warm-up and measurement
@@ -304,17 +318,7 @@ impl Simulator {
         &self,
         source: impl FnMut(Cycle, &mut Vec<Packet>),
     ) -> (NetworkReport, SimOutcome) {
-        let mut net = self.build_network();
-        // Zero-sized observers: the Vec never allocates and every
-        // `O::ENABLED` guard in the steppers compiles out.
-        let mut nulls = vec![NullObserver; net.shard_count()];
-        self.run_core(
-            &mut net,
-            &mut FnSource(source),
-            &mut nulls,
-            0,
-            self.sample_every.map(EpochState::new),
-        )
+        self.run_on(&mut self.build_network(), source)
     }
 
     /// Run a checkpointable simulation against a [`PacketSource`].
@@ -458,16 +462,17 @@ impl Simulator {
     /// Run the phased loop (warm-up / measure / drain, watchdog, epoch
     /// sampling, report assembly) on a caller-built network.
     ///
-    /// This is the hook for experiments the stock constructor cannot
-    /// express — e.g. re-routing routers onto a deliberately
-    /// deadlock-prone table to exercise the flight recorder. The
-    /// caller is responsible for the network's faults and thread
-    /// count; this simulator's own `net_cfg`/`plan` are ignored.
+    /// This is how fault campaigns and the bench sweeps run: they
+    /// build the network (faults, re-routed tables, thread count) and
+    /// read it back afterwards — the delivery log, a flight record.
+    /// This simulator's own `net_cfg`/`plan`/`threads` are ignored.
     pub fn run_on(
         &self,
         net: &mut Network,
         source: impl FnMut(Cycle, &mut Vec<Packet>),
     ) -> (NetworkReport, SimOutcome) {
+        // Zero-sized observers: the Vec never allocates and every
+        // `O::ENABLED` guard in the steppers compiles out.
         let mut nulls = vec![NullObserver; net.shard_count()];
         self.run_core(
             net,
@@ -523,8 +528,7 @@ impl Simulator {
                 cycles_run = cycle + 1;
                 break;
             }
-            if cycle.saturating_sub(net.last_activity) > WATCHDOG_CYCLES
-                && net.in_flight_flits() > 0
+            if cycle.saturating_sub(net.last_activity) > self.watchdog && net.in_flight_flits() > 0
             {
                 outcome = SimOutcome::DeadlockSuspected;
                 cycles_run = cycle + 1;
@@ -544,33 +548,13 @@ impl Simulator {
             }
         }
 
-        let (offered, injected, _ejected, misdelivered) = net.packet_counters();
-        let mut report = NetworkReport::build(
+        let report = NetworkReport::build(
+            net,
             (warmup, measure_end),
             cycles_run,
-            net.mesh().len(),
-            offered,
-            injected,
-            misdelivered,
-            net.flits_dropped,
-            net.flits_edge_dropped,
-            net.in_flight_flits(),
-            net.deliveries(),
-            outcome == SimOutcome::DeadlockSuspected,
-            net.router_event_totals(),
-            net.utilisation_heatmap(),
+            epochs.map(|e| e.series),
+            deadlock,
         );
-        report.routers_stepped = net.routers_stepped();
-        report.routers_skipped = net.routers_skipped();
-        let considered = report.routers_stepped + report.routers_skipped;
-        report.worklist_skip_rate = if considered == 0 {
-            0.0
-        } else {
-            report.routers_skipped as f64 / considered as f64
-        };
-        report.spatial = Some(net.spatial_grid());
-        report.epochs = epochs.map(|e| e.series);
-        report.deadlock = deadlock;
         (report, outcome)
     }
 }

@@ -1,5 +1,6 @@
 //! Simulation statistics and reporting.
 
+use crate::network::Network;
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::{FlightRecord, SpatialGrid, TimeSeries};
 use noc_types::{Cycle, DeliveredPacket};
@@ -207,28 +208,22 @@ impl RouterEventTotals {
 }
 
 impl NetworkReport {
-    /// Build a report from the raw delivery log.
-    #[allow(clippy::too_many_arguments)]
+    /// Build the report of a run that stopped after `cycles_run` cycles
+    /// on `net`: the delivery log filtered to `window`, the network's
+    /// counters, the epoch series when sampling was on, and the flight
+    /// record when the watchdog fired.
     pub(crate) fn build(
+        net: &Network,
         window: (Cycle, Cycle),
         cycles_run: Cycle,
-        nodes: usize,
-        offered: u64,
-        injected: u64,
-        misdelivered: u64,
-        flits_dropped: u64,
-        flits_edge_dropped: u64,
-        in_flight_at_end: u64,
-        deliveries: &[DeliveredPacket],
-        deadlock_suspected: bool,
-        router_events: RouterEventTotals,
-        utilisation_heatmap: String,
+        epochs: Option<TimeSeries>,
+        deadlock: Option<FlightRecord>,
     ) -> Self {
-        let in_window: Vec<&DeliveredPacket> = deliveries
+        let in_window: Vec<&DeliveredPacket> = net
+            .deliveries()
             .iter()
             .filter(|d| d.created_at >= window.0 && d.created_at < window.1)
             .collect();
-        let delivered = in_window.len() as u64;
         let total_latency =
             LatencySummary::of(in_window.iter().map(|d| d.total_latency()).collect());
         let network_latency =
@@ -240,33 +235,38 @@ impl NetworkReport {
         };
         let window_len = (window.1 - window.0).max(1) as f64;
         let delivered_flits: u64 = in_window.iter().map(|d| d.kind.flits() as u64).sum();
+        let nodes = net.mesh().len();
+        let (offered, injected, _ejected, misdelivered) = net.packet_counters();
+        let (routers_stepped, routers_skipped) = (net.routers_stepped(), net.routers_skipped());
+        let considered = routers_stepped + routers_skipped;
         NetworkReport {
             window,
             cycles_run,
             nodes,
             offered,
             injected,
-            delivered,
+            delivered: in_window.len() as u64,
             misdelivered,
-            flits_dropped,
-            flits_edge_dropped,
-            in_flight_at_end,
+            flits_dropped: net.flits_dropped,
+            flits_edge_dropped: net.flits_edge_dropped,
+            in_flight_at_end: net.in_flight_flits(),
             total_latency,
             network_latency,
             mean_hops,
             throughput: delivered_flits as f64 / window_len / nodes as f64,
-            deadlock_suspected,
-            router_events,
-            utilisation_heatmap,
-            // Worklist counters, the time series and the flight record
-            // are stamped by the simulator after the build — they come
-            // from the live network, not the delivery log.
-            routers_stepped: 0,
-            routers_skipped: 0,
-            worklist_skip_rate: 0.0,
-            spatial: None,
-            epochs: None,
-            deadlock: None,
+            deadlock_suspected: deadlock.is_some(),
+            router_events: net.router_event_totals(),
+            utilisation_heatmap: net.utilisation_heatmap(),
+            routers_stepped,
+            routers_skipped,
+            worklist_skip_rate: if considered == 0 {
+                0.0
+            } else {
+                routers_skipped as f64 / considered as f64
+            },
+            spatial: Some(net.spatial_grid()),
+            epochs,
+            deadlock,
         }
     }
 
@@ -429,21 +429,11 @@ mod tests {
             delivery(15, 16, 40),  // inside
             delivery(95, 96, 130), // after window
         ];
-        let r = NetworkReport::build(
-            (10, 90),
-            150,
-            4,
-            3,
-            3,
-            0,
-            0,
-            0,
-            0,
-            &deliveries,
-            false,
-            RouterEventTotals::default(),
-            String::new(),
-        );
+        let mut cfg = noc_types::NetworkConfig::paper();
+        cfg.mesh_k = 2;
+        let mut net = Network::new(cfg, shield_router::RouterKind::Protected);
+        net.set_deliveries(deliveries);
+        let r = NetworkReport::build(&net, (10, 90), 150, None, None);
         assert_eq!(r.delivered(), 1);
         assert_eq!(r.total_latency.count, 1);
         assert_eq!(r.total_latency.mean, 25.0);

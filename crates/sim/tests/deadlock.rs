@@ -10,7 +10,7 @@
 //! whose wait-for graph names the cycle.
 
 use noc_faults::FaultPlan;
-use noc_sim::{Network, SimOutcome, Simulator};
+use noc_sim::{Network, NetworkReport, SimOutcome, Simulator};
 use noc_telemetry::WaitReason;
 use noc_types::{Coord, Direction, NetworkConfig, Packet, PacketId, PacketKind, SimConfig};
 use shield_router::{RouterKind, RoutingAlgorithm};
@@ -46,15 +46,16 @@ fn ring_network(net_cfg: NetworkConfig) -> Network {
     net
 }
 
-#[test]
-fn watchdog_dump_names_the_circular_wait() {
+/// Wedge the ring network under `configure`d stall horizon: every node
+/// streams Data packets two hops clockwise for 50 cycles, then the run
+/// may drain for 11,000.
+fn run_wedged(configure: impl FnOnce(Simulator) -> Simulator) -> (NetworkReport, SimOutcome) {
     let mut net_cfg = NetworkConfig::paper();
     net_cfg.mesh_k = 2;
     let mut net = ring_network(net_cfg);
 
-    // Every node streams Data packets two hops clockwise; each flow
-    // holds one ring link while waiting for the next, which is what
-    // closes the cycle once all VCs fill up.
+    // Each flow holds one ring link while waiting for the next, which
+    // is what closes the cycle once all VCs fill up.
     let pairs = [
         (Coord::new(0, 0), Coord::new(1, 1)),
         (Coord::new(1, 0), Coord::new(0, 1)),
@@ -69,7 +70,7 @@ fn watchdog_dump_names_the_circular_wait() {
         seed: 0,
     };
     let sim = Simulator::new(net_cfg, sim_cfg, RouterKind::Protected, FaultPlan::none());
-    let (report, outcome) = sim.run_on(&mut net, |cycle, out| {
+    configure(sim).run_on(&mut net, |cycle, out| {
         if cycle < 50 {
             for (src, dst) in pairs {
                 next += 1;
@@ -82,7 +83,25 @@ fn watchdog_dump_names_the_circular_wait() {
                 ));
             }
         }
-    });
+    })
+}
+
+/// The campaign engine forwards `stall_cycles − 1` as the stall horizon
+/// so that a wedged scenario ends where its own rule — stop once
+/// `cycles_run − last_activity > stall_cycles` — always ended it.
+#[test]
+fn forwarded_stall_horizon_ends_a_wedged_run_on_the_campaign_cycle() {
+    const STALL_CYCLES: u64 = 200;
+    let (report, outcome) = run_wedged(|sim| sim.with_watchdog(STALL_CYCLES - 1));
+    assert_eq!(outcome, SimOutcome::DeadlockSuspected);
+    let fr = report.deadlock.as_ref().expect("flight record attached");
+    assert_eq!(report.cycles_run - fr.last_activity, STALL_CYCLES + 1);
+    assert!(fr.cycle_edges.is_some(), "the record names the wait cycle");
+}
+
+#[test]
+fn watchdog_dump_names_the_circular_wait() {
+    let (report, outcome) = run_wedged(|sim| sim);
 
     assert_eq!(outcome, SimOutcome::DeadlockSuspected);
     assert!(report.deadlock_suspected);
@@ -91,6 +110,11 @@ fn watchdog_dump_names_the_circular_wait() {
         .deadlock
         .as_ref()
         .expect("watchdog attaches a flight record");
+    assert_eq!(
+        report.cycles_run - fr.last_activity,
+        10_002,
+        "the default stall horizon is 10,000 cycles"
+    );
     assert!(fr.in_flight > 0, "a deadlock holds flits in the network");
     assert!(
         !fr.routers.is_empty(),

@@ -72,14 +72,6 @@ impl JsonValue {
         }
     }
 
-    /// The object's pairs, if it is an object.
-    pub fn as_object(&self) -> Option<&[(String, JsonValue)]> {
-        match self {
-            JsonValue::Obj(pairs) => Some(pairs),
-            _ => None,
-        }
-    }
-
     /// Serialise to compact JSON text.
     pub fn render(&self) -> String {
         let mut out = String::new();

@@ -186,11 +186,6 @@ pub fn parse_hex(v: &JsonValue) -> Result<u64, SnapshotError> {
         .map_err(|e| SnapshotError::new(format!("`{s}` is not valid hex: {e}")))
 }
 
-/// A required hex-encoded `u64` field.
-pub fn hex_field(v: &JsonValue, key: &str) -> Result<u64, SnapshotError> {
-    parse_hex(field(v, key)?).map_err(|e| e.within(key))
-}
-
 /// Decode a required field of any [`FromSnapshot`] type.
 pub fn decode_field<T: FromSnapshot>(v: &JsonValue, key: &str) -> Result<T, SnapshotError> {
     T::from_snapshot(field(v, key)?).map_err(|e| e.within(key))

@@ -82,6 +82,16 @@ impl AppId {
         AppId::X264,
     ];
 
+    /// Parse an `--app` argument: an application's [`AppId::name`].
+    pub fn parse_arg(arg: &str) -> Result<AppId, String> {
+        AppId::SPLASH2
+            .iter()
+            .chain(AppId::PARSEC.iter())
+            .copied()
+            .find(|a| a.name() == arg)
+            .ok_or_else(|| format!("unrecognised application {arg:?}"))
+    }
+
     /// The suite this application belongs to.
     pub fn suite(self) -> Suite {
         if AppId::SPLASH2.contains(&self) {

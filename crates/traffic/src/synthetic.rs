@@ -34,6 +34,51 @@ pub enum SyntheticPattern {
 }
 
 impl SyntheticPattern {
+    /// Parse a pattern argument for a network of `nodes` nodes — the one
+    /// grammar behind the CLI `--pattern` flag and the service spec
+    /// field: `uniform` | `uniform_random`, `transpose`,
+    /// `bitcomplement` | `bit_complement`, `bitreverse` | `bit_reverse`,
+    /// `shuffle`, `tornado`, `neighbour` | `neighbor`, `hotspot` (a
+    /// fifth of the traffic) or `hotspot:<fraction>` with the fraction
+    /// in `[0, 1]`. The three patterns that permute node-index bits
+    /// address nodes off the grid unless the node count is a power of
+    /// two, so they are rejected on any other.
+    pub fn parse_arg(arg: &str, nodes: usize) -> Result<SyntheticPattern, String> {
+        let pattern = match arg {
+            "uniform" | "uniform_random" => SyntheticPattern::UniformRandom,
+            "transpose" => SyntheticPattern::Transpose,
+            "bitcomplement" | "bit_complement" => SyntheticPattern::BitComplement,
+            "bitreverse" | "bit_reverse" => SyntheticPattern::BitReverse,
+            "shuffle" => SyntheticPattern::Shuffle,
+            "tornado" => SyntheticPattern::Tornado,
+            "neighbour" | "neighbor" => SyntheticPattern::Neighbour,
+            "hotspot" => SyntheticPattern::Hotspot { fraction: 0.2 },
+            other => {
+                let fraction = other.strip_prefix("hotspot:").ok_or_else(|| {
+                    format!(
+                        "unrecognised traffic pattern {other:?} (expected uniform | transpose \
+                         | bitcomplement | bitreverse | shuffle | tornado | neighbour \
+                         | hotspot[:<fraction>])"
+                    )
+                })?;
+                // NaN is in no range, so it is rejected with the rest.
+                match fraction.parse() {
+                    Ok(fraction) if (0.0..=1.0).contains(&fraction) => {
+                        SyntheticPattern::Hotspot { fraction }
+                    }
+                    _ => return Err(format!("hotspot fraction in {other:?} is not in [0, 1]")),
+                }
+            }
+        };
+        if pattern.needs_pow2() && !nodes.is_power_of_two() {
+            return Err(format!(
+                "pattern {arg:?} permutes the bits of a node index and needs a \
+                 power-of-two node count; this network has {nodes} nodes"
+            ));
+        }
+        Ok(pattern)
+    }
+
     /// The destination for a packet from `src` under this pattern.
     /// Self-addressed results are remapped by the caller (the generator
     /// redraws or skips them).
@@ -89,7 +134,7 @@ impl SyntheticPattern {
     }
 
     /// Whether the pattern requires a power-of-two number of nodes.
-    pub fn needs_pow2(&self) -> bool {
+    fn needs_pow2(&self) -> bool {
         matches!(
             self,
             SyntheticPattern::BitComplement
@@ -193,6 +238,45 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let d = SyntheticPattern::Neighbour.destination(Coord::new(7, 2), mesh(), &mut rng);
         assert_eq!(d, Coord::new(0, 2));
+    }
+
+    #[test]
+    fn parse_arg_accepts_both_spellings_and_checks_the_grid() {
+        use SyntheticPattern::*;
+        for (a, b, pattern) in [
+            ("uniform", "uniform_random", UniformRandom),
+            ("bitcomplement", "bit_complement", BitComplement),
+            ("bitreverse", "bit_reverse", BitReverse),
+            ("neighbour", "neighbor", Neighbour),
+            ("hotspot", "hotspot:0.2", Hotspot { fraction: 0.2 }),
+        ] {
+            assert_eq!(SyntheticPattern::parse_arg(a, 64), Ok(pattern));
+            assert_eq!(SyntheticPattern::parse_arg(b, 64), Ok(pattern));
+        }
+        for ok in ["hotspot:0", "hotspot:1", "transpose", "shuffle", "tornado"] {
+            assert!(SyntheticPattern::parse_arg(ok, 16).is_ok(), "{ok}");
+        }
+        for bad in [
+            "hotspot:NaN",
+            "hotspot:-1",
+            "hotspot:7",
+            "hotspot:",
+            "zigzag",
+            "",
+        ] {
+            assert!(SyntheticPattern::parse_arg(bad, 64).is_err(), "{bad:?}");
+        }
+        // 5x5 and 6x6 grids: the bit permutations would leave the grid.
+        for nodes in [25, 36] {
+            for name in ["bitcomplement", "bit_reverse", "shuffle"] {
+                let err = SyntheticPattern::parse_arg(name, nodes).unwrap_err();
+                assert!(
+                    err.contains(name) && err.contains(&nodes.to_string()),
+                    "{err}"
+                );
+            }
+            assert!(SyntheticPattern::parse_arg("transpose", nodes).is_ok());
+        }
     }
 
     #[test]

@@ -34,19 +34,6 @@ impl Coord {
         self.x.abs_diff(other.x) as u32 + self.y.abs_diff(other.y) as u32
     }
 
-    /// Split a global grid coordinate into hierarchical (chiplet,
-    /// local) coordinates for a topology tiled from `k_node × k_node`
-    /// chiplets: `((cx, cy), (lx, ly))` with `cx = x / k_node` and
-    /// `lx = x % k_node`. Rows past the tiling (e.g. a chiplet star's
-    /// hub row) land in their own chiplet row the same way.
-    #[inline]
-    pub const fn chiplet_split(self, k_node: u8) -> ((u8, u8), (u8, u8)) {
-        (
-            (self.x / k_node, self.y / k_node),
-            (self.x % k_node, self.y % k_node),
-        )
-    }
-
     /// The neighbouring coordinate one hop in `dir`, if it stays inside a
     /// `w × h` grid.
     pub fn step(self, dir: Direction, w: u8, h: u8) -> Option<Coord> {

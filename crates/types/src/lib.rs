@@ -11,7 +11,9 @@
 //! state fields (including the paper's added `R2`/`VF`/`ID`/`SP`/`FSP`
 //! fields), and the configuration structs consumed by the router model and
 //! the network simulator, including the [`TopologySpec`] selecting which
-//! network graph to simulate.
+//! network graph to simulate. The one exception is [`args`], the flag
+//! reader the binaries share, which lives here because every front end
+//! already depends on this crate for the `parse_arg` grammars.
 //!
 //! Behaviour — pipelines, arbitration, fault handling — lives in
 //! `shield-router`, `noc-arbiter` and `noc-sim`.
@@ -19,6 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod args;
 pub mod config;
 pub mod flit;
 pub mod geometry;

@@ -33,10 +33,12 @@ use shield_noc::faults::{FaultPlan, InjectionConfig};
 use shield_noc::prelude::*;
 use shield_noc::reliability::{AreaPowerModel, MttfReport, SpfAnalysis};
 use shield_noc::service::client::jobs;
-use shield_noc::service::{CampaignSpec, Scheduler, ServiceConfig};
+use shield_noc::service::daemon::{default_sigpipe, serve_foreground, ServeArgs};
+use shield_noc::service::CampaignSpec;
 use shield_noc::topology::Topology;
 use shield_noc::traffic::{AppId, Trace, TrafficGenerator};
-use shield_noc::types::{RouterConfig, SimConfig, TopologySpec};
+use shield_noc::types::args::Flags;
+use shield_noc::types::{RouterConfig, RoutingMode, SimConfig, TopologySpec};
 
 /// Parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,16 +96,6 @@ struct SimulateArgs {
 }
 
 #[derive(Debug, Clone, PartialEq)]
-struct ServeArgs {
-    addr: String,
-    port: u16,
-    spool: String,
-    workers: usize,
-    queue_cap: usize,
-    checkpoint_every: u64,
-}
-
-#[derive(Debug, Clone, PartialEq)]
 enum Source {
     Pattern(SyntheticPattern, f64),
     App(AppId),
@@ -127,258 +119,115 @@ struct TraceArgs {
     out: String,
 }
 
-fn parse_pattern(name: &str) -> Result<SyntheticPattern, String> {
-    Ok(match name {
-        "uniform" => SyntheticPattern::UniformRandom,
-        "transpose" => SyntheticPattern::Transpose,
-        "bitcomplement" => SyntheticPattern::BitComplement,
-        "bitreverse" => SyntheticPattern::BitReverse,
-        "shuffle" => SyntheticPattern::Shuffle,
-        "tornado" => SyntheticPattern::Tornado,
-        "neighbour" | "neighbor" => SyntheticPattern::Neighbour,
-        "hotspot" => SyntheticPattern::Hotspot { fraction: 0.2 },
-        other => return Err(format!("unknown pattern {other:?}")),
-    })
+/// The paper's network on a `mesh`-sided grid with the topology the
+/// `--topology` argument names, validated.
+fn network(mesh: u8, topology: &str) -> Result<NetworkConfig, String> {
+    let mut net = NetworkConfig::paper();
+    net.mesh_k = mesh;
+    net.topology = TopologySpec::parse_arg(topology, mesh)?;
+    net.validate()?;
+    Ok(net)
 }
 
-fn parse_app(name: &str) -> Result<AppId, String> {
-    AppId::SPLASH2
-        .iter()
-        .chain(AppId::PARSEC.iter())
-        .copied()
-        .find(|a| a.name() == name)
-        .ok_or_else(|| format!("unknown application {name:?}"))
-}
-
-fn take_value<'a>(args: &'a [String], i: &mut usize, flag: &str) -> Result<&'a str, String> {
-    *i += 1;
-    args.get(*i)
-        .map(|s| s.as_str())
-        .ok_or_else(|| format!("{flag} needs a value"))
+/// `simulate` and `trace` read one set of flags — the grid and the
+/// traffic on it, `--out` for `trace` alone, the router and its faults
+/// for `simulate` alone — and check the topology, and the pattern
+/// against its grid, once every flag is in.
+fn parse_run(
+    cmd: &str,
+    flags: &mut Flags,
+    cycles: u64,
+) -> Result<(SimulateArgs, Option<String>), String> {
+    let mut a = SimulateArgs {
+        mesh: 8,
+        topology: "mesh".to_string(),
+        protected: true,
+        source: Source::Pattern(SyntheticPattern::UniformRandom, 0.02),
+        cycles,
+        seed: 0xC0FFEE,
+        faults: FaultMode::None,
+        fault_mean: None,
+        heatmap: false,
+    };
+    let (mut pattern, mut rate, mut out) = (None::<String>, 0.02, None);
+    let simulate = cmd == "simulate";
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--mesh" => a.mesh = flags.value(flag)?,
+            "--topology" => a.topology = flags.value(flag)?,
+            "--pattern" => pattern = Some(flags.value(flag)?),
+            "--rate" => rate = flags.value(flag)?,
+            "--app" => a.source = Source::App(AppId::parse_arg(flags.text(flag)?)?),
+            "--cycles" => a.cycles = flags.value(flag)?,
+            "--seed" => a.seed = flags.value(flag)?,
+            "--out" if !simulate => out = Some(flags.value(flag)?),
+            "--router" if simulate => {
+                a.protected = RouterKind::parse_arg(flags.text(flag)?)? == RouterKind::Protected
+            }
+            "--trace-in" if simulate => a.source = Source::TraceFile(flags.value(flag)?),
+            "--faults" if simulate => {
+                a.faults = match flags.text(flag)? {
+                    "none" => FaultMode::None,
+                    "accumulate" => FaultMode::Accumulate,
+                    "storm" => FaultMode::Storm,
+                    other => return Err(format!("--faults: {other:?}")),
+                }
+            }
+            "--fault-mean" if simulate => a.fault_mean = Some(flags.value(flag)?),
+            "--heatmap" if simulate => a.heatmap = true,
+            other => return Err(format!("{cmd}: unknown flag {other:?}")),
+        }
+    }
+    let nodes = network(a.mesh, &a.topology)?.nodes();
+    if let Some(p) = pattern {
+        a.source = Source::Pattern(SyntheticPattern::parse_arg(&p, nodes)?, rate);
+    } else if let Source::Pattern(_, r) = &mut a.source {
+        *r = rate;
+    }
+    Ok((a, out))
 }
 
 fn parse(args: &[String]) -> Result<Command, String> {
-    let cmd = args.first().ok_or(USAGE)?;
+    let (cmd, rest) = args.split_first().ok_or(USAGE)?;
+    let mut flags = Flags::new(rest);
     match cmd.as_str() {
-        "simulate" => {
-            let mut a = SimulateArgs {
-                mesh: 8,
-                topology: "mesh".to_string(),
-                protected: true,
-                source: Source::Pattern(SyntheticPattern::UniformRandom, 0.02),
-                cycles: 30_000,
-                seed: 0xC0FFEE,
-                faults: FaultMode::None,
-                fault_mean: None,
-                heatmap: false,
-            };
-            let mut rate = 0.02;
-            let mut pattern: Option<SyntheticPattern> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--mesh" => {
-                        a.mesh = take_value(args, &mut i, "--mesh")?
-                            .parse()
-                            .map_err(|e| format!("--mesh: {e}"))?
-                    }
-                    "--topology" => {
-                        a.topology = take_value(args, &mut i, "--topology")?.to_string()
-                    }
-                    "--router" => {
-                        a.protected = match take_value(args, &mut i, "--router")? {
-                            "protected" => true,
-                            "baseline" => false,
-                            other => return Err(format!("--router: {other:?}")),
-                        }
-                    }
-                    "--pattern" => {
-                        pattern = Some(parse_pattern(take_value(args, &mut i, "--pattern")?)?)
-                    }
-                    "--rate" => {
-                        rate = take_value(args, &mut i, "--rate")?
-                            .parse()
-                            .map_err(|e| format!("--rate: {e}"))?
-                    }
-                    "--app" => {
-                        a.source = Source::App(parse_app(take_value(args, &mut i, "--app")?)?)
-                    }
-                    "--trace-in" => {
-                        a.source =
-                            Source::TraceFile(take_value(args, &mut i, "--trace-in")?.to_string())
-                    }
-                    "--cycles" => {
-                        a.cycles = take_value(args, &mut i, "--cycles")?
-                            .parse()
-                            .map_err(|e| format!("--cycles: {e}"))?
-                    }
-                    "--seed" => {
-                        a.seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--faults" => {
-                        a.faults = match take_value(args, &mut i, "--faults")? {
-                            "none" => FaultMode::None,
-                            "accumulate" => FaultMode::Accumulate,
-                            "storm" => FaultMode::Storm,
-                            other => return Err(format!("--faults: {other:?}")),
-                        }
-                    }
-                    "--fault-mean" => {
-                        a.fault_mean = Some(
-                            take_value(args, &mut i, "--fault-mean")?
-                                .parse()
-                                .map_err(|e| format!("--fault-mean: {e}"))?,
-                        )
-                    }
-                    "--heatmap" => a.heatmap = true,
-                    other => return Err(format!("simulate: unknown flag {other:?}")),
-                }
-                i += 1;
-            }
-            if let Some(p) = pattern {
-                a.source = Source::Pattern(p, rate);
-            } else if let Source::Pattern(_, r) = &mut a.source {
-                *r = rate;
-            }
-            Ok(Command::Simulate(a))
-        }
+        "simulate" => Ok(Command::Simulate(parse_run(cmd, &mut flags, 30_000)?.0)),
         "trace" => {
-            let mut t = TraceArgs {
-                mesh: 8,
-                topology: "mesh".to_string(),
-                source: Source::Pattern(SyntheticPattern::UniformRandom, 0.02),
-                cycles: 10_000,
-                seed: 0xC0FFEE,
-                out: String::new(),
-            };
-            let mut rate = 0.02;
-            let mut pattern: Option<SyntheticPattern> = None;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--mesh" => {
-                        t.mesh = take_value(args, &mut i, "--mesh")?
-                            .parse()
-                            .map_err(|e| format!("--mesh: {e}"))?
-                    }
-                    "--topology" => {
-                        t.topology = take_value(args, &mut i, "--topology")?.to_string()
-                    }
-                    "--pattern" => {
-                        pattern = Some(parse_pattern(take_value(args, &mut i, "--pattern")?)?)
-                    }
-                    "--rate" => {
-                        rate = take_value(args, &mut i, "--rate")?
-                            .parse()
-                            .map_err(|e| format!("--rate: {e}"))?
-                    }
-                    "--app" => {
-                        t.source = Source::App(parse_app(take_value(args, &mut i, "--app")?)?)
-                    }
-                    "--cycles" => {
-                        t.cycles = take_value(args, &mut i, "--cycles")?
-                            .parse()
-                            .map_err(|e| format!("--cycles: {e}"))?
-                    }
-                    "--seed" => {
-                        t.seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--out" => t.out = take_value(args, &mut i, "--out")?.to_string(),
-                    other => return Err(format!("trace: unknown flag {other:?}")),
-                }
-                i += 1;
-            }
-            if let Some(p) = pattern {
-                t.source = Source::Pattern(p, rate);
-            }
-            if t.out.is_empty() {
-                return Err("trace: --out FILE is required".into());
-            }
-            Ok(Command::Trace(t))
+            let (a, out) = parse_run(cmd, &mut flags, 10_000)?;
+            Ok(Command::Trace(TraceArgs {
+                mesh: a.mesh,
+                topology: a.topology,
+                source: a.source,
+                cycles: a.cycles,
+                seed: a.seed,
+                out: out.ok_or("trace: --out FILE is required")?,
+            }))
         }
         "analyze" => {
             let mut vcs = 4usize;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--vcs" => {
-                        vcs = take_value(args, &mut i, "--vcs")?
-                            .parse()
-                            .map_err(|e| format!("--vcs: {e}"))?
-                    }
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--vcs" => vcs = flags.value(flag)?,
                     other => return Err(format!("analyze: unknown flag {other:?}")),
                 }
-                i += 1;
             }
             Ok(Command::Analyze { vcs })
         }
-        "serve" => {
-            let mut s = ServeArgs {
-                addr: "127.0.0.1".to_string(),
-                port: 7070,
-                spool: "noc-spool".to_string(),
-                workers: 2,
-                queue_cap: 16,
-                checkpoint_every: 5_000,
-            };
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--addr" => s.addr = take_value(args, &mut i, "--addr")?.to_string(),
-                    "--port" => {
-                        s.port = take_value(args, &mut i, "--port")?
-                            .parse()
-                            .map_err(|e| format!("--port: {e}"))?
-                    }
-                    "--spool" => s.spool = take_value(args, &mut i, "--spool")?.to_string(),
-                    "--workers" => {
-                        s.workers = take_value(args, &mut i, "--workers")?
-                            .parse()
-                            .map_err(|e| format!("--workers: {e}"))?
-                    }
-                    "--queue-cap" => {
-                        s.queue_cap = take_value(args, &mut i, "--queue-cap")?
-                            .parse()
-                            .map_err(|e| format!("--queue-cap: {e}"))?
-                    }
-                    "--checkpoint-every" => {
-                        s.checkpoint_every = take_value(args, &mut i, "--checkpoint-every")?
-                            .parse()
-                            .map_err(|e| format!("--checkpoint-every: {e}"))?
-                    }
-                    other => return Err(format!("serve: unknown flag {other:?}")),
-                }
-                i += 1;
-            }
-            if s.checkpoint_every == 0 {
-                return Err("serve: --checkpoint-every must be positive".into());
-            }
-            Ok(Command::Serve(s))
-        }
+        "serve" => ServeArgs::parse(rest)
+            .map(Command::Serve)
+            .map_err(|e| format!("serve: {e}")),
         "submit" => {
-            let (addr, positional) = parse_client_args("submit", args)?;
-            let mut spec = positional;
-            let mut i = 1;
-            while i < args.len() {
-                if args[i] == "--spec" {
-                    spec = Some(take_value(args, &mut i, "--spec")?.to_string());
-                }
-                i += 1;
-            }
+            let (addr, spec) = parse_client_args("submit", flags)?;
             let spec = spec.ok_or("submit: --spec FILE (or '-' for stdin) is required")?;
             Ok(Command::Submit { addr, spec })
         }
         "status" => {
-            let (addr, id) = parse_client_args("status", args)?;
+            let (addr, id) = parse_client_args("status", flags)?;
             let id = id.ok_or("status: JOB_ID is required")?;
             Ok(Command::Status { addr, id })
         }
         "result" => {
-            let (addr, id) = parse_client_args("result", args)?;
+            let (addr, id) = parse_client_args("result", flags)?;
             let id = id.ok_or("result: JOB_ID is required")?;
             Ok(Command::Result { addr, id })
         }
@@ -386,10 +235,9 @@ fn parse(args: &[String]) -> Result<Command, String> {
             let mut file = None;
             let mut metric = "flits_routed".to_string();
             let mut csv = false;
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--metric" => metric = take_value(args, &mut i, "--metric")?.to_string(),
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--metric" => metric = flags.value(flag)?,
                     "--csv" => csv = true,
                     other if other.starts_with("--") => {
                         return Err(format!("heatmap: unknown flag {other:?}"))
@@ -400,7 +248,6 @@ fn parse(args: &[String]) -> Result<Command, String> {
                         }
                     }
                 }
-                i += 1;
             }
             Ok(Command::Heatmap {
                 file: file.ok_or("heatmap: RESULT_JSON is required")?,
@@ -420,75 +267,46 @@ fn parse(args: &[String]) -> Result<Command, String> {
                 quick: false,
                 out: None,
             };
-            let mut i = 1;
-            while i < args.len() {
-                match args[i].as_str() {
-                    "--mesh" => {
-                        c.mesh = take_value(args, &mut i, "--mesh")?
-                            .parse()
-                            .map_err(|e| format!("--mesh: {e}"))?
-                    }
-                    "--topology" => {
-                        c.topology = take_value(args, &mut i, "--topology")?.to_string()
-                    }
-                    "--routing" => {
-                        let r = take_value(args, &mut i, "--routing")?;
-                        if r != "both" {
-                            shield_noc::types::RoutingMode::parse_arg(r)
-                                .map_err(|e| format!("--routing: {e}"))?;
-                        }
-                        c.routing = r.to_string();
-                    }
-                    "--scenarios" => {
-                        c.scenarios = Some(
-                            take_value(args, &mut i, "--scenarios")?
-                                .parse()
-                                .map_err(|e| format!("--scenarios: {e}"))?,
-                        )
-                    }
-                    "--max-faults" => {
-                        c.max_faults = Some(
-                            take_value(args, &mut i, "--max-faults")?
-                                .parse()
-                                .map_err(|e| format!("--max-faults: {e}"))?,
-                        )
-                    }
-                    "--seed" => {
-                        c.seed = take_value(args, &mut i, "--seed")?
-                            .parse()
-                            .map_err(|e| format!("--seed: {e}"))?
-                    }
-                    "--threads" => {
-                        c.threads = take_value(args, &mut i, "--threads")?
-                            .parse()
-                            .map_err(|e| format!("--threads: {e}"))?
-                    }
+            while let Some(flag) = flags.next() {
+                match flag {
+                    "--mesh" => c.mesh = flags.value(flag)?,
+                    "--topology" => c.topology = flags.value(flag)?,
+                    "--routing" => c.routing = flags.value(flag)?,
+                    "--scenarios" => c.scenarios = Some(flags.value(flag)?),
+                    "--max-faults" => c.max_faults = Some(flags.value(flag)?),
+                    "--seed" => c.seed = flags.value(flag)?,
+                    "--threads" => c.threads = flags.value(flag)?,
                     "--quick" => c.quick = true,
-                    "--out" => c.out = Some(take_value(args, &mut i, "--out")?.to_string()),
+                    "--out" => c.out = Some(flags.value(flag)?),
                     other => return Err(format!("campaign: unknown flag {other:?}")),
                 }
-                i += 1;
             }
+            routing_arms(&c.routing).map_err(|e| format!("--routing: {e}"))?;
+            network(c.mesh, &c.topology)?;
             Ok(Command::Campaign(c))
         }
         other => Err(format!("unknown command {other:?}\n{USAGE}")),
     }
 }
 
+/// The arms a `--routing` argument names: one mode, or `both`.
+fn routing_arms(arg: &str) -> Result<Vec<RoutingMode>, String> {
+    Ok(match arg {
+        "both" => vec![RoutingMode::Static, RoutingMode::Adaptive],
+        mode => vec![RoutingMode::parse_arg(mode)?],
+    })
+}
+
 /// Shared parse for the client subcommands: an optional `--addr A:P`
-/// plus at most one positional argument (the job id, or the spec file
-/// for `submit` when given positionally).
-fn parse_client_args(cmd: &str, args: &[String]) -> Result<(String, Option<String>), String> {
+/// plus at most one positional argument (the job id), which `submit`
+/// also takes as `--spec FILE`.
+fn parse_client_args(cmd: &str, mut flags: Flags) -> Result<(String, Option<String>), String> {
     let mut addr = "127.0.0.1:7070".to_string();
     let mut positional = None;
-    let mut i = 1;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--addr" => addr = take_value(args, &mut i, "--addr")?.to_string(),
-            "--spec" => {
-                // Consumed by `submit` itself; skip the value here.
-                take_value(args, &mut i, "--spec")?;
-            }
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--addr" => addr = flags.value(flag)?,
+            "--spec" if cmd == "submit" => positional = Some(flags.value(flag)?),
             other if other.starts_with("--") => {
                 return Err(format!("{cmd}: unknown flag {other:?}"))
             }
@@ -498,7 +316,6 @@ fn parse_client_args(cmd: &str, args: &[String]) -> Result<(String, Option<Strin
                 }
             }
         }
-        i += 1;
     }
     Ok((addr, positional))
 }
@@ -517,10 +334,7 @@ fn traffic_of(source: &Source) -> Result<TrafficConfig, String> {
 }
 
 fn run_simulate(a: SimulateArgs) -> Result<(), String> {
-    let mut net = NetworkConfig::paper();
-    net.mesh_k = a.mesh;
-    net.topology = TopologySpec::parse_arg(&a.topology, a.mesh)?;
-    net.validate()?;
+    let net = network(a.mesh, &a.topology)?;
     let topo_tag = net.topology.tag();
     let kind = if a.protected {
         RouterKind::Protected
@@ -620,11 +434,7 @@ fn run_simulate(a: SimulateArgs) -> Result<(), String> {
 
 fn run_trace(t: TraceArgs) -> Result<(), String> {
     let traffic = traffic_of(&t.source)?;
-    let mut net = NetworkConfig::paper();
-    net.mesh_k = t.mesh;
-    net.topology = TopologySpec::parse_arg(&t.topology, t.mesh)?;
-    net.validate()?;
-    let topo = Topology::from_spec(&net);
+    let topo = Topology::from_spec(&network(t.mesh, &t.topology)?);
     let mut generator = TrafficGenerator::for_topology(traffic, &topo, t.seed ^ 0x5EED);
     let trace = Trace::record(&mut generator, t.mesh, t.cycles);
     trace.save(&t.out).map_err(|e| e.to_string())?;
@@ -661,40 +471,6 @@ fn run_analyze(vcs: usize) -> Result<(), String> {
         ap.power_overhead_total * 100.0
     );
     Ok(())
-}
-
-/// Run the campaign daemon in the foreground. Unlike `noc-serviced`
-/// this installs no signal handlers (the umbrella crate forbids unsafe
-/// code): Ctrl-C terminates immediately and the next start on the same
-/// spool recovers from the checkpoints, forfeiting at most one
-/// checkpoint interval of work.
-fn run_serve(s: ServeArgs) -> Result<(), String> {
-    let mut cfg = ServiceConfig::new(&s.spool);
-    cfg.workers = s.workers;
-    cfg.queue_cap = s.queue_cap;
-    cfg.default_checkpoint_every = s.checkpoint_every;
-    let listener = std::net::TcpListener::bind((s.addr.as_str(), s.port))
-        .map_err(|e| format!("binding {}:{}: {e}", s.addr, s.port))?;
-    let local = listener
-        .local_addr()
-        .map_err(|e| format!("local_addr: {e}"))?;
-    let log = shield_noc::service::ObsLog::stderr();
-    let sched = Scheduler::start_with_log(cfg, log.clone())
-        .map_err(|e| format!("starting scheduler: {e}"))?;
-    println!("listening on {local}");
-    println!(
-        "spool {} | {} workers | queue cap {} | checkpoint every {} cycles",
-        s.spool,
-        s.workers.max(1),
-        s.queue_cap,
-        s.checkpoint_every
-    );
-    use std::io::Write;
-    let _ = std::io::stdout().flush();
-    let outcome = shield_noc::service::http::serve(listener, sched.clone(), log, || false)
-        .map_err(|e| format!("accept loop: {e}"));
-    sched.shutdown();
-    outcome
 }
 
 fn run_submit(addr: &str, spec: &str) -> Result<(), String> {
@@ -813,21 +589,14 @@ fn heatmap_text(
 /// faults-to-failure curves; optionally write the JSON report.
 fn run_campaign_cmd(c: CampaignArgs) -> Result<(), String> {
     use shield_noc::campaign::{render_table, report_json, run_campaign, CampaignConfig};
-    use shield_noc::types::RoutingMode;
 
-    let mut net = NetworkConfig::paper();
-    net.mesh_k = c.mesh;
-    net.topology = TopologySpec::parse_arg(&c.topology, c.mesh)?;
-    net.validate()?;
+    let net = network(c.mesh, &c.topology)?;
     let mut cc = if c.quick {
         CampaignConfig::quick(net)
     } else {
         CampaignConfig::new(net)
     };
-    cc.modes = match c.routing.as_str() {
-        "both" => vec![RoutingMode::Static, RoutingMode::Adaptive],
-        r => vec![RoutingMode::parse_arg(r)?],
-    };
+    cc.modes = routing_arms(&c.routing)?;
     if let Some(s) = c.scenarios {
         cc.scenarios_per_point = s;
     }
@@ -869,16 +638,26 @@ fn run_heatmap(file: &str, metric: &str, csv: bool) -> Result<(), String> {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let outcome = parse(&args).and_then(|cmd| match cmd {
-        Command::Simulate(a) => run_simulate(a),
-        Command::Trace(t) => run_trace(t),
-        Command::Analyze { vcs } => run_analyze(vcs),
-        Command::Serve(s) => run_serve(s),
-        Command::Submit { addr, spec } => run_submit(&addr, &spec),
-        Command::Status { addr, id } => run_status(&addr, &id),
-        Command::Result { addr, id } => run_result(&addr, &id),
-        Command::Heatmap { file, metric, csv } => run_heatmap(&file, &metric, csv),
-        Command::Campaign(c) => run_campaign_cmd(c),
+    let outcome = parse(&args).and_then(|cmd| {
+        // Every command but the daemon prints and exits, and ends
+        // quietly when its reader has gone away.
+        if !matches!(cmd, Command::Serve(_)) {
+            default_sigpipe();
+        }
+        match cmd {
+            Command::Simulate(a) => run_simulate(a),
+            Command::Trace(t) => run_trace(t),
+            Command::Analyze { vcs } => run_analyze(vcs),
+            // Unlike `noc-serviced` this catches no signal: Ctrl-C ends
+            // it at once and the next start on the same spool recovers
+            // from the checkpoints.
+            Command::Serve(s) => serve_foreground(&s, || false),
+            Command::Submit { addr, spec } => run_submit(&addr, &spec),
+            Command::Status { addr, id } => run_status(&addr, &id),
+            Command::Result { addr, id } => run_result(&addr, &id),
+            Command::Heatmap { file, metric, csv } => run_heatmap(&file, &metric, csv),
+            Command::Campaign(c) => run_campaign_cmd(c),
+        }
     });
     if let Err(e) = outcome {
         eprintln!("error: {e}");
@@ -1002,8 +781,11 @@ mod tests {
             Command::Trace(t) => assert_eq!(t.topology, "chipletstar3x4"),
             _ => panic!("wrong command"),
         }
-        // The shared grammar rejects junk at run time, not parse time;
-        // the run path surfaces the parser's message.
+        // The shared grammar rejects junk at parse time, and again on
+        // the run path for arguments built by hand.
+        for cmd in ["simulate", "trace --out /tmp/x.trace", "campaign"] {
+            assert!(parse(&args(&format!("{cmd} --topology klein-bottle"))).is_err());
+        }
         assert!(run_simulate(SimulateArgs {
             mesh: 4,
             topology: "klein-bottle".into(),
@@ -1103,10 +885,49 @@ mod tests {
         assert!(parse(&args("campaign --bogus")).is_err());
     }
 
+    /// Both spellings of each pattern parse; a pattern that permutes
+    /// node-index bits is rejected on a grid it would leave, whatever
+    /// the order of the flags, with a message naming both.
+    #[test]
+    fn patterns_are_checked_against_the_grid_at_parse_time() {
+        for (a, b) in [
+            ("uniform", "uniform_random"),
+            ("bitcomplement", "bit_complement"),
+            ("bitreverse", "bit_reverse"),
+            ("neighbour", "neighbor"),
+            ("hotspot", "hotspot:0.2"),
+        ] {
+            let one = parse(&args(&format!("simulate --pattern {a}"))).unwrap();
+            let other = parse(&args(&format!("simulate --pattern {b}"))).unwrap();
+            assert_eq!(one, other, "{a} / {b}");
+            assert!(parse(&args(&format!("trace --out /tmp/x --pattern {b}"))).is_ok());
+        }
+        for bad in ["hotspot:NaN", "hotspot:-1", "hotspot:7"] {
+            assert!(parse(&args(&format!("simulate --pattern {bad}"))).is_err());
+        }
+        for pattern in ["bitreverse", "shuffle", "bit_complement"] {
+            for grid in ["--mesh 5", "--mesh 6", "--topology chipletstar2x4"] {
+                for cmd in [
+                    format!("simulate {grid} --pattern {pattern}"),
+                    format!("simulate --pattern {pattern} {grid}"),
+                    format!("trace --out /tmp/x --pattern {pattern} {grid}"),
+                ] {
+                    let err = parse(&args(&cmd)).unwrap_err();
+                    assert!(
+                        err.contains(pattern) && err.contains("nodes"),
+                        "{cmd}: {err}"
+                    );
+                }
+            }
+            assert!(parse(&args(&format!("simulate --mesh 4 --pattern {pattern}"))).is_ok());
+        }
+        assert!(parse(&args("simulate --mesh 5 --pattern transpose")).is_ok());
+    }
+
     #[test]
     fn all_sixteen_apps_parse() {
         for a in AppId::SPLASH2.iter().chain(AppId::PARSEC.iter()) {
-            assert_eq!(parse_app(a.name()).unwrap(), *a);
+            assert_eq!(AppId::parse_arg(a.name()).unwrap(), *a);
         }
     }
 

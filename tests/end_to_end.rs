@@ -224,3 +224,23 @@ fn inherited_replay_variables_do_not_change_a_cli_run() {
     assert!(clean.iter().any(|l| l.starts_with("routing=static")));
     assert_eq!(clean, simulated(&[("NOC_ROUTING", "adaptive")]));
 }
+
+/// A reader that went away (`noc-cli … | head -1`) ends the process
+/// quietly — killed by SIGPIPE, never by a `println!` panic on stderr.
+/// The peer of stdout is closed before the child starts, so its first
+/// write meets the closed pipe.
+#[cfg(unix)]
+#[test]
+fn a_closed_stdout_is_a_quiet_exit() {
+    use std::os::unix::process::ExitStatusExt;
+    let (stdout, reader) = std::os::unix::net::UnixStream::pair().expect("socket pair");
+    drop(reader);
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+        .args(["analyze"])
+        .stdout(std::os::fd::OwnedFd::from(stdout))
+        .output()
+        .expect("noc-cli starts");
+    const SIGPIPE: i32 = 13;
+    assert_eq!(out.status.signal(), Some(SIGPIPE), "{:?}", out.status);
+    assert_eq!(String::from_utf8_lossy(&out.stderr), "");
+}
