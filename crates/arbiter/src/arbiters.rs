@@ -45,14 +45,18 @@ fn masked(requests: u32, width: usize) -> u32 {
 /// Arbitration is a branch-light rotate-and-find-first-set: rotate the
 /// request word so the pointer line becomes bit 0, `trailing_zeros`,
 /// rotate back — no per-line scan.
+///
+/// Eight bytes: a router holds 130 of these, and a forked network copies
+/// every one, so `width` and `pointer` are stored as `u8` (both are at
+/// most [`MAX_WIDTH`]).
 #[derive(Debug, Clone)]
 pub struct RoundRobinArbiter {
-    width: usize,
-    /// Highest-priority line for the next arbitration.
-    pointer: usize,
     /// All-ones over the low `width` request lines (cached so the hot
     /// path masks without recomputing the shift).
     mask: u32,
+    width: u8,
+    /// Highest-priority line for the next arbitration.
+    pointer: u8,
 }
 
 impl RoundRobinArbiter {
@@ -66,20 +70,20 @@ impl RoundRobinArbiter {
             "arbiter width out of range"
         );
         RoundRobinArbiter {
-            width,
-            pointer: 0,
             mask: if width >= 32 { !0 } else { (1u32 << width) - 1 },
+            width: width as u8,
+            pointer: 0,
         }
     }
 
     /// The line that currently holds highest priority.
     pub fn pointer(&self) -> usize {
-        self.pointer
+        usize::from(self.pointer)
     }
 
     /// Number of request lines.
     pub fn width(&self) -> usize {
-        self.width
+        usize::from(self.width)
     }
 
     /// Restore the priority pointer captured by
@@ -89,8 +93,8 @@ impl RoundRobinArbiter {
     /// # Panics
     /// Panics if `pointer` is not a valid line index.
     pub fn set_pointer(&mut self, pointer: usize) {
-        assert!(pointer < self.width, "pointer out of range");
-        self.pointer = pointer;
+        assert!(pointer < self.width(), "pointer out of range");
+        self.pointer = pointer as u8;
     }
 
     #[inline]
@@ -103,8 +107,8 @@ impl RoundRobinArbiter {
         // bit, rotate back. The `<<` term can carry garbage above
         // `width`, but a correctly rotated set bit always exists below
         // it (req != 0), so `trailing_zeros` never reaches the garbage.
-        let w = self.width;
-        let p = self.pointer;
+        let w = self.width();
+        let p = self.pointer();
         let rotated = if p == 0 {
             req
         } else {
@@ -117,13 +121,13 @@ impl RoundRobinArbiter {
 
 impl Arbiter for RoundRobinArbiter {
     fn width(&self) -> usize {
-        self.width
+        RoundRobinArbiter::width(self)
     }
 
     #[inline]
     fn arbitrate(&mut self, requests: u32) -> Option<usize> {
         let grant = self.scan(requests)?;
-        let next = grant + 1;
+        let next = grant as u8 + 1;
         self.pointer = if next == self.width { 0 } else { next };
         Some(grant)
     }
@@ -431,5 +435,11 @@ mod tests {
         let mut a = RoundRobinArbiter::new(32);
         assert_eq!(a.arbitrate(1 << 31), Some(31));
         assert_eq!(a.arbitrate(u32::MAX), Some(0));
+    }
+
+    #[test]
+    fn round_robin_stays_one_word() {
+        // 130 per router, copied whole when a network is forked.
+        assert!(std::mem::size_of::<RoundRobinArbiter>() <= 8);
     }
 }

@@ -3,19 +3,26 @@
 //!
 //! A scenario is a [`Simulator`] run — no warm-up, `inject_cycles` of
 //! measurement, `drain_cycles` of drain, `stall_cycles` forwarded as
-//! the stall horizon — on the network built here from the scenario's
-//! [`FaultPlan`]; the run loop is the simulator's (ARCHITECTURE.md §2).
+//! the stall horizon; the run loop is the simulator's (ARCHITECTURE.md §2).
 //!
 //! Every scenario is a fully deterministic function of the campaign
 //! seed, the fault count and the scenario index — the same fault sets
 //! and the same traffic are replayed under every routing mode, so the
-//! static-vs-adaptive comparison is paired. Parallelism comes from
-//! [`run_batch`] over independent scenarios (each simulated serially),
-//! which keeps results bit-identical at any thread count.
+//! static-vs-adaptive comparison is paired.
+//!
+//! The unit of work is the *cell*: one routing arm and one scenario
+//! index, i.e. a fault-free baseline and one faulted sibling per fault
+//! count. They share their traffic, so each sibling is cycle-identical
+//! to the baseline until its first fault onset. A cell therefore builds
+//! one network and runs the baseline once, forking it by `Clone` at each
+//! sibling's first onset ([`run_cell`], ARCHITECTURE.md §8.3).
+//! Parallelism comes from [`run_batch`] over independent cells (each
+//! simulated serially), with results placed by index, which keeps them
+//! bit-identical at any thread count.
 
 use crate::scenario::LinkPool;
 use noc_faults::{FaultPlan, LinkFaultEvent};
-use noc_sim::{run_batch, Network, SimOutcome, Simulator};
+use noc_sim::{run_batch, Network, NetworkReport, SimOutcome, Simulator};
 use noc_types::{
     splitmix64, Cycle, Mesh, NetworkConfig, Packet, PacketId, PacketKind, RouterId, RoutingMode,
     SimConfig,
@@ -85,7 +92,11 @@ impl CampaignConfig {
         }
     }
 
-    fn validate(&self) -> Result<(), String> {
+    /// Check the configuration [`run_campaign`] would run; the CLI and
+    /// the daemon's spec validation both call this. A fault set holds
+    /// distinct links, so `max_faults` may not exceed the topology's
+    /// link count.
+    pub fn validate(&self) -> Result<(), String> {
         if self.modes.is_empty() {
             return Err("campaign needs at least one routing mode".into());
         }
@@ -95,7 +106,15 @@ impl CampaignConfig {
         if self.inject_cycles == 0 || self.rate_permille == 0 {
             return Err("campaign needs non-zero traffic".into());
         }
-        self.base.validate()
+        self.base.validate()?;
+        let links = LinkPool::new(&self.base).len();
+        if self.max_faults as usize > links {
+            return Err(format!(
+                "`max_faults` {} exceeds the {links} links of the topology",
+                self.max_faults
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -182,7 +201,9 @@ pub struct CampaignRun {
     pub scenarios_per_sec: f64,
 }
 
-/// Deterministic uniform-random source over all routers.
+/// Deterministic uniform-random source over all routers. `Clone`, so a
+/// forked scenario carries its traffic stream on with its network.
+#[derive(Clone)]
 struct Source {
     rng: u64,
     grid: Mesh,
@@ -225,83 +246,217 @@ fn mix(parts: &[u64]) -> u64 {
     h
 }
 
-/// Simulate and classify one scenario: `set` is the fault set behind
-/// the curve point `faults` (empty for a fault-free baseline run, which
-/// passes `baseline_x100 = 0` and is read for its latency only).
-fn run_one(
-    cc: &CampaignConfig,
-    mode: RoutingMode,
-    faults: u32,
-    scenario: u32,
-    set: &[LinkFaultEvent],
-    baseline_x100: u64,
-) -> ScenarioResult {
+/// One (mode, scenario) cell's network configuration and traffic
+/// seed. The traffic seed depends on the scenario index only, so a
+/// baseline pairs exactly with the faulted runs it classifies.
+fn cell_setup(cc: &CampaignConfig, mode: RoutingMode, scenario: u32) -> (NetworkConfig, u64) {
     let mut cfg = cc.base;
     cfg.routing = mode;
-    let plan = FaultPlan::none().with_link_faults(set.to_vec());
-    let mut net = Network::with_faults(cfg, cc.router_kind, &plan);
-    // The traffic seed depends on the scenario index only, so a
-    // baseline pairs exactly with the faulted runs it classifies.
-    let traffic_seed = mix(&[cc.seed, 0x7_72AF, scenario as u64]);
-    let mut src = Source {
+    (cfg, mix(&[cc.seed, 0x7_72AF, scenario as u64]))
+}
+
+/// The scenario's traffic source over `grid`.
+fn source(cc: &CampaignConfig, traffic_seed: u64, grid: Mesh) -> Source {
+    Source {
         rng: traffic_seed,
-        grid: net.topology().grid(),
+        grid,
         rate_permille: cc.rate_permille,
         next: 0,
-    };
+    }
+}
+
+/// A simulator whose phases inject until `inject_end` and then drain for
+/// `drain`: `(inject_cycles, drain_cycles)` is a whole scenario, and
+/// `(t, 0)` advances a network to cycle `t` without leaving the
+/// injection phase.
+fn simulator(
+    cc: &CampaignConfig,
+    cfg: NetworkConfig,
+    traffic_seed: u64,
+    inject_end: Cycle,
+    drain: Cycle,
+) -> Simulator {
     let phases = SimConfig {
         warmup_cycles: 0,
-        measure_cycles: cc.inject_cycles,
-        drain_cycles: cc.drain_cycles,
+        measure_cycles: inject_end,
+        drain_cycles: drain,
         seed: traffic_seed,
     };
     // The campaign's stall rule is `cycles_run − last_activity >
     // stall_cycles`; the simulator compares the cycle it just stepped,
     // which is `cycles_run − 1`.
-    let (report, outcome) = Simulator::new(cfg, phases, cc.router_kind, plan)
+    Simulator::new(cfg, phases, cc.router_kind, FaultPlan::none())
         .with_watchdog(cc.stall_cycles.saturating_sub(1))
-        .run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
-    let drained = outcome == SimOutcome::DrainedEarly;
-    let deliveries = net.deliveries();
-    let mean_latency_x100 = if deliveries.is_empty() {
-        0
-    } else {
-        let total: u64 = deliveries
-            .iter()
-            .map(|d| d.ejected_at.saturating_sub(d.created_at))
-            .sum();
-        total * 100 / deliveries.len() as u64
-    };
-    // A run that reached its horizon undrained has no flight record in
-    // its report (only the watchdog attaches one), so ask the network.
-    let wait_cycle: Vec<String> = if drained {
-        Vec::new()
-    } else {
-        net.flight_record(report.cycles_run)
-            .cycle_edges
-            .map(|edges| edges.iter().map(|e| e.to_string()).collect())
-            .unwrap_or_default()
-    };
-    ScenarioResult {
-        mode,
-        faults,
-        placed: set.len() as u32,
-        scenario,
-        outcome: classify(
-            drained,
-            !wait_cycle.is_empty(),
-            report.delivered < report.offered || report.misdelivered > 0,
+}
+
+/// What a finished run leaves for classification.
+#[derive(Debug, Clone, PartialEq)]
+struct Measured {
+    offered: u64,
+    delivered: u64,
+    /// Packets lost or misdelivered.
+    lost: bool,
+    mean_latency_x100: u64,
+    drained: bool,
+    cycles_run: Cycle,
+    wait_cycle: Vec<String>,
+}
+
+impl Measured {
+    /// Read a run that ended with `report` and `outcome` off `net`.
+    fn of(net: &Network, report: &NetworkReport, outcome: SimOutcome) -> Self {
+        let drained = outcome == SimOutcome::DrainedEarly;
+        let deliveries = net.deliveries();
+        let mean_latency_x100 = if deliveries.is_empty() {
+            0
+        } else {
+            let total: u64 = deliveries
+                .iter()
+                .map(|d| d.ejected_at.saturating_sub(d.created_at))
+                .sum();
+            total * 100 / deliveries.len() as u64
+        };
+        // A run that reached its horizon undrained has no flight record
+        // in its report (only the watchdog attaches one), so ask the
+        // network.
+        let wait_cycle: Vec<String> = if drained {
+            Vec::new()
+        } else {
+            net.flight_record(report.cycles_run)
+                .cycle_edges
+                .map(|edges| edges.iter().map(|e| e.to_string()).collect())
+                .unwrap_or_default()
+        };
+        Measured {
+            offered: report.offered,
+            delivered: report.delivered,
+            lost: report.delivered < report.offered || report.misdelivered > 0,
             mean_latency_x100,
-            baseline_x100,
-            cc.degraded_threshold_pct,
-        ),
-        offered: report.offered,
-        delivered: report.delivered,
-        mean_latency_x100,
-        drained,
-        cycles_run: report.cycles_run,
-        wait_cycle,
+            drained,
+            cycles_run: report.cycles_run,
+            wait_cycle,
+        }
     }
+
+    /// The scenario result of this run as the curve point `faults` with
+    /// `placed` faults, against the fault-free `baseline_x100`.
+    fn result(
+        &self,
+        cc: &CampaignConfig,
+        mode: RoutingMode,
+        faults: u32,
+        placed: usize,
+        scenario: u32,
+        baseline_x100: u64,
+    ) -> ScenarioResult {
+        ScenarioResult {
+            mode,
+            faults,
+            placed: placed as u32,
+            scenario,
+            outcome: classify(
+                self.drained,
+                !self.wait_cycle.is_empty(),
+                self.lost,
+                self.mean_latency_x100,
+                baseline_x100,
+                cc.degraded_threshold_pct,
+            ),
+            offered: self.offered,
+            delivered: self.delivered,
+            mean_latency_x100: self.mean_latency_x100,
+            drained: self.drained,
+            cycles_run: self.cycles_run,
+            wait_cycle: self.wait_cycle.clone(),
+        }
+    }
+}
+
+/// A finished cell: the fault-free baseline's run, one run per fault
+/// set (in the order the sets were given), and the network-cycles the
+/// cell stepped.
+struct Cell {
+    baseline: Measured,
+    siblings: Vec<Measured>,
+    /// Read only by the test that pins the saving of forking.
+    #[allow(dead_code)]
+    stepped: Cycle,
+}
+
+/// Run one (mode, scenario) cell: the fault-free baseline and one
+/// sibling per fault set in `sets`, every one exactly the run a fresh
+/// network built from its fault plan would make.
+///
+/// One network is built, fault-free. The siblings are visited in order
+/// of their first fault onset `t` (a set with no faults is the baseline
+/// itself). For each, the baseline is advanced to `t`, cloned — network
+/// and traffic source — and the sibling's faults are scheduled on the
+/// *original*, which runs the sibling to its end; the clone carries the
+/// baseline on. The original, whose buffers have grown to their working
+/// capacity, does the long run, and the clone holds only the occupied
+/// part of each buffer, so a cell holds at most one extra compact
+/// network at a time. Onset 0 and tied onsets are zero-length advances.
+/// The baseline drains last.
+///
+/// Should the watchdog end the baseline before some onset, every
+/// sibling not yet forked ends with it: until its first onset a
+/// sibling's run *is* the baseline's.
+fn run_cell(
+    cc: &CampaignConfig,
+    mode: RoutingMode,
+    scenario: u32,
+    sets: &[&[LinkFaultEvent]],
+) -> Cell {
+    let (cfg, traffic_seed) = cell_setup(cc, mode, scenario);
+    let full = simulator(cc, cfg, traffic_seed, cc.inject_cycles, cc.drain_cycles);
+    let mut net = Network::new(cfg, cc.router_kind);
+    let mut src = source(cc, traffic_seed, net.topology().grid());
+    let mut order: Vec<(Cycle, usize)> = sets
+        .iter()
+        .enumerate()
+        .filter_map(|(i, set)| first_onset(set).map(|t| (t, i)))
+        .collect();
+    order.sort_unstable();
+
+    let mut siblings: Vec<Option<Measured>> = vec![None; sets.len()];
+    let mut ended = None;
+    let mut stepped = 0;
+    for (onset, i) in order {
+        let before = net.cycle();
+        let (report, outcome) = simulator(cc, cfg, traffic_seed, onset, 0)
+            .run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
+        stepped += net.cycle() - before;
+        if outcome != SimOutcome::Completed {
+            ended = Some(Measured::of(&net, &report, outcome));
+            break;
+        }
+        assert_eq!(net.cycle(), onset, "the baseline stops at the onset");
+        let carry_on = (net.clone(), src.clone());
+        net.schedule_link_faults(sets[i]);
+        let (report, outcome) = full.run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
+        stepped += net.cycle() - onset;
+        siblings[i] = Some(Measured::of(&net, &report, outcome));
+        (net, src) = carry_on;
+    }
+    let baseline = ended.unwrap_or_else(|| {
+        let before = net.cycle();
+        let (report, outcome) = full.run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
+        stepped += net.cycle() - before;
+        Measured::of(&net, &report, outcome)
+    });
+    Cell {
+        siblings: siblings
+            .into_iter()
+            .map(|s| s.unwrap_or_else(|| baseline.clone()))
+            .collect(),
+        baseline,
+        stepped,
+    }
+}
+
+/// The cycle a fault set's first link dies (`None` for no faults).
+fn first_onset(set: &[LinkFaultEvent]) -> Option<Cycle> {
+    set.iter().map(|f| f.cycle).min()
 }
 
 /// Classify a finished run: whether it drained, whether the flight
@@ -332,73 +487,73 @@ fn classify(
     Outcome::DeliveredAll
 }
 
-/// Run the full campaign: fault-free baselines first, then every
-/// (mode × fault count × scenario) cell, classified against the
-/// baselines.
-pub fn run_campaign(cc: &CampaignConfig) -> Result<CampaignRun, String> {
-    cc.validate()?;
-    let pool = LinkPool::new(&cc.base);
-    if pool.is_empty() {
-        return Err("topology has no links to fault".into());
-    }
-    let started = std::time::Instant::now();
-
-    // Fault-free baselines: one per (mode, scenario) traffic stream.
-    let base_jobs: Vec<(RoutingMode, u32)> = cc
-        .modes
-        .iter()
-        .flat_map(|&m| (0..cc.scenarios_per_point).map(move |s| (m, s)))
-        .collect();
-    let base_x100 = run_batch(base_jobs.clone(), cc.threads, |(mode, sc)| {
-        run_one(cc, mode, 0, sc, &[], 0).mean_latency_x100
-    });
-    let baseline_of = |mode: RoutingMode, sc: u32| -> u64 {
-        let ix = cc.modes.iter().position(|&m| m == mode).unwrap_or(0);
-        base_x100[ix * cc.scenarios_per_point as usize + sc as usize]
-    };
-
-    // Fault sets: one per (faults, scenario), shared by every mode.
-    let mut fault_sets: Vec<Vec<LinkFaultEvent>> = Vec::new();
+/// The fault sets: one per (faults, scenario), shared by every mode,
+/// indexed `(faults − 1) × scenarios_per_point + scenario`.
+fn fault_sets(cc: &CampaignConfig, pool: &LinkPool) -> Vec<Vec<LinkFaultEvent>> {
+    let mut sets = Vec::new();
     for faults in 1..=cc.max_faults {
         for sc in 0..cc.scenarios_per_point {
-            fault_sets.push(pool.sample(
+            sets.push(pool.sample(
                 mix(&[cc.seed, 0xFA_17, faults as u64, sc as u64]),
                 faults as usize,
                 cc.inject_cycles,
             ));
         }
     }
-    let set_of = |faults: u32, sc: u32| {
-        &fault_sets[(faults - 1) as usize * cc.scenarios_per_point as usize + sc as usize]
+    sets
+}
+
+/// Run the full campaign: every (mode × scenario) cell — its fault-free
+/// baseline and every fault count — with each faulted run classified
+/// against its cell's baseline.
+pub fn run_campaign(cc: &CampaignConfig) -> Result<CampaignRun, String> {
+    cc.validate()?;
+    let started = std::time::Instant::now();
+    let fault_sets = fault_sets(cc, &LinkPool::new(&cc.base));
+    let spp = cc.scenarios_per_point as usize;
+    let sets_of = |sc: u32| -> Vec<&[LinkFaultEvent]> {
+        (0..cc.max_faults as usize)
+            .map(|f| fault_sets[f * spp + sc as usize].as_slice())
+            .collect()
     };
 
-    let jobs: Vec<(RoutingMode, u32, u32)> = cc
+    let cells: Vec<(RoutingMode, u32)> = cc
         .modes
         .iter()
-        .flat_map(|&m| {
-            (1..=cc.max_faults)
-                .flat_map(move |f| (0..cc.scenarios_per_point).map(move |s| (m, f, s)))
-        })
+        .flat_map(|&m| (0..cc.scenarios_per_point).map(move |s| (m, s)))
         .collect();
-    let results = run_batch(jobs, cc.threads, |(mode, faults, sc)| {
-        run_one(
-            cc,
-            mode,
-            faults,
-            sc,
-            set_of(faults, sc),
-            baseline_of(mode, sc),
-        )
+    let runs = run_batch(cells.clone(), cc.threads, |(mode, sc)| {
+        run_cell(cc, mode, sc, &sets_of(sc))
     });
 
+    // Placed by index: results run (mode, faults, scenario), cells
+    // (mode, scenario).
+    let mut results = Vec::with_capacity(runs.len() * cc.max_faults as usize);
+    for (m, &mode) in cc.modes.iter().enumerate() {
+        for faults in 1..=cc.max_faults {
+            let f = (faults - 1) as usize;
+            for sc in 0..cc.scenarios_per_point {
+                let cell = &runs[m * spp + sc as usize];
+                results.push(cell.siblings[f].result(
+                    cc,
+                    mode,
+                    faults,
+                    fault_sets[f * spp + sc as usize].len(),
+                    sc,
+                    cell.baseline.mean_latency_x100,
+                ));
+            }
+        }
+    }
+
     let elapsed_ms = started.elapsed().as_millis().max(1) as u64;
-    let total_runs = (base_x100.len() + results.len()) as f64;
+    let total_runs = (cells.len() + results.len()) as f64;
     Ok(CampaignRun {
         config: cc.clone(),
-        baselines: base_jobs
+        baselines: cells
             .iter()
-            .map(|&(mode, _)| mode)
-            .zip(base_x100)
+            .zip(&runs)
+            .map(|(&(mode, _), cell)| (mode, cell.baseline.mean_latency_x100))
             .collect(),
         results,
         elapsed_ms,
@@ -449,5 +604,182 @@ mod tests {
             classify(true, false, false, 3_001, 0, 150),
             Outcome::DeliveredAll
         );
+    }
+
+    use noc_types::{Direction, TopologySpec};
+
+    /// The reference: how every scenario ran before cells forked — a
+    /// network built from the scenario's own fault plan, run from
+    /// cycle 0.
+    fn replay(
+        cc: &CampaignConfig,
+        mode: RoutingMode,
+        scenario: u32,
+        set: &[LinkFaultEvent],
+    ) -> Measured {
+        let (cfg, traffic_seed) = cell_setup(cc, mode, scenario);
+        let plan = FaultPlan::none().with_link_faults(set.to_vec());
+        let mut net = Network::with_faults(cfg, cc.router_kind, &plan);
+        let mut src = source(cc, traffic_seed, net.topology().grid());
+        let (report, outcome) = simulator(cc, cfg, traffic_seed, cc.inject_cycles, cc.drain_cycles)
+            .run_on(&mut net, |cycle, out| src.tick_into(cycle, out));
+        Measured::of(&net, &report, outcome)
+    }
+
+    /// Run one cell both ways: every sibling and the baseline must equal
+    /// the replay reference, and the cell must have stepped exactly the
+    /// reference's cycles less every shared prefix — Σ `cycles_run` −
+    /// Σ first onsets. Returns the reference baseline and siblings.
+    fn assert_cell_matches_replay(
+        label: &str,
+        cc: &CampaignConfig,
+        mode: RoutingMode,
+        scenario: u32,
+        sets: &[&[LinkFaultEvent]],
+    ) -> (Measured, Vec<Measured>, usize) {
+        let cell = run_cell(cc, mode, scenario, sets);
+        let baseline = replay(cc, mode, scenario, &[]);
+        assert_eq!(cell.baseline, baseline, "{label}: baseline {scenario}");
+        let mut expect_stepped = baseline.cycles_run;
+        let mut siblings = Vec::new();
+        let mut unreached = 0;
+        for (i, set) in sets.iter().enumerate() {
+            let reference = replay(cc, mode, scenario, set);
+            assert_eq!(
+                cell.siblings[i], reference,
+                "{label}: {mode:?} scenario {scenario}, set {i} {set:?}"
+            );
+            // A sibling shares the baseline's first `t` cycles; one whose
+            // onset the baseline never reached (the watchdog ended it
+            // first) is the baseline's run and costs nothing.
+            match first_onset(set) {
+                Some(t) if t < baseline.cycles_run => expect_stepped += reference.cycles_run - t,
+                Some(_) => unreached += 1,
+                None => {}
+            }
+            siblings.push(reference);
+        }
+        assert_eq!(cell.stepped, expect_stepped, "{label}: cycles stepped");
+        (baseline, siblings, unreached)
+    }
+
+    /// `run_campaign` against the replay reference, every field of every
+    /// result and baseline. Returns how many siblings had an onset their
+    /// baseline never reached.
+    fn assert_campaign_matches_replay(label: &str, cc: &CampaignConfig) -> usize {
+        let run = run_campaign(cc).expect("campaign runs");
+        let sets = fault_sets(cc, &LinkPool::new(&cc.base));
+        let spp = cc.scenarios_per_point as usize;
+        let mut expected = Vec::new();
+        let mut baselines = Vec::new();
+        let mut per_cell = Vec::new();
+        let mut unreached = 0;
+        for &mode in &cc.modes {
+            for sc in 0..cc.scenarios_per_point {
+                let cell_sets: Vec<&[LinkFaultEvent]> = (0..cc.max_faults as usize)
+                    .map(|f| sets[f * spp + sc as usize].as_slice())
+                    .collect();
+                let (baseline, siblings, skipped) =
+                    assert_cell_matches_replay(label, cc, mode, sc, &cell_sets);
+                unreached += skipped;
+                baselines.push((mode, baseline.mean_latency_x100));
+                per_cell.push((baseline, siblings));
+            }
+        }
+        for (m, &mode) in cc.modes.iter().enumerate() {
+            for faults in 1..=cc.max_faults {
+                let f = (faults - 1) as usize;
+                for sc in 0..cc.scenarios_per_point {
+                    let (baseline, siblings) = &per_cell[m * spp + sc as usize];
+                    expected.push(siblings[f].result(
+                        cc,
+                        mode,
+                        faults,
+                        sets[f * spp + sc as usize].len(),
+                        sc,
+                        baseline.mean_latency_x100,
+                    ));
+                }
+            }
+        }
+        let fields = |r: &ScenarioResult| {
+            (
+                (r.mode, r.faults, r.placed, r.scenario, r.outcome),
+                (r.offered, r.delivered, r.mean_latency_x100, r.drained),
+                (r.cycles_run, r.wait_cycle.clone()),
+            )
+        };
+        assert_eq!(run.baselines, baselines, "{label}: baselines");
+        assert_eq!(run.results.len(), expected.len(), "{label}: result count");
+        for (got, want) in run.results.iter().zip(&expected) {
+            assert_eq!(fields(got), fields(want), "{label}");
+        }
+        unreached
+    }
+
+    fn small(topology: TopologySpec, k: u8) -> CampaignConfig {
+        let mut base = NetworkConfig::paper();
+        base.mesh_k = k;
+        base.topology = topology;
+        let mut cc = CampaignConfig::quick(base);
+        cc.scenarios_per_point = 3;
+        cc.max_faults = 3;
+        cc.inject_cycles = 60;
+        cc.drain_cycles = 1_500;
+        cc.stall_cycles = 400;
+        cc.seed = 0xF0_12C;
+        cc.threads = 1;
+        cc
+    }
+
+    #[test]
+    fn forked_cells_equal_replayed_scenarios_on_every_family() {
+        let parse = |arg: &str, k| TopologySpec::parse_arg(arg, k).expect("spec parses");
+        for (label, k, topology) in [
+            ("mesh", 4, TopologySpec::Mesh { w: 4, h: 4 }),
+            ("torus", 4, TopologySpec::Torus { w: 4, h: 4 }),
+            ("cutmesh", 4, parse("cutmesh2:5", 4)),
+            ("chipletmesh2x4", 8, parse("chipletmesh2x4", 8)),
+            ("chipletstar", 4, parse("chipletstar2x2", 4)),
+        ] {
+            assert_eq!(
+                assert_campaign_matches_replay(label, &small(topology, k)),
+                0
+            );
+        }
+    }
+
+    #[test]
+    fn forks_at_onset_zero_and_past_a_watchdog_end_equal_replay() {
+        let mesh = TopologySpec::Mesh { w: 4, h: 4 };
+        // One injection cycle: every fault lands at cycle 0, so every
+        // fork is a zero-length advance of a fresh network.
+        let mut cc = small(mesh, 4);
+        cc.inject_cycles = 1;
+        assert_campaign_matches_replay("every onset at 0", &cc);
+        // A stall horizon shorter than a hop: the watchdog ends runs in
+        // the injection phase, some baselines before a sibling's onset.
+        let mut cc = small(mesh, 4);
+        cc.stall_cycles = 2;
+        let unreached = assert_campaign_matches_replay("watchdog inside the injection phase", &cc);
+        assert!(unreached > 0, "some baseline must end before an onset");
+    }
+
+    #[test]
+    fn tied_and_unordered_onsets_fork_in_onset_order() {
+        let cc = small(TopologySpec::Mesh { w: 4, h: 4 }, 4);
+        let cut = |router: u16, dir, cycle| LinkFaultEvent {
+            cycle,
+            router: RouterId(router),
+            dir,
+        };
+        let a = [cut(5, Direction::East, 20)];
+        let b = [cut(9, Direction::East, 35), cut(6, Direction::South, 20)];
+        let c = [cut(1, Direction::East, 0)];
+        let d = [cut(10, Direction::North, 20)];
+        let sets: [&[LinkFaultEvent]; 5] = [&a, &b, &[], &c, &d];
+        for mode in [RoutingMode::Static, RoutingMode::Adaptive] {
+            assert_cell_matches_replay("tied onsets", &cc, mode, 1, &sets);
+        }
     }
 }

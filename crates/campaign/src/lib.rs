@@ -13,8 +13,9 @@
 //!   faults with onset cycles, keep-connected by construction, with
 //!   identical fault sets replayed under every routing mode (paired
 //!   comparison).
-//! * [`engine`] — the sweep driver: fault-free baselines, then every
-//!   (mode × fault count × scenario) cell over [`noc_sim::run_batch`],
+//! * [`engine`] — the sweep driver: one cell per (mode × scenario) over
+//!   [`noc_sim::run_batch`], each running its fault-free baseline once
+//!   and forking it at every faulted sibling's first onset; every run
 //!   classified as delivered-all / degraded / lost-packets /
 //!   deadlocked (with the flight-recorder wait cycle attached).
 //! * [`report`] — aggregation into per-mode faults-to-failure curves

@@ -93,10 +93,10 @@ impl LinkPool {
     /// Draw one scenario: up to `faults` distinct links (fewer if the
     /// keep-connected filter runs out of candidates), each with an
     /// onset cycle uniform in `[0, onset_max)`. Deterministic in
-    /// `seed`.
+    /// `seed`. A set never holds more faults than the pool has links.
     pub fn sample(&self, seed: u64, faults: usize, onset_max: Cycle) -> Vec<LinkFaultEvent> {
         let mut rng = seed ^ 0x51CA_4D8D_0C95_D1A5;
-        let mut chosen: Vec<(usize, Direction)> = Vec::with_capacity(faults);
+        let mut chosen: Vec<(usize, Direction)> = Vec::with_capacity(faults.min(self.links.len()));
         let mut tries = 0usize;
         while chosen.len() < faults && tries < 64 * (faults + 1) {
             tries += 1;

@@ -152,6 +152,12 @@ fn degenerate_configs_are_rejected() {
     let mut cc = small_campaign(4, 4, 1);
     cc.rate_permille = 0;
     assert!(run_campaign(&cc).is_err(), "no traffic");
+    // A fault set holds distinct links: a 2x2 mesh has four.
+    let mut cc = small_campaign(2, 2, 5);
+    let err = run_campaign(&cc).expect_err("more faults than links");
+    assert!(err.contains("`max_faults`"), "{err}");
+    cc.max_faults = 4;
+    assert!(run_campaign(&cc).is_ok(), "every link may fail");
 }
 
 /// FNV-1a over every field of every [`noc_campaign::ScenarioResult`]

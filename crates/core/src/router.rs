@@ -3,6 +3,7 @@
 use crate::crossbar::Crossbar;
 use crate::fault_state::FaultState;
 use crate::port::InputPort;
+use crate::stages::StageScratch;
 use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
 use noc_telemetry::{Event, EventKind, NullObserver, Observer};
@@ -66,7 +67,9 @@ pub struct CreditReturn {
 ///
 /// For allocation-free stepping, keep one `StepOutput` alive across
 /// cycles and pass it to [`Router::step_into`]: the vectors are cleared,
-/// not reallocated, so steady state performs no heap allocation.
+/// not reallocated, so steady state performs no heap allocation. It also
+/// carries the VA/SA stages' working storage, so one `StepOutput` per
+/// stepper shard serves every router that shard steps.
 #[derive(Debug, Default)]
 pub struct StepOutput {
     /// Flits that traversed the crossbar this cycle.
@@ -75,6 +78,8 @@ pub struct StepOutput {
     pub credits: Vec<CreditReturn>,
     /// Flits destroyed by an unprotected crossbar fault (baseline only).
     pub dropped: Vec<Flit>,
+    /// VA/SA scratch, sized by the first step that uses it.
+    pub(crate) scratch: StageScratch,
 }
 
 impl StepOutput {
@@ -336,6 +341,11 @@ pub(crate) struct XbGrant {
 pub(crate) const DEFAULT_WINNER_PERIOD: Cycle = 8;
 
 /// A cycle-accurate P-port, V-VC router (baseline or protected).
+///
+/// A clone is an independent router in the same state; its routing
+/// tables stay shared behind their `Arc`s, which are only ever replaced,
+/// never mutated.
+#[derive(Clone)]
 pub struct Router {
     pub(crate) id: u16,
     pub(crate) coord: Coord,
@@ -402,9 +412,6 @@ pub struct Router {
     /// See `sa_stage` — models the paper's VC-to-VC transfer as a
     /// 1-cycle reprogramming of the default-winner register.
     pub(crate) bypass_ptr: Vec<Option<(usize, Cycle)>>,
-    /// Preallocated per-cycle working storage for the VA/SA stages,
-    /// cleared (never reallocated) each cycle.
-    pub(crate) scratch: crate::stages::StageScratch,
     pub(crate) stats: RouterStats,
 }
 
@@ -452,7 +459,6 @@ impl Router {
             port_flits: 0,
             rc_pointer: vec![0; p],
             bypass_ptr: vec![None; p],
-            scratch: crate::stages::StageScratch::new(p, v),
             stats: RouterStats::default(),
         })
     }
@@ -741,8 +747,9 @@ impl Router {
             self.refresh_fault_tables();
         }
         self.xb_stage(cycle, out, obs);
-        self.sa_stage(cycle, obs);
-        self.va_stage(cycle, obs);
+        out.scratch.fit(self.cfg.ports, self.cfg.vcs);
+        self.sa_stage(cycle, &mut out.scratch, obs);
+        self.va_stage(cycle, &mut out.scratch, obs);
         self.rc_stage(cycle, obs);
         self.sync_nonidle_ports();
     }

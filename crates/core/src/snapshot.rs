@@ -11,8 +11,9 @@
 //! Deliberately *excluded* — pure functions of the construction-time
 //! configuration, reproduced by building the router afresh before
 //! calling [`Restore::restore`]: id, coordinates, [`RouterKind`], the
-//! routing algorithm, the (stateless) crossbar topology and the
-//! per-cycle stage scratch (empty at every cycle boundary).
+//! routing algorithm and the (stateless) crossbar topology. The per-cycle
+//! stage scratch is not router state: it lives in the caller's
+//! `StepOutput`.
 
 use crate::router::{Router, RouterStats, XbGrant};
 use noc_arbiter::RoundRobinArbiter;

@@ -19,10 +19,14 @@ pub(crate) struct SaRequest {
     out_vc: VcId,
 }
 
-/// Preallocated per-cycle working storage for the VA and SA stages.
-/// Every vector is sized once at construction and cleared — never
-/// reallocated — each cycle, so `Router::step_into` stays off the heap.
-#[derive(Debug)]
+/// Per-cycle working storage for the VA and SA stages. It lives in the
+/// caller's [`crate::StepOutput`], not in the router, so a network holds
+/// one per stepper shard rather than one per router, and a forked
+/// network copies none. Every vector is sized on the first step through
+/// a fresh `StepOutput` ([`StageScratch::fit`]) and cleared — never
+/// reallocated — each cycle after, so `Router::step_into` stays off the
+/// heap.
+#[derive(Debug, Default)]
 pub(crate) struct StageScratch {
     /// VA stage-1 picks: `(port, requesting vc, arbiter owner, out,
     /// picked downstream vc)`. At most one per input VC.
@@ -46,8 +50,13 @@ pub(crate) struct StageScratch {
 }
 
 impl StageScratch {
-    pub(crate) fn new(p: usize, v: usize) -> Self {
-        StageScratch {
+    /// Size the buffers for a `p`-port, `v`-VC router; a no-op once they
+    /// are (every router of a network shares one shape).
+    pub(crate) fn fit(&mut self, p: usize, v: usize) {
+        if self.va_stage2.len() == p * v && self.sa_port_req.len() == p {
+            return;
+        }
+        *self = StageScratch {
             va_picks: Vec::with_capacity(p * v),
             va_stage2: vec![0; p * v],
             va2_touched: vec![0; p],
@@ -358,7 +367,12 @@ impl Router {
     /// the order a per-VC scan tries them in. Stage 2 visits only the
     /// `(out, out_vc)` pairs touched by stage-1 picks, in the same
     /// out-major / ascending-VC order as the old exhaustive sweep.
-    pub(crate) fn va_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
+    pub(crate) fn va_stage<O: Observer>(
+        &mut self,
+        cycle: Cycle,
+        scratch: &mut StageScratch,
+        obs: &mut O,
+    ) {
         // Whole-stage skip: no VC anywhere awaits allocation — common
         // for routers that are merely forwarding already-active packets.
         // With no stage-1 requests the old code performed no observable
@@ -391,7 +405,7 @@ impl Router {
         let (active, detected) = (self.faults.active(), self.faults.detected());
 
         // ---- Stage 1: each waiting VC picks one free downstream VC ----
-        self.scratch.va_picks.clear();
+        scratch.va_picks.clear();
         for port_idx in 0..p {
             let port_id = PortId(port_idx as u8);
             // Stage 1 never changes a VC's G state (only stage 2 does),
@@ -493,7 +507,7 @@ impl Router {
                             });
                         }
                     }
-                    self.scratch
+                    scratch
                         .va_picks
                         .push((port_idx, vc_id, owner, out, VcId(ovc as u8)));
                 }
@@ -501,23 +515,22 @@ impl Router {
         }
 
         // ---- Stage 2: per downstream VC, arbitrate among pickers ----
-        self.scratch.va_stage2.fill(0);
-        self.scratch.va2_touched.fill(0);
-        for i in 0..self.scratch.va_picks.len() {
-            let (port_idx, vc_id, _owner, out, ovc) = self.scratch.va_picks[i];
-            self.scratch.va_stage2[out.index() * v + ovc.index()] |=
-                1 << (port_idx * v + vc_id.index());
-            self.scratch.va2_touched[out.index()] |= 1 << ovc.index();
+        scratch.va_stage2.fill(0);
+        scratch.va2_touched.fill(0);
+        for i in 0..scratch.va_picks.len() {
+            let (port_idx, vc_id, _owner, out, ovc) = scratch.va_picks[i];
+            scratch.va_stage2[out.index() * v + ovc.index()] |= 1 << (port_idx * v + vc_id.index());
+            scratch.va2_touched[out.index()] |= 1 << ovc.index();
         }
         for out_idx in 0..p {
             // Same out-major / ascending-out_vc order as an exhaustive
             // sweep; the mask walk just skips the request-free pairs.
-            let mut touched = self.scratch.va2_touched[out_idx];
+            let mut touched = scratch.va2_touched[out_idx];
             let va2_faulty = active.va2_word(PortId(out_idx as u8));
             while touched != 0 {
                 let ovc_idx = touched.trailing_zeros() as usize;
                 touched &= touched - 1;
-                let req = self.scratch.va_stage2[out_idx * v + ovc_idx];
+                let req = scratch.va_stage2[out_idx * v + ovc_idx];
                 // A faulty stage-2 arbiter grants nothing: in the baseline
                 // the requestors retry forever; in the protected router
                 // (ideal detection) this arbiter receives no requests, and
@@ -554,8 +567,8 @@ impl Router {
         // (Section V-B2). Borrows are re-established every cycle and only
         // ever raised on this cycle's pick owners, so clearing those
         // owners is equivalent to sweeping every VC.
-        for i in 0..self.scratch.va_picks.len() {
-            let (port_idx, _vc, owner, _out, _ovc) = self.scratch.va_picks[i];
+        for i in 0..scratch.va_picks.len() {
+            let (port_idx, _vc, owner, _out, _ovc) = scratch.va_picks[i];
             self.ports[port_idx].vc_mut(owner).fields.clear_borrow();
         }
 
@@ -572,7 +585,12 @@ impl Router {
     // Indexed loops mirror the hardware's parallel per-port/per-VC
     // structures and mutate several of them at once.
     #[allow(clippy::needless_range_loop)]
-    pub(crate) fn sa_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
+    pub(crate) fn sa_stage<O: Observer>(
+        &mut self,
+        cycle: Cycle,
+        scratch: &mut StageScratch,
+        obs: &mut O,
+    ) {
         // Whole-stage skip: no active VC holds a flit, so no requests
         // can form — identical to running the stage (no arbitration,
         // no SP/FSP refresh targets, no bypass action on an empty
@@ -588,7 +606,7 @@ impl Router {
         // (`Active` with a buffered flit): one word op per port. The
         // per-port request mask is accumulated here so stage 1 need not
         // rescan the request array.
-        self.scratch.sa_requests.fill(None);
+        scratch.sa_requests.fill(None);
         for port_idx in 0..p {
             let mut candidates = self.ports[port_idx].sa_candidate_mask();
             let mut req_mask: u32 = 0;
@@ -616,24 +634,19 @@ impl Router {
                 if self.credited[out.index()] & (1 << out_vc.index()) == 0 {
                     continue; // no downstream space
                 }
-                self.scratch.sa_requests[port_idx * v + vc_idx] = Some(SaRequest {
+                scratch.sa_requests[port_idx * v + vc_idx] = Some(SaRequest {
                     logical_out: out,
                     target,
                     out_vc,
                 });
                 req_mask |= 1 << vc_idx;
             }
-            self.scratch.sa_port_req[port_idx] = req_mask;
+            scratch.sa_port_req[port_idx] = req_mask;
         }
 
         // Stall accounting: formed requests (routed, credited VCs) minus
         // this cycle's stage-2 grants.
-        let sa_requests: u32 = self
-            .scratch
-            .sa_port_req
-            .iter()
-            .map(|m| m.count_ones())
-            .sum();
+        let sa_requests: u32 = scratch.sa_port_req.iter().map(|m| m.count_ones()).sum();
         let sa_grants_before = self.stats.sa_grants;
 
         // ---- Stage 1: per input port, pick one VC ----
@@ -644,14 +657,14 @@ impl Router {
         let sa1_faulty = active.sa1_word();
         let sa1_blocked = sa1_faulty & (!detected.sa1_word() | active.sa1_bypass_word());
         let sa2_faulty = active.sa2_word();
-        self.scratch.sa_port_winner.fill(None);
+        scratch.sa_port_winner.fill(None);
         for port_idx in 0..p {
-            let req_mask = self.scratch.sa_port_req[port_idx];
+            let req_mask = scratch.sa_port_req[port_idx];
             if req_mask == 0 {
                 continue;
             }
             if sa1_faulty & (1 << port_idx) == 0 {
-                self.scratch.sa_port_winner[port_idx] = self.sa1[port_idx].arbitrate(req_mask);
+                scratch.sa_port_winner[port_idx] = self.sa1[port_idx].arbitrate(req_mask);
                 continue;
             }
             match self.kind {
@@ -679,7 +692,7 @@ impl Router {
                         _ => rotation_default,
                     };
                     if req_mask & (1 << effective) != 0 {
-                        self.scratch.sa_port_winner[port_idx] = Some(effective);
+                        scratch.sa_port_winner[port_idx] = Some(effective);
                         self.stats.sa_bypass_grants += 1;
                         if O::ENABLED {
                             obs.record(Event {
@@ -715,16 +728,15 @@ impl Router {
         }
 
         // ---- Stage 2: per target output, pick one input port ----
-        self.scratch.sa_stage2.fill(0);
+        scratch.sa_stage2.fill(0);
         for port_idx in 0..p {
-            if let Some(vc) = self.scratch.sa_port_winner[port_idx] {
-                let req =
-                    self.scratch.sa_requests[port_idx * v + vc].expect("winner had a request");
-                self.scratch.sa_stage2[req.target.index()] |= 1 << port_idx;
+            if let Some(vc) = scratch.sa_port_winner[port_idx] {
+                let req = scratch.sa_requests[port_idx * v + vc].expect("winner had a request");
+                scratch.sa_stage2[req.target.index()] |= 1 << port_idx;
             }
         }
         for target_idx in 0..p {
-            let mask = self.scratch.sa_stage2[target_idx];
+            let mask = scratch.sa_stage2[target_idx];
             if mask == 0 {
                 continue;
             }
@@ -735,10 +747,8 @@ impl Router {
                 continue;
             }
             if let Some(wport) = self.sa2[target_idx].arbitrate(mask) {
-                let vc_idx =
-                    self.scratch.sa_port_winner[wport].expect("stage-2 winner won stage 1");
-                let req =
-                    self.scratch.sa_requests[wport * v + vc_idx].expect("winner had a request");
+                let vc_idx = scratch.sa_port_winner[wport].expect("stage-2 winner won stage 1");
+                let req = scratch.sa_requests[wport * v + vc_idx].expect("winner had a request");
                 // Reserve the downstream buffer slot now; XB sends next
                 // cycle.
                 self.consume_credit(req.logical_out, req.out_vc);

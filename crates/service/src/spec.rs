@@ -87,12 +87,18 @@ impl Default for CampaignSpec {
     }
 }
 
+/// The largest integer a spec field holds exactly: JSON numbers parse
+/// to `f64`, whose integers are exact only below 2^53 — the bound
+/// snapshots observe too (ARCHITECTURE.md §5). A larger one would be
+/// rounded, and then run and echoed as a different number.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
 fn opt_u64(v: &JsonValue, key: &str, default: u64) -> Result<u64, String> {
-    match v.get(key) {
+    match v.get(key).map(JsonValue::as_u64) {
         None => Ok(default),
-        Some(f) => f
-            .as_u64()
-            .ok_or_else(|| format!("`{key}` must be a number")),
+        Some(Some(n)) if n <= MAX_EXACT_INT => Ok(n),
+        Some(Some(_)) => Err(format!("`{key}` must be an integer below 2^53")),
+        Some(None) => Err(format!("`{key}` must be a number")),
     }
 }
 
@@ -209,6 +215,10 @@ impl CampaignSpec {
         if self.measure_cycles == 0 {
             return Err("`measure_cycles` must be positive".into());
         }
+        self.warmup_cycles
+            .checked_add(self.measure_cycles)
+            .and_then(|c| c.checked_add(self.drain_cycles))
+            .ok_or("`warmup_cycles` + `measure_cycles` + `drain_cycles` overflows")?;
         match self.kind.as_str() {
             "simulate" | "fault_campaign" => {}
             other => return Err(format!("unknown job kind {other:?}")),
@@ -224,7 +234,13 @@ impl CampaignSpec {
         }
         let cfg = self.network_config()?;
         cfg.validate()?;
-        SyntheticPattern::parse_arg(&self.pattern, cfg.nodes()).map(drop)
+        SyntheticPattern::parse_arg(&self.pattern, cfg.nodes())?;
+        if self.kind == "fault_campaign" {
+            // The engine's own check, so a campaign the worker would
+            // refuse is refused at submission instead.
+            self.campaign_config()?.validate()?;
+        }
+        Ok(())
     }
 
     /// Total cycles the campaign will run (before any early drain).
@@ -412,6 +428,51 @@ mod tests {
             RoutingMode::Adaptive,
             "simulate jobs honour the routing field"
         );
+    }
+
+    #[test]
+    fn integers_must_be_exact() {
+        let with = |fields: &str| CampaignSpec::from_text(&format!("{{{fields}}}"));
+        // 2^53 + 1 parses to 2^53: it would run, and echo, as another seed.
+        let err = with("\"seed\": 9007199254740993").unwrap_err();
+        assert!(err.contains("`seed`") && err.contains("2^53"), "{err}");
+        let err = with("\"measure_cycles\": 1e30").unwrap_err();
+        assert!(err.contains("`measure_cycles`"), "{err}");
+        // The largest exact integer is accepted and echoed unchanged.
+        let spec = with("\"seed\": 9007199254740991").unwrap();
+        assert_eq!(spec.seed, 9_007_199_254_740_991);
+        assert_eq!(
+            CampaignSpec::from_text(&spec.to_json().render()).unwrap(),
+            spec
+        );
+    }
+
+    #[test]
+    fn cycle_budgets_cannot_overflow() {
+        let spec = CampaignSpec {
+            measure_cycles: u64::MAX,
+            drain_cycles: 1,
+            ..CampaignSpec::default()
+        };
+        let err = spec.validate().unwrap_err();
+        assert!(
+            err.contains("`drain_cycles`") && err.contains("overflows"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn max_faults_is_bounded_by_the_links() {
+        let with = |fields: &str| {
+            CampaignSpec::from_text(&format!(
+                "{{\"kind\": \"fault_campaign\", \"routing\": \"both\", {fields}}}"
+            ))
+        };
+        let err = with("\"max_faults\": 4000000000").unwrap_err();
+        assert!(err.contains("`max_faults`"), "{err}");
+        // A 4x4 mesh has 24 links: every one may fail, no more.
+        assert!(with("\"max_faults\": 24").is_ok());
+        assert!(with("\"max_faults\": 25").is_err());
     }
 
     #[test]

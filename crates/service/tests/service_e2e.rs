@@ -816,6 +816,13 @@ fn daemon_returns_429_and_404_properly() {
         ("{\"mesh_k\": 6, \"pattern\": \"shuffle\"}", "36 nodes"),
         ("{\"pattern\": \"hotspot:NaN\"}", "[0, 1]"),
         ("{\"pattern\": \"hotspot:7\"}", "[0, 1]"),
+        // Integers a JSON number cannot hold exactly, and more faults
+        // than the 4x4 mesh has links (a job that would never finish).
+        ("{\"seed\": 9007199254740993}", "`seed`"),
+        (
+            "{\"kind\": \"fault_campaign\", \"routing\": \"both\", \"max_faults\": 4000000000}",
+            "`max_faults`",
+        ),
     ] {
         let resp = noc_service::client::request(&daemon.addr, "POST", "/jobs", Some(body)).unwrap();
         assert_eq!(resp.status, 400, "{body} must 400: {}", resp.body);

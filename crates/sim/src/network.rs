@@ -84,7 +84,7 @@ struct LinkTarget {
 type WiringRow = [Option<LinkTarget>; 5];
 
 /// A flit or credit in flight on a link.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 enum Wire {
     Flit {
         router: usize,
@@ -780,6 +780,46 @@ pub struct Network {
     pub last_activity: Cycle,
 }
 
+/// An independent network in the same state at the same cycle: stepping
+/// either copy leaves the other untouched, and each continues exactly as
+/// the original would have. The topology and the adaptive escape tables
+/// stay shared behind their `Arc`s, which is safe because a fault edge
+/// swaps a new `Arc` in ([`Network::fail_link`], [`Network::fail_router`])
+/// and never mutates a shared one. The shard partition is rebuilt at the
+/// same shard count with fresh scratch and profile (it is empty at every
+/// cycle boundary). Everything else is copied — and only its occupied
+/// part: std `Vec`/`VecDeque` clones allocate `len`, not capacity, so a
+/// clone of a lightly loaded network is much smaller than the network
+/// it was taken from, and grows its buffers back as it steps.
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            cfg: self.cfg,
+            mesh: self.mesh,
+            topo: Arc::clone(&self.topo),
+            wiring: self.wiring.clone(),
+            routers: self.routers.clone(),
+            nis: self.nis.clone(),
+            wires: self.wires.clone(),
+            link_free: self.link_free.clone(),
+            deliveries: self.deliveries.clone(),
+            link_flits: self.link_flits.clone(),
+            cycles_stepped: self.cycles_stepped,
+            skip_idle: self.skip_idle,
+            worklist_audit: self.worklist_audit,
+            routers_stepped: self.routers_stepped,
+            routers_skipped: self.routers_skipped,
+            escape: self.escape.clone(),
+            pending_link_faults: self.pending_link_faults.clone(),
+            part: self.partition(self.threads()),
+            flits_edge_dropped: self.flits_edge_dropped,
+            flits_dropped: self.flits_dropped,
+            flits_injected: self.flits_injected,
+            last_activity: self.last_activity,
+        }
+    }
+}
+
 impl Network {
     /// Build a fault-free network of the given router kind.
     pub fn new(cfg: NetworkConfig, kind: RouterKind) -> Self {
@@ -864,11 +904,7 @@ impl Network {
             .unwrap_or(1)
             .max(cfg.link_latency);
         let slots = max_latency as usize + 1;
-        // Scheduled link faults apply at cycle boundaries, next due
-        // event last so it pops off cheaply.
-        let mut pending_link_faults = plan.link_faults().to_vec();
-        pending_link_faults.reverse();
-        Network {
+        let mut net = Network {
             cfg,
             mesh,
             topo,
@@ -885,13 +921,47 @@ impl Network {
             routers_stepped: 0,
             routers_skipped: 0,
             escape,
-            pending_link_faults,
+            pending_link_faults: Vec::new(),
             part: Partition::new(1, mesh, cfg.topology.chiplet_k().map(usize::from)),
             flits_edge_dropped: 0,
             flits_dropped: 0,
             flits_injected: 0,
             last_activity: 0,
+        };
+        net.schedule_link_faults(plan.link_faults());
+        net
+    }
+
+    /// Cycles stepped so far: the cycle the next [`Network::step`] runs.
+    /// A fresh network is at 0; a clone is at its original's.
+    pub fn cycle(&self) -> Cycle {
+        self.cycles_stepped
+    }
+
+    /// Schedule link faults on this network, replacing any still
+    /// pending. Each event fails its link at the boundary before its
+    /// cycle is stepped, in the canonical `(cycle, router, dir)` order
+    /// whatever order `events` lists them in — the order
+    /// [`FaultPlan::with_link_faults`] keeps, so scheduling a plan's
+    /// events here on a fresh network is what
+    /// [`Network::with_faults`] does.
+    ///
+    /// # Panics
+    /// Panics on an event before [`Network::cycle`]: its cycle has been
+    /// stepped already, so it would apply late and the run would
+    /// diverge silently from one that scheduled it in time.
+    pub fn schedule_link_faults(&mut self, events: &[LinkFaultEvent]) {
+        let now = self.cycle();
+        if let Some(late) = events.iter().find(|f| f.cycle < now) {
+            panic!(
+                "link fault at cycle {} scheduled on a network already at cycle {now}",
+                late.cycle
+            );
         }
+        // Next due event last, so it pops off cheaply at each boundary.
+        let mut pending = events.to_vec();
+        pending.sort_by_key(|f| std::cmp::Reverse((f.cycle, f.router.0, f.dir as u8)));
+        self.pending_link_faults = pending;
     }
 
     /// The bounding grid geometry (row-major id ↔ coordinate mapping;
@@ -1138,9 +1208,14 @@ impl Network {
         };
         let t = t.min(self.mesh.h as usize).max(1);
         if self.threads() != t {
-            let chiplet_rows = self.cfg.topology.chiplet_k().map(usize::from);
-            self.part = Partition::new(t, self.mesh, chiplet_rows);
+            self.part = self.partition(t);
         }
+    }
+
+    /// A fresh partition of the grid into `threads` shards.
+    fn partition(&self, threads: usize) -> Partition {
+        let chiplet_rows = self.cfg.topology.chiplet_k().map(usize::from);
+        Partition::new(threads, self.mesh, chiplet_rows)
     }
 
     /// Threads stepping the mesh (= shards).

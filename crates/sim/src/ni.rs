@@ -11,7 +11,7 @@ use noc_types::{Coord, Cycle, DeliveredPacket, Flit, Packet, PacketId, PacketKin
 use std::collections::{HashMap, VecDeque};
 
 /// An in-progress transmission on one local-input VC.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct ActiveSend {
     vc: VcId,
     remaining: VecDeque<Flit>,
@@ -26,7 +26,7 @@ struct Reassembly {
 }
 
 /// The per-node network interface.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetworkInterface {
     node: Coord,
     vcs: usize,

@@ -89,15 +89,17 @@ struct EpochState {
 }
 
 impl EpochState {
-    fn new(every: Cycle) -> Self {
+    /// A sampler whose first epoch opens at `net`'s clock and counters
+    /// (all zero on a fresh network).
+    fn new(every: Cycle, net: &Network) -> Self {
         EpochState {
             series: TimeSeries::new(every),
-            epoch_start: 0,
-            deliveries_seen: 0,
-            flits_ejected: 0,
-            flits_injected: 0,
-            routers_stepped: 0,
-            routers_skipped: 0,
+            epoch_start: net.cycle(),
+            deliveries_seen: net.deliveries().len(),
+            flits_ejected: net.flits_ejected(),
+            flits_injected: net.flits_injected,
+            routers_stepped: net.routers_stepped(),
+            routers_skipped: net.routers_skipped(),
         }
     }
 
@@ -383,7 +385,7 @@ impl Simulator {
         let (start_cycle, epochs, cursor) = match resume_from {
             None => {
                 stream.truncate(0).map_err(|e| e.within("stream"))?;
-                (0, self.sample_every.map(EpochState::new), 0)
+                (0, self.epochs_from(&net), 0)
             }
             Some(v) => {
                 let version = u64_field(v, "schema_version")?;
@@ -449,18 +451,25 @@ impl Simulator {
     ) -> (NetworkReport, SimOutcome, ShardedTracer) {
         let mut net = self.build_network();
         let mut tracer = ShardedTracer::new(net.shard_count(), capacity_per_shard);
+        let epochs = self.epochs_from(&net);
         let (report, outcome) = self.run_core(
             &mut net,
             &mut FnSource(source),
             tracer.rings_mut(),
             0,
-            self.sample_every.map(EpochState::new),
+            epochs,
         );
         (report, outcome, tracer)
     }
 
     /// Run the phased loop (warm-up / measure / drain, watchdog, epoch
-    /// sampling, report assembly) on a caller-built network.
+    /// sampling, report assembly) on a caller-built network, from the
+    /// network's own clock ([`Network::cycle`]) to the end of the
+    /// phases. A fresh network is at cycle 0, so this is a whole run; a
+    /// network that was stepped before — by an earlier `run_on` whose
+    /// phases ended sooner, or a [`Clone`] of one — continues, and
+    /// finishes exactly as the uninterrupted run would have. The epoch
+    /// sampler covers only the cycles this call steps.
     ///
     /// This is how fault campaigns and the bench sweeps run: they
     /// build the network (faults, re-routed tables, thread count) and
@@ -474,13 +483,14 @@ impl Simulator {
         // Zero-sized observers: the Vec never allocates and every
         // `O::ENABLED` guard in the steppers compiles out.
         let mut nulls = vec![NullObserver; net.shard_count()];
-        self.run_core(
-            net,
-            &mut FnSource(source),
-            &mut nulls,
-            0,
-            self.sample_every.map(EpochState::new),
-        )
+        let (start, epochs) = (net.cycle(), self.epochs_from(net));
+        self.run_core(net, &mut FnSource(source), &mut nulls, start, epochs)
+    }
+
+    /// The epoch sampler of a run starting at `net`'s clock, when
+    /// sampling is on.
+    fn epochs_from(&self, net: &Network) -> Option<EpochState> {
+        self.sample_every.map(|every| EpochState::new(every, net))
     }
 
     fn build_network(&self) -> Network {

@@ -1,7 +1,8 @@
 //! The network's per-cycle hot path must be allocation-free in steady
 //! state — at every shard count of the one stepper, including its
 //! shard profile. All scratch (shard buffers, worklists, the profile
-//! ring, the pool's job slot) is preallocated and reused.
+//! ring, the pool's job slot) is preallocated and reused, and a network
+//! that has been cloned keeps stepping allocation-free.
 //!
 //! Same shape as the router-level test in `crates/core/tests/no_alloc.rs`:
 //! wrap the global allocator in a counter, warm the network up under
@@ -118,8 +119,17 @@ fn steady_state_network_step_allocates_nothing() {
         let mut packets: Vec<Packet> = Vec::new();
 
         // Warm-up: NI queues, shard scratch, worklists and the pool all
-        // grow to steady capacity.
+        // grow to steady capacity. Half-way, the network is forked as a
+        // campaign forks one at a fault onset, and the clone is kept
+        // alive: the network it was taken from must keep stepping
+        // allocation-free. (Forked before the window, not at its start,
+        // because a multi-shard clone spawns its own pool workers, and a
+        // worker allocates on its own thread as it starts.)
+        let mut fork = None;
         for cycle in 0..WARMUP {
+            if cycle == WARMUP / 2 {
+                fork = Some(net.clone());
+            }
             tick(&mut rng, k, cycle, &mut next_id, &mut packets);
             net.offer_packets_from(&mut packets);
             net.step(cycle);
@@ -139,6 +149,9 @@ fn steady_state_network_step_allocates_nothing() {
         }
         TRAP.store(false, Ordering::Relaxed);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let fork = fork.expect("forked during the warm-up");
+        assert_eq!(fork.cycle(), WARMUP / 2, "{label}: the fork did not move");
+        drop(fork);
 
         assert!(
             !net.deliveries().is_empty(),
