@@ -95,6 +95,24 @@ impl FaultState {
         self.injected.is_empty() && self.transients.is_empty()
     }
 
+    /// Whether `cycle` lies in the range `[refreshed_at, next_edge)` over
+    /// which the maps are already exact: a refresh at `cycle` would
+    /// change no map and emit no event, only advance the clock's lower
+    /// bound. Anything that changes the schedule or the detection model
+    /// empties the range, so the next refresh is never skipped.
+    #[inline]
+    pub fn quiet_at(&self, cycle: Cycle) -> bool {
+        self.refreshed_at <= cycle && cycle < self.next_edge
+    }
+
+    /// Empty the range, as a fresh state's is: the next refresh takes
+    /// the edge path and emits the events of its own cycle. For a state
+    /// restored from a snapshot taken before its first refresh, which
+    /// the snapshot cannot tell from one refreshed at cycle 0.
+    pub fn mark_unrefreshed(&mut self) {
+        self.next_edge = 0;
+    }
+
     /// Change the detection model, keeping every scheduled fault. The
     /// maps are cleared and repopulated on the next `refresh`.
     pub fn set_detection(&mut self, detection: DetectionModel) {
@@ -105,8 +123,8 @@ impl FaultState {
     }
 
     /// Advance the fault clock to `now`. Correct for any non-decreasing
-    /// sequence of cycles: a router may refresh every cycle (a faulted
-    /// router does — it is never worklist-skipped) or jump.
+    /// sequence of cycles: a router may refresh every cycle or jump (a
+    /// worklist skips empty routers on quiet cycles).
     pub fn refresh(&mut self, now: Cycle) {
         self.refresh_observed(now, 0, &mut NullObserver);
     }
@@ -125,12 +143,11 @@ impl FaultState {
     /// transient clearing), in cycle order and within a cycle in
     /// schedule order — what refreshing on every cycle would have
     /// emitted. When the clock has not advanced (the first refresh of
-    /// cycle 0, or the first after a restore), the edges of `now` itself
-    /// are emitted. Faults injected at an already-elapsed cycle manifest
+    /// cycle 0), the edges of `now` itself are emitted. Faults injected at an already-elapsed cycle manifest
     /// correctly but emit no (retroactive) event.
     #[inline]
     pub fn refresh_observed<O: Observer>(&mut self, now: Cycle, router: u16, obs: &mut O) -> bool {
-        if self.refreshed_at <= now && now < self.next_edge {
+        if self.quiet_at(now) {
             self.refreshed_at = now;
             return false;
         }
@@ -392,13 +409,14 @@ impl Restore for FaultState {
         self.injected = injected;
         self.transients = transients;
         // The maps are functions of (schedule, detection model, clock):
-        // derive them at the recorded clock, and leave the range empty
-        // so the first refresh after the restore takes the edge path
-        // (a snapshot does not say whether cycle `refreshed_at` itself
-        // was stepped; `refresh_observed` resolves that).
+        // derive them at the recorded clock, and put the range where the
+        // refresh at that clock left it, so the restored state makes the
+        // same quiet-cycle decisions as the one snapshotted. A state
+        // never refreshed at all records clock 0 too; its owner says so
+        // with `mark_unrefreshed`.
         self.derive_maps(refreshed_at);
         self.refreshed_at = refreshed_at;
-        self.next_edge = 0;
+        self.next_edge = self.next_edge_after(refreshed_at);
         Ok(())
     }
 }

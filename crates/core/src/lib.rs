@@ -66,7 +66,7 @@ mod stages;
 
 pub use crossbar::{Crossbar, XbPath};
 pub use fault_state::FaultState;
-pub use port::{InputPort, VirtualChannel};
+pub use port::VcView;
 pub use router::{
     CreditReturn, Departure, Router, RouterKind, RouterStats, RoutingAlgorithm, StepOutput,
 };

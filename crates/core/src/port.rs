@@ -1,412 +1,255 @@
-//! Input-port and virtual-channel state (Figures 3d and 4).
+//! Input-buffer state (Figures 3d and 4): one flit store per router.
+//!
+//! Every input VC of a router keeps its flits in one contiguous
+//! allocation of `P·V·depth` flits, made when the router is built. VC
+//! `i = port·V + vc` owns slots `[i·depth, (i + 1)·depth)` as a ring,
+//! addressed by a `head`/`len` pair next to its architectural state
+//! fields. Nothing on the flit path allocates, and a router clone copies
+//! the whole store in one allocation.
 
-use noc_types::{Flit, VcGlobalState, VcId, VcStateFields};
-use std::collections::VecDeque;
+use noc_types::{Coord, Flit, FlitKind, FlitSeq, PacketId, VcGlobalState, VcStateFields};
 
-/// One virtual channel: a FIFO flit buffer plus its architectural state
-/// fields. The `P` (pointer) field of the figure is realised by the
-/// queue; the `C` (credit) field lives in the router's output-side
-/// tracker since credits describe *downstream* space.
-#[derive(Debug, Clone)]
-pub struct VirtualChannel {
-    buffer: VecDeque<Flit>,
-    depth: usize,
+/// One input VC's bookkeeping: its architectural fields and its ring
+/// in the router's [`FlitStore`]. The `P` (pointer) field of the figure
+/// is the ring index; the `C` (credit) field lives in the router's
+/// output-side tracker, since credits describe *downstream* space.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct VcSlot {
     /// Architectural state fields (`G R O` + protected `R2 VF ID SP FSP`).
-    pub fields: VcStateFields,
+    pub(crate) fields: VcStateFields,
+    /// Ring position of the front flit.
+    head: u8,
+    /// Flits buffered.
+    len: u8,
 }
 
-impl VirtualChannel {
-    /// An empty VC with `depth` flit slots.
-    pub fn new(depth: usize) -> Self {
-        VirtualChannel {
-            buffer: VecDeque::with_capacity(depth),
+/// All input VC buffers of one router. Depth is at most 255
+/// (`RouterConfig::validate`), so the ring indices are bytes.
+#[derive(Debug, Clone)]
+pub(crate) struct FlitStore {
+    /// `P·V·depth` flit slots; a slot outside its VC's ring holds a stale
+    /// flit that is never read.
+    flits: Box<[Flit]>,
+    /// One per VC, indexed `port·V + vc`.
+    vcs: Box<[VcSlot]>,
+    depth: u8,
+}
+
+impl FlitStore {
+    /// An empty store of `vcs` rings of `depth` flits each.
+    pub(crate) fn new(vcs: usize, depth: usize) -> Self {
+        let depth = u8::try_from(depth).expect("VC depth is validated to at most 255");
+        let blank = Flit::new(
+            PacketId(0),
+            FlitSeq(0),
+            FlitKind::Single,
+            Coord::new(0, 0),
+            Coord::new(0, 0),
+            0,
+        );
+        FlitStore {
+            flits: vec![blank; vcs * usize::from(depth)].into_boxed_slice(),
+            vcs: vec![VcSlot::default(); vcs].into_boxed_slice(),
             depth,
-            fields: VcStateFields::default(),
         }
     }
 
-    /// Buffer capacity in flits.
-    pub fn depth(&self) -> usize {
-        self.depth
+    /// Buffer capacity of every VC, in flits.
+    #[inline]
+    pub(crate) fn depth(&self) -> usize {
+        usize::from(self.depth)
     }
 
-    /// Flits currently buffered.
-    pub fn occupancy(&self) -> usize {
-        self.buffer.len()
+    /// VC `i`'s bookkeeping.
+    #[inline]
+    pub(crate) fn slot(&self, i: usize) -> &VcSlot {
+        &self.vcs[i]
     }
 
-    /// Whether the buffer has no flits.
-    pub fn is_empty(&self) -> bool {
-        self.buffer.is_empty()
+    /// VC `i`'s state fields, for writing.
+    #[inline]
+    pub(crate) fn fields_mut(&mut self, i: usize) -> &mut VcStateFields {
+        &mut self.vcs[i].fields
     }
 
-    /// Whether the buffer is at capacity.
-    pub fn is_full(&self) -> bool {
-        self.buffer.len() >= self.depth
+    /// Flits buffered in VC `i`.
+    #[inline]
+    pub(crate) fn len(&self, i: usize) -> usize {
+        usize::from(self.vcs[i].len)
     }
 
-    /// Append an arriving flit (buffer write).
+    /// Index into `flits` of the `k`-th flit of VC `i`'s ring.
+    #[inline]
+    fn at(&self, i: usize, k: usize) -> usize {
+        let d = self.depth();
+        let pos = usize::from(self.vcs[i].head) + k;
+        i * d + if pos >= d { pos - d } else { pos }
+    }
+
+    /// The flit at the front of VC `i`, if any.
+    #[inline]
+    pub(crate) fn front(&self, i: usize) -> Option<&Flit> {
+        (self.vcs[i].len != 0).then(|| &self.flits[self.at(i, 0)])
+    }
+
+    /// Append an arriving flit to VC `i` (buffer write). The first flit
+    /// of an idle, empty VC moves it to `Routing`.
     ///
     /// # Panics
-    /// Panics if the buffer is full — arrival beyond capacity means the
+    /// Panics if the ring is full — arrival beyond capacity means the
     /// credit protocol was violated, which is a simulator bug.
-    pub fn push(&mut self, flit: Flit) {
+    #[inline]
+    pub(crate) fn push(&mut self, i: usize, flit: Flit) {
+        let len = self.vcs[i].len;
         assert!(
-            !self.is_full(),
+            len < self.depth,
             "VC buffer overflow: credit protocol violated"
         );
-        if self.buffer.is_empty() && self.fields.g == VcGlobalState::Idle {
+        let at = self.at(i, usize::from(len));
+        self.flits[at] = flit;
+        let slot = &mut self.vcs[i];
+        if len == 0 && slot.fields.g == VcGlobalState::Idle {
             debug_assert!(
                 flit.kind.is_head(),
                 "first flit of an idle VC must be a head flit"
             );
-            self.fields.g = VcGlobalState::Routing;
+            slot.fields.g = VcGlobalState::Routing;
         }
-        self.buffer.push_back(flit);
+        slot.len = len + 1;
     }
 
-    /// The flit at the front of the buffer, if any.
-    pub fn front(&self) -> Option<&Flit> {
-        self.buffer.front()
-    }
-
-    /// Remove and return the front flit (switch traversal).
+    /// Remove and return the front flit of VC `i` (switch traversal).
     ///
     /// On a tail flit the VC state resets; if another packet's head is
     /// already queued behind, the VC re-enters `Routing`.
-    pub fn pop(&mut self) -> Option<Flit> {
-        let flit = self.buffer.pop_front()?;
+    #[inline]
+    pub(crate) fn pop(&mut self, i: usize) -> Option<Flit> {
+        if self.vcs[i].len == 0 {
+            return None;
+        }
+        let flit = self.flits[self.at(i, 0)];
+        let depth = self.depth;
+        let slot = &mut self.vcs[i];
+        slot.head = if slot.head + 1 == depth {
+            0
+        } else {
+            slot.head + 1
+        };
+        slot.len -= 1;
         if flit.kind.is_tail() {
-            self.fields.reset();
-            if let Some(next) = self.buffer.front() {
-                debug_assert!(next.kind.is_head(), "flit after a tail must be a head");
-                self.fields.g = VcGlobalState::Routing;
+            slot.fields.reset();
+            if slot.len != 0 {
+                debug_assert!(
+                    self.front(i).is_some_and(|f| f.kind.is_head()),
+                    "flit after a tail must be a head"
+                );
+                self.vcs[i].fields.g = VcGlobalState::Routing;
             }
         }
         Some(flit)
     }
 
-    /// Move the entire contents and state of `self` into `other`
-    /// (Section V-C1: flit transfer between two VCs of the same input
-    /// port when the SA bypass path's default winner is empty).
-    ///
-    /// The receiving VC must be idle and empty; the source becomes idle.
-    /// Both flits and state fields move in parallel, so the hardware cost
-    /// is a single cycle (charged by the caller).
-    pub fn transfer_into(&mut self, other: &mut VirtualChannel) {
-        assert!(other.is_empty(), "transfer target must be empty");
-        assert_eq!(
-            other.fields.g,
-            VcGlobalState::Idle,
-            "transfer target must be idle"
-        );
-        assert!(
-            self.occupancy() <= other.depth,
-            "transfer target too shallow"
-        );
-        std::mem::swap(&mut self.buffer, &mut other.buffer);
-        other.fields = self.fields;
-        // Borrow-protocol fields describe the *lender's* arbiters and do
-        // not travel with the packet.
-        other.fields.clear_borrow();
-        self.fields.reset();
-    }
-
-    /// Iterate over the buffered flits, front first (diagnostics).
-    pub fn iter(&self) -> impl Iterator<Item = &Flit> {
-        self.buffer.iter()
-    }
-}
-
-/// One input port: `V` virtual channels plus a struct-of-arrays mirror
-/// of the per-VC `G` states as bitmasks.
-///
-/// The masks turn the pipeline's per-VC scans into word-wide kernels:
-/// each stage walks `mask.trailing_zeros()` over exactly the VCs it can
-/// serve (RC walks `routing`, VA walks `vc_alloc`, SA walks
-/// `active & nonempty`) instead of branching over every VC. They are a
-/// pure function of the per-VC state — bit `i` of each mask reflects
-/// `vcs[i].fields.g` (and buffer occupancy for `nonempty`) — kept in
-/// sync by [`InputPort::push_flit`] / [`InputPort::pop_flit`] and by
-/// [`InputPort::sync_state`], which stage code must call after mutating
-/// a VC's `G` field through [`InputPort::vc_mut`].
-#[derive(Debug, Clone)]
-pub struct InputPort {
-    vcs: Vec<VirtualChannel>,
-    /// Bit `i` set ⇔ VC `i` is not `Idle`.
-    nonidle: u32,
-    /// Bit `i` set ⇔ VC `i` is in `Routing` (has an RC request).
-    routing: u32,
-    /// Bit `i` set ⇔ VC `i` is in `VcAlloc` (VA-eligible).
-    vc_alloc: u32,
-    /// Bit `i` set ⇔ VC `i` is `Active` (past VA, competing in SA).
-    active: u32,
-    /// Bit `i` set ⇔ VC `i` has at least one buffered flit.
-    nonempty: u32,
-    /// Total flits buffered across all VCs, maintained incrementally by
-    /// [`InputPort::push_flit`] / [`InputPort::pop_flit`] so the
-    /// per-step occupancy integral costs one load instead of a walk
-    /// over every VC buffer. Intra-port moves ([`VirtualChannel::
-    /// transfer_into`]) leave the total unchanged.
-    occupancy: u32,
-}
-
-impl InputPort {
-    /// Build a port with `vcs` channels of `depth` flits each.
-    ///
-    /// The VC count is validated by `RouterConfig::validate` before any
-    /// port is built (`1..=32`, the mask width); this is only a debug
-    /// backstop for direct constructions that bypass the config.
-    pub fn new(vcs: usize, depth: usize) -> Self {
-        debug_assert!(vcs <= 32, "the per-port VC masks hold at most 32 VCs");
-        InputPort {
-            vcs: (0..vcs).map(|_| VirtualChannel::new(depth)).collect(),
-            nonidle: 0,
-            routing: 0,
-            vc_alloc: 0,
-            active: 0,
-            nonempty: 0,
-            occupancy: 0,
+    /// A read-only view of VC `i`.
+    #[inline]
+    pub(crate) fn view(&self, i: usize) -> VcView<'_> {
+        let d = self.depth();
+        VcView {
+            fields: &self.vcs[i].fields,
+            ring: &self.flits[i * d..(i + 1) * d],
+            head: usize::from(self.vcs[i].head),
+            len: usize::from(self.vcs[i].len),
         }
     }
 
-    /// Bitmask of VCs whose `G` state is anything but `Idle`.
-    #[inline]
-    pub fn nonidle_mask(&self) -> u32 {
-        self.nonidle
-    }
-
-    /// Bitmask of VCs in the `Routing` state (RC candidates).
-    #[inline]
-    pub fn routing_mask(&self) -> u32 {
-        self.routing
-    }
-
-    /// Bitmask of VCs in the `VcAlloc` state (VA candidates).
-    #[inline]
-    pub fn vc_alloc_mask(&self) -> u32 {
-        self.vc_alloc
-    }
-
-    /// Bitmask of VCs in the `Active` state.
-    #[inline]
-    pub fn active_mask(&self) -> u32 {
-        self.active
-    }
-
-    /// Bitmask of VCs with at least one buffered flit.
-    #[inline]
-    pub fn nonempty_mask(&self) -> u32 {
-        self.nonempty
-    }
-
-    /// Bitmask of VCs that may request switch allocation this cycle:
-    /// `Active` with a flit buffered.
-    #[inline]
-    pub fn sa_candidate_mask(&self) -> u32 {
-        self.active & self.nonempty
-    }
-
-    /// Re-derive the mask bits of `vc` from its current state. Stage
-    /// code must call this after writing `fields.g` through
-    /// [`InputPort::vc_mut`]; flit movement through
-    /// [`InputPort::push_flit`] / [`InputPort::pop_flit`] syncs
-    /// automatically.
-    #[inline]
-    pub fn sync_state(&mut self, vc: VcId) {
-        let i = vc.index();
-        let bit = 1u32 << i;
-        let ch = &self.vcs[i];
-        self.nonidle &= !bit;
-        self.routing &= !bit;
-        self.vc_alloc &= !bit;
-        self.active &= !bit;
-        match ch.fields.g {
-            VcGlobalState::Idle => {}
-            VcGlobalState::Routing => {
-                self.nonidle |= bit;
-                self.routing |= bit;
-            }
-            VcGlobalState::VcAlloc => {
-                self.nonidle |= bit;
-                self.vc_alloc |= bit;
-            }
-            VcGlobalState::Active => {
-                self.nonidle |= bit;
-                self.active |= bit;
-            }
-        }
-        if ch.buffer.is_empty() {
-            self.nonempty &= !bit;
-        } else {
-            self.nonempty |= bit;
-        }
-    }
-
-    /// Append an arriving flit to `vc`, keeping the state masks in
-    /// sync. Router code must use this (not `vc_mut().push`) so the
-    /// stage-skipping masks stay accurate.
-    #[inline]
-    pub fn push_flit(&mut self, vc: VcId, flit: Flit) {
-        self.vcs[vc.index()].push(flit);
-        self.occupancy += 1;
-        self.sync_state(vc);
-    }
-
-    /// Remove and return the front flit of `vc`, keeping the state
-    /// masks in sync.
-    #[inline]
-    pub fn pop_flit(&mut self, vc: VcId) -> Option<Flit> {
-        let flit = self.vcs[vc.index()].pop();
-        if flit.is_some() {
-            self.occupancy -= 1;
-        }
-        self.sync_state(vc);
-        flit
-    }
-
-    /// Shared access to one VC.
-    pub fn vc(&self, vc: VcId) -> &VirtualChannel {
-        &self.vcs[vc.index()]
-    }
-
-    /// Exclusive access to one VC.
-    pub fn vc_mut(&mut self, vc: VcId) -> &mut VirtualChannel {
-        &mut self.vcs[vc.index()]
-    }
-
-    /// Exclusive access to two distinct VCs at once (for transfers and
-    /// the borrow protocol).
-    pub fn vc_pair_mut(&mut self, a: VcId, b: VcId) -> (&mut VirtualChannel, &mut VirtualChannel) {
-        assert_ne!(a, b, "need two distinct VCs");
-        let (lo, hi) = if a.index() < b.index() {
-            (a, b)
-        } else {
-            (b, a)
+    /// Overwrite VC `i`'s fields and contents directly (snapshot
+    /// restore), bypassing [`FlitStore::push`]'s arrival invariants: a
+    /// snapshot captures mid-pipeline states (e.g. a non-head flit at
+    /// the front of an `Active` VC) that no arrival sequence could
+    /// reconstruct. The caller has checked `flits.len() <= depth`.
+    pub(crate) fn overwrite(&mut self, i: usize, fields: VcStateFields, flits: &[Flit]) {
+        let d = self.depth();
+        debug_assert!(flits.len() <= d);
+        self.flits[i * d..i * d + flits.len()].copy_from_slice(flits);
+        self.vcs[i] = VcSlot {
+            fields,
+            head: 0,
+            len: flits.len() as u8,
         };
-        let (left, right) = self.vcs.split_at_mut(hi.index());
-        let (first, second) = (&mut left[lo.index()], &mut right[0]);
-        if a.index() < b.index() {
-            (first, second)
-        } else {
-            (second, first)
-        }
+    }
+}
+
+/// A read-only view of one input VC: its state fields and its buffered
+/// flits (diagnostics, flight records, conservation checks and tests).
+#[derive(Debug, Clone, Copy)]
+pub struct VcView<'a> {
+    /// Architectural state fields (`G R O` + protected `R2 VF ID SP FSP`).
+    pub fields: &'a VcStateFields,
+    ring: &'a [Flit],
+    head: usize,
+    len: usize,
+}
+
+impl<'a> VcView<'a> {
+    /// Buffer capacity in flits.
+    pub fn depth(&self) -> usize {
+        self.ring.len()
     }
 
-    /// Total flits buffered across all VCs (O(1): maintained by the
-    /// flit push/pop paths, not recomputed).
+    /// Flits currently buffered.
     pub fn occupancy(&self) -> usize {
-        debug_assert_eq!(
-            self.occupancy as usize,
-            self.vcs.iter().map(|v| v.occupancy()).sum::<usize>(),
-            "incremental occupancy out of sync with the VC buffers"
-        );
-        self.occupancy as usize
+        self.len
     }
 
-    /// Iterate over `(VcId, &VirtualChannel)`.
-    pub fn iter(&self) -> impl Iterator<Item = (VcId, &VirtualChannel)> {
-        self.vcs.iter().enumerate().map(|(i, v)| (VcId(i as u8), v))
+    /// Whether the buffer has no flits.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether the buffer is at capacity.
+    pub fn is_full(&self) -> bool {
+        self.len == self.ring.len()
+    }
+
+    /// The flit at the front of the buffer, if any.
+    pub fn front(&self) -> Option<&'a Flit> {
+        self.iter().next()
+    }
+
+    /// The buffered flits, front first.
+    pub fn iter(&self) -> impl Iterator<Item = &'a Flit> + 'a {
+        let (ring, head) = (self.ring, self.head);
+        (0..self.len).map(move |k| &ring[(head + k) % ring.len()])
     }
 }
 
 // ---------------------------------------------------------------------
-// Snapshot / restore
+// Snapshot
 // ---------------------------------------------------------------------
 
 use noc_telemetry::json::{obj, JsonValue};
-use noc_telemetry::snapshot::{
-    arr_field, decode_field, field, FromSnapshot, Restore, Snapshot, SnapshotError,
-};
+use noc_telemetry::snapshot::Snapshot;
 
-impl Snapshot for VirtualChannel {
+impl Snapshot for VcView<'_> {
     fn snapshot(&self) -> JsonValue {
         obj([
             ("fields", self.fields.snapshot()),
             (
                 "buffer",
-                JsonValue::Arr(self.buffer.iter().map(Snapshot::snapshot).collect()),
+                JsonValue::Arr(self.iter().map(Snapshot::snapshot).collect()),
             ),
         ])
-    }
-}
-
-impl Restore for VirtualChannel {
-    /// Overwrite buffer and state fields directly, bypassing
-    /// [`VirtualChannel::push`]'s arrival invariants — a snapshot captures
-    /// mid-pipeline states (e.g. a non-head flit at the front of an
-    /// `Active` VC) that no single arrival sequence could reconstruct.
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let flits =
-            Vec::<Flit>::from_snapshot(field(v, "buffer")?).map_err(|e| e.within("buffer"))?;
-        if flits.len() > self.depth {
-            return Err(SnapshotError::new(format!(
-                "snapshot holds {} flits but the VC depth is {}",
-                flits.len(),
-                self.depth
-            )));
-        }
-        self.fields = decode_field(v, "fields")?;
-        self.buffer.clear();
-        self.buffer.extend(flits);
-        Ok(())
-    }
-}
-
-impl Snapshot for InputPort {
-    fn snapshot(&self) -> JsonValue {
-        // The state masks are a pure function of the per-VC `G` fields
-        // and buffers and are resynthesised on restore rather than
-        // stored.
-        obj([(
-            "vcs",
-            JsonValue::Arr(self.vcs.iter().map(Snapshot::snapshot).collect()),
-        )])
-    }
-}
-
-impl Restore for InputPort {
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let arr = arr_field(v, "vcs")?;
-        if arr.len() != self.vcs.len() {
-            return Err(SnapshotError::new(format!(
-                "snapshot has {} VCs but the port was built with {}",
-                arr.len(),
-                self.vcs.len()
-            )));
-        }
-        for (i, (vc, s)) in self.vcs.iter_mut().zip(arr).enumerate() {
-            vc.restore(s).map_err(|e| e.within(&format!("vcs[{i}]")))?;
-        }
-        self.occupancy = self.vcs.iter().map(|v| v.occupancy()).sum::<usize>() as u32;
-        for i in 0..self.vcs.len() {
-            self.sync_state(VcId(i as u8));
-        }
-        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{Coord, FlitKind, FlitSeq, PacketId, PortId};
 
-    fn head(pkt: u64) -> Flit {
+    fn flit(pkt: u64, kind: FlitKind) -> Flit {
         Flit::new(
             PacketId(pkt),
             FlitSeq(0),
-            FlitKind::Head,
-            Coord::new(0, 0),
-            Coord::new(1, 1),
-            0,
-        )
-    }
-
-    fn tail(pkt: u64) -> Flit {
-        Flit::new(
-            PacketId(pkt),
-            FlitSeq(1),
-            FlitKind::Tail,
+            kind,
             Coord::new(0, 0),
             Coord::new(1, 1),
             0,
@@ -415,148 +258,81 @@ mod tests {
 
     #[test]
     fn head_arrival_wakes_idle_vc() {
-        let mut vc = VirtualChannel::new(4);
-        assert_eq!(vc.fields.g, VcGlobalState::Idle);
-        vc.push(head(1));
-        assert_eq!(vc.fields.g, VcGlobalState::Routing);
-        assert_eq!(vc.occupancy(), 1);
+        let mut s = FlitStore::new(2, 4);
+        assert_eq!(s.slot(1).fields.g, VcGlobalState::Idle);
+        s.push(1, flit(1, FlitKind::Head));
+        assert_eq!(s.slot(1).fields.g, VcGlobalState::Routing);
+        assert_eq!((s.len(0), s.len(1)), (0, 1));
     }
 
     #[test]
     fn tail_pop_resets_state_and_wakes_next_packet() {
-        let mut vc = VirtualChannel::new(4);
-        vc.push(head(1));
-        vc.fields.g = VcGlobalState::Active;
-        vc.push(tail(1));
-        vc.push(head(2)); // next packet queued behind
-        assert_eq!(vc.pop().unwrap().kind, FlitKind::Head);
+        let mut s = FlitStore::new(1, 4);
+        s.push(0, flit(1, FlitKind::Head));
+        s.fields_mut(0).g = VcGlobalState::Active;
+        s.push(0, flit(1, FlitKind::Tail));
+        s.push(0, flit(2, FlitKind::Head)); // next packet queued behind
+        assert_eq!(s.pop(0).unwrap().kind, FlitKind::Head);
         assert_eq!(
-            vc.fields.g,
+            s.slot(0).fields.g,
             VcGlobalState::Active,
             "non-tail pop keeps state"
         );
-        assert_eq!(vc.pop().unwrap().kind, FlitKind::Tail);
-        assert_eq!(vc.fields.g, VcGlobalState::Routing, "next head wakes VC");
-        assert_eq!(vc.occupancy(), 1);
+        assert_eq!(s.pop(0).unwrap().kind, FlitKind::Tail);
+        assert_eq!(
+            s.slot(0).fields.g,
+            VcGlobalState::Routing,
+            "next head wakes VC"
+        );
+        assert_eq!(s.len(0), 1);
     }
 
     #[test]
     fn tail_pop_on_empty_vc_goes_idle() {
-        let mut vc = VirtualChannel::new(4);
-        vc.push(head(1));
-        vc.fields.g = VcGlobalState::Active;
-        vc.push(tail(1));
-        vc.pop();
-        vc.pop();
-        assert_eq!(vc.fields.g, VcGlobalState::Idle);
-        assert!(vc.is_empty());
+        let mut s = FlitStore::new(1, 4);
+        s.push(0, flit(1, FlitKind::Head));
+        s.fields_mut(0).g = VcGlobalState::Active;
+        s.push(0, flit(1, FlitKind::Tail));
+        s.pop(0);
+        s.pop(0);
+        assert_eq!(s.slot(0).fields.g, VcGlobalState::Idle);
+        assert_eq!(s.pop(0), None);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut vc = VirtualChannel::new(1);
-        vc.push(head(1));
-        vc.push(tail(1));
+        let mut s = FlitStore::new(2, 1);
+        s.push(0, flit(1, FlitKind::Head));
+        s.push(0, flit(1, FlitKind::Tail));
     }
 
     #[test]
-    fn transfer_moves_flits_and_state() {
-        let mut port = InputPort::new(4, 4);
-        let (src, dst) = port.vc_pair_mut(VcId(1), VcId(2));
-        src.push(head(9));
-        src.fields.g = VcGlobalState::Active;
-        src.fields.r = Some(PortId(3));
-        src.fields.o = Some(VcId(0));
-        src.push(tail(9));
-        let (src, dst2) = (src, dst);
-        src.transfer_into(dst2);
-        assert!(src.is_empty());
-        assert_eq!(src.fields.g, VcGlobalState::Idle);
-        let dst = port.vc(VcId(2));
-        assert_eq!(dst.occupancy(), 2);
-        assert_eq!(dst.fields.g, VcGlobalState::Active);
-        assert_eq!(dst.fields.r, Some(PortId(3)));
-        assert_eq!(dst.fields.o, Some(VcId(0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "target must be empty")]
-    fn transfer_into_nonempty_target_panics() {
-        let mut port = InputPort::new(2, 4);
-        let (a, b) = port.vc_pair_mut(VcId(0), VcId(1));
-        a.push(head(1));
-        b.push(head(2));
-        b.fields.g = VcGlobalState::Idle; // force the empty check to fire first
-        a.transfer_into(b);
-    }
-
-    #[test]
-    fn nonidle_mask_tracks_push_and_pop() {
-        let mut port = InputPort::new(4, 4);
-        assert_eq!(port.nonidle_mask(), 0);
-        port.push_flit(VcId(2), head(1));
-        assert_eq!(port.nonidle_mask(), 0b0100);
-        port.vc_mut(VcId(2)).fields.g = VcGlobalState::Active;
-        port.push_flit(VcId(2), tail(1));
-        port.pop_flit(VcId(2));
-        assert_eq!(port.nonidle_mask(), 0b0100, "mid-packet stays non-idle");
-        port.pop_flit(VcId(2));
-        assert_eq!(port.nonidle_mask(), 0, "tail pop emptying the VC goes idle");
-    }
-
-    #[test]
-    fn state_masks_partition_nonidle() {
-        let mut port = InputPort::new(4, 4);
-        port.push_flit(VcId(1), head(7));
-        assert_eq!(port.routing_mask(), 0b0010);
-        assert_eq!(port.vc_alloc_mask(), 0);
-        assert_eq!(port.nonempty_mask(), 0b0010);
-
-        port.vc_mut(VcId(1)).fields.g = VcGlobalState::VcAlloc;
-        port.sync_state(VcId(1));
-        assert_eq!(port.routing_mask(), 0);
-        assert_eq!(port.vc_alloc_mask(), 0b0010);
-
-        port.vc_mut(VcId(1)).fields.g = VcGlobalState::Active;
-        port.sync_state(VcId(1));
-        assert_eq!(port.vc_alloc_mask(), 0);
-        assert_eq!(port.active_mask(), 0b0010);
-        assert_eq!(port.sa_candidate_mask(), 0b0010);
-
-        // Draining the buffer of an active VC removes it from the SA
-        // candidates but not from the active set.
-        port.push_flit(VcId(1), tail(7));
-        port.pop_flit(VcId(1));
-        port.pop_flit(VcId(1));
-        assert_eq!(port.active_mask(), 0, "tail pop resets the VC");
-        assert_eq!(port.nonidle_mask(), 0);
-        assert_eq!(port.sa_candidate_mask(), 0);
-
-        // The union of the per-state masks is always the non-idle mask.
-        port.push_flit(VcId(0), head(8));
-        port.push_flit(VcId(3), head(9));
-        port.vc_mut(VcId(3)).fields.g = VcGlobalState::Active;
-        port.sync_state(VcId(3));
-        assert_eq!(
-            port.routing_mask() | port.vc_alloc_mask() | port.active_mask(),
-            port.nonidle_mask()
-        );
-    }
-
-    #[test]
-    fn vc_pair_mut_returns_requested_order() {
-        // Flits enter through `push_flit` (the incremental-occupancy
-        // contract); `vc_pair_mut` is for in-port moves only.
-        let mut port = InputPort::new(4, 4);
-        port.push_flit(VcId(3), head(1));
-        {
-            let (a, b) = port.vc_pair_mut(VcId(3), VcId(0));
-            assert_eq!(a.occupancy(), 1);
-            assert!(b.is_empty());
+    fn rings_wrap_in_place_and_stay_apart() {
+        // Depth 3 (not a power of two): the head walks round each ring
+        // many times, and neighbouring rings never see each other's
+        // flits.
+        let mut s = FlitStore::new(3, 3);
+        for i in 0..3 {
+            s.fields_mut(i).g = VcGlobalState::Active; // body flits only
         }
-        assert_eq!(port.vc(VcId(3)).occupancy(), 1);
-        assert_eq!(port.vc(VcId(0)).occupancy(), 0);
-        assert_eq!(port.occupancy(), 1);
+        let mut next = [0u64; 3];
+        let mut want: [std::collections::VecDeque<u64>; 3] = Default::default();
+        for step in 0..60u64 {
+            let i = (step % 3) as usize;
+            if step % 5 < 3 && s.len(i) < 3 {
+                next[i] += 1;
+                let id = i as u64 * 1000 + next[i];
+                s.push(i, flit(id, FlitKind::Body));
+                want[i].push_back(id);
+            } else {
+                assert_eq!(s.pop(i).map(|f| f.packet.0), want[i].pop_front());
+            }
+            for (j, w) in want.iter().enumerate() {
+                let got: Vec<u64> = s.view(j).iter().map(|f| f.packet.0).collect();
+                assert_eq!(got, w.iter().copied().collect::<Vec<_>>(), "ring {j}");
+                assert_eq!(s.view(j).front().map(|f| f.packet.0), w.front().copied());
+            }
+        }
     }
 }

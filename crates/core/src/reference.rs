@@ -46,14 +46,15 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
     for port_idx in 0..r.cfg.ports {
         let port_id = PortId(port_idx as u8);
         let start = r.rc_pointer[port_idx];
-        for i in 0..v {
-            let vc_id = VcId(((start + i) % v) as u8);
-            if r.ports[port_idx].vc(vc_id).fields.g != VcGlobalState::Routing {
+        for k in 0..v {
+            let vc_id = VcId(((start + k) % v) as u8);
+            let i = port_idx * v + vc_id.index();
+            if r.store.slot(i).fields.g != VcGlobalState::Routing {
                 continue;
             }
-            let dst = r.ports[port_idx]
-                .vc(vc_id)
-                .front()
+            let dst = r
+                .store
+                .front(i)
                 .expect("routing VC holds its head flit")
                 .dst;
             let (correct, vmask) = r.route.route_masked(dst, v);
@@ -76,18 +77,19 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
                 }
             };
             if let Some(out) = computed {
-                let fields = &mut r.ports[port_idx].vc_mut(vc_id).fields;
+                let fields = r.store.fields_mut(i);
                 fields.r = Some(out);
                 fields.vmask = vmask;
                 fields.g = VcGlobalState::VcAlloc;
                 fields.fsp = false;
                 fields.sp = None;
                 if r.kind == RouterKind::Protected && r.faults.detected().xb_primary_dead(out) {
-                    let fields = &mut r.ports[port_idx].vc_mut(vc_id).fields;
-                    fields.sp = Some(r.xbar.secondary_source(out));
+                    let sp = r.xbar.secondary_source(out);
+                    let fields = r.store.fields_mut(i);
+                    fields.sp = Some(sp);
                     fields.fsp = true;
                 }
-                r.ports[port_idx].sync_state(vc_id);
+                r.sync_vc(port_idx, vc_id.index());
                 r.rc_pointer[port_idx] = (vc_id.index() + 1) % v;
             }
             // One RC computation per port per cycle, served or stalled.
@@ -106,7 +108,7 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
     // stage entry) minus this cycle's grants.
     let va_requests = (0..p)
         .flat_map(|port| (0..v).map(move |vc| (port, vc)))
-        .filter(|&(port, vc)| r.ports[port].vc(VcId(vc as u8)).fields.g == VcGlobalState::VcAlloc)
+        .filter(|&(port, vc)| r.store.slot(port * v + vc).fields.g == VcGlobalState::VcAlloc)
         .count() as u64;
     let va_grants_before = r.stats.va_grants;
 
@@ -117,7 +119,7 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
         let mut lent: u32 = 0;
         for vc_idx in 0..v {
             let vc_id = VcId(vc_idx as u8);
-            let fields = r.ports[port_idx].vc(vc_id).fields;
+            let fields = r.store.slot(port_idx * v + vc_idx).fields;
             if fields.g != VcGlobalState::VcAlloc {
                 continue;
             }
@@ -140,7 +142,11 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
                                 (1..v).map(|d| VcId(((vc_idx + d) % v) as u8)).find(|&l| {
                                     lent & (1 << l.index()) == 0
                                         && !r.faults.va1_faulty(port_id, l)
-                                        && r.ports[port_idx].vc(l).fields.g.lendable_for_va()
+                                        && r.store
+                                            .slot(port_idx * v + l.index())
+                                            .fields
+                                            .g
+                                            .lendable_for_va()
                                 });
                             if lender.is_none() {
                                 r.stats.va_borrow_waits += 1;
@@ -178,7 +184,7 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
             );
             if let Some(ovc) = pick {
                 if owner != vc_id {
-                    let lender_fields = &mut r.ports[port_idx].vc_mut(owner).fields;
+                    let lender_fields = r.store.fields_mut(port_idx * v + owner.index());
                     lender_fields.r2 = Some(out);
                     lender_fields.id = Some(vc_id);
                     lender_fields.vf = true;
@@ -208,11 +214,10 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
             }
             if let Some(winner) = reference_arbitrate(&mut r.va2[out_idx * v + ovc_idx], req) {
                 let (port_idx, vc_idx) = (winner / v, winner % v);
-                let vc_id = VcId(vc_idx as u8);
-                let fields = &mut r.ports[port_idx].vc_mut(vc_id).fields;
+                let fields = r.store.fields_mut(winner);
                 fields.o = Some(VcId(ovc_idx as u8));
                 fields.g = VcGlobalState::Active;
-                r.ports[port_idx].sync_state(vc_id);
+                r.sync_vc(port_idx, vc_idx);
                 r.out_vc_busy[out_idx] |= 1 << ovc_idx;
                 r.stats.va_grants += 1;
             }
@@ -220,7 +225,9 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
     }
 
     for &(port_idx, _vc, owner, _out, _ovc) in &picks {
-        r.ports[port_idx].vc_mut(owner).fields.clear_borrow();
+        r.store
+            .fields_mut(port_idx * v + owner.index())
+            .clear_borrow();
     }
 
     r.stats.va_stalls += va_requests - (r.stats.va_grants - va_grants_before);
@@ -244,19 +251,19 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
     let mut requests: Vec<Option<RefSaRequest>> = vec![None; p * v];
     for port_idx in 0..p {
         for vc_idx in 0..v {
-            let vc_id = VcId(vc_idx as u8);
-            let vc = r.ports[port_idx].vc(vc_id);
-            if vc.fields.g != VcGlobalState::Active || vc.is_empty() {
+            let i = port_idx * v + vc_idx;
+            let fields = r.store.slot(i).fields;
+            if fields.g != VcGlobalState::Active || r.store.len(i) == 0 {
                 continue;
             }
-            let out = vc.fields.r.expect("active VC is routed");
-            let out_vc = vc.fields.o.expect("active VC holds a downstream VC");
+            let out = fields.r.expect("active VC is routed");
+            let out_vc = fields.o.expect("active VC holds a downstream VC");
             let target = match r.kind {
                 RouterKind::Baseline => Some(out),
                 RouterKind::Protected => r.xbar.sa2_target(r.faults.detected(), out),
             };
             {
-                let fields = &mut r.ports[port_idx].vc_mut(vc_id).fields;
+                let fields = r.store.fields_mut(i);
                 let diverted = target.is_some_and(|t| t != out);
                 fields.fsp = diverted;
                 fields.sp = if diverted { target } else { None };
@@ -363,7 +370,6 @@ fn reference_step(r: &mut Router, cycle: Cycle, out: &mut StepOutput) {
     reference_sa_stage(r, cycle);
     reference_va_stage(r, cycle);
     reference_rc_stage(r, cycle);
-    r.sync_nonidle_ports();
 }
 
 // ---------------------------------------------------------------------
@@ -809,6 +815,33 @@ fn bitmask_kernels_match_reference_odd_configs() {
         flit_width_bits: 32,
     };
     for seed in 200..204 {
+        run_differential(RouterKind::Protected, cfg, seed);
+    }
+}
+
+#[test]
+fn bitmask_kernels_match_reference_across_depths_and_the_widest_router() {
+    // The flit store's rings at depth 1 (every push fills the ring), a
+    // non-power-of-two depth that wraps unevenly, and a deep one.
+    for buffer_depth in [1, 2, 3, 8] {
+        let cfg = RouterConfig {
+            buffer_depth,
+            ..RouterConfig::paper()
+        };
+        for seed in 300..303 {
+            run_differential(RouterKind::Baseline, cfg, seed);
+            run_differential(RouterKind::Protected, cfg, seed);
+        }
+    }
+    // P·V = 32: the top VC's bit is the state words' sign bit.
+    let cfg = RouterConfig {
+        ports: 8,
+        vcs: 4,
+        buffer_depth: 3,
+        flit_width_bits: 32,
+    };
+    for seed in 400..404 {
+        run_differential(RouterKind::Baseline, cfg, seed);
         run_differential(RouterKind::Protected, cfg, seed);
     }
 }

@@ -2,13 +2,13 @@
 
 use crate::crossbar::Crossbar;
 use crate::fault_state::FaultState;
-use crate::port::InputPort;
+use crate::port::{FlitStore, VcView};
 use crate::stages::StageScratch;
 use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
 use noc_telemetry::{Event, EventKind, NullObserver, Observer};
 use noc_topology::Topology;
-use noc_types::{Coord, Cycle, Flit, Mesh, PortId, RouterConfig, VcId};
+use noc_types::{Coord, Cycle, Flit, Mesh, PortId, RouterConfig, VcGlobalState, VcId};
 
 /// Which of the paper's two routers to model.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -352,15 +352,26 @@ pub struct Router {
     pub(crate) cfg: RouterConfig,
     pub(crate) kind: RouterKind,
     pub(crate) route: RoutingAlgorithm,
-    pub(crate) ports: Vec<InputPort>,
-    /// Bitmask over input ports: bit `p` set ⇔ port `p` has any non-idle
-    /// VC. Summarises the five per-port `nonidle_mask()` words into one
-    /// so the idle check ([`Router::is_idle`]) a network worklist runs
-    /// on *every* router *every* cycle reads a single word instead of
-    /// walking the port array. Set eagerly by [`Router::receive_flit`]
-    /// (a flit arrival flips its VC out of `Idle`), re-derived exactly
-    /// at the end of every step, and recomputed on snapshot restore.
-    pub(crate) nonidle_ports: u32,
+    /// Every input VC buffer and its state fields, in one allocation.
+    pub(crate) store: FlitStore,
+    /// The router-wide VC state words: bit `port·V + vc` is one input
+    /// VC (`RouterConfig::validate` bounds `P·V` by 32). They are a pure
+    /// function of the store — each VC's `G` state and whether its
+    /// buffer holds a flit — re-derived one VC at a time by
+    /// [`Router::sync_vc`] wherever either changes, and wholesale on
+    /// snapshot restore. Each stage's skip test is one word test, and
+    /// a per-port walk reads `(word >> port·V) & vmask`.
+    ///
+    /// Bit set ⇔ the VC is not `Idle`.
+    pub(crate) nonidle: u32,
+    /// Bit set ⇔ the VC is in `Routing` (has an RC request).
+    pub(crate) routing: u32,
+    /// Bit set ⇔ the VC is in `VcAlloc` (VA-eligible).
+    pub(crate) vc_alloc: u32,
+    /// Bit set ⇔ the VC is `Active` (past VA, competing in SA).
+    pub(crate) active: u32,
+    /// Bit set ⇔ the VC has at least one buffered flit.
+    pub(crate) nonempty: u32,
     /// Per-output bitmask over downstream VCs: bit `vc` set ⇔ the VC is
     /// currently allocated to a packet. (Struct-of-arrays: the VA stage
     /// computes its request mask as one `&`/`!` word op per VC.)
@@ -404,7 +415,7 @@ pub struct Router {
     /// Total flits buffered across the input ports, maintained at the
     /// flit entry/exit points ([`Router::receive_flit`] and the XB
     /// traversal pops) so the per-step occupancy integral reads one
-    /// word instead of walking every port. Recomputed on restore.
+    /// word. Recomputed on restore.
     pub(crate) port_flits: u32,
     /// Per-port rotating pointer for RC service order.
     pub(crate) rc_pointer: Vec<usize>,
@@ -418,7 +429,7 @@ pub struct Router {
 impl Router {
     /// Build a router with an arbitrary routing algorithm, returning a
     /// descriptive error when the configuration is invalid (e.g. more
-    /// than 32 VCs per port — the per-port state masks are `u32`s).
+    /// than 32 VCs in all — the VC state words are `u32`s).
     ///
     /// Validation happens here, once, at construction time; the per-VC
     /// hot path carries no capacity asserts.
@@ -433,20 +444,21 @@ impl Router {
         cfg.validate()?;
         let p = cfg.ports;
         let v = cfg.vcs;
-        let vcs_per_port = if v >= 32 { !0u32 } else { (1u32 << v) - 1 };
         Ok(Router {
             id,
             coord,
             cfg,
             kind,
             route,
-            ports: (0..p)
-                .map(|_| InputPort::new(v, cfg.buffer_depth))
-                .collect(),
-            nonidle_ports: 0,
+            store: FlitStore::new(p * v, cfg.buffer_depth),
+            nonidle: 0,
+            routing: 0,
+            vc_alloc: 0,
+            active: 0,
+            nonempty: 0,
             out_vc_busy: vec![0; p],
             credits: vec![cfg.buffer_depth as u8; p * v],
-            credited: vec![vcs_per_port; p],
+            credited: vec![width_mask(v); p],
             va1: (0..p * v * p).map(|_| RoundRobinArbiter::new(v)).collect(),
             va2: (0..p * v).map(|_| RoundRobinArbiter::new(p * v)).collect(),
             sa1: (0..p).map(|_| RoundRobinArbiter::new(v)).collect(),
@@ -539,6 +551,15 @@ impl Router {
         self.faults.inject_transient(site, cycle, duration);
     }
 
+    /// Declare that this router has not been stepped since it was
+    /// built, so its next step refreshes the fault clock in full. A
+    /// restore assumes the snapshot's fault clock was stepped at the
+    /// cycle it records; a network restored before its first cycle
+    /// calls this, because nothing was.
+    pub fn mark_unstepped(&mut self) {
+        self.faults.mark_unrefreshed();
+    }
+
     /// Override the detection model (keeps every scheduled fault).
     pub fn set_detection(&mut self, detection: DetectionModel) {
         self.faults.set_detection(detection);
@@ -587,7 +608,9 @@ impl Router {
     pub fn buffered_flits(&self) -> usize {
         debug_assert_eq!(
             self.port_flits as usize,
-            self.ports.iter().map(|p| p.occupancy()).sum::<usize>(),
+            (0..self.cfg.ports * self.cfg.vcs)
+                .map(|i| self.store.len(i))
+                .sum::<usize>(),
             "incremental port-flit total out of sync with the buffers"
         );
         self.port_flits as usize + self.xb_queue.len()
@@ -603,9 +626,10 @@ impl Router {
             .count()
     }
 
-    /// Access an input port (diagnostics, tests).
-    pub fn port(&self, p: PortId) -> &InputPort {
-        &self.ports[p.index()]
+    /// A read-only view of input VC `(port, vc)`: its state fields and
+    /// buffered flits (diagnostics, conservation checks, tests).
+    pub fn vc(&self, port: PortId, vc: VcId) -> VcView<'_> {
+        self.store.view(port.index() * self.cfg.vcs + vc.index())
     }
 
     /// Whether the protected router has exhausted its tolerance (the
@@ -636,8 +660,9 @@ impl Router {
     /// * the crossbar grant queue is empty — no traversal is pending; and
     /// * the fault state is inert ([`FaultState::is_inert`]) — skipping
     ///   the per-cycle `faults.refresh` cannot change the active or
-    ///   detected maps, now or later. Routers with any scheduled fault
-    ///   are simply always stepped; fault campaigns touch few routers.
+    ///   detected maps, now or later. (The stepper's own test,
+    ///   [`Router::is_idle_at`], also skips routers whose faults are
+    ///   quiet at that cycle.)
     ///
     /// Arbiter pointers, the bypass register and every statistics counter
     /// only move when a stage sees a request — including the occupancy
@@ -652,18 +677,69 @@ impl Router {
     /// and needs no pipeline evaluation. A flit arrival flips its VC out
     /// of `Idle`, so the next `is_idle` check sees it.
     pub fn is_idle(&self) -> bool {
-        self.nonidle_ports == 0 && self.xb_queue.is_empty() && self.faults.is_inert()
+        self.nonidle == 0 && self.xb_queue.is_empty() && self.faults.is_inert()
+    }
+
+    /// Whether stepping this router at `cycle` would be an observable
+    /// no-op: [`Router::is_idle`], except that a router with scheduled
+    /// faults also qualifies on a cycle its fault clock is quiet at
+    /// ([`FaultState::quiet_at`]). On such a cycle the step's fault
+    /// refresh is one range test that changes no map, so only an empty
+    /// router's edge cycles — where faults manifest, are detected or
+    /// clear, and events are emitted — must be stepped. A skipped
+    /// refresh leaves the clock's lower bound behind, exactly as it does
+    /// on a fault-free router; the next refresh closes the gap with the
+    /// same maps and events.
+    pub fn is_idle_at(&self, cycle: Cycle) -> bool {
+        self.nonidle == 0
+            && self.xb_queue.is_empty()
+            && (self.faults.is_inert() || self.faults.quiet_at(cycle))
     }
 
     /// Accept a flit arriving on `(port, vc)` (buffer write).
     pub fn receive_flit(&mut self, port: PortId, vc: VcId, flit: Flit) {
         self.stats.flits_in += 1;
-        self.ports[port.index()].push_flit(vc, flit);
+        self.store
+            .push(port.index() * self.cfg.vcs + vc.index(), flit);
         self.port_flits += 1;
-        // The first flit of an idle VC moves it to `Routing`, and a
-        // non-idle VC stays non-idle across a push: the port is
-        // certainly non-idle now.
-        self.nonidle_ports |= 1 << port.index();
+        self.sync_vc(port.index(), vc.index());
+    }
+
+    /// Re-derive input VC `(port, vc)`'s bits of the state words from
+    /// its `G` field and occupancy. The one rule that keeps the words
+    /// exact: run it wherever a VC's `G` state or emptiness changes —
+    /// flit entry ([`Router::receive_flit`]) and exit (the XB pops), and
+    /// the stage transitions RC→`VcAlloc` and VA→`Active`.
+    #[inline]
+    pub(crate) fn sync_vc(&mut self, port: usize, vc: usize) {
+        let i = port * self.cfg.vcs + vc;
+        let slot = self.store.slot(i);
+        let g = slot.fields.g;
+        let set = |word: &mut u32, on: bool| *word = (*word & !(1 << i)) | (u32::from(on) << i);
+        set(&mut self.nonidle, g != VcGlobalState::Idle);
+        set(&mut self.routing, g == VcGlobalState::Routing);
+        set(&mut self.vc_alloc, g == VcGlobalState::VcAlloc);
+        set(&mut self.active, g == VcGlobalState::Active);
+        set(&mut self.nonempty, self.store.len(i) != 0);
+    }
+
+    /// Re-derive every state word and the flit total from the store
+    /// (snapshot restore).
+    pub(crate) fn sync_all(&mut self) {
+        self.port_flits = 0;
+        for port in 0..self.cfg.ports {
+            for vc in 0..self.cfg.vcs {
+                self.sync_vc(port, vc);
+                self.port_flits += self.store.len(port * self.cfg.vcs + vc) as u32;
+            }
+        }
+    }
+
+    /// Port `port`'s `V` bits of a state word.
+    #[inline]
+    pub(crate) fn port_bits(&self, word: u32, port: usize) -> u32 {
+        let v = self.cfg.vcs;
+        (word >> (port * v)) & width_mask(v)
     }
 
     /// Accept a credit returned by the downstream router of `out_port`.
@@ -751,12 +827,11 @@ impl Router {
         self.sa_stage(cycle, &mut out.scratch, obs);
         self.va_stage(cycle, &mut out.scratch, obs);
         self.rc_stage(cycle, obs);
-        self.sync_nonidle_ports();
     }
 
     /// Recompute the per-output tables the stages read in place of
     /// per-VC fault queries, from the freshly derived detected map.
-    fn refresh_fault_tables(&mut self) {
+    pub(crate) fn refresh_fault_tables(&mut self) {
         if self.kind != RouterKind::Protected {
             return; // the baseline router has no correction logic
         }
@@ -765,19 +840,6 @@ impl Router {
             self.sa2_target[out.index()] = self.xbar.sa2_target(detected, out);
             self.va2_ok[out.index()] = !detected.va2_word(out);
         }
-    }
-
-    /// Re-derive [`Router::nonidle_ports`] from the per-port masks.
-    /// Stage code moves VC `G` states only inside a step, so running
-    /// this once at the end of the step (plus the eager set in
-    /// `receive_flit`) keeps the summary word exact at every cycle
-    /// boundary.
-    pub(crate) fn sync_nonidle_ports(&mut self) {
-        let mut mask = 0u32;
-        for (i, port) in self.ports.iter().enumerate() {
-            mask |= u32::from(port.nonidle_mask() != 0) << i;
-        }
-        self.nonidle_ports = mask;
     }
 
     /// XB stage: execute last cycle's SA grants. (`pub(crate)` so the
@@ -800,10 +862,7 @@ impl Router {
                     RouterKind::Baseline => {
                         // The baseline router is unaware: the flit is
                         // switched into a dead multiplexer and lost.
-                        let flit = self.ports[g.in_port.index()]
-                            .pop_flit(g.in_vc)
-                            .expect("granted VC must hold a flit");
-                        self.port_flits -= 1;
+                        let flit = self.pop_flit(g.in_port, g.in_vc);
                         let is_tail = flit.kind.is_tail();
                         self.stats.flits_dropped += 1;
                         // The downstream slot reserved at SA-grant time is
@@ -845,14 +904,8 @@ impl Router {
                     }
                 }
             }
-            let flit = {
-                let mut flit = self.ports[g.in_port.index()]
-                    .pop_flit(g.in_vc)
-                    .expect("granted VC must hold a flit");
-                flit.hops += 1;
-                flit
-            };
-            self.port_flits -= 1;
+            let mut flit = self.pop_flit(g.in_port, g.in_vc);
+            flit.hops += 1;
             if g.mux != g.logical_out {
                 self.stats.secondary_path_flits += 1;
             }
@@ -884,6 +937,29 @@ impl Router {
             });
         }
         self.xb_queue.clear();
+    }
+
+    /// Remove the front flit of a granted input VC (crossbar traversal
+    /// or drop), keeping the flit total and state words exact.
+    #[inline]
+    fn pop_flit(&mut self, port: PortId, vc: VcId) -> Flit {
+        let flit = self
+            .store
+            .pop(port.index() * self.cfg.vcs + vc.index())
+            .expect("granted VC must hold a flit");
+        self.port_flits -= 1;
+        self.sync_vc(port.index(), vc.index());
+        flit
+    }
+}
+
+/// All-ones over the low `width` bits.
+#[inline]
+pub(crate) fn width_mask(width: usize) -> u32 {
+    if width >= 32 {
+        !0
+    } else {
+        (1u32 << width) - 1
     }
 }
 

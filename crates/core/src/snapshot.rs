@@ -1,12 +1,13 @@
 //! Snapshot/restore of one router's complete dynamic state.
 //!
 //! A [`Router`] snapshot captures everything that evolves as the router
-//! steps: per-VC buffers and architectural fields (via the impls in
-//! [`crate::port`]), the output-side credit and busy trackers, every
-//! round-robin priority pointer across the four arbiter banks, the
-//! SA→XB grant queue, the RC service pointers, the per-port bypass
-//! (default-winner) registers, the fault schedule/clock (via
-//! [`crate::fault_state`]) and the event counters.
+//! steps: per-VC buffers and architectural fields (one
+//! `{"fields", "buffer"}` object per VC, grouped by input port), the
+//! output-side credit and busy trackers, every round-robin priority
+//! pointer across the four arbiter banks, the SA→XB grant queue, the RC
+//! service pointers, the per-port bypass (default-winner) registers, the
+//! fault schedule/clock (via [`crate::fault_state`]) and the event
+//! counters.
 //!
 //! Deliberately *excluded* — pure functions of the construction-time
 //! configuration, reproduced by building the router afresh before
@@ -21,6 +22,7 @@ use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{
     arr_field, decode_field, field, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
+use noc_types::Flit;
 
 impl Snapshot for XbGrant {
     fn snapshot(&self) -> JsonValue {
@@ -138,12 +140,25 @@ impl Snapshot for Router {
     /// after the data-oriented refactor are byte-identical (pinned by the
     /// golden checkpoint test).
     fn snapshot(&self) -> JsonValue {
-        let p = self.ports.len();
+        let p = self.cfg.ports;
         let v = self.cfg.vcs;
         obj([
             (
                 "ports",
-                JsonValue::Arr(self.ports.iter().map(Snapshot::snapshot).collect()),
+                JsonValue::Arr(
+                    (0..p)
+                        .map(|port| {
+                            obj([(
+                                "vcs",
+                                JsonValue::Arr(
+                                    (0..v)
+                                        .map(|vc| self.store.view(port * v + vc).snapshot())
+                                        .collect(),
+                                ),
+                            )])
+                        })
+                        .collect(),
+                ),
             ),
             (
                 "credits",
@@ -247,9 +262,41 @@ impl Snapshot for Router {
     }
 }
 
+impl Router {
+    /// Overwrite input port `port`'s VCs from their snapshot, directly:
+    /// a snapshot captures mid-pipeline states (e.g. a non-head flit at
+    /// the front of an `Active` VC) that no arrival sequence could
+    /// reconstruct.
+    fn restore_port(&mut self, port: usize, v: &JsonValue) -> Result<(), SnapshotError> {
+        let vcs = self.cfg.vcs;
+        let arr = arr_field(v, "vcs")?;
+        if arr.len() != vcs {
+            return Err(SnapshotError::new(format!(
+                "snapshot has {} VCs but the port was built with {vcs}",
+                arr.len()
+            )));
+        }
+        for (vc, s) in arr.iter().enumerate() {
+            let within = |e: SnapshotError| e.within(&format!("vcs[{vc}]"));
+            let flits = Vec::<Flit>::from_snapshot(field(s, "buffer").map_err(within)?)
+                .map_err(|e| within(e.within("buffer")))?;
+            let depth = self.store.depth();
+            if flits.len() > depth {
+                return Err(within(SnapshotError::new(format!(
+                    "snapshot holds {} flits but the VC depth is {depth}",
+                    flits.len()
+                ))));
+            }
+            let fields = decode_field(s, "fields").map_err(within)?;
+            self.store.overwrite(port * vcs + vc, fields, &flits);
+        }
+        Ok(())
+    }
+}
+
 impl Restore for Router {
     fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let p = self.ports.len();
+        let p = self.cfg.ports;
         let vcs = self.cfg.vcs;
 
         let ports = arr_field(v, "ports")?;
@@ -259,15 +306,13 @@ impl Restore for Router {
                 ports.len()
             )));
         }
-        for (i, (port, s)) in self.ports.iter_mut().zip(ports).enumerate() {
-            port.restore(s)
-                .map_err(|e| e.within(&format!("ports[{i}]")))?;
+        for (port, s) in ports.iter().enumerate() {
+            self.restore_port(port, s)
+                .map_err(|e| e.within(&format!("ports[{port}]")))?;
         }
-        // The port-summary word and the incremental flit total are
-        // derived state (not serialised); re-derive both from the
-        // restored ports.
-        self.sync_nonidle_ports();
-        self.port_flits = self.ports.iter().map(|p| p.occupancy()).sum::<usize>() as u32;
+        // The state words and the flit total are derived state (not
+        // serialised); re-derive them from the restored store.
+        self.sync_all();
 
         let credits = arr_field(v, "credits")?;
         if credits.len() != p {
@@ -385,6 +430,9 @@ impl Restore for Router {
         self.faults
             .restore(field(v, "faults")?)
             .map_err(|e| e.within("faults"))?;
+        // The restored clock may be quiet at the next step, which then
+        // re-derives nothing: derive the tables from the restored maps.
+        self.refresh_fault_tables();
         self.stats = decode_field(v, "stats")?;
         Ok(())
     }
@@ -425,7 +473,7 @@ mod tests {
                 let vc = VcId((next_id % 4) as u8);
                 let port = Direction::Local.port();
                 for flit in pkt.segment() {
-                    if !r.port(port).vc(vc).is_full() {
+                    if !r.vc(port, vc).is_full() {
                         r.receive_flit(port, vc, flit);
                     }
                 }

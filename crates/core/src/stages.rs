@@ -1,7 +1,9 @@
 //! RC, VA and SA pipeline stages, including every correction mechanism
 //! of Section V. (XB lives in `router.rs` next to the grant queue.)
 
-use crate::router::{Router, RouterKind, RoutingAlgorithm, XbGrant, DEFAULT_WINNER_PERIOD};
+use crate::router::{
+    width_mask, Router, RouterKind, RoutingAlgorithm, XbGrant, DEFAULT_WINNER_PERIOD,
+};
 use noc_arbiter::Arbiter;
 use noc_telemetry::{Event, EventKind, Observer};
 use noc_topology::adaptive::{candidate_mask, dirs_in};
@@ -65,16 +67,6 @@ impl StageScratch {
             sa_port_winner: vec![None; p],
             sa_stage2: vec![0; p],
         }
-    }
-}
-
-/// All-ones over the low `width` bits.
-#[inline]
-fn width_mask(width: usize) -> u32 {
-    if width >= 32 {
-        !0
-    } else {
-        (1u32 << width) - 1
     }
 }
 
@@ -233,12 +225,25 @@ impl Router {
     /// (each port has one RC unit), served round-robin across VCs.
     ///
     /// The per-VC scan is a rotate-and-ffs over the port's `Routing`
-    /// mask: the first Routing VC at or after the service pointer is
+    /// bits: the first Routing VC at or after the service pointer is
     /// exactly the VC the old per-VC loop would reach (it skipped
     /// non-Routing VCs and broke on the first match, served or stalled).
     pub(crate) fn rc_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
         let v = self.cfg.vcs;
         let adaptive = matches!(self.route, RoutingAlgorithm::Adaptive { .. });
+        // Adaptive RC also re-serves VCs already waiting in VcAlloc: a
+        // stuck packet must be re-routed (alternating towards the escape
+        // path) or the adaptive candidate cycles could wait forever.
+        // Static modes route exactly once. A port's service only moves
+        // its own bits, so this snapshot stays exact for later ports.
+        let service_word = if adaptive {
+            self.routing | self.vc_alloc
+        } else {
+            self.routing
+        };
+        if service_word == 0 {
+            return; // no VC awaits routing
+        }
         // Fault words, bit = input port. A protected port is blocked
         // while its primary-unit fault is still undetected (conservative
         // stall) or once the duplicate is dead too (failure).
@@ -252,26 +257,17 @@ impl Router {
         };
         for port_idx in 0..self.cfg.ports {
             let port_id = PortId(port_idx as u8);
-            let routing = self.ports[port_idx].routing_mask();
-            // Adaptive RC also re-serves VCs already waiting in VcAlloc:
-            // a stuck packet must be re-routed (alternating towards the
-            // escape path) or the adaptive candidate cycles could wait
-            // forever. Static modes route exactly once, as before.
-            let service = if adaptive {
-                routing | self.ports[port_idx].vc_alloc_mask()
-            } else {
-                routing
-            };
+            let service = self.port_bits(service_word, port_idx);
             if service == 0 {
                 continue; // no VC awaits routing
             }
             {
                 let start = self.rc_pointer[port_idx];
                 let vc_id = VcId(first_set_from(service, start, v) as u8);
-                let revisit = routing & (1 << vc_id.index()) == 0;
-                let dst = self.ports[port_idx]
-                    .vc(vc_id)
-                    .front()
+                let revisit = self.port_bits(self.routing, port_idx) & (1 << vc_id.index()) == 0;
+                let dst = self
+                    .store
+                    .front(port_idx * v + vc_id.index())
                     .expect("routing VC holds its head flit")
                     .dst;
                 let (correct, vmask) = if adaptive {
@@ -325,7 +321,7 @@ impl Router {
                             },
                         });
                     }
-                    let fields = &mut self.ports[port_idx].vc_mut(vc_id).fields;
+                    let fields = self.store.fields_mut(port_idx * v + vc_id.index());
                     fields.r = Some(out);
                     fields.vmask = vmask;
                     fields.g = VcGlobalState::VcAlloc;
@@ -338,7 +334,7 @@ impl Router {
                         fields.sp = Some(self.xbar.secondary_source(out));
                         fields.fsp = true;
                     }
-                    self.ports[port_idx].sync_state(vc_id);
+                    self.sync_vc(port_idx, vc_id.index());
                     self.rc_pointer[port_idx] = (vc_id.index() + 1) % v;
                 }
                 // One RC computation per port per cycle, served or stalled.
@@ -354,7 +350,7 @@ impl Router {
     /// protected router's arbiter-borrowing in stage 1 and downstream-VC
     /// exclusion for faulty stage-2 arbiters.
     ///
-    /// Stage 1 walks each port's `VcAlloc` mask with
+    /// Stage 1 walks each port's `VcAlloc` bits with
     /// `trailing_zeros()` (ascending VC order — identical to the old
     /// per-VC scan, which skipped every VC not in `VcAlloc`), and forms
     /// each request mask from whole words: free downstream VCs are
@@ -381,11 +377,7 @@ impl Router {
         // (requesters minus this cycle's grants; the snapshot is taken
         // before stage 1, which never changes a VC's G state, so it is
         // exactly the requesting population).
-        let va_requests: u32 = self
-            .ports
-            .iter()
-            .map(|port| port.vc_alloc_mask().count_ones())
-            .sum();
+        let va_requests = self.vc_alloc.count_ones();
         if va_requests == 0 {
             return;
         }
@@ -410,7 +402,7 @@ impl Router {
             let port_id = PortId(port_idx as u8);
             // Stage 1 never changes a VC's G state (only stage 2 does),
             // so the mask snapshot stays valid across the walk.
-            let mut pending = self.ports[port_idx].vc_alloc_mask();
+            let mut pending = self.port_bits(self.vc_alloc, port_idx);
             // Bit per VC: arbiter set faulty; of those, not yet detected.
             let va1_faulty = active.va1_word(port_id);
             let va1_latent = va1_faulty & !detected.va1_word(port_id);
@@ -418,7 +410,8 @@ impl Router {
             // in use, i.e. G is Idle or Active (past VA, in the SA
             // stage), matching `VcGlobalState::lendable_for_va` and
             // Section V-B1 ("not utilizing its VA arbiters").
-            let lenders = all_vcs & !(self.ports[port_idx].routing_mask() | pending) & !va1_faulty;
+            let lenders =
+                all_vcs & !(self.port_bits(self.routing, port_idx) | pending) & !va1_faulty;
             // Bit per VC: lender already serving a borrower this cycle
             // (a lender serves one).
             let mut lent: u32 = 0;
@@ -426,7 +419,7 @@ impl Router {
                 let vc_idx = pending.trailing_zeros() as usize;
                 pending &= pending - 1;
                 let vc_id = VcId(vc_idx as u8);
-                let fields = self.ports[port_idx].vc(vc_id).fields;
+                let fields = self.store.slot(port_idx * v + vc_idx).fields;
                 let out = fields.r.expect("VcAlloc implies a routed VC");
 
                 // Whose arbiter set performs the allocation?
@@ -489,7 +482,7 @@ impl Router {
                         // Borrow protocol bookkeeping (Figure 4): the
                         // borrower deposits its RC result and identity in
                         // the lender's R2/ID fields and raises VF.
-                        let lender_fields = &mut self.ports[port_idx].vc_mut(owner).fields;
+                        let lender_fields = self.store.fields_mut(port_idx * v + owner.index());
                         lender_fields.r2 = Some(out);
                         lender_fields.id = Some(vc_id);
                         lender_fields.vf = true;
@@ -526,7 +519,7 @@ impl Router {
             // Same out-major / ascending-out_vc order as an exhaustive
             // sweep; the mask walk just skips the request-free pairs.
             let mut touched = scratch.va2_touched[out_idx];
-            let va2_faulty = active.va2_word(PortId(out_idx as u8));
+            let va2_faulty = self.faults.active().va2_word(PortId(out_idx as u8));
             while touched != 0 {
                 let ovc_idx = touched.trailing_zeros() as usize;
                 touched &= touched - 1;
@@ -540,11 +533,10 @@ impl Router {
                 }
                 if let Some(winner) = self.va2[out_idx * v + ovc_idx].arbitrate(req) {
                     let (port_idx, vc_idx) = (winner / v, winner % v);
-                    let vc_id = VcId(vc_idx as u8);
-                    let fields = &mut self.ports[port_idx].vc_mut(vc_id).fields;
+                    let fields = self.store.fields_mut(winner);
                     fields.o = Some(VcId(ovc_idx as u8));
                     fields.g = VcGlobalState::Active;
-                    self.ports[port_idx].sync_state(vc_id);
+                    self.sync_vc(port_idx, vc_idx);
                     self.out_vc_busy[out_idx] |= 1 << ovc_idx;
                     self.stats.va_grants += 1;
                     if O::ENABLED {
@@ -569,7 +561,9 @@ impl Router {
         // owners is equivalent to sweeping every VC.
         for i in 0..scratch.va_picks.len() {
             let (port_idx, _vc, owner, _out, _ovc) = scratch.va_picks[i];
-            self.ports[port_idx].vc_mut(owner).fields.clear_borrow();
+            self.store
+                .fields_mut(port_idx * v + owner.index())
+                .clear_borrow();
         }
 
         self.stats.va_stalls += u64::from(va_requests) - (self.stats.va_grants - va_grants_before);
@@ -595,7 +589,8 @@ impl Router {
         // can form — identical to running the stage (no arbitration,
         // no SP/FSP refresh targets, no bypass action on an empty
         // request mask).
-        if self.ports.iter().all(|port| port.sa_candidate_mask() == 0) {
+        let candidate_word = self.active & self.nonempty;
+        if candidate_word == 0 {
             return;
         }
         let p = self.cfg.ports;
@@ -608,22 +603,22 @@ impl Router {
         // rescan the request array.
         scratch.sa_requests.fill(None);
         for port_idx in 0..p {
-            let mut candidates = self.ports[port_idx].sa_candidate_mask();
+            let mut candidates = self.port_bits(candidate_word, port_idx);
             let mut req_mask: u32 = 0;
             while candidates != 0 {
                 let vc_idx = candidates.trailing_zeros() as usize;
                 candidates &= candidates - 1;
-                let vc_id = VcId(vc_idx as u8);
-                let vc = self.ports[port_idx].vc(vc_id);
-                let out = vc.fields.r.expect("active VC is routed");
-                let out_vc = vc.fields.o.expect("active VC holds a downstream VC");
+                let i = port_idx * v + vc_idx;
+                let fields = &self.store.slot(i).fields;
+                let out = fields.r.expect("active VC is routed");
+                let out_vc = fields.o.expect("active VC holds a downstream VC");
                 let target = self.sa2_target[out.index()];
                 // Refresh the SP/FSP observability fields before any
                 // skip: a VC stalled on credits, or blocked on an
                 // unreachable output, must still report its current
                 // secondary-path status rather than last cycle's.
                 {
-                    let fields = &mut self.ports[port_idx].vc_mut(vc_id).fields;
+                    let fields = self.store.fields_mut(i);
                     let diverted = target.is_some_and(|t| t != out);
                     fields.fsp = diverted;
                     fields.sp = if diverted { target } else { None };

@@ -3,7 +3,8 @@
 //! (cleared, never reallocated) each cycle. This test wraps the global
 //! allocator in a counter, warms a router up under sustained traffic
 //! until every buffer has reached its steady capacity, then asserts that
-//! further cycles perform zero heap allocations.
+//! further cycles perform zero heap allocations — and that a fresh
+//! router needs no warm-up at all.
 //!
 //! Kept as a single `#[test]` so no sibling test can allocate
 //! concurrently and pollute the counter.
@@ -161,6 +162,25 @@ fn steady_state_router_step_allocates_nothing() {
             after - before,
             0,
             "{label}: steady-state step performed heap allocations"
+        );
+
+        // No warm-up for the buffers: a router's flit store is allocated
+        // whole when it is built, so a fresh router is allocation-free
+        // from its first flit on. (`out`, whose scratch a network keeps
+        // per shard, stays the warmed one.)
+        let mut r = Router::new_xy(0, HERE, Mesh::new(8), RouterConfig::paper(), kind);
+        for &f in faults {
+            r.inject_fault(f, 0);
+        }
+        let mut occupancy = [[0u32; 4]; 5];
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let sent = run(&mut r, &mut out, 0..300, &mut id, &mut occupancy);
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert!(sent > 0, "{label}: traffic must actually flow");
+        assert_eq!(
+            after - before,
+            0,
+            "{label}: a fresh router allocated after its first flit"
         );
     }
 }

@@ -135,7 +135,7 @@ fn credits_throttle_when_downstream_never_replies() {
     // returns credits.
     let mut sent = 0;
     for cycle in 0..30 {
-        if !flits.is_empty() && r.port(Direction::Local.port()).vc(VcId(0)).occupancy() < 4 {
+        if !flits.is_empty() && r.vc(Direction::Local.port(), VcId(0)).occupancy() < 4 {
             r.receive_flit(Direction::Local.port(), VcId(0), flits.pop().unwrap());
         }
         sent += r.step(cycle).departures.len();
@@ -772,8 +772,35 @@ fn faulted_routers_are_never_idle() {
     }
 }
 
+/// The stepper's own test, `is_idle_at`, does skip an empty faulted
+/// router — but only on cycles its fault clock is quiet at: every
+/// edge (manifestation, detection, a transient's end) and the first
+/// step after the schedule changes are stepped.
+#[test]
+fn empty_faulted_routers_are_skippable_on_quiet_cycles_only() {
+    let mut r = router(RouterKind::Protected);
+    r.inject_transient(FaultSite::Sa1Arbiter { port: PortId(1) }, 5, 3);
+    r.set_detection(noc_faults::DetectionModel::Delayed(1));
+    let mut stepped = Vec::new();
+    for cycle in 0..20 {
+        if !r.is_idle_at(cycle) {
+            r.step(cycle);
+            stepped.push(cycle);
+        }
+    }
+    // Cycle 0 (the schedule changed), onset 5, detection 6, end 8.
+    assert_eq!(stepped, [0, 5, 6, 8]);
+    r.inject_fault(FaultSite::RcPrimary { port: PortId(0) }, 30);
+    assert!(!r.is_idle_at(20), "a schedule change is stepped at once");
+    r.step(20);
+    assert!(
+        r.is_idle_at(29) && !r.is_idle_at(30) && !r.is_idle(),
+        "{r:?}"
+    );
+}
+
 /// Oversized configurations come back as a clean `Err` from
-/// [`Router::try_new`] — the per-port state masks are `u32`s, so more
+/// [`Router::try_new`] — the VC state words are `u32`s, so more
 /// than 32 VCs (or ports) per router cannot be represented. The limit
 /// is enforced once at construction, not by asserts on the hot path.
 #[test]
@@ -822,6 +849,17 @@ fn oversized_vc_count_is_a_construction_error_not_a_panic() {
         departed |= !r.step(cycle).departures.is_empty();
     }
     assert!(departed, "top VC of a 6-VC port flows through the pipeline");
+
+    // Credit counters and buffer ring indices are bytes: 255 flits is
+    // the deepest buffer, and 256 would start every output at 0 credits.
+    let mut cfg = RouterConfig::paper();
+    cfg.buffer_depth = 255;
+    let r = build(cfg).expect("depth 255 fits the u8 credit counters");
+    assert_eq!(r.credit(Direction::East.port(), VcId(3)), 255);
+    assert_eq!(r.vc(Direction::West.port(), VcId(3)).depth(), 255);
+    cfg.buffer_depth = 256;
+    let err = build(cfg).expect_err("depth 256 must be rejected");
+    assert!(err.contains("u8"), "error names the credit counters: {err}");
 }
 
 #[test]

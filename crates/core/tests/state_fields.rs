@@ -40,7 +40,7 @@ fn fsp_and_sp_steer_the_secondary_path() {
     send_east(&mut r);
     // Cycle 0: RC. The RC stage pre-computes the secondary-path hint.
     r.step(0);
-    let fields = r.port(Direction::Local.port()).vc(VcId(0)).fields;
+    let fields = r.vc(Direction::Local.port(), VcId(0)).fields;
     assert_eq!(fields.g, VcGlobalState::VcAlloc);
     assert_eq!(fields.r, Some(Direction::East.port()), "R = logical output");
     assert!(fields.fsp, "FSP raised when the primary path is dead");
@@ -57,7 +57,7 @@ fn fsp_and_sp_steer_the_secondary_path() {
     let (_, out) = departed.expect("delivered");
     assert_eq!(out, Direction::East.port());
     // Fields reset once the tail departed.
-    let fields = r.port(Direction::Local.port()).vc(VcId(0)).fields;
+    let fields = r.vc(Direction::Local.port(), VcId(0)).fields;
     assert_eq!(fields.g, VcGlobalState::Idle);
     assert_eq!(fields.sp, None);
     assert!(!fields.fsp);
@@ -69,7 +69,7 @@ fn fsp_stays_clear_on_the_healthy_primary_path() {
     send_east(&mut r);
     for cycle in 0..3 {
         r.step(cycle);
-        let fields = r.port(Direction::Local.port()).vc(VcId(0)).fields;
+        let fields = r.vc(Direction::Local.port(), VcId(0)).fields;
         assert!(!fields.fsp, "no secondary path needed at cycle {cycle}");
         assert_eq!(fields.sp, None);
     }
@@ -88,10 +88,10 @@ fn sp_updates_when_a_fault_manifests_after_routing() {
     );
     send_east(&mut r);
     r.step(0);
-    assert!(!r.port(Direction::Local.port()).vc(VcId(0)).fields.fsp);
+    assert!(!r.vc(Direction::Local.port(), VcId(0)).fields.fsp);
     r.step(1);
     r.step(2); // SA sees the detected fault and redirects
-    let fields = r.port(Direction::Local.port()).vc(VcId(0)).fields;
+    let fields = r.vc(Direction::Local.port(), VcId(0)).fields;
     assert!(fields.fsp, "SA refreshed the steering fields");
     assert_eq!(fields.sp, Some(PortId(1)));
     let mut delivered = false;
@@ -109,9 +109,9 @@ fn o_field_tracks_the_downstream_vc() {
     let mut r = router_with(None);
     send_east(&mut r);
     r.step(0); // RC
-    assert_eq!(r.port(Direction::Local.port()).vc(VcId(0)).fields.o, None);
+    assert_eq!(r.vc(Direction::Local.port(), VcId(0)).fields.o, None);
     r.step(1); // VA
-    let fields = r.port(Direction::Local.port()).vc(VcId(0)).fields;
+    let fields = r.vc(Direction::Local.port(), VcId(0)).fields;
     assert_eq!(fields.g, VcGlobalState::Active);
     let ovc = fields.o.expect("O field holds the allocated downstream VC");
     assert!(r.out_vc_busy(Direction::East.port(), ovc));

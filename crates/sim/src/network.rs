@@ -32,8 +32,9 @@
 //!
 //! Independently of the shard count, an **active-router worklist**
 //! skips [`shield_router::Router::step_into`] for routers that are
-//! provably inert this cycle ([`shield_router::Router::is_idle`]): no
-//! buffered flits, no pending crossbar grants, no scheduled faults. At
+//! provably inert this cycle ([`shield_router::Router::is_idle_at`]):
+//! no buffered flits, no pending crossbar grants, and no fault that
+//! manifests, is detected or clears this cycle. At
 //! the low injection rates that dominate latency–load sweeps this is
 //! most of the mesh. [`Network::set_skip_idle`] disables it, and
 //! [`Network::set_worklist_audit`] steps idle routers anyway while
@@ -43,7 +44,7 @@
 use crate::ni::NetworkInterface;
 use crate::pool::WorkerPool;
 use crate::stats::RouterEventTotals;
-use noc_faults::{FaultPlan, LinkFaultEvent};
+use noc_faults::{FaultMap, FaultPlan, LinkFaultEvent};
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::{
     Event, EventKind, FlightRecord, NullObserver, Observer, RouterDump, SpatialGrid, VcDump,
@@ -411,7 +412,7 @@ impl<O: Observer> ShardCtx<'_, O> {
             }
         }
         for local in 0..routers.len() {
-            let idle = routers[local].is_idle();
+            let idle = routers[local].is_idle_at(cycle);
             if idle && *skip_idle && !*audit {
                 scratch.routers_skipped += 1;
                 continue;
@@ -517,9 +518,13 @@ impl<O: Observer> ShardTasks<'_, O> {
     }
 }
 
-/// Snapshot the observable state of one router for the worklist audit:
-/// stats, every output credit counter, buffered flits.
-fn audit_snapshot(r: &Router) -> (RouterStats, Vec<u8>, usize) {
+/// What the worklist audit compares across an idle router's step:
+/// stats, every output credit counter, buffered flits, and the active
+/// and detected fault maps.
+type AuditState = (RouterStats, Vec<u8>, usize, FaultMap, FaultMap);
+
+/// Snapshot the observable state of one router for the worklist audit.
+fn audit_snapshot(r: &Router) -> AuditState {
     let v = r.config().vcs;
     let mut credits = Vec::with_capacity(5 * v);
     for dir in Direction::ALL {
@@ -527,11 +532,18 @@ fn audit_snapshot(r: &Router) -> (RouterStats, Vec<u8>, usize) {
             credits.push(r.credit(dir.port(), VcId(vc as u8)));
         }
     }
-    (*r.stats(), credits, r.buffered_flits())
+    let faults = r.faults();
+    (
+        *r.stats(),
+        credits,
+        r.buffered_flits(),
+        *faults.active(),
+        *faults.detected(),
+    )
 }
 
 /// Assert that stepping an idle router changed nothing observable.
-fn audit_check(r: &Router, out: &StepOutput, before: (RouterStats, Vec<u8>, usize)) {
+fn audit_check(r: &Router, out: &StepOutput, before: AuditState) {
     let id = r.id();
     assert!(
         out.departures.is_empty() && out.credits.is_empty() && out.dropped.is_empty(),
@@ -1126,7 +1138,7 @@ impl Network {
         self.flits_edge_dropped += lost;
         for (vc_idx, &restored) in restore.iter().enumerate().take(v) {
             let vc = VcId(vc_idx as u8);
-            let occupied = self.routers[down].port(in_port).vc(vc).occupancy() as u32;
+            let occupied = self.routers[down].vc(in_port, vc).occupancy() as u32;
             for _ in 0..restored + occupied {
                 self.routers[up].receive_credit(out, vc);
             }
@@ -1330,7 +1342,7 @@ impl Network {
                 let port = dir.port();
                 for vc_idx in 0..v {
                     let vc_id = VcId(vc_idx as u8);
-                    let ch = r.port(port).vc(vc_id);
+                    let ch = r.vc(port, vc_id);
                     let state = ch.fields.g;
                     if state == VcGlobalState::Idle && ch.is_empty() {
                         continue;
@@ -1772,7 +1784,7 @@ impl Network {
                             Some(l) => (
                                 flits_in_flight[at(l.down, l.in_port, vc)] as usize,
                                 credits_in_flight[at(id, out_port, vc)] as usize,
-                                self.routers[l.down].port(l.in_port).vc(vc).occupancy(),
+                                self.routers[l.down].vc(l.in_port, vc).occupancy(),
                             ),
                             // Missing link (grid edge or cut): no
                             // downstream exists. Drops onto it restore
@@ -1798,7 +1810,7 @@ impl Network {
             for vc_idx in 0..v {
                 let vc = VcId(vc_idx as u8);
                 let credits = self.nis[id].credit_count(vc) as usize;
-                let occ = self.routers[id].port(in_port).vc(vc).occupancy();
+                let occ = self.routers[id].vc(in_port, vc).occupancy();
                 assert_eq!(
                     credits + occ,
                     depth,
@@ -2130,6 +2142,11 @@ impl Restore for Network {
             }
         }
         self.cycles_stepped = u64_field(v, "cycles_stepped")?;
+        if self.cycles_stepped == 0 {
+            for r in self.routers.iter_mut() {
+                r.mark_unstepped();
+            }
+        }
         self.routers_stepped = u64_field(v, "routers_stepped")?;
         self.routers_skipped = u64_field(v, "routers_skipped")?;
         self.skip_idle = match field(v, "skip_idle")? {

@@ -36,7 +36,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Barrier, Condvar, Mutex};
 use std::thread::JoinHandle;
 
 /// Lifetime-erased pointer to the broadcast closure.
@@ -126,15 +126,29 @@ impl WorkerPool {
             spin,
         });
         let id = NEXT_POOL_ID.fetch_add(1, Ordering::Relaxed);
-        let handles = (0..workers)
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name("noc-sim-worker".into())
-                    .spawn(move || worker_loop(&shared, id))
-                    .expect("spawning a pool worker")
-            })
-            .collect();
+        // Return only once every worker runs: a thread allocates as it
+        // starts, and that must happen here, not during a later broadcast
+        // that the counting-allocator suite asserts allocation-free. (A
+        // worker-less pool, which every one-shard fork builds, allocates
+        // no barrier.)
+        let mut handles = Vec::new();
+        if workers > 0 {
+            let started = Arc::new(Barrier::new(workers + 1));
+            handles = (0..workers)
+                .map(|_| {
+                    let shared = Arc::clone(&shared);
+                    let started = Arc::clone(&started);
+                    std::thread::Builder::new()
+                        .name("noc-sim-worker".into())
+                        .spawn(move || {
+                            started.wait();
+                            worker_loop(&shared, id)
+                        })
+                        .expect("spawning a pool worker")
+                })
+                .collect();
+            started.wait();
+        }
         WorkerPool {
             shared,
             submit: Mutex::new(()),

@@ -15,7 +15,7 @@
 //! concurrently and pollute the counter.
 
 use noc_sim::Network;
-use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind};
+use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind, PortId, VcId};
 use shield_router::RouterKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,9 +122,9 @@ fn steady_state_network_step_allocates_nothing() {
         // grow to steady capacity. Half-way, the network is forked as a
         // campaign forks one at a fault onset, and the clone is kept
         // alive: the network it was taken from must keep stepping
-        // allocation-free. (Forked before the window, not at its start,
-        // because a multi-shard clone spawns its own pool workers, and a
-        // worker allocates on its own thread as it starts.)
+        // allocation-free. (A multi-shard clone spawns its own pool
+        // workers, which allocate as they start; the pool waits for
+        // them, so that happens at the fork, outside the window.)
         let mut fork = None;
         for cycle in 0..WARMUP {
             if cycle == WARMUP / 2 {
@@ -181,4 +181,69 @@ fn steady_state_network_step_allocates_nothing() {
              ending at cycle 1024"
         );
     }
+
+    // A fork copies each router's flit store in one allocation, so what
+    // cloning a network costs does not grow with how full its buffers
+    // are: count it on an empty 8×8 mesh and on the same mesh under
+    // saturating load, for the whole network and router by router.
+    let k = 8u8;
+    let mut cfg = NetworkConfig::paper();
+    cfg.mesh_k = k;
+    let routers = u64::from(k) * u64::from(k);
+    let mut net = Network::new(cfg, RouterKind::Protected);
+    fn clone_allocations<T: Clone>(x: &T) -> u64 {
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let copy = x.clone();
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        drop(copy);
+        after - before
+    }
+    let per_router = |net: &Network| {
+        (0..net.mesh().len())
+            .map(|id| clone_allocations(net.router(id)))
+            .collect::<Vec<_>>()
+    };
+    let empty = clone_allocations(&net);
+    let empty_routers = per_router(&net);
+    let (mut rng, mut next_id, mut packets) = (Rng(0xF0_4C), 0u64, Vec::new());
+    for cycle in 0..400 {
+        for _ in 0..10 {
+            tick(&mut rng, k, cycle, &mut next_id, &mut packets);
+        }
+        net.offer_packets_from(&mut packets);
+        net.step(cycle);
+    }
+    let loaded = clone_allocations(&net);
+    let loaded_routers = per_router(&net);
+    // About 16 per router empty (its fixed-size tables, its NI, its
+    // wiring); a per-VC queue would add up to 20 more per full router.
+    for (what, n) in [("empty", empty), ("loaded", loaded)] {
+        assert!(
+            n <= 24 * routers,
+            "cloning the {what} 8x8 mesh took {n} allocations"
+        );
+    }
+    // Router by router, load adds at most the crossbar grant queue's
+    // one allocation; a per-VC queue would add one per non-empty VC.
+    let nonempty_vcs = |id: usize| {
+        let r = net.router(id);
+        PortId::all(cfg.router.ports)
+            .flat_map(|p| (0..cfg.router.vcs as u8).map(move |v| (p, VcId(v))))
+            .filter(|&(p, v)| !r.vc(p, v).is_empty())
+            .count()
+    };
+    for (id, (&e, &l)) in empty_routers.iter().zip(&loaded_routers).enumerate() {
+        assert!(
+            l <= e + 1,
+            "router {id} with {} non-empty VCs: clone took {l} allocations, {e} empty",
+            nonempty_vcs(id)
+        );
+    }
+    let busy = (0..net.mesh().len())
+        .filter(|&id| nonempty_vcs(id) >= 2)
+        .count();
+    assert!(
+        busy as u64 > routers / 4,
+        "the load must fill the buffers: {busy} routers with two or more non-empty VCs"
+    );
 }

@@ -6,11 +6,11 @@
 
 mod common;
 
-use noc_faults::{FaultPlan, InjectionConfig};
+use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
 use noc_sim::stats::RouterEventTotals;
 use noc_sim::Network;
 use noc_types::{
-    Coord, DeliveredPacket, NetworkConfig, Packet, PacketId, PacketKind, RouterConfig,
+    Coord, DeliveredPacket, NetworkConfig, Packet, PacketId, PacketKind, PortId, RouterConfig,
     TopologySpec, VcId,
 };
 use rand::rngs::StdRng;
@@ -331,6 +331,62 @@ fn worklist_is_sound() {
                 0,
                 "case {case} ({name}, {threads} threads): the audit steps every router"
             );
+        }
+    }
+}
+
+/// The audit on routers that stay empty while their faults manifest,
+/// are detected and clear: the worklist skips them on quiet cycles
+/// (their fault clocks do not move there), and the audit — which also
+/// compares the active and detected fault maps — proves every edge
+/// cycle was stepped.
+#[test]
+fn worklist_is_sound_on_empty_faulted_routers() {
+    let cfg = mesh_cfg(4);
+    let (w, h) = cfg.dims();
+    let nodes = w as u16 * h as u16;
+    let at = |cycle, router: u16, site| noc_faults::InjectionEvent {
+        cycle,
+        router: noc_types::RouterId(router % nodes),
+        site,
+    };
+    let plan = FaultPlan::deterministic(
+        vec![
+            at(40, 5, FaultSite::Sa1Arbiter { port: PortId(1) }),
+            at(90, 5, FaultSite::RcPrimary { port: PortId(0) }),
+            at(
+                120,
+                10,
+                FaultSite::XbMux {
+                    out_port: PortId(2),
+                },
+            ),
+        ],
+        DetectionModel::Delayed(7),
+    )
+    .with_transients(vec![noc_faults::TransientEvent {
+        cycle: 60,
+        duration: 15,
+        router: noc_types::RouterId(6 % nodes),
+        site: FaultSite::Sa2Arbiter {
+            out_port: PortId(3),
+        },
+    }]);
+    for audit in [true, false] {
+        let mut net = Network::with_faults(cfg, RouterKind::Protected, &plan);
+        net.set_worklist_audit(audit);
+        // No traffic at all: every router is empty on every cycle.
+        for cycle in 0..200u64 {
+            net.step(cycle);
+        }
+        let detected: usize = (0..nodes as usize)
+            .map(|id| net.router(id).faults().detected().len())
+            .sum();
+        assert_eq!(detected, 3, "audit {audit}: every permanent fault detected");
+        if !audit {
+            // Only edge cycles (and the first) of the faulted routers
+            // are stepped: 0, 40, 47, 90, 97 / 0, 120, 127 / 0, 60, 67, 75.
+            assert_eq!(net.routers_stepped(), 5 + 3 + 4, "quiet cycles skipped");
         }
     }
 }

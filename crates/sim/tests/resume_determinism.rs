@@ -8,8 +8,9 @@
 use noc_faults::{DetectionModel, FaultPlan, FaultSite};
 use noc_sim::{MemoryStream, Simulator};
 use noc_telemetry::json::JsonValue;
+use noc_telemetry::snapshot::{Restore, Snapshot};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
-use noc_types::{NetworkConfig, PortId, RouterId, SimConfig, TopologySpec, VcId};
+use noc_types::{Cycle, NetworkConfig, PortId, RouterId, SimConfig, TopologySpec, VcId};
 use shield_router::RouterKind;
 
 const SEED: u64 = 0x5EED_CAFE;
@@ -165,6 +166,68 @@ fn faulted_campaign_resumes_identically() {
     for kind in [RouterKind::Baseline, RouterKind::Protected] {
         assert_resume_deterministic(net_cfg(TopologySpec::MeshK), kind, plan.clone());
     }
+}
+
+/// A faulted router that is empty at a checkpoint is skipped on the
+/// quiet cycles of its fault clock. The resumed run must make the same
+/// skip decisions (`routers_stepped`/`routers_skipped` are in the
+/// report), so every router carries a fault whose edges fall before,
+/// between or after the checkpoints, under a detection latency.
+#[test]
+fn faulted_routers_empty_at_a_checkpoint_resume_identically() {
+    let events = (0..16u16)
+        .map(|r| noc_faults::InjectionEvent {
+            cycle: [0, 290, 700, 1290][usize::from(r % 4)] + Cycle::from(r),
+            router: RouterId(r),
+            site: match r % 3 {
+                0 => FaultSite::RcPrimary {
+                    port: PortId((r % 5) as u8),
+                },
+                // The protected router caches per-output tables from
+                // these two: a restore must re-derive them.
+                1 => FaultSite::Va2Arbiter {
+                    out_port: PortId((r % 5) as u8),
+                    out_vc: VcId((r % 4) as u8),
+                },
+                _ => FaultSite::XbMux {
+                    out_port: PortId((r % 5) as u8),
+                },
+            },
+        })
+        .collect();
+    let plan = FaultPlan::deterministic(events, DetectionModel::Delayed(7));
+    for kind in [RouterKind::Baseline, RouterKind::Protected] {
+        assert_resume_deterministic(net_cfg(TopologySpec::MeshK), kind, plan.clone());
+    }
+}
+
+/// A network snapshotted before its first cycle has stepped no router,
+/// so its faulted routers must all be stepped at cycle 0 after the
+/// restore too, although their fault clocks record cycle 0 exactly as a
+/// clock that was stepped there does.
+#[test]
+fn network_restored_before_its_first_cycle_steps_its_faulted_routers() {
+    let plan = FaultPlan::at_start(
+        [(RouterId(5), FaultSite::RcPrimary { port: PortId(1) })],
+        DetectionModel::Delayed(3),
+    );
+    let cfg = net_cfg(TopologySpec::MeshK);
+    let mut original = noc_sim::Network::with_faults(cfg, RouterKind::Protected, &plan);
+    let mut restored =
+        noc_sim::Network::with_faults(cfg, RouterKind::Protected, &FaultPlan::none());
+    restored
+        .restore(&JsonValue::parse(&original.snapshot().render()).unwrap())
+        .unwrap();
+    for cycle in 0..40 {
+        original.step(cycle);
+        restored.step(cycle);
+        assert_eq!(
+            (restored.routers_stepped(), restored.routers_skipped()),
+            (original.routers_stepped(), original.routers_skipped()),
+            "cycle {cycle}"
+        );
+    }
+    assert_eq!(restored.snapshot().render(), original.snapshot().render());
 }
 
 #[test]

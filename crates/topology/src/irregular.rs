@@ -432,68 +432,93 @@ impl Irregular {
     /// Recompute `D_down`, `D`, and the next-hop/reachability tables from
     /// the current link set, liveness and (fixed) orientation.
     fn rebuild_tables(&mut self) {
+        let adj = self.adjacency();
+        let (d_down, dist) = self.distance_fields(&adj);
+        (self.next, self.reach) = self.next_hops(&adj, &d_down, &dist);
+    }
+
+    /// Active neighbours of every node, `usize::MAX` where a side has no
+    /// link (one lookup per link instead of one per table entry).
+    fn adjacency(&self) -> Vec<[usize; 4]> {
+        (0..self.grid.len())
+            .map(|node| SIDES.map(|dir| self.link(node, dir).unwrap_or(usize::MAX)))
+            .collect()
+    }
+
+    /// `(D_down, D)` over the links `adj`, row-major `node * n + d`,
+    /// each in one pass.
+    ///
+    /// `(level, id)` orders the nodes totally, a down hop strictly
+    /// increases it and an up hop strictly decreases it: the down edges
+    /// and the up edges each form a DAG. `D_down` of a node reads only
+    /// its down-neighbours' rows, so one pass in descending `(level, id)`
+    /// order finds every row final when it is read; `D` reads only its
+    /// up-neighbours' rows (where `D_down` is infinite), so one pass in
+    /// ascending order does the same. Each pass computes the unique
+    /// solution of its recurrence — the least fixpoint a relaxation
+    /// sweep converges to.
+    fn distance_fields(&self, adj: &[[usize; 4]]) -> (Vec<u32>, Vec<u32>) {
         let n = self.grid.len();
-        // Down-only shortest distances. Down edges strictly increase
-        // (level, id), so the relaxation reaches a fixpoint in at most n
-        // sweeps; the graph is tiny (n ≤ 65k, typically ≤ 256).
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_unstable_by_key(|&i| (self.level[i], i));
+
         let mut d_down = vec![INF; n * n];
         for d in 0..n {
             d_down[d * n + d] = 0;
         }
-        loop {
-            let mut changed = false;
-            for node in 0..n {
-                for (_, m) in self.neighbours(node).collect::<Vec<_>>() {
-                    if self.is_up(node, m) {
-                        continue; // only down hops
-                    }
-                    for d in 0..n {
-                        if !self.alive[m] && m != d {
-                            continue; // never transit a dead router
-                        }
-                        let cand = 1 + d_down[m * n + d];
-                        if cand < d_down[node * n + d] {
-                            d_down[node * n + d] = cand;
-                            changed = true;
-                        }
-                    }
+        for &node in order.iter().rev() {
+            for &m in adj[node].iter().filter(|&&m| m != usize::MAX) {
+                if self.is_up(node, m) {
+                    continue; // only down hops
+                }
+                if !self.alive[m] {
+                    // Never transit a dead router; it is still a
+                    // destination one hop away.
+                    d_down[node * n + m] = d_down[node * n + m].min(1);
+                    continue;
+                }
+                let (row, from) = rows(&mut d_down, n, node, m);
+                for (x, &y) in row.iter_mut().zip(from) {
+                    *x = (*x).min(y + 1);
                 }
             }
-            if !changed {
-                break;
-            }
         }
-        // Full metric: climb cost where no down-only path exists. Up
-        // edges strictly decrease (level, id) — acyclic, so this also
-        // reaches a fixpoint.
+
+        // Full metric: climb cost where no down-only path exists.
         let mut dist = d_down.clone();
-        loop {
-            let mut changed = false;
-            for node in 0..n {
-                for (_, m) in self.neighbours(node).collect::<Vec<_>>() {
-                    if !self.is_up(node, m) {
-                        continue; // only up hops
+        for &node in &order {
+            let down = &d_down[node * n..][..n];
+            for &m in adj[node].iter().filter(|&&m| m != usize::MAX) {
+                if !self.is_up(node, m) {
+                    continue; // only up hops
+                }
+                if !self.alive[m] {
+                    if down[m] == INF {
+                        dist[node * n + m] = dist[node * n + m].min(1);
                     }
-                    for d in 0..n {
-                        if d_down[node * n + d] != INF {
-                            continue; // down mode is committed
-                        }
-                        if !self.alive[m] && m != d {
-                            continue;
-                        }
-                        let cand = 1 + dist[m * n + d];
-                        if cand < dist[node * n + d] {
-                            dist[node * n + d] = cand;
-                            changed = true;
-                        }
+                    continue;
+                }
+                let (row, from) = rows(&mut dist, n, node, m);
+                for ((x, &y), &committed) in row.iter_mut().zip(from).zip(down) {
+                    // A node in down mode for `d` is committed to it.
+                    if committed == INF {
+                        *x = (*x).min(y + 1);
                     }
                 }
             }
-            if !changed {
-                break;
-            }
         }
-        // Next hops.
+        (d_down, dist)
+    }
+
+    /// The next-hop and reachability tables of the distance fields over
+    /// the links `adj`.
+    fn next_hops(
+        &self,
+        adj: &[[usize; 4]],
+        d_down: &[u32],
+        dist: &[u32],
+    ) -> (Vec<Direction>, Vec<bool>) {
+        let n = self.grid.len();
         let mut next = vec![Direction::Local; n * n];
         let mut reach = vec![false; n * n];
         for node in 0..n {
@@ -504,8 +529,8 @@ impl Irregular {
                 }
                 let down_mode = d_down[node * n + d] != INF;
                 let mut best: Option<(u32, usize, Direction)> = None;
-                for (dir, m) in self.neighbours(node) {
-                    if !self.alive[m] && m != d {
+                for (&dir, &m) in SIDES.iter().zip(&adj[node]) {
+                    if m == usize::MAX || (!self.alive[m] && m != d) {
                         continue;
                     }
                     if self.is_up(node, m) == down_mode {
@@ -529,8 +554,20 @@ impl Irregular {
                 }
             }
         }
-        self.next = next;
-        self.reach = reach;
+        (next, reach)
+    }
+}
+
+/// Row `node` of an `n × n` table for writing beside row `m` for
+/// reading (`node != m`).
+fn rows(table: &mut [u32], n: usize, node: usize, m: usize) -> (&mut [u32], &[u32]) {
+    debug_assert_ne!(node, m);
+    if node < m {
+        let (lo, hi) = table.split_at_mut(m * n);
+        (&mut lo[node * n..][..n], &hi[..n])
+    } else {
+        let (lo, hi) = table.split_at_mut(node * n);
+        (&mut hi[..n], &lo[m * n..][..n])
     }
 }
 
@@ -552,6 +589,143 @@ mod tests {
             path.push(here);
         }
         panic!("route {src}→{dst} did not terminate: {path:?}");
+    }
+
+    impl Irregular {
+        /// The reference for [`Irregular::distance_fields`]: relaxation
+        /// sweeps over every node, repeated until nothing changes.
+        fn swept_distance_fields(&self) -> (Vec<u32>, Vec<u32>) {
+            let n = self.grid.len();
+            let mut d_down = vec![INF; n * n];
+            for d in 0..n {
+                d_down[d * n + d] = 0;
+            }
+            loop {
+                let mut changed = false;
+                for node in 0..n {
+                    for (_, m) in self.neighbours(node).collect::<Vec<_>>() {
+                        if self.is_up(node, m) {
+                            continue;
+                        }
+                        for d in 0..n {
+                            if !self.alive[m] && m != d {
+                                continue;
+                            }
+                            let cand = 1 + d_down[m * n + d];
+                            if cand < d_down[node * n + d] {
+                                d_down[node * n + d] = cand;
+                                changed = true;
+                            }
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            let mut dist = d_down.clone();
+            loop {
+                let mut changed = false;
+                for node in 0..n {
+                    for (_, m) in self.neighbours(node).collect::<Vec<_>>() {
+                        if !self.is_up(node, m) {
+                            continue;
+                        }
+                        for d in 0..n {
+                            if d_down[node * n + d] != INF || (!self.alive[m] && m != d) {
+                                continue;
+                            }
+                            let cand = 1 + dist[m * n + d];
+                            if cand < dist[node * n + d] {
+                                dist[node * n + d] = cand;
+                                changed = true;
+                            }
+                        }
+                    }
+                }
+                if !changed {
+                    break;
+                }
+            }
+            (d_down, dist)
+        }
+
+        /// Assert the one-pass fields, and the tables built from them,
+        /// equal the sweep's.
+        fn assert_matches_sweep(&self, label: &str) {
+            let adj = self.adjacency();
+            let (d_down, dist) = self.swept_distance_fields();
+            assert!(
+                self.distance_fields(&adj) == (d_down.clone(), dist.clone()),
+                "{label}: distance fields differ from the sweep"
+            );
+            let (next, reach) = self.next_hops(&adj, &d_down, &dist);
+            assert!(
+                next == self.next && reach == self.reach,
+                "{label}: tables differ from the sweep"
+            );
+        }
+    }
+
+    #[test]
+    fn one_pass_tables_equal_the_sweep_on_full_meshes() {
+        for k in 1..=16u8 {
+            Irregular::from_full_mesh(k, k).assert_matches_sweep(&format!("{k}x{k}"));
+        }
+        for (w, h) in [(1, 7), (7, 1), (2, 9), (9, 4), (16, 3)] {
+            Irregular::from_full_mesh(w, h).assert_matches_sweep(&format!("{w}x{h}"));
+        }
+    }
+
+    #[test]
+    fn one_pass_tables_equal_the_sweep_on_random_cuts_and_stars() {
+        for seed in 0..24u64 {
+            let (w, h) = (5 + (seed % 4) as u8, 4 + (seed % 5) as u8);
+            let cuts = (w as u16 * h as u16) / 4;
+            Irregular::random_cuts(w, h, cuts, seed)
+                .assert_matches_sweep(&format!("{w}x{h} cuts {cuts} seed {seed}"));
+        }
+        for (chiplets, k_node) in [(1, 2), (2, 2), (3, 3), (4, 4), (5, 3)] {
+            Irregular::star(chiplets, k_node)
+                .assert_matches_sweep(&format!("star {chiplets}x{k_node}"));
+        }
+    }
+
+    #[test]
+    fn one_pass_tables_equal_the_sweep_after_kills_and_cuts() {
+        // A chain of kills: interior routers far enough apart that no
+        // kill disconnects the rest.
+        let mut t = Irregular::from_full_mesh(8, 8);
+        for c in [(2, 2), (5, 5), (2, 5), (5, 2), (0, 7)] {
+            t = t.with_dead(t.grid().id_of(Coord::new(c.0, c.1)).index());
+            t.assert_matches_sweep(&format!("kill {c:?}"));
+        }
+        // The cut sequence that re-roots the orientation.
+        let base = Irregular::from_full_mesh(8, 8);
+        let grid = base.grid();
+        let once = base
+            .with_cut_link(grid.id_of(Coord::new(4, 2)).index(), Direction::South)
+            .unwrap();
+        once.assert_matches_sweep("cut (4,2)S");
+        let twice = once
+            .with_cut_link(grid.id_of(Coord::new(3, 3)).index(), Direction::East)
+            .unwrap();
+        assert_ne!(base.level, twice.level, "this sequence reorients");
+        twice.assert_matches_sweep("cut (4,2)S, (3,3)E");
+        // Seeded cut sequences, skipping cuts that would split the
+        // graph; isolated endpoints are quarantined on the way.
+        for seed in 0..6u64 {
+            let mut rng = seed ^ 0x5EED;
+            let mut t = Irregular::from_full_mesh(6, 6);
+            for step in 0..14 {
+                let node = (splitmix64(&mut rng) % 36) as usize;
+                let dir = SIDES[(splitmix64(&mut rng) % 4) as usize];
+                if let Ok(next) = t.with_cut_link(node, dir) {
+                    t = next;
+                    t.assert_matches_sweep(&format!("seed {seed}, cut {step}"));
+                }
+            }
+        }
     }
 
     #[test]

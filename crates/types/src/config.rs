@@ -12,7 +12,7 @@ pub struct RouterConfig {
     pub ports: usize,
     /// Virtual channels per input port, `V`.
     pub vcs: usize,
-    /// Buffer slots per VC, in flits.
+    /// Buffer slots per VC, in flits (`1..=255`).
     pub buffer_depth: usize,
     /// Datapath (flit) width in bits — used by the reliability models.
     pub flit_width_bits: usize,
@@ -57,6 +57,13 @@ impl RouterConfig {
         }
         if self.buffer_depth == 0 {
             return Err("VC buffers need at least one slot".into());
+        }
+        if self.buffer_depth > 255 {
+            return Err(format!(
+                "buffer depth must not exceed 255 flits (got {}): the router's \
+                 per-VC credit counters and buffer ring indices are u8",
+                self.buffer_depth
+            ));
         }
         if self.flit_width_bits == 0 {
             return Err("flit width must be positive".into());
@@ -648,6 +655,18 @@ mod tests {
         let mut n = NetworkConfig::paper();
         n.link_latency = 0;
         assert!(n.validate().is_err());
+    }
+
+    #[test]
+    fn buffer_depth_is_bounded_by_the_u8_credit_counters() {
+        let mut r = RouterConfig::paper();
+        r.buffer_depth = 255;
+        assert_eq!(r.validate(), Ok(()));
+        r.buffer_depth = 256;
+        let err = r.validate().unwrap_err();
+        assert!(err.contains("255") && err.contains("u8"), "{err}");
+        r.buffer_depth = 300;
+        assert!(r.validate().is_err());
     }
 
     #[test]

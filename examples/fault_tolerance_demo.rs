@@ -29,7 +29,7 @@ fn drive_one_packet(router: &mut Router) -> (usize, usize) {
     let mut dropped = 0;
     for cycle in 0..60 {
         if let Some(flit) = pending.pop() {
-            if router.port(Direction::Local.port()).vc(VcId(0)).is_full() {
+            if router.vc(Direction::Local.port(), VcId(0)).is_full() {
                 pending.push(flit);
             } else {
                 router.receive_flit(Direction::Local.port(), VcId(0), flit);
