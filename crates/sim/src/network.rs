@@ -11,24 +11,31 @@
 //! [`Network::step`] is one stepper whose shard count is the thread
 //! count ([`Network::set_threads`]; one shard, no worker threads, by
 //! default). The node grid is partitioned into contiguous row bands in
-//! topology node order, and a cycle runs in three phases:
+//! topology node order. Each shard owns the wire wheel of the wires its
+//! own routers send, and a cycle runs in three phases:
 //!
-//! * **A** — take this cycle's slot off the wire wheel and partition
-//!   its arrivals by destination shard, preserving arrival order (with
-//!   one shard the slot is handed over whole);
+//! * **A** — every shard's wheel hands over the slot arriving now, for
+//!   all shards to read (one vector swap per shard);
 //! * **B** — each shard, on the calling thread or a persistent
-//!   [`crate::WorkerPool`] worker, delivers its arrivals, injects from
-//!   its NIs and steps its routers into shard-local buffers;
-//! * **C** — the shard buffers are merged into the wheel, the delivery
-//!   log and the counters in fixed shard order (= router-id order).
+//!   [`crate::WorkerPool`] worker, advances its own wheel, applies the
+//!   wires addressed to its routers from every shard's arriving slot,
+//!   injects from its NIs and steps its routers, whose outputs go
+//!   straight into its own wheel;
+//! * **C** — the arriving slots are emptied, and the counters and
+//!   deliveries are merged in fixed shard order (= router-id order).
 //!
 //! Because link latency is ≥ 1 cycle, a router's step never reads
 //! another router's same-cycle output, so shards are independent within
-//! a cycle and the merge order alone fixes the result: every shard
-//! count is bit-identical — wraparound and cut links included, since
-//! the wiring table only changes *which* wheel slot entries are written,
-//! never when they are read; see ARCHITECTURE.md §2.1 for the full
-//! determinism argument. The stepper is allocation-free in steady state.
+//! a cycle. Every shard count is bit-identical — wraparound and cut
+//! links included: the wires one link delivers in a cycle sit in one
+//! shard's slot in emission order, arrivals on different links commute
+//! (buffers per input port, credits are counters), and ejections never
+//! leave their shard and are applied in router order. Everything that
+//! reads the wheel as a whole — snapshots, clones, re-partitioning, the
+//! link-fault scrub, the flit and credit counts — reads it in one
+//! canonical order (`Partition::for_each_wire`); see ARCHITECTURE.md
+//! §2.1 for the full argument. The stepper is allocation-free in steady
+//! state.
 //!
 //! Independently of the shard count, an **active-router worklist**
 //! skips [`shield_router::Router::step_into`] for routers that are
@@ -85,7 +92,7 @@ struct LinkTarget {
 type WiringRow = [Option<LinkTarget>; 5];
 
 /// A flit or credit in flight on a link.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Wire {
     Flit {
         router: usize,
@@ -106,7 +113,7 @@ enum Wire {
 
 impl Wire {
     /// The router (or node) index this wire is travelling towards — the
-    /// key phase A partitions arrivals by.
+    /// key a shard picks its arrivals by.
     fn dest(&self) -> usize {
         match self {
             Wire::Flit { router, .. }
@@ -117,17 +124,193 @@ impl Wire {
     }
 }
 
+/// The wires one shard's routers sent that arrive in the same cycle.
+#[derive(Debug, Default)]
+struct Slot {
+    /// In emission order: by production cycle, then router id, then the
+    /// order the router emitted them.
+    wires: Vec<Wire>,
+    /// One entry per production cycle, ascending: its label and the
+    /// index of its first wire. A cycle's label is [`Network::cycle`]
+    /// once that cycle has stepped (so at least 1); a wheel loaded at a
+    /// cycle boundary is one run per slot labelled 0, before anything
+    /// still to be produced. The wires of one slot arrive together, so
+    /// it holds at most one run per slot of its wheel.
+    runs: Vec<(Cycle, u32)>,
+    /// Indices of the wires addressed outside the owning shard,
+    /// ascending — all another shard reads of this slot.
+    cross: Vec<u32>,
+}
+
+impl Slot {
+    fn with_capacity(wires: usize, runs: usize) -> Self {
+        Slot {
+            wires: Vec::with_capacity(wires),
+            runs: Vec::with_capacity(runs),
+            cross: Vec::with_capacity(wires),
+        }
+    }
+
+    /// The wires of run `i`.
+    fn run(&self, i: usize) -> &[Wire] {
+        let end = self
+            .runs
+            .get(i + 1)
+            .map_or(self.wires.len(), |&(_, at)| at as usize);
+        &self.wires[self.runs[i].1 as usize..end]
+    }
+
+    /// Empty the slot, keeping its capacity (`Wire` is `Copy`, so this
+    /// is O(1)).
+    fn clear(&mut self) {
+        self.wires.clear();
+        self.runs.clear();
+        self.cross.clear();
+    }
+}
+
+/// One shard's wire wheel: the wires its own routers sent, by arrival
+/// cycle. Slot `k` arrives `k + 1` cycles after the cycle last stepped.
+/// Phase A hands slot 0 over and leaves an empty one in its place; the
+/// shard's phase B then moves slot 1's wires into it and turns the rest
+/// (see [`Wheel::advance`]). Pacing on narrow links can push a delay
+/// past the horizon; the wheel then grows (deterministically — growth
+/// is a pure function of the departure sequence, and the canonical
+/// length is the longest shard wheel, which is the longest delay ever
+/// pushed at any shard count).
+struct Wheel {
+    slots: Vec<Slot>,
+    /// Empty slots kept for growth.
+    spare: Vec<Slot>,
+    /// The owning shard's router-id range; a wire addressed outside it
+    /// is indexed in [`Slot::cross`].
+    lo: usize,
+    hi: usize,
+    /// Wire capacity of slot 0 and of the arriving slot it trades
+    /// places with, which carry the bulk of the traffic (`0` = grow on
+    /// demand).
+    hot_cap: usize,
+    /// Wire capacity of every other slot.
+    cold_cap: usize,
+    /// The most slots a preallocated wheel makes at its first growth —
+    /// its horizon's maximum, so pacing never grows it by allocating
+    /// again; the base length for a wheel that grows on demand.
+    max: usize,
+}
+
+impl Wheel {
+    /// An empty wheel of `horizon.base` slots for the shard owning
+    /// routers `[lo, hi)`. Slot 0 holds `hot_cap` wires before it grows
+    /// and every other slot `cold_cap`: past slot 0 a slot only holds
+    /// wires on links slower than one cycle, which on the chiplet mesh
+    /// is at most one per narrow link; a slot that needs more grows
+    /// once. A preallocated wheel (`hot_cap > 0`) reserves room for
+    /// `horizon.max` slots.
+    fn new(lo: usize, hi: usize, horizon: Horizon, hot_cap: usize, cold_cap: usize) -> Self {
+        let (max, runs) = if hot_cap > 0 {
+            (horizon.max, horizon.max)
+        } else {
+            (horizon.base, 0)
+        };
+        let cap = |k: usize| if k == 0 { hot_cap } else { cold_cap };
+        let mut slots = Vec::with_capacity(max);
+        slots.extend((0..horizon.base).map(|k| Slot::with_capacity(cap(k), runs)));
+        Wheel {
+            slots,
+            spare: Vec::new(),
+            lo,
+            hi,
+            hot_cap,
+            cold_cap,
+            max,
+        }
+    }
+
+    /// Phase A: slot 0 — arriving now — is swapped out into `arriving`,
+    /// an empty slot, which takes its place until [`Wheel::advance`].
+    fn hand_over(&mut self, arriving: &mut Slot) {
+        std::mem::swap(&mut self.slots[0], arriving);
+    }
+
+    /// Phase B, before the shard pushes: advance one cycle. Slot 1's
+    /// wires move into the empty slot 0, and the emptied slot 1 goes to
+    /// the far end. Moving the wires rather than the slot keeps the
+    /// bulk of the traffic — wires on latency-1 links, all pushed to
+    /// slot 0 — in the two buffers that slot 0 and the arriving slot
+    /// trade every cycle, which stay in cache; slot 1 holds only
+    /// wires on slower links, a few per cycle.
+    fn advance(&mut self) {
+        let len = self.slots.len();
+        let (now, rest) = self.slots.split_first_mut().expect("a wheel has two slots");
+        let next = &mut rest[0];
+        // `now` is empty; the wheel may have grown while it was handed
+        // over, and a slot holds up to one run per slot.
+        now.runs.reserve(len);
+        now.wires.extend_from_slice(&next.wires);
+        now.runs.extend_from_slice(&next.runs);
+        now.cross.extend_from_slice(&next.cross);
+        next.clear();
+        rest.rotate_left(1);
+    }
+
+    /// Grow or shrink to `len` slots, through the spares; every slot
+    /// then has room for `len` runs. Shrinking drops the far slots,
+    /// which must be empty. Short of spares, the wheel makes every slot
+    /// it may still need, up to `max`, at once.
+    #[cold]
+    fn resize(&mut self, len: usize) {
+        let keep = len.min(self.slots.len());
+        self.spare.extend(self.slots.drain(keep..));
+        if self.slots.len() + self.spare.len() < len {
+            let (cap, all) = (self.cold_cap, len.max(self.max));
+            let make = all - self.slots.len() - self.spare.len();
+            self.spare
+                .extend((0..make).map(|_| Slot::with_capacity(cap, all)));
+        }
+        while self.slots.len() < len {
+            let slot = self.spare.pop().expect("spares made above");
+            self.slots.push(slot);
+        }
+        for slot in &mut self.slots {
+            slot.runs.reserve(len.saturating_sub(slot.runs.len()));
+        }
+    }
+
+    /// Empty the wheel and resize it to `len` slots.
+    fn reset(&mut self, len: usize) {
+        self.slots.iter_mut().for_each(Slot::clear);
+        self.resize(len);
+    }
+
+    /// Schedule `w`, produced in the cycle labelled `label`, to arrive
+    /// `delay >= 1` cycles from now. Inlined, so each call site's
+    /// `Wire::dest` folds to a field.
+    #[inline]
+    fn push(&mut self, delay: u32, label: Cycle, w: Wire) {
+        let k = delay as usize - 1;
+        if k >= self.slots.len() {
+            self.resize(k + 1);
+        }
+        let slot = &mut self.slots[k];
+        let at = slot.wires.len() as u32;
+        if slot.runs.last().is_none_or(|&(l, _)| l != label) {
+            slot.runs.push((label, at));
+        }
+        if !(self.lo..self.hi).contains(&w.dest()) {
+            slot.cross.push(at);
+        }
+        slot.wires.push(w);
+    }
+}
+
 /// Reusable per-shard working state of the stepper. All buffers keep
-/// their capacity across cycles.
-#[derive(Default)]
+/// their capacity across cycles. Aligned to 128 bytes (a pair of cache
+/// lines, the unit x86 prefetches) so that no two shards' counters and
+/// wheel headers, written throughout phase B, share a line.
+#[repr(align(128))]
 struct ShardScratch {
-    /// This shard's slice of the cycle's arrivals, in global order.
-    arrivals: Vec<Wire>,
-    /// Wire traffic produced by this shard's routers, in router order,
-    /// each tagged with its arrival delay in cycles (`>= 1`) — links
-    /// have per-class latencies, so departures do not share a single
-    /// wheel slot. Phase C distributes them into the wheel.
-    wires_out: Vec<(u32, Wire)>,
+    /// The wires this shard's routers sent that have not arrived yet.
+    wheel: Wheel,
     /// Packets completed at this shard's NIs this cycle.
     deliveries: Vec<DeliveredPacket>,
     /// Per-shard reusable router step output.
@@ -145,17 +328,32 @@ struct ShardScratch {
 }
 
 impl ShardScratch {
-    /// Preallocate every buffer for a shard that owns `nodes` routers:
-    /// five wires and one completed packet per router per cycle, more
-    /// than sustained traffic produces. A shard's span is fixed when
-    /// its partition is built, so the stepper is allocation-free from
-    /// the first cycle.
-    fn with_bounds(nodes: usize) -> Self {
+    /// Scratch for the shard owning routers `[lo, hi)` of `wiring`, with
+    /// an empty wheel over `horizon`. With `presize`, every buffer is
+    /// preallocated — five wires per router in the wheel's hot slots and
+    /// one per narrow link in the others, one completed packet per
+    /// router: more than sustained traffic produces in a cycle — so the
+    /// stepper is allocation-free from the first cycle, but for the
+    /// wheel's first growth; without, the buffers grow to steady
+    /// capacity during warm-up.
+    fn new(lo: usize, hi: usize, wiring: &[WiringRow], horizon: Horizon, presize: bool) -> Self {
+        let (nodes, narrow) = if presize {
+            let links = wiring[lo..hi].iter().flatten().flatten();
+            (hi - lo, links.filter(|l| l.width_denom > 1).count())
+        } else {
+            (0, 0)
+        };
         ShardScratch {
-            arrivals: Vec::with_capacity(5 * nodes),
-            wires_out: Vec::with_capacity(5 * nodes),
+            wheel: Wheel::new(lo, hi, horizon, 5 * nodes, narrow),
             deliveries: Vec::with_capacity(nodes),
-            ..ShardScratch::default()
+            step_out: StepOutput::default(),
+            flits_dropped: 0,
+            flits_edge_dropped: 0,
+            flits_injected: 0,
+            routers_stepped: 0,
+            routers_skipped: 0,
+            any_departure: false,
+            step_nanos: 0,
         }
     }
 }
@@ -275,27 +473,42 @@ fn cut_block(chiplet_rows: Option<usize>, h: usize, nshards: usize) -> usize {
 }
 
 /// The stepper's shard partition (contiguous row bands over router
-/// ids) and the worker pool that steps it. The cut is a function of
-/// `(grid, shard count, die size)` alone: after [`Partition::new`] only
-/// the shard scratch and the profile are ever written.
+/// ids), the worker pool that steps it and the shards' wire wheels.
+/// The cut is a function of `(grid, shard count, die size)` alone:
+/// after [`Partition::new`] only the shard scratch, the arriving slots
+/// and the profile are ever written.
 struct Partition {
     /// `shards - 1` background workers; the caller steps a shard too.
-    pool: WorkerPool,
+    /// Shared by every clone of the network: the pool runs one
+    /// broadcast at a time, and a broadcast from inside one of its own
+    /// tasks runs inline.
+    pool: Arc<WorkerPool>,
     /// Per shard: the `[start, end)` router-id range it owns.
     bounds: Vec<(usize, usize)>,
-    /// Router id → owning shard.
-    shard_of: Vec<usize>,
     shards: Vec<ShardScratch>,
+    /// Per shard: the slot of its wheel arriving this cycle, which
+    /// every shard reads in phase B. Empty at cycle boundaries.
+    arriving: Vec<Slot>,
+    /// The wheel's length at construction and its bound.
+    horizon: Horizon,
     /// Wall-clock profile; `None` for a lone shard, which has no
     /// imbalance to report and so reads no clock.
     profile: Option<ShardProfile>,
 }
 
 impl Partition {
-    /// Cut the grid into `threads` even bands. `chiplet_rows` is the
-    /// chiplet side length on hierarchical topologies (see
+    /// Cut the grid into one even band per thread of `pool` (its
+    /// workers and the caller), each with an empty wheel over
+    /// `horizon` for its routers' links in `wiring`. `chiplet_rows` is
+    /// the chiplet side length on hierarchical topologies (see
     /// [`cut_block`]).
-    fn new(threads: usize, mesh: Mesh, chiplet_rows: Option<usize>) -> Self {
+    fn new(
+        pool: Arc<WorkerPool>,
+        mesh: Mesh,
+        chiplet_rows: Option<usize>,
+        wiring: &[WiringRow],
+        horizon: Horizon,
+    ) -> Self {
         let w = mesh.w as usize;
         let h = mesh.h as usize;
         // One band per thread, but never split a grid row and never
@@ -304,7 +517,8 @@ impl Partition {
         // every topology over the same grid. On chiplet grids with
         // enough chiplet-row blocks, bands are whole blocks instead of
         // whole rows, so shard boundaries coincide with die boundaries.
-        let nshards = threads.min(h).max(1);
+        let nshards = pool.workers() + 1;
+        assert!(nshards <= h, "more shards than grid rows");
         let block = cut_block(chiplet_rows, h, nshards);
         let nblocks = h.div_ceil(block);
         let mut bounds = Vec::with_capacity(nshards);
@@ -316,41 +530,102 @@ impl Partition {
             bounds.push((lo * w, hi * w));
             bstart += blocks;
         }
-        let mut shard_of = vec![0; mesh.len()];
-        for (s, &(lo, hi)) in bounds.iter().enumerate() {
-            for slot in &mut shard_of[lo..hi] {
-                *slot = s;
+        // A lone shard's buffers just grow to steady capacity during
+        // warm-up, so the short runs of a campaign never pay for a
+        // bound they do not reach.
+        let presize = nshards > 1;
+        let shards: Vec<ShardScratch> = bounds
+            .iter()
+            .map(|&(lo, hi)| ShardScratch::new(lo, hi, wiring, horizon, presize))
+            .collect();
+        let runs = if presize { horizon.max } else { 0 };
+        Partition {
+            arriving: shards
+                .iter()
+                .map(|s| Slot::with_capacity(s.wheel.hot_cap, runs))
+                .collect(),
+            shards,
+            pool,
+            bounds,
+            horizon,
+            profile: presize.then(|| ShardProfile::new(nshards)),
+        }
+    }
+
+    /// The wheel's length: the longest shard wheel.
+    fn wheel_len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.wheel.slots.len())
+            .max()
+            .unwrap_or(0)
+    }
+
+    /// Visit every wire on the wheel, with its slot index, in the one
+    /// canonical order: by slot (slot 0 arrives next), then production
+    /// cycle, then source shard, then the order the shard pushed them —
+    /// that is, by source router and emission order, since shards are
+    /// ascending router ranges stepped in id order. The order is a
+    /// merge of the shards' runs by label, so it is the same at every
+    /// shard count; everything that reads the wheel as a whole reads it
+    /// through here.
+    fn for_each_wire(&self, mut f: impl FnMut(usize, &Wire)) {
+        for k in 0..self.wheel_len() {
+            let slots = || self.shards.iter().filter_map(move |s| s.wheel.slots.get(k));
+            let mut next = slots().filter_map(|s| s.runs.first()).map(|r| r.0).min();
+            while let Some(label) = next.take() {
+                for slot in slots() {
+                    for (i, &(l, _)) in slot.runs.iter().enumerate() {
+                        if l == label {
+                            slot.run(i).iter().for_each(|w| f(k, w));
+                        } else if l > label {
+                            next = Some(next.map_or(l, |n| n.min(l)));
+                            break;
+                        }
+                    }
+                }
             }
         }
-        Partition {
-            // The caller participates in every broadcast, so `nshards`
-            // shards need only `nshards - 1` background workers.
-            pool: WorkerPool::new(nshards - 1),
-            // A lone shard's buffers just grow to steady capacity
-            // during warm-up, so the short scenarios of a campaign,
-            // which build a network each, never pay for a bound they do
-            // not reach.
-            shards: if nshards == 1 {
-                vec![ShardScratch::default()]
-            } else {
-                bounds
-                    .iter()
-                    .map(|&(lo, hi)| ShardScratch::with_bounds(hi - lo))
-                    .collect()
-            },
-            bounds,
-            shard_of,
-            profile: (nshards > 1).then(|| ShardProfile::new(nshards)),
+    }
+
+    /// Empty every wheel: shard 0's to `len` slots, the others to the
+    /// base length (`len >= horizon.base`), so the wheel is `len` long.
+    fn reset_wheel(&mut self, len: usize) {
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            shard
+                .wheel
+                .reset(if s == 0 { len } else { self.horizon.base });
         }
+    }
+
+    /// Append `w` to slot `k` of a freshly reset wheel, after the wires
+    /// loaded there before it. Loaded wires all go to shard 0, as one
+    /// run per slot labelled 0, whoever sent them: every shard reads
+    /// the wires addressed to it from every shard's slots, and label 0
+    /// keeps them ahead of everything produced later in the canonical
+    /// order.
+    fn load(&mut self, k: usize, w: Wire) {
+        self.shards[0].wheel.push(k as u32 + 1, 0, w);
+    }
+
+    /// Replace this partition's wheel with a copy of `other`'s, in the
+    /// canonical order.
+    fn copy_wheel(&mut self, other: &Partition) {
+        self.reset_wheel(other.wheel_len());
+        other.for_each_wire(|k, w| self.load(k, *w));
     }
 }
 
 /// One shard's mutable view of the network for phase B of a cycle:
-/// disjoint slices of the routers, NIs and link counters, plus the
-/// shard scratch. No two shards alias, and nothing here touches the
-/// wire wheel — cross-shard traffic only flows through `wires_out`,
-/// merged serially in phase C.
+/// disjoint slices of the routers, NIs and link counters, its scratch
+/// (its wheel included), and shared read access to every shard's
+/// arriving slot. No two shards alias: a shard writes only its own
+/// wheel, and the arriving slots are read-only until phase C.
 struct ShardCtx<'a, O: Observer> {
+    /// This shard's index.
+    me: usize,
+    /// Every shard's slot arriving this cycle.
+    arriving: &'a [Slot],
     base: usize,
     /// This shard's slice of the network wiring table.
     wiring: &'a [WiringRow],
@@ -368,10 +643,18 @@ struct ShardCtx<'a, O: Observer> {
 }
 
 impl<O: Observer> ShardCtx<'_, O> {
-    /// One shard's share of a cycle: deliver arrivals, inject, step —
-    /// each in router-id order.
-    fn run(&mut self, cycle: Cycle) {
+    /// One shard's share of a cycle — deliver arrivals, inject, step —
+    /// whose outputs are labelled `label` on the wheel.
+    ///
+    /// Arrivals are taken slot by slot in shard order: this shard's own
+    /// slot whole, the others' through their cross-shard index. That
+    /// differs from the canonical order only between wires on different
+    /// links, which commute; ejections are all in one slot in router
+    /// order, so the delivery log is appended in router order.
+    fn run(&mut self, cycle: Cycle, label: Cycle) {
         let ShardCtx {
+            me,
+            arriving,
             base,
             wiring,
             skip_idle,
@@ -385,8 +668,28 @@ impl<O: Observer> ShardCtx<'_, O> {
             obs,
         } = self;
         let base = *base;
-        for w in scratch.arrivals.drain(..) {
-            apply_arrival(w, base, routers, nis, &mut scratch.deliveries, cycle, *obs);
+        scratch.wheel.advance();
+        let mine = base..base + routers.len();
+        for (s, slot) in arriving.iter().enumerate() {
+            let mut apply = |w: Wire| {
+                apply_arrival(w, base, routers, nis, &mut scratch.deliveries, cycle, *obs);
+            };
+            if s == *me {
+                // Every wire but the indexed cross-shard ones is ours.
+                let mut cross = slot.cross.iter().copied().peekable();
+                for (i, &w) in slot.wires.iter().enumerate() {
+                    if cross.next_if_eq(&(i as u32)).is_none() {
+                        apply(w);
+                    }
+                }
+            } else {
+                for &i in &slot.cross {
+                    let w = slot.wires[i as usize];
+                    if mine.contains(&w.dest()) {
+                        apply(w);
+                    }
+                }
+            }
         }
         // NI injection (one flit per node per cycle). `inject` on an NI
         // with nothing queued and nothing mid-send is a pure no-op, so
@@ -426,12 +729,13 @@ impl<O: Observer> ShardCtx<'_, O> {
             process_router_outputs(
                 base + local,
                 cycle,
+                label,
                 *local_delay,
                 &mut routers[local],
                 &mut nis[local],
                 &wiring[local],
                 &mut scratch.step_out,
-                &mut scratch.wires_out,
+                &mut scratch.wheel,
                 &mut link_flits[local],
                 &mut link_free[local],
                 &mut scratch.flits_dropped,
@@ -465,14 +769,20 @@ impl<O: Observer> ShardCtx<'_, O> {
 ///   fields borrowed across it, and nothing else touches them until
 ///   the broadcast returns).
 ///
+/// The arriving slots every shard reads are a shared borrow of a
+/// separate array, never reached through `shards`.
+///
 /// The `Sync` impl is what lets the pool share `&ShardTasks` across
 /// worker threads; it is safe for exactly the reasons above.
 struct ShardTasks<'a, O: Observer> {
     cycle: Cycle,
+    /// The wheel label of this cycle's outputs.
+    label: Cycle,
     skip_idle: bool,
     audit: bool,
     local_delay: u32,
     bounds: &'a [(usize, usize)],
+    arriving: &'a [Slot],
     wiring: &'a [WiringRow],
     routers: *mut Router,
     nis: *mut NetworkInterface,
@@ -499,6 +809,8 @@ impl<O: Observer> ShardTasks<'_, O> {
         // does not keep.
         let started = (self.bounds.len() > 1).then(std::time::Instant::now);
         ShardCtx {
+            me: i,
+            arriving: self.arriving,
             base: lo,
             wiring: &self.wiring[lo..hi],
             skip_idle: self.skip_idle,
@@ -511,7 +823,7 @@ impl<O: Observer> ShardTasks<'_, O> {
             scratch: &mut *self.shards.add(i),
             obs: &mut *self.obs.add(i),
         }
-        .run(self.cycle);
+        .run(self.cycle, self.label);
         if let Some(started) = started {
             (*self.shards.add(i)).step_nanos += started.elapsed().as_nanos() as u64;
         }
@@ -606,8 +918,8 @@ fn apply_arrival<O: Observer>(
 }
 
 /// Turn one router's [`StepOutput`] into wire traffic and counters:
-/// `(arrival delay, wire)` pairs collected per shard and distributed
-/// into the wire wheel in phase C.
+/// each wire goes straight onto its shard's `wheel`, labelled `label`,
+/// at its arrival delay.
 ///
 /// Delays follow the link class baked into `wiring_row`:
 ///
@@ -627,12 +939,13 @@ fn apply_arrival<O: Observer>(
 fn process_router_outputs(
     id: usize,
     cycle: Cycle,
+    label: Cycle,
     local_delay: u32,
     router: &mut Router,
     ni: &mut NetworkInterface,
     wiring_row: &WiringRow,
     out: &mut StepOutput,
-    wires_out: &mut Vec<(u32, Wire)>,
+    wheel: &mut Wheel,
     link_row: &mut [u64; 5],
     link_free_row: &mut [Cycle; 5],
     flits_dropped: &mut u64,
@@ -650,20 +963,22 @@ fn process_router_outputs(
         if d.out_port == Direction::Local.port() {
             // Local link to the NI; the NI returns the credit for the
             // local-output VC one link-latency later.
-            wires_out.push((
+            wheel.push(
                 local_delay,
+                label,
                 Wire::Eject {
                     node: id,
                     flit: d.flit,
                 },
-            ));
-            wires_out.push((
+            );
+            wheel.push(
                 local_delay,
+                label,
                 Wire::NiCredit {
                     router: id,
                     vc: d.out_vc,
                 },
-            ));
+            );
         } else {
             match wiring_row[d.out_port.index()] {
                 Some(l) => {
@@ -676,15 +991,16 @@ fn process_router_outputs(
                         link_free_row[d.out_port.index()] = start + l.width_denom as Cycle;
                         (start - cycle) as u32 + l.latency + (l.width_denom - 1)
                     };
-                    wires_out.push((
+                    wheel.push(
                         delay,
+                        label,
                         Wire::Flit {
                             router: l.down,
                             port: l.in_port,
                             vc: d.out_vc,
                             flit: d.flit,
                         },
-                    ));
+                    );
                 }
                 None => {
                     // Misrouted onto a missing link — the grid edge or a
@@ -706,32 +1022,16 @@ fn process_router_outputs(
             // neighbour through is also the neighbour's output port
             // facing us, which is where the credit belongs — and the
             // return path shares the forward link's latency.
-            wires_out.push((
+            wheel.push(
                 l.latency,
+                label,
                 Wire::Credit {
                     router: l.down,
                     out_port: l.in_port,
                     vc: c.vc,
                 },
-            ));
+            );
         }
-    }
-}
-
-/// Distribute collected `(arrival delay, wire)` pairs into the wire
-/// wheel. The wheel has already rotated for this cycle, so a delay of
-/// `d` lands in slot `d - 1` and is taken `d` cycles from now. Pacing
-/// on narrow links can push a delay past the wheel's precomputed
-/// horizon; the wheel grows on demand (deterministically — growth is a
-/// pure function of the departure sequence, identical at every thread
-/// count).
-fn spill_into_wheel(wires: &mut Vec<Vec<Wire>>, pending: &mut Vec<(u32, Wire)>) {
-    for (delay, w) in pending.drain(..) {
-        let slot = delay as usize - 1;
-        if slot >= wires.len() {
-            wires.resize_with(slot + 1, Vec::new);
-        }
-        wires[slot].push(w);
     }
 }
 
@@ -746,11 +1046,6 @@ pub struct Network {
     wiring: Vec<WiringRow>,
     routers: Vec<Router>,
     nis: Vec<NetworkInterface>,
-    /// The wire wheel: in-flight wire traffic bucketed by arrival
-    /// cycle; slot 0 arrives this cycle. Sized for the longest link
-    /// class at construction and grown on demand when serialisation
-    /// pacing pushes an arrival past the horizon.
-    wires: Vec<Vec<Wire>>,
     /// Per router, per output port: the first cycle the outgoing link
     /// accepts another flit — the serialisation pacing state of narrow
     /// (`width_denom > 1`) links. Full-width links neither consult nor
@@ -780,7 +1075,11 @@ pub struct Network {
     /// `(cycle, router, dir)` order so the next due event pops off the
     /// end at each cycle boundary.
     pending_link_faults: Vec<LinkFaultEvent>,
-    /// The shard partition the stepper runs over (one shard by default).
+    /// The shard partition the stepper runs over (one shard by default),
+    /// which holds the wire wheel: in-flight wire traffic by arrival
+    /// cycle, sized for the slowest link class at construction and
+    /// grown on demand when serialisation pacing pushes an arrival past
+    /// the horizon.
     part: Partition,
     /// Flits that fell off the mesh edge after a misroute.
     pub flits_edge_dropped: u64,
@@ -798,11 +1097,12 @@ pub struct Network {
 /// stay shared behind their `Arc`s, which is safe because a fault edge
 /// swaps a new `Arc` in ([`Network::fail_link`], [`Network::fail_router`])
 /// and never mutates a shared one. The shard partition is rebuilt at the
-/// same shard count with fresh scratch and profile (it is empty at every
-/// cycle boundary). Everything else is copied — and only its occupied
-/// part: std `Vec`/`VecDeque` clones allocate `len`, not capacity, so a
-/// clone of a lightly loaded network is much smaller than the network
-/// it was taken from, and grows its buffers back as it steps.
+/// same shard count on the same worker pool, with fresh scratch and
+/// profile, and the wire wheel is copied into it in its canonical order.
+/// Everything else is copied — and only its occupied part: std
+/// `Vec`/`VecDeque` clones allocate `len`, not capacity, so a clone of a
+/// lightly loaded network is much smaller than the network it was taken
+/// from, and grows its buffers back as it steps.
 impl Clone for Network {
     fn clone(&self) -> Self {
         Network {
@@ -812,7 +1112,6 @@ impl Clone for Network {
             wiring: self.wiring.clone(),
             routers: self.routers.clone(),
             nis: self.nis.clone(),
-            wires: self.wires.clone(),
             link_free: self.link_free.clone(),
             deliveries: self.deliveries.clone(),
             link_flits: self.link_flits.clone(),
@@ -823,7 +1122,7 @@ impl Clone for Network {
             routers_skipped: self.routers_skipped,
             escape: self.escape.clone(),
             pending_link_faults: self.pending_link_faults.clone(),
-            part: self.partition(self.threads()),
+            part: self.repartition(Arc::clone(&self.part.pool)),
             flits_edge_dropped: self.flits_edge_dropped,
             flits_dropped: self.flits_dropped,
             flits_injected: self.flits_injected,
@@ -905,17 +1204,13 @@ impl Network {
                 )
             })
             .collect();
-        // The wheel must reach the slowest link class; serialisation
-        // pacing can still push past this and grows the wheel then.
-        let max_latency = wiring
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|l| l.latency)
-            .max()
-            .unwrap_or(1)
-            .max(cfg.link_latency);
-        let slots = max_latency as usize + 1;
+        let part = Partition::new(
+            Arc::new(WorkerPool::new(0)),
+            mesh,
+            cfg.topology.chiplet_k().map(usize::from),
+            &wiring,
+            Horizon::of(&wiring, &cfg),
+        );
         let mut net = Network {
             cfg,
             mesh,
@@ -923,7 +1218,6 @@ impl Network {
             wiring,
             routers,
             nis,
-            wires: (0..slots).map(|_| Vec::new()).collect(),
             link_free: vec![[0; 5]; mesh.len()],
             deliveries: Vec::new(),
             link_flits: vec![[0; 5]; mesh.len()],
@@ -934,7 +1228,7 @@ impl Network {
             routers_skipped: 0,
             escape,
             pending_link_faults: Vec::new(),
-            part: Partition::new(1, mesh, cfg.topology.chiplet_k().map(usize::from)),
+            part,
             flits_edge_dropped: 0,
             flits_dropped: 0,
             flits_injected: 0,
@@ -1110,30 +1404,30 @@ impl Network {
     /// occupy the downstream buffer), in-flight credits (their wire is
     /// gone; applied now) and flits already buffered downstream (they
     /// drain normally, but their credit returns would travel the
-    /// nulled wire and be dropped).
+    /// nulled wire and be dropped). The wheel is read in its canonical
+    /// order and the survivors loaded back in it.
     fn scrub_dead_link(&mut self, up: usize, out: PortId, down: usize, in_port: PortId) {
         let v = self.cfg.router.vcs;
         let mut restore = vec![0u32; v];
         let mut lost = 0u64;
-        for slot in &mut self.wires {
-            slot.retain(|w| match *w {
-                Wire::Flit {
-                    router, port, vc, ..
-                } if router == down && port == in_port => {
-                    lost += 1;
-                    restore[vc.index()] += 1;
-                    false
-                }
-                Wire::Credit {
-                    router,
-                    out_port,
-                    vc,
-                } if router == up && out_port == out => {
-                    restore[vc.index()] += 1;
-                    false
-                }
-                _ => true,
-            });
+        let mut kept = Vec::new();
+        self.part.for_each_wire(|k, w| match *w {
+            Wire::Flit {
+                router, port, vc, ..
+            } if router == down && port == in_port => {
+                lost += 1;
+                restore[vc.index()] += 1;
+            }
+            Wire::Credit {
+                router,
+                out_port,
+                vc,
+            } if router == up && out_port == out => restore[vc.index()] += 1,
+            _ => kept.push((k, *w)),
+        });
+        self.part.reset_wheel(self.part.wheel_len());
+        for (k, w) in kept {
+            self.part.load(k, w);
         }
         self.flits_edge_dropped += lost;
         for (vc_idx, &restored) in restore.iter().enumerate().take(v) {
@@ -1220,14 +1514,25 @@ impl Network {
         };
         let t = t.min(self.mesh.h as usize).max(1);
         if self.threads() != t {
-            self.part = self.partition(t);
+            // The caller participates in every broadcast, so `t` shards
+            // need only `t - 1` background workers.
+            self.part = self.repartition(Arc::new(WorkerPool::new(t - 1)));
         }
     }
 
-    /// A fresh partition of the grid into `threads` shards.
-    fn partition(&self, threads: usize) -> Partition {
+    /// A fresh partition of the grid into one shard per thread of
+    /// `pool`, holding a copy of the current wire wheel.
+    fn repartition(&self, pool: Arc<WorkerPool>) -> Partition {
         let chiplet_rows = self.cfg.topology.chiplet_k().map(usize::from);
-        Partition::new(threads, self.mesh, chiplet_rows)
+        let mut part = Partition::new(
+            pool,
+            self.mesh,
+            chiplet_rows,
+            &self.wiring,
+            self.part.horizon,
+        );
+        part.copy_wheel(&self.part);
+        part
     }
 
     /// Threads stepping the mesh (= shards).
@@ -1293,12 +1598,10 @@ impl Network {
     pub fn in_flight_flits(&self) -> u64 {
         let in_routers: usize = self.routers.iter().map(|r| r.buffered_flits()).sum();
         let in_nis: usize = self.nis.iter().map(|n| n.pending_flits()).sum();
-        let on_wires: usize = self
-            .wires
-            .iter()
-            .flatten()
-            .filter(|w| matches!(w, Wire::Flit { .. } | Wire::Eject { .. }))
-            .count();
+        let mut on_wires = 0;
+        self.part.for_each_wire(|_, w| {
+            on_wires += usize::from(matches!(w, Wire::Flit { .. } | Wire::Eject { .. }));
+        });
         (in_routers + in_nis + on_wires) as u64
     }
 
@@ -1630,10 +1933,10 @@ impl Network {
             wiring,
             routers,
             nis,
-            wires,
             deliveries,
             link_flits,
             link_free,
+            cycles_stepped,
             skip_idle,
             worklist_audit,
             routers_stepped,
@@ -1648,40 +1951,35 @@ impl Network {
         let Partition {
             pool,
             bounds,
-            shard_of,
             shards,
+            arriving,
             profile,
+            ..
         } = part;
 
-        // Phase A: rotate the wheel (the slot arriving now becomes the
-        // farthest one) and hand its contents to the shards. Each
-        // shard's queue is a subsequence of the global arrival order, so
-        // per-destination delivery order is the same for every shard
-        // count. A lone shard takes the whole slot by swapping vectors,
-        // so both keep their capacity as they circulate.
-        wires.rotate_left(1);
-        let arriving = wires.last_mut().expect("the wheel has at least two slots");
-        if let [only] = shards.as_mut_slice() {
-            std::mem::swap(&mut only.arrivals, arriving);
-        } else {
-            for w in arriving.drain(..) {
-                shards[shard_of[w.dest()]].arrivals.push(w);
-            }
+        // Phase A: every shard's wheel hands over the slot arriving now,
+        // in exchange for its arriving slot emptied last cycle, so both
+        // keep their capacity as they circulate.
+        for (scratch, slot) in shards.iter_mut().zip(arriving.iter_mut()) {
+            scratch.wheel.hand_over(slot);
         }
 
         // Phase B: hand each shard its disjoint slice of the mesh (and
         // its own observer — shard `s` records into `obs[s]`), carved
         // through `ShardTasks`'s raw pointers so the phase allocates
-        // nothing. The safety contract on `ShardTasks` holds here:
-        // `bounds` are disjoint ascending row bands covering the mesh,
-        // the length assert above guarantees per-shard observers, and
-        // the borrowed arrays are untouched until the broadcast returns.
+        // nothing, plus every shard's arriving slot to read. The safety
+        // contract on `ShardTasks` holds here: `bounds` are disjoint
+        // ascending row bands covering the mesh, the length assert
+        // above guarantees per-shard observers, and the borrowed arrays
+        // are untouched until the broadcast returns.
         let tasks = ShardTasks {
             cycle,
+            label: *cycles_stepped,
             skip_idle: *skip_idle,
             audit: *worklist_audit,
             local_delay: cfg.link_latency,
             bounds,
+            arriving,
             wiring,
             routers: routers.as_mut_ptr(),
             nis: nis.as_mut_ptr(),
@@ -1693,10 +1991,10 @@ impl Network {
         #[allow(unsafe_code)]
         pool.broadcast(tasks.bounds.len(), &|i| unsafe { tasks.run(i) });
 
-        // Phase C: merge in fixed shard order (= router-id order), so
-        // each wheel slot receives its wires in router-id order.
-        for (s, scratch) in shards.iter_mut().enumerate() {
-            spill_into_wheel(wires, &mut scratch.wires_out);
+        // Phase C: every shard has read the arriving slots, so empty
+        // them, and merge in fixed shard order (= router-id order).
+        for (s, (scratch, slot)) in shards.iter_mut().zip(arriving.iter_mut()).enumerate() {
+            slot.clear();
             deliveries.append(&mut scratch.deliveries);
             *flits_dropped += std::mem::take(&mut scratch.flits_dropped);
             *flits_edge_dropped += std::mem::take(&mut scratch.flits_edge_dropped);
@@ -1752,22 +2050,18 @@ impl Network {
         let mut flits_in_flight = vec![0u32; n * 5 * v];
         let mut credits_in_flight = vec![0u32; n * 5 * v];
         let mut ni_credits_in_flight = vec![0u32; n * v];
-        for w in self.wires.iter().flatten() {
-            match w {
-                Wire::Flit {
-                    router, port, vc, ..
-                } => flits_in_flight[at(*router, *port, *vc)] += 1,
-                Wire::Credit {
-                    router,
-                    out_port,
-                    vc,
-                } => credits_in_flight[at(*router, *out_port, *vc)] += 1,
-                Wire::NiCredit { router, vc } => {
-                    ni_credits_in_flight[*router * v + vc.index()] += 1
-                }
-                Wire::Eject { .. } => {}
-            }
-        }
+        self.part.for_each_wire(|_, w| match w {
+            Wire::Flit {
+                router, port, vc, ..
+            } => flits_in_flight[at(*router, *port, *vc)] += 1,
+            Wire::Credit {
+                router,
+                out_port,
+                vc,
+            } => credits_in_flight[at(*router, *out_port, *vc)] += 1,
+            Wire::NiCredit { router, vc } => ni_credits_in_flight[*router * v + vc.index()] += 1,
+            Wire::Eject { .. } => {}
+        });
         for id in 0..n {
             for dir in Direction::ALL {
                 let out_port = dir.port();
@@ -1981,27 +2275,45 @@ impl Network {
     pub fn kind(&self) -> RouterKind {
         self.routers[0].kind()
     }
+}
 
-    /// The wire wheel's minimum slot count: one past the slowest link
-    /// class (the horizon the constructor sizes for).
-    fn min_wheel_slots(&self) -> usize {
-        self.wiring
-            .iter()
-            .flatten()
-            .flatten()
-            .map(|l| l.latency)
+/// How long the wire wheel is: `base` slots at construction — one past
+/// the slowest link class and the router→NI latency — and at most
+/// `max` once narrow-link pacing has grown it.
+#[derive(Debug, Clone, Copy)]
+struct Horizon {
+    base: usize,
+    max: usize,
+}
+
+impl Horizon {
+    fn of(wiring: &[WiringRow], cfg: &NetworkConfig) -> Self {
+        let links = || wiring.iter().flatten().flatten();
+        let latency = links().map(|l| l.latency).max().unwrap_or(1);
+        let base = latency.max(cfg.link_latency) as usize + 1;
+        // A flit queues on a narrow link behind at most the flits the
+        // downstream buffers hold credits for — V·depth, `width_denom`
+        // cycles each — so it arrives at most V·depth·width_denom +
+        // latency − 1 cycles after it departs.
+        let credits = (cfg.router.vcs * cfg.router.buffer_depth) as u32;
+        let paced = links()
+            .filter(|l| l.width_denom > 1)
+            .map(|l| credits * l.width_denom + l.latency - 1)
             .max()
-            .unwrap_or(1)
-            .max(self.cfg.link_latency) as usize
-            + 1
+            .unwrap_or(0);
+        Horizon {
+            base,
+            max: base.max(paced as usize),
+        }
     }
 }
 
 impl Snapshot for Network {
     /// The network's complete resumable state at a cycle boundary:
-    /// every router and NI, the wire ring (slot 0 first — the slot
-    /// arriving next cycle), the link-utilisation matrix and the
-    /// global counters. Excluded as rebuildable from configuration:
+    /// every router and NI, the wire wheel in its canonical order (slot
+    /// 0 first — the slot arriving next cycle), the link-utilisation
+    /// matrix and the global counters. Excluded as rebuildable from
+    /// configuration:
     /// the topology, the wiring table, the shard partition (thread
     /// count is a performance knob — results are bit-identical for any
     /// value, see the module docs) and the empty per-cycle scratch
@@ -2012,6 +2324,8 @@ impl Snapshot for Network {
     /// stream offset; [`Network::set_deliveries`] reloads the prefix
     /// on restore.
     fn snapshot(&self) -> JsonValue {
+        let mut wires = vec![Vec::new(); self.part.wheel_len()];
+        self.part.for_each_wire(|k, w| wires[k].push(w.snapshot()));
         obj([
             ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
             ("config", config_fingerprint(&self.cfg, self.kind())),
@@ -2025,12 +2339,7 @@ impl Snapshot for Network {
             ("last_activity", self.last_activity.into()),
             (
                 "wires",
-                JsonValue::Arr(
-                    self.wires
-                        .iter()
-                        .map(|slot| JsonValue::Arr(slot.iter().map(Snapshot::snapshot).collect()))
-                        .collect(),
-                ),
+                JsonValue::Arr(wires.into_iter().map(JsonValue::Arr).collect()),
             ),
             ("routers", self.routers.snapshot()),
             ("nis", self.nis.snapshot()),
@@ -2091,7 +2400,7 @@ impl Restore for Network {
         // pacing may have grown it past that; adopt the snapshot's
         // horizon so in-flight wires land in the slots they left from.
         let wires = arr_field(v, "wires")?;
-        let min_slots = self.min_wheel_slots();
+        let min_slots = self.part.horizon.base;
         if wires.len() < min_slots {
             return Err(SnapshotError::new(format!(
                 "`wires` has {} slots but the slowest link class needs {}",
@@ -2099,12 +2408,11 @@ impl Restore for Network {
                 min_slots,
             )));
         }
-        self.wires.resize_with(wires.len(), Vec::new);
-        for (i, (slot, s)) in self.wires.iter_mut().zip(wires).enumerate() {
-            slot.clear();
-            slot.extend(
-                Vec::<Wire>::from_snapshot(s).map_err(|e| e.within(&format!("wires[{i}]")))?,
-            );
+        self.part.reset_wheel(wires.len());
+        for (k, s) in wires.iter().enumerate() {
+            for w in Vec::<Wire>::from_snapshot(s).map_err(|e| e.within(&format!("wires[{k}]")))? {
+                self.part.load(k, w);
+            }
         }
         // The delivery log is not in the snapshot (it lives in the
         // delivery stream); clear any stale entries so a restore into a
@@ -2157,9 +2465,9 @@ impl Restore for Network {
         self.flits_dropped = u64_field(v, "flits_dropped")?;
         self.flits_injected = u64_field(v, "flits_injected")?;
         self.last_activity = u64_field(v, "last_activity")?;
-        // The shard partition is left alone: its per-cycle scratch is
-        // empty at every cycle boundary, and the thread count is
-        // orthogonal to state.
+        // The shard cut is left alone (the thread count is orthogonal
+        // to state); the wheel it holds was loaded above, and the rest
+        // of its scratch is empty at every cycle boundary.
         Ok(())
     }
 }

@@ -9,11 +9,15 @@
 //! cycle-latency stays low on multicore hosts.
 //!
 //! The only primitive is [`WorkerPool::broadcast`]: run `f(i)` for every
-//! `i in 0..tasks`, distributing indices dynamically over the workers
-//! *and the calling thread*, returning when all tasks finished. Caller
-//! participation guarantees progress even when every worker is busy with
-//! an unrelated submission, and makes a pool with zero workers a correct
-//! (serial) degenerate case.
+//! `i in 0..tasks` over the workers *and the calling thread*, returning
+//! when all tasks finished. Each thread runs its own index first — the
+//! caller `0`, worker `w` index `w + 1` — so a thread gets the same task
+//! broadcast after broadcast (for the sharded stepper, the same shard,
+//! whose state then stays in that core's cache); then it claims the
+//! lowest unclaimed index, so an idle thread takes over the task of a
+//! late one. Caller participation guarantees progress even when every
+//! worker is busy with an unrelated submission, and makes a pool with
+//! zero workers a correct (serial) degenerate case.
 //!
 //! # Safety
 //!
@@ -51,12 +55,55 @@ unsafe impl Send for RawTask {}
 struct Job {
     f: RawTask,
     total: usize,
-    /// Next unclaimed index.
+    /// Claimed indices below 64, one bit each.
+    claimed: u64,
+    /// No index below this one is unclaimed. Indices from 64 up are
+    /// only ever claimed here, in order.
     next: usize,
     /// Indices that have finished running (successfully or not).
     completed: usize,
     /// Set when any task panicked; the caller re-raises.
     panicked: bool,
+}
+
+impl Job {
+    fn new(f: RawTask, total: usize) -> Self {
+        Job {
+            f,
+            total,
+            claimed: 0,
+            next: 0,
+            completed: 0,
+            panicked: false,
+        }
+    }
+
+    fn is_free(&self, i: usize) -> bool {
+        i >= self.next && (i >= 64 || self.claimed & (1 << i) == 0)
+    }
+
+    /// Claim an index to run: `own` while it is unclaimed, else the
+    /// lowest unclaimed one; `None` once every index is claimed.
+    fn claim(&mut self, own: usize) -> Option<usize> {
+        let i = if own < self.total.min(64) && self.is_free(own) {
+            own
+        } else {
+            while self.next < self.total && !self.is_free(self.next) {
+                self.next += 1;
+            }
+            if self.next == self.total {
+                return None;
+            }
+            self.next
+        };
+        if i < 64 {
+            self.claimed |= 1 << i;
+        }
+        if i == self.next {
+            self.next += 1;
+        }
+        Some(i)
+    }
 }
 
 struct State {
@@ -129,20 +176,20 @@ impl WorkerPool {
         // Return only once every worker runs: a thread allocates as it
         // starts, and that must happen here, not during a later broadcast
         // that the counting-allocator suite asserts allocation-free. (A
-        // worker-less pool, which every one-shard fork builds, allocates
-        // no barrier.)
+        // worker-less pool, which every one-shard network builds,
+        // allocates no barrier; a network's clones share its pool.)
         let mut handles = Vec::new();
         if workers > 0 {
             let started = Arc::new(Barrier::new(workers + 1));
             handles = (0..workers)
-                .map(|_| {
+                .map(|w| {
                     let shared = Arc::clone(&shared);
                     let started = Arc::clone(&started);
                     std::thread::Builder::new()
                         .name("noc-sim-worker".into())
                         .spawn(move || {
                             started.wait();
-                            worker_loop(&shared, id)
+                            worker_loop(&shared, id, w + 1)
                         })
                         .expect("spawning a pool worker")
                 })
@@ -205,40 +252,20 @@ impl WorkerPool {
         {
             let mut s = self.shared.state.lock().expect("pool state poisoned");
             debug_assert!(s.job.is_none(), "submission lock admits one job at a time");
-            s.job = Some(Job {
-                f: raw,
-                total: tasks,
-                next: 0,
-                completed: 0,
-                panicked: false,
-            });
+            let mut job = Job::new(raw, tasks);
+            // The caller's own index, claimed before any worker sees the
+            // job.
+            job.claim(0);
+            s.job = Some(job);
             s.epoch += 1;
             self.shared.epoch_hint.store(s.epoch, Ordering::Release);
             self.shared.work.notify_all();
         }
 
-        // Participate: claim and run tasks like a worker would.
+        // Participate: run the own index, then claim like a worker would.
         let mut caller_panic: Option<Box<dyn std::any::Any + Send>> = None;
+        let mut i = 0;
         loop {
-            let mut s = self.shared.state.lock().expect("pool state poisoned");
-            let job = s.job.as_mut().expect("job lives until broadcast ends");
-            if job.next >= job.total {
-                // All indices claimed; wait for stragglers.
-                while s.job.as_ref().is_some_and(|j| j.completed < j.total) {
-                    s = self.shared.done.wait(s).expect("pool state poisoned");
-                }
-                let job = s.job.take().expect("job lives until broadcast ends");
-                let panicked = job.panicked;
-                drop(s);
-                if let Some(p) = caller_panic {
-                    std::panic::resume_unwind(p);
-                }
-                assert!(!panicked, "a WorkerPool task panicked");
-                return;
-            }
-            let i = job.next;
-            job.next += 1;
-            drop(s);
             let result = run_task(f, i, self.id);
             let mut s = self.shared.state.lock().expect("pool state poisoned");
             let job = s.job.as_mut().expect("job lives until broadcast ends");
@@ -247,9 +274,22 @@ impl WorkerPool {
                 job.panicked = true;
                 caller_panic = Some(p);
             }
-            if job.completed == job.total {
-                self.shared.done.notify_all();
+            if let Some(next) = job.claim(0) {
+                i = next;
+                continue;
             }
+            // All indices claimed; wait for stragglers.
+            while s.job.as_ref().is_some_and(|j| j.completed < j.total) {
+                s = self.shared.done.wait(s).expect("pool state poisoned");
+            }
+            let job = s.job.take().expect("job lives until broadcast ends");
+            let panicked = job.panicked;
+            drop(s);
+            if let Some(p) = caller_panic {
+                std::panic::resume_unwind(p);
+            }
+            assert!(!panicked, "a WorkerPool task panicked");
+            return;
         }
     }
 }
@@ -281,20 +321,18 @@ fn run_task(
     result
 }
 
-fn worker_loop(shared: &Shared, pool_id: usize) {
+/// A worker's life: claim indices of posted jobs, `own` first.
+fn worker_loop(shared: &Shared, pool_id: usize, own: usize) {
     let mut guard = shared.state.lock().expect("pool state poisoned");
     loop {
         if guard.shutdown {
             return;
         }
         // Claim an index if a job with unclaimed work is posted.
-        let claim = guard.job.as_mut().and_then(|job| {
-            (job.next < job.total).then(|| {
-                let i = job.next;
-                job.next += 1;
-                (job.f, i)
-            })
-        });
+        let claim = guard
+            .job
+            .as_mut()
+            .and_then(|job| job.claim(own).map(|i| (job.f, i)));
         if let Some((raw, i)) = claim {
             drop(guard);
             // Safety: `broadcast` keeps the closure alive until this
@@ -347,6 +385,42 @@ mod tests {
         });
         for (i, h) in hits.iter().enumerate() {
             assert_eq!(h.load(Ordering::Relaxed), 1, "index {i}");
+        }
+    }
+
+    #[test]
+    fn claims_hand_out_every_index_once_own_first() {
+        let f = |_: usize| {};
+        for total in [1, 2, 5, 64, 65, 130] {
+            let mut job = Job::new(RawTask(&f), total);
+            let owns = [2, 0, 70, 1, 63];
+            let mut got = Vec::new();
+            for k in 0.. {
+                let own = owns[k % owns.len()];
+                let own_free = own < total.min(64) && !got.contains(&own);
+                let Some(i) = job.claim(own) else { break };
+                if own_free {
+                    assert_eq!(i, own, "total {total}: own index passed over");
+                }
+                got.push(i);
+            }
+            got.sort_unstable();
+            assert_eq!(got, (0..total).collect::<Vec<_>>(), "total {total}");
+        }
+    }
+
+    #[test]
+    fn the_caller_always_runs_index_zero() {
+        let pool = WorkerPool::new(3);
+        let caller = std::thread::current().id();
+        for _ in 0..200 {
+            let ran_on = Mutex::new(None);
+            pool.broadcast(4, &|i| {
+                if i == 0 {
+                    *ran_on.lock().unwrap() = Some(std::thread::current().id());
+                }
+            });
+            assert_eq!(ran_on.into_inner().unwrap(), Some(caller));
         }
     }
 

@@ -9,6 +9,7 @@
 
 use noc_faults::{FaultPlan, LinkFaultEvent};
 use noc_sim::{Network, Simulator};
+use noc_telemetry::snapshot::Snapshot;
 use noc_telemetry::FlightRecord;
 use noc_types::{
     splitmix64, Cycle, DeliveredPacket, Direction, Mesh, NetworkConfig, Packet, PacketId,
@@ -162,6 +163,57 @@ fn a_cloned_network_continues_like_a_replay_on_every_family() {
                 assert_clone_equals_replay(&format!("{label}/{routing:?}"), cfg, threads);
             }
         }
+    }
+}
+
+/// Threads of this process.
+fn threads_alive() -> usize {
+    std::fs::read_dir("/proc/self/task")
+        .expect("a Linux /proc")
+        .count()
+}
+
+/// A clone shares its original's worker pool instead of starting its
+/// own: 100 clones of a 4-shard network start no thread (a pool each
+/// would start 300), and every clone still steps exactly as the
+/// original does.
+#[test]
+fn clones_share_the_worker_pool_and_step_identically() {
+    let cfg = NetworkConfig {
+        mesh_k: 8,
+        ..NetworkConfig::paper()
+    };
+    let mut original = Network::new(cfg, RouterKind::Protected);
+    original.set_threads(4);
+    let grid = original.mesh();
+    let mut packets = Vec::new();
+    let mut step = |net: &mut Network, cycle: Cycle| {
+        traffic(grid, cycle, &mut packets);
+        net.offer_packets_from(&mut packets);
+        net.step(cycle);
+    };
+    for cycle in 0..PAUSE {
+        step(&mut original, cycle);
+    }
+    let before = threads_alive();
+    let mut clones: Vec<Network> = (0..100).map(|_| original.clone()).collect();
+    let started = threads_alive().saturating_sub(before);
+    // Other tests of this binary start and end threads concurrently;
+    // a handful of slack cannot hide a pool per clone.
+    assert!(started < 10, "100 clones started {started} threads");
+    for cycle in PAUSE..PAUSE + 60 {
+        step(&mut original, cycle);
+    }
+    let expected = original.snapshot().render();
+    for (i, clone) in clones.iter_mut().enumerate() {
+        assert_eq!(clone.shard_count(), 4);
+        for cycle in PAUSE..PAUSE + 60 {
+            step(clone, cycle);
+        }
+        assert!(
+            clone.snapshot().render() == expected,
+            "clone {i} diverged from its original"
+        );
     }
 }
 

@@ -15,7 +15,9 @@
 //! concurrently and pollute the counter.
 
 use noc_sim::Network;
-use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind, PortId, VcId};
+use noc_types::{
+    Coord, LinkClass, NetworkConfig, Packet, PacketId, PacketKind, PortId, TopologySpec, VcId,
+};
 use shield_router::RouterKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -101,16 +103,31 @@ fn tick(rng: &mut Rng, k: u8, cycle: u64, next_id: &mut u64, out: &mut Vec<Packe
 #[test]
 fn steady_state_network_step_allocates_nothing() {
     // One shard (the default, and the path of four of the five
-    // benchmark workloads) covers the SoA router stepper, the slot
-    // hand-over of phase A and the inline broadcast; it keeps no shard
-    // profile. The multi-shard legs cover arrival partitioning, the
-    // worker-pool broadcast and the profile ring: the measured window
-    // below (cycles 600–1100) crosses the interval close at 1024.
-    for (label, threads) in [("1 shard", 1usize), ("2 shards", 2), ("4 shards", 4)] {
+    // benchmark workloads) covers the SoA router stepper, the wheel
+    // turn of phase A and the inline broadcast; it keeps no shard
+    // profile. The multi-shard legs cover the shard wheels read across
+    // shards, the worker-pool broadcast and the profile ring: the
+    // measured window below (cycles 600–1100) crosses the interval
+    // close at 1024. The chiplet leg is the configuration the
+    // two-thread benchmark runs: the cut on the die seam, so every
+    // cross-shard wire rides a d2d link (latency 4, half width), whose
+    // pacing grows the wheels past their base length.
+    let chiplet = TopologySpec::ChipletMesh {
+        k_chip: 2,
+        k_node: 4,
+        d2d: LinkClass::D2D_DEFAULT,
+    };
+    for (label, topology, threads) in [
+        ("1 shard", TopologySpec::MeshK, 1usize),
+        ("2 shards", TopologySpec::MeshK, 2),
+        ("4 shards", TopologySpec::MeshK, 4),
+        ("chipletmesh, 2 shards", chiplet, 2),
+    ] {
         let k = 8u8;
         const WARMUP: u64 = 600;
         let mut cfg = NetworkConfig::paper();
         cfg.mesh_k = k;
+        cfg.topology = topology;
         let mut net = Network::new(cfg, RouterKind::Protected);
         net.set_threads(threads);
 
@@ -122,9 +139,8 @@ fn steady_state_network_step_allocates_nothing() {
         // grow to steady capacity. Half-way, the network is forked as a
         // campaign forks one at a fault onset, and the clone is kept
         // alive: the network it was taken from must keep stepping
-        // allocation-free. (A multi-shard clone spawns its own pool
-        // workers, which allocate as they start; the pool waits for
-        // them, so that happens at the fork, outside the window.)
+        // allocation-free. (The clone shares the original's worker
+        // pool, so the fork starts no thread.)
         let mut fork = None;
         for cycle in 0..WARMUP {
             if cycle == WARMUP / 2 {

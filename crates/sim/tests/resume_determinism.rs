@@ -10,7 +10,7 @@ use noc_sim::{MemoryStream, Simulator};
 use noc_telemetry::json::JsonValue;
 use noc_telemetry::snapshot::{Restore, Snapshot};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
-use noc_types::{Cycle, NetworkConfig, PortId, RouterId, SimConfig, TopologySpec, VcId};
+use noc_types::{Cycle, LinkClass, NetworkConfig, PortId, RouterId, SimConfig, TopologySpec, VcId};
 use shield_router::RouterKind;
 
 const SEED: u64 = 0x5EED_CAFE;
@@ -165,6 +165,95 @@ fn faulted_campaign_resumes_identically() {
     );
     for kind in [RouterKind::Baseline, RouterKind::Protected] {
         assert_resume_deterministic(net_cfg(TopologySpec::MeshK), kind, plan.clone());
+    }
+}
+
+/// Each stepper shard keeps the wires its own routers send, and the
+/// wheel is read back — for snapshots and restores — in one canonical
+/// order, so neither depends on the shard count. A chiplet mesh is the
+/// hard case: its d2d links (latency 4, half width) put wires of
+/// several production cycles into one slot, and their pacing grows the
+/// wheel past its base length. Its snapshot is byte-identical at 1, 2,
+/// 3 and 4 shards every 50 cycles, and a 4-shard checkpoint restored
+/// into 1 and 2 shards finishes with the uninterrupted run's report.
+#[test]
+fn snapshots_and_resumes_do_not_depend_on_the_shard_count() {
+    let cfg = NetworkConfig {
+        mesh_k: 8,
+        ..net_cfg(TopologySpec::ChipletMesh {
+            k_chip: 2,
+            k_node: 4,
+            d2d: LinkClass::D2D_DEFAULT,
+        })
+    };
+    let snapshots = |threads: usize| {
+        let mut net = noc_sim::Network::new(cfg, RouterKind::Protected);
+        net.set_threads(threads);
+        assert_eq!(net.shard_count(), threads);
+        let mut gen = generator(&cfg);
+        let mut packets = Vec::new();
+        let mut taken = Vec::new();
+        for cycle in 0..600 {
+            gen.tick_into(cycle, &mut packets);
+            net.offer_packets_from(&mut packets);
+            net.step(cycle);
+            if (cycle + 1) % 50 == 0 {
+                taken.push(net.snapshot());
+            }
+        }
+        taken
+    };
+    let serial = snapshots(1);
+    let slots = |snapshot: &JsonValue| match snapshot {
+        JsonValue::Obj(fields) => fields
+            .iter()
+            .find(|(k, _)| k == "wires")
+            .and_then(|(_, v)| v.as_array())
+            .map_or(0, |a| a.len()),
+        _ => 0,
+    };
+    assert!(
+        serial.iter().any(|s| slots(s) > 5),
+        "pacing must grow the wheel past its 5 base slots"
+    );
+    let serial: Vec<String> = serial.iter().map(JsonValue::render).collect();
+    for threads in [2, 3, 4] {
+        for (i, (a, b)) in serial.iter().zip(snapshots(threads)).enumerate() {
+            assert!(
+                *a == b.render(),
+                "snapshot at cycle {} differs at {threads} shards",
+                50 * (i + 1)
+            );
+        }
+    }
+
+    let plan = FaultPlan::none();
+    let reference = {
+        let mut gen = generator(&cfg);
+        let sim = simulator(cfg, RouterKind::Protected, plan.clone(), 1);
+        let (report, _) = sim.run_resumable(&mut gen, None, |_| true).unwrap();
+        report.to_json().render()
+    };
+    let mut checkpoints = Vec::new();
+    let mut stream = MemoryStream::new();
+    simulator(cfg, RouterKind::Protected, plan.clone(), 4)
+        .run_streamed(&mut generator(&cfg), &mut stream, None, |doc| {
+            checkpoints.push(doc.render());
+            true
+        })
+        .unwrap();
+    let entries = stream.into_entries();
+    let doc = JsonValue::parse(&checkpoints[1]).unwrap();
+    for threads in [1, 2] {
+        let mut stream = MemoryStream::from_entries(entries.clone());
+        let (resumed, _) = simulator(cfg, RouterKind::Protected, plan.clone(), threads)
+            .run_streamed(&mut generator(&cfg), &mut stream, Some(&doc), |_| true)
+            .unwrap();
+        assert_eq!(
+            resumed.to_json().render(),
+            reference,
+            "a 4-shard checkpoint resumed on {threads} shards diverged"
+        );
     }
 }
 
