@@ -46,9 +46,9 @@
 //! [`noc_telemetry::NullObserver`] all of it compiles out.
 
 // `pool` needs two well-audited unsafe blocks to hand lifetime-erased
-// task references to persistent workers, and `network`'s phase B
-// carves disjoint per-shard slices through raw pointers (see
-// `ShardTasks`); everything else stays safe.
+// task references to persistent workers, and the stepper's phase B
+// (`network/shard.rs`) carves disjoint per-shard slices through raw
+// pointers (see `ShardTasks`); everything else stays safe.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

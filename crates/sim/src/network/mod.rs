@@ -1,0 +1,786 @@
+//! The network: routers, links, NIs and the per-cycle update, built
+//! from a [`noc_topology::Topology`] (mesh, torus or irregular graph —
+//! see [`noc_types::TopologySpec`] and ARCHITECTURE.md §4). Wires,
+//! credit links and NI attachment all follow the topology's link set; a
+//! missing link (cut, or the edge of a mesh) behaves like the mesh edge
+//! always has — a misrouted departure onto it is dropped and its credit
+//! restored.
+//!
+//! # The stepper
+//!
+//! [`Network::step`] is one stepper whose shard count is the thread
+//! count ([`Network::set_threads`]; one shard, no worker threads, by
+//! default). The node grid is partitioned into contiguous row bands in
+//! topology node order. Each shard owns the wire wheel of the wires its
+//! own routers send, and a cycle runs in three phases:
+//!
+//! * **A** — every shard's wheel hands over the slot arriving now, for
+//!   all shards to read (one vector swap per shard);
+//! * **B** — each shard, on the calling thread or a persistent
+//!   [`crate::WorkerPool`] worker, advances its own wheel, applies the
+//!   wires addressed to its routers from every shard's arriving slot,
+//!   injects from its NIs and steps its routers, whose outputs go
+//!   straight into its own wheel;
+//! * **C** — the arriving slots are emptied, and the counters and
+//!   deliveries are merged in fixed shard order (= router-id order).
+//!
+//! Because link latency is ≥ 1 cycle, a router's step never reads
+//! another router's same-cycle output, so shards are independent within
+//! a cycle. Every shard count is bit-identical — wraparound and cut
+//! links included: the wires one link delivers in a cycle sit in one
+//! shard's slot in emission order, arrivals on different links commute
+//! (buffers per input port, credits are counters), and ejections never
+//! leave their shard and are applied in router order. Everything that
+//! reads the wheel as a whole — snapshots, clones, re-partitioning, the
+//! link-fault scrub, the flit and credit counts — reads it in one
+//! canonical order (`Partition::for_each_wire`); see ARCHITECTURE.md
+//! §2.1 for the full argument. The stepper is allocation-free in steady
+//! state.
+//!
+//! Independently of the shard count, an **active-router worklist**
+//! skips [`shield_router::Router::step_into`] for routers that are
+//! provably inert this cycle ([`shield_router::Router::is_idle_at`]):
+//! no buffered flits, no pending crossbar grants, and no fault that
+//! manifests, is detected or clears this cycle. At
+//! the low injection rates that dominate latency–load sweeps this is
+//! most of the mesh. [`Network::set_worklist_audit`] steps idle routers
+//! anyway while asserting their step was an observable no-op (used by
+//! the `worklist_is_sound` property test).
+//!
+//! The per-link state lives in one table (`links`); the wire wheel
+//! (`wheel`), the shards that step it (`shard`), fault healing (`heal`)
+//! and read-only inspection (`inspect`) each have their own file.
+
+mod heal;
+mod inspect;
+mod links;
+mod shard;
+mod wheel;
+
+pub use shard::IntervalProfile;
+
+use crate::ni::NetworkInterface;
+use crate::pool::WorkerPool;
+use links::Links;
+use noc_faults::{FaultPlan, LinkFaultEvent};
+use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::snapshot::{
+    arr_field, field, hex, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
+    SNAPSHOT_SCHEMA_VERSION,
+};
+use noc_telemetry::{NullObserver, Observer};
+use noc_topology::{Irregular, Topology};
+use noc_types::{
+    Cycle, DeliveredPacket, LinkClass, Mesh, NetworkConfig, Packet, RoutingMode, TopologySpec,
+};
+use shard::{Partition, ShardProfile, ShardTasks};
+use shield_router::{Router, RouterKind, RoutingAlgorithm};
+use std::sync::Arc;
+use wheel::{Horizon, Wire};
+
+/// The simulated network: a grid of routers wired by a [`Topology`].
+pub struct Network {
+    cfg: NetworkConfig,
+    /// The bounding coordinate grid (id ↔ coordinate mapping).
+    mesh: Mesh,
+    /// The network graph: links, liveness, route computation.
+    topo: Arc<Topology>,
+    /// Per router, per output port: where the link goes, its pacing
+    /// state and its utilisation.
+    links: Links,
+    routers: Vec<Router>,
+    nis: Vec<NetworkInterface>,
+    deliveries: Vec<DeliveredPacket>,
+    /// Cycles stepped so far (denominator for utilisation).
+    cycles_stepped: u64,
+    /// Step idle routers anyway and assert the step was a no-op.
+    worklist_audit: bool,
+    /// Router steps actually executed (worklist observability).
+    routers_stepped: u64,
+    /// Router steps skipped by the worklist.
+    routers_skipped: u64,
+    /// Adaptive mode's shared escape topology: up\*/down\* tables over
+    /// the surviving non-wrap grid links, swapped network-wide when a
+    /// link fault heals (`None` under static routing, and on families
+    /// that keep their fault-aware static tables even in adaptive
+    /// mode).
+    escape: Option<Arc<Irregular>>,
+    /// Scheduled link faults not yet applied, in *reverse* canonical
+    /// `(cycle, router, dir)` order so the next due event pops off the
+    /// end at each cycle boundary.
+    pending_link_faults: Vec<LinkFaultEvent>,
+    /// The shard partition the stepper runs over (one shard by default),
+    /// which holds the wire wheel: in-flight wire traffic by arrival
+    /// cycle, sized for the slowest link class at construction and
+    /// grown on demand when serialisation pacing pushes an arrival past
+    /// the horizon.
+    part: Partition,
+    /// Flits lost on a missing link: misrouted off the mesh edge or onto
+    /// a cut link, or destroyed in flight on a link that failed
+    /// ([`Network::fail_link`]).
+    pub flits_edge_dropped: u64,
+    /// Flits destroyed inside faulty baseline crossbars.
+    pub flits_dropped: u64,
+    /// Flits the NIs have injected into local input ports.
+    pub flits_injected: u64,
+    /// Cycle of the most recent flit movement (watchdog).
+    pub last_activity: Cycle,
+}
+
+/// An independent network in the same state at the same cycle: stepping
+/// either copy leaves the other untouched, and each continues exactly as
+/// the original would have. The topology and the adaptive escape tables
+/// stay shared behind their `Arc`s, which is safe because a fault edge
+/// swaps a new `Arc` in ([`Network::fail_link`], [`Network::fail_router`])
+/// and never mutates a shared one. The shard partition is rebuilt at the
+/// same shard count on the same worker pool, with fresh scratch and
+/// profile, and the wire wheel is copied into it in its canonical order.
+/// Everything else is copied — and only its occupied part: std
+/// `Vec`/`VecDeque` clones allocate `len`, not capacity, so a clone of a
+/// lightly loaded network is much smaller than the network it was taken
+/// from, and grows its buffers back as it steps.
+impl Clone for Network {
+    fn clone(&self) -> Self {
+        Network {
+            cfg: self.cfg,
+            mesh: self.mesh,
+            topo: Arc::clone(&self.topo),
+            links: self.links.clone(),
+            routers: self.routers.clone(),
+            nis: self.nis.clone(),
+            deliveries: self.deliveries.clone(),
+            cycles_stepped: self.cycles_stepped,
+            worklist_audit: self.worklist_audit,
+            routers_stepped: self.routers_stepped,
+            routers_skipped: self.routers_skipped,
+            escape: self.escape.clone(),
+            pending_link_faults: self.pending_link_faults.clone(),
+            part: self.repartition(Arc::clone(&self.part.pool)),
+            flits_edge_dropped: self.flits_edge_dropped,
+            flits_dropped: self.flits_dropped,
+            flits_injected: self.flits_injected,
+            last_activity: self.last_activity,
+        }
+    }
+}
+
+impl Network {
+    /// Build a fault-free network of the given router kind.
+    pub fn new(cfg: NetworkConfig, kind: RouterKind) -> Self {
+        Network::with_faults(cfg, kind, &FaultPlan::none())
+    }
+
+    /// Build a network and pre-apply a fault campaign (each event
+    /// manifests at its scheduled cycle).
+    pub fn with_faults(cfg: NetworkConfig, kind: RouterKind, plan: &FaultPlan) -> Self {
+        cfg.validate().expect("invalid network configuration");
+        let mesh = cfg.grid();
+        let topo = Arc::new(Topology::from_spec(&cfg));
+        let links = Links::build(&topo, cfg.link_latency);
+        // Adaptive mode pairs congestion-chosen minimal candidates with
+        // an escape VC class routed up*/down* over the (non-wrap) grid
+        // links; the escape tables are shared by every router and
+        // swapped network-wide when a link fault heals. Families that
+        // already route by fault-aware static tables (cut-mesh,
+        // chiplet-star) keep those tables even in adaptive mode.
+        let escape = (cfg.routing == RoutingMode::Adaptive
+            && noc_topology::adaptive::supports_adaptive(&topo))
+        .then(|| Arc::new(Irregular::from_full_mesh(mesh.w, mesh.h)));
+        let mut routers: Vec<Router> = (0..mesh.len())
+            .map(|i| {
+                let coord = mesh.coord_of(noc_types::RouterId(i as u16));
+                // Meshes keep the two-comparator XY algorithm (the
+                // paper's configuration and the hot path) — the chiplet
+                // mesh is a full grid and routes the same way; the
+                // other topologies route through the shared topology.
+                let route = match (&escape, &*topo) {
+                    (Some(esc), _) => {
+                        RoutingAlgorithm::adaptive(Arc::clone(&topo), Arc::clone(esc), i)
+                    }
+                    (None, Topology::Mesh(_) | Topology::ChipletMesh { .. }) => {
+                        RoutingAlgorithm::xy(mesh, coord)
+                    }
+                    (None, _) => RoutingAlgorithm::topo(Arc::clone(&topo), i),
+                };
+                let ideal = noc_faults::DetectionModel::Ideal;
+                let mut r = Router::new(i as u16, coord, cfg.router, kind, route, ideal);
+                r.set_detection(plan.detection());
+                r
+            })
+            .collect();
+        for ev in plan.events() {
+            routers[ev.router.index()].inject_fault(ev.site, ev.cycle);
+        }
+        for t in plan.transients() {
+            routers[t.router.index()].inject_transient(t.site, t.cycle, t.duration);
+        }
+        let nis = (0..mesh.len())
+            .map(|i| {
+                NetworkInterface::new(
+                    mesh.coord_of(noc_types::RouterId(i as u16)),
+                    cfg.router.vcs,
+                    cfg.router.buffer_depth,
+                    cfg.ni_queue_packets,
+                )
+            })
+            .collect();
+        let part = Partition::new(
+            Arc::new(WorkerPool::new(0)),
+            mesh,
+            cfg.topology.chiplet_k().map(usize::from),
+            &links,
+            Horizon::of(&links, &cfg),
+        );
+        let mut net = Network {
+            cfg,
+            mesh,
+            topo,
+            links,
+            routers,
+            nis,
+            deliveries: Vec::new(),
+            cycles_stepped: 0,
+            worklist_audit: false,
+            routers_stepped: 0,
+            routers_skipped: 0,
+            escape,
+            pending_link_faults: Vec::new(),
+            part,
+            flits_edge_dropped: 0,
+            flits_dropped: 0,
+            flits_injected: 0,
+            last_activity: 0,
+        };
+        net.schedule_link_faults(plan.link_faults());
+        net
+    }
+
+    /// Cycles stepped so far: the cycle the next [`Network::step`] runs.
+    /// A fresh network is at 0; a clone is at its original's.
+    pub fn cycle(&self) -> Cycle {
+        self.cycles_stepped
+    }
+
+    /// The bounding grid geometry (row-major id ↔ coordinate mapping;
+    /// which links actually exist is the topology's business).
+    pub fn mesh(&self) -> Mesh {
+        self.mesh
+    }
+
+    /// The network graph the wires were built from.
+    pub fn topology(&self) -> &Topology {
+        &self.topo
+    }
+
+    /// The adaptive escape tables currently in force (`None` under
+    /// static routing).
+    pub fn adaptive_escape(&self) -> Option<&Irregular> {
+        self.escape.as_deref()
+    }
+
+    /// Test hook: switch every adaptive router's escape commitment off,
+    /// leaving packets purely on congestion-chosen minimal candidates.
+    /// This deliberately re-opens the quadrant-turn cycles the escape
+    /// class exists to break — the deadlock property test uses it to
+    /// prove the watchdog and flight recorder actually surface a
+    /// circular wait once the safety argument is removed.
+    ///
+    /// # Panics
+    /// Panics when the network is not routing adaptively.
+    pub fn disable_adaptive_escape(&mut self) {
+        assert!(
+            self.escape.is_some(),
+            "escape can only be disabled in adaptive mode"
+        );
+        for r in &mut self.routers {
+            r.disable_adaptive_escape();
+        }
+    }
+
+    /// The configuration.
+    pub fn config(&self) -> &NetworkConfig {
+        &self.cfg
+    }
+
+    /// The router kind this network was built with (uniform by
+    /// construction).
+    pub fn kind(&self) -> RouterKind {
+        self.routers[0].kind()
+    }
+
+    /// Access one router.
+    pub fn router(&self, id: usize) -> &Router {
+        &self.routers[id]
+    }
+
+    /// Mutable access to one router (tests, ad-hoc fault injection).
+    pub fn router_mut(&mut self, id: usize) -> &mut Router {
+        &mut self.routers[id]
+    }
+
+    /// Access one NI.
+    pub fn ni(&self, id: usize) -> &NetworkInterface {
+        &self.nis[id]
+    }
+
+    /// Set how many OS threads step the mesh each cycle, one shard each
+    /// (`0` = one per available CPU, `1` = the calling thread alone).
+    /// Thread counts beyond the mesh's row count are clamped — shards
+    /// are even bands of whole rows, of whole dies on a chiplet grid
+    /// with at least one die row per shard — and the cut is fixed until
+    /// the next call. Results are bit-identical for every thread count;
+    /// see the module docs. Can be changed at any cycle boundary.
+    pub fn set_threads(&mut self, threads: usize) {
+        let t = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, |p| p.get())
+        } else {
+            threads
+        };
+        let t = t.min(self.mesh.h as usize).max(1);
+        if self.threads() != t {
+            // The caller participates in every broadcast, so `t` shards
+            // need only `t - 1` background workers.
+            self.part = self.repartition(Arc::new(WorkerPool::new(t - 1)));
+        }
+    }
+
+    /// A fresh partition of the grid into one shard per thread of
+    /// `pool`, holding a copy of the current wire wheel.
+    fn repartition(&self, pool: Arc<WorkerPool>) -> Partition {
+        let chiplet_rows = self.cfg.topology.chiplet_k().map(usize::from);
+        let mut part = Partition::new(
+            pool,
+            self.mesh,
+            chiplet_rows,
+            &self.links,
+            self.part.horizon,
+        );
+        part.copy_wheel(&self.part);
+        part
+    }
+
+    /// Threads stepping the mesh (= shards).
+    pub fn threads(&self) -> usize {
+        self.part.shards.len()
+    }
+
+    /// Test hook: step idle routers anyway (at every shard count) and
+    /// panic if any "idle" step turns out to be observable — i.e. it
+    /// produced departures, credits or drops, or changed the router's
+    /// stats, credit counters or buffered-flit count. Used by the
+    /// worklist soundness property test; costs a heap snapshot per idle
+    /// router per cycle, so leave it off outside tests.
+    pub fn set_worklist_audit(&mut self, on: bool) {
+        self.worklist_audit = on;
+    }
+
+    /// Router steps executed so far (i.e. not skipped by the worklist).
+    pub fn routers_stepped(&self) -> u64 {
+        self.routers_stepped
+    }
+
+    /// Router steps skipped by the active-router worklist so far.
+    pub fn routers_skipped(&self) -> u64 {
+        self.routers_skipped
+    }
+
+    /// The completed-delivery log (correct destinations only).
+    pub fn deliveries(&self) -> &[DeliveredPacket] {
+        &self.deliveries
+    }
+
+    /// Replace the delivery log wholesale. Restore path only: network
+    /// snapshots exclude the log (it lives in the append-only delivery
+    /// stream, see [`crate::delivery`]), so a resume loads the stream
+    /// prefix at the checkpointed offset back in through here.
+    pub fn set_deliveries(&mut self, deliveries: Vec<DeliveredPacket>) {
+        self.deliveries = deliveries;
+    }
+
+    /// Total packets offered / injected / ejected / misdelivered.
+    pub fn packet_counters(&self) -> (u64, u64, u64, u64) {
+        let offered = self.nis.iter().map(|n| n.offered).sum();
+        let injected = self.nis.iter().map(|n| n.injected).sum();
+        let ejected = self.nis.iter().map(|n| n.ejected).sum();
+        let mis = self.nis.iter().map(|n| n.misdelivered).sum();
+        (offered, injected, ejected, mis)
+    }
+
+    /// Flits currently inside routers, NIs or on wires.
+    pub fn in_flight_flits(&self) -> u64 {
+        let in_routers: usize = self.routers.iter().map(|r| r.buffered_flits()).sum();
+        let in_nis: usize = self.nis.iter().map(|n| n.pending_flits()).sum();
+        let mut on_wires = 0;
+        self.part.for_each_wire(|_, w| {
+            on_wires += usize::from(matches!(w, Wire::Flit { .. } | Wire::Eject { .. }));
+        });
+        (in_routers + in_nis + on_wires) as u64
+    }
+
+    /// Packets waiting in NI injection queues.
+    pub fn queued_packets(&self) -> u64 {
+        self.nis.iter().map(|n| n.queued() as u64).sum()
+    }
+
+    /// Total flits ejected at NIs so far (any destination).
+    pub fn flits_ejected(&self) -> u64 {
+        self.nis.iter().map(|n| n.flits_ejected).sum()
+    }
+
+    /// Fraction of all VC buffer slots currently occupied.
+    pub fn buffer_occupancy(&self) -> f64 {
+        let buffered: usize = self.routers.iter().map(|r| r.buffered_flits()).sum();
+        let slots = self.routers.len() * 5 * self.cfg.router.vcs * self.cfg.router.buffer_depth;
+        buffered as f64 / slots.max(1) as f64
+    }
+
+    /// Offer packets to their source NIs. Returns the number refused by
+    /// bounded queues.
+    pub fn offer_packets(&mut self, mut packets: Vec<Packet>) -> u64 {
+        self.offer_packets_from(&mut packets)
+    }
+
+    /// Drain `packets` into their source NIs, leaving the vector empty
+    /// but with its capacity intact (allocation-free injection loops).
+    /// Returns the number refused by bounded queues.
+    pub fn offer_packets_from(&mut self, packets: &mut Vec<Packet>) -> u64 {
+        let mut refused = 0;
+        for p in packets.drain(..) {
+            let node = self.mesh.id_of(p.src).index();
+            if !self.nis[node].offer(p) {
+                refused += 1;
+            }
+        }
+        refused
+    }
+
+    /// Closed profiling intervals of the stepper, oldest first (at most
+    /// the last 64): per-shard phase-B wall-clock time and router steps.
+    /// A multi-shard stepper closes one at every multiple of 1024
+    /// cycles; empty with one shard or before the first close, and
+    /// [`Network::set_threads`] starts it afresh. Wall-clock data —
+    /// excluded from reports and checkpoints.
+    pub fn shard_profile(&self) -> Vec<IntervalProfile> {
+        self.part
+            .profile
+            .as_ref()
+            .map_or_else(Vec::new, ShardProfile::closed)
+    }
+
+    /// Number of stepper shards. This is how many observers
+    /// [`Network::step_observed`] needs; it only changes when
+    /// [`Network::set_threads`] does.
+    pub fn shard_count(&self) -> usize {
+        self.part.shards.len()
+    }
+
+    /// Advance the whole network by one cycle.
+    pub fn step(&mut self, cycle: Cycle) {
+        // A `Vec` of zero-sized observers never allocates, so the
+        // untraced hot path stays allocation-free.
+        let mut nulls = vec![NullObserver; self.shard_count()];
+        self.step_observed(cycle, &mut nulls);
+    }
+
+    /// Advance one cycle while recording telemetry events.
+    ///
+    /// `obs` must hold at least [`Network::shard_count`] observers;
+    /// shard `s` records into `obs[s]`. Hand each shard one ring of a
+    /// [`noc_telemetry::ShardedTracer`] and merge afterwards; the
+    /// merged stream is identical for every thread count.
+    ///
+    /// This is the one stepper; the module docs describe its phases.
+    pub fn step_observed<O: Observer + Send>(&mut self, cycle: Cycle, obs: &mut [O]) {
+        assert!(
+            obs.len() >= self.shard_count(),
+            "step_observed needs one observer per shard ({} < {})",
+            obs.len(),
+            self.shard_count()
+        );
+        self.apply_due_link_faults(cycle);
+        self.cycles_stepped += 1;
+
+        let Network {
+            cfg,
+            links,
+            routers,
+            nis,
+            deliveries,
+            cycles_stepped,
+            worklist_audit,
+            routers_stepped,
+            routers_skipped,
+            part,
+            flits_edge_dropped,
+            flits_dropped,
+            flits_injected,
+            last_activity,
+            ..
+        } = self;
+        let Partition {
+            pool,
+            bounds,
+            shards,
+            arriving,
+            profile,
+            ..
+        } = part;
+
+        // Phase A: every shard's wheel hands over the slot arriving now,
+        // in exchange for its arriving slot emptied last cycle, so both
+        // keep their capacity as they circulate.
+        for (scratch, slot) in shards.iter_mut().zip(arriving.iter_mut()) {
+            scratch.wheel.hand_over(slot);
+        }
+
+        // Phase B: hand each shard its disjoint slice of the mesh (and
+        // its own observer — shard `s` records into `obs[s]`), carved
+        // through `ShardTasks`'s raw pointers so the phase allocates
+        // nothing, plus every shard's arriving slot to read. The safety
+        // contract on `ShardTasks` holds here: `bounds` are disjoint
+        // ascending row bands covering the mesh, the length assert
+        // above guarantees per-shard observers, and the borrowed arrays
+        // are untouched until the broadcast returns.
+        let tasks = ShardTasks {
+            cycle,
+            label: *cycles_stepped,
+            audit: *worklist_audit,
+            local_delay: cfg.link_latency,
+            bounds,
+            arriving,
+            routers: routers.as_mut_ptr(),
+            nis: nis.as_mut_ptr(),
+            links: links.rows_mut().as_mut_ptr(),
+            obs: obs.as_mut_ptr(),
+            shards: shards.as_mut_ptr(),
+        };
+        // SAFETY: the contract holds as above, and the pool runs each
+        // shard index exactly once.
+        #[allow(unsafe_code)]
+        pool.broadcast(tasks.bounds.len(), &|i| unsafe { tasks.run(i) });
+
+        // Phase C: every shard has read the arriving slots, so empty
+        // them, and merge in fixed shard order (= router-id order).
+        for (s, (scratch, slot)) in shards.iter_mut().zip(arriving.iter_mut()).enumerate() {
+            slot.clear();
+            deliveries.append(&mut scratch.deliveries);
+            *flits_dropped += std::mem::take(&mut scratch.flits_dropped);
+            *flits_edge_dropped += std::mem::take(&mut scratch.flits_edge_dropped);
+            *flits_injected += std::mem::take(&mut scratch.flits_injected);
+            let stepped = std::mem::take(&mut scratch.routers_stepped);
+            *routers_stepped += stepped;
+            if let Some(profile) = profile {
+                profile.open.shard_steps[s] += stepped;
+                profile.open.shard_nanos[s] += std::mem::take(&mut scratch.step_nanos);
+            }
+            *routers_skipped += std::mem::take(&mut scratch.routers_skipped);
+            if std::mem::take(&mut scratch.any_departure) {
+                *last_activity = cycle;
+            }
+        }
+        if let Some(profile) = profile {
+            profile.end_cycle(cycle);
+        }
+    }
+}
+
+/// Canonical rendering of the construction parameters a [`Network`]
+/// snapshot was taken under. Stored in the snapshot and compared (as
+/// rendered bytes) on restore: a snapshot only restores into a network
+/// built from the *same* configuration.
+fn config_fingerprint(cfg: &NetworkConfig, kind: RouterKind) -> JsonValue {
+    let class = |c: LinkClass| {
+        obj([
+            ("latency", (c.latency as u64).into()),
+            ("width_denom", (c.width_denom as u64).into()),
+        ])
+    };
+    let topology = match cfg.topology {
+        TopologySpec::MeshK => obj([("kind", "mesh_k".into())]),
+        TopologySpec::Mesh { w, h } => obj([
+            ("kind", "mesh".into()),
+            ("w", (w as u64).into()),
+            ("h", (h as u64).into()),
+        ]),
+        TopologySpec::Torus { w, h } => obj([
+            ("kind", "torus".into()),
+            ("w", (w as u64).into()),
+            ("h", (h as u64).into()),
+        ]),
+        TopologySpec::CutMesh { w, h, cuts, seed } => obj([
+            ("kind", "cutmesh".into()),
+            ("w", (w as u64).into()),
+            ("h", (h as u64).into()),
+            ("cuts", (cuts as u64).into()),
+            ("seed", hex(seed)),
+        ]),
+        TopologySpec::ChipletMesh {
+            k_chip,
+            k_node,
+            d2d,
+        } => obj([
+            ("kind", "chipletmesh".into()),
+            ("k_chip", (k_chip as u64).into()),
+            ("k_node", (k_node as u64).into()),
+            ("d2d", class(d2d)),
+        ]),
+        TopologySpec::ChipletStar {
+            chiplets,
+            k_node,
+            d2d,
+            hub,
+        } => obj([
+            ("kind", "chipletstar".into()),
+            ("chiplets", (chiplets as u64).into()),
+            ("k_node", (k_node as u64).into()),
+            ("d2d", class(d2d)),
+            ("hub", class(hub)),
+        ]),
+    };
+    let mut fp = obj([
+        ("mesh_k", (cfg.mesh_k as u64).into()),
+        ("topology", topology),
+        ("ports", (cfg.router.ports as u64).into()),
+        ("vcs", (cfg.router.vcs as u64).into()),
+        ("buffer_depth", (cfg.router.buffer_depth as u64).into()),
+        (
+            "flit_width_bits",
+            (cfg.router.flit_width_bits as u64).into(),
+        ),
+        ("link_latency", (cfg.link_latency as u64).into()),
+        ("ni_queue_packets", (cfg.ni_queue_packets as u64).into()),
+        ("router_kind", kind.tag().into()),
+    ]);
+    // The routing mode joined the config after the v4 golden
+    // checkpoints were recorded; fingerprint it only when it departs
+    // from the default so those checkpoints keep restoring byte-for-
+    // byte.
+    if cfg.routing != RoutingMode::Static {
+        if let JsonValue::Obj(pairs) = &mut fp {
+            pairs.push(("routing".to_string(), cfg.routing.tag().into()));
+        }
+    }
+    fp
+}
+
+impl Snapshot for Network {
+    /// The network's complete resumable state at a cycle boundary:
+    /// every router and NI, the wire wheel in its canonical order (slot
+    /// 0 first — the slot arriving next cycle), the link-utilisation
+    /// matrix and the global counters. Excluded as rebuildable from
+    /// configuration:
+    /// the topology, the link targets, the shard partition (thread
+    /// count is a performance knob — results are bit-identical for any
+    /// value, see the module docs) and the empty per-cycle scratch
+    /// buffers. Also excluded — deliberately — is the delivery log: it
+    /// grows with campaign length and lives in the append-only
+    /// delivery stream instead ([`crate::delivery`]), keeping snapshot
+    /// cost O(live network state). Checkpoint envelopes record a
+    /// stream offset; [`Network::set_deliveries`] reloads the prefix
+    /// on restore.
+    fn snapshot(&self) -> JsonValue {
+        let mut wires = vec![Vec::new(); self.part.wheel_len()];
+        self.part.for_each_wire(|k, w| wires[k].push(w.snapshot()));
+        obj([
+            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
+            ("config", config_fingerprint(&self.cfg, self.kind())),
+            ("cycles_stepped", self.cycles_stepped.into()),
+            ("routers_stepped", self.routers_stepped.into()),
+            ("routers_skipped", self.routers_skipped.into()),
+            // The worklist is always on; the key stays for the schema.
+            ("skip_idle", true.into()),
+            ("flits_edge_dropped", self.flits_edge_dropped.into()),
+            ("flits_dropped", self.flits_dropped.into()),
+            ("flits_injected", self.flits_injected.into()),
+            ("last_activity", self.last_activity.into()),
+            (
+                "wires",
+                JsonValue::Arr(wires.into_iter().map(JsonValue::Arr).collect()),
+            ),
+            ("routers", self.routers.snapshot()),
+            ("nis", self.nis.snapshot()),
+            ("link_flits", self.links.snapshot_rows(|l| l.flits)),
+            ("link_free", self.links.snapshot_rows(|l| l.free_at)),
+        ])
+    }
+}
+
+impl Restore for Network {
+    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
+        let version = u64_field(v, "schema_version")?;
+        if version != SNAPSHOT_SCHEMA_VERSION {
+            return Err(SnapshotError::new(format!(
+                "snapshot schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
+            )));
+        }
+        let expected = config_fingerprint(&self.cfg, self.kind()).render();
+        let got = field(v, "config")?.render();
+        if got != expected {
+            return Err(SnapshotError::new(format!(
+                "configuration mismatch: snapshot taken under {got}, restoring into {expected}"
+            )));
+        }
+        let routers = arr_field(v, "routers")?;
+        if routers.len() != self.routers.len() {
+            return Err(SnapshotError::new("`routers` length mismatch"));
+        }
+        for (i, (r, s)) in self.routers.iter_mut().zip(routers).enumerate() {
+            r.restore(s)
+                .map_err(|e| e.within(&format!("routers[{i}]")))?;
+        }
+        let nis = arr_field(v, "nis")?;
+        if nis.len() != self.nis.len() {
+            return Err(SnapshotError::new("`nis` length mismatch"));
+        }
+        for (i, (n, s)) in self.nis.iter_mut().zip(nis).enumerate() {
+            n.restore(s).map_err(|e| e.within(&format!("nis[{i}]")))?;
+        }
+        // The wheel's base length is fixed by the link classes (which
+        // the config fingerprint pinned above), but serialisation
+        // pacing may have grown it past that, up to the horizon's bound;
+        // adopt the snapshot's length so in-flight wires land in the
+        // slots they left from.
+        let wires = arr_field(v, "wires")?;
+        let Horizon { base, max } = self.part.horizon;
+        if !(base..=max).contains(&wires.len()) {
+            return Err(SnapshotError::new(format!(
+                "`wires` has {} slots, outside the horizon's {base}..={max}",
+                wires.len(),
+            )));
+        }
+        self.part.reset_wheel(wires.len());
+        for (k, s) in wires.iter().enumerate() {
+            for w in Vec::<Wire>::from_snapshot(s).map_err(|e| e.within(&format!("wires[{k}]")))? {
+                self.part.load(k, w);
+            }
+        }
+        // The delivery log is not in the snapshot (it lives in the
+        // delivery stream); clear any stale entries so a restore into a
+        // used network cannot leak them. Callers resuming a checkpoint
+        // reload the stream prefix via `set_deliveries` afterwards.
+        self.deliveries.clear();
+        self.links.restore_rows(v, "link_flits", |l| &mut l.flits)?;
+        self.links
+            .restore_rows(v, "link_free", |l| &mut l.free_at)?;
+        self.cycles_stepped = u64_field(v, "cycles_stepped")?;
+        if self.cycles_stepped == 0 {
+            for r in self.routers.iter_mut() {
+                r.mark_unstepped();
+            }
+        }
+        self.routers_stepped = u64_field(v, "routers_stepped")?;
+        self.routers_skipped = u64_field(v, "routers_skipped")?;
+        // Written by every snapshot; the value cannot change a result.
+        if !matches!(field(v, "skip_idle")?, JsonValue::Bool(_)) {
+            return Err(SnapshotError::new("`skip_idle` is not a bool"));
+        }
+        self.flits_edge_dropped = u64_field(v, "flits_edge_dropped")?;
+        self.flits_dropped = u64_field(v, "flits_dropped")?;
+        self.flits_injected = u64_field(v, "flits_injected")?;
+        self.last_activity = u64_field(v, "last_activity")?;
+        // The shard cut is left alone (the thread count is orthogonal
+        // to state); the wheel it holds was loaded above, and the rest
+        // of its scratch is empty at every cycle boundary.
+        Ok(())
+    }
+}

@@ -154,6 +154,67 @@ fn checkpoint_with_a_fault_site_the_router_lacks_fails_typed() {
         .expect("the original checkpoint restores");
 }
 
+/// A network checkpoint corrupted in the daemon's spool fails typed:
+/// never a panic, and never a restore into a state the stepper cannot
+/// produce — a wheel longer than its horizon would make every later
+/// cycle rotate the extra slots.
+#[test]
+fn corrupt_network_checkpoints_fail_typed() {
+    fn field_mut<'a>(v: &'a mut JsonValue, key: &str) -> &'a mut JsonValue {
+        match v {
+            JsonValue::Obj(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == key).unwrap().1,
+            _ => panic!("not an object"),
+        }
+    }
+    fn items(v: &mut JsonValue) -> &mut Vec<JsonValue> {
+        match v {
+            JsonValue::Arr(items) => items,
+            _ => panic!("not an array"),
+        }
+    }
+    type Doctor = fn(&mut JsonValue);
+    let cases: [(&str, Doctor, &str); 5] = [
+        (
+            "too few wire slots",
+            |n| items(field_mut(n, "wires")).clear(),
+            "`wires` has 0 slots, outside the horizon's 2..=2",
+        ),
+        (
+            "too many wire slots",
+            |n| items(field_mut(n, "wires")).resize(1_002, JsonValue::Arr(Vec::new())),
+            "`wires` has 1002 slots, outside the horizon's 2..=2",
+        ),
+        (
+            "a 4-entry link_flits row",
+            |n| drop(items(&mut items(field_mut(n, "link_flits"))[0]).pop()),
+            "`link_flits` row is not a 5-entry array",
+        ),
+        (
+            "a non-numeric link_free entry",
+            |n| items(&mut items(field_mut(n, "link_free"))[0])[0] = JsonValue::Bool(true),
+            "`link_free` entry is not a number",
+        ),
+        (
+            "a non-bool skip_idle",
+            |n| *field_mut(n, "skip_idle") = JsonValue::Num(1.0),
+            "`skip_idle` is not a bool",
+        ),
+    ];
+    let golden = JsonValue::parse(
+        &std::fs::read_to_string(GOLDEN_PATH).expect("committed golden artefact exists"),
+    )
+    .unwrap();
+    let mut net_cfg = NetworkConfig::paper();
+    net_cfg.mesh_k = 4;
+    for (case, doctor, expected) in cases {
+        let mut doc = golden.get("network").unwrap().clone();
+        doctor(&mut doc);
+        let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &FaultPlan::none());
+        let err = net.restore(&doc).expect_err(case).to_string();
+        assert!(err.contains(expected), "{case}: {err}");
+    }
+}
+
 /// A tiny deterministic PRNG for the property tests (no `rand` so the
 /// picks are independent of the workspace RNG).
 struct Lcg(u64);

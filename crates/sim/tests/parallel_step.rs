@@ -199,11 +199,11 @@ fn run(
     seed: u64,
     rate: f64,
     threads: usize,
-    skip_idle: bool,
+    audit: bool,
 ) -> Fingerprint {
     let mut net = Network::with_faults(mesh_cfg(k), kind, plan);
     net.set_threads(threads);
-    net.set_skip_idle(skip_idle);
+    net.set_worklist_audit(audit);
     let mut src = Source::for_net(&net, seed, rate);
     for cycle in 0..900u64 {
         if cycle < 600 {
@@ -221,9 +221,9 @@ fn run(
 fn parallel_step_matches_serial_for_every_thread_count() {
     for (k, seed) in [(4u8, 0xA11CE), (6u8, 0x5EED)] {
         for (name, kind, plan) in campaigns(&mesh_cfg(k), seed ^ 0xFA) {
-            let serial = run(k, kind, &plan, seed, 0.02, 1, true);
+            let serial = run(k, kind, &plan, seed, 0.02, 1, false);
             for threads in [2usize, 3, 4, 8] {
-                let parallel = run(k, kind, &plan, seed, 0.02, threads, true);
+                let parallel = run(k, kind, &plan, seed, 0.02, threads, false);
                 assert_eq!(
                     serial, parallel,
                     "divergence: k={k} campaign={name} threads={threads}"
@@ -280,19 +280,21 @@ fn changing_the_shard_count_mid_run_is_unobservable() {
 }
 
 /// The worklist is purely an optimisation: identical results with idle
-/// skipping on or off, serial and parallel.
+/// skipping on or off, serial and parallel. "Off" is the worklist audit,
+/// which steps every router the worklist would skip (asserting each
+/// such step is a no-op).
 #[test]
 fn worklist_on_and_off_are_equivalent() {
     let k = 4u8;
     for (name, kind, plan) in campaigns(&mesh_cfg(k), 0x1D1E) {
-        let on = run(k, kind, &plan, 0xBEEF, 0.01, 1, true);
-        let mut off = run(k, kind, &plan, 0xBEEF, 0.01, 1, false);
+        let on = run(k, kind, &plan, 0xBEEF, 0.01, 1, false);
+        let mut off = run(k, kind, &plan, 0xBEEF, 0.01, 1, true);
         // The stepped/skipped split is the one observable the toggle
         // legitimately changes; everything else must match exactly.
         assert_eq!(off.worklist.1, 0, "worklist off never skips");
         off.worklist = on.worklist;
         assert_eq!(on, off, "serial worklist divergence: campaign={name}");
-        let par_on = run(k, kind, &plan, 0xBEEF, 0.01, 4, true);
+        let par_on = run(k, kind, &plan, 0xBEEF, 0.01, 4, false);
         assert_eq!(on, par_on, "parallel worklist divergence: campaign={name}");
     }
 }
@@ -402,7 +404,7 @@ fn worklist_skips_most_idle_routers_at_low_load() {
         0x10AD,
         0.005,
         1,
-        true,
+        false,
     );
     drop(fp);
     let mut net = Network::new(mesh_cfg(6), RouterKind::Protected);
