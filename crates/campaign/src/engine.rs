@@ -93,9 +93,10 @@ impl CampaignConfig {
     }
 
     /// Check the configuration [`run_campaign`] would run; the CLI and
-    /// the daemon's spec validation both call this. A fault set holds
-    /// distinct links, so `max_faults` may not exceed the topology's
-    /// link count.
+    /// the daemon's spec validation both call this. The base network is
+    /// checked under every routing mode the campaign runs, and a fault
+    /// set holds distinct links, so `max_faults` may not exceed the
+    /// topology's link count.
     pub fn validate(&self) -> Result<(), String> {
         if self.modes.is_empty() {
             return Err("campaign needs at least one routing mode".into());
@@ -106,7 +107,13 @@ impl CampaignConfig {
         if self.inject_cycles == 0 || self.rate_permille == 0 {
             return Err("campaign needs non-zero traffic".into());
         }
-        self.base.validate()?;
+        for &routing in &self.modes {
+            NetworkConfig {
+                routing,
+                ..self.base
+            }
+            .validate()?;
+        }
         let links = LinkPool::new(&self.base).len();
         if self.max_faults as usize > links {
             return Err(format!(

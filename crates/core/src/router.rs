@@ -152,12 +152,14 @@ pub enum RoutingAlgorithm {
         ports: Vec<PortId>,
     },
     /// Topology-generic routing: delegate to a shared
-    /// [`Topology`](noc_topology::Topology) (torus dateline routing,
-    /// irregular up*/down* tables, …). The `Arc` is shared by every
-    /// router of a network, so a rerouting event (dead router) swaps
-    /// all tables with one allocation.
+    /// [`Topology`](noc_topology::Topology) — the torus's dateline
+    /// classes, or the up*/down* tables of a cut mesh or chiplet star.
+    /// The `Arc` is shared by every router of a network, so a rerouting
+    /// event (dead router, cut link) swaps all tables with one
+    /// allocation.
     Topo {
-        /// The network graph, shared across the network's routers.
+        /// The network graph, shared across the network's routers:
+        /// [`Topology::route`](noc_topology::Topology::route) answers RC.
         topo: std::sync::Arc<Topology>,
         /// This router's node id within the topology.
         node: usize,
@@ -174,12 +176,17 @@ pub enum RoutingAlgorithm {
     /// See `Router::route_adaptively` in `stages.rs` and
     /// ARCHITECTURE.md §"Adaptive routing & fault campaigns".
     Adaptive {
-        /// The physical topology (mesh / torus / chiplet-mesh).
+        /// The physical topology: a dimension-order one (mesh, torus,
+        /// chiplet mesh), whose
+        /// [`candidate_mask`](noc_topology::Topology::candidate_mask)
+        /// gives the minimal quadrant.
         topo: std::sync::Arc<Topology>,
-        /// The escape network: up\*/down\* tables over the surviving
-        /// non-wrap grid links, shared across the network's routers and
-        /// swapped atomically when a link fault severs a grid link.
-        escape: std::sync::Arc<noc_topology::Irregular>,
+        /// The escape network: an up\*/down\*-routed
+        /// [`Topology::escape_mesh`](noc_topology::Topology::escape_mesh)
+        /// over the surviving non-wrap grid links, shared across the
+        /// network's routers and swapped atomically when a link fault
+        /// severs a grid link.
+        escape: std::sync::Arc<Topology>,
         /// This router's node id within the topology.
         node: usize,
         /// Live-link bitmask over [`Direction`] discriminants (bit 1 =
@@ -223,17 +230,17 @@ impl RoutingAlgorithm {
     /// topology's wired directions.
     ///
     /// # Panics
-    /// Panics if `node` is out of range or the topology family routes
-    /// by fault-aware static tables (irregular / chiplet-star), where
+    /// Panics if `node` is out of range or the topology routes by
+    /// fault-aware static tables (cut mesh / chiplet star), where
     /// adaptive candidate sets do not apply.
     pub fn adaptive(
         topo: std::sync::Arc<Topology>,
-        escape: std::sync::Arc<noc_topology::Irregular>,
+        escape: std::sync::Arc<Topology>,
         node: usize,
     ) -> Self {
         assert!(node < topo.len(), "node id outside the topology");
         assert!(
-            noc_topology::adaptive::supports_adaptive(&topo),
+            topo.supports_adaptive(),
             "adaptive routing applies to grid families only"
         );
         let mut live = 0u8;
@@ -244,7 +251,7 @@ impl RoutingAlgorithm {
             noc_types::Direction::West,
         ] {
             if topo.link(node, dir).is_some() {
-                live |= noc_topology::adaptive::dir_bit(dir);
+                live |= noc_topology::dor::dir_bit(dir);
             }
         }
         RoutingAlgorithm::Adaptive {
@@ -282,15 +289,15 @@ impl RoutingAlgorithm {
                 if d == *node {
                     return noc_types::Direction::Local.port();
                 }
-                let cand = noc_topology::adaptive::candidate_mask(topo, *node, d);
-                if let Some(dir) = noc_topology::adaptive::dirs_in(cand & live).next() {
+                let cand = topo.candidate_mask(*node, d);
+                if let Some(dir) = noc_topology::dor::dirs_in(cand & live).next() {
                     return dir.port();
                 }
-                let esc = escape.route(*node, d);
+                let (esc, _) = escape.route(*node, d);
                 if esc != noc_types::Direction::Local {
                     return esc.port();
                 }
-                noc_topology::adaptive::dirs_in(cand)
+                noc_topology::dor::dirs_in(cand)
                     .next()
                     .map_or(noc_types::Direction::Local.port(), |dir| dir.port())
             }
@@ -580,13 +587,13 @@ impl Router {
     /// and recomputed static tables carry the information instead.
     pub fn adaptive_cut_link(&mut self, dir: noc_types::Direction) {
         if let RoutingAlgorithm::Adaptive { live, .. } = &mut self.route {
-            *live &= !noc_topology::adaptive::dir_bit(dir);
+            *live &= !noc_topology::dor::dir_bit(dir);
         }
     }
 
     /// Swap the shared escape-network tables after a grid-link fault.
     /// No-op under non-adaptive routing.
-    pub fn set_adaptive_escape(&mut self, escape: std::sync::Arc<noc_topology::Irregular>) {
+    pub fn set_adaptive_escape(&mut self, escape: std::sync::Arc<Topology>) {
         if let RoutingAlgorithm::Adaptive { escape: e, .. } = &mut self.route {
             *e = escape;
         }

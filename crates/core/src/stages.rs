@@ -6,7 +6,7 @@ use crate::router::{
 };
 use noc_arbiter::Arbiter;
 use noc_telemetry::{Event, EventKind, Observer};
-use noc_topology::adaptive::{candidate_mask, dirs_in};
+use noc_topology::dor::dirs_in;
 use noc_types::{Coord, Cycle, Direction, PortId, VcGlobalState, VcId};
 
 /// One switch-allocation request, formed per active VC each cycle.
@@ -154,7 +154,7 @@ impl Router {
             return (Direction::Local.port(), all);
         }
         let esc_dir = if escape_on && escape.reachable(node, dstn) {
-            let d = escape.route(node, dstn);
+            let (d, _) = escape.route(node, dstn);
             (d != Direction::Local).then_some(d)
         } else {
             None
@@ -166,7 +166,7 @@ impl Router {
                 None => (self.quadrant_or_local(topo, node, dstn), all),
             };
         }
-        let cand = candidate_mask(topo, node, dstn) & live;
+        let cand = topo.candidate_mask(node, dstn) & live;
         let prefer_escape = revisit && (cycle.wrapping_add(node as Cycle)) & 1 == 1;
         if cand != 0 && !(prefer_escape && esc_dir.is_some()) {
             // Least-congested live candidate: most free adaptive VCs
@@ -210,7 +210,7 @@ impl Router {
     /// destination (the flit edge-drops on the severed link), or `Local`
     /// if even the quadrant is empty (cannot happen on grid families).
     fn quadrant_or_local(&self, topo: &noc_topology::Topology, node: usize, dstn: usize) -> PortId {
-        let raw = candidate_mask(topo, node, dstn);
+        let raw = topo.candidate_mask(node, dstn);
         debug_assert!(raw != 0, "grid candidate set empty for distinct nodes");
         dirs_in(raw)
             .next()

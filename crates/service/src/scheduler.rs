@@ -1817,6 +1817,40 @@ mod tests {
         let _ = fs::remove_dir_all(&spool);
     }
 
+    /// A job whose routing tables would not fit is refused at
+    /// submission: it reaches neither the queue nor the spool, so no
+    /// worker builds it and a restart cannot meet it again.
+    #[test]
+    fn oversized_table_routed_jobs_never_reach_a_worker() {
+        let spool = scratch_spool("oversized");
+        let sched = Scheduler::recovered(ServiceConfig::new(&spool), ObsLog::disabled()).unwrap();
+        for (mesh_k, topology, routing) in [
+            (255, "cutmesh1", "static"),
+            (128, "cutmesh1", "static"),
+            (200, "mesh", "adaptive"),
+        ] {
+            let spec = CampaignSpec {
+                mesh_k,
+                topology: topology.into(),
+                routing: routing.into(),
+                ..CampaignSpec::default()
+            };
+            match sched.submit(spec) {
+                Err(SubmitError::Invalid(err)) => {
+                    assert!(err.contains("up*/down*-table routing"), "{err}")
+                }
+                other => panic!("{mesh_k} {topology} {routing} not refused: {other:?}"),
+            }
+        }
+        let state = sched.inner.state.lock().unwrap();
+        assert!(state.jobs.is_empty() && state.queue.is_empty());
+        drop(state);
+        let restarted =
+            Scheduler::recovered(ServiceConfig::new(&spool), ObsLog::disabled()).unwrap();
+        assert!(restarted.inner.state.lock().unwrap().jobs.is_empty());
+        let _ = fs::remove_dir_all(&spool);
+    }
+
     #[test]
     fn retry_hint_falls_back_before_any_completion() {
         assert_eq!(retry_after_hint(16, 2, None, 7), 7);

@@ -490,6 +490,24 @@ mod tests {
         );
     }
 
+    /// Up*/down* tables grow with the square of the router count, so a
+    /// table-routed job past the bound is refused before it is built —
+    /// also when only a fault campaign's adaptive arm would build them.
+    #[test]
+    fn table_routed_specs_past_the_router_bound_are_refused() {
+        for fields in [
+            r#""mesh_k": 255, "topology": "cutmesh1""#,
+            r#""mesh_k": 128, "topology": "cutmesh1""#,
+            r#""mesh_k": 200, "routing": "adaptive""#,
+            r#""kind": "fault_campaign", "mesh_k": 200, "routing": "both""#,
+        ] {
+            let err = CampaignSpec::from_text(&format!("{{{fields}}}")).unwrap_err();
+            assert!(err.contains("up*/down*-table routing"), "{fields}: {err}");
+        }
+        let static_xy = CampaignSpec::from_text(r#"{"mesh_k": 200}"#).unwrap();
+        assert!(static_xy.validate().is_ok(), "XY routing builds no tables");
+    }
+
     #[test]
     fn chiplet_topology_args_are_accepted_and_echoed() {
         let spec = CampaignSpec::from_text("{\"topology\": \"chipletmesh2x4:6:4\"}").unwrap();

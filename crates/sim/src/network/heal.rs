@@ -6,7 +6,7 @@
 use super::wheel::Wire;
 use super::Network;
 use noc_faults::LinkFaultEvent;
-use noc_topology::{Irregular, Topology};
+use noc_topology::Topology;
 use noc_types::{Cycle, Direction, PortId, VcId};
 use shield_router::RoutingAlgorithm;
 use std::sync::Arc;
@@ -42,18 +42,26 @@ impl Network {
     /// with the node quarantined ([`Topology::with_dead`]) and swap the
     /// new routing tables into every router. Routes already computed
     /// (VCs past RC) keep their old output port — the up*/down*
-    /// orientation is shared across the swap, so mixed old/new paths
-    /// remain deadlock-free (see `noc_topology::irregular`).
+    /// orientation is shared across the swap, so the dependency graphs
+    /// of the old and the new routes together stay acyclic (pinned by
+    /// `noc-topology`'s property suite). A packet in flight at the swap
+    /// that descended under the old tables may still have to climb
+    /// under the new ones; that transient turn is outside the pinned
+    /// union.
     ///
     /// The dead router's pipeline keeps running: it drains its buffered
     /// flits and still accepts packets addressed *to* it; it is only
     /// removed as a transit node.
     ///
+    /// In adaptive mode on a dimension-order topology the kill is
+    /// folded into the escape tables and the neighbours' live masks
+    /// instead (see the body).
+    ///
     /// # Panics
-    /// Panics on non-irregular topologies (XY/dimension-order routing
-    /// cannot detour; use a `CutMesh` spec — possibly with zero cuts —
-    /// to make a mesh survivable), or if the kill disconnects alive
-    /// routers.
+    /// Panics on a statically routed dimension-order topology (mesh,
+    /// torus, chiplet mesh: it cannot detour; use a `CutMesh` spec —
+    /// possibly with zero cuts — to make a mesh survivable), or if the
+    /// kill disconnects alive routers.
     pub fn fail_router(&mut self, node: usize) {
         if self.escape.is_some() {
             // Shared quarantine path, adaptive flavour: a node fault is
@@ -62,7 +70,7 @@ impl Network {
             // adaptive candidate, and the escape tables quarantine it
             // as a transit node. The node's own candidates and table
             // entries survive so its buffered flits drain — the same
-            // drain contract as `Irregular::with_dead`, whose
+            // drain contract as `Topology::with_dead`, whose
             // alive-pair tables a test pins equal to the incident-link
             // fold of `with_cut_link`.
             for dir in Direction::ALL {
@@ -88,7 +96,7 @@ impl Network {
     /// * **routing-level self-healing** — in adaptive mode both
     ///   endpoints drop the link from their live candidate masks and
     ///   the shared escape tables are recomputed around the cut
-    ///   ([`Irregular::with_cut_link`]) and swapped into every router;
+    ///   ([`Topology::with_cut_link`]) and swapped into every router;
     ///   statically-routed irregular topologies recompute their
     ///   up\*/down\* tables the same way. A cut the fixed orientation
     ///   cannot survive keeps the old tables — flits whose route
@@ -131,7 +139,7 @@ impl Network {
     }
 
     /// Swap healed escape tables into every adaptive router.
-    fn swap_escape(&mut self, escape: Irregular) {
+    fn swap_escape(&mut self, escape: Topology) {
         let esc = Arc::new(escape);
         for r in &mut self.routers {
             r.set_adaptive_escape(Arc::clone(&esc));

@@ -69,7 +69,7 @@ use noc_telemetry::snapshot::{
     SNAPSHOT_SCHEMA_VERSION,
 };
 use noc_telemetry::{NullObserver, Observer};
-use noc_topology::{Irregular, Topology};
+use noc_topology::Topology;
 use noc_types::{
     Cycle, DeliveredPacket, LinkClass, Mesh, NetworkConfig, Packet, RoutingMode, TopologySpec,
 };
@@ -104,7 +104,7 @@ pub struct Network {
     /// link fault heals (`None` under static routing, and on families
     /// that keep their fault-aware static tables even in adaptive
     /// mode).
-    escape: Option<Arc<Irregular>>,
+    escape: Option<Arc<Topology>>,
     /// Scheduled link faults not yet applied, in *reverse* canonical
     /// `(cycle, router, dir)` order so the next due event pops off the
     /// end at each cycle boundary.
@@ -183,24 +183,19 @@ impl Network {
         // swapped network-wide when a link fault heals. Families that
         // already route by fault-aware static tables (cut-mesh,
         // chiplet-star) keep those tables even in adaptive mode.
-        let escape = (cfg.routing == RoutingMode::Adaptive
-            && noc_topology::adaptive::supports_adaptive(&topo))
-        .then(|| Arc::new(Irregular::from_full_mesh(mesh.w, mesh.h)));
+        let escape = (cfg.routing == RoutingMode::Adaptive && topo.supports_adaptive())
+            .then(|| Arc::new(Topology::escape_mesh(mesh.w, mesh.h)));
         let mut routers: Vec<Router> = (0..mesh.len())
             .map(|i| {
                 let coord = mesh.coord_of(noc_types::RouterId(i as u16));
-                // Meshes keep the two-comparator XY algorithm (the
-                // paper's configuration and the hot path) — the chiplet
-                // mesh is a full grid and routes the same way; the
-                // other topologies route through the shared topology.
-                let route = match (&escape, &*topo) {
-                    (Some(esc), _) => {
-                        RoutingAlgorithm::adaptive(Arc::clone(&topo), Arc::clone(esc), i)
-                    }
-                    (None, Topology::Mesh(_) | Topology::ChipletMesh { .. }) => {
-                        RoutingAlgorithm::xy(mesh, coord)
-                    }
-                    (None, _) => RoutingAlgorithm::topo(Arc::clone(&topo), i),
+                // XY-routed topologies (mesh, chiplet mesh) keep the
+                // two-comparator XY algorithm (the paper's configuration
+                // and the hot path); the others route through the
+                // shared topology.
+                let route = match &escape {
+                    Some(esc) => RoutingAlgorithm::adaptive(Arc::clone(&topo), Arc::clone(esc), i),
+                    None if topo.routes_xy() => RoutingAlgorithm::xy(mesh, coord),
+                    None => RoutingAlgorithm::topo(Arc::clone(&topo), i),
                 };
                 let ideal = noc_faults::DetectionModel::Ideal;
                 let mut r = Router::new(i as u16, coord, cfg.router, kind, route, ideal);
@@ -274,7 +269,7 @@ impl Network {
 
     /// The adaptive escape tables currently in force (`None` under
     /// static routing).
-    pub fn adaptive_escape(&self) -> Option<&Irregular> {
+    pub fn adaptive_escape(&self) -> Option<&Topology> {
         self.escape.as_deref()
     }
 

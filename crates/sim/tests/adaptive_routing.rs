@@ -12,7 +12,7 @@ mod common;
 
 use noc_faults::{FaultPlan, LinkFaultEvent};
 use noc_sim::Network;
-use noc_topology::Irregular;
+use noc_topology::Topology;
 use noc_types::{
     splitmix64, Coord, Direction, Mesh, NetworkConfig, Packet, PacketId, PacketKind, RouterId,
     RoutingMode, TopologySpec,
@@ -310,27 +310,18 @@ fn randomized_link_fault_scenarios_never_trip_the_watchdog() {
                 record.cycle_edges.as_deref().is_none_or(<[_]>::is_empty),
                 "{}/{scenario}: escape class must keep the wait-for graph acyclic \
                  (faults {events:?}): {:?}",
-                spec_tag(&spec),
+                spec.tag(),
                 record.cycle_edges
             );
             assert!(
                 drained,
                 "{}/{scenario}: adaptive network must drain (faults {events:?}): \
                  {} in flight, {} queued",
-                spec_tag(&spec),
+                spec.tag(),
                 net.in_flight_flits(),
                 net.queued_packets()
             );
         }
-    }
-}
-
-fn spec_tag(spec: &TopologySpec) -> &'static str {
-    match spec {
-        TopologySpec::Mesh { .. } => "mesh",
-        TopologySpec::Torus { .. } => "torus",
-        TopologySpec::ChipletMesh { .. } => "chipletmesh",
-        _ => "other",
     }
 }
 
@@ -393,12 +384,12 @@ fn disabling_the_escape_class_produces_a_recorded_wait_cycle() {
 
 /// `fail_router` shares the quarantine path with `fail_link`: a node
 /// fault is the fault of all its incident links. Pinned at the table
-/// level — `Irregular::with_dead` and the incident-link fold of
-/// `Irregular::with_cut_link` agree on every alive-pair route — and at
+/// level — `Topology::with_dead` and the incident-link fold of
+/// `Topology::with_cut_link` agree on every alive-pair route — and at
 /// the network level in adaptive mode.
 #[test]
 fn node_fault_equals_the_fault_of_all_its_incident_links() {
-    let base = Irregular::from_full_mesh(6, 6);
+    let base = Topology::escape_mesh(6, 6);
     let grid = base.grid();
     let node = grid.id_of(Coord::new(3, 3)).index();
     let dead = base.with_dead(node);

@@ -5,23 +5,29 @@
 //!
 //! The paper evaluates its router inside an 8×8 XY-routed mesh
 //! (Section VII-B) and leaves network-level fault handling to future
-//! work. This crate supplies that complement: three topology families
-//! over a shared rectangular coordinate grid, each with a deadlock-free
-//! deterministic routing function —
+//! work. This crate supplies that complement. A [`Topology`] is one
+//! struct whatever the family: a rectangular coordinate grid, a
+//! per-(node, side) link table naming each neighbour and the link's
+//! [`LinkClass`] where it is not the default, liveness bits, and one of
+//! two routing rules —
 //!
-//! * [`Topology::Mesh`] — rectangular `w × h` mesh, XY routing (the
-//!   paper's configuration when `w = h = 8`);
-//! * [`Topology::Torus`] — wraparound links in both dimensions,
-//!   dimension-order routing with minimal wrap, and a *dateline*
-//!   virtual-channel scheme that keeps the ring cycles acyclic (see
-//!   [`torus`] and ARCHITECTURE.md §4);
-//! * [`Topology::Irregular`] — an arbitrary connected subgraph of the
-//!   grid (cut links, dead routers) routed by precomputed up\*/down\*
-//!   tables ([`irregular`]), the classic scheme for irregular networks.
+//! * **dimension order** ([`dor`]): XY on the mesh and the chiplet mesh
+//!   (the paper's configuration when the grid is 8×8), and the shorter
+//!   way round each ring with *dateline* virtual-channel classes on the
+//!   torus (ARCHITECTURE.md §4);
+//! * **up\*/down\*** tables over whatever links the graph has — the
+//!   classic scheme for irregular networks, used by the cut mesh, the
+//!   chiplet star and the adaptive escape network, and recomputed when
+//!   a router dies or a link is cut.
 //!
-//! Routes are `(output direction, VC class)` pairs: topologies whose
-//! deadlock-freedom argument needs VC classes (the torus) restrict the
-//! downstream VCs a hop may use; the others leave the class
+//! Each family is one constructor ([`Topology::mesh`],
+//! [`Topology::torus`], [`Topology::chiplet_mesh`],
+//! [`Topology::cut_mesh`], [`Topology::chiplet_star`],
+//! [`Topology::escape_mesh`]); [`Topology::from_spec`] maps a
+//! configuration onto them. No query dispatches on the family.
+//!
+//! Routes are `(output direction, VC class)` pairs: the torus restricts
+//! the downstream VCs a hop may use; the others leave the class
 //! unconstrained. The router core turns the class into a bitmask over
 //! its `V` virtual channels.
 //!
@@ -34,14 +40,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod chiplet;
-pub mod irregular;
-pub mod torus;
+pub mod dor;
+mod family;
+mod updown;
 
-pub use irregular::Irregular;
-
-use noc_types::{Direction, LinkClass, Mesh, NetworkConfig, TopologySpec};
+use noc_types::{Coord, Direction, LinkClass, Mesh};
+use updown::UpDown;
 
 /// Which class of downstream virtual channels a routed hop may use.
 ///
@@ -78,91 +82,73 @@ impl VcClass {
     }
 }
 
+/// The four non-local directions, in link-table column order.
+const SIDES: [Direction; 4] = [
+    Direction::North,
+    Direction::East,
+    Direction::South,
+    Direction::West,
+];
+
+/// The link-table column of `dir` (`None` for `Local`).
+#[inline]
+fn side(dir: Direction) -> Option<usize> {
+    (dir as usize).checked_sub(1)
+}
+
+/// The link-table column of a side.
+fn slot(dir: Direction) -> usize {
+    side(dir).expect("the local port is not a link")
+}
+
+/// One link out of a node (16 bytes).
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    /// The node the link reaches.
+    to: u32,
+    /// The link's class; `None` is the uniform default.
+    class: Option<LinkClass>,
+}
+
+/// How a topology routes.
+#[derive(Debug, Clone)]
+enum Rule {
+    /// Dimension order over the grid coordinates; `wrap` takes the
+    /// shorter way round each ring and adds the dateline classes.
+    Dor {
+        /// Torus rings rather than mesh lines.
+        wrap: bool,
+    },
+    /// Precomputed up\*/down\* tables over the link table.
+    UpDown(UpDown),
+}
+
 /// A concrete network graph: nodes embedded in a rectangular grid,
 /// links, liveness, and a deterministic deadlock-free routing function.
 #[derive(Debug, Clone)]
-pub enum Topology {
-    /// Rectangular mesh, XY-routed.
-    Mesh(Mesh),
-    /// Torus (wraparound mesh), dimension-order routed with dateline VCs.
-    Torus(Mesh),
-    /// Connected subgraph of the grid with precomputed routing tables.
-    Irregular(Irregular),
-    /// Grid of chiplets, each an internal mesh, neighbouring chiplets
-    /// joined along their full boundary by die-to-die links. The graph
-    /// is a plain global mesh (XY-routed, so deadlock freedom is
-    /// inherited — the channel-dependency acyclicity of XY does not
-    /// depend on per-link latency); only [`Topology::link_class`] is
-    /// hierarchical.
-    ChipletMesh {
-        /// The global bounding grid (`k_chip·k_node` per side).
-        grid: Mesh,
-        /// Chiplet side length.
-        k_node: u8,
-        /// Class of chiplet-boundary links.
-        d2d: LinkClass,
-    },
-    /// Chiplets around a central hub row, routed up\*/down\* with the
-    /// orientation rooted at the hub (see [`Irregular::star`]).
-    ChipletStar {
-        /// The star graph and its hub-rooted routing tables.
-        irr: Irregular,
-        /// Chiplet side length (the hub row sits at `y = k_node`).
-        k_node: u8,
-        /// Class of chiplet→hub links.
-        d2d: LinkClass,
-        /// Class of hub-internal links.
-        hub: LinkClass,
-    },
+pub struct Topology {
+    grid: Mesh,
+    tag: &'static str,
+    /// `links[node][side]`: the link out of `node` through a side.
+    links: Vec<[Option<Link>; 4]>,
+    /// Routers that participate in routing (dead ones stay in the graph
+    /// but are never transited).
+    alive: Vec<bool>,
+    rule: Rule,
 }
 
 impl Topology {
-    /// Build the topology a [`NetworkConfig`] describes.
-    ///
-    /// # Panics
-    /// Panics if the config is invalid for its topology (zero-sized
-    /// grid, a `CutMesh` whose requested cuts would disconnect it, …).
-    pub fn from_spec(cfg: &NetworkConfig) -> Topology {
-        let (w, h) = cfg.dims();
-        match cfg.topology {
-            TopologySpec::MeshK | TopologySpec::Mesh { .. } => Topology::Mesh(Mesh::rect(w, h)),
-            TopologySpec::Torus { .. } => Topology::Torus(Mesh::rect(w, h)),
-            TopologySpec::CutMesh { cuts, seed, .. } => {
-                Topology::Irregular(Irregular::random_cuts(w, h, cuts, seed))
-            }
-            TopologySpec::ChipletMesh { k_node, d2d, .. } => Topology::ChipletMesh {
-                grid: Mesh::rect(w, h),
-                k_node,
-                d2d,
-            },
-            TopologySpec::ChipletStar {
-                chiplets,
-                k_node,
-                d2d,
-                hub,
-            } => Topology::ChipletStar {
-                irr: Irregular::star(chiplets, k_node),
-                k_node,
-                d2d,
-                hub,
-            },
-        }
-    }
-
     /// The bounding coordinate grid (id ↔ coordinate mapping is always
     /// the grid's row-major one, independent of which links exist).
     #[inline]
     pub fn grid(&self) -> Mesh {
-        match self {
-            Topology::Mesh(g) | Topology::Torus(g) | Topology::ChipletMesh { grid: g, .. } => *g,
-            Topology::Irregular(ir) | Topology::ChipletStar { irr: ir, .. } => ir.grid(),
-        }
+        self.grid
     }
 
     /// Number of nodes (dead routers included — they keep their id).
     #[inline]
     pub fn len(&self) -> usize {
-        self.grid().len()
+        self.grid.len()
     }
 
     /// Whether the topology has no nodes (never: grids are non-empty).
@@ -174,13 +160,14 @@ impl Topology {
     /// A short lowercase tag (`mesh` / `torus` / `irregular` /
     /// `chipletmesh` / `chipletstar`).
     pub fn tag(&self) -> &'static str {
-        match self {
-            Topology::Mesh(_) => "mesh",
-            Topology::Torus(_) => "torus",
-            Topology::Irregular(_) => "irregular",
-            Topology::ChipletMesh { .. } => "chipletmesh",
-            Topology::ChipletStar { .. } => "chipletstar",
-        }
+        self.tag
+    }
+
+    /// The node reached by leaving `node` through `dir`, if such a link
+    /// exists. `Local` never has a link.
+    #[inline]
+    pub fn link(&self, node: usize, dir: Direction) -> Option<usize> {
+        self.links[node][side(dir)?].map(|l| l.to as usize)
     }
 
     /// The non-default link class of the link leaving `node` through
@@ -190,98 +177,71 @@ impl Topology {
     /// returning upstream see the same latency as the flits they pay
     /// for.
     pub fn link_class(&self, node: usize, dir: Direction) -> Option<LinkClass> {
-        match self {
-            Topology::Mesh(_) | Topology::Torus(_) | Topology::Irregular(_) => None,
-            Topology::ChipletMesh { grid, k_node, d2d } => {
-                let c = grid.coord_of(noc_types::RouterId(node as u16));
-                chiplet::chiplet_mesh_link_class(c, dir, *k_node, *d2d)
-            }
-            Topology::ChipletStar {
-                irr,
-                k_node,
-                d2d,
-                hub,
-            } => {
-                let c = irr.grid().coord_of(noc_types::RouterId(node as u16));
-                chiplet::chiplet_star_link_class(c, dir, *k_node, *d2d, *hub)
-            }
-        }
+        self.links[node][side(dir)?]?.class
     }
 
-    /// The node reached by leaving `node` through `dir`, if such a link
-    /// exists. `Local` never has a link.
-    pub fn link(&self, node: usize, dir: Direction) -> Option<usize> {
-        if dir == Direction::Local {
-            return None;
-        }
-        match self {
-            Topology::Mesh(g) => g
-                .neighbour(g.coord_of(noc_types::RouterId(node as u16)), dir)
-                .map(|id| id.index()),
-            Topology::Torus(g) => {
-                let c = g.coord_of(noc_types::RouterId(node as u16));
-                let n = c.step_wrapping(dir, g.w, g.h);
-                // A 1-wide ring would self-link; the torus validator
-                // forbids those grids, but stay defensive.
-                let id = g.id_of(n).index();
-                if id == node {
-                    None
-                } else {
-                    Some(id)
-                }
-            }
-            Topology::Irregular(ir) | Topology::ChipletStar { irr: ir, .. } => ir.link(node, dir),
-            Topology::ChipletMesh { grid: g, .. } => g
-                .neighbour(g.coord_of(noc_types::RouterId(node as u16)), dir)
-                .map(|id| id.index()),
-        }
+    /// Number of bidirectional links.
+    pub fn link_count(&self) -> usize {
+        self.links.iter().flatten().flatten().count() / 2
     }
 
     /// Route one hop: the output direction a packet at `node` headed for
     /// `dst` must take, and the class of downstream VCs it may claim.
     ///
-    /// Deterministic and total; `node == dst` routes `Local`.
+    /// Deterministic and total; `node == dst` routes `Local`, and so
+    /// does a `dst` the tables cannot reach.
+    #[inline]
     pub fn route(&self, node: usize, dst: usize) -> (Direction, VcClass) {
-        match self {
-            Topology::Mesh(g) => {
-                let here = g.coord_of(noc_types::RouterId(node as u16));
-                let to = g.coord_of(noc_types::RouterId(dst as u16));
-                (g.xy_route(here, to), VcClass::Any)
-            }
-            Topology::Torus(g) => {
-                let here = g.coord_of(noc_types::RouterId(node as u16));
-                let to = g.coord_of(noc_types::RouterId(dst as u16));
-                torus::route(*g, here, to)
-            }
-            Topology::Irregular(ir) | Topology::ChipletStar { irr: ir, .. } => {
-                (ir.route(node, dst), VcClass::Any)
-            }
-            Topology::ChipletMesh { grid: g, .. } => {
-                let here = g.coord_of(noc_types::RouterId(node as u16));
-                let to = g.coord_of(noc_types::RouterId(dst as u16));
-                (g.xy_route(here, to), VcClass::Any)
-            }
-        }
-    }
-
-    /// Whether `node` is alive (participates in routing). Always true
-    /// for mesh and torus; irregular graphs may have dead routers.
-    pub fn is_alive(&self, node: usize) -> bool {
-        match self {
-            Topology::Mesh(_) | Topology::Torus(_) | Topology::ChipletMesh { .. } => true,
-            Topology::Irregular(ir) | Topology::ChipletStar { irr: ir, .. } => ir.is_alive(node),
+        match &self.rule {
+            Rule::Dor { wrap } => dor::route(self.grid, node, dst, *wrap),
+            Rule::UpDown(t) => (t.next[node * self.len() + dst], VcClass::Any),
         }
     }
 
     /// Whether a packet injected at `node` can reach `dst` under this
-    /// topology's routing (always true on mesh/torus).
+    /// topology's routing (always true under dimension order).
+    #[inline]
     pub fn reachable(&self, node: usize, dst: usize) -> bool {
-        match self {
-            Topology::Mesh(_) | Topology::Torus(_) | Topology::ChipletMesh { .. } => true,
-            Topology::Irregular(ir) | Topology::ChipletStar { irr: ir, .. } => {
-                ir.reachable(node, dst)
-            }
+        match &self.rule {
+            Rule::Dor { .. } => true,
+            Rule::UpDown(t) => t.reach[node * self.len() + dst],
         }
+    }
+
+    /// The minimal-quadrant candidate directions for a packet at `node`
+    /// headed to `dst`, as a [`dor::dir_bit`] mask: every dimension
+    /// still unresolved contributes the direction dimension-order
+    /// routing would take in it. Empty when `node == dst` (the caller
+    /// ejects locally) and on table-routed topologies, whose
+    /// up\*/down\* tables are already fault-aware and whose up-then-down
+    /// legality a quadrant would break.
+    #[inline]
+    pub fn candidate_mask(&self, node: usize, dst: usize) -> u8 {
+        match self.rule {
+            Rule::Dor { wrap } => dor::candidates(self.grid, node, dst, wrap),
+            Rule::UpDown(_) => 0,
+        }
+    }
+
+    /// Whether adaptive candidate routing applies (dimension-order
+    /// topologies yes; table-routed ones keep their static up\*/down\*
+    /// routes even in adaptive mode).
+    #[inline]
+    pub fn supports_adaptive(&self) -> bool {
+        matches!(self.rule, Rule::Dor { .. })
+    }
+
+    /// Whether [`Topology::route`] is plain XY over the grid: dimension
+    /// order without wrap, so a router can route by coordinates alone.
+    pub fn routes_xy(&self) -> bool {
+        matches!(self.rule, Rule::Dor { wrap: false })
+    }
+
+    /// Whether `node` is alive (participates in routing). Always true
+    /// under dimension order; table-routed graphs may have dead routers.
+    #[inline]
+    pub fn is_alive(&self, node: usize) -> bool {
+        self.alive[node]
     }
 
     /// The ids of all alive nodes, in grid (row-major) order — the node
@@ -292,77 +252,165 @@ impl Topology {
     }
 
     /// A new topology with `node` declared dead: excluded as a routing
-    /// transit node, tables recomputed around it. The dead router keeps
-    /// its id and links so packets already queued inside it can drain,
-    /// and packets addressed *to* it are still routed toward it where a
-    /// path exists.
-    ///
-    /// Supported on [`Topology::Irregular`] only (mesh/torus dimension-
-    /// order routing cannot detour); convert via
-    /// [`Irregular::from_full_mesh`] first if needed.
+    /// transit node, tables recomputed around it under the *same*
+    /// up\*/down\* orientation, so packets routed under the old tables
+    /// and the new ones share one legal set in flight. The dead router
+    /// keeps its id and links so packets already queued inside it can
+    /// drain, and packets addressed *to* it are still routed toward it
+    /// where a path exists.
     ///
     /// # Panics
-    /// Panics if the variant is not `Irregular`, or if removing the
-    /// node disconnects any pair of alive routers.
+    /// Panics on a dimension-order topology (it cannot detour; build a
+    /// table-routed one, e.g. [`Topology::escape_mesh`] or a zero-cut
+    /// `CutMesh` spec), or if removing the node disconnects any pair of
+    /// alive routers.
     pub fn with_dead(&self, node: usize) -> Topology {
-        match self {
-            Topology::Irregular(ir) => Topology::Irregular(ir.with_dead(node)),
-            Topology::ChipletStar {
-                irr,
-                k_node,
-                d2d,
-                hub,
-            } => Topology::ChipletStar {
-                irr: irr.with_dead(node),
-                k_node: *k_node,
-                d2d: *d2d,
-                hub: *hub,
-            },
-            _ => panic!(
+        let Rule::UpDown(t) = &self.rule else {
+            panic!(
                 "with_dead is only supported on irregular topologies \
-                 (build one with Irregular::from_full_mesh)"
-            ),
+                 (build one with Topology::escape_mesh)"
+            )
+        };
+        assert!(node < self.len(), "dead node id out of range");
+        let mut topo = self.clone();
+        topo.alive[node] = false;
+        topo.orient(t.level.clone());
+        if let Some((n, d)) = topo.unrouted_pair() {
+            panic!("declaring router {node} dead disconnects {n} from {d}");
         }
+        topo
     }
 
     /// A copy of the topology with the bidirectional link `node → dir`
     /// removed and the routing tables recomputed around it — the
-    /// link-fault counterpart of [`Topology::with_dead`], sharing its
-    /// fixed-orientation contract (see [`Irregular::with_cut_link`]).
+    /// link-fault counterpart of [`Topology::with_dead`].
     ///
-    /// Supported on the table-routed families only; grid families
-    /// (mesh/torus/chiplet-mesh) return `Err` — their dimension-order
-    /// routes cannot detour, so a link fault there is purely a wiring
-    /// event. Also errors when the cut would split the alive graph or
-    /// break the fixed up\*/down\* orientation; callers keep the old
-    /// tables then.
+    /// The orientation is kept when it can be, for the same reason as
+    /// there. When the fixed orientation leaves some alive pair
+    /// unroutable (a node whose every remaining link points down cannot
+    /// climb), the orientation is recomputed from scratch instead — a
+    /// fresh BFS over the cut graph always routes every alive pair, at
+    /// the cost of a one-shot table swap that in-flight traffic
+    /// re-reads at its next hop. If the cut isolates an endpoint (its
+    /// last link), that endpoint is quarantined as dead instead of
+    /// failing — a node fault *is* the fault of all its incident links.
+    ///
+    /// Dimension-order topologies return `Err` — their routes cannot
+    /// detour, so a link fault there is purely a wiring event. Also
+    /// errors on a link that does not exist and when the cut splits
+    /// the alive graph into larger pieces; callers keep the old tables
+    /// then.
     pub fn with_cut_link(&self, node: usize, dir: Direction) -> Result<Topology, String> {
-        match self {
-            Topology::Irregular(ir) => ir.with_cut_link(node, dir).map(Topology::Irregular),
-            Topology::ChipletStar {
-                irr,
-                k_node,
-                d2d,
-                hub,
-            } => irr
-                .with_cut_link(node, dir)
-                .map(|irr| Topology::ChipletStar {
-                    irr,
-                    k_node: *k_node,
-                    d2d: *d2d,
-                    hub: *hub,
-                }),
-            _ => Err(format!(
+        let Rule::UpDown(t) = &self.rule else {
+            return Err(format!(
                 "{} routes dimension-order and cannot detour around a cut link",
-                self.tag()
-            )),
+                self.tag
+            ));
+        };
+        let Some(other) = self.link(node, dir) else {
+            return Err(format!("no active link out of router {node} through {dir}"));
+        };
+        let mut topo = self.clone();
+        topo.cut(node, dir);
+        for end in [node, other] {
+            if topo.alive[end] && !topo.neighbours(end).any(|(_, m)| topo.alive[m]) {
+                topo.alive[end] = false;
+            }
         }
+        if !topo.is_connected() {
+            return Err(format!(
+                "cutting link {node} {dir} splits the alive graph in two"
+            ));
+        }
+        topo.orient(t.level.clone());
+        if topo.unrouted_pair().is_some() {
+            // Re-root at the lowest-numbered alive router.
+            let root = topo.alive.iter().position(|&a| a).expect("a node is alive");
+            topo.orient(updown::levels(&topo, root));
+            debug_assert!(topo.unrouted_pair().is_none());
+        }
+        Ok(topo)
+    }
+
+    /// The coordinate of `node`.
+    #[inline]
+    fn coord(&self, node: usize) -> Coord {
+        self.grid.coord_of(noc_types::RouterId(node as u16))
+    }
+
+    /// Remove the bidirectional link `node → dir`, returning it.
+    ///
+    /// # Panics
+    /// Panics if the link does not exist.
+    fn cut(&mut self, node: usize, dir: Direction) -> Link {
+        let link = self.links[node][slot(dir)]
+            .take()
+            .unwrap_or_else(|| panic!("no link {} {dir} to cut", self.coord(node)));
+        self.links[link.to as usize][slot(dir.opposite())] = None;
+        link
+    }
+
+    /// Put back the link [`Topology::cut`] removed from `node → dir`.
+    fn uncut(&mut self, node: usize, dir: Direction, link: Link) {
+        let back = Link {
+            to: node as u32,
+            ..link
+        };
+        self.links[node][slot(dir)] = Some(link);
+        self.links[link.to as usize][slot(dir.opposite())] = Some(back);
+    }
+
+    /// Linked neighbours of `node`, as `(direction, neighbour id)`.
+    fn neighbours(&self, node: usize) -> impl Iterator<Item = (Direction, usize)> + '_ {
+        SIDES
+            .into_iter()
+            .zip(&self.links[node])
+            .filter_map(|(dir, l)| l.map(|l| (dir, l.to as usize)))
+    }
+
+    /// Whether all alive nodes form one connected component over the
+    /// links (dead nodes don't count and don't conduct).
+    fn is_connected(&self) -> bool {
+        let Some(start) = (0..self.len()).find(|&i| self.alive[i]) else {
+            return true;
+        };
+        let mut seen = vec![false; self.len()];
+        let mut queue = vec![start];
+        seen[start] = true;
+        let mut count = 1;
+        while let Some(u) = queue.pop() {
+            for (_, v) in self.neighbours(u) {
+                if self.alive[v] && !seen[v] {
+                    seen[v] = true;
+                    count += 1;
+                    queue.push(v);
+                }
+            }
+        }
+        count == self.alive.iter().filter(|&&a| a).count()
+    }
+
+    /// Route by up\*/down\* tables built over the current links and
+    /// liveness under the orientation `level`.
+    fn orient(&mut self, level: Vec<u32>) {
+        self.rule = Rule::UpDown(UpDown::new(self, level));
+    }
+
+    /// An alive `(source, destination)` pair the routing cannot serve.
+    fn unrouted_pair(&self) -> Option<(usize, usize)> {
+        let n = self.len();
+        let alive = |i: &usize| self.alive[*i];
+        (0..n)
+            .filter(alive)
+            .flat_map(|s| (0..n).filter(alive).map(move |d| (s, d)))
+            .find(|&(s, d)| !self.reachable(s, d))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_types::{NetworkConfig, TopologySpec};
 
     #[test]
     fn vc_class_masks_partition_the_vcs() {
@@ -381,9 +429,9 @@ mod tests {
     fn from_spec_builds_each_family() {
         let mut cfg = NetworkConfig::paper();
         assert_eq!(Topology::from_spec(&cfg).tag(), "mesh");
-        cfg.topology = noc_types::TopologySpec::Torus { w: 4, h: 4 };
+        cfg.topology = TopologySpec::Torus { w: 4, h: 4 };
         assert_eq!(Topology::from_spec(&cfg).tag(), "torus");
-        cfg.topology = noc_types::TopologySpec::CutMesh {
+        cfg.topology = TopologySpec::CutMesh {
             w: 4,
             h: 4,
             cuts: 2,
@@ -406,45 +454,42 @@ mod tests {
                 assert_eq!(t.link(n, d), g.neighbour(c, d).map(|id| id.index()));
             }
         }
+        assert!(t.routes_xy());
     }
 
     #[test]
     fn torus_links_wrap_and_are_symmetric() {
         let mut cfg = NetworkConfig::paper();
-        cfg.topology = noc_types::TopologySpec::Torus { w: 4, h: 3 };
+        cfg.topology = TopologySpec::Torus { w: 4, h: 3 };
         let t = Topology::from_spec(&cfg);
         for n in 0..t.len() {
-            for d in [
-                Direction::North,
-                Direction::East,
-                Direction::South,
-                Direction::West,
-            ] {
+            for d in SIDES {
                 let m = t.link(n, d).expect("every torus port is wired");
                 assert_eq!(t.link(m, d.opposite()), Some(n), "symmetric link");
             }
         }
         // Wraparound spot check: (0,0) west → (3,0) = id 3.
         assert_eq!(t.link(0, Direction::West), Some(3));
+        assert!(!t.routes_xy() && t.supports_adaptive());
     }
 
     fn chiplet_mesh_cfg(k_chip: u8, k_node: u8) -> NetworkConfig {
         let mut cfg = NetworkConfig::paper();
-        cfg.topology = noc_types::TopologySpec::ChipletMesh {
+        cfg.topology = TopologySpec::ChipletMesh {
             k_chip,
             k_node,
-            d2d: noc_types::LinkClass::D2D_DEFAULT,
+            d2d: LinkClass::D2D_DEFAULT,
         };
         cfg
     }
 
     fn chiplet_star_cfg(chiplets: u8, k_node: u8) -> NetworkConfig {
         let mut cfg = NetworkConfig::paper();
-        cfg.topology = noc_types::TopologySpec::ChipletStar {
+        cfg.topology = TopologySpec::ChipletStar {
             chiplets,
             k_node,
-            d2d: noc_types::LinkClass::D2D_DEFAULT,
-            hub: noc_types::LinkClass::HUB_DEFAULT,
+            d2d: LinkClass::D2D_DEFAULT,
+            hub: LinkClass::HUB_DEFAULT,
         };
         cfg
     }
@@ -482,6 +527,16 @@ mod tests {
         // 2×2 chiplets of side 4: one 4-wide seam per axis per chiplet
         // pair = 2 seams × 8 links... counted from both endpoints.
         assert_eq!(d2d_links, 2 * 2 * 4 * 2);
+        // The seams sit after x = 3 and y = 3, and nowhere else.
+        let id = |x, y| g.id_of(Coord::new(x, y)).index();
+        let d2d = Some(LinkClass::D2D_DEFAULT);
+        assert_eq!(t.link_class(id(3, 1), Direction::East), d2d);
+        assert_eq!(t.link_class(id(4, 1), Direction::West), d2d);
+        assert_eq!(t.link_class(id(2, 3), Direction::South), d2d);
+        assert_eq!(t.link_class(id(2, 4), Direction::North), d2d);
+        assert_eq!(t.link_class(id(1, 1), Direction::East), None);
+        assert_eq!(t.link_class(id(5, 6), Direction::North), None);
+        assert_eq!(t.link_class(id(3, 3), Direction::Local), None);
     }
 
     #[test]
@@ -493,7 +548,7 @@ mod tests {
         // No direct chiplet-to-chiplet links.
         for y in 0..3u8 {
             for boundary in [2u8, 5] {
-                let n = g.id_of(noc_types::Coord::new(boundary, y)).index();
+                let n = g.id_of(Coord::new(boundary, y)).index();
                 assert_eq!(t.link(n, Direction::East), None);
             }
         }
@@ -525,24 +580,22 @@ mod tests {
         }
         // Link classes: hub row horizontal = hub, verticals into the
         // hub = d2d, intra-chiplet = default.
-        let hub_node = g.id_of(noc_types::Coord::new(4, 3)).index();
-        assert_eq!(
-            t.link_class(hub_node, Direction::East),
-            Some(noc_types::LinkClass::HUB_DEFAULT)
-        );
-        assert_eq!(
-            t.link_class(hub_node, Direction::North),
-            Some(noc_types::LinkClass::D2D_DEFAULT)
-        );
-        let inner = g.id_of(noc_types::Coord::new(1, 1)).index();
-        assert_eq!(t.link_class(inner, Direction::East), None);
+        let id = |x, y| g.id_of(Coord::new(x, y)).index();
+        let hub = Some(LinkClass::HUB_DEFAULT);
+        let d2d = Some(LinkClass::D2D_DEFAULT);
+        assert_eq!(t.link_class(id(4, 3), Direction::East), hub);
+        assert_eq!(t.link_class(id(1, 3), Direction::East), hub);
+        assert_eq!(t.link_class(id(4, 3), Direction::North), d2d);
+        assert_eq!(t.link_class(id(4, 2), Direction::South), d2d);
+        assert_eq!(t.link_class(id(1, 1), Direction::East), None);
+        assert_eq!(t.link_class(id(1, 1), Direction::South), None);
     }
 
     #[test]
     fn chiplet_star_survives_a_mid_die_kill() {
         let t = Topology::from_spec(&chiplet_star_cfg(2, 3));
         let g = t.grid();
-        let dead = g.id_of(noc_types::Coord::new(1, 1)).index();
+        let dead = g.id_of(Coord::new(1, 1)).index();
         let t = t.with_dead(dead);
         assert_eq!(t.tag(), "chipletstar");
         assert!(!t.is_alive(dead));
@@ -557,8 +610,12 @@ mod tests {
 
     #[test]
     fn flat_topologies_have_no_classed_links() {
-        for cfg in [NetworkConfig::paper()] {
-            let t = Topology::from_spec(&cfg);
+        for t in [
+            Topology::mesh(8, 8),
+            Topology::torus(4, 3),
+            Topology::cut_mesh(5, 5, 4, 1),
+            Topology::escape_mesh(3, 3),
+        ] {
             for n in 0..t.len() {
                 for d in Direction::ALL {
                     assert_eq!(t.link_class(n, d), None);
@@ -581,5 +638,27 @@ mod tests {
                 assert_eq!(class, VcClass::Any);
             }
         }
+    }
+
+    #[test]
+    fn grid_families_refuse_to_detour() {
+        let t = Topology::torus(4, 4);
+        assert_eq!(
+            t.with_cut_link(5, Direction::East).unwrap_err(),
+            "torus routes dimension-order and cannot detour around a cut link"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "with_dead is only supported on irregular topologies")]
+    fn grid_families_cannot_lose_a_router() {
+        Topology::mesh(4, 4).with_dead(5);
+    }
+
+    #[test]
+    fn link_count_counts_each_link_once() {
+        assert_eq!(Topology::mesh(8, 8).link_count(), 2 * 8 * 7);
+        assert_eq!(Topology::torus(4, 3).link_count(), 2 * 4 * 3);
+        assert_eq!(Topology::cut_mesh(8, 8, 4, 42).link_count(), 2 * 8 * 7 - 4);
     }
 }

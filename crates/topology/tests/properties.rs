@@ -1,29 +1,98 @@
-//! Property tests for the topology layer's three routing guarantees:
-//! torus dimension-order routes are minimal under the wrap-aware
-//! distance, the dateline VC assignment leaves the torus
-//! channel-dependency graph acyclic (no ring cycle survives), and
-//! irregular up*/down* tables deliver every pair on connected graphs.
+//! Property tests for the topology layer's routing guarantees: torus
+//! dimension-order routes are minimal under the wrap-aware distance,
+//! every family's channel-dependency graph is acyclic (the torus by its
+//! dateline classes, the table-routed families by up*/down*, also
+//! across a router kill), and up*/down* tables deliver every pair on
+//! connected graphs.
 
-use noc_topology::{torus, Irregular, Topology, VcClass};
-use noc_types::{Coord, Direction, Mesh, NetworkConfig, TopologySpec};
+use noc_topology::{dor, Topology, VcClass};
+use noc_types::{Coord, Direction, LinkClass, NetworkConfig, TopologySpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
-/// Walk a torus route, returning `(next_node, in_port, class)` per hop.
-fn torus_hops(grid: Mesh, src: Coord, dst: Coord) -> Vec<(Coord, Direction, VcClass)> {
+/// A buffer a hop lands in: (node, input port, VC class).
+type Buffer = (usize, Direction, VcClass);
+
+/// Walk the route `src → dst` over the topology's routes and links,
+/// returning the buffer every hop lands in.
+fn hops(t: &Topology, src: usize, dst: usize) -> Vec<Buffer> {
     let mut here = src;
-    let mut hops = Vec::new();
-    for _ in 0..4 * grid.len() {
-        let (dir, class) = torus::route(grid, here, dst);
-        if dir == Direction::Local {
-            return hops;
-        }
-        let next = here.step_wrapping(dir, grid.w, grid.h);
-        hops.push((next, dir.opposite(), class));
-        here = next;
+    let mut out = Vec::new();
+    while here != dst {
+        let (dir, class) = t.route(here, dst);
+        assert_ne!(dir, Direction::Local, "{src}→{dst} parked at {here}");
+        here = t.link(here, dir).expect("routes follow links");
+        out.push((here, dir.opposite(), class));
+        assert!(out.len() <= 2 * t.len(), "{src}→{dst} did not terminate");
     }
-    panic!("torus route {src}→{dst} did not terminate");
+    out
+}
+
+/// The channel-dependency graph of every route of every topology in
+/// `ts` (one vertex per buffer, one edge per consecutive hop pair) —
+/// with VC classes merged when `classes` is false.
+fn cdg(ts: &[&Topology], classes: bool) -> HashSet<(Buffer, Buffer)> {
+    let mut edges = HashSet::new();
+    for t in ts {
+        for src in 0..t.len() {
+            for dst in (0..t.len()).filter(|&d| t.reachable(src, d)) {
+                let mut path = hops(t, src, dst);
+                if !classes {
+                    path.iter_mut().for_each(|b| b.2 = VcClass::Any);
+                }
+                edges.extend(path.windows(2).map(|p| (p[0], p[1])));
+            }
+        }
+    }
+    edges
+}
+
+/// Kahn's algorithm: a graph is acyclic iff every vertex drains.
+fn is_acyclic(edges: &HashSet<(Buffer, Buffer)>) -> bool {
+    let mut indegree: HashMap<Buffer, usize> = HashMap::new();
+    let mut out: HashMap<Buffer, Vec<Buffer>> = HashMap::new();
+    for &(a, b) in edges {
+        indegree.entry(a).or_default();
+        *indegree.entry(b).or_default() += 1;
+        out.entry(a).or_default().push(b);
+    }
+    let mut queue: Vec<Buffer> = indegree
+        .iter()
+        .filter(|&(_, &d)| d == 0)
+        .map(|(&v, _)| v)
+        .collect();
+    let mut drained = 0;
+    while let Some(v) = queue.pop() {
+        drained += 1;
+        for m in out.get(&v).into_iter().flatten() {
+            let d = indegree.get_mut(m).expect("every endpoint has a degree");
+            *d -= 1;
+            if *d == 0 {
+                queue.push(*m);
+            }
+        }
+    }
+    drained == indegree.len()
+}
+
+fn assert_acyclic(ts: &[&Topology], label: &str) {
+    let edges = cdg(ts, true);
+    assert!(!edges.is_empty(), "{label}: no dependencies at all");
+    assert!(
+        is_acyclic(&edges),
+        "channel-dependency cycle on {label} ({} edges)",
+        edges.len()
+    );
+}
+
+fn star(chiplets: u8, k_node: u8) -> Topology {
+    Topology::chiplet_star(
+        chiplets,
+        k_node,
+        LinkClass::D2D_DEFAULT,
+        LinkClass::HUB_DEFAULT,
+    )
 }
 
 #[test]
@@ -32,119 +101,85 @@ fn torus_routes_are_minimal_for_random_grids() {
     for _ in 0..12 {
         let w = rng.random_range(2u8..=9);
         let h = rng.random_range(2u8..=9);
-        let g = Mesh::rect(w, h);
+        let t = Topology::torus(w, h);
+        let g = t.grid();
         for _ in 0..200 {
             let src = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
             let dst = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
-            let hops = torus_hops(g, src, dst);
+            let path = hops(&t, g.id_of(src).index(), g.id_of(dst).index());
             assert_eq!(
-                hops.len() as u32,
-                torus::distance(g, src, dst),
+                path.len() as u32,
+                dor::torus_distance(g, src, dst),
                 "non-minimal torus route {src}→{dst} on {w}x{h}"
             );
         }
     }
 }
 
-/// Mechanical deadlock-freedom check: build the full channel-dependency
-/// graph of the torus — one vertex per (router, input port, VC class)
-/// buffer, one edge per consecutive hop pair any (src, dst) route
-/// produces — and assert it is acyclic. Without the dateline classes
-/// every row and column ring would be a cycle; with them none survives.
+/// Mechanical deadlock-freedom check on the torus: without the dateline
+/// classes every row and column ring would be a cycle; with them none
+/// survives.
 #[test]
 fn dateline_classes_break_every_ring_cycle() {
     for (w, h) in [(3u8, 3u8), (4, 4), (5, 2), (8, 8), (6, 3)] {
-        let g = Mesh::rect(w, h);
-        let mut ids: HashMap<(Coord, Direction, VcClass), usize> = HashMap::new();
-        let mut edges: Vec<(usize, usize)> = Vec::new();
-        let id_of = |key, ids: &mut HashMap<_, usize>| -> usize {
-            let n = ids.len();
-            *ids.entry(key).or_insert(n)
-        };
-        for src in g.coords() {
-            for dst in g.coords() {
-                let hops = torus_hops(g, src, dst);
-                for pair in hops.windows(2) {
-                    let a = id_of(pair[0], &mut ids);
-                    let b = id_of(pair[1], &mut ids);
-                    edges.push((a, b));
-                }
-            }
-        }
-        // Kahn's algorithm: the CDG is acyclic iff every vertex drains.
-        let n = ids.len();
-        let mut indegree = vec![0usize; n];
-        let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-        edges.sort_unstable();
-        edges.dedup();
-        for &(a, b) in &edges {
-            out[a].push(b);
-            indegree[b] += 1;
-        }
-        let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-        let mut drained = 0;
-        while let Some(v) = queue.pop() {
-            drained += 1;
-            for &m in &out[v] {
-                indegree[m] -= 1;
-                if indegree[m] == 0 {
-                    queue.push(m);
-                }
-            }
-        }
-        assert_eq!(
-            drained,
-            n,
-            "channel-dependency cycle on the {w}x{h} torus ({} buffers, {} edges)",
-            n,
-            edges.len()
-        );
+        assert_acyclic(&[&Topology::torus(w, h)], &format!("the {w}x{h} torus"));
     }
 }
 
-/// The same CDG construction *without* the class split shows the test
-/// has teeth: a classless ring really is cyclic.
+/// The same graph *without* the class split shows the checker has
+/// teeth: a classless ring really is cyclic.
 #[test]
 fn classless_torus_cdg_is_cyclic() {
-    let g = Mesh::rect(4, 4);
-    let mut ids: HashMap<(Coord, Direction), usize> = HashMap::new();
-    let mut edges: Vec<(usize, usize)> = Vec::new();
-    for src in g.coords() {
-        for dst in g.coords() {
-            let hops = torus_hops(g, src, dst);
-            for pair in hops.windows(2) {
-                let n = ids.len();
-                let a = *ids.entry((pair[0].0, pair[0].1)).or_insert(n);
-                let n = ids.len();
-                let b = *ids.entry((pair[1].0, pair[1].1)).or_insert(n);
-                edges.push((a, b));
-            }
-        }
-    }
-    let n = ids.len();
-    let mut indegree = vec![0usize; n];
-    let mut out: Vec<Vec<usize>> = vec![Vec::new(); n];
-    edges.sort_unstable();
-    edges.dedup();
-    for &(a, b) in &edges {
-        out[a].push(b);
-        indegree[b] += 1;
-    }
-    let mut queue: Vec<usize> = (0..n).filter(|&v| indegree[v] == 0).collect();
-    let mut drained = 0;
-    while let Some(v) = queue.pop() {
-        drained += 1;
-        for &m in &out[v] {
-            indegree[m] -= 1;
-            if indegree[m] == 0 {
-                queue.push(m);
-            }
-        }
-    }
+    let edges = cdg(&[&Topology::torus(4, 4)], false);
     assert!(
-        drained < n,
+        !is_acyclic(&edges),
         "merging the classes should close the ring cycles"
     );
+}
+
+#[test]
+fn every_family_has_an_acyclic_channel_dependency_graph() {
+    for (w, h) in [(8, 8), (5, 3), (1, 4)] {
+        assert_acyclic(&[&Topology::mesh(w, h)], &format!("the {w}x{h} mesh"));
+        assert_acyclic(
+            &[&Topology::escape_mesh(w, h)],
+            &format!("the {w}x{h} escape mesh"),
+        );
+    }
+    for seed in 0..6u64 {
+        let (w, h) = (5 + (seed % 3) as u8, 4 + (seed % 4) as u8);
+        let t = Topology::cut_mesh(w, h, (w as u16 * h as u16) / 4, seed);
+        assert_acyclic(&[&t], &format!("the {w}x{h} cut mesh, seed {seed}"));
+    }
+    for (k_chip, k_node) in [(2, 4), (3, 2)] {
+        let t = Topology::chiplet_mesh(k_chip, k_node, LinkClass::D2D_DEFAULT);
+        assert_acyclic(&[&t], &format!("chiplet mesh {k_chip}x{k_node}"));
+    }
+    for (chiplets, k_node) in [(2, 3), (3, 3), (4, 2)] {
+        let label = format!("chiplet star {chiplets}x{k_node}");
+        assert_acyclic(&[&star(chiplets, k_node)], &label);
+    }
+}
+
+/// A router kill keeps the up*/down* orientation, so the routes before
+/// and after it together still have an acyclic dependency graph — what
+/// lets the simulator swap the tables with old-route packets in flight.
+#[test]
+fn a_kill_keeps_the_union_of_old_and_new_cdgs_acyclic() {
+    let cases = [
+        (Topology::cut_mesh(6, 6, 6, 0xD1CE), [(2, 2), (4, 3)]),
+        (Topology::cut_mesh(7, 5, 5, 0xBEEF), [(3, 2), (5, 1)]),
+        (star(3, 3), [(1, 1), (7, 2)]),
+        (star(2, 4), [(2, 2), (5, 1)]),
+    ];
+    for (before, kills) in cases {
+        for (x, y) in kills {
+            let node = before.grid().id_of(Coord::new(x, y)).index();
+            let after = before.with_dead(node);
+            let label = format!("{} killing ({x},{y})", before.tag());
+            assert_acyclic(&[&before, &after], &label);
+        }
+    }
 }
 
 /// Up*/down* tables deliver every (src, dst) pair on randomly cut —
@@ -158,24 +193,11 @@ fn irregular_routes_always_reach_their_destination() {
         let h = rng.random_range(3u8..=8);
         let max_cuts = (w as u16 - 1) * (h as u16) + (w as u16) * (h as u16 - 1);
         let cuts = rng.random_range(0..=max_cuts / 3);
-        let t = Irregular::random_cuts(w, h, cuts, 0xBADD + case);
-        let n = t.grid().len();
-        for src in 0..n {
-            for dst in 0..n {
+        let t = Topology::cut_mesh(w, h, cuts, 0xBADD + case);
+        for src in 0..t.len() {
+            for dst in 0..t.len() {
                 assert!(t.reachable(src, dst), "{src}→{dst} on {w}x{h} cuts={cuts}");
-                let mut here = src;
-                let mut hops = 0;
-                while here != dst {
-                    let dir = t.route(here, dst);
-                    assert_ne!(
-                        dir,
-                        Direction::Local,
-                        "route parked early: {src}→{dst}, stuck at {here}"
-                    );
-                    here = t.link(here, dir).expect("route must only use active links");
-                    hops += 1;
-                    assert!(hops <= 2 * n, "route {src}→{dst} exceeded the hop bound");
-                }
+                hops(&t, src, dst);
             }
         }
     }
@@ -194,10 +216,8 @@ fn cutmesh_spec_round_trips_through_from_spec() {
     };
     cfg.validate().expect("valid spec");
     let t = Topology::from_spec(&cfg);
-    let Topology::Irregular(ir) = &t else {
-        panic!("CutMesh must build an irregular topology");
-    };
-    assert_eq!(ir.link_count(), 2 * 8 * 7 - 4);
+    assert_eq!(t.tag(), "irregular");
+    assert_eq!(t.link_count(), 2 * 8 * 7 - 4);
     for s in 0..t.len() {
         for d in 0..t.len() {
             assert!(t.reachable(s, d));

@@ -317,9 +317,10 @@ impl TopologySpec {
                 let cuts: u16 = cuts_str
                     .parse()
                     .map_err(|_| format!("bad cut count in {s:?}"))?;
-                let n = k as u16 * k as u16;
-                let links = 2 * k as u16 * (k as u16 - 1);
-                let cuts = cuts.min(links.saturating_sub(n - 1));
+                let side = u32::from(k);
+                let links = 2 * side * side.saturating_sub(1);
+                let spare = links.saturating_sub((side * side).saturating_sub(1));
+                let cuts = cuts.min(u16::try_from(spare).unwrap_or(u16::MAX));
                 Ok(TopologySpec::CutMesh {
                     w: k,
                     h: k,
@@ -572,9 +573,27 @@ impl NetworkConfig {
             }
             TopologySpec::MeshK | TopologySpec::Mesh { .. } => {}
         }
+        let tables = matches!(
+            self.topology,
+            TopologySpec::CutMesh { .. } | TopologySpec::ChipletStar { .. }
+        ) || self.routing == RoutingMode::Adaptive;
+        if tables && self.nodes() > MAX_TABLE_ROUTERS {
+            return Err(format!(
+                "{} routers exceed the {MAX_TABLE_ROUTERS} that up*/down*-table routing \
+                 allows (its tables grow with the square of the router count)",
+                self.nodes()
+            ));
+        }
         self.router.validate()
     }
 }
+
+/// The most routers a network routed by up\*/down\* tables may have
+/// (a cut mesh, a chiplet star, or any adaptive network's escape
+/// tables). The tables take memory and build time quadratic in the
+/// router count: at this bound (a 64×64 grid) the two distance fields
+/// of one build alone hold 2 · 4096² `u32`s, 134 MB.
+const MAX_TABLE_ROUTERS: usize = 4096;
 
 impl Default for NetworkConfig {
     fn default() -> Self {
@@ -690,6 +709,28 @@ mod tests {
     }
 
     #[test]
+    fn table_routed_networks_are_bounded() {
+        let cfg = |k: u8, topology: &str, routing| NetworkConfig {
+            mesh_k: k,
+            topology: TopologySpec::parse_arg(topology, k).unwrap(),
+            routing,
+            ..NetworkConfig::paper()
+        };
+        for (k, topology, routing) in [
+            (255, "cutmesh1", RoutingMode::Static),
+            (128, "cutmesh1", RoutingMode::Static),
+            (200, "mesh", RoutingMode::Adaptive),
+        ] {
+            let err = cfg(k, topology, routing).validate().unwrap_err();
+            assert!(err.contains("up*/down*-table routing"), "{err}");
+        }
+        // The bound itself is allowed, and XY routing has none.
+        assert!(cfg(64, "cutmesh1", RoutingMode::Static).validate().is_ok());
+        assert!(cfg(64, "mesh", RoutingMode::Adaptive).validate().is_ok());
+        assert!(cfg(200, "mesh", RoutingMode::Static).validate().is_ok());
+    }
+
+    #[test]
     fn torus_needs_two_vcs_and_side_two() {
         let mut n = NetworkConfig::paper();
         n.topology = TopologySpec::Torus { w: 4, h: 4 };
@@ -735,6 +776,26 @@ mod tests {
                 cuts: 1,
                 seed: 0xC0FFEE ^ 2,
             })
+        );
+        // Grids past 181 × 181 have more links than a u16 counts.
+        for k in [182u8, 255] {
+            assert_eq!(
+                TopologySpec::parse_arg("cutmesh1", k),
+                Ok(TopologySpec::CutMesh {
+                    w: k,
+                    h: k,
+                    cuts: 1,
+                    seed: 0xC0FFEE ^ k as u64,
+                })
+            );
+        }
+        // 2·255·254 links, 255² − 1 of them needed: 64,516 spare.
+        assert_eq!(
+            TopologySpec::parse_arg("cutmesh65535", 255).map(|t| match t {
+                TopologySpec::CutMesh { cuts, .. } => cuts,
+                _ => 0,
+            }),
+            Ok(64_516)
         );
         assert!(TopologySpec::parse_arg("cutmeshX", 8).is_err());
         assert!(TopologySpec::parse_arg("cutmesh4:zz", 8).is_err());
