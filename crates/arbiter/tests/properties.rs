@@ -5,8 +5,7 @@ use noc_arbiter::{
     Arbiter, ArbiterKind, FixedPriorityArbiter, MatrixArbiter, RequestMatrix, RoundRobinArbiter,
     SeparableAllocator,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use noc_types::rng::Rng;
 
 fn mask(width: usize) -> u32 {
     if width >= 32 {
@@ -30,13 +29,13 @@ fn grant_implies_request<A: Arbiter>(mut arb: A, reqs: Vec<u32>) {
     }
 }
 
-fn random_requests(rng: &mut StdRng, len: usize) -> Vec<u32> {
-    (0..len).map(|_| rng.random::<u32>()).collect()
+fn random_requests(rng: &mut Rng, len: usize) -> Vec<u32> {
+    (0..len).map(|_| (rng.next_u64() >> 32) as u32).collect()
 }
 
 #[test]
 fn round_robin_grant_implies_request() {
-    let mut rng = StdRng::seed_from_u64(0xA1);
+    let mut rng = Rng::seeded(0xA1);
     for width in 1usize..=32 {
         for _ in 0..8 {
             let reqs = random_requests(&mut rng, 64);
@@ -47,7 +46,7 @@ fn round_robin_grant_implies_request() {
 
 #[test]
 fn matrix_grant_implies_request() {
-    let mut rng = StdRng::seed_from_u64(0xA2);
+    let mut rng = Rng::seeded(0xA2);
     for width in 1usize..=16 {
         for _ in 0..8 {
             let reqs = random_requests(&mut rng, 64);
@@ -58,7 +57,7 @@ fn matrix_grant_implies_request() {
 
 #[test]
 fn fixed_grant_implies_request() {
-    let mut rng = StdRng::seed_from_u64(0xA3);
+    let mut rng = Rng::seeded(0xA3);
     for width in 1usize..=32 {
         for _ in 0..8 {
             let reqs = random_requests(&mut rng, 64);
@@ -91,10 +90,10 @@ fn round_robin_fairness_window() {
 /// within `width` cycles of persistent request it must be granted.
 #[test]
 fn matrix_no_starvation() {
-    let mut rng = StdRng::seed_from_u64(0xA4);
+    let mut rng = Rng::seeded(0xA4);
     for width in 2usize..=12 {
         for line in 0..width {
-            let noise = rng.random::<u32>();
+            let noise = (rng.next_u64() >> 32) as u32;
             let mut arb = MatrixArbiter::new(width);
             // Arbitrary history to scramble priorities.
             for _ in 0..width {
@@ -111,15 +110,15 @@ fn matrix_no_starvation() {
 /// the request matrix, for arbitrary request patterns.
 #[test]
 fn separable_allocation_is_a_valid_matching() {
-    let mut rng = StdRng::seed_from_u64(0xA5);
+    let mut rng = Rng::seeded(0xA5);
     for _ in 0..200 {
-        let requestors = rng.random_range(1usize..=20);
-        let resources = rng.random_range(1usize..=20);
-        let cycles = rng.random_range(1usize..6);
+        let requestors = 1 + rng.index(20);
+        let resources = 1 + rng.index(20);
+        let cycles = 1 + rng.index(5);
         let mut alloc = SeparableAllocator::new(requestors, resources, ArbiterKind::RoundRobin);
         let mut m = RequestMatrix::new(requestors, resources);
         for r in 0..requestors {
-            let bits = rng.random::<u32>();
+            let bits = (rng.next_u64() >> 32) as u32;
             for c in 0..resources {
                 if bits & (1 << c) != 0 {
                     m.request(r, c);

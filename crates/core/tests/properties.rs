@@ -8,11 +8,10 @@
 //! loss-free delivery.
 
 use noc_faults::FaultSite;
+use noc_types::rng::Rng;
 use noc_types::{
     Coord, Direction, Flit, Mesh, Packet, PacketId, PacketKind, PortId, RouterConfig, VcId,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::{Router, RouterKind};
 use std::collections::{HashMap, VecDeque};
 
@@ -70,13 +69,13 @@ struct GenPacket {
     at: u64,
 }
 
-fn gen_packet(rng: &mut StdRng) -> GenPacket {
+fn gen_packet(rng: &mut Rng) -> GenPacket {
     GenPacket {
-        port: rng.random_range(0u8..5),
-        vc: rng.random_range(0u8..4),
-        data: rng.random::<bool>(),
-        dst_ix: rng.random_range(0u8..5),
-        at: rng.random_range(0u64..40),
+        port: rng.below(5) as u8,
+        vc: rng.below(4) as u8,
+        data: rng.next_u64() & 1 == 1,
+        dst_ix: rng.below(5) as u8,
+        at: rng.below(40),
     }
 }
 
@@ -99,14 +98,12 @@ struct StageFaults {
     xb_out: Option<u8>,
 }
 
-fn gen_faults(rng: &mut StdRng) -> StageFaults {
+fn gen_faults(rng: &mut Rng) -> StageFaults {
     let opt =
-        |rng: &mut StdRng| -> Option<u8> { rng.random::<bool>().then(|| rng.random_range(0u8..5)) };
+        |rng: &mut Rng| -> Option<u8> { (rng.next_u64() & 1 == 1).then(|| rng.below(5) as u8) };
     StageFaults {
         rc_port: opt(rng),
-        va1: rng
-            .random::<bool>()
-            .then(|| (rng.random_range(0u8..5), rng.random_range(0u8..4))),
+        va1: (rng.next_u64() & 1 == 1).then(|| (rng.below(5) as u8, rng.below(4) as u8)),
         sa1_port: opt(rng),
         xb_out: opt(rng),
     }
@@ -143,8 +140,8 @@ fn apply_faults(r: &mut Router, f: &StageFaults) {
 #[test]
 fn protected_router_delivers_everything_with_one_fault_per_stage() {
     for case in 0u64..64 {
-        let mut rng = StdRng::seed_from_u64(0x9607_EC7E_D000 ^ case);
-        let packets: Vec<GenPacket> = (0..rng.random_range(1usize..24))
+        let mut rng = Rng::seeded(0x9607_EC7E_D000 ^ case);
+        let packets: Vec<GenPacket> = (0..1 + rng.index(23))
             .map(|_| gen_packet(&mut rng))
             .collect();
         let faults = gen_faults(&mut rng);
@@ -209,8 +206,8 @@ fn protected_router_delivers_everything_with_one_fault_per_stage() {
 #[test]
 fn baseline_router_never_creates_flits_under_faults() {
     for case in 0u64..64 {
-        let mut rng = StdRng::seed_from_u64(0xBA5E_11E0_0000 ^ case);
-        let packets: Vec<GenPacket> = (0..rng.random_range(1usize..16))
+        let mut rng = Rng::seeded(0xBA5E_11E0_0000 ^ case);
+        let packets: Vec<GenPacket> = (0..1 + rng.index(15))
             .map(|_| gen_packet(&mut rng))
             .collect();
         let faults = gen_faults(&mut rng);

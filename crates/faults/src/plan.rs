@@ -12,10 +12,8 @@
 
 use crate::map::FaultMap;
 use crate::site::{FaultSite, PipelineStage};
+use noc_types::rng::Rng;
 use noc_types::{Cycle, Direction, RouterConfig, RouterId};
-use rand::rngs::StdRng;
-use rand::seq::IndexedRandom;
-use rand::{Rng, SeedableRng};
 
 /// One scheduled permanent-fault injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,16 +201,17 @@ impl FaultPlan {
     /// Draw a campaign from the paper's uniform-random process.
     ///
     /// For every router in the sampled set and every pipeline stage, draw
-    /// inter-arrival times `U(0, 2·mean)`; each arrival before the horizon
-    /// injects a fault into a uniformly-chosen (healthy) site of that
-    /// stage, up to `max_per_router_stage` faults.
+    /// inter-arrival times `U(0, 2·mean)` (the bound saturating at
+    /// `u64::MAX`); each arrival before the horizon injects a fault into
+    /// a uniformly-chosen (healthy) site of that stage, up to
+    /// `max_per_router_stage` faults.
     pub fn uniform_random(
         cfg: &RouterConfig,
         routers: usize,
         inj: &InjectionConfig,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seeded(seed);
         let mut events = Vec::new();
         // One candidate pool per stage, in enumeration order.
         let pools = PipelineStage::ALL.map(|stage| {
@@ -222,7 +221,7 @@ impl FaultPlan {
         });
         let mut available = Vec::new();
         for r in 0..routers {
-            if inj.router_fraction < 1.0 && rng.random::<f64>() >= inj.router_fraction {
+            if inj.router_fraction < 1.0 && rng.next_f64() >= inj.router_fraction {
                 continue;
             }
             // Running fault state of this router, for tolerance checks.
@@ -235,7 +234,7 @@ impl FaultPlan {
                 let mut injected = 0usize;
                 while injected < inj.max_per_router_stage {
                     // U(0, 2·mean) inter-arrival — mean = inj.mean_cycles.
-                    t = t.saturating_add(rng.random_range(0..=2 * inj.mean_cycles));
+                    t = t.saturating_add(rng.at_most(inj.mean_cycles.saturating_mul(2)));
                     if t >= inj.horizon {
                         break;
                     }
@@ -251,7 +250,7 @@ impl FaultPlan {
                         trial.inject(s);
                         !trial.router_failed(cfg, crate::site::canonical_secondary_source)
                     }));
-                    let Some(&site) = available.choose(&mut rng) else {
+                    let Some(&site) = rng.choose(&available) else {
                         break;
                     };
                     map.inject(site);
@@ -286,7 +285,7 @@ impl FaultPlan {
         horizon: Cycle,
         seed: u64,
     ) -> Self {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seeded(seed);
         let pool: Vec<FaultSite> = FaultSite::enumerate(cfg)
             .into_iter()
             .filter(|s| !s.is_correction_circuitry())
@@ -296,12 +295,12 @@ impl FaultPlan {
             let mut t: u64 = 0;
             loop {
                 // Exponential-ish inter-arrival via geometric draws.
-                let gap = (1.0 + -(1.0 - rng.random::<f64>()).ln() / rate) as u64;
+                let gap = (1.0 + -(1.0 - rng.next_f64()).ln() / rate) as u64;
                 t = t.saturating_add(gap.max(1));
                 if t >= horizon {
                     break;
                 }
-                let site = pool[rng.random_range(0..pool.len())];
+                let site = pool[rng.index(pool.len())];
                 transients.push(TransientEvent {
                     cycle: t,
                     duration,
@@ -440,6 +439,10 @@ mod tests {
         // P(fault before 1000) = 1000/(2e7) per stage; with 256 stages the
         // expected count is ~0.013 — zero in practice for this seed.
         assert!(plan.len() <= 2);
+        // A mean of 2⁶³ must not wrap the `U(0, 2·mean)` bound to zero,
+        // which would put every fault at cycle 0.
+        let inj = InjectionConfig::accelerated_accumulating(1 << 63, 10_000);
+        assert!(FaultPlan::uniform_random(&cfg, 64, &inj, 3).is_empty());
     }
 
     #[test]

@@ -25,9 +25,7 @@
 //! faults), not performance models; they are exactly the abstraction
 //! SPF is defined over.
 
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+use noc_types::rng::Rng;
 
 /// A group of fault sites with bounded tolerance: the architecture fails
 /// once more than `tolerable` faults land in one group.
@@ -133,7 +131,7 @@ impl RedundancyModel {
     /// Monte-Carlo mean faults-to-failure: inject distinct sites in
     /// random order until some group exceeds its tolerance.
     pub fn monte_carlo_mean(&self, trials: usize, seed: u64) -> f64 {
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rng = Rng::seeded(seed);
         // Flatten sites to group indices.
         let mut sites: Vec<usize> = Vec::new();
         for (gi, g) in self.groups.iter().enumerate() {
@@ -144,7 +142,7 @@ impl RedundancyModel {
         let mut total = 0u64;
         for _ in 0..trials {
             let mut order = sites.clone();
-            order.shuffle(&mut rng);
+            rng.shuffle(&mut order);
             let mut hits = vec![0u32; self.groups.len()];
             let mut n = 0u64;
             for gi in order {

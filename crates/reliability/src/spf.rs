@@ -11,10 +11,8 @@
 
 use crate::gates::{Component, GateLibrary};
 use noc_faults::{FaultMap, FaultSite};
+use noc_types::rng::Rng;
 use noc_types::{PortId, RouterConfig};
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
 use shield_router::Crossbar;
 
 /// Per-stage and overall faults-to-failure bounds (Section VIII-A..E).
@@ -157,11 +155,11 @@ pub fn monte_carlo_faults_to_failure(
 ) -> MonteCarloSpf {
     let xbar = Crossbar::new(cfg.ports);
     let sites = FaultSite::enumerate(cfg);
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seeded(seed);
     let mut counts: Vec<u32> = Vec::with_capacity(trials);
     for _ in 0..trials {
         let mut order = sites.clone();
-        order.shuffle(&mut rng);
+        rng.shuffle(&mut order);
         let mut map = FaultMap::healthy(cfg);
         let mut n = 0u32;
         for site in order {
@@ -238,7 +236,7 @@ pub fn monte_carlo_weighted(
         .iter()
         .map(|&s| lib.fit(site_component(s, cfg, dest_bits)))
         .collect();
-    let mut rng = StdRng::seed_from_u64(seed);
+    let mut rng = Rng::seeded(seed);
     let mut counts: Vec<u32> = Vec::with_capacity(trials);
     for _ in 0..trials {
         let mut alive: Vec<usize> = (0..sites.len()).collect();
@@ -246,7 +244,7 @@ pub fn monte_carlo_weighted(
         let mut n = 0u32;
         while !alive.is_empty() {
             let total: f64 = alive.iter().map(|&i| weights[i]).sum();
-            let mut draw = rng.random::<f64>() * total;
+            let mut draw = rng.next_f64() * total;
             let mut chosen = alive.len() - 1;
             for (pos, &i) in alive.iter().enumerate() {
                 draw -= weights[i];

@@ -215,8 +215,8 @@ fn corrupt_network_checkpoints_fail_typed() {
     }
 }
 
-/// A tiny deterministic PRNG for the property tests (no `rand` so the
-/// picks are independent of the workspace RNG).
+/// A tiny deterministic PRNG for the property tests (not `noc_types::rng`,
+/// so the picks are independent of the workspace RNG).
 struct Lcg(u64);
 
 impl Lcg {

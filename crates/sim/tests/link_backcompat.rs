@@ -22,9 +22,8 @@
 use noc_faults::FaultPlan;
 use noc_sim::Network;
 use noc_telemetry::snapshot::Snapshot;
+use noc_types::rng::Rng;
 use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind, TopologySpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::RouterKind;
 
 const GOLDEN_PATH: &str = concat!(
@@ -34,7 +33,7 @@ const GOLDEN_PATH: &str = concat!(
 
 /// Deterministic uniform source (same shape as the equivalence suite).
 struct Source {
-    rng: StdRng,
+    rng: Rng,
     k: u8,
     rate: f64,
     next: u64,
@@ -45,12 +44,12 @@ impl Source {
         let mut out = Vec::new();
         for y in 0..self.k {
             for x in 0..self.k {
-                if self.rng.random::<f64>() < self.rate {
+                if self.rng.next_f64() < self.rate {
                     let src = Coord::new(x, y);
                     let dst = loop {
                         let d = Coord::new(
-                            self.rng.random_range(0..self.k),
-                            self.rng.random_range(0..self.k),
+                            self.rng.below(self.k.into()) as u8,
+                            self.rng.below(self.k.into()) as u8,
                         );
                         if d != src {
                             break d;
@@ -124,7 +123,7 @@ fn digest(spec: TopologySpec, link_latency: u32) -> String {
     cfg.validate().expect("scenario config is valid");
     let mut net = Network::with_faults(cfg, RouterKind::Protected, &FaultPlan::none());
     let mut src = Source {
-        rng: StdRng::seed_from_u64(0x11C4),
+        rng: Rng::seeded(0x11C4),
         k: 6,
         rate: 0.04,
         next: 0,

@@ -154,7 +154,8 @@ fn a_narrow_link_serialises_back_to_back_flits_at_width_denom_spacing() {
     );
 }
 
-/// Splitmix-style PRNG so the cases are reproducible without `rand`.
+/// Splitmix-style PRNG, independent of the workspace's `noc_types::rng`
+/// streams so the cases stay put when those move.
 struct Lcg(u64);
 
 impl Lcg {

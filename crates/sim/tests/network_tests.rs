@@ -2,11 +2,10 @@
 
 use noc_faults::{FaultPlan, FaultSite, InjectionEvent};
 use noc_sim::{Network, SimOutcome, Simulator};
+use noc_types::rng::Rng;
 use noc_types::{
     Coord, Cycle, NetworkConfig, Packet, PacketId, PacketKind, RouterId, SimConfig, VcId,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::RouterKind;
 
 fn small_net(k: u8) -> NetworkConfig {
@@ -17,7 +16,7 @@ fn small_net(k: u8) -> NetworkConfig {
 
 /// A simple Bernoulli uniform-random source over all nodes.
 struct UniformSource {
-    rng: StdRng,
+    rng: Rng,
     k: u8,
     rate: f64,
     next_id: u64,
@@ -27,7 +26,7 @@ struct UniformSource {
 impl UniformSource {
     fn new(k: u8, rate: f64, seed: u64) -> Self {
         UniformSource {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate,
             next_id: 0,
@@ -39,18 +38,18 @@ impl UniformSource {
         let mut out = Vec::new();
         for y in 0..self.k {
             for x in 0..self.k {
-                if self.rng.random::<f64>() < self.rate {
+                if self.rng.next_f64() < self.rate {
                     let src = Coord::new(x, y);
                     let dst = loop {
                         let d = Coord::new(
-                            self.rng.random_range(0..self.k),
-                            self.rng.random_range(0..self.k),
+                            self.rng.below(self.k.into()) as u8,
+                            self.rng.below(self.k.into()) as u8,
                         );
                         if d != src {
                             break d;
                         }
                     };
-                    let kind = if self.rng.random::<f64>() < self.data_fraction {
+                    let kind = if self.rng.next_f64() < self.data_fraction {
                         PacketKind::Data
                     } else {
                         PacketKind::Control

@@ -58,8 +58,8 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Tiny splitmix-style generator: the `rand` crate is avoided so the
-/// traffic source provably touches no allocator itself.
+/// Tiny splitmix-style generator, inline so the traffic source provably
+/// touches no allocator itself.
 struct Rng(u64);
 
 impl Rng {

@@ -9,17 +9,16 @@ mod common;
 use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
 use noc_sim::stats::RouterEventTotals;
 use noc_sim::Network;
+use noc_types::rng::Rng;
 use noc_types::{
     Coord, DeliveredPacket, NetworkConfig, Packet, PacketId, PacketKind, PortId, RouterConfig,
     TopologySpec, VcId,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::{RouterKind, RouterStats};
 
 /// Deterministic uniform source (same shape as the property tests).
 struct Source {
-    rng: StdRng,
+    rng: Rng,
     w: u8,
     h: u8,
     rate: f64,
@@ -29,7 +28,7 @@ struct Source {
 impl Source {
     fn square(seed: u64, k: u8, rate: f64) -> Self {
         Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             w: k,
             h: k,
             rate,
@@ -43,7 +42,7 @@ impl Source {
     /// torus/cutmesh preserve them).
     fn for_net(net: &Network, seed: u64, rate: f64) -> Self {
         Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             w: net.mesh().w,
             h: net.mesh().h,
             rate,
@@ -55,12 +54,12 @@ impl Source {
         let mut out = Vec::new();
         for y in 0..self.h {
             for x in 0..self.w {
-                if self.rng.random::<f64>() < self.rate {
+                if self.rng.next_f64() < self.rate {
                     let src = Coord::new(x, y);
                     let dst = loop {
                         let d = Coord::new(
-                            self.rng.random_range(0..self.w),
-                            self.rng.random_range(0..self.h),
+                            self.rng.below(self.w.into()) as u8,
+                            self.rng.below(self.h.into()) as u8,
                         );
                         if d != src {
                             break d;
@@ -306,13 +305,13 @@ fn worklist_on_and_off_are_equivalent() {
 /// on four.
 #[test]
 fn worklist_is_sound() {
-    let mut pick = StdRng::seed_from_u64(0x1D7E);
+    let mut pick = Rng::seeded(0x1D7E);
     for case in 0u64..6 {
-        let k = pick.random_range(2u8..=5);
-        let seed = pick.random_range(0u64..1_000);
+        let k = 2 + pick.below(4) as u8;
+        let seed = pick.below(1_000);
         let (name, kind, plan) = {
             let mut cs = campaigns(&mesh_cfg(k), seed ^ 0xC0);
-            let ix = pick.random_range(0..cs.len());
+            let ix = pick.index(cs.len());
             cs.swap_remove(ix)
         };
         for threads in [1usize, 4] {
@@ -437,7 +436,7 @@ fn report_exposes_worklist_skip_rate() {
     let (w, h) = net_cfg.dims();
     let nodes = w as u64 * h as u64;
     let mut src = Source {
-        rng: StdRng::seed_from_u64(0x10AD),
+        rng: Rng::seeded(0x10AD),
         w,
         h,
         rate: 0.005,
@@ -688,7 +687,7 @@ fn parallel_step_matches_serial_on_chiplet_topologies() {
             net.set_threads(threads);
             let dead_id = dead.map(|c| net.mesh().id_of(c).index());
             let mut src = Source {
-                rng: StdRng::seed_from_u64(0xC417),
+                rng: Rng::seeded(0xC417),
                 w,
                 h,
                 rate: 0.03,

@@ -3,13 +3,12 @@
 
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::{SimOutcome, Simulator};
+use noc_types::rng::Rng;
 use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind, RouterConfig, SimConfig};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 
 /// Deterministic uniform source for property runs.
 struct Source {
-    rng: StdRng,
+    rng: Rng,
     k: u8,
     rate: f64,
     next: u64,
@@ -20,12 +19,12 @@ impl Source {
         let mut out = Vec::new();
         for y in 0..self.k {
             for x in 0..self.k {
-                if self.rng.random::<f64>() < self.rate {
+                if self.rng.next_f64() < self.rate {
                     let src = Coord::new(x, y);
                     let dst = loop {
                         let d = Coord::new(
-                            self.rng.random_range(0..self.k),
-                            self.rng.random_range(0..self.k),
+                            self.rng.below(self.k.into()) as u8,
+                            self.rng.below(self.k.into()) as u8,
                         );
                         if d != src {
                             break d;
@@ -49,11 +48,11 @@ impl Source {
 /// bounded time, regardless of mesh size, load point and seed.
 #[test]
 fn fault_free_network_delivers_everything() {
-    let mut pick = StdRng::seed_from_u64(0xF2EE);
+    let mut pick = Rng::seeded(0xF2EE);
     for case in 0u64..12 {
-        let k = pick.random_range(2u8..=5);
-        let rate_milli = pick.random_range(5u64..40);
-        let seed = pick.random_range(0u64..1_000);
+        let k = 2 + pick.below(4) as u8;
+        let rate_milli = 5 + pick.below(35);
+        let seed = pick.below(1_000);
         let protected = case % 2 == 0;
 
         let mut net = NetworkConfig::paper();
@@ -70,7 +69,7 @@ fn fault_free_network_delivers_everything() {
             shield_router::RouterKind::Baseline
         };
         let mut src = Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate: rate_milli as f64 / 1_000.0,
             next: 0,
@@ -91,11 +90,11 @@ fn fault_free_network_delivers_everything() {
 /// never loses, misdelivers or deadlocks traffic.
 #[test]
 fn tolerated_campaigns_never_lose_packets() {
-    let mut pick = StdRng::seed_from_u64(0x70_1E2A);
+    let mut pick = Rng::seeded(0x70_1E2A);
     for case in 0u64..12 {
-        let k = pick.random_range(2u8..=4);
-        let seed = pick.random_range(0u64..1_000);
-        let fault_seed = pick.random_range(0u64..1_000);
+        let k = 2 + pick.below(3) as u8;
+        let seed = pick.below(1_000);
+        let fault_seed = pick.below(1_000);
 
         let mut net = NetworkConfig::paper();
         net.mesh_k = k;
@@ -114,7 +113,7 @@ fn tolerated_campaigns_never_lose_packets() {
             fault_seed,
         );
         let mut src = Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate: 0.015,
             next: 0,
@@ -146,11 +145,11 @@ fn credits_are_conserved_on_every_link() {
     use noc_types::PortId;
     use shield_router::RouterKind;
 
-    let mut pick = StdRng::seed_from_u64(0xC4ED17);
+    let mut pick = Rng::seeded(0xC4ED17);
     for case in 0u64..10 {
-        let k = pick.random_range(2u8..=4);
-        let seed = pick.random_range(0u64..1_000);
-        let fault_seed = pick.random_range(0u64..1_000);
+        let k = 2 + pick.below(3) as u8;
+        let seed = pick.below(1_000);
+        let fault_seed = pick.below(1_000);
         let kind = if case % 2 == 0 {
             RouterKind::Protected
         } else {
@@ -173,10 +172,10 @@ fn credits_are_conserved_on_every_link() {
             // are dropped mid-switch — the headline leak scenario.
             RouterKind::Baseline => {
                 let mut net = Network::new(net_cfg, kind);
-                let mut rng = StdRng::seed_from_u64(fault_seed);
+                let mut rng = Rng::seeded(fault_seed);
                 for _ in 0..3 {
-                    let id = rng.random_range(0..nodes);
-                    let out_port = PortId(rng.random_range(0..5u8));
+                    let id = rng.index(nodes);
+                    let out_port = PortId(rng.below(5) as u8);
                     net.router_mut(id)
                         .inject_fault(FaultSite::XbMux { out_port }, 0);
                 }
@@ -185,7 +184,7 @@ fn credits_are_conserved_on_every_link() {
         };
 
         let mut src = Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate: 0.03,
             next: 0,
@@ -209,11 +208,11 @@ fn credits_are_conserved_on_every_link() {
 /// Transient storms on the protected mesh are absorbed without loss.
 #[test]
 fn transient_storms_are_absorbed() {
-    let mut pick = StdRng::seed_from_u64(0x0005_7083);
+    let mut pick = Rng::seeded(0x0005_7083);
     for case in 0u64..12 {
-        let k = pick.random_range(2u8..=4);
-        let seed = pick.random_range(0u64..500);
-        let duration = pick.random_range(5u32..100);
+        let k = 2 + pick.below(3) as u8;
+        let seed = pick.below(500);
+        let duration = 5 + pick.below(95) as u32;
 
         let mut net = NetworkConfig::paper();
         net.mesh_k = k;
@@ -233,7 +232,7 @@ fn transient_storms_are_absorbed() {
             seed ^ 0xA11,
         );
         let mut src = Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate: 0.01,
             next: 0,

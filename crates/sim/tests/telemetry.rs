@@ -8,12 +8,11 @@
 use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
 use noc_sim::{NetworkReport, SimOutcome, Simulator};
 use noc_telemetry::{chrome_trace, jsonl, Event, EventCounts, JsonValue};
+use noc_types::rng::Rng;
 use noc_types::{
     Coord, Direction, NetworkConfig, Packet, PacketId, PacketKind, RouterConfig, RouterId,
     SimConfig,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::RouterKind;
 
 /// Per-shard ring capacity large enough that no test run drops events
@@ -22,7 +21,7 @@ const CAPACITY: usize = 1 << 17;
 
 /// Deterministic uniform source (same shape as the equivalence suite).
 struct Source {
-    rng: StdRng,
+    rng: Rng,
     k: u8,
     rate: f64,
     next: u64,
@@ -31,7 +30,7 @@ struct Source {
 impl Source {
     fn new(k: u8, rate: f64, seed: u64) -> Self {
         Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             k,
             rate,
             next: 0,
@@ -41,12 +40,12 @@ impl Source {
     fn tick(&mut self, cycle: u64, out: &mut Vec<Packet>) {
         for y in 0..self.k {
             for x in 0..self.k {
-                if self.rng.random::<f64>() < self.rate {
+                if self.rng.next_f64() < self.rate {
                     let src = Coord::new(x, y);
                     let dst = loop {
                         let d = Coord::new(
-                            self.rng.random_range(0..self.k),
-                            self.rng.random_range(0..self.k),
+                            self.rng.below(self.k.into()) as u8,
+                            self.rng.below(self.k.into()) as u8,
                         );
                         if d != src {
                             break d;

@@ -6,17 +6,16 @@
 mod common;
 
 use noc_sim::Network;
+use noc_types::rng::Rng;
 use noc_types::{
     Coord, Mesh, NetworkConfig, Packet, PacketId, PacketKind, RoutingMode, TopologySpec,
 };
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use shield_router::RouterKind;
 use std::collections::HashSet;
 
 /// Deterministic uniform source over an explicit node set.
 struct Source {
-    rng: StdRng,
+    rng: Rng,
     grid: Mesh,
     nodes: Vec<Coord>,
     rate: f64,
@@ -26,7 +25,7 @@ struct Source {
 impl Source {
     fn new(grid: Mesh, rate: f64, seed: u64) -> Self {
         Source {
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             grid,
             nodes: grid.coords().collect(),
             rate,
@@ -42,11 +41,11 @@ impl Source {
     fn tick(&mut self, cycle: u64) -> Vec<Packet> {
         let mut out = Vec::new();
         for src in self.grid.coords() {
-            if !self.nodes.contains(&src) || self.rng.random::<f64>() >= self.rate {
+            if !self.nodes.contains(&src) || self.rng.next_f64() >= self.rate {
                 continue;
             }
             let dst = loop {
-                let d = self.nodes[self.rng.random_range(0..self.nodes.len())];
+                let d = self.nodes[self.rng.index(self.nodes.len())];
                 if d != src {
                     break d;
                 }

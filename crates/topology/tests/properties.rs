@@ -6,9 +6,8 @@
 //! connected graphs.
 
 use noc_topology::{dor, Topology, VcClass};
+use noc_types::rng::Rng;
 use noc_types::{Coord, Direction, LinkClass, NetworkConfig, TopologySpec};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 
 /// A buffer a hop lands in: (node, input port, VC class).
@@ -97,15 +96,15 @@ fn star(chiplets: u8, k_node: u8) -> Topology {
 
 #[test]
 fn torus_routes_are_minimal_for_random_grids() {
-    let mut rng = StdRng::seed_from_u64(0x70B05);
+    let mut rng = Rng::seeded(0x70B05);
     for _ in 0..12 {
-        let w = rng.random_range(2u8..=9);
-        let h = rng.random_range(2u8..=9);
+        let w = 2 + rng.below(8) as u8;
+        let h = 2 + rng.below(8) as u8;
         let t = Topology::torus(w, h);
         let g = t.grid();
         for _ in 0..200 {
-            let src = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
-            let dst = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
+            let src = Coord::new(rng.below(w.into()) as u8, rng.below(h.into()) as u8);
+            let dst = Coord::new(rng.below(w.into()) as u8, rng.below(h.into()) as u8);
             let path = hops(&t, g.id_of(src).index(), g.id_of(dst).index());
             assert_eq!(
                 path.len() as u32,
@@ -187,12 +186,12 @@ fn a_kill_keeps_the_union_of_old_and_new_cdgs_acyclic() {
 /// structural 2·n hop bound.
 #[test]
 fn irregular_routes_always_reach_their_destination() {
-    let mut rng = StdRng::seed_from_u64(0x12E6);
+    let mut rng = Rng::seeded(0x12E6);
     for case in 0..10 {
-        let w = rng.random_range(3u8..=8);
-        let h = rng.random_range(3u8..=8);
+        let w = 3 + rng.below(6) as u8;
+        let h = 3 + rng.below(6) as u8;
         let max_cuts = (w as u16 - 1) * (h as u16) + (w as u16) * (h as u16 - 1);
-        let cuts = rng.random_range(0..=max_cuts / 3);
+        let cuts = rng.at_most((max_cuts / 3).into()) as u16;
         let t = Topology::cut_mesh(w, h, cuts, 0xBADD + case);
         for src in 0..t.len() {
             for dst in 0..t.len() {

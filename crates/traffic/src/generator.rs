@@ -2,9 +2,8 @@
 
 use crate::apps::{AppId, AppModel};
 use crate::synthetic::SyntheticPattern;
+use noc_types::rng::Rng;
 use noc_types::{Coord, Cycle, Mesh, Packet, PacketId, PacketKind};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
 
 /// What traffic to generate.
@@ -84,7 +83,7 @@ pub struct TrafficGenerator {
     /// coordinates directly instead of indexing the node list, which
     /// keeps the RNG stream of existing mesh campaigns unchanged).
     all_nodes: bool,
-    rng: StdRng,
+    rng: Rng,
     next_id: u64,
     /// App model, if the spec is an application.
     app: Option<AppModel>,
@@ -117,7 +116,7 @@ impl TrafficGenerator {
             mesh,
             nodes: mesh.coords().collect(),
             all_nodes: true,
-            rng: StdRng::seed_from_u64(seed),
+            rng: Rng::seeded(seed),
             next_id: 0,
             app,
             node_on: vec![true; mesh.len()],
@@ -189,7 +188,7 @@ impl TrafficGenerator {
         let mesh = self.mesh;
         for ix in 0..self.nodes.len() {
             let src = self.nodes[ix];
-            if self.rng.random::<f64>() >= rate {
+            if self.rng.next_f64() >= rate {
                 continue;
             }
             let dst = if self.all_nodes || !matches!(pattern, SyntheticPattern::UniformRandom) {
@@ -197,7 +196,7 @@ impl TrafficGenerator {
             } else {
                 // Restricted node set: draw uniformly from it directly.
                 loop {
-                    let d = self.nodes[self.rng.random_range(0..self.nodes.len())];
+                    let d = self.nodes[self.rng.index(self.nodes.len())];
                     if d != src || self.nodes.len() == 1 {
                         break d;
                     }
@@ -209,7 +208,7 @@ impl TrafficGenerator {
             if !self.all_nodes && !self.nodes.contains(&dst) {
                 continue; // pattern image left the alive-node set; skip
             }
-            let kind = if self.rng.random::<f64>() < data_fraction {
+            let kind = if self.rng.next_f64() < data_fraction {
                 PacketKind::Data
             } else {
                 PacketKind::Control
@@ -244,13 +243,13 @@ impl TrafficGenerator {
             let src = self.nodes[ix];
             // Burst state transition.
             let on = self.node_on[ix];
-            let flip = self.rng.random::<f64>();
+            let flip = self.rng.next_f64();
             self.node_on[ix] = if on {
                 flip >= p_on_off
             } else {
                 flip < p_off_on
             };
-            if !self.node_on[ix] || self.rng.random::<f64>() >= rate_on {
+            if !self.node_on[ix] || self.rng.next_f64() >= rate_on {
                 continue;
             }
             // Issue a 1-flit request to the home directory.
@@ -259,7 +258,7 @@ impl TrafficGenerator {
             out.push(Packet::new(id, PacketKind::Control, src, home, cycle));
             self.requests_issued += 1;
             // Schedule the response.
-            let kind = if self.rng.random::<f64>() < model.read_fraction {
+            let kind = if self.rng.next_f64() < model.read_fraction {
                 PacketKind::Data
             } else {
                 PacketKind::Control
@@ -279,7 +278,7 @@ impl TrafficGenerator {
     /// Pick the home-directory node: within Manhattan distance 2 with
     /// probability `locality`, uniform otherwise.
     fn home_node(&mut self, src: Coord, locality: f64) -> Coord {
-        if self.rng.random::<f64>() < locality {
+        if self.rng.next_f64() < locality {
             let near: Vec<Coord> = self
                 .nodes
                 .iter()
@@ -287,17 +286,17 @@ impl TrafficGenerator {
                 .filter(|&c| c != src && c.manhattan(src) <= 2)
                 .collect();
             if !near.is_empty() {
-                return near[self.rng.random_range(0..near.len())];
+                return near[self.rng.index(near.len())];
             }
         }
         loop {
             let d = if self.all_nodes {
                 Coord::new(
-                    self.rng.random_range(0..self.mesh.w),
-                    self.rng.random_range(0..self.mesh.h),
+                    self.rng.below(self.mesh.w.into()) as u8,
+                    self.rng.below(self.mesh.h.into()) as u8,
                 )
             } else {
-                self.nodes[self.rng.random_range(0..self.nodes.len())]
+                self.nodes[self.rng.index(self.nodes.len())]
             };
             if d != src || self.nodes.len() == 1 {
                 return d;
@@ -375,6 +374,8 @@ impl Restore for TrafficGenerator {
         for (w, e) in words.iter_mut().zip(rng) {
             *w = parse_hex(e).map_err(|e| e.within("rng"))?;
         }
+        let rng = Rng::from_state(words)
+            .ok_or_else(|| SnapshotError::new("all four state words are zero").within("rng"))?;
         let node_on = arr_field(v, "node_on")?;
         if node_on.len() != self.node_on.len() {
             return Err(SnapshotError::new(format!(
@@ -389,7 +390,7 @@ impl Restore for TrafficGenerator {
                 _ => return Err(SnapshotError::new("`node_on` entry is not a bool")),
             };
         }
-        self.rng = StdRng::from_state(words);
+        self.rng = rng;
         self.next_id = u64_field(v, "next_id")?;
         self.pending.clear();
         for (i, entry) in arr_field(v, "pending")?.iter().enumerate() {
@@ -602,6 +603,23 @@ mod tests {
                 assert_eq!(original.tick(c), resumed.tick(c), "cycle {c}");
             }
         }
+    }
+
+    #[test]
+    fn all_zero_rng_words_fail_typed_and_leave_the_generator_usable() {
+        let cfg = TrafficConfig::synthetic(SyntheticPattern::UniformRandom, 0.1);
+        let mut g = TrafficGenerator::new(cfg, mesh(), 42);
+        let before = g.snapshot().render();
+        let mut snap = g.snapshot();
+        let JsonValue::Obj(fields) = &mut snap else {
+            panic!("snapshot is an object")
+        };
+        let (_, rng) = fields.iter_mut().find(|(k, _)| k == "rng").unwrap();
+        *rng = JsonValue::Arr(vec![JsonValue::Str("0x0".into()); 4]);
+        let err = g.restore(&snap).unwrap_err();
+        assert!(err.to_string().contains("rng"), "{err}");
+        assert_eq!(g.snapshot().render(), before, "nothing restored");
+        assert!((0..200).map(|c| g.tick(c).len()).sum::<usize>() > 0);
     }
 
     #[test]

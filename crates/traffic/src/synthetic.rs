@@ -4,8 +4,8 @@
 //! pattern maps a source coordinate to a destination; stochastic
 //! patterns (uniform, hotspot) take the RNG.
 
+use noc_types::rng::Rng;
 use noc_types::{Coord, Mesh};
-use rand::Rng;
 
 /// A synthetic destination pattern.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,15 +82,10 @@ impl SyntheticPattern {
     /// The destination for a packet from `src` under this pattern.
     /// Self-addressed results are remapped by the caller (the generator
     /// redraws or skips them).
-    pub fn destination(&self, src: Coord, mesh: Mesh, rng: &mut impl Rng) -> Coord {
+    pub fn destination(&self, src: Coord, mesh: Mesh, rng: &mut Rng) -> Coord {
         let (w, h) = (mesh.w, mesh.h);
         match *self {
-            SyntheticPattern::UniformRandom => loop {
-                let d = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
-                if d != src || mesh.len() == 1 {
-                    return d;
-                }
-            },
+            SyntheticPattern::UniformRandom => uniform_other(src, mesh, rng),
             SyntheticPattern::Transpose => {
                 let ix = src.x as u16 * h as u16 + src.y as u16;
                 mesh.coord_of(noc_types::RouterId(ix))
@@ -119,15 +114,10 @@ impl SyntheticPattern {
             SyntheticPattern::Neighbour => Coord::new((src.x + 1) % w, src.y),
             SyntheticPattern::Hotspot { fraction } => {
                 let hot = Coord::new(w / 2, h / 2);
-                if rng.random::<f64>() < fraction && src != hot {
+                if rng.next_f64() < fraction && src != hot {
                     hot
                 } else {
-                    loop {
-                        let d = Coord::new(rng.random_range(0..w), rng.random_range(0..h));
-                        if d != src || mesh.len() == 1 {
-                            return d;
-                        }
-                    }
+                    uniform_other(src, mesh, rng)
                 }
             }
         }
@@ -144,11 +134,23 @@ impl SyntheticPattern {
     }
 }
 
+/// A uniformly drawn node other than `src` (`src` itself on a 1-node
+/// mesh), redrawing until one is found.
+fn uniform_other(src: Coord, mesh: Mesh, rng: &mut Rng) -> Coord {
+    loop {
+        let d = Coord::new(
+            rng.below(mesh.w.into()) as u8,
+            rng.below(mesh.h.into()) as u8,
+        );
+        if d != src || mesh.len() == 1 {
+            return d;
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn mesh() -> Mesh {
         Mesh::new(8)
@@ -156,7 +158,7 @@ mod tests {
 
     #[test]
     fn uniform_never_self_addresses() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let src = Coord::new(3, 3);
         for _ in 0..500 {
             let d = SyntheticPattern::UniformRandom.destination(src, mesh(), &mut rng);
@@ -166,14 +168,14 @@ mod tests {
 
     #[test]
     fn transpose_swaps_coordinates() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let d = SyntheticPattern::Transpose.destination(Coord::new(2, 5), mesh(), &mut rng);
         assert_eq!(d, Coord::new(5, 2));
     }
 
     #[test]
     fn transpose_is_a_permutation_on_rectangles() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let m = Mesh::rect(4, 6);
         let dests: std::collections::HashSet<Coord> = m
             .coords()
@@ -184,7 +186,7 @@ mod tests {
 
     #[test]
     fn uniform_stays_inside_rectangular_grids() {
-        let mut rng = StdRng::seed_from_u64(3);
+        let mut rng = Rng::seeded(3);
         let m = Mesh::rect(3, 7);
         let src = Coord::new(1, 1);
         for _ in 0..500 {
@@ -196,7 +198,7 @@ mod tests {
 
     #[test]
     fn bit_complement_is_involutive() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let m = mesh();
         for src in m.coords() {
             let d = SyntheticPattern::BitComplement.destination(src, m, &mut rng);
@@ -207,7 +209,7 @@ mod tests {
 
     #[test]
     fn bit_reverse_stays_in_mesh() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let m = mesh();
         for src in m.coords() {
             let d = SyntheticPattern::BitReverse.destination(src, m, &mut rng);
@@ -217,7 +219,7 @@ mod tests {
 
     #[test]
     fn shuffle_is_a_permutation() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let m = mesh();
         let dests: std::collections::HashSet<Coord> = m
             .coords()
@@ -228,14 +230,14 @@ mod tests {
 
     #[test]
     fn tornado_moves_half_ring() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let d = SyntheticPattern::Tornado.destination(Coord::new(1, 4), mesh(), &mut rng);
         assert_eq!(d, Coord::new(4, 4)); // (1 + 3) % 8
     }
 
     #[test]
     fn neighbour_wraps_at_edge() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let d = SyntheticPattern::Neighbour.destination(Coord::new(7, 2), mesh(), &mut rng);
         assert_eq!(d, Coord::new(0, 2));
     }
@@ -281,7 +283,7 @@ mod tests {
 
     #[test]
     fn hotspot_concentrates_traffic() {
-        let mut rng = StdRng::seed_from_u64(1);
+        let mut rng = Rng::seeded(1);
         let pattern = SyntheticPattern::Hotspot { fraction: 0.5 };
         let hot = Coord::new(4, 4);
         let src = Coord::new(0, 0);

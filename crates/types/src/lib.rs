@@ -11,9 +11,12 @@
 //! state fields (including the paper's added `R2`/`VF`/`ID`/`SP`/`FSP`
 //! fields), and the configuration structs consumed by the router model and
 //! the network simulator, including the [`TopologySpec`] selecting which
-//! network graph to simulate. The one exception is [`args`], the flag
-//! reader the binaries share, which lives here because every front end
-//! already depends on this crate for the `parse_arg` grammars.
+//! network graph to simulate. Two exceptions live here because every
+//! crate already depends on this one: [`args`], the flag reader the
+//! binaries share, and [`rng`], the workspace's only random-number
+//! generators — the bare [`splitmix64`] step and [`rng::Rng`], a seeded
+//! xoshiro256** that traffic, fault plans and the Monte-Carlo estimates
+//! draw from.
 //!
 //! Behaviour — pipelines, arbitration, fault handling — lives in
 //! `shield-router`, `noc-arbiter` and `noc-sim`.
