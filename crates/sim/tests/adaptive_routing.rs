@@ -495,3 +495,80 @@ fn adaptive_deliveries_are_unique_and_correct() {
     }
     assert_zero_loss(&net);
 }
+
+/// 64-bit FNV-1a, folded over one `u64` at a time.
+fn fnv1a_extend(mut h: u64, word: u64) -> u64 {
+    for b in word.to_le_bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// One fixed-seed run on a 6×6 grid: inject for 400 cycles, apply
+/// `fault` at cycle 200, step until drained or cycle 4,000, and fold
+/// the delivery log (packet id, destination, ejection cycle) into `h`.
+fn pinned_run(
+    h: u64,
+    spec: TopologySpec,
+    routing: RoutingMode,
+    seed: u64,
+    fault: impl Fn(&mut Network),
+) -> u64 {
+    let mut cfg = NetworkConfig::paper();
+    cfg.mesh_k = 6;
+    cfg.topology = spec;
+    cfg.routing = routing;
+    let mut net = Network::new(cfg, RouterKind::Protected);
+    let mut src = Source::new(cfg.grid(), 40, seed);
+    let mut cycle = 0u64;
+    while cycle < 4_000 {
+        if cycle == 200 {
+            fault(&mut net);
+        }
+        if cycle < 400 {
+            net.offer_packets(src.tick(cycle));
+        } else if net.in_flight_flits() == 0 && net.queued_packets() == 0 {
+            break;
+        }
+        net.step(cycle);
+        cycle += 1;
+    }
+    net.deliveries().iter().fold(h, |h, d| {
+        let h = fnv1a_extend(h, d.id.0);
+        let h = fnv1a_extend(h, u64::from(d.dst.x) << 8 | u64::from(d.dst.y));
+        fnv1a_extend(h, d.ejected_at)
+    })
+}
+
+/// Pins what the three routing paths deliver, packet by packet:
+///
+/// * an adaptive torus whose **wrap** link dies mid-run — the link is
+///   outside the escape graph, so only the adaptive candidate filter
+///   knows it is gone;
+/// * an adaptive mesh that loses a router mid-run (`fail_router`);
+/// * a fault-free, statically routed mesh (plain XY).
+///
+/// The digest was recorded before routing moved into the topology; a
+/// change to any route or liveness decision moves it.
+#[test]
+fn routing_paths_deliver_the_pinned_log() {
+    let grid = Mesh::rect(6, 6);
+    let wrap = grid.id_of(Coord::new(5, 2)).index();
+    let torus = TopologySpec::Torus { w: 6, h: 6 };
+    let mesh = TopologySpec::Mesh { w: 6, h: 6 };
+    let h = 0xcbf2_9ce4_8422_2325;
+    let h = pinned_run(h, torus, RoutingMode::Adaptive, 0x7012, |net| {
+        assert_eq!(
+            net.topology().link(wrap, Direction::East),
+            Some(grid.id_of(Coord::new(0, 2)).index())
+        );
+        net.fail_link(wrap, Direction::East);
+    });
+    let killed = grid.id_of(Coord::new(2, 3)).index();
+    let h = pinned_run(h, mesh, RoutingMode::Adaptive, 0x7013, |net| {
+        net.fail_router(killed)
+    });
+    let h = pinned_run(h, mesh, RoutingMode::Static, 0x7014, |_| {});
+    assert_eq!(format!("{h:016x}"), "22ad0dd1f68e9ac8");
+}
