@@ -57,7 +57,7 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
                 .front(i)
                 .expect("routing VC holds its head flit")
                 .dst;
-            let (correct, vmask) = r.route.route_masked(dst, v);
+            let (correct, vmask) = r.route.route_masked(r.coord, dst, v);
             let primary_faulty = r.faults.rc_primary_faulty(port_id);
             let computed = match (r.kind, primary_faulty) {
                 (_, false) => Some(correct),

@@ -7,7 +7,7 @@ use crate::stages::StageScratch;
 use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
 use noc_telemetry::{Event, EventKind, NullObserver, Observer};
-use noc_topology::Topology;
+use noc_topology::{Topology, VcClass};
 use noc_types::{Coord, Cycle, Flit, Mesh, PortId, RouterConfig, VcGlobalState, VcId};
 
 /// Which of the paper's two routers to model.
@@ -135,63 +135,32 @@ pub struct RouterStats {
 /// through a boxed `dyn Fn`.
 #[derive(Debug, Clone)]
 pub enum RoutingAlgorithm {
-    /// Dimension-ordered XY routing from `coord` within `mesh`.
-    Xy {
-        /// The mesh the router lives in.
-        mesh: Mesh,
-        /// The router's own coordinate.
-        coord: Coord,
-    },
     /// An explicit routing table: destination router id → output port.
-    /// Covers arbitrary-radix / arbitrary-topology routers (Section VI)
-    /// that previously needed a custom closure.
+    /// The route of a standalone router of any radix (Section VI),
+    /// whose ports beyond the fifth are not grid directions.
     Table {
         /// Maps destination coordinates to table indices.
         mesh: Mesh,
         /// One output port per destination router id.
         ports: Vec<PortId>,
     },
-    /// Topology-generic routing: delegate to a shared
-    /// [`Topology`](noc_topology::Topology) — the torus's dateline
-    /// classes, or the up*/down* tables of a cut mesh or chiplet star.
-    /// The `Arc` is shared by every router of a network, so a rerouting
-    /// event (dead router, cut link) swaps all tables with one
-    /// allocation.
+    /// Route through a shared [`Topology`] from the router's own node,
+    /// the grid id of its coordinate. The `Arc` is shared by every
+    /// router of a network, so a fault edge (dead router, cut link)
+    /// swaps all tables with one allocation, and the topology is the
+    /// one record of which links and routers are alive.
     Topo {
-        /// The network graph, shared across the network's routers:
-        /// [`Topology::route`](noc_topology::Topology::route) answers RC.
+        /// The network graph: [`Topology::route`] answers static RC,
+        /// and [`Topology::candidate_mask`] filtered by
+        /// [`Topology::live_mask`] gives adaptive RC's candidates.
         topo: std::sync::Arc<Topology>,
-        /// This router's node id within the topology.
-        node: usize,
-    },
-    /// Congestion-adaptive minimal routing with a reserved escape VC
-    /// class (Duato's protocol). RC computes the *minimal quadrant*
-    /// candidate set, filters it by the per-direction live-link mask,
-    /// and picks the least-congested candidate from the router's own
-    /// credit state; deadlock freedom comes from the lower half of every
-    /// port's VCs being reserved as an *escape class* routed by shared
-    /// up\*/down\* tables over the surviving grid links. Packets may
-    /// transfer from adaptive VCs into the escape class but never back
-    /// out, so the combined channel-dependency graph stays acyclic.
-    /// See `Router::route_adaptively` in `stages.rs` and
-    /// ARCHITECTURE.md §"Adaptive routing & fault campaigns".
-    Adaptive {
-        /// The physical topology: a dimension-order one (mesh, torus,
-        /// chiplet mesh), whose
-        /// [`candidate_mask`](noc_topology::Topology::candidate_mask)
-        /// gives the minimal quadrant.
-        topo: std::sync::Arc<Topology>,
-        /// The escape network: an up\*/down\*-routed
-        /// [`Topology::escape_mesh`](noc_topology::Topology::escape_mesh)
-        /// over the surviving non-wrap grid links, shared across the
-        /// network's routers and swapped atomically when a link fault
-        /// severs a grid link.
-        escape: std::sync::Arc<Topology>,
-        /// This router's node id within the topology.
-        node: usize,
-        /// Live-link bitmask over [`Direction`] discriminants (bit 1 =
-        /// North … bit 4 = West); a link fault clears its bit.
-        live: u8,
+        /// Adaptive mode: congestion-adaptive minimal routing with the
+        /// lower half of every port's VCs reserved as an escape class
+        /// routed by these up\*/down\* tables over the surviving
+        /// non-wrap grid links (Duato's protocol; see
+        /// `Router::route_adaptively` and ARCHITECTURE.md §8). `None`
+        /// routes statically.
+        escape: Option<std::sync::Arc<Topology>>,
         /// Test hook: `false` removes the escape class entirely,
         /// deliberately reintroducing the adaptive-cycle deadlock the
         /// escape class exists to prevent (the property suite proves
@@ -201,11 +170,6 @@ pub enum RoutingAlgorithm {
 }
 
 impl RoutingAlgorithm {
-    /// XY routing for the router at `coord` in `mesh`.
-    pub fn xy(mesh: Mesh, coord: Coord) -> Self {
-        RoutingAlgorithm::Xy { mesh, coord }
-    }
-
     /// A routing table over `mesh`'s router ids.
     ///
     /// # Panics
@@ -219,109 +183,52 @@ impl RoutingAlgorithm {
         RoutingAlgorithm::Table { mesh, ports }
     }
 
-    /// Route via a shared [`Topology`] from the node with id `node`.
-    pub fn topo(topo: std::sync::Arc<Topology>, node: usize) -> Self {
-        assert!(node < topo.len(), "node id outside the topology");
-        RoutingAlgorithm::Topo { topo, node }
-    }
-
-    /// Congestion-adaptive routing over `topo` with `escape` as the
-    /// deadlock-free escape network. The live-link mask starts as the
-    /// topology's wired directions.
-    ///
-    /// # Panics
-    /// Panics if `node` is out of range or the topology routes by
-    /// fault-aware static tables (cut mesh / chiplet star), where
-    /// adaptive candidate sets do not apply.
-    pub fn adaptive(
-        topo: std::sync::Arc<Topology>,
-        escape: std::sync::Arc<Topology>,
-        node: usize,
-    ) -> Self {
-        assert!(node < topo.len(), "node id outside the topology");
-        assert!(
-            topo.supports_adaptive(),
-            "adaptive routing applies to grid families only"
-        );
-        let mut live = 0u8;
-        for dir in [
-            noc_types::Direction::North,
-            noc_types::Direction::East,
-            noc_types::Direction::South,
-            noc_types::Direction::West,
-        ] {
-            if topo.link(node, dir).is_some() {
-                live |= noc_topology::dor::dir_bit(dir);
-            }
-        }
-        RoutingAlgorithm::Adaptive {
+    /// Static routing through a shared [`Topology`].
+    pub fn topo(topo: std::sync::Arc<Topology>) -> Self {
+        RoutingAlgorithm::Topo {
             topo,
-            escape,
-            node,
-            live,
+            escape: None,
             escape_on: true,
         }
     }
 
-    /// The output port for a packet headed to `dst`.
+    /// Congestion-adaptive routing over `topo` with `escape` as the
+    /// deadlock-free escape network.
     ///
-    /// For [`RoutingAlgorithm::Adaptive`] this is the congestion-blind
-    /// approximation (first live minimal candidate, escape direction as
-    /// fallback); the router's RC stage consults its own credit state
-    /// instead (`Router::route_adaptively`).
-    #[inline]
-    pub fn route(&self, dst: Coord) -> PortId {
-        match self {
-            RoutingAlgorithm::Xy { mesh, coord } => mesh.xy_route(*coord, dst).port(),
-            RoutingAlgorithm::Table { mesh, ports } => ports[mesh.id_of(dst).index()],
-            RoutingAlgorithm::Topo { topo, node } => {
-                let d = topo.grid().id_of(dst).index();
-                topo.route(*node, d).0.port()
-            }
-            RoutingAlgorithm::Adaptive {
-                topo,
-                escape,
-                node,
-                live,
-                ..
-            } => {
-                let d = topo.grid().id_of(dst).index();
-                if d == *node {
-                    return noc_types::Direction::Local.port();
-                }
-                let cand = topo.candidate_mask(*node, d);
-                if let Some(dir) = noc_topology::dor::dirs_in(cand & live).next() {
-                    return dir.port();
-                }
-                let (esc, _) = escape.route(*node, d);
-                if esc != noc_types::Direction::Local {
-                    return esc.port();
-                }
-                noc_topology::dor::dirs_in(cand)
-                    .next()
-                    .map_or(noc_types::Direction::Local.port(), |dir| dir.port())
-            }
+    /// # Panics
+    /// Panics if the topology routes by fault-aware static tables (cut
+    /// mesh / chiplet star), where adaptive candidate sets do not apply.
+    pub fn adaptive(topo: std::sync::Arc<Topology>, escape: std::sync::Arc<Topology>) -> Self {
+        assert!(
+            topo.supports_adaptive(),
+            "adaptive routing applies to grid families only"
+        );
+        RoutingAlgorithm::Topo {
+            topo,
+            escape: Some(escape),
+            escape_on: true,
         }
     }
 
-    /// The output port *and* the bitmask of legal downstream VCs for a
-    /// packet headed to `dst` (`vcs` = VCs per port). Mesh XY and table
-    /// routing never restrict the VCs; topology routing maps the route's
-    /// [`noc_topology::VcClass`] onto the lower/upper half of the VCs
-    /// (the torus dateline scheme).
+    /// The static route from `here` for a packet headed to `dst`: the
+    /// output port and the bitmask of legal downstream VCs (`vcs` = VCs
+    /// per port). Tables never restrict the VCs; topology routing maps
+    /// a restricting [`VcClass`] onto the lower/upper half of the VCs
+    /// (the torus dateline scheme). An unrestricted route deposits the
+    /// VC fields' unrestricted default, `!0`. An adaptive router's RC
+    /// stage computes its route from its own credit state instead
+    /// (`Router::route_adaptively`).
     #[inline]
-    pub fn route_masked(&self, dst: Coord, vcs: usize) -> (PortId, u32) {
+    pub fn route_masked(&self, here: Coord, dst: Coord, vcs: usize) -> (PortId, u32) {
         match self {
-            RoutingAlgorithm::Xy { .. } | RoutingAlgorithm::Table { .. } => (self.route(dst), !0),
-            RoutingAlgorithm::Topo { topo, node } => {
-                let d = topo.grid().id_of(dst).index();
-                let (dir, class) = topo.route(*node, d);
-                (dir.port(), class.mask(vcs))
+            RoutingAlgorithm::Table { mesh, ports } => (ports[mesh.id_of(dst).index()], !0),
+            RoutingAlgorithm::Topo { topo, .. } => {
+                let grid = topo.grid();
+                match topo.route(grid.id_of(here).index(), grid.id_of(dst).index()) {
+                    (dir, VcClass::Any) => (dir.port(), !0),
+                    (dir, class) => (dir.port(), class.mask(vcs)),
+                }
             }
-            // Congestion-blind approximation; the router's RC stage uses
-            // `Router::route_adaptively` (which restricts the VC mask by
-            // class) instead.
-            RoutingAlgorithm::Adaptive { .. } => (self.route(dst), !0),
         }
     }
 }
@@ -499,9 +406,11 @@ impl Router {
             .expect("invalid router configuration")
     }
 
-    /// Build a router that XY-routes within `mesh` from its own `coord`.
+    /// Build a router that XY-routes within `mesh` from its own `coord`:
+    /// it routes through its own [`Topology::mesh`] of `mesh`'s shape.
     pub fn new_xy(id: u16, coord: Coord, mesh: Mesh, cfg: RouterConfig, kind: RouterKind) -> Self {
-        let route = RoutingAlgorithm::xy(mesh, coord);
+        let topo = std::sync::Arc::new(Topology::mesh(mesh.w, mesh.h));
+        let route = RoutingAlgorithm::topo(topo);
         Router::new(id, coord, cfg, kind, route, DetectionModel::Ideal)
     }
 
@@ -582,20 +491,20 @@ impl Router {
         self.route = route;
     }
 
-    /// Remove `dir` from the adaptive live-link mask (a link fault on
-    /// that output). No-op under non-adaptive routing, where the wiring
-    /// and recomputed static tables carry the information instead.
-    pub fn adaptive_cut_link(&mut self, dir: noc_types::Direction) {
-        if let RoutingAlgorithm::Adaptive { live, .. } = &mut self.route {
-            *live &= !noc_topology::dor::dir_bit(dir);
-        }
-    }
-
-    /// Swap the shared escape-network tables after a grid-link fault.
-    /// No-op under non-adaptive routing.
-    pub fn set_adaptive_escape(&mut self, escape: std::sync::Arc<Topology>) {
-        if let RoutingAlgorithm::Adaptive { escape: e, .. } = &mut self.route {
-            *e = escape;
+    /// Swap in a network's healed tables after a fault edge: the
+    /// topology, and the escape tables in adaptive mode. Keeps the
+    /// routing mode and the escape test hook; a no-op under table
+    /// routing.
+    pub fn set_tables(
+        &mut self,
+        topology: &std::sync::Arc<Topology>,
+        escape_tables: Option<&std::sync::Arc<Topology>>,
+    ) {
+        if let RoutingAlgorithm::Topo { topo, escape, .. } = &mut self.route {
+            *topo = std::sync::Arc::clone(topology);
+            if let (Some(e), Some(new)) = (escape, escape_tables) {
+                *e = std::sync::Arc::clone(new);
+            }
         }
     }
 
@@ -604,7 +513,7 @@ impl Router {
     /// property suite uses this to prove the deadlock watchdog would
     /// catch an escape-class regression.
     pub fn disable_adaptive_escape(&mut self) {
-        if let RoutingAlgorithm::Adaptive { escape_on, .. } = &mut self.route {
+        if let RoutingAlgorithm::Topo { escape_on, .. } = &mut self.route {
             *escape_on = false;
         }
     }

@@ -119,9 +119,11 @@ impl Router {
     ///   waiting packet requests the deadlock-free escape path
     ///   infinitely often — the liveness leg of the protocol.
     ///
-    /// Everything read here (candidate sets, live mask, escape tables,
-    /// own credits) is cycle-boundary router-local state, so the
-    /// decision is identical at any thread count.
+    /// Everything read here is fixed for the cycle: the candidate sets
+    /// and live links of the shared topology and the escape tables
+    /// change only at a cycle boundary's fault edge, and the credits are
+    /// the router's own. So the decision is identical at any thread
+    /// count.
     ///
     /// A destination unreachable even through the escape graph (severed
     /// by link faults) is aimed at the raw minimal quadrant; the dead
@@ -135,11 +137,9 @@ impl Router {
         vc_idx: usize,
         revisit: bool,
     ) -> (PortId, u32) {
-        let RoutingAlgorithm::Adaptive {
+        let RoutingAlgorithm::Topo {
             ref topo,
-            ref escape,
-            node,
-            live,
+            escape: Some(ref escape),
             escape_on,
         } = self.route
         else {
@@ -149,7 +149,8 @@ impl Router {
         let all = width_mask(v);
         let lower = width_mask(v / 2);
         let upper = all & !lower;
-        let dstn = topo.grid().id_of(dst).index();
+        let grid = topo.grid();
+        let (node, dstn) = (grid.id_of(self.coord).index(), grid.id_of(dst).index());
         if dstn == node {
             return (Direction::Local.port(), all);
         }
@@ -166,7 +167,7 @@ impl Router {
                 None => (self.quadrant_or_local(topo, node, dstn), all),
             };
         }
-        let cand = topo.candidate_mask(node, dstn) & live;
+        let cand = topo.candidate_mask(node, dstn) & topo.live_mask(node);
         let prefer_escape = revisit && (cycle.wrapping_add(node as Cycle)) & 1 == 1;
         if cand != 0 && !(prefer_escape && esc_dir.is_some()) {
             // Least-congested live candidate: most free adaptive VCs
@@ -230,7 +231,13 @@ impl Router {
     /// non-Routing VCs and broke on the first match, served or stalled).
     pub(crate) fn rc_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
         let v = self.cfg.vcs;
-        let adaptive = matches!(self.route, RoutingAlgorithm::Adaptive { .. });
+        let adaptive = matches!(
+            self.route,
+            RoutingAlgorithm::Topo {
+                escape: Some(_),
+                ..
+            }
+        );
         // Adaptive RC also re-serves VCs already waiting in VcAlloc: a
         // stuck packet must be re-routed (alternating towards the escape
         // path) or the adaptive candidate cycles could wait forever.
@@ -273,7 +280,7 @@ impl Router {
                 let (correct, vmask) = if adaptive {
                     self.route_adaptively(dst, cycle, port_idx, vc_id.index(), revisit)
                 } else {
-                    self.route.route_masked(dst, v)
+                    self.route.route_masked(self.coord, dst, v)
                 };
                 let primary_faulty = rc_faulty & (1 << port_idx) != 0;
                 let mut misrouted = false;
@@ -390,7 +397,9 @@ impl Router {
         // escape class is the deadlock-freedom reserve, not extra
         // capacity). Zero outside adaptive mode = no restriction.
         let adaptive_upper = match self.route {
-            RoutingAlgorithm::Adaptive { .. } => all_vcs & !width_mask(v / 2),
+            RoutingAlgorithm::Topo {
+                escape: Some(_), ..
+            } => all_vcs & !width_mask(v / 2),
             _ => 0,
         };
 

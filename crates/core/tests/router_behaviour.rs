@@ -814,7 +814,7 @@ fn oversized_vc_count_is_a_construction_error_not_a_panic() {
             HERE,
             cfg,
             RouterKind::Protected,
-            RoutingAlgorithm::xy(Mesh::new(8), HERE),
+            RoutingAlgorithm::topo(std::sync::Arc::new(noc_topology::Topology::mesh(8, 8))),
             DetectionModel::Ideal,
         )
     };

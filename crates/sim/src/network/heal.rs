@@ -8,7 +8,6 @@ use super::Network;
 use noc_faults::LinkFaultEvent;
 use noc_topology::Topology;
 use noc_types::{Cycle, Direction, PortId, VcId};
-use shield_router::RoutingAlgorithm;
 use std::sync::Arc;
 
 impl Network {
@@ -38,24 +37,31 @@ impl Network {
         self.pending_link_faults = pending;
     }
 
-    /// Declare a router dead at the routing level: rebuild the topology
-    /// with the node quarantined ([`Topology::with_dead`]) and swap the
-    /// new routing tables into every router. Routes already computed
-    /// (VCs past RC) keep their old output port — the up*/down*
-    /// orientation is shared across the swap, so the dependency graphs
-    /// of the old and the new routes together stay acyclic (pinned by
-    /// `noc-topology`'s property suite). A packet in flight at the swap
-    /// that descended under the old tables may still have to climb
-    /// under the new ones; that transient turn is outside the pinned
-    /// union.
+    /// Declare a router dead at the routing level: record the kill in
+    /// the network's topology ([`Topology::with_dead`]), the one record
+    /// of which routers and links are alive, and swap it into every
+    /// router.
+    ///
+    /// * Under up\*/down\* tables (cut mesh, chiplet star) the tables
+    ///   are recomputed with the node quarantined as a transit node.
+    ///   Routes already computed (VCs past RC) keep their old output
+    ///   port. The orientation is shared across the swap, so the
+    ///   dependency graphs of the old and the new routes together stay
+    ///   acyclic (pinned by `noc-topology`'s property suite). A packet
+    ///   in flight at the swap that descended under the old tables may
+    ///   still have to climb under the new ones; that transient turn is
+    ///   outside the pinned union.
+    /// * In adaptive mode on a dimension-order topology the kill clears
+    ///   the node's alive bit, so the neighbours stop offering it as an
+    ///   adaptive candidate ([`Topology::live_mask`]), and the escape
+    ///   tables quarantine it the same way. The node's own links and
+    ///   table entries survive so its buffered flits drain — the drain
+    ///   contract of `Topology::with_dead`, whose alive-pair tables a
+    ///   test pins equal to the incident-link fold of `with_cut_link`.
     ///
     /// The dead router's pipeline keeps running: it drains its buffered
     /// flits and still accepts packets addressed *to* it; it is only
     /// removed as a transit node.
-    ///
-    /// In adaptive mode on a dimension-order topology the kill is
-    /// folded into the escape tables and the neighbours' live masks
-    /// instead (see the body).
     ///
     /// # Panics
     /// Panics on a statically routed dimension-order topology (mesh,
@@ -63,47 +69,33 @@ impl Network {
     /// possibly with zero cuts — to make a mesh survivable), or if the
     /// kill disconnects alive routers.
     pub fn fail_router(&mut self, node: usize) {
-        if self.escape.is_some() {
-            // Shared quarantine path, adaptive flavour: a node fault is
-            // the fault of all its incident links as the neighbours see
-            // it — their live masks stop offering the node as an
-            // adaptive candidate, and the escape tables quarantine it
-            // as a transit node. The node's own candidates and table
-            // entries survive so its buffered flits drain — the same
-            // drain contract as `Topology::with_dead`, whose
-            // alive-pair tables a test pins equal to the incident-link
-            // fold of `with_cut_link`.
-            for dir in Direction::ALL {
-                if let Some(m) = self.topo.link(node, dir) {
-                    self.routers[m].adaptive_cut_link(dir.opposite());
-                }
-            }
-            let healed = self
-                .escape
-                .as_ref()
-                .expect("adaptive mode has escape tables")
-                .with_dead(node);
-            self.swap_escape(healed);
-        } else {
-            self.swap_static_topo(self.topo.with_dead(node));
-        }
+        assert!(
+            self.escape.is_some() || !self.topo.supports_adaptive(),
+            "a statically routed {} cannot detour around a dead router \
+             (build a table-routed one, e.g. a zero-cut CutMesh spec)",
+            self.topo.tag()
+        );
+        let escape = self.escape.as_ref().map(|esc| esc.with_dead(node));
+        self.swap_tables(self.topo.with_dead(node), escape);
     }
 
     /// Permanently fail the bidirectional link out of `node` through
     /// `dir`, at a cycle boundary. Two layers share one quarantine
     /// path with [`Network::fail_router`]:
     ///
-    /// * **routing-level self-healing** — in adaptive mode both
-    ///   endpoints drop the link from their live candidate masks and
-    ///   the shared escape tables are recomputed around the cut
-    ///   ([`Topology::with_cut_link`]) and swapped into every router;
-    ///   statically-routed irregular topologies recompute their
-    ///   up\*/down\* tables the same way. A cut the fixed orientation
-    ///   cannot survive keeps the old tables — flits whose route
-    ///   crosses the dead link then fall off it, which the campaign
-    ///   engine counts as packet loss rather than failing the build.
-    ///   Statically-routed grid families (XY / DOR) cannot detour at
-    ///   all, so there the fault is purely physical.
+    /// * **routing-level self-healing** — the cut is recorded in the
+    ///   network's topology ([`Topology::with_cut_link`]) and swapped
+    ///   into every router. Statically routed irregular topologies
+    ///   recompute their up\*/down\* tables around it; a cut the fixed
+    ///   orientation cannot survive keeps the old topology — flits
+    ///   whose route crosses the dead link then fall off it, which the
+    ///   campaign engine counts as packet loss rather than failing the
+    ///   build. Dimension-order routes never read the link table, so on
+    ///   a grid family the cut only changes the live links adaptive
+    ///   routing offers ([`Topology::live_mask`]); statically routed
+    ///   there, the fault is purely physical. In adaptive mode a grid
+    ///   link's cut also recomputes the shared escape tables the same
+    ///   way (wrap links lie outside the escape graph).
     /// * **the physical unplug** — both directions of the link are nulled,
     ///   traffic in flight on the link is destroyed (flits counted in
     ///   [`Network::flits_edge_dropped`]) and the upstream credit
@@ -121,38 +113,26 @@ impl Network {
         };
         let back = dir.opposite();
         // Routing-level self-healing (the path `fail_router` shares).
-        if let Some(esc) = self.escape.clone() {
-            self.routers[node].adaptive_cut_link(dir);
-            self.routers[other].adaptive_cut_link(back);
-            // Wrap links (torus) live outside the escape graph; only
-            // grid links recompute the shared escape tables.
-            if esc.link(node, dir).is_some() {
-                if let Ok(healed) = esc.with_cut_link(node, dir) {
-                    self.swap_escape(healed);
-                }
-            }
-        } else if let Ok(healed) = self.topo.with_cut_link(node, dir) {
-            self.swap_static_topo(healed);
+        let escape = self
+            .escape
+            .as_ref()
+            .and_then(|esc| esc.with_cut_link(node, dir).ok());
+        if let Ok(healed) = self.topo.with_cut_link(node, dir) {
+            self.swap_tables(healed, escape);
         }
         self.scrub_dead_link(node, dir.port(), other, back.port());
         self.scrub_dead_link(other, back.port(), node, dir.port());
     }
 
-    /// Swap healed escape tables into every adaptive router.
-    fn swap_escape(&mut self, escape: Topology) {
-        let esc = Arc::new(escape);
-        for r in &mut self.routers {
-            r.set_adaptive_escape(Arc::clone(&esc));
+    /// Swap a healed topology, and healed escape tables where given,
+    /// into the network and every router.
+    fn swap_tables(&mut self, topo: Topology, escape: Option<Topology>) {
+        self.topo = Arc::new(topo);
+        if let Some(esc) = escape {
+            self.escape = Some(Arc::new(esc));
         }
-        self.escape = Some(esc);
-    }
-
-    /// Swap recomputed static routing tables into every router.
-    fn swap_static_topo(&mut self, topo: Topology) {
-        let t = Arc::new(topo);
-        self.topo = Arc::clone(&t);
-        for (i, r) in self.routers.iter_mut().enumerate() {
-            r.set_routing(RoutingAlgorithm::topo(Arc::clone(&t), i));
+        for r in &mut self.routers {
+            r.set_tables(&self.topo, self.escape.as_ref());
         }
     }
 

@@ -83,7 +83,9 @@ pub struct Network {
     cfg: NetworkConfig,
     /// The bounding coordinate grid (id ↔ coordinate mapping).
     mesh: Mesh,
-    /// The network graph: links, liveness, route computation.
+    /// The network graph: links, liveness, route computation. Shared
+    /// by every router, and the one record of the links and routers
+    /// the faults have left alive.
     topo: Arc<Topology>,
     /// Per router, per output port: where the link goes, its pacing
     /// state and its utilisation.
@@ -188,14 +190,9 @@ impl Network {
         let mut routers: Vec<Router> = (0..mesh.len())
             .map(|i| {
                 let coord = mesh.coord_of(noc_types::RouterId(i as u16));
-                // XY-routed topologies (mesh, chiplet mesh) keep the
-                // two-comparator XY algorithm (the paper's configuration
-                // and the hot path); the others route through the
-                // shared topology.
                 let route = match &escape {
-                    Some(esc) => RoutingAlgorithm::adaptive(Arc::clone(&topo), Arc::clone(esc), i),
-                    None if topo.routes_xy() => RoutingAlgorithm::xy(mesh, coord),
-                    None => RoutingAlgorithm::topo(Arc::clone(&topo), i),
+                    Some(esc) => RoutingAlgorithm::adaptive(Arc::clone(&topo), Arc::clone(esc)),
+                    None => RoutingAlgorithm::topo(Arc::clone(&topo)),
                 };
                 let ideal = noc_faults::DetectionModel::Ideal;
                 let mut r = Router::new(i as u16, coord, cfg.router, kind, route, ideal);
@@ -262,7 +259,8 @@ impl Network {
         self.mesh
     }
 
-    /// The network graph the wires were built from.
+    /// The network graph: the one the wires were built from, less
+    /// every link cut and router kill since.
     pub fn topology(&self) -> &Topology {
         &self.topo
     }

@@ -502,3 +502,12 @@ fn bounded_ni_queues_shed_offered_load_at_saturation() {
     assert_eq!(report.misdelivered, 0);
     assert!(report.delivered() > 0);
 }
+
+/// Dimension-order routes cannot detour, so a statically routed mesh
+/// refuses a router kill rather than black-holing every route through
+/// the dead router.
+#[test]
+#[should_panic(expected = "a statically routed mesh cannot detour around a dead router")]
+fn fail_router_refuses_a_statically_routed_mesh() {
+    Network::new(small_net(4), RouterKind::Protected).fail_router(5);
+}

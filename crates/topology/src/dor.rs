@@ -38,7 +38,7 @@
 //!
 //! Masks are over [`Direction`] discriminants (bit 1 = North … bit 4 =
 //! West; bit 0 / Local is never set), so a router can AND a candidate
-//! set against its live-link mask in one instruction. Deadlock freedom
+//! set against [`crate::Topology::live_mask`] in one instruction. Deadlock freedom
 //! of the adaptive candidates is *not* this module's job: they may close
 //! quadrant-turn cycles, which the router core breaks with an escape VC
 //! class routed up\*/down\* (ARCHITECTURE.md §8).

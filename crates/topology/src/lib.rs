@@ -34,8 +34,10 @@
 //! Everything here is pure data + arithmetic: the simulator owns wires
 //! and credits, the router core owns the pipeline. A `Topology` is
 //! immutable once built — declaring a router dead
-//! ([`Topology::with_dead`]) produces a *new* value with recomputed
-//! tables, which the simulator swaps in atomically.
+//! ([`Topology::with_dead`]) or cutting a link produces a *new* value,
+//! with recomputed tables under up\*/down\*, which the simulator swaps
+//! in atomically. That value is the network's one record of which
+//! links and routers are alive.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -231,17 +233,26 @@ impl Topology {
         matches!(self.rule, Rule::Dor { .. })
     }
 
-    /// Whether [`Topology::route`] is plain XY over the grid: dimension
-    /// order without wrap, so a router can route by coordinates alone.
-    pub fn routes_xy(&self) -> bool {
-        matches!(self.rule, Rule::Dor { wrap: false })
-    }
-
-    /// Whether `node` is alive (participates in routing). Always true
-    /// under dimension order; table-routed graphs may have dead routers.
+    /// Whether `node` is alive. A dead node is never transited: the
+    /// up\*/down\* tables route around it, and adaptive routing stops
+    /// offering the links into it ([`Topology::live_mask`]). This is
+    /// the network's one record of router deaths on every family,
+    /// including the dimension-order ones, whose routes never read it.
     #[inline]
     pub fn is_alive(&self, node: usize) -> bool {
         self.alive[node]
+    }
+
+    /// The directions out of `node` whose link is still in the table
+    /// and reaches an alive node, as a [`dor::dir_bit`] mask: the links
+    /// adaptive routing may offer. A link into a dead node is not live;
+    /// a dead node's own links to alive neighbours are, so its buffered
+    /// flits can drain.
+    #[inline]
+    pub fn live_mask(&self, node: usize) -> u8 {
+        self.neighbours(node)
+            .filter(|&(_, m)| self.alive[m])
+            .fold(0, |mask, (dir, _)| mask | dor::dir_bit(dir))
     }
 
     /// The ids of all alive nodes, in grid (row-major) order — the node
@@ -251,32 +262,29 @@ impl Topology {
         (0..self.len()).filter(|&n| self.is_alive(n)).collect()
     }
 
-    /// A new topology with `node` declared dead: excluded as a routing
-    /// transit node, tables recomputed around it under the *same*
-    /// up\*/down\* orientation, so packets routed under the old tables
-    /// and the new ones share one legal set in flight. The dead router
-    /// keeps its id and links so packets already queued inside it can
-    /// drain, and packets addressed *to* it are still routed toward it
-    /// where a path exists.
+    /// A new topology with `node` declared dead. The dead router keeps
+    /// its id and links so packets already queued inside it can drain,
+    /// and packets addressed *to* it are still routed toward it where a
+    /// path exists.
+    ///
+    /// Up\*/down\* tables are recomputed with the node excluded as a
+    /// transit node, under the *same* orientation, so packets routed
+    /// under the old tables and the new ones share one legal set in
+    /// flight. Dimension order cannot detour, so there the kill only
+    /// clears the node's alive bit: every route stays as it was.
     ///
     /// # Panics
-    /// Panics on a dimension-order topology (it cannot detour; build a
-    /// table-routed one, e.g. [`Topology::escape_mesh`] or a zero-cut
-    /// `CutMesh` spec), or if removing the node disconnects any pair of
-    /// alive routers.
+    /// Panics if the node is out of range, or if removing it
+    /// disconnects a pair of alive routers under up\*/down\* tables.
     pub fn with_dead(&self, node: usize) -> Topology {
-        let Rule::UpDown(t) = &self.rule else {
-            panic!(
-                "with_dead is only supported on irregular topologies \
-                 (build one with Topology::escape_mesh)"
-            )
-        };
         assert!(node < self.len(), "dead node id out of range");
         let mut topo = self.clone();
         topo.alive[node] = false;
-        topo.orient(t.level.clone());
-        if let Some((n, d)) = topo.unrouted_pair() {
-            panic!("declaring router {node} dead disconnects {n} from {d}");
+        if let Rule::UpDown(t) = &self.rule {
+            topo.orient(t.level.clone());
+            if let Some((n, d)) = topo.unrouted_pair() {
+                panic!("declaring router {node} dead disconnects {n} from {d}");
+            }
         }
         topo
     }
@@ -295,23 +303,21 @@ impl Topology {
     /// last link), that endpoint is quarantined as dead instead of
     /// failing — a node fault *is* the fault of all its incident links.
     ///
-    /// Dimension-order topologies return `Err` — their routes cannot
-    /// detour, so a link fault there is purely a wiring event. Also
-    /// errors on a link that does not exist and when the cut splits
-    /// the alive graph into larger pieces; callers keep the old tables
-    /// then.
+    /// On a dimension-order topology the cut is a wiring-only edit:
+    /// its routes never read the link table, so every route stays as it
+    /// was, and only [`Topology::link`] and [`Topology::live_mask`]
+    /// change. Errors on a link that does not exist, and when the cut
+    /// splits an up\*/down\* graph's alive nodes into larger pieces;
+    /// callers keep the old topology then.
     pub fn with_cut_link(&self, node: usize, dir: Direction) -> Result<Topology, String> {
-        let Rule::UpDown(t) = &self.rule else {
-            return Err(format!(
-                "{} routes dimension-order and cannot detour around a cut link",
-                self.tag
-            ));
-        };
         let Some(other) = self.link(node, dir) else {
             return Err(format!("no active link out of router {node} through {dir}"));
         };
         let mut topo = self.clone();
         topo.cut(node, dir);
+        let Rule::UpDown(t) = &self.rule else {
+            return Ok(topo);
+        };
         for end in [node, other] {
             if topo.alive[end] && !topo.neighbours(end).any(|(_, m)| topo.alive[m]) {
                 topo.alive[end] = false;
@@ -454,7 +460,6 @@ mod tests {
                 assert_eq!(t.link(n, d), g.neighbour(c, d).map(|id| id.index()));
             }
         }
-        assert!(t.routes_xy());
     }
 
     #[test]
@@ -470,7 +475,7 @@ mod tests {
         }
         // Wraparound spot check: (0,0) west → (3,0) = id 3.
         assert_eq!(t.link(0, Direction::West), Some(3));
-        assert!(!t.routes_xy() && t.supports_adaptive());
+        assert!(t.supports_adaptive());
     }
 
     fn chiplet_mesh_cfg(k_chip: u8, k_node: u8) -> NetworkConfig {
@@ -640,19 +645,68 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grid_families_refuse_to_detour() {
-        let t = Topology::torus(4, 4);
-        assert_eq!(
-            t.with_cut_link(5, Direction::East).unwrap_err(),
-            "torus routes dimension-order and cannot detour around a cut link"
-        );
+    /// The three dimension-order families on a 4×4 grid.
+    fn grid_families() -> [Topology; 3] {
+        [
+            Topology::mesh(4, 4),
+            Topology::torus(4, 4),
+            Topology::chiplet_mesh(2, 2, LinkClass::D2D_DEFAULT),
+        ]
     }
 
+    fn assert_same_routes(a: &Topology, b: &Topology) {
+        for n in 0..a.len() {
+            for d in 0..a.len() {
+                assert_eq!(a.route(n, d), b.route(n, d), "{} route {n}→{d}", a.tag());
+                assert_eq!(a.candidate_mask(n, d), b.candidate_mask(n, d));
+            }
+        }
+    }
+
+    /// Dimension order cannot detour: a cut on a grid family is a
+    /// wiring-only edit. The link is gone from both ends, and every
+    /// route is unchanged.
     #[test]
-    #[should_panic(expected = "with_dead is only supported on irregular topologies")]
-    fn grid_families_cannot_lose_a_router() {
-        Topology::mesh(4, 4).with_dead(5);
+    fn grid_families_refuse_to_detour() {
+        for t in grid_families() {
+            let cut = t.with_cut_link(5, Direction::East).expect("a wiring edit");
+            assert_eq!(cut.link(5, Direction::East), None);
+            assert_eq!(cut.link(6, Direction::West), None);
+            assert_eq!(cut.link_count(), t.link_count() - 1);
+            assert_eq!(
+                cut.live_mask(5),
+                t.live_mask(5) & !dor::dir_bit(Direction::East)
+            );
+            assert_same_routes(&t, &cut);
+            assert!(
+                cut.with_cut_link(5, Direction::East).is_err(),
+                "already cut"
+            );
+        }
+    }
+
+    /// A router kill on a grid family clears the node's alive bit and
+    /// nothing else: every route is unchanged, the neighbours stop
+    /// offering the links into the dead node, and the dead node's own
+    /// links stay live so its buffers can drain.
+    #[test]
+    fn grid_families_record_a_dead_router_without_rerouting() {
+        for t in grid_families() {
+            let dead = t.with_dead(5);
+            assert!(!dead.is_alive(5) && dead.alive_nodes().len() == t.len() - 1);
+            assert_same_routes(&t, &dead);
+            assert_eq!(dead.live_mask(5), t.live_mask(5));
+            for (dir, m) in t.neighbours(5) {
+                let back = dor::dir_bit(dir.opposite());
+                assert_eq!(t.live_mask(m) & back, back);
+                assert_eq!(
+                    dead.live_mask(m) & back,
+                    0,
+                    "{} {m} still offers 5",
+                    t.tag()
+                );
+            }
+        }
     }
 
     #[test]
