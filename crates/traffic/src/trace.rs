@@ -100,6 +100,16 @@ impl Trace {
             let parse = |s: &str| -> Result<u64, String> {
                 s.trim().parse().map_err(|e| format!("line {}: {e}", n + 2))
             };
+            let coord = |x: &str, y: &str| -> Result<Coord, String> {
+                let (x, y) = (parse(x)?, parse(y)?);
+                if x.max(y) >= u64::from(mesh_k) {
+                    return Err(format!(
+                        "line {}: node ({x},{y}) outside the {mesh_k}x{mesh_k} mesh",
+                        n + 2
+                    ));
+                }
+                Ok(Coord::new(x as u8, y as u8))
+            };
             let kind = match fields[2].trim() {
                 "C" => PacketKind::Control,
                 "D" => PacketKind::Data,
@@ -109,8 +119,8 @@ impl Trace {
                 cycle: parse(fields[0])?,
                 id: PacketId(parse(fields[1])?),
                 kind,
-                src: Coord::new(parse(fields[3])? as u8, parse(fields[4])? as u8),
-                dst: Coord::new(parse(fields[5])? as u8, parse(fields[6])? as u8),
+                src: coord(fields[3], fields[4])?,
+                dst: coord(fields[5], fields[6])?,
             });
         }
         records.sort_by_key(|r| r.cycle);
@@ -238,6 +248,20 @@ mod tests {
         assert!(Trace::from_text("shield-noc-trace v1 mesh_k=4\n1,2,C,0,0").is_err());
         assert!(Trace::from_text("shield-noc-trace v1 mesh_k=4\n1,2,X,0,0,1,1").is_err());
         assert!(Trace::from_text("shield-noc-trace v1 mesh_k=4\n1,2,C,0,0,1,1").is_ok());
+        // Nodes outside the recorded grid, including values a `u8`
+        // would truncate (260 → 4).
+        for (record, node) in [
+            ("1,1,C,0,7,1,1", "(0,7)"),
+            ("1,1,C,0,0,9,0", "(9,0)"),
+            ("1,1,C,0,0,260,1", "(260,1)"),
+            ("1,1,C,0,0,4,0", "(4,0)"),
+        ] {
+            let text = format!("shield-noc-trace v1 mesh_k=4\n0,0,C,0,0,3,3\n{record}");
+            assert_eq!(
+                Trace::from_text(&text).unwrap_err(),
+                format!("line 3: node {node} outside the 4x4 mesh")
+            );
+        }
     }
 
     #[test]
