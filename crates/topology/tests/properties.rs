@@ -3,7 +3,9 @@
 //! every family's channel-dependency graph is acyclic (the torus by its
 //! dateline classes, the table-routed families by up*/down*, also
 //! across a router kill), and up*/down* tables deliver every pair on
-//! connected graphs.
+//! connected graphs. A mixed-path checker covers packets that switch
+//! from the old tables to the new ones mid-route, and pins the two
+//! router kills where that closes a cycle.
 
 use noc_topology::{dor, Topology, VcClass};
 use noc_types::rng::Rng;
@@ -177,6 +179,99 @@ fn a_kill_keeps_the_union_of_old_and_new_cdgs_acyclic() {
             let after = before.with_dead(node);
             let label = format!("{} killing ({x},{y})", before.tag());
             assert_acyclic(&[&before, &after], &label);
+        }
+    }
+}
+
+/// The channel-dependency graph of every *mixed* path a table swap
+/// from `old` to `new` can produce: a packet follows the old tables for
+/// its first `i` hops (any `i`, from 0 to the whole route) and the new
+/// tables from the node it has reached. Vertices are the buffers hops
+/// land in, as in [`cdg`]; edges are the consecutive pairs of every
+/// such path — old hops, new hops, and the one hop where the path
+/// switches from old to new.
+fn mixed_cdg(old: &Topology, new: &Topology) -> HashSet<(Buffer, Buffer)> {
+    let mut edges = HashSet::new();
+    for src in 0..old.len() {
+        for dst in (0..old.len()).filter(|&d| old.reachable(src, d)) {
+            let before = hops(old, src, dst);
+            for i in 0..=before.len() {
+                let here = i.checked_sub(1).map_or(src, |j| before[j].0);
+                if here != dst && !new.reachable(here, dst) {
+                    continue;
+                }
+                let path: Vec<Buffer> = before[..i]
+                    .iter()
+                    .copied()
+                    .chain(hops(new, here, dst))
+                    .collect();
+                edges.extend(path.windows(2).map(|p| (p[0], p[1])));
+            }
+        }
+    }
+    edges
+}
+
+/// The mixed-path checker reports no cycle when the tables do not
+/// change, on every family: each route's suffix is the route from
+/// where it stands, so the mixed graph is the plain one.
+#[test]
+fn mixed_paths_over_unchanged_tables_are_acyclic() {
+    let families = [
+        Topology::mesh(5, 4),
+        Topology::torus(4, 4),
+        Topology::torus(5, 3),
+        Topology::cut_mesh(6, 6, 6, 0xD1CE),
+        Topology::cut_mesh(7, 5, 5, 0xBEEF),
+        Topology::chiplet_mesh(2, 3, LinkClass::D2D_DEFAULT),
+        star(3, 3),
+        Topology::escape_mesh(5, 5),
+    ];
+    for t in &families {
+        let edges = mixed_cdg(t, t);
+        assert_eq!(edges, cdg(&[t], true), "{}: suffix-closed routes", t.tag());
+        assert!(is_acyclic(&edges), "{}: mixed-path cycle", t.tag());
+    }
+}
+
+/// The known gap that generation-tagged tables (ROADMAP item 4(b))
+/// close: the union of the old and new CDGs across a router kill is
+/// acyclic, but a packet that switches tables mid-route can close a
+/// cycle. The two kills recorded when the gap was found are cyclic
+/// here; the other kills of the union test stay acyclic, which shows
+/// the checker tells the two apart. When a swap no longer mixes
+/// generations, the two turn into acyclicity assertions.
+#[test]
+fn mixed_paths_across_the_recorded_kills_are_cyclic() {
+    let cases = [
+        (
+            Topology::cut_mesh(6, 6, 6, 0xD1CE),
+            [((4, 3), true), ((2, 2), false)],
+        ),
+        (
+            Topology::cut_mesh(7, 5, 5, 0xBEEF),
+            [((3, 2), true), ((5, 1), false)],
+        ),
+        (star(3, 3), [((1, 1), false), ((7, 2), false)]),
+        (
+            Topology::escape_mesh(5, 5),
+            [((2, 2), false), ((1, 3), false)],
+        ),
+    ];
+    for (before, kills) in cases {
+        for ((x, y), cyclic) in kills {
+            let node = before.grid().id_of(Coord::new(x, y)).index();
+            let after = before.with_dead(node);
+            assert!(
+                is_acyclic(&cdg(&[&before, &after], true)),
+                "the union is acyclic"
+            );
+            assert_eq!(
+                !is_acyclic(&mixed_cdg(&before, &after)),
+                cyclic,
+                "{} killing ({x},{y}): mixed-path CDG cyclic",
+                before.tag()
+            );
         }
     }
 }
