@@ -18,25 +18,35 @@ use noc_types::{Cycle, PortId, RouterConfig, VcId};
 /// fault manifests, is detected, or a transient window ends, so the
 /// state keeps the range `[refreshed_at, next_edge)` over which they
 /// are exact and re-derives them only when the clock leaves it.
+///
+/// `repr(C)`: the three fields a stepper's idle test reads come first,
+/// so a [`crate::Router`], which puts this state right after its VC
+/// state words, answers [`crate::Router::is_idle_at`] from its first
+/// cache line.
 #[derive(Debug, Clone)]
+#[repr(C)]
 pub struct FaultState {
-    /// Every injected permanent fault with its manifestation cycle.
-    injected: Vec<(FaultSite, Cycle)>,
-    /// Transient upsets: `(site, start, duration)` — the site misbehaves
-    /// during `[start, start + duration)` and then recovers. Extension
-    /// beyond the paper's permanent-fault scope.
-    transients: Vec<(FaultSite, Cycle, u32)>,
-    detection: DetectionModel,
-    /// Sites already *detected* (correction engaged).
-    detected: FaultMap,
-    /// Sites manifested (whether or not detected).
-    active: FaultMap,
     /// Cycle of the most recent refresh.
     refreshed_at: Cycle,
     /// First cycle after `refreshed_at` at which the maps may differ.
     /// Anything that changes the schedule or the detection model sets
     /// it to 0 (an empty range), so the next refresh re-derives.
     next_edge: Cycle,
+    /// Whether no fault is scheduled at all, as
+    /// [`FaultState::is_inert`] reports it: kept with `injected` and
+    /// `transients`, which only grow or are replaced whole on restore.
+    inert: bool,
+    detection: DetectionModel,
+    /// Sites already *detected* (correction engaged).
+    detected: FaultMap,
+    /// Sites manifested (whether or not detected).
+    active: FaultMap,
+    /// Every injected permanent fault with its manifestation cycle.
+    injected: Vec<(FaultSite, Cycle)>,
+    /// Transient upsets: `(site, start, duration)` — the site misbehaves
+    /// during `[start, start + duration)` and then recovers. Extension
+    /// beyond the paper's permanent-fault scope.
+    transients: Vec<(FaultSite, Cycle, u32)>,
 }
 
 impl FaultState {
@@ -44,13 +54,14 @@ impl FaultState {
     /// model.
     pub fn new(cfg: &RouterConfig, detection: DetectionModel) -> Self {
         FaultState {
+            refreshed_at: 0,
+            next_edge: 0,
+            inert: true,
             injected: Vec::new(),
             transients: Vec::new(),
             detection,
             detected: FaultMap::healthy(cfg),
             active: FaultMap::healthy(cfg),
-            refreshed_at: 0,
-            next_edge: 0,
         }
     }
 
@@ -64,6 +75,7 @@ impl FaultState {
             panic!("{e}");
         }
         self.injected.push((site, cycle));
+        self.inert = false;
         self.next_edge = 0;
         // A fault in the past manifests without waiting for a refresh.
         if cycle <= self.refreshed_at {
@@ -83,6 +95,7 @@ impl FaultState {
             panic!("{e}");
         }
         self.transients.push((site, cycle, duration));
+        self.inert = false;
         self.next_edge = 0;
     }
 
@@ -91,8 +104,13 @@ impl FaultState {
     /// [`FaultState::refresh`] is a pure no-op (the maps stay healthy at
     /// every cycle), which is what lets a simulator skip idle routers
     /// without desynchronising their fault clocks.
+    #[inline]
     pub fn is_inert(&self) -> bool {
-        self.injected.is_empty() && self.transients.is_empty()
+        debug_assert_eq!(
+            self.inert,
+            self.injected.is_empty() && self.transients.is_empty()
+        );
+        self.inert
     }
 
     /// Whether `cycle` lies in the range `[refreshed_at, next_edge)` over
@@ -408,6 +426,7 @@ impl Restore for FaultState {
         self.detection = detection;
         self.injected = injected;
         self.transients = transients;
+        self.inert = self.injected.is_empty() && self.transients.is_empty();
         // The maps are functions of (schedule, detection model, clock):
         // derive them at the recorded clock, and put the range where the
         // refresh at that clock left it, so the restored state makes the
@@ -425,6 +444,25 @@ impl Restore for FaultState {
 mod tests {
     use super::*;
     use crate::reference::Rng;
+
+    #[test]
+    fn the_idle_test_reads_the_routers_first_cache_line() {
+        use std::mem::{align_of, offset_of, size_of};
+        assert_eq!(align_of::<crate::Router>(), 64);
+        let faults = offset_of!(crate::Router, faults);
+        assert!(offset_of!(crate::Router, nonidle) < 64);
+        for clock in [
+            offset_of!(FaultState, refreshed_at) + size_of::<Cycle>(),
+            offset_of!(FaultState, next_edge) + size_of::<Cycle>(),
+            offset_of!(FaultState, inert) + 1,
+        ] {
+            assert!(
+                faults + clock <= 64,
+                "clock field ends at byte {}",
+                faults + clock
+            );
+        }
+    }
 
     #[test]
     fn faults_manifest_at_their_cycle() {

@@ -1,13 +1,87 @@
-//! Input-buffer state (Figures 3d and 4): one flit store per router.
+//! Per-port state: one flit store and one control table per router.
 //!
-//! Every input VC of a router keeps its flits in one contiguous
-//! allocation of `P·V·depth` flits, made when the router is built. VC
-//! `i = port·V + vc` owns slots `[i·depth, (i + 1)·depth)` as a ring,
-//! addressed by a `head`/`len` pair next to its architectural state
-//! fields. Nothing on the flit path allocates, and a router clone copies
-//! the whole store in one allocation.
+//! Input buffers (Figures 3d and 4): every input VC of a router keeps
+//! its flits in one contiguous allocation of `P·V·depth` flits, made
+//! when the router is built. VC `i = port·V + vc` owns slots
+//! `[i·depth, (i + 1)·depth)` as a ring, addressed by a `head`/`len`
+//! pair next to its architectural state fields. Nothing on the flit path
+//! allocates, and a router clone copies the whole store in one
+//! allocation.
+//!
+//! Control: each port's credits, busy and exclusion words, SA arbiters,
+//! RC pointer and bypass register are one cache-line [`PortCtl`] entry.
 
-use noc_types::{Coord, Flit, FlitKind, FlitSeq, PacketId, VcGlobalState, VcStateFields};
+use noc_arbiter::RoundRobinArbiter;
+use noc_types::{
+    Coord, Cycle, Flit, FlitKind, FlitSeq, PacketId, PortId, VcGlobalState, VcStateFields,
+};
+
+/// Most VCs a port can have: `RouterConfig::validate` asks for at least
+/// two ports and at most 32 (port, VC) pairs.
+pub(crate) const MAX_VCS: usize = 16;
+
+/// One port's control state, input and output side, in one cache line.
+/// A router keeps its `P` entries in one allocation (`Router::ctl`), so
+/// a stage touching port `o` reads one line instead of one line in each
+/// of nine per-field vectors.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
+pub(crate) struct PortCtl {
+    /// Output side, bit `vc` set ⇔ downstream VC `vc` is allocated to a
+    /// packet (VA's request mask is one `!`/`&` word op).
+    pub(crate) out_vc_busy: u32,
+    /// Output side, bit `vc` set ⇔ `credits[vc] > 0`; kept with every
+    /// credit mutation so SA tests credit with one mask probe.
+    pub(crate) credited: u32,
+    /// Output side, the downstream VCs whose VA stage-2 arbiter is *not*
+    /// known-faulty (Section V-B3's exclusion; all-ones on a baseline
+    /// router; bits above `V` carry no meaning). Recomputed with
+    /// `sa2_target` at fault edges.
+    pub(crate) va2_ok: u32,
+    /// Input side, SA stage 1: a `V:1` arbiter over the port's VCs.
+    pub(crate) sa1: RoundRobinArbiter,
+    /// Output side, SA stage 2: a `P:1` arbiter over the input ports.
+    pub(crate) sa2: RoundRobinArbiter,
+    /// Output side, the SA stage-2 arbiter (= crossbar mux) a flit headed
+    /// here competes for: the output itself, its secondary source when
+    /// the correction logic knows the primary path dead, `None` when
+    /// unreachable. A function of the detected fault map (the identity
+    /// on a baseline router), recomputed only when
+    /// `FaultState::refresh_observed` reports re-derived maps.
+    pub(crate) sa2_target: Option<PortId>,
+    /// Input side, the rotating RC service pointer.
+    pub(crate) rc_pointer: u8,
+    /// Input side, the reprogrammed bypass register: the VC, and the
+    /// rotation period it holds for in `bypass_period` (0 when unset).
+    /// `sa_stage` models the paper's VC-to-VC transfer as a 1-cycle
+    /// reprogramming of the default-winner register. (Two fields, not an
+    /// `Option<(u8, Cycle)>`, whose tag would cost a second cache line.)
+    pub(crate) bypass_vc: Option<u8>,
+    pub(crate) bypass_period: Cycle,
+    /// Output side, free buffer slots at each downstream VC.
+    pub(crate) credits: [u8; MAX_VCS],
+}
+
+impl PortCtl {
+    /// Port `port` of a fresh `p`-port, `v`-VC router whose downstream
+    /// buffers hold `depth` flits.
+    pub(crate) fn new(port: PortId, p: usize, v: usize, depth: u8) -> Self {
+        let mut credits = [0; MAX_VCS];
+        credits[..v].fill(depth);
+        PortCtl {
+            out_vc_busy: 0,
+            credited: crate::router::width_mask(v),
+            va2_ok: !0,
+            sa1: RoundRobinArbiter::new(v),
+            sa2: RoundRobinArbiter::new(p),
+            sa2_target: Some(port),
+            rc_pointer: 0,
+            bypass_vc: None,
+            bypass_period: 0,
+            credits,
+        }
+    }
+}
 
 /// One input VC's bookkeeping: its architectural fields and its ring
 /// in the router's [`FlitStore`]. The `P` (pointer) field of the figure
@@ -244,6 +318,12 @@ impl Snapshot for VcView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_port_control_entry_is_one_cache_line() {
+        assert_eq!(std::mem::size_of::<PortCtl>(), 64);
+        assert_eq!(std::mem::align_of::<PortCtl>(), 64);
+    }
 
     fn flit(pkt: u64, kind: FlitKind) -> Flit {
         Flit::new(

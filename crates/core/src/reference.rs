@@ -12,13 +12,18 @@
 //! produce the same outputs and byte-identical snapshots — covering
 //! both router kinds, VA arbiter lending, the SA bypass default winner
 //! (including its re-pointing "transfer" state), latent detection
-//! windows and transient upsets.
+//! windows and transient upsets — under static and adaptive routing,
+//! and at the word edges of the router-wide state (one VC a port over
+//! 32 ports; 16 ports of 2 VCs).
 
-use crate::router::{Router, RouterKind, StepOutput, XbGrant, DEFAULT_WINNER_PERIOD};
+use crate::router::{
+    Router, RouterKind, RoutingAlgorithm, StepOutput, XbGrant, DEFAULT_WINNER_PERIOD,
+};
 use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
 use noc_telemetry::snapshot::Snapshot;
 use noc_telemetry::NullObserver;
+use noc_topology::Topology;
 use noc_types::{
     Coord, Cycle, Mesh, Packet, PacketId, PacketKind, PortId, RouterConfig, VcGlobalState, VcId,
 };
@@ -39,17 +44,32 @@ fn reference_arbitrate(arb: &mut RoundRobinArbiter, requests: u32) -> Option<usi
     Some(grant)
 }
 
+/// Whether `r` routes adaptively (an escape network is configured).
+fn is_adaptive(r: &Router) -> bool {
+    matches!(
+        r.route,
+        RoutingAlgorithm::Topo {
+            escape: Some(_),
+            ..
+        }
+    )
+}
+
 /// Reference RC stage: per port, scan every VC from the service pointer
-/// and serve (or stall on) the first one in `Routing`.
-fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
+/// and serve (or stall on) the first one in `Routing` — or, under
+/// adaptive routing, in `VcAlloc` too, which is re-routed.
+fn reference_rc_stage(r: &mut Router, cycle: Cycle) {
     let v = r.cfg.vcs;
+    let adaptive = is_adaptive(r);
     for port_idx in 0..r.cfg.ports {
         let port_id = PortId(port_idx as u8);
-        let start = r.rc_pointer[port_idx];
+        let start = usize::from(r.ctl[port_idx].rc_pointer);
         for k in 0..v {
             let vc_id = VcId(((start + k) % v) as u8);
             let i = port_idx * v + vc_id.index();
-            if r.store.slot(i).fields.g != VcGlobalState::Routing {
+            let g = r.store.slot(i).fields.g;
+            let revisit = g == VcGlobalState::VcAlloc;
+            if g != VcGlobalState::Routing && !(adaptive && revisit) {
                 continue;
             }
             let dst = r
@@ -57,7 +77,11 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
                 .front(i)
                 .expect("routing VC holds its head flit")
                 .dst;
-            let (correct, vmask) = r.route.route_masked(r.coord, dst, v);
+            let (correct, vmask) = if adaptive {
+                r.route_adaptively(dst, cycle, port_idx, vc_id.index(), revisit)
+            } else {
+                r.route.route_masked(r.coord, dst, v)
+            };
             let primary_faulty = r.faults.rc_primary_faulty(port_id);
             let computed = match (r.kind, primary_faulty) {
                 (_, false) => Some(correct),
@@ -89,8 +113,8 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
                     fields.sp = Some(sp);
                     fields.fsp = true;
                 }
-                r.sync_vc(port_idx, vc_id.index());
-                r.rc_pointer[port_idx] = (vc_id.index() + 1) % v;
+                r.sync_vc(i);
+                r.ctl[port_idx].rc_pointer = ((vc_id.index() + 1) % v) as u8;
             }
             // One RC computation per port per cycle, served or stalled.
             break;
@@ -103,6 +127,7 @@ fn reference_rc_stage(r: &mut Router, _cycle: Cycle) {
 fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
     let p = r.cfg.ports;
     let v = r.cfg.vcs;
+    let adaptive = is_adaptive(r);
 
     // Stall accounting mirror: requesters (VCs awaiting allocation at
     // stage entry) minus this cycle's grants.
@@ -161,7 +186,7 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
             // Request mask over free downstream VCs, one VC at a time.
             let mut req: u32 = 0;
             for ovc in 0..v {
-                if r.out_vc_busy[out.index()] & (1 << ovc) != 0 {
+                if r.ctl[out.index()].out_vc_busy & (1 << ovc) != 0 {
                     continue;
                 }
                 if r.kind == RouterKind::Protected
@@ -175,6 +200,12 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
                 req |= 1 << ovc;
             }
             req &= fields.vmask;
+            // Adaptive routing: a packet that can claim an adaptive-class
+            // (upper-half) VC at a router output leaves the escape VCs.
+            let upper: u32 = (v / 2..v).fold(0, |m, ovc| m | (1 << ovc));
+            if adaptive && out.index() != 0 && req & upper != 0 {
+                req &= upper;
+            }
             if req == 0 {
                 continue;
             }
@@ -213,12 +244,11 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
                 continue;
             }
             if let Some(winner) = reference_arbitrate(&mut r.va2[out_idx * v + ovc_idx], req) {
-                let (port_idx, vc_idx) = (winner / v, winner % v);
                 let fields = r.store.fields_mut(winner);
                 fields.o = Some(VcId(ovc_idx as u8));
                 fields.g = VcGlobalState::Active;
-                r.sync_vc(port_idx, vc_idx);
-                r.out_vc_busy[out_idx] |= 1 << ovc_idx;
+                r.sync_vc(winner);
+                r.ctl[out_idx].out_vc_busy |= 1 << ovc_idx;
                 r.stats.va_grants += 1;
             }
         }
@@ -269,7 +299,7 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
                 fields.sp = if diverted { target } else { None };
             }
             let Some(target) = target else { continue };
-            if r.credits[out.index() * v + out_vc.index()] == 0 {
+            if r.ctl[out.index()].credits[out_vc.index()] == 0 {
                 continue;
             }
             requests[port_idx * v + vc_idx] = Some(RefSaRequest {
@@ -296,7 +326,7 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
             continue;
         }
         if !r.faults.sa1_faulty(port_id) {
-            port_winner[port_idx] = reference_arbitrate(&mut r.sa1[port_idx], req_mask);
+            port_winner[port_idx] = reference_arbitrate(&mut r.ctl[port_idx].sa1, req_mask);
             continue;
         }
         match r.kind {
@@ -310,15 +340,17 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
                 }
                 let period = cycle / DEFAULT_WINNER_PERIOD;
                 let rotation_default = (period as usize + port_idx) % v;
-                let effective = match r.bypass_ptr[port_idx] {
-                    Some((vc, pd)) if pd == period => vc,
+                let ctl = &r.ctl[port_idx];
+                let effective = match ctl.bypass_vc {
+                    Some(vc) if ctl.bypass_period == period => usize::from(vc),
                     _ => rotation_default,
                 };
                 if req_mask & (1 << effective) != 0 {
                     port_winner[port_idx] = Some(effective);
                     r.stats.sa_bypass_grants += 1;
                 } else if let Some(src) = (0..v).find(|&vc| requests[port_idx * v + vc].is_some()) {
-                    r.bypass_ptr[port_idx] = Some((src, period));
+                    (r.ctl[port_idx].bypass_vc, r.ctl[port_idx].bypass_period) =
+                        (Some(src as u8), period);
                     r.stats.vc_transfers += 1;
                 }
             }
@@ -340,7 +372,7 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
         if r.faults.sa2_faulty(PortId(target_idx as u8)) {
             continue;
         }
-        if let Some(wport) = reference_arbitrate(&mut r.sa2[target_idx], mask) {
+        if let Some(wport) = reference_arbitrate(&mut r.ctl[target_idx].sa2, mask) {
             let vc_idx = port_winner[wport].expect("stage-2 winner won stage 1");
             let req = requests[wport * v + vc_idx].expect("winner had a request");
             r.consume_credit(req.logical_out, req.out_vc);
@@ -430,6 +462,8 @@ fn random_fault_site(rng: &mut Rng, p: usize, v: usize) -> FaultSite {
 /// A fault schedule, applied identically to both routers.
 #[derive(Default)]
 struct Schedule {
+    /// Route adaptively over the mesh, with its up*/down* escape mesh.
+    adaptive: bool,
     detection: Option<DetectionModel>,
     permanents: Vec<(FaultSite, Cycle)>,
     /// `(site, start, duration)`.
@@ -442,12 +476,18 @@ const INJECT_UNTIL: Cycle = 150;
 /// Drive a real router and a reference-stepped clone with one identical
 /// random fault schedule and compare them cycle by cycle.
 fn run_differential(kind: RouterKind, cfg: RouterConfig, seed: u64) {
+    run_differential_routed(kind, cfg, seed, false);
+}
+
+/// [`run_differential`], under adaptive routing when `adaptive`.
+fn run_differential_routed(kind: RouterKind, cfg: RouterConfig, seed: u64, adaptive: bool) {
     let mut rng = Rng(seed.wrapping_mul(2654435761).wrapping_add(99991));
 
     // Fault schedule: a handful of random permanent faults (and one
     // transient) manifesting while traffic flows; half the seeds use
     // delayed detection so latent windows overlap the traffic.
     let mut schedule = Schedule {
+        adaptive,
         detection: rng
             .chance(60)
             .then(|| DetectionModel::Delayed(rng.below(12) as u32 + 1)),
@@ -496,11 +536,17 @@ fn drive(
     schedule: &Schedule,
     label: &str,
 ) -> Router {
-    let mesh = Mesh::new(4);
-    let here = Coord::new(1, 1); // interior: all five ports live
-
-    let mut real = Router::new_xy(7, here, mesh, cfg, kind);
-    let mut reference = Router::new_xy(7, here, mesh, cfg, kind);
+    let here = Coord::new(1, 1); // interior of a 4x4 mesh: all five ports live
+    let mesh = || std::sync::Arc::new(Topology::mesh(4, 4));
+    let route = || match schedule.adaptive {
+        true => {
+            RoutingAlgorithm::adaptive(mesh(), std::sync::Arc::new(Topology::escape_mesh(4, 4)))
+        }
+        false => RoutingAlgorithm::topo(mesh()),
+    };
+    let ideal = DetectionModel::Ideal;
+    let mut real = Router::new(7, here, cfg, kind, route(), ideal);
+    let mut reference = Router::new(7, here, cfg, kind, route(), ideal);
     for r in [&mut real, &mut reference] {
         if let Some(d) = schedule.detection {
             r.set_detection(d);
@@ -642,6 +688,7 @@ fn drive_directed(
             detection,
             permanents: permanents.clone(),
             transients: transients.clone(),
+            ..Schedule::default()
         };
         for seed in 0..6 {
             let label = format!("{label}, {detection:?}, seed {seed}");
@@ -843,6 +890,46 @@ fn bitmask_kernels_match_reference_across_depths_and_the_widest_router() {
     for seed in 400..404 {
         run_differential(RouterKind::Baseline, cfg, seed);
         run_differential(RouterKind::Protected, cfg, seed);
+    }
+}
+
+#[test]
+fn bitmask_kernels_match_reference_under_adaptive_routing() {
+    // Adaptive RC serves the `routing | vc_alloc` word — a VC waiting in
+    // VcAlloc is re-routed, alternating towards the escape class — and
+    // VA keeps a packet that can take an adaptive-class VC off the
+    // escape VCs.
+    for seed in 500..508 {
+        run_differential_routed(RouterKind::Baseline, RouterConfig::paper(), seed, true);
+        run_differential_routed(RouterKind::Protected, RouterConfig::paper(), seed, true);
+    }
+}
+
+#[test]
+fn bitmask_kernels_match_reference_at_the_word_edges() {
+    // 32 ports of one VC: each port's field of a state word is one bit,
+    // the last is the sign bit, and a walk's field clear shifts by 31.
+    // 16 ports of two VCs: the same word cut into two-bit fields.
+    for (ports, vcs) in [(32, 1), (16, 2)] {
+        let cfg = RouterConfig {
+            ports,
+            vcs,
+            buffer_depth: 2,
+            flit_width_bits: 32,
+        };
+        for seed in 600..604 {
+            run_differential(RouterKind::Baseline, cfg, seed);
+            run_differential(RouterKind::Protected, cfg, seed);
+        }
+    }
+    let cfg = RouterConfig {
+        ports: 16,
+        vcs: 2,
+        buffer_depth: 3,
+        flit_width_bits: 32,
+    };
+    for seed in 610..613 {
+        run_differential_routed(RouterKind::Protected, cfg, seed, true);
     }
 }
 

@@ -2,7 +2,7 @@
 
 use crate::crossbar::Crossbar;
 use crate::fault_state::FaultState;
-use crate::port::{FlitStore, VcView};
+use crate::port::{FlitStore, PortCtl, VcView};
 use crate::stages::StageScratch;
 use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
@@ -259,22 +259,20 @@ pub(crate) const DEFAULT_WINNER_PERIOD: Cycle = 8;
 /// A clone is an independent router in the same state; its routing
 /// tables stay shared behind their `Arc`s, which are only ever replaced,
 /// never mutated.
+///
+/// `repr(C)` and line-aligned, hot fields first: the VC state words and
+/// the fault clock share the first cache line, so the stepper's idle
+/// test ([`Router::is_idle_at`]) reads one line per router.
 #[derive(Clone)]
+#[repr(C, align(64))]
 pub struct Router {
-    pub(crate) id: u16,
-    pub(crate) coord: Coord,
-    pub(crate) cfg: RouterConfig,
-    pub(crate) kind: RouterKind,
-    pub(crate) route: RoutingAlgorithm,
-    /// Every input VC buffer and its state fields, in one allocation.
-    pub(crate) store: FlitStore,
     /// The router-wide VC state words: bit `port·V + vc` is one input
     /// VC (`RouterConfig::validate` bounds `P·V` by 32). They are a pure
     /// function of the store — each VC's `G` state and whether its
     /// buffer holds a flit — re-derived one VC at a time by
     /// [`Router::sync_vc`] wherever either changes, and wholesale on
     /// snapshot restore. Each stage's skip test is one word test, and
-    /// a per-port walk reads `(word >> port·V) & vmask`.
+    /// a stage walks its work word port by port.
     ///
     /// Bit set ⇔ the VC is not `Idle`.
     pub(crate) nonidle: u32,
@@ -286,18 +284,24 @@ pub struct Router {
     pub(crate) active: u32,
     /// Bit set ⇔ the VC has at least one buffered flit.
     pub(crate) nonempty: u32,
-    /// Per-output bitmask over downstream VCs: bit `vc` set ⇔ the VC is
-    /// currently allocated to a packet. (Struct-of-arrays: the VA stage
-    /// computes its request mask as one `&`/`!` word op per VC.)
-    pub(crate) out_vc_busy: Vec<u32>,
-    /// Free buffer slots at the downstream VC, flat-indexed
-    /// `out * V + vc`.
-    pub(crate) credits: Vec<u8>,
-    /// Per-output bitmask over downstream VCs: bit `vc` set ⇔
-    /// `credits[out * V + vc] > 0`. Maintained alongside every credit
-    /// mutation so the SA stage tests credit availability with one mask
-    /// probe.
-    pub(crate) credited: Vec<u32>,
+    /// Total flits buffered across the input ports, maintained at the
+    /// flit entry/exit points ([`Router::receive_flit`] and the XB
+    /// traversal pops) so the per-step occupancy integral reads one
+    /// word. Recomputed on restore.
+    pub(crate) port_flits: u32,
+    /// Fault schedule and clock; its clock fields lead (see
+    /// [`FaultState`]).
+    pub(crate) faults: FaultState,
+    pub(crate) cfg: RouterConfig,
+    /// Every input VC buffer and its state fields, in one allocation.
+    pub(crate) store: FlitStore,
+    /// Every port's control state — credits, busy and exclusion words,
+    /// SA arbiters, RC pointer, bypass register — one cache line a
+    /// port, in one allocation, indexed by port.
+    pub(crate) ctl: Box<[PortCtl]>,
+    /// SA winners awaiting crossbar traversal (filled by SA at cycle t,
+    /// drained by XB at t+1).
+    pub(crate) xb_queue: Vec<XbGrant>,
     /// VA stage 1: one `v:1` arbiter over downstream VCs per
     /// `(port, vc, out)`, flat-indexed `(port * V + vc) * P + out`
     /// (the paper's 100 4:1 arbiters).
@@ -305,39 +309,12 @@ pub struct Router {
     /// VA stage 2: one `(P·V):1` arbiter per `(out, out_vc)`,
     /// flat-indexed `out * V + out_vc` (the paper's 20 20:1 arbiters).
     pub(crate) va2: Vec<RoundRobinArbiter>,
-    /// SA stage 1: `[port]`, each a `v:1` arbiter.
-    pub(crate) sa1: Vec<RoundRobinArbiter>,
-    /// SA stage 2: `[out]`, each a `P:1` arbiter.
-    pub(crate) sa2: Vec<RoundRobinArbiter>,
-    pub(crate) xbar: Crossbar,
-    pub(crate) faults: FaultState,
-    /// Per output, the SA stage-2 arbiter (= crossbar mux) a flit headed
-    /// there competes for: the output itself, its secondary source when
-    /// the correction logic knows the primary path dead, `None` when
-    /// unreachable. A function of the detected fault map (the identity
-    /// on a baseline router), so it is recomputed only when
-    /// `FaultState::refresh_observed` reports re-derived maps.
-    pub(crate) sa2_target: Vec<Option<PortId>>,
-    /// Per output, the downstream VCs whose VA stage-2 arbiter is *not*
-    /// known-faulty (Section V-B3's exclusion; all-ones on a baseline
-    /// router; bits above `V` carry no meaning). Recomputed with
-    /// `sa2_target`.
-    pub(crate) va2_ok: Vec<u32>,
-    /// SA winners awaiting crossbar traversal (filled by SA at cycle t,
-    /// drained by XB at t+1).
-    pub(crate) xb_queue: Vec<XbGrant>,
-    /// Total flits buffered across the input ports, maintained at the
-    /// flit entry/exit points ([`Router::receive_flit`] and the XB
-    /// traversal pops) so the per-step occupancy integral reads one
-    /// word. Recomputed on restore.
-    pub(crate) port_flits: u32,
-    /// Per-port rotating pointer for RC service order.
-    pub(crate) rc_pointer: Vec<usize>,
-    /// Per-port reprogrammed bypass register: `(vc, rotation_period)`.
-    /// See `sa_stage` — models the paper's VC-to-VC transfer as a
-    /// 1-cycle reprogramming of the default-winner register.
-    pub(crate) bypass_ptr: Vec<Option<(usize, Cycle)>>,
     pub(crate) stats: RouterStats,
+    pub(crate) route: RoutingAlgorithm,
+    pub(crate) id: u16,
+    pub(crate) coord: Coord,
+    pub(crate) kind: RouterKind,
+    pub(crate) xbar: Crossbar,
 }
 
 impl Router {
@@ -370,21 +347,15 @@ impl Router {
             vc_alloc: 0,
             active: 0,
             nonempty: 0,
-            out_vc_busy: vec![0; p],
-            credits: vec![cfg.buffer_depth as u8; p * v],
-            credited: vec![width_mask(v); p],
+            ctl: PortId::all(p)
+                .map(|port| PortCtl::new(port, p, v, cfg.buffer_depth as u8))
+                .collect(),
             va1: (0..p * v * p).map(|_| RoundRobinArbiter::new(v)).collect(),
             va2: (0..p * v).map(|_| RoundRobinArbiter::new(p * v)).collect(),
-            sa1: (0..p).map(|_| RoundRobinArbiter::new(v)).collect(),
-            sa2: (0..p).map(|_| RoundRobinArbiter::new(p)).collect(),
             xbar: Crossbar::new(p),
             faults: FaultState::new(&cfg, detection),
-            sa2_target: PortId::all(p).map(Some).collect(),
-            va2_ok: vec![!0; p],
             xb_queue: Vec::with_capacity(p),
             port_flits: 0,
-            rc_pointer: vec![0; p],
-            bypass_ptr: vec![None; p],
             stats: RouterStats::default(),
         })
     }
@@ -606,10 +577,13 @@ impl Router {
     /// refresh leaves the clock's lower bound behind, exactly as it does
     /// on a fault-free router; the next refresh closes the gap with the
     /// same maps and events.
+    ///
+    /// The grant queue needs no test of its own here: a queued grant
+    /// holds the buffered flit of an `Active` VC until XB sends it, so
+    /// `nonidle == 0` implies an empty queue.
     pub fn is_idle_at(&self, cycle: Cycle) -> bool {
-        self.nonidle == 0
-            && self.xb_queue.is_empty()
-            && (self.faults.is_inert() || self.faults.quiet_at(cycle))
+        debug_assert!(self.nonidle != 0 || self.xb_queue.is_empty());
+        self.nonidle == 0 && (self.faults.is_inert() || self.faults.quiet_at(cycle))
     }
 
     /// Accept a flit arriving on `(port, vc)` (buffer write).
@@ -618,17 +592,16 @@ impl Router {
         self.store
             .push(port.index() * self.cfg.vcs + vc.index(), flit);
         self.port_flits += 1;
-        self.sync_vc(port.index(), vc.index());
+        self.sync_vc(port.index() * self.cfg.vcs + vc.index());
     }
 
-    /// Re-derive input VC `(port, vc)`'s bits of the state words from
-    /// its `G` field and occupancy. The one rule that keeps the words
-    /// exact: run it wherever a VC's `G` state or emptiness changes —
-    /// flit entry ([`Router::receive_flit`]) and exit (the XB pops), and
-    /// the stage transitions RC→`VcAlloc` and VA→`Active`.
+    /// Re-derive input VC `i = port·V + vc`'s bits of the state words
+    /// from its `G` field and occupancy. The one rule that keeps the
+    /// words exact: run it wherever a VC's `G` state or emptiness
+    /// changes — flit entry ([`Router::receive_flit`]) and exit (the XB
+    /// pops), and the stage transitions RC→`VcAlloc` and VA→`Active`.
     #[inline]
-    pub(crate) fn sync_vc(&mut self, port: usize, vc: usize) {
-        let i = port * self.cfg.vcs + vc;
+    pub(crate) fn sync_vc(&mut self, i: usize) {
         let slot = self.store.slot(i);
         let g = slot.fields.g;
         let set = |word: &mut u32, on: bool| *word = (*word & !(1 << i)) | (u32::from(on) << i);
@@ -643,11 +616,9 @@ impl Router {
     /// (snapshot restore).
     pub(crate) fn sync_all(&mut self) {
         self.port_flits = 0;
-        for port in 0..self.cfg.ports {
-            for vc in 0..self.cfg.vcs {
-                self.sync_vc(port, vc);
-                self.port_flits += self.store.len(port * self.cfg.vcs + vc) as u32;
-            }
+        for i in 0..self.cfg.ports * self.cfg.vcs {
+            self.sync_vc(i);
+            self.port_flits += self.store.len(i) as u32;
         }
     }
 
@@ -660,43 +631,46 @@ impl Router {
 
     /// Accept a credit returned by the downstream router of `out_port`.
     pub fn receive_credit(&mut self, out_port: PortId, vc: VcId) {
-        let c = &mut self.credits[out_port.index() * self.cfg.vcs + vc.index()];
+        let ctl = &mut self.ctl[out_port.index()];
+        let c = &mut ctl.credits[vc.index()];
         assert!(
             (*c as usize) < self.cfg.buffer_depth,
             "credit overflow: downstream returned more credits than slots"
         );
         *c += 1;
-        self.credited[out_port.index()] |= 1 << vc.index();
+        ctl.credited |= 1 << vc.index();
     }
 
     /// Restore one previously reserved credit towards `(out, vc)`
     /// (cancelled or dropped traversal).
     #[inline]
     pub(crate) fn restore_credit(&mut self, out: PortId, vc: VcId) {
-        self.credits[out.index() * self.cfg.vcs + vc.index()] += 1;
-        self.credited[out.index()] |= 1 << vc.index();
+        let ctl = &mut self.ctl[out.index()];
+        ctl.credits[vc.index()] += 1;
+        ctl.credited |= 1 << vc.index();
     }
 
     /// Consume one credit towards `(out, vc)`, keeping the credited
     /// mask in sync. The caller must have checked availability.
     #[inline]
     pub(crate) fn consume_credit(&mut self, out: PortId, vc: VcId) {
-        let i = out.index() * self.cfg.vcs + vc.index();
-        debug_assert!(self.credits[i] > 0, "consuming a credit that is not there");
-        self.credits[i] -= 1;
-        if self.credits[i] == 0 {
-            self.credited[out.index()] &= !(1 << vc.index());
+        let ctl = &mut self.ctl[out.index()];
+        let c = &mut ctl.credits[vc.index()];
+        debug_assert!(*c > 0, "consuming a credit that is not there");
+        *c -= 1;
+        if *c == 0 {
+            ctl.credited &= !(1 << vc.index());
         }
     }
 
     /// Current credit count towards `(out_port, vc)`.
     pub fn credit(&self, out_port: PortId, vc: VcId) -> u8 {
-        self.credits[out_port.index() * self.cfg.vcs + vc.index()]
+        self.ctl[out_port.index()].credits[vc.index()]
     }
 
     /// Whether the downstream VC `(out_port, vc)` is allocated.
     pub fn out_vc_busy(&self, out_port: PortId, vc: VcId) -> bool {
-        self.out_vc_busy[out_port.index()] & (1 << vc.index()) != 0
+        self.ctl[out_port.index()].out_vc_busy & (1 << vc.index()) != 0
     }
 
     /// Advance one clock cycle, allocating a fresh [`StepOutput`].
@@ -739,7 +713,11 @@ impl Router {
             self.refresh_fault_tables();
         }
         self.xb_stage(cycle, out, obs);
-        out.scratch.fit(self.cfg.ports, self.cfg.vcs);
+        // Size the stage scratch only on a step with SA or VA work; SA
+        // moves no VC state, so the words say here whether VA has any.
+        if (self.active & self.nonempty) | self.vc_alloc != 0 {
+            out.scratch.fit(self.cfg.ports, self.cfg.vcs);
+        }
         self.sa_stage(cycle, &mut out.scratch, obs);
         self.va_stage(cycle, &mut out.scratch, obs);
         self.rc_stage(cycle, obs);
@@ -753,8 +731,9 @@ impl Router {
         }
         let detected = self.faults.detected();
         for out in PortId::all(self.cfg.ports) {
-            self.sa2_target[out.index()] = self.xbar.sa2_target(detected, out);
-            self.va2_ok[out.index()] = !detected.va2_word(out);
+            let ctl = &mut self.ctl[out.index()];
+            ctl.sa2_target = self.xbar.sa2_target(detected, out);
+            ctl.va2_ok = !detected.va2_word(out);
         }
     }
 
@@ -769,11 +748,16 @@ impl Router {
         // SA refills the queue only after this drain, so the whole
         // current contents are this cycle's work. `XbGrant` is `Copy`:
         // iterate by index and clear, keeping the queue's capacity.
+        if self.xb_queue.is_empty() {
+            return;
+        }
+        // Bit = dead crossbar mux; faults change only at the refresh.
+        let dead_mux = self.faults.active().xb_mux_word();
         for i in 0..self.xb_queue.len() {
             let g = self.xb_queue[i];
             // Re-validate the physical path: a fault may have manifested
             // between grant and traversal.
-            if self.faults.active().xb_mux_word() & (1 << g.mux.index()) != 0 {
+            if dead_mux & (1 << g.mux.index()) != 0 {
                 match self.kind {
                     RouterKind::Baseline => {
                         // The baseline router is unaware: the flit is
@@ -794,7 +778,7 @@ impl Router {
                             vc: g.in_vc,
                         });
                         if is_tail {
-                            self.out_vc_busy[g.logical_out.index()] &= !(1 << g.out_vc.index());
+                            self.ctl[g.logical_out.index()].out_vc_busy &= !(1 << g.out_vc.index());
                         }
                         if O::ENABLED {
                             obs.record(Event {
@@ -826,7 +810,7 @@ impl Router {
                 self.stats.secondary_path_flits += 1;
             }
             if flit.kind.is_tail() {
-                self.out_vc_busy[g.logical_out.index()] &= !(1 << g.out_vc.index());
+                self.ctl[g.logical_out.index()].out_vc_busy &= !(1 << g.out_vc.index());
             }
             self.stats.flits_out += 1;
             if O::ENABLED {
@@ -859,12 +843,10 @@ impl Router {
     /// or drop), keeping the flit total and state words exact.
     #[inline]
     fn pop_flit(&mut self, port: PortId, vc: VcId) -> Flit {
-        let flit = self
-            .store
-            .pop(port.index() * self.cfg.vcs + vc.index())
-            .expect("granted VC must hold a flit");
+        let i = port.index() * self.cfg.vcs + vc.index();
+        let flit = self.store.pop(i).expect("granted VC must hold a flit");
         self.port_flits -= 1;
-        self.sync_vc(port.index(), vc.index());
+        self.sync_vc(i);
         flit
     }
 }

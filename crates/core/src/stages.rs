@@ -25,49 +25,86 @@ pub(crate) struct SaRequest {
 /// caller's [`crate::StepOutput`], not in the router, so a network holds
 /// one per stepper shard rather than one per router, and a forked
 /// network copies none. Every vector is sized on the first step through
-/// a fresh `StepOutput` ([`StageScratch::fit`]) and cleared — never
-/// reallocated — each cycle after, so `Router::step_into` stays off the
-/// heap.
+/// a fresh `StepOutput` that has VA or SA work ([`StageScratch::fit`]),
+/// so `Router::step_into` stays off the heap. Nothing is cleared: a
+/// stage writes a slot before it reads it, under a set bit of a work
+/// word it keeps on the stack.
 #[derive(Debug, Default)]
 pub(crate) struct StageScratch {
-    /// VA stage-1 picks: `(port, requesting vc, arbiter owner, out,
-    /// picked downstream vc)`. At most one per input VC.
-    va_picks: Vec<(usize, VcId, VcId, PortId, VcId)>,
     /// VA stage-2 request masks, indexed `out * v + out_vc`; bit
-    /// `port * v + vc` set means that input VC competes.
+    /// `port * v + vc` set means that input VC competes. Live where
+    /// `va2_touched` has the bit.
     va_stage2: Vec<u32>,
-    /// Per-output bitmask of downstream VCs touched by this cycle's
-    /// stage-1 picks: stage 2 walks only these instead of every
-    /// `(out, out_vc)` pair.
+    /// Per-output bitmask of downstream VCs picked in VA stage 1: stage
+    /// 2 walks only these instead of every `(out, out_vc)` pair. Live
+    /// for the outputs with a pick.
     va2_touched: Vec<u32>,
-    /// SA requests, indexed `port * v + vc`.
-    sa_requests: Vec<Option<SaRequest>>,
+    /// SA requests, indexed `port * v + vc`. Live where `sa_port_req`
+    /// has the bit.
+    sa_requests: Vec<SaRequest>,
     /// Per-port bitmask of VCs with an SA request this cycle, built
-    /// during request formation (saves stage 1 a per-VC rescan).
+    /// during request formation (saves stage 1 a per-VC rescan). Live
+    /// for the ports with a request.
     sa_port_req: Vec<u32>,
-    /// SA stage-1 winner VC per input port.
-    sa_port_winner: Vec<Option<usize>>,
+    /// SA stage-1 winner VC per input port. Live for the ports in a
+    /// stage-2 request mask.
+    sa_port_winner: Vec<usize>,
     /// SA stage-2 request masks per target output (bit = input port).
+    /// Live for the targeted outputs.
     sa_stage2: Vec<u32>,
 }
 
 impl StageScratch {
     /// Size the buffers for a `p`-port, `v`-VC router; a no-op once they
     /// are (every router of a network shares one shape).
+    #[inline]
     pub(crate) fn fit(&mut self, p: usize, v: usize) {
         if self.va_stage2.len() == p * v && self.sa_port_req.len() == p {
             return;
         }
+        let blank = SaRequest {
+            logical_out: PortId(0),
+            target: PortId(0),
+            out_vc: VcId(0),
+        };
         *self = StageScratch {
-            va_picks: Vec::with_capacity(p * v),
             va_stage2: vec![0; p * v],
             va2_touched: vec![0; p],
-            sa_requests: vec![None; p * v],
+            sa_requests: vec![blank; p * v],
             sa_port_req: vec![0; p],
-            sa_port_winner: vec![None; p],
+            sa_port_winner: vec![0; p],
             sa_stage2: vec![0; p],
         }
     }
+}
+
+/// The ports owning a set bit of a router-wide state word (bit
+/// `port·v + vc`), ascending: take the lowest set bit, yield its port
+/// `bit / v`, clear that port's whole `v`-bit field. A stage that walks
+/// its work word this way visits only ports with work, in the port
+/// order a full sweep would.
+#[inline]
+fn ports_in(mut word: u32, v: usize) -> impl Iterator<Item = usize> {
+    let field = width_mask(v);
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let port = word.trailing_zeros() as usize / v;
+            word &= !(field << (port * v));
+            port
+        })
+    })
+}
+
+/// The set bits of a one-bit-per-port word, ascending.
+#[inline]
+fn bits_in(mut word: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            bit
+        })
+    })
 }
 
 /// Index of the first set bit of `mask` at or after `start`, cyclically
@@ -175,10 +212,9 @@ impl Router {
             let mut best: Option<(u32, u32, Direction)> = None;
             for d in dirs_in(cand) {
                 let out = d.port().index();
-                let free = (!self.out_vc_busy[out] & upper & self.credited[out]).count_ones();
-                let credit: u32 = (v / 2..v)
-                    .map(|ovc| u32::from(self.credits[out * v + ovc]))
-                    .sum();
+                let ctl = &self.ctl[out];
+                let free = (!ctl.out_vc_busy & upper & ctl.credited).count_ones();
+                let credit: u32 = ctl.credits[v / 2..v].iter().map(|&c| u32::from(c)).sum();
                 if best.is_none_or(|(bf, bc, _)| (free, credit) > (bf, bc)) {
                     best = Some((free, credit, d));
                 }
@@ -225,11 +261,16 @@ impl Router {
     /// Routing computation: one computation per input port per cycle
     /// (each port has one RC unit), served round-robin across VCs.
     ///
-    /// The per-VC scan is a rotate-and-ffs over the port's `Routing`
-    /// bits: the first Routing VC at or after the service pointer is
-    /// exactly the VC the old per-VC loop would reach (it skipped
-    /// non-Routing VCs and broke on the first match, served or stalled).
+    /// The stage walks the ports that own a bit of its service word,
+    /// ascending ([`ports_in`]); per port, the VC scan is a
+    /// rotate-and-ffs over the port's bits of that word: the first VC
+    /// at or after the service pointer is exactly the VC the old per-VC
+    /// loop would reach (it skipped unserved VCs and broke on the first
+    /// match, served or stalled).
     pub(crate) fn rc_stage<O: Observer>(&mut self, cycle: Cycle, obs: &mut O) {
+        if self.routing | self.vc_alloc == 0 {
+            return; // no VC awaits routing in any mode: `route` unread
+        }
         let v = self.cfg.vcs;
         let adaptive = matches!(
             self.route,
@@ -249,7 +290,7 @@ impl Router {
             self.routing
         };
         if service_word == 0 {
-            return; // no VC awaits routing
+            return; // a static router whose VCs all wait in VA
         }
         // Fault words, bit = input port. A protected port is blocked
         // while its primary-unit fault is still undetected (conservative
@@ -262,90 +303,86 @@ impl Router {
             RouterKind::Baseline => 0,
             RouterKind::Protected => detected.xb_primary_dead_word(),
         };
-        for port_idx in 0..self.cfg.ports {
+        for port_idx in ports_in(service_word, v) {
             let port_id = PortId(port_idx as u8);
             let service = self.port_bits(service_word, port_idx);
-            if service == 0 {
-                continue; // no VC awaits routing
-            }
-            {
-                let start = self.rc_pointer[port_idx];
-                let vc_id = VcId(first_set_from(service, start, v) as u8);
-                let revisit = self.port_bits(self.routing, port_idx) & (1 << vc_id.index()) == 0;
-                let dst = self
-                    .store
-                    .front(port_idx * v + vc_id.index())
-                    .expect("routing VC holds its head flit")
-                    .dst;
-                let (correct, vmask) = if adaptive {
-                    self.route_adaptively(dst, cycle, port_idx, vc_id.index(), revisit)
-                } else {
-                    self.route.route_masked(self.coord, dst, v)
-                };
-                let primary_faulty = rc_faulty & (1 << port_idx) != 0;
-                let mut misrouted = false;
-                let mut duplicate = false;
-                let computed = match (self.kind, primary_faulty) {
-                    (_, false) => Some(correct),
-                    (RouterKind::Baseline, true) => {
-                        // The unprotected RC unit computes a faulty output
-                        // port (Section V-A). We model a deterministic
-                        // corruption: the next port, cyclically.
-                        self.stats.rc_misroutes += 1;
-                        misrouted = true;
-                        Some(PortId(((correct.0 as usize + 1) % self.cfg.ports) as u8))
-                    }
-                    (RouterKind::Protected, true) => {
-                        if rc_blocked & (1 << port_idx) != 0 {
-                            None
-                        } else {
-                            // Switch to the duplicate unit — same result,
-                            // no latency penalty (spatial redundancy).
-                            self.stats.rc_duplicate_uses += 1;
-                            duplicate = true;
-                            Some(correct)
-                        }
-                    }
-                };
-                if let Some(out) = computed {
-                    if O::ENABLED {
-                        obs.record(Event {
-                            cycle,
-                            router: self.id,
-                            kind: if misrouted {
-                                EventKind::RcMisroute {
-                                    port: port_id.0,
-                                    vc: vc_id.0,
-                                    out_port: out.0,
-                                }
-                            } else {
-                                EventKind::RcComplete {
-                                    port: port_id.0,
-                                    vc: vc_id.0,
-                                    out_port: out.0,
-                                    duplicate,
-                                }
-                            },
-                        });
-                    }
-                    let fields = self.store.fields_mut(port_idx * v + vc_id.index());
-                    fields.r = Some(out);
-                    fields.vmask = vmask;
-                    fields.g = VcGlobalState::VcAlloc;
-                    // Pre-compute the secondary-path hint (Section V-D):
-                    // refreshed again at SA time in case faults manifest
-                    // later.
-                    fields.fsp = false;
-                    fields.sp = None;
-                    if primary_dead & (1 << out.index()) != 0 {
-                        fields.sp = Some(self.xbar.secondary_source(out));
-                        fields.fsp = true;
-                    }
-                    self.sync_vc(port_idx, vc_id.index());
-                    self.rc_pointer[port_idx] = (vc_id.index() + 1) % v;
+            let start = usize::from(self.ctl[port_idx].rc_pointer);
+            let vc_id = VcId(first_set_from(service, start, v) as u8);
+            let revisit = self.port_bits(self.routing, port_idx) & (1 << vc_id.index()) == 0;
+            let dst = self
+                .store
+                .front(port_idx * v + vc_id.index())
+                .expect("routing VC holds its head flit")
+                .dst;
+            let (correct, vmask) = if adaptive {
+                self.route_adaptively(dst, cycle, port_idx, vc_id.index(), revisit)
+            } else {
+                self.route.route_masked(self.coord, dst, v)
+            };
+            let primary_faulty = rc_faulty & (1 << port_idx) != 0;
+            let mut misrouted = false;
+            let mut duplicate = false;
+            let computed = match (self.kind, primary_faulty) {
+                (_, false) => Some(correct),
+                (RouterKind::Baseline, true) => {
+                    // The unprotected RC unit computes a faulty output
+                    // port (Section V-A). We model a deterministic
+                    // corruption: the next port, cyclically.
+                    self.stats.rc_misroutes += 1;
+                    misrouted = true;
+                    Some(PortId(((correct.0 as usize + 1) % self.cfg.ports) as u8))
                 }
-                // One RC computation per port per cycle, served or stalled.
+                (RouterKind::Protected, true) => {
+                    if rc_blocked & (1 << port_idx) != 0 {
+                        None
+                    } else {
+                        // Switch to the duplicate unit — same result,
+                        // no latency penalty (spatial redundancy).
+                        self.stats.rc_duplicate_uses += 1;
+                        duplicate = true;
+                        Some(correct)
+                    }
+                }
+            };
+            if let Some(out) = computed {
+                if O::ENABLED {
+                    obs.record(Event {
+                        cycle,
+                        router: self.id,
+                        kind: if misrouted {
+                            EventKind::RcMisroute {
+                                port: port_id.0,
+                                vc: vc_id.0,
+                                out_port: out.0,
+                            }
+                        } else {
+                            EventKind::RcComplete {
+                                port: port_id.0,
+                                vc: vc_id.0,
+                                out_port: out.0,
+                                duplicate,
+                            }
+                        },
+                    });
+                }
+                let fields = self.store.fields_mut(port_idx * v + vc_id.index());
+                fields.r = Some(out);
+                fields.vmask = vmask;
+                fields.g = VcGlobalState::VcAlloc;
+                // Pre-compute the secondary-path hint (Section V-D):
+                // refreshed again at SA time in case faults manifest
+                // later.
+                fields.fsp = false;
+                fields.sp = None;
+                if primary_dead & (1 << out.index()) != 0 {
+                    fields.sp = Some(self.xbar.secondary_source(out));
+                    fields.fsp = true;
+                }
+                self.sync_vc(port_idx * v + vc_id.index());
+                let next = vc_id.index() + 1;
+                self.ctl[port_idx].rc_pointer = if next == v { 0 } else { next as u8 };
             }
+            // One RC computation per port per cycle, served or stalled.
         }
     }
 
@@ -357,19 +394,21 @@ impl Router {
     /// protected router's arbiter-borrowing in stage 1 and downstream-VC
     /// exclusion for faulty stage-2 arbiters.
     ///
-    /// Stage 1 walks each port's `VcAlloc` bits with
-    /// `trailing_zeros()` (ascending VC order — identical to the old
-    /// per-VC scan, which skipped every VC not in `VcAlloc`), and forms
-    /// each request mask from whole words: free downstream VCs are
-    /// `!out_vc_busy[out]`, the topology restriction is `vmask`, and
-    /// known-faulty stage-2 arbiters are masked via the per-output
-    /// exclusion word `Router::va2_ok` (Section V-B3's
+    /// Stage 1 walks the ports owning a bit of `vc_alloc` ([`ports_in`])
+    /// and each port's `VcAlloc` bits with `trailing_zeros()` (ascending
+    /// port and VC order — identical to the old per-VC scan, which
+    /// skipped every VC not in `VcAlloc`), and forms each request mask
+    /// from whole words of the output's [`crate::port::PortCtl`]: free
+    /// downstream VCs are `!out_vc_busy`, the topology restriction is
+    /// `vmask`, and known-faulty stage-2 arbiters are masked via the
+    /// exclusion word `va2_ok` (Section V-B3's
     /// inherent-redundancy tolerance; kept current at fault edges). A
     /// borrower's lender is the first set bit, from the VC after its
     /// own, of the port's lendable-and-healthy-and-not-yet-lent word —
-    /// the order a per-VC scan tries them in. Stage 2 visits only the
-    /// `(out, out_vc)` pairs touched by stage-1 picks, in the same
-    /// out-major / ascending-VC order as the old exhaustive sweep.
+    /// the order a per-VC scan tries them in. Each pick goes straight
+    /// into stage 2's request masks, and stage 2 visits only the
+    /// `(out, out_vc)` pairs picked, in the same out-major /
+    /// ascending-VC order as the old exhaustive sweep.
     pub(crate) fn va_stage<O: Observer>(
         &mut self,
         cycle: Cycle,
@@ -406,8 +445,15 @@ impl Router {
         let (active, detected) = (self.faults.active(), self.faults.detected());
 
         // ---- Stage 1: each waiting VC picks one free downstream VC ----
-        scratch.va_picks.clear();
-        for port_idx in 0..p {
+        // A pick is entered straight into stage 2's request masks. A
+        // mask slot is zeroed on its first touch of the cycle, so the
+        // scratch is written before it is read and never cleared:
+        // bit = output with a pick; per output, bit = picked
+        // downstream VC.
+        let mut outs_picked: u32 = 0;
+        // Bit `port·V + vc`: the arbiter set of this VC was lent.
+        let mut lent_sets: u32 = 0;
+        for port_idx in ports_in(self.vc_alloc, v) {
             let port_id = PortId(port_idx as u8);
             // Stage 1 never changes a VC's G state (only stage 2 does),
             // so the mask snapshot stays valid across the walk.
@@ -474,10 +520,8 @@ impl Router {
                 // narrowed by the topology VC-class restriction (torus
                 // datelines: RC deposited the legal set in `vmask`) and
                 // the known-faulty-VA2 exclusion — three word ops.
-                let mut req = !self.out_vc_busy[out.index()]
-                    & self.va2_ok[out.index()]
-                    & fields.vmask
-                    & all_vcs;
+                let ctl = &self.ctl[out.index()];
+                let mut req = !ctl.out_vc_busy & ctl.va2_ok & fields.vmask & all_vcs;
                 if adaptive_upper != 0 && out.index() != 0 && req & adaptive_upper != 0 {
                     req &= adaptive_upper;
                 }
@@ -496,6 +540,7 @@ impl Router {
                         lender_fields.id = Some(vc_id);
                         lender_fields.vf = true;
                         lent |= 1 << owner.index();
+                        lent_sets |= 1 << (port_idx * v + owner.index());
                         self.stats.va_borrows += 1;
                         if O::ENABLED {
                             obs.record(Event {
@@ -509,22 +554,22 @@ impl Router {
                             });
                         }
                     }
-                    scratch
-                        .va_picks
-                        .push((port_idx, vc_id, owner, out, VcId(ovc as u8)));
+                    let o = out.index();
+                    if outs_picked & (1 << o) == 0 {
+                        outs_picked |= 1 << o;
+                        scratch.va2_touched[o] = 0;
+                    }
+                    if scratch.va2_touched[o] & (1 << ovc) == 0 {
+                        scratch.va2_touched[o] |= 1 << ovc;
+                        scratch.va_stage2[o * v + ovc] = 0;
+                    }
+                    scratch.va_stage2[o * v + ovc] |= 1 << (port_idx * v + vc_idx);
                 }
             }
         }
 
         // ---- Stage 2: per downstream VC, arbitrate among pickers ----
-        scratch.va_stage2.fill(0);
-        scratch.va2_touched.fill(0);
-        for i in 0..scratch.va_picks.len() {
-            let (port_idx, vc_id, _owner, out, ovc) = scratch.va_picks[i];
-            scratch.va_stage2[out.index() * v + ovc.index()] |= 1 << (port_idx * v + vc_id.index());
-            scratch.va2_touched[out.index()] |= 1 << ovc.index();
-        }
-        for out_idx in 0..p {
+        for out_idx in bits_in(outs_picked) {
             // Same out-major / ascending-out_vc order as an exhaustive
             // sweep; the mask walk just skips the request-free pairs.
             let mut touched = scratch.va2_touched[out_idx];
@@ -541,14 +586,14 @@ impl Router {
                     continue;
                 }
                 if let Some(winner) = self.va2[out_idx * v + ovc_idx].arbitrate(req) {
-                    let (port_idx, vc_idx) = (winner / v, winner % v);
                     let fields = self.store.fields_mut(winner);
                     fields.o = Some(VcId(ovc_idx as u8));
                     fields.g = VcGlobalState::Active;
-                    self.sync_vc(port_idx, vc_idx);
-                    self.out_vc_busy[out_idx] |= 1 << ovc_idx;
+                    self.sync_vc(winner);
+                    self.ctl[out_idx].out_vc_busy |= 1 << ovc_idx;
                     self.stats.va_grants += 1;
                     if O::ENABLED {
+                        let (port_idx, vc_idx) = (winner / v, winner % v);
                         obs.record(Event {
                             cycle,
                             router: self.id,
@@ -566,13 +611,10 @@ impl Router {
 
         // The VA unit resets the borrow fields once allocation completes
         // (Section V-B2). Borrows are re-established every cycle and only
-        // ever raised on this cycle's pick owners, so clearing those
-        // owners is equivalent to sweeping every VC.
-        for i in 0..scratch.va_picks.len() {
-            let (port_idx, _vc, owner, _out, _ovc) = scratch.va_picks[i];
-            self.store
-                .fields_mut(port_idx * v + owner.index())
-                .clear_borrow();
+        // ever raised on this cycle's lenders, so clearing those is
+        // equivalent to sweeping every VC.
+        for i in bits_in(lent_sets) {
+            self.store.fields_mut(i).clear_borrow();
         }
 
         self.stats.va_stalls += u64::from(va_requests) - (self.stats.va_grants - va_grants_before);
@@ -585,9 +627,13 @@ impl Router {
     /// Switch allocation: two separable stages with the protected
     /// router's bypass path (rotating default winner + VC transfer) in
     /// stage 1 and secondary-path redirection for stage 2 / XB faults.
-    // Indexed loops mirror the hardware's parallel per-port/per-VC
-    // structures and mutate several of them at once.
-    #[allow(clippy::needless_range_loop)]
+    ///
+    /// Each stage walks a word of the ports that have work, ascending —
+    /// the candidates `active & nonempty`, then the ports with a formed
+    /// request, then the targeted outputs — so the grants, pointers and
+    /// events are a full port sweep's. A scratch slot is written before
+    /// it is read, under a set bit of those words, so nothing is
+    /// cleared.
     pub(crate) fn sa_stage<O: Observer>(
         &mut self,
         cycle: Cycle,
@@ -602,16 +648,16 @@ impl Router {
         if candidate_word == 0 {
             return;
         }
-        let p = self.cfg.ports;
         let v = self.cfg.vcs;
 
         // ---- Form per-VC requests ----
         // Candidates are exactly the VCs the old per-VC scan admitted
-        // (`Active` with a buffered flit): one word op per port. The
-        // per-port request mask is accumulated here so stage 1 need not
-        // rescan the request array.
-        scratch.sa_requests.fill(None);
-        for port_idx in 0..p {
+        // (`Active` with a buffered flit). The per-port request mask is
+        // accumulated here so stage 1 need not rescan the requests.
+        // Bit = input port with at least one request.
+        let mut req_ports: u32 = 0;
+        let mut sa_requests: u32 = 0;
+        for port_idx in ports_in(candidate_word, v) {
             let mut candidates = self.port_bits(candidate_word, port_idx);
             let mut req_mask: u32 = 0;
             while candidates != 0 {
@@ -621,7 +667,8 @@ impl Router {
                 let fields = &self.store.slot(i).fields;
                 let out = fields.r.expect("active VC is routed");
                 let out_vc = fields.o.expect("active VC holds a downstream VC");
-                let target = self.sa2_target[out.index()];
+                let ctl = &self.ctl[out.index()];
+                let (target, credited) = (ctl.sa2_target, ctl.credited);
                 // Refresh the SP/FSP observability fields before any
                 // skip: a VC stalled on credits, or blocked on an
                 // unreachable output, must still report its current
@@ -635,22 +682,25 @@ impl Router {
                 let Some(target) = target else {
                     continue; // output unreachable: blocked
                 };
-                if self.credited[out.index()] & (1 << out_vc.index()) == 0 {
+                if credited & (1 << out_vc.index()) == 0 {
                     continue; // no downstream space
                 }
-                scratch.sa_requests[port_idx * v + vc_idx] = Some(SaRequest {
+                scratch.sa_requests[i] = SaRequest {
                     logical_out: out,
                     target,
                     out_vc,
-                });
+                };
                 req_mask |= 1 << vc_idx;
             }
-            scratch.sa_port_req[port_idx] = req_mask;
+            if req_mask != 0 {
+                scratch.sa_port_req[port_idx] = req_mask;
+                req_ports |= 1 << port_idx;
+                sa_requests += req_mask.count_ones();
+            }
         }
 
         // Stall accounting: formed requests (routed, credited VCs) minus
         // this cycle's stage-2 grants.
-        let sa_requests: u32 = scratch.sa_port_req.iter().map(|m| m.count_ones()).sum();
         let sa_grants_before = self.stats.sa_grants;
 
         // ---- Stage 1: per input port, pick one VC ----
@@ -661,98 +711,39 @@ impl Router {
         let sa1_faulty = active.sa1_word();
         let sa1_blocked = sa1_faulty & (!detected.sa1_word() | active.sa1_bypass_word());
         let sa2_faulty = active.sa2_word();
-        scratch.sa_port_winner.fill(None);
-        for port_idx in 0..p {
+        // Bit = output whose stage-2 arbiter has a request; its mask is
+        // zeroed on the first request of the cycle.
+        let mut targeted: u32 = 0;
+        for port_idx in bits_in(req_ports) {
             let req_mask = scratch.sa_port_req[port_idx];
-            if req_mask == 0 {
-                continue;
-            }
-            if sa1_faulty & (1 << port_idx) == 0 {
-                scratch.sa_port_winner[port_idx] = self.sa1[port_idx].arbitrate(req_mask);
-                continue;
-            }
-            match self.kind {
-                RouterKind::Baseline => {} // arbiter dead: port blocked
-                RouterKind::Protected => {
-                    if sa1_blocked & (1 << port_idx) != 0 {
-                        continue;
-                    }
-                    // Bypass path: the default winner is chosen without
-                    // arbitration (Section V-C1). The register rotates
-                    // through the VCs (avoiding the static-default
-                    // starvation the paper warns about); when the current
-                    // default is not requesting, the register is
-                    // re-pointed at a requesting VC, costing the same one
-                    // cycle the paper charges its flit transfer. (The
-                    // paper physically moves the flits into the default
-                    // VC; re-pointing the register has identical latency
-                    // and fault semantics while remaining compatible with
-                    // credit flow control for still-arriving packets —
-                    // see DESIGN.md.)
-                    let period = cycle / DEFAULT_WINNER_PERIOD;
-                    let rotation_default = (period as usize + port_idx) % v;
-                    let effective = match self.bypass_ptr[port_idx] {
-                        Some((vc, p)) if p == period => vc,
-                        _ => rotation_default,
-                    };
-                    if req_mask & (1 << effective) != 0 {
-                        scratch.sa_port_winner[port_idx] = Some(effective);
-                        self.stats.sa_bypass_grants += 1;
-                        if O::ENABLED {
-                            obs.record(Event {
-                                cycle,
-                                router: self.id,
-                                kind: EventKind::SaBypassGrant {
-                                    port: port_idx as u8,
-                                    vc: effective as u8,
-                                },
-                            });
-                        }
-                    } else {
-                        // Re-point the register at the first requesting
-                        // VC; no grant this cycle. (`req_mask != 0` is
-                        // established above.)
-                        let src = req_mask.trailing_zeros() as usize;
-                        self.bypass_ptr[port_idx] = Some((src, period));
-                        self.stats.vc_transfers += 1;
-                        if O::ENABLED {
-                            obs.record(Event {
-                                cycle,
-                                router: self.id,
-                                kind: EventKind::VcTransfer {
-                                    port: port_idx as u8,
-                                    from_vc: effective as u8,
-                                    to_vc: src as u8,
-                                },
-                            });
-                        }
-                    }
+            let winner = if sa1_faulty & (1 << port_idx) == 0 {
+                self.ctl[port_idx].sa1.arbitrate(req_mask)
+            } else {
+                match self.kind {
+                    RouterKind::Baseline => None, // arbiter dead: port blocked
+                    RouterKind::Protected if sa1_blocked & (1 << port_idx) != 0 => None,
+                    RouterKind::Protected => self.sa_bypass(cycle, port_idx, req_mask, obs),
                 }
+            };
+            let Some(vc) = winner else { continue };
+            scratch.sa_port_winner[port_idx] = vc;
+            let t = scratch.sa_requests[port_idx * v + vc].target.index();
+            if targeted & (1 << t) == 0 {
+                targeted |= 1 << t;
+                scratch.sa_stage2[t] = 0;
             }
+            scratch.sa_stage2[t] |= 1 << port_idx;
         }
 
         // ---- Stage 2: per target output, pick one input port ----
-        scratch.sa_stage2.fill(0);
-        for port_idx in 0..p {
-            if let Some(vc) = scratch.sa_port_winner[port_idx] {
-                let req = scratch.sa_requests[port_idx * v + vc].expect("winner had a request");
-                scratch.sa_stage2[req.target.index()] |= 1 << port_idx;
-            }
-        }
-        for target_idx in 0..p {
+        // A faulty stage-2 arbiter grants nothing. Protected VCs never
+        // target a known-faulty arbiter (`sa2_target` redirects them);
+        // during a latent window, or in the baseline, they stall here.
+        for target_idx in bits_in(targeted & !sa2_faulty) {
             let mask = scratch.sa_stage2[target_idx];
-            if mask == 0 {
-                continue;
-            }
-            // A faulty stage-2 arbiter grants nothing. Protected VCs never
-            // target a known-faulty arbiter (`sa2_target` redirects them);
-            // during a latent window, or in the baseline, they stall here.
-            if sa2_faulty & (1 << target_idx) != 0 {
-                continue;
-            }
-            if let Some(wport) = self.sa2[target_idx].arbitrate(mask) {
-                let vc_idx = scratch.sa_port_winner[wport].expect("stage-2 winner won stage 1");
-                let req = scratch.sa_requests[wport * v + vc_idx].expect("winner had a request");
+            if let Some(wport) = self.ctl[target_idx].sa2.arbitrate(mask) {
+                let vc_idx = scratch.sa_port_winner[wport];
+                let req = scratch.sa_requests[wport * v + vc_idx];
                 // Reserve the downstream buffer slot now; XB sends next
                 // cycle.
                 self.consume_credit(req.logical_out, req.out_vc);
@@ -779,5 +770,62 @@ impl Router {
         }
 
         self.stats.sa_stalls += u64::from(sa_requests) - (self.stats.sa_grants - sa_grants_before);
+    }
+
+    /// SA stage 1 of a protected port whose arbiter is known dead: the
+    /// bypass path, whose default winner is chosen without arbitration
+    /// (Section V-C1). The register rotates through the VCs (avoiding
+    /// the static-default starvation the paper warns about); when the
+    /// current default is not requesting, the register is re-pointed at
+    /// a requesting VC, costing the same one cycle the paper charges its
+    /// flit transfer. (The paper physically moves the flits into the
+    /// default VC; re-pointing the register has identical latency and
+    /// fault semantics while remaining compatible with credit flow
+    /// control for still-arriving packets — see DESIGN.md.)
+    fn sa_bypass<O: Observer>(
+        &mut self,
+        cycle: Cycle,
+        port_idx: usize,
+        req_mask: u32,
+        obs: &mut O,
+    ) -> Option<usize> {
+        let period = cycle / DEFAULT_WINNER_PERIOD;
+        let rotation_default = (period as usize + port_idx) % self.cfg.vcs;
+        let ctl = &mut self.ctl[port_idx];
+        let effective = match ctl.bypass_vc {
+            Some(vc) if ctl.bypass_period == period => usize::from(vc),
+            _ => rotation_default,
+        };
+        if req_mask & (1 << effective) != 0 {
+            self.stats.sa_bypass_grants += 1;
+            if O::ENABLED {
+                obs.record(Event {
+                    cycle,
+                    router: self.id,
+                    kind: EventKind::SaBypassGrant {
+                        port: port_idx as u8,
+                        vc: effective as u8,
+                    },
+                });
+            }
+            return Some(effective);
+        }
+        // Re-point the register at the first requesting VC; no grant
+        // this cycle. (`req_mask != 0`: the port has a request.)
+        let src = req_mask.trailing_zeros() as usize;
+        (ctl.bypass_vc, ctl.bypass_period) = (Some(src as u8), period);
+        self.stats.vc_transfers += 1;
+        if O::ENABLED {
+            obs.record(Event {
+                cycle,
+                router: self.id,
+                kind: EventKind::VcTransfer {
+                    port: port_idx as u8,
+                    from_vc: effective as u8,
+                    to_vc: src as u8,
+                },
+            });
+        }
+        None
     }
 }

@@ -9,6 +9,33 @@
 
 use noc_types::{Coord, Cycle, DeliveredPacket, Flit, Packet, PacketId, PacketKind, VcId};
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
+
+/// Hashes a [`PacketId`] with one multiply by 2^64/φ (Fibonacci
+/// hashing). The reassembly map is probed on every ejected flit. Its
+/// keys are unique ids, numbered in sequence by the traffic generator or
+/// read from the user's own replayed trace, and it holds about one entry
+/// per local-output VC: SipHash's flood resistance buys nothing there.
+#[derive(Debug, Clone, Copy, Default)]
+struct IdHasher(u64);
+
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0 ^ x).wrapping_mul(FIBONACCI);
+    }
+}
 
 /// An in-progress transmission on one local-input VC.
 #[derive(Debug, Clone)]
@@ -45,7 +72,7 @@ pub struct NetworkInterface {
     spare: Vec<VecDeque<Flit>>,
     /// Round-robin pointer over `sends`.
     send_rr: usize,
-    reassembly: HashMap<PacketId, Reassembly>,
+    reassembly: HashMap<PacketId, Reassembly, BuildHasherDefault<IdHasher>>,
     // ---- statistics ----
     /// Packets offered to the NI (including any refused by a full queue).
     pub offered: u64,
@@ -81,7 +108,7 @@ impl NetworkInterface {
                 .map(|_| VecDeque::with_capacity(PacketKind::Data.flits()))
                 .collect(),
             send_rr: 0,
-            reassembly: HashMap::new(),
+            reassembly: HashMap::default(),
             offered: 0,
             accepted: 0,
             injected: 0,
