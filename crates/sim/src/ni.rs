@@ -135,8 +135,9 @@ impl NetworkInterface {
 
     /// Whether any injection work remains (queued packets or in-progress
     /// sends). When false, [`NetworkInterface::inject`] is a pure no-op
-    /// until the next accepted offer — the network's live-NI bitmap
-    /// elides the call entirely.
+    /// until the next accepted offer, so a shard's injection phase asks
+    /// this of each of its NIs every cycle and skips the call for the
+    /// idle ones.
     pub(crate) fn pending_work(&self) -> bool {
         !self.queue.is_empty() || !self.sends.is_empty()
     }
