@@ -319,9 +319,9 @@ fn timed_run(spec: &CampaignSpec, every: u64, dir: &std::path::Path) -> (f64, u6
     let mut written = 0u64;
     let start = Instant::now();
     let (_report, _outcome) = sim
-        .run_streamed(&mut gen, &mut stream, None, |doc| {
+        .run_streamed(&mut gen, &mut stream, None, |checkpoint| {
             written += 1;
-            std::fs::write(&path, doc.render()).expect("write checkpoint");
+            std::fs::write(&path, checkpoint.document().render()).expect("write checkpoint");
             true
         })
         .expect("campaign runs");

@@ -4,32 +4,18 @@
 
 use super::{job::PartialHead, SchedInner};
 use crate::{fsio::write_atomic, spec::CampaignSpec, stream::JsonlStream};
-use noc_sim::DeliveryStream;
+use noc_sim::{Checkpoint, DeliveryStream};
 use noc_telemetry::{json::obj, snapshot::SNAPSHOT_SCHEMA_VERSION, JsonValue};
 use noc_types::DeliveredPacket;
 use std::{fs, path::Path, sync::atomic::Ordering, time::Instant};
-
-/// A checkpoint on its way from the worker to the spool: the document
-/// as `checkpoint.json` will hold it, and what becomes public once it
-/// does.
-pub(super) struct Checkpoint {
-    text: String,
-    head: Option<PartialHead>,
-}
-
-impl Checkpoint {
-    pub(super) fn of(doc: &JsonValue) -> Checkpoint {
-        Checkpoint {
-            text: doc.render(),
-            head: PartialHead::of(doc),
-        }
-    }
-}
 
 /// One commit, the unit of a job's writer: append the deliveries, then
 /// spool the checkpoint that names them. The order is the stream's
 /// crash guarantee (I1): a checkpoint is never in place before the
 /// deliveries up to its `delivery_offset` are `sync_data`-durable.
+/// The checkpoint arrives as the worker left it, a copy of the run at
+/// its boundary: the writer, not the stepping thread, builds and
+/// renders its document.
 pub(super) fn commit(
     inner: &SchedInner,
     id: &str,
@@ -46,21 +32,29 @@ pub(super) fn commit(
 
 /// Make one checkpoint of job `id` durable and, only once the directory
 /// fsync behind the rename has returned (I2), publish it: progress and
-/// the `202` head on the job's record, the counters, the log.
+/// the `202` head on the job's record, the counters, the log. The text
+/// `checkpoint.json` holds and the head are both read off the one
+/// document built here.
 pub(super) fn spool_checkpoint(
     inner: &SchedInner,
     id: &str,
     path: &Path,
     checkpoint: Checkpoint,
 ) -> Result<(), String> {
+    // The copy, then the tree, go as soon as they are spent: the
+    // writer's peak is one of them beside the text, not all three.
+    let doc = checkpoint.document();
+    drop(checkpoint);
+    let (text, head) = (doc.render(), PartialHead::of(&doc));
+    drop(doc);
     let write_started = Instant::now();
-    write_atomic(path, &checkpoint.text).map_err(|e| format!("writing checkpoint: {e}"))?;
+    write_atomic(path, &text).map_err(|e| format!("writing checkpoint: {e}"))?;
     let write = write_started.elapsed();
     inner.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
     inner
         .checkpoint_write_nanos
         .fetch_add(write.as_nanos() as u64, Ordering::Relaxed);
-    if let Some(head) = checkpoint.head {
+    if let Some(head) = head {
         let cycle = head.cycle;
         if let Some(rec) = inner.state().jobs.get_mut(id) {
             rec.resumes_from(head, Some(Instant::now()));
@@ -145,10 +139,8 @@ mod tests {
             }
         });
         let offsets = RefCell::new(Vec::new());
-        job.run(&mut stream, |doc| {
-            offsets
-                .borrow_mut()
-                .push(doc.get("delivery_offset").unwrap().as_u64().unwrap());
+        job.run(&mut stream, |offset| {
+            offsets.borrow_mut().push(offset);
             match boundary.get() {
                 1 => assert_eq!(observable(sched, id), *before.borrow(), "handed over"),
                 // The batch of boundary 4 covers intervals 2 to 4.

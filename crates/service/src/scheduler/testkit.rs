@@ -2,13 +2,13 @@
 //! `202` reference, and [`Played`], a job whose worker and writer the
 //! test plays itself.
 
-use super::commit::{commit, Checkpoint};
+use super::commit::commit;
 use super::worker::next_job;
 use super::{Scheduler, ServiceConfig};
 use crate::obs::ObsLog;
 use crate::spec::CampaignSpec;
 use crate::stream::{JsonlStream, Mailbox, QueuedStream};
-use noc_sim::{DeliveryStream, MemoryStream, SimOutcome};
+use noc_sim::{Checkpoint, DeliveryStream, MemoryStream, SimOutcome};
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{Snapshot, SnapshotError};
 use noc_types::DeliveredPacket;
@@ -141,18 +141,20 @@ impl Played {
     }
 
     /// The worker: the whole run against `stream`, every checkpoint
-    /// handed over and then shown to `handed_over`. Returns the
-    /// rendered report.
+    /// handed over as the job's worker hands it over, and then its
+    /// `delivery_offset` shown to `handed_over`. Returns the rendered
+    /// report.
     pub(super) fn run<F: Fn(bool)>(
         &self,
         stream: &mut Overheard<'_, F>,
-        mut handed_over: impl FnMut(&JsonValue),
+        mut handed_over: impl FnMut(u64),
     ) -> Result<String, SnapshotError> {
         let sim = self.spec.simulator(self.spec.checkpoint_every).unwrap();
         let mut gen = self.spec.generator().unwrap();
-        let (report, outcome) = sim.run_streamed(&mut gen, stream, None, |doc| {
-            self.mailbox.hand_over(Checkpoint::of(doc));
-            handed_over(doc);
+        let (report, outcome) = sim.run_streamed(&mut gen, stream, None, |checkpoint| {
+            let offset = checkpoint.delivery_offset();
+            self.mailbox.hand_over(checkpoint);
+            handed_over(offset);
             true
         })?;
         assert_ne!(outcome, SimOutcome::Interrupted);

@@ -2,7 +2,7 @@
 //! ended. A running `simulate` job adds its writer thread (the
 //! [`commit`] side of a [`Mailbox`]).
 
-use super::commit::{commit, write_result, Checkpoint};
+use super::commit::{commit, write_result};
 use super::{job::JobRecord, SchedInner};
 use crate::stream::{panic_message, JsonlStream, Mailbox};
 use crate::{fsio::write_atomic, spec::CampaignSpec};
@@ -162,8 +162,10 @@ fn run_simulate_job(
         if spec.name == super::testkit::PANICKING_JOB {
             panic!("injected into the job body");
         }
-        let run = sim.run_streamed(&mut gen, &mut stream, resume.as_ref(), |doc| {
-            mailbox.hand_over(Checkpoint::of(doc));
+        // The worker leaves a copy of the run at the boundary and steps
+        // on; the writer builds and renders its document.
+        let run = sim.run_streamed(&mut gen, &mut stream, resume.as_ref(), |checkpoint| {
+            mailbox.hand_over(checkpoint);
             if !inner.shutdown.load(Ordering::SeqCst) {
                 return true;
             }

@@ -2,7 +2,8 @@
 //!
 //! One JSON object per line, in delivery order, each the
 //! [`noc_telemetry::snapshot::Snapshot`] rendering of a
-//! [`DeliveredPacket`]. A batch is appended (fsynced) at every
+//! [`DeliveredPacket`], written without building the JSON tree
+//! (`write_line`). A batch is appended (fsynced) at every
 //! checkpoint boundary taken, *before* the checkpoint document that
 //! references the new offset is written, so after any crash the stream
 //! is at least as long as the latest durable checkpoint's
@@ -21,9 +22,9 @@
 //! for the job's writer thread to append (ARCHITECTURE.md §5.3).
 
 use noc_sim::DeliveryStream;
-use noc_telemetry::json::JsonValue;
-use noc_telemetry::snapshot::{FromSnapshot, Snapshot, SnapshotError};
-use noc_types::DeliveredPacket;
+use noc_telemetry::json::{write_escaped, write_number, JsonValue};
+use noc_telemetry::snapshot::{FromSnapshot, SnapshotError};
+use noc_types::{Coord, DeliveredPacket, PacketKind};
 use std::fs;
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -152,6 +153,44 @@ impl JsonlStream {
     }
 }
 
+/// Append `d`'s stream line to `out`, newline included: the bytes of
+/// `d.snapshot().render()`, written without building the tree — the
+/// snapshot's keys in its order, every value through the renderer's own
+/// number and string writers (so an id or a cycle past 2^53 keeps the
+/// `f64` form the tree prints).
+fn write_line(out: &mut String, d: &DeliveredPacket) {
+    let pair = |out: &mut String, c: Coord| {
+        out.push('[');
+        write_number(out, f64::from(c.x));
+        out.push(',');
+        write_number(out, f64::from(c.y));
+        out.push(']');
+    };
+    out.push_str("{\"id\":");
+    write_number(out, d.id.0 as f64);
+    out.push_str(",\"kind\":");
+    write_escaped(
+        out,
+        match d.kind {
+            PacketKind::Control => "control",
+            PacketKind::Data => "data",
+        },
+    );
+    out.push_str(",\"src\":");
+    pair(out, d.src);
+    out.push_str(",\"dst\":");
+    pair(out, d.dst);
+    out.push_str(",\"created_at\":");
+    write_number(out, d.created_at as f64);
+    out.push_str(",\"injected_at\":");
+    write_number(out, d.injected_at as f64);
+    out.push_str(",\"ejected_at\":");
+    write_number(out, d.ejected_at as f64);
+    out.push_str(",\"hops\":");
+    write_number(out, f64::from(d.hops));
+    out.push_str("}\n");
+}
+
 impl DeliveryStream for JsonlStream {
     fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
         if batch.is_empty() {
@@ -165,9 +204,11 @@ impl DeliveryStream for JsonlStream {
         // into one `String` first is a peak the daemon's resident set
         // keeps (+14 % measured).
         let mut out = BufWriter::with_capacity(16 << 10, f);
+        let mut line = String::new();
         for d in batch {
-            out.write_all(d.snapshot().render().as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
+            line.clear();
+            write_line(&mut line, d);
+            out.write_all(line.as_bytes())
                 .map_err(|e| io_err("appending to stream", e))?;
         }
         let f = out
@@ -409,9 +450,12 @@ pub(crate) fn panic_message(panic: &(dyn std::any::Any + Send)) -> &str {
 
 /// The [`DeliveryStream`] a job steps against: `append` leaves the
 /// batch in the [`Mailbox`] and returns, and `ready` keeps the
-/// simulator from building a checkpoint the writer could not take yet.
-/// Dropping it closes the mailbox, so a worker that unwinds still lets
-/// its writer go.
+/// simulator from copying its network for a checkpoint the writer
+/// could not take yet. It admits a boundary only when the mailbox is
+/// idle, so a job holds at most one network copy beside its live
+/// network — two only when a shutdown's last checkpoint is handed over
+/// while a commit is in flight. Dropping it closes the mailbox, so a
+/// worker that unwinds still lets its writer go.
 pub(crate) struct QueuedStream<'a, C> {
     mailbox: &'a Mailbox<C>,
     urgent: &'a AtomicBool,
@@ -463,7 +507,8 @@ impl<C> Drop for QueuedStream<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{Coord, PacketId, PacketKind};
+    use noc_telemetry::snapshot::Snapshot;
+    use noc_types::PacketId;
 
     fn d(id: u64) -> DeliveredPacket {
         DeliveredPacket {
@@ -627,6 +672,72 @@ mod tests {
         assert_eq!(two[0].get("id").and_then(|v| v.as_u64()), Some(1));
         assert!(JsonlStream::read_prefix(&path, 4).is_none());
         assert!(JsonlStream::read_prefix(&dir.join("absent.jsonl"), 0).is_none());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The tree-free line writer writes what rendering the snapshot
+    /// tree writes, on seeded packets and at the edges: ids and cycles
+    /// at 2^53 − 1, 2^53 and `u64::MAX` (where the tree's `f64` form
+    /// takes over), coordinates 0 and 255, both kinds. A stream it
+    /// wrote reads back through `truncate`, past 2^53 included, as the
+    /// numbers the tree form parses to.
+    #[test]
+    fn delivery_lines_equal_the_rendered_snapshot() {
+        let mut rng = noc_types::rng::Rng::seeded(0x11E5);
+        let mut packets: Vec<DeliveredPacket> = (0..500)
+            .map(|_| {
+                let mut coord = || Coord::new(rng.next_u64() as u8, rng.next_u64() as u8);
+                let (src, dst) = (coord(), coord());
+                let created_at = rng.next_u64() >> (rng.next_u64() % 64);
+                DeliveredPacket {
+                    id: PacketId(rng.next_u64() >> (rng.next_u64() % 64)),
+                    kind: [PacketKind::Control, PacketKind::Data][rng.next_u64() as usize % 2],
+                    src,
+                    dst,
+                    created_at,
+                    injected_at: created_at.saturating_add(rng.next_u64() % 50),
+                    ejected_at: created_at.saturating_add(rng.next_u64() % 500),
+                    hops: rng.next_u64() as u16,
+                }
+            })
+            .collect();
+        let two_53 = 1u64 << 53;
+        for (i, n) in [0, 1, two_53 - 1, two_53, two_53 + 1, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            let (c, kind) = (
+                i as u8 % 2 * 255,
+                [PacketKind::Control, PacketKind::Data][i % 2],
+            );
+            packets.push(DeliveredPacket {
+                id: PacketId(n),
+                kind,
+                src: Coord::new(c, 255 - c),
+                dst: Coord::new(255 - c, c),
+                created_at: n,
+                injected_at: n,
+                ejected_at: n,
+                hops: [0, u16::MAX][i % 2],
+            });
+        }
+        for d in &packets {
+            let mut line = String::new();
+            write_line(&mut line, d);
+            assert_eq!(line, d.snapshot().render() + "\n", "{d:?}");
+        }
+
+        let dir = scratch("lines");
+        let mut s = JsonlStream::open(dir.join("deliveries.jsonl")).unwrap();
+        s.append(&packets).unwrap();
+        let read = s.truncate(packets.len() as u64).unwrap();
+        // What the tree form round-trips to: exact below 2^53, the
+        // nearest `f64` above it, read back saturated.
+        let through_f64 = |d: &DeliveredPacket| {
+            let parsed = JsonValue::parse(&d.snapshot().render()).unwrap();
+            DeliveredPacket::from_snapshot(&parsed).unwrap()
+        };
+        assert_eq!(read, packets.iter().map(through_f64).collect::<Vec<_>>());
         let _ = fs::remove_dir_all(&dir);
     }
 

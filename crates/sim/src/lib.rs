@@ -35,7 +35,10 @@
 //! [`DeliveryStream`] ([`Simulator::run_streamed`]) instead of the
 //! checkpoint itself, so checkpoint cost is O(live state), not
 //! O(campaign length); checkpoints record a stream offset and resume
-//! truncates the stream back to it.
+//! truncates the stream back to it. `run_streamed` hands over each
+//! checkpoint as a [`Checkpoint`] — a copy of the network and two
+//! small snapshots — so the run steps on while the caller builds and
+//! renders the document elsewhere.
 //!
 //! Telemetry: [`Network::step_observed`] threads a
 //! [`noc_telemetry::Observer`] per stepper shard through every router
@@ -65,5 +68,5 @@ pub use delivery::{DeliveryStream, MemoryStream};
 pub use network::{IntervalProfile, Network};
 pub use ni::NetworkInterface;
 pub use pool::WorkerPool;
-pub use simulator::{PacketSource, SimOutcome, Simulator};
+pub use simulator::{Checkpoint, PacketSource, SimOutcome, Simulator};
 pub use stats::{LatencySummary, NetworkReport, RouterEventTotals, LATENCY_BUCKETS};

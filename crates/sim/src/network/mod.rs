@@ -143,6 +143,16 @@ pub struct Network {
 /// from, and grows its buffers back as it steps.
 impl Clone for Network {
     fn clone(&self) -> Self {
+        self.copy_with(self.deliveries.clone())
+    }
+}
+
+impl Network {
+    /// The [`Clone`] of this network, but with `deliveries` as its
+    /// delivery log. A checkpoint copy passes an empty log: the log is
+    /// not part of a snapshot, and copying it would make a checkpoint
+    /// O(run length) again.
+    pub(crate) fn copy_with(&self, deliveries: Vec<DeliveredPacket>) -> Network {
         Network {
             cfg: self.cfg,
             mesh: self.mesh,
@@ -150,7 +160,7 @@ impl Clone for Network {
             links: self.links.clone(),
             routers: self.routers.clone(),
             nis: self.nis.clone(),
-            deliveries: self.deliveries.clone(),
+            deliveries,
             cycles_stepped: self.cycles_stepped,
             worklist_audit: self.worklist_audit,
             routers_stepped: self.routers_stepped,
@@ -164,9 +174,7 @@ impl Clone for Network {
             last_activity: self.last_activity,
         }
     }
-}
 
-impl Network {
     /// Build a fault-free network of the given router kind.
     pub fn new(cfg: NetworkConfig, kind: RouterKind) -> Self {
         Network::with_faults(cfg, kind, &FaultPlan::none())

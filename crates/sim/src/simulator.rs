@@ -164,7 +164,7 @@ impl EpochState {
 
 /// What [`Simulator::run_core`] drives each cycle: a packet generator
 /// plus an end-of-cycle hook. The plain `run*` entry points wrap their
-/// closure in [`FnSource`] (hook is a no-op); [`Simulator::run_resumable`]
+/// closure in [`FnSource`] (hook is a no-op); [`Simulator::run_streamed`]
 /// uses the hook to emit checkpoints, so both paths share one loop and
 /// cannot drift apart.
 trait CoreSource {
@@ -185,15 +185,60 @@ impl<F: FnMut(Cycle, &mut Vec<Packet>)> CoreSource for FnSource<F> {
     }
 }
 
+/// A run's state at a checkpoint boundary, handed to the callback of
+/// [`Simulator::run_streamed`]. It is a copy, not a document: the epoch
+/// sampler and the packet source, snapshotted at the boundary (both are
+/// small), and a [`Clone`] of the network without its delivery log. The
+/// run steps on at once, and [`Checkpoint::document`] builds the
+/// checkpoint document from the copy whenever, and on whichever thread,
+/// the caller likes: the copy is independent of the live network, so
+/// the document is the one the boundary would have produced.
+pub struct Checkpoint {
+    cycle: Cycle,
+    delivery_offset: u64,
+    epochs: JsonValue,
+    source: JsonValue,
+    network: Network,
+}
+
+impl Checkpoint {
+    /// How many leading entries of the delivery stream this checkpoint
+    /// vouches for.
+    pub fn delivery_offset(&self) -> u64 {
+        self.delivery_offset
+    }
+
+    /// The complete self-describing checkpoint document (schema v4):
+    /// feed it back as `resume_from`, on a `Simulator` with the same
+    /// configuration, to resume.
+    pub fn document(&self) -> JsonValue {
+        obj([
+            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
+            ("cycle", self.cycle.into()),
+            ("delivery_offset", self.delivery_offset.into()),
+            ("epochs", self.epochs.clone()),
+            ("source", self.source.clone()),
+            // The live spatial grid, so observers (the service's
+            // `/jobs/:id/progress`) can read a heatmap straight off the
+            // last durable checkpoint. Deterministic (router-owned
+            // counters), so resumed runs reproduce it exactly; the
+            // restore path ignores it — the grid is re-derived from the
+            // restored routers.
+            ("progress", self.network.spatial_grid().to_json()),
+            ("network", self.network.snapshot()),
+        ])
+    }
+}
+
 /// The resumable loop's source: forwards packet generation, spools new
-/// deliveries into the stream, and emits a checkpoint document every
-/// `every` cycles at which the stream is [`DeliveryStream::ready`] (a
-/// boundary it is not ready for is skipped whole; the next one taken
-/// carries the larger batch). Ordering is load-bearing: deliveries are
-/// appended **before** the checkpoint document referencing their offset
-/// is handed to the sink, so a crash between the two leaves at worst a
-/// stream tail past the last durable checkpoint — which the next resume
-/// truncates away.
+/// deliveries into the stream, and hands a [`Checkpoint`] to the sink
+/// every `every` cycles at which the stream is
+/// [`DeliveryStream::ready`] (a boundary it is not ready for is skipped
+/// whole; the next one taken carries the larger batch). Ordering is
+/// load-bearing: deliveries are appended **before** the checkpoint
+/// referencing their offset is handed to the sink, so a crash between
+/// the two leaves at worst a stream tail past the last durable
+/// checkpoint — which the next resume truncates away.
 struct CheckpointingSource<'a, S, F> {
     source: &'a mut S,
     every: Cycle,
@@ -206,7 +251,7 @@ struct CheckpointingSource<'a, S, F> {
     stream_error: Option<SnapshotError>,
 }
 
-impl<S: PacketSource, F: FnMut(&JsonValue) -> bool> CoreSource for CheckpointingSource<'_, S, F> {
+impl<S: PacketSource, F: FnMut(Checkpoint) -> bool> CoreSource for CheckpointingSource<'_, S, F> {
     fn generate(&mut self, cycle: Cycle, out: &mut Vec<Packet>) {
         self.source.generate(cycle, out);
     }
@@ -221,28 +266,13 @@ impl<S: PacketSource, F: FnMut(&JsonValue) -> bool> CoreSource for Checkpointing
             return false;
         }
         self.cursor = net.deliveries().len();
-        let doc = obj([
-            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
-            ("cycle", next.into()),
-            ("delivery_offset", (self.cursor as u64).into()),
-            (
-                "epochs",
-                match epochs {
-                    Some(ep) => ep.to_json(),
-                    None => JsonValue::Null,
-                },
-            ),
-            ("source", self.source.snapshot()),
-            // The live spatial grid, so observers (the service's
-            // `/jobs/:id/progress`) can read a heatmap straight off the
-            // last durable checkpoint. Deterministic (router-owned
-            // counters), so resumed runs reproduce it exactly; the
-            // restore path ignores it — the grid is re-derived from the
-            // restored routers.
-            ("progress", net.spatial_grid().to_json()),
-            ("network", net.snapshot()),
-        ]);
-        (self.sink)(&doc)
+        (self.sink)(Checkpoint {
+            cycle: next,
+            delivery_offset: self.cursor as u64,
+            epochs: epochs.as_ref().map_or(JsonValue::Null, EpochState::to_json),
+            source: self.source.snapshot(),
+            network: net.copy_with(Vec::new()),
+        })
     }
 }
 
@@ -334,16 +364,17 @@ impl Simulator {
     ///
     /// When [`Simulator::with_checkpoint_every`] is set, `on_checkpoint`
     /// receives a complete self-describing checkpoint document every
-    /// `n` cycles; feed one back as `resume_from` (on a `Simulator`
-    /// with the same configuration) to resume. Returning `false` from
-    /// the callback interrupts the run ([`SimOutcome::Interrupted`])
-    /// right after the checkpoint it was handed — the graceful-shutdown
-    /// hook for the campaign service.
+    /// `n` cycles ([`Checkpoint::document`] of what
+    /// [`Simulator::run_streamed`] hands over); feed one back as
+    /// `resume_from` (on a `Simulator` with the same configuration) to
+    /// resume. Returning `false` from the callback interrupts the run
+    /// ([`SimOutcome::Interrupted`]) right after the checkpoint it was
+    /// handed — the graceful-shutdown hook for the campaign service.
     pub fn run_resumable<S: PacketSource>(
         &self,
         source: &mut S,
         resume_from: Option<&JsonValue>,
-        on_checkpoint: impl FnMut(&JsonValue) -> bool,
+        mut on_checkpoint: impl FnMut(&JsonValue) -> bool,
     ) -> Result<(NetworkReport, SimOutcome), SnapshotError> {
         // A throwaway in-memory stream: fine for fresh runs and for
         // resuming a checkpoint taken before any deliveries (offset 0).
@@ -352,15 +383,26 @@ impl Simulator {
         // run appended to — an empty stream cannot be truncated to a
         // positive offset and the resume fails cleanly.
         let mut stream = MemoryStream::new();
-        self.run_streamed(source, &mut stream, resume_from, on_checkpoint)
+        self.run_streamed(source, &mut stream, resume_from, |c| {
+            on_checkpoint(&c.document())
+        })
     }
 
-    /// [`Simulator::run_resumable`] with an explicit delivery stream.
+    /// [`Simulator::run_resumable`] with an explicit delivery stream,
+    /// and the one run loop behind it.
+    ///
+    /// `on_checkpoint` receives each checkpoint as a [`Checkpoint`],
+    /// an owned copy of the run's state at the boundary rather than a
+    /// document: the loop pays for a network clone and two small
+    /// snapshots and steps on, and the caller builds and renders
+    /// [`Checkpoint::document`] where it likes — the campaign service
+    /// does so on the job's spool writer thread. Returning `false`
+    /// interrupts the run right after it.
     ///
     /// New deliveries are appended to `stream` at every checkpoint
     /// boundary the stream is [`DeliveryStream::ready`] for, *before*
-    /// the checkpoint document (which records the resulting stream
-    /// offset as `delivery_offset`) reaches `on_checkpoint`, and once
+    /// the checkpoint (which records the resulting stream offset as
+    /// [`Checkpoint::delivery_offset`]) reaches `on_checkpoint`, and once
     /// more when the run completes — so after a completed run the
     /// stream holds the full delivery log. When
     /// resuming, `stream` must be the stream the checkpointed run was
@@ -379,7 +421,7 @@ impl Simulator {
         source: &mut S,
         stream: &mut dyn DeliveryStream,
         resume_from: Option<&JsonValue>,
-        on_checkpoint: impl FnMut(&JsonValue) -> bool,
+        on_checkpoint: impl FnMut(Checkpoint) -> bool,
     ) -> Result<(NetworkReport, SimOutcome), SnapshotError> {
         let mut net = self.build_network();
         let (start_cycle, epochs, cursor) = match resume_from {

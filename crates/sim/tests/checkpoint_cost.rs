@@ -37,7 +37,8 @@ fn checkpoint_size_is_independent_of_campaign_length() {
 
     let mut stream = MemoryStream::new();
     let mut sizes: Vec<(u64, usize, u64)> = Vec::new(); // (cycle, bytes, offset)
-    sim.run_streamed(&mut gen, &mut stream, None, |doc| {
+    sim.run_streamed(&mut gen, &mut stream, None, |checkpoint| {
+        let doc = checkpoint.document();
         let cycle = doc.get("cycle").and_then(|v| v.as_u64()).unwrap();
         let offset = doc.get("delivery_offset").and_then(|v| v.as_u64()).unwrap();
         sizes.push((cycle, doc.render().len(), offset));

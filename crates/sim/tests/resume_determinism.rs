@@ -5,12 +5,15 @@
 //! an active fault plan. This is the invariant the campaign service's
 //! crash recovery stands on (ARCHITECTURE.md §5).
 
-use noc_faults::{DetectionModel, FaultPlan, FaultSite};
+use noc_faults::{DetectionModel, FaultPlan, FaultSite, LinkFaultEvent};
 use noc_sim::{MemoryStream, Simulator};
 use noc_telemetry::json::JsonValue;
 use noc_telemetry::snapshot::{Restore, Snapshot};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
-use noc_types::{Cycle, LinkClass, NetworkConfig, PortId, RouterId, SimConfig, TopologySpec, VcId};
+use noc_types::{
+    Cycle, Direction, LinkClass, NetworkConfig, PortId, RouterId, RoutingMode, SimConfig,
+    TopologySpec, VcId,
+};
 use shield_router::RouterKind;
 
 const SEED: u64 = 0x5EED_CAFE;
@@ -74,8 +77,8 @@ fn assert_resume_deterministic(cfg: NetworkConfig, kind: RouterKind, plan: Fault
         let mut gen = generator(&cfg);
         let mut stream = MemoryStream::new();
         let (report, _) = sim
-            .run_streamed(&mut gen, &mut stream, None, |doc| {
-                checkpoints.push(doc.render());
+            .run_streamed(&mut gen, &mut stream, None, |checkpoint| {
+                checkpoints.push(checkpoint.document().render());
                 true
             })
             .unwrap();
@@ -118,6 +121,86 @@ fn assert_resume_deterministic(cfg: NetworkConfig, kind: RouterKind, plan: Fault
                 &reference_stream[..],
                 "delivery stream after resume from checkpoint {i} diverged (threads={threads})"
             );
+        }
+    }
+}
+
+/// A [`noc_sim::Checkpoint`] is a copy of its boundary, not a view of
+/// the live run: each one, kept until the run has ended and only then
+/// rendered, equals the document rendered when it was handed over,
+/// although the network stepped on after every hand-off — and, under
+/// adaptive routing, link faults that manifest after a boundary swapped
+/// the live network's topology and escape tables. Resuming from each
+/// reproduces the uninterrupted report and stream.
+#[test]
+fn a_checkpoint_is_a_snapshot_of_its_boundary() {
+    let mesh = net_cfg(TopologySpec::MeshK);
+    let adaptive = NetworkConfig {
+        routing: RoutingMode::Adaptive,
+        ..mesh
+    };
+    // Checkpoints fall every 317 cycles: the first cut lands after the
+    // first boundary, the second after the third.
+    let cut = |cycle, router, dir| LinkFaultEvent {
+        cycle,
+        router: RouterId(router),
+        dir,
+    };
+    let cuts = FaultPlan::none().with_link_faults(vec![
+        cut(400, 5, Direction::East),
+        cut(1_000, 10, Direction::South),
+    ]);
+    let router_faults = FaultPlan::at_start(
+        [(RouterId(5), FaultSite::RcPrimary { port: PortId(1) })],
+        DetectionModel::Ideal,
+    );
+    for (cfg, kind, plan) in [
+        (mesh, RouterKind::Protected, FaultPlan::none()),
+        (mesh, RouterKind::Baseline, router_faults),
+        (adaptive, RouterKind::Protected, cuts),
+    ] {
+        let (reference, reference_stream) = {
+            let mut stream = MemoryStream::new();
+            let (report, _) = simulator(cfg, kind, plan.clone(), 1)
+                .run_streamed(&mut generator(&cfg), &mut stream, None, |_| true)
+                .unwrap();
+            (report.to_json().render(), stream.into_entries())
+        };
+        for threads in [1, 2] {
+            let sim = simulator(cfg, kind, plan.clone(), threads);
+            let (mut kept, mut at_hand_off) = (Vec::new(), Vec::new());
+            let mut stream = MemoryStream::new();
+            sim.run_streamed(&mut generator(&cfg), &mut stream, None, |checkpoint| {
+                at_hand_off.push(checkpoint.document().render());
+                kept.push(checkpoint);
+                true
+            })
+            .unwrap();
+            assert!(kept.len() >= 3, "{kind:?}, threads={threads}");
+            for (i, (checkpoint, rendered)) in kept.iter().zip(&at_hand_off).enumerate() {
+                let case = format!(
+                    "checkpoint {i}, {kind:?}, {:?}, threads={threads}",
+                    cfg.routing
+                );
+                assert_eq!(checkpoint.document().render(), *rendered, "{case}");
+                let doc = JsonValue::parse(rendered).unwrap();
+                assert_eq!(
+                    doc.get("cycle").and_then(JsonValue::as_u64),
+                    Some(317 * (i as u64 + 1)),
+                    "{case}"
+                );
+                assert_eq!(
+                    doc.get("delivery_offset").and_then(JsonValue::as_u64),
+                    Some(checkpoint.delivery_offset()),
+                    "{case}"
+                );
+                let mut stream = MemoryStream::from_entries(reference_stream.clone());
+                let (resumed, _) = sim
+                    .run_streamed(&mut generator(&cfg), &mut stream, Some(&doc), |_| true)
+                    .unwrap();
+                assert_eq!(resumed.to_json().render(), reference, "{case}");
+                assert_eq!(stream.entries(), &reference_stream[..], "{case}");
+            }
         }
     }
 }
@@ -237,8 +320,8 @@ fn snapshots_and_resumes_do_not_depend_on_the_shard_count() {
     let mut checkpoints = Vec::new();
     let mut stream = MemoryStream::new();
     simulator(cfg, RouterKind::Protected, plan.clone(), 4)
-        .run_streamed(&mut generator(&cfg), &mut stream, None, |doc| {
-            checkpoints.push(doc.render());
+        .run_streamed(&mut generator(&cfg), &mut stream, None, |checkpoint| {
+            checkpoints.push(checkpoint.document().render());
             true
         })
         .unwrap();

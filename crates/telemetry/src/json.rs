@@ -162,33 +162,69 @@ pub fn obj<const N: usize>(pairs: [(&str, JsonValue); N]) -> JsonValue {
     JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn write_number(out: &mut String, n: f64) {
+/// Append the JSON form of `n` to `out`, as [`JsonValue::render`]
+/// writes every number: an integral value below 2^53 in magnitude as
+/// its decimal digits (`-0.0` as `0`), any other finite value in Rust's
+/// shortest round-trip form (so `2^53` and past keep the `f64` form
+/// `9007199254740992`, `1e21` reads `1000000000000000000000`), and NaN
+/// or ±∞ as `null`. The parser reads each back to the value written.
+pub fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; exporters only feed finite values, but
         // degrade to null rather than emitting an unparsable token.
         out.push_str("null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
-        let _ = write!(out, "{}", n as i64);
+        // What `write!(out, "{}", n as i64)` writes, without the
+        // formatter: the digits, least significant first, into a
+        // buffer read back front to back.
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        let mut rest = (n as i64).unsigned_abs();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (rest % 10) as u8;
+            rest /= 10;
+            if rest == 0 {
+                break;
+            }
+        }
+        if n < 0.0 {
+            out.push('-');
+        }
+        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
     } else {
         let _ = write!(out, "{n}");
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
+/// Append `s` to `out` as a JSON string literal, as
+/// [`JsonValue::render`] writes every string and key: quoted, with `"`
+/// and `\` escaped, `\n`, `\r` and `\t` by name and every other byte
+/// below 0x20 as `\u00XX`. The runs between escapes are copied whole,
+/// so a string that needs none is one copy.
+pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    let mut run = 0;
+    for (at, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // An ASCII byte is a char boundary, so both slices are whole.
+        out.push_str(&s[run..at]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
         }
+        run = at + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -473,6 +509,89 @@ mod tests {
             "1 2",
         ] {
             assert!(JsonValue::parse(bad).is_err(), "accepted malformed {bad:?}");
+        }
+    }
+
+    /// The writers' fast paths write what the formatter did: the
+    /// reference bodies below are the `format!` forms they replaced.
+    #[test]
+    fn writers_match_their_formatter_forms() {
+        fn number_reference(n: f64) -> String {
+            if !n.is_finite() {
+                "null".into()
+            } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
+                format!("{}", n as i64)
+            } else {
+                format!("{n}")
+            }
+        }
+        fn escaped_reference(s: &str) -> String {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out + "\""
+        }
+        let two_53 = 9_007_199_254_740_992.0;
+        let mut numbers = vec![
+            0.0,
+            -0.0,
+            1.0,
+            -1.0,
+            9.0,
+            10.0,
+            99.0,
+            100.0,
+            two_53 - 1.0,
+            -(two_53 - 1.0),
+            two_53,
+            -two_53,
+            two_53 * 2.0,
+            1e21,
+            -1e21,
+            1e300,
+            u64::MAX as f64,
+            0.5,
+            -0.25,
+            2.5,
+            1.0 / 3.0,
+            1e-7,
+            123_456.789,
+            f64::MIN_POSITIVE,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+        ];
+        numbers.extend((0..64).map(|shift| (1u64 << shift) as f64 - 1.0));
+        for n in numbers {
+            let mut out = String::from("x");
+            write_number(&mut out, n);
+            assert_eq!(out, format!("x{}", number_reference(n)), "{n:?}");
+        }
+        for s in [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "a\"b\\c\nd\re\tf",
+            "\u{0}\u{1}\u{8}\u{b}\u{c}\u{1f} \u{7f}",
+            "héllo — wörld ✓ 🎉",
+            "tail\n",
+            "\u{1f}lead",
+            "ünï\"cödé\\",
+        ] {
+            let mut out = String::from("x");
+            write_escaped(&mut out, s);
+            assert_eq!(out, format!("x{}", escaped_reference(s)), "{s:?}");
+            assert_eq!(JsonValue::parse(&out[1..]).unwrap().as_str(), Some(s));
         }
     }
 
