@@ -11,7 +11,7 @@ use crate::harness::{ExperimentScale, Options};
 use noc_campaign::{run_campaign, summarise, CampaignConfig};
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_service::{CampaignSpec, JsonlStream};
-use noc_sim::{Network, Simulator};
+use noc_sim::{MemoryStream, Network, Simulator};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::{LinkClass, NetworkConfig, RouterConfig, RoutingMode, SimConfig, TopologySpec};
 use shield_router::RouterKind;
@@ -43,12 +43,16 @@ fn run_point(spec: TopologySpec, offered: f64, warmup: u64, measure: u64) -> Poi
         drain_cycles: 0,
         seed: 0,
     };
-    Simulator::new(cfg, phases, RouterKind::Protected, FaultPlan::none())
-        .run_on(&mut net, |cycle, out| gen.tick_into(cycle, out));
+    let mut log = MemoryStream::new();
+    Simulator::new(cfg, phases, RouterKind::Protected, FaultPlan::none()).run_on(
+        &mut net,
+        &mut log,
+        |cycle, out| gen.tick_into(cycle, out),
+    );
     // Accepted load is what left the network inside the window, whenever
     // it was created — not the report's created-in-window count.
-    let (accepted, lat_sum) = net
-        .deliveries()
+    let (accepted, lat_sum) = log
+        .entries()
         .iter()
         .filter(|d| d.ejected_at >= warmup)
         .fold((0u64, 0u64), |(n, sum), d| {
@@ -100,10 +104,14 @@ fn run_campaign_4096(threads: usize, cycles: u64, inject_until: u64) -> Campaign
         drain_cycles: cycles - inject_until,
         seed: 0,
     };
-    Simulator::new(cfg, phases, RouterKind::Protected, plan)
-        .run_on(&mut net, |cycle, out| gen.tick_into(cycle, out));
+    let mut log = MemoryStream::new();
+    Simulator::new(cfg, phases, RouterKind::Protected, plan).run_on(
+        &mut net,
+        &mut log,
+        |cycle, out| gen.tick_into(cycle, out),
+    );
     CampaignEnd {
-        deliveries_debug: format!("{:?}", net.deliveries()),
+        deliveries_debug: format!("{:?}", log.entries()),
         heatmap: net.spatial_grid().to_json().render(),
         counters: net.packet_counters(),
         injected: net.flits_injected,

@@ -221,6 +221,48 @@ mod tests {
         assert_eq!(job.published_offset(), None);
     }
 
+    /// The stream's directory entry before its first checkpoint (I7):
+    /// the worker opens a new stream without the directory fsync, and
+    /// the writer's first commit does it before the rename — pinned by
+    /// making that fsync fail (the spool directory is gone): the commit
+    /// fails with it, not with the rename, and no checkpoint appears.
+    #[test]
+    fn a_new_streams_directory_fsync_is_the_writers_and_precedes_its_checkpoint() {
+        let job = Played::new("settle", busy_spec());
+        let mut stream = job.stream(|_| ());
+        let settled = RefCell::new(Vec::new());
+        job.run(&mut stream, |_| {
+            assert!(job.commit_after(|on_disk, _| settled.borrow_mut().push(on_disk.is_settled())));
+        })
+        .unwrap();
+        assert_eq!(
+            settled.borrow()[..2],
+            [false, true],
+            "settled by the first commit"
+        );
+        assert!(job.checkpoint_path.exists());
+
+        let job = Played::new("settle-fails", busy_spec());
+        let dir = job.stream_path.parent().unwrap().to_path_buf();
+        let moved = dir.with_extension("moved");
+        let mut stream = job.stream(|_| ());
+        let run = job.run(&mut stream, |_| {
+            if dir.exists() {
+                fs::rename(&dir, &moved).unwrap();
+                assert!(job.commit());
+            }
+        });
+        let heard = run.expect_err("the append at the next boundary reports the failure");
+        let error = job.mailbox.outcome().unwrap_err();
+        assert!(error.contains("stream: syncing spool directory"), "{error}");
+        assert!(heard.to_string().contains(&error), "{heard}");
+        assert!(
+            !moved.join("checkpoint.json").exists(),
+            "renamed before the fsync"
+        );
+        assert_eq!(job.published_offset(), None);
+    }
+
     /// A checkpoint before its publication (I2), pinned by making the
     /// rename fail under the real worker and writer: nothing is
     /// published, and the job fails with the commit's message.

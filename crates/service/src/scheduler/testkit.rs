@@ -239,7 +239,11 @@ impl<F: Fn(bool)> DeliveryStream for Overheard<'_, F> {
     fn len(&self) -> u64 {
         self.stream.len()
     }
-    fn truncate(&mut self, offset: u64) -> Result<Vec<DeliveredPacket>, SnapshotError> {
-        self.stream.truncate(offset)
+    fn truncate(
+        &mut self,
+        offset: u64,
+        fold: &mut dyn FnMut(&DeliveredPacket),
+    ) -> Result<(), SnapshotError> {
+        self.stream.truncate(offset, fold)
     }
 }

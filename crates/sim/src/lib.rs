@@ -31,11 +31,15 @@
 //! emits self-describing JSON checkpoints of the live simulation
 //! state — every router, NI, wire, credit and RNG stream — and a run
 //! resumed from one produces a byte-identical [`NetworkReport`]
-//! (ARCHITECTURE.md §5). Delivered packets spool into an append-only
+//! (ARCHITECTURE.md §5). The network keeps no delivery log: it keeps an
+//! exact [`DeliveryTally`] (latency value → count maps, hop and flit
+//! sums), which is all a report reads, so a run's memory does not grow
+//! with its length. Delivered packets spool into an append-only
 //! [`DeliveryStream`] ([`Simulator::run_streamed`]) instead of the
 //! checkpoint itself, so checkpoint cost is O(live state), not
 //! O(campaign length); checkpoints record a stream offset and resume
-//! truncates the stream back to it. `run_streamed` hands over each
+//! truncates the stream back to it, folding the kept prefix into the
+//! tally. `run_streamed` hands over each
 //! checkpoint as a [`Checkpoint`] — a copy of the network and two
 //! small snapshots — so the run steps on while the caller builds and
 //! renders the document elsewhere.
@@ -62,11 +66,13 @@ pub mod ni;
 pub mod pool;
 pub mod simulator;
 pub mod stats;
+pub mod tally;
 
 pub use batch::run_batch;
-pub use delivery::{DeliveryStream, MemoryStream};
+pub use delivery::{DeliveryStream, MemoryStream, NullStream};
 pub use network::{IntervalProfile, Network};
 pub use ni::NetworkInterface;
 pub use pool::WorkerPool;
 pub use simulator::{Checkpoint, PacketSource, SimOutcome, Simulator};
 pub use stats::{LatencySummary, NetworkReport, RouterEventTotals, LATENCY_BUCKETS};
+pub use tally::{DeliveryTally, LatencyCounts};

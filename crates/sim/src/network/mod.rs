@@ -22,7 +22,9 @@
 //!   injects from its NIs and steps its routers, whose outputs go
 //!   straight into its own wheel;
 //! * **C** — the arriving slots are emptied, and the counters and
-//!   deliveries are merged in fixed shard order (= router-id order).
+//!   deliveries are merged in fixed shard order (= router-id order):
+//!   each delivery is counted into the network's [`DeliveryTally`] and
+//!   queued until the run loop hands it on to its delivery stream.
 //!
 //! Because link latency is ≥ 1 cycle, a router's step never reads
 //! another router's same-cycle output, so shards are independent within
@@ -59,8 +61,10 @@ mod wheel;
 
 pub use shard::IntervalProfile;
 
+use crate::delivery::DeliveryStream;
 use crate::ni::NetworkInterface;
 use crate::pool::WorkerPool;
+use crate::tally::DeliveryTally;
 use links::Links;
 use noc_faults::{FaultPlan, LinkFaultEvent};
 use noc_telemetry::json::{obj, JsonValue};
@@ -92,7 +96,10 @@ pub struct Network {
     links: Links,
     routers: Vec<Router>,
     nis: Vec<NetworkInterface>,
-    deliveries: Vec<DeliveredPacket>,
+    /// Deliveries not yet handed on to a delivery stream.
+    pending: Vec<DeliveredPacket>,
+    /// The exact tally of every delivery so far; what reports read.
+    tally: DeliveryTally,
     /// Cycles stepped so far (denominator for utilisation).
     cycles_stepped: u64,
     /// Step idle routers anyway and assert the step was a no-op.
@@ -137,22 +144,15 @@ pub struct Network {
 /// and never mutates a shared one. The shard partition is rebuilt at the
 /// same shard count on the same worker pool, with fresh scratch and
 /// profile, and the wire wheel is copied into it in its canonical order.
-/// Everything else is copied — and only its occupied part: std
+/// Everything else — the delivery tally and the deliveries not yet
+/// handed on included — is copied, and only its occupied part: std
 /// `Vec`/`VecDeque` clones allocate `len`, not capacity, so a clone of a
 /// lightly loaded network is much smaller than the network it was taken
-/// from, and grows its buffers back as it steps.
+/// from, and grows its buffers back as it steps. No copy holds a
+/// delivery log: the tally is O(distinct latencies), so a clone — a
+/// campaign fork, a checkpoint copy — costs O(live state).
 impl Clone for Network {
     fn clone(&self) -> Self {
-        self.copy_with(self.deliveries.clone())
-    }
-}
-
-impl Network {
-    /// The [`Clone`] of this network, but with `deliveries` as its
-    /// delivery log. A checkpoint copy passes an empty log: the log is
-    /// not part of a snapshot, and copying it would make a checkpoint
-    /// O(run length) again.
-    pub(crate) fn copy_with(&self, deliveries: Vec<DeliveredPacket>) -> Network {
         Network {
             cfg: self.cfg,
             mesh: self.mesh,
@@ -160,7 +160,8 @@ impl Network {
             links: self.links.clone(),
             routers: self.routers.clone(),
             nis: self.nis.clone(),
-            deliveries,
+            pending: self.pending.clone(),
+            tally: self.tally.clone(),
             cycles_stepped: self.cycles_stepped,
             worklist_audit: self.worklist_audit,
             routers_stepped: self.routers_stepped,
@@ -174,7 +175,9 @@ impl Network {
             last_activity: self.last_activity,
         }
     }
+}
 
+impl Network {
     /// Build a fault-free network of the given router kind.
     pub fn new(cfg: NetworkConfig, kind: RouterKind) -> Self {
         Network::with_faults(cfg, kind, &FaultPlan::none())
@@ -238,7 +241,8 @@ impl Network {
             links,
             routers,
             nis,
-            deliveries: Vec::new(),
+            pending: Vec::new(),
+            tally: DeliveryTally::default(),
             cycles_stepped: 0,
             worklist_audit: false,
             routers_stepped: 0,
@@ -385,17 +389,56 @@ impl Network {
         self.routers_skipped
     }
 
-    /// The completed-delivery log (correct destinations only).
-    pub fn deliveries(&self) -> &[DeliveredPacket] {
-        &self.deliveries
+    /// The exact tally of the deliveries (correct destinations only):
+    /// latency counts, hop and flit sums of the packets created in the
+    /// window of the run that steps the network — every packet, for a
+    /// network stepped by hand.
+    pub fn tally(&self) -> &DeliveryTally {
+        &self.tally
     }
 
-    /// Replace the delivery log wholesale. Restore path only: network
-    /// snapshots exclude the log (it lives in the append-only delivery
-    /// stream, see [`crate::delivery`]), so a resume loads the stream
-    /// prefix at the checkpointed offset back in through here.
-    pub fn set_deliveries(&mut self, deliveries: Vec<DeliveredPacket>) {
-        self.deliveries = deliveries;
+    /// Deliveries since they were last handed on, in delivery order.
+    /// The run loop hands them on every cycle (or at each checkpoint of
+    /// a checkpointed run); on a network stepped by hand they pile up
+    /// here until [`Network::hand_on_deliveries`].
+    pub fn pending_deliveries(&self) -> &[DeliveredPacket] {
+        &self.pending
+    }
+
+    /// Append the pending deliveries to `stream` and forget them; the
+    /// buffer keeps its capacity, so a steady-state hand-on allocates
+    /// nothing here. On an error the deliveries stay pending.
+    pub fn hand_on_deliveries(
+        &mut self,
+        stream: &mut dyn DeliveryStream,
+    ) -> Result<(), SnapshotError> {
+        if !self.pending.is_empty() {
+            stream.append(&self.pending)?;
+            self.pending.clear();
+        }
+        Ok(())
+    }
+
+    /// Tally from now on the packets created in `window`.
+    ///
+    /// # Panics
+    /// When the tally already counted deliveries under a window that
+    /// classifies some creation cycle before [`Network::cycle`]
+    /// differently: continuing it would silently mix two windows.
+    pub(crate) fn set_window(&mut self, window: (Cycle, Cycle)) {
+        assert!(
+            self.tally.admits(window, self.cycles_stepped),
+            "a network tallied under window {:?} cannot continue under {window:?} at cycle {}",
+            self.tally.window(),
+            self.cycles_stepped
+        );
+        self.tally.set_window(window);
+    }
+
+    /// Count one delivery of the retained stream prefix into the tally
+    /// (the resume path).
+    pub(crate) fn fold_delivery(&mut self, d: &DeliveredPacket) {
+        self.tally.record(d);
     }
 
     /// Total packets offered / injected / ejected / misdelivered.
@@ -506,7 +549,8 @@ impl Network {
             links,
             routers,
             nis,
-            deliveries,
+            pending,
+            tally,
             cycles_stepped,
             worklist_audit,
             routers_stepped,
@@ -564,7 +608,10 @@ impl Network {
         // them, and merge in fixed shard order (= router-id order).
         for (s, (scratch, slot)) in shards.iter_mut().zip(arriving.iter_mut()).enumerate() {
             slot.clear();
-            deliveries.append(&mut scratch.deliveries);
+            for d in scratch.deliveries.drain(..) {
+                tally.record(&d);
+                pending.push(d);
+            }
             *flits_dropped += std::mem::take(&mut scratch.flits_dropped);
             *flits_edge_dropped += std::mem::take(&mut scratch.flits_edge_dropped);
             *flits_injected += std::mem::take(&mut scratch.flits_injected);
@@ -673,12 +720,12 @@ impl Snapshot for Network {
     /// the topology, the link targets, the shard partition (thread
     /// count is a performance knob — results are bit-identical for any
     /// value, see the module docs) and the empty per-cycle scratch
-    /// buffers. Also excluded — deliberately — is the delivery log: it
-    /// grows with campaign length and lives in the append-only
-    /// delivery stream instead ([`crate::delivery`]), keeping snapshot
-    /// cost O(live network state). Checkpoint envelopes record a
-    /// stream offset; [`Network::set_deliveries`] reloads the prefix
-    /// on restore.
+    /// buffers. Also excluded — deliberately — are the deliveries: the
+    /// log lives in the append-only delivery stream
+    /// ([`crate::delivery`]), keeping snapshot cost O(live network
+    /// state), and the tally is rebuilt from it. Checkpoint envelopes
+    /// record a stream offset; on restore the simulator truncates the
+    /// stream to it and folds the retained prefix into the tally.
     fn snapshot(&self) -> JsonValue {
         let mut wires = vec![Vec::new(); self.part.wheel_len()];
         self.part.for_each_wire(|k, w| wires[k].push(w.snapshot()));
@@ -755,11 +802,12 @@ impl Restore for Network {
                 self.part.load(k, w);
             }
         }
-        // The delivery log is not in the snapshot (it lives in the
-        // delivery stream); clear any stale entries so a restore into a
-        // used network cannot leak them. Callers resuming a checkpoint
-        // reload the stream prefix via `set_deliveries` afterwards.
-        self.deliveries.clear();
+        // The deliveries are not in the snapshot (the log lives in the
+        // delivery stream); clear the tally (keeping its window) and the
+        // pending ones so a restore into a used network cannot leak
+        // them. A resume folds the stream prefix in afterwards.
+        self.tally.clear();
+        self.pending.clear();
         self.links.restore_rows(v, "link_flits", |l| &mut l.flits)?;
         self.links
             .restore_rows(v, "link_free", |l| &mut l.free_at)?;

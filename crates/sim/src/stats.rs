@@ -3,7 +3,7 @@
 use crate::network::Network;
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::{FlightRecord, SpatialGrid, TimeSeries};
-use noc_types::{Cycle, DeliveredPacket};
+use noc_types::Cycle;
 
 /// Number of log2 histogram buckets in a [`LatencySummary`].
 pub const LATENCY_BUCKETS: usize = 32;
@@ -68,52 +68,19 @@ impl LatencySummary {
         ])
     }
 
-    /// Summarise a sample (empty samples give an all-zero summary).
-    pub fn of(mut samples: Vec<u64>) -> Self {
-        if samples.is_empty() {
-            return LatencySummary {
-                count: 0,
-                mean: 0.0,
-                stddev: 0.0,
-                min: 0,
-                p50: 0,
-                p95: 0,
-                p99: 0,
-                p999: 0,
-                max: 0,
-                histogram: [0; LATENCY_BUCKETS],
-            };
-        }
-        samples.sort_unstable();
-        let count = samples.len();
-        let sum: u128 = samples.iter().map(|&s| s as u128).sum();
-        let sum_sq: u128 = samples.iter().map(|&s| (s as u128) * (s as u128)).sum();
-        let mean = sum as f64 / count as f64;
-        // Population variance via E[X²] − E[X]²; the sums are exact
-        // (u128), so the only rounding is the final f64 conversion.
-        let variance = (sum_sq as f64 / count as f64 - mean * mean).max(0.0);
-        let mut histogram = [0u64; LATENCY_BUCKETS];
-        for &s in &samples {
-            histogram[Self::bucket_of(s)] += 1;
-        }
-        // Nearest-rank percentile: ceil(p·N)-th order statistic.
-        let pct = |p: f64| -> u64 {
-            let rank = (count as f64 * p).ceil() as usize;
-            samples[rank.clamp(1, count) - 1]
-        };
-        LatencySummary {
-            count,
-            mean,
-            stddev: variance.sqrt(),
-            min: samples[0],
-            p50: pct(0.50),
-            p95: pct(0.95),
-            p99: pct(0.99),
-            p999: pct(0.999),
-            max: samples[count - 1],
-            histogram,
-        }
-    }
+    /// The summary of an empty sample: all zeros.
+    pub const EMPTY: LatencySummary = LatencySummary {
+        count: 0,
+        mean: 0.0,
+        stddev: 0.0,
+        min: 0,
+        p50: 0,
+        p95: 0,
+        p99: 0,
+        p999: 0,
+        max: 0,
+        histogram: [0; LATENCY_BUCKETS],
+    };
 }
 
 /// The full result of one simulation run.
@@ -209,32 +176,26 @@ impl RouterEventTotals {
 
 impl NetworkReport {
     /// Build the report of a run that stopped after `cycles_run` cycles
-    /// on `net`: the delivery log filtered to `window`, the network's
-    /// counters, the epoch series when sampling was on, and the flight
-    /// record when the watchdog fired.
+    /// on `net`: the network's delivery tally (its window is the
+    /// report's), its counters, the epoch series when sampling was on,
+    /// and the flight record when the watchdog fired.
     pub(crate) fn build(
         net: &Network,
-        window: (Cycle, Cycle),
         cycles_run: Cycle,
         epochs: Option<TimeSeries>,
         deadlock: Option<FlightRecord>,
     ) -> Self {
-        let in_window: Vec<&DeliveredPacket> = net
-            .deliveries()
-            .iter()
-            .filter(|d| d.created_at >= window.0 && d.created_at < window.1)
-            .collect();
-        let total_latency =
-            LatencySummary::of(in_window.iter().map(|d| d.total_latency()).collect());
-        let network_latency =
-            LatencySummary::of(in_window.iter().map(|d| d.network_latency()).collect());
-        let mean_hops = if in_window.is_empty() {
+        let tally = net.tally();
+        let window = tally.window();
+        let delivered = tally.delivered();
+        // The integer sum as `f64` equals the in-order `f64` sum of the
+        // hop counts while that sum is below 2^53.
+        let mean_hops = if delivered == 0 {
             0.0
         } else {
-            in_window.iter().map(|d| d.hops as f64).sum::<f64>() / in_window.len() as f64
+            tally.hops() as f64 / delivered as f64
         };
         let window_len = (window.1 - window.0).max(1) as f64;
-        let delivered_flits: u64 = in_window.iter().map(|d| d.kind.flits() as u64).sum();
         let nodes = net.mesh().len();
         let (offered, injected, _ejected, misdelivered) = net.packet_counters();
         let (routers_stepped, routers_skipped) = (net.routers_stepped(), net.routers_skipped());
@@ -245,15 +206,15 @@ impl NetworkReport {
             nodes,
             offered,
             injected,
-            delivered: in_window.len() as u64,
+            delivered,
             misdelivered,
             flits_dropped: net.flits_dropped,
             flits_edge_dropped: net.flits_edge_dropped,
             in_flight_at_end: net.in_flight_flits(),
-            total_latency,
-            network_latency,
+            total_latency: tally.total_latency().summary(),
+            network_latency: tally.network_latency().summary(),
             mean_hops,
-            throughput: delivered_flits as f64 / window_len / nodes as f64,
+            throughput: tally.flits() as f64 / window_len / nodes as f64,
             deadlock_suspected: deadlock.is_some(),
             router_events: net.router_event_totals(),
             utilisation_heatmap: net.utilisation_heatmap(),
@@ -336,10 +297,57 @@ impl NetworkReport {
     }
 }
 
+/// The summary as it was computed before the delivery tally: sort the
+/// whole sample. Kept as the oracle the tally's summaries are compared
+/// with.
+#[cfg(test)]
+impl LatencySummary {
+    pub(crate) fn of(mut samples: Vec<u64>) -> Self {
+        if samples.is_empty() {
+            return LatencySummary::EMPTY;
+        }
+        samples.sort_unstable();
+        let count = samples.len();
+        let sum: u128 = samples.iter().map(|&s| s as u128).sum();
+        let sum_sq: u128 = samples.iter().map(|&s| (s as u128) * (s as u128)).sum();
+        let mean = sum as f64 / count as f64;
+        let variance = (sum_sq as f64 / count as f64 - mean * mean).max(0.0);
+        let mut histogram = [0u64; LATENCY_BUCKETS];
+        for &s in &samples {
+            histogram[Self::bucket_of(s)] += 1;
+        }
+        let pct = |p: f64| -> u64 {
+            let rank = (count as f64 * p).ceil() as usize;
+            samples[rank.clamp(1, count) - 1]
+        };
+        LatencySummary {
+            count,
+            mean,
+            stddev: variance.sqrt(),
+            min: samples[0],
+            p50: pct(0.50),
+            p95: pct(0.95),
+            p99: pct(0.99),
+            p999: pct(0.999),
+            max: samples[count - 1],
+            histogram,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_types::{Coord, PacketId, PacketKind};
+    use crate::tally::LatencyCounts;
+    use noc_types::{Coord, DeliveredPacket, PacketId, PacketKind};
+
+    /// The tally's summary of `samples`, checked against the oracle.
+    fn summary(samples: Vec<u64>) -> LatencySummary {
+        let counts: LatencyCounts = samples.iter().copied().collect();
+        let s = counts.summary();
+        assert_eq!(s, LatencySummary::of(samples));
+        s
+    }
 
     fn delivery(created: Cycle, injected: Cycle, ejected: Cycle) -> DeliveredPacket {
         DeliveredPacket {
@@ -356,14 +364,14 @@ mod tests {
 
     #[test]
     fn summary_of_empty_sample_is_zero() {
-        let s = LatencySummary::of(vec![]);
+        let s = summary(vec![]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
     }
 
     #[test]
     fn summary_percentiles_are_order_statistics() {
-        let s = LatencySummary::of((1..=100).collect());
+        let s = summary((1..=100).collect());
         assert_eq!(s.count, 100);
         assert_eq!(s.min, 1);
         assert_eq!(s.max, 100);
@@ -378,7 +386,7 @@ mod tests {
     fn p999_separates_from_p99_on_large_samples() {
         // 1..=1000: nearest rank puts p99 at the 990th and p999 at the
         // 999th order statistic.
-        let s = LatencySummary::of((1..=1000).collect());
+        let s = summary((1..=1000).collect());
         assert_eq!(s.p99, 990);
         assert_eq!(s.p999, 999);
     }
@@ -387,13 +395,13 @@ mod tests {
     fn stddev_matches_hand_computation() {
         // {2, 4, 4, 4, 5, 5, 7, 9}: the classic example with mean 5 and
         // population stddev exactly 2.
-        let s = LatencySummary::of(vec![2, 4, 4, 4, 5, 5, 7, 9]);
+        let s = summary(vec![2, 4, 4, 4, 5, 5, 7, 9]);
         assert!((s.mean - 5.0).abs() < 1e-12);
         assert!((s.stddev - 2.0).abs() < 1e-9);
         // A constant sample has zero spread.
-        let c = LatencySummary::of(vec![42; 10]);
+        let c = summary(vec![42; 10]);
         assert_eq!(c.stddev, 0.0);
-        assert_eq!(LatencySummary::of(vec![]).stddev, 0.0);
+        assert_eq!(summary(vec![]).stddev, 0.0);
     }
 
     #[test]
@@ -413,7 +421,7 @@ mod tests {
                 "upper edge of {i}"
             );
         }
-        let s = LatencySummary::of(vec![0, 1, 1, 3, 8, 9, 1_000_000]);
+        let s = summary(vec![0, 1, 1, 3, 8, 9, 1_000_000]);
         assert_eq!(s.histogram[0], 1);
         assert_eq!(s.histogram[1], 2);
         assert_eq!(s.histogram[2], 1);
@@ -432,8 +440,12 @@ mod tests {
         let mut cfg = noc_types::NetworkConfig::paper();
         cfg.mesh_k = 2;
         let mut net = Network::new(cfg, shield_router::RouterKind::Protected);
-        net.set_deliveries(deliveries);
-        let r = NetworkReport::build(&net, (10, 90), 150, None, None);
+        net.set_window((10, 90));
+        for d in &deliveries {
+            net.fold_delivery(d);
+        }
+        let r = NetworkReport::build(&net, 150, None, None);
+        assert_eq!(r.window, (10, 90));
         assert_eq!(r.delivered(), 1);
         assert_eq!(r.total_latency.count, 1);
         assert_eq!(r.total_latency.mean, 25.0);

@@ -109,7 +109,7 @@ fn assert_zero_loss(net: &Network) {
     assert_eq!(misdelivered, 0);
     assert_eq!(net.flits_dropped, 0);
     assert_eq!(net.flits_edge_dropped, 0);
-    assert_eq!(net.deliveries().len() as u64, offered);
+    assert_eq!(net.pending_deliveries().len() as u64, offered);
 }
 
 #[test]
@@ -486,7 +486,7 @@ fn adaptive_deliveries_are_unique_and_correct() {
     let mut src = Source::new(cfg.grid(), 40, 0xD15C);
     run_to_drain(&mut net, &mut src, 400, 5_000);
     let mut seen = HashSet::new();
-    for d in net.deliveries() {
+    for d in net.pending_deliveries() {
         assert!(
             seen.insert(d.id.0),
             "duplicate delivery of packet {}",
@@ -534,7 +534,7 @@ fn pinned_run(
         net.step(cycle);
         cycle += 1;
     }
-    net.deliveries().iter().fold(h, |h, d| {
+    net.pending_deliveries().iter().fold(h, |h, d| {
         let h = fnv1a_extend(h, d.id.0);
         let h = fnv1a_extend(h, u64::from(d.dst.x) << 8 | u64::from(d.dst.y));
         fnv1a_extend(h, d.ejected_at)

@@ -298,13 +298,13 @@ fn random_mid_campaign_states_round_trip_byte_identically() {
             .restore(&parsed)
             .unwrap_or_else(|e| panic!("{label}: restore {e}"));
         assert_eq!(fresh.snapshot().render(), s1, "{label}: network round-trip");
-        // The delivery log is not snapshot state (it lives in the
-        // delivery stream); a resume reloads it explicitly, as here.
+        // The deliveries are not snapshot state (the log lives in the
+        // delivery stream, and a resume folds it into the tally).
         assert!(
-            fresh.deliveries().is_empty(),
+            fresh.pending_deliveries().is_empty() && fresh.tally().seen() == 0,
             "{label}: restore must clear deliveries"
         );
-        fresh.set_deliveries(net.deliveries().to_vec());
+        let delivered_before = net.pending_deliveries().len();
 
         // Same for the traffic source (its RNG is mid-stream).
         let g1 = gen.snapshot().render();
@@ -337,8 +337,8 @@ fn random_mid_campaign_states_round_trip_byte_identically() {
             "{label}: evolution diverged after restore"
         );
         assert_eq!(
-            fresh.deliveries(),
-            net.deliveries(),
+            fresh.pending_deliveries(),
+            &net.pending_deliveries()[delivered_before..],
             "{label}: delivery log diverged after restore"
         );
     }

@@ -20,7 +20,7 @@
 //! wires, buffers, credits or deliveries still fails the pin.
 
 use noc_faults::FaultPlan;
-use noc_sim::Network;
+use noc_sim::{MemoryStream, Network};
 use noc_telemetry::snapshot::Snapshot;
 use noc_types::rng::Rng;
 use noc_types::{Coord, NetworkConfig, Packet, PacketId, PacketKind, TopologySpec};
@@ -140,7 +140,9 @@ fn digest(spec: TopologySpec, link_latency: u32) -> String {
     }
     let mut doc = snap.render();
     doc.push('|');
-    doc.push_str(&format!("{:?}", net.deliveries()));
+    let mut log = MemoryStream::new();
+    net.hand_on_deliveries(&mut log).unwrap();
+    doc.push_str(&format!("{:?}", log.entries()));
     fnv1a(doc.as_bytes())
 }
 

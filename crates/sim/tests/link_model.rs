@@ -78,7 +78,7 @@ fn a_latency_d_link_holds_flit_and_credit_for_exactly_d_cycles_each() {
             flit_cycles += wires_matching(&net, "flit", "router", dst_id).len() as u32;
             credit_cycles += wires_matching(&net, "credit", "router", src_id).len() as u32;
         }
-        assert_eq!(net.deliveries().len(), 1, "d={d}: packet delivered");
+        assert_eq!(net.pending_deliveries().len(), 1, "d={d}: packet delivered");
         assert_eq!(
             flit_cycles, d,
             "d={d}: the flit must occupy the forward link for exactly d cycles"
@@ -133,7 +133,7 @@ fn a_narrow_link_serialises_back_to_back_flits_at_width_denom_spacing() {
         }
         present = now;
     }
-    assert_eq!(net.deliveries().len(), 1, "data packet delivered");
+    assert_eq!(net.pending_deliveries().len(), 1, "data packet delivered");
     assert_eq!(arrivals.len(), 5, "all five flits crossed the boundary");
     // In-order per packet (wormhole on one VC), paced `f` apart. The
     // first four depart one per cycle (buffer_depth credits in hand),
@@ -239,7 +239,7 @@ fn credit_conservation_holds_under_randomized_mixed_latency_wirings() {
         }
         net.assert_credit_conservation();
         assert!(
-            !net.deliveries().is_empty(),
+            !net.pending_deliveries().is_empty(),
             "{label}: cross-die traffic must flow"
         );
         assert_eq!(

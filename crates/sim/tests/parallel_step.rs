@@ -8,7 +8,7 @@ mod common;
 
 use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
 use noc_sim::stats::RouterEventTotals;
-use noc_sim::Network;
+use noc_sim::{DeliveryTally, Network};
 use noc_types::rng::Rng;
 use noc_types::{
     Coord, DeliveredPacket, NetworkConfig, Packet, PacketId, PacketKind, PortId, RouterConfig,
@@ -82,7 +82,10 @@ impl Source {
 /// Every observable outcome of a run, for exact comparison.
 #[derive(Debug, PartialEq)]
 struct Fingerprint {
+    /// Every delivery (the stepping loops here never hand them on).
     deliveries: Vec<DeliveredPacket>,
+    /// And what the reports read of them.
+    tally: DeliveryTally,
     event_totals: RouterEventTotals,
     per_router_stats: Vec<RouterStats>,
     link_flits: Vec<[u64; 5]>,
@@ -119,7 +122,8 @@ fn fingerprint(net: &Network) -> Fingerprint {
         }
     }
     Fingerprint {
-        deliveries: net.deliveries().to_vec(),
+        deliveries: net.pending_deliveries().to_vec(),
+        tally: net.tally().clone(),
         event_totals: net.router_event_totals(),
         per_router_stats,
         link_flits,

@@ -93,7 +93,7 @@ fn assert_zero_loss(net: &Network) {
     assert_eq!(misdelivered, 0);
     assert_eq!(net.flits_dropped, 0);
     assert_eq!(net.flits_edge_dropped, 0);
-    assert_eq!(net.deliveries().len() as u64, offered);
+    assert_eq!(net.pending_deliveries().len() as u64, offered);
 }
 
 #[test]
@@ -116,7 +116,12 @@ fn torus_campaign_delivers_every_packet() {
     // which routes up*/down* over the non-wrap grid links, so
     // non-minimal deliveries are legal there.
     if cfg.routing == RoutingMode::Static {
-        let max_hops = net.deliveries().iter().map(|d| d.hops).max().unwrap();
+        let max_hops = net
+            .pending_deliveries()
+            .iter()
+            .map(|d| d.hops)
+            .max()
+            .unwrap();
         assert!(
             max_hops <= 9,
             "torus routes must use the wraparound; saw a {max_hops}-hop delivery"
@@ -207,11 +212,15 @@ fn killing_a_router_mid_campaign_reroutes_everything() {
     // Every offered packet delivered at its true destination — the
     // pre-kill packets addressed to the dead router included (it is
     // quarantined as a transit node, not unplugged).
-    let delivered: HashSet<u64> = net.deliveries().iter().map(|d| d.id.0).collect();
+    let delivered: HashSet<u64> = net.pending_deliveries().iter().map(|d| d.id.0).collect();
     assert_eq!(
         delivered, offered_ids,
         "all packets must deliver despite the mid-campaign kill"
     );
-    let to_dead = net.deliveries().iter().filter(|d| d.dst == dead).count();
+    let to_dead = net
+        .pending_deliveries()
+        .iter()
+        .filter(|d| d.dst == dead)
+        .count();
     assert!(to_dead > 0, "pre-kill traffic to the dead node still lands");
 }
