@@ -38,22 +38,56 @@ fn masked(requests: u32, width: usize) -> u32 {
     }
 }
 
+/// The round-robin kernel: grant the first requested line at or after
+/// `*pointer` (wrapping at `width`), then move the pointer one past the
+/// grant. Returns `None`, leaving the pointer, iff `requests` has no bit
+/// set below `width`.
+///
+/// A branch-light rotate-and-find-first-set: rotate the request word so
+/// the pointer line becomes bit 0, `trailing_zeros`, rotate back — no
+/// per-line scan.
+///
+/// A bank of equal-width arbiters keeps only its pointer bytes and calls
+/// this directly (the router's VA stages do); [`RoundRobinArbiter`] is
+/// the same kernel with its width beside the pointer. The caller keeps
+/// `1 <= width <= MAX_WIDTH` and `*pointer < width`.
+#[inline]
+pub fn round_robin(requests: u32, pointer: &mut u8, width: usize) -> Option<usize> {
+    debug_assert!(
+        (1..=MAX_WIDTH).contains(&width) && usize::from(*pointer) < width,
+        "pointer {pointer} of a {width}-line arbiter"
+    );
+    let req = masked(requests, width);
+    if req == 0 {
+        return None;
+    }
+    // The `<<` term can carry garbage above `width`, but a correctly
+    // rotated set bit always exists below it (req != 0), so
+    // `trailing_zeros` never reaches the garbage.
+    let p = usize::from(*pointer);
+    let rotated = if p == 0 {
+        req
+    } else {
+        (req >> p) | (req << (width - p))
+    };
+    let first = rotated.trailing_zeros() as usize + p;
+    let grant = if first >= width { first - width } else { first };
+    *pointer = if grant + 1 == width {
+        0
+    } else {
+        grant as u8 + 1
+    };
+    Some(grant)
+}
+
 /// Round-robin arbiter: the line after the most recent winner has highest
 /// priority, guaranteeing starvation freedom under persistent requests.
-/// This is the canonical arbiter of NoC allocators (Peh & Dally).
+/// This is the canonical arbiter of NoC allocators (Peh & Dally), and
+/// the [`round_robin`] kernel over its own pointer.
 ///
-/// Arbitration is a branch-light rotate-and-find-first-set: rotate the
-/// request word so the pointer line becomes bit 0, `trailing_zeros`,
-/// rotate back — no per-line scan.
-///
-/// Eight bytes: a router holds 130 of these, and a forked network copies
-/// every one, so `width` and `pointer` are stored as `u8` (both are at
-/// most [`MAX_WIDTH`]).
+/// Two bytes: `width` and `pointer` are both at most [`MAX_WIDTH`].
 #[derive(Debug, Clone)]
 pub struct RoundRobinArbiter {
-    /// All-ones over the low `width` request lines (cached so the hot
-    /// path masks without recomputing the shift).
-    mask: u32,
     width: u8,
     /// Highest-priority line for the next arbitration.
     pointer: u8,
@@ -70,7 +104,6 @@ impl RoundRobinArbiter {
             "arbiter width out of range"
         );
         RoundRobinArbiter {
-            mask: if width >= 32 { !0 } else { (1u32 << width) - 1 },
             width: width as u8,
             pointer: 0,
         }
@@ -96,27 +129,6 @@ impl RoundRobinArbiter {
         assert!(pointer < self.width(), "pointer out of range");
         self.pointer = pointer as u8;
     }
-
-    #[inline]
-    fn scan(&self, requests: u32) -> Option<usize> {
-        let req = requests & self.mask;
-        if req == 0 {
-            return None;
-        }
-        // Rotate so the pointer line becomes bit 0, pick the lowest set
-        // bit, rotate back. The `<<` term can carry garbage above
-        // `width`, but a correctly rotated set bit always exists below
-        // it (req != 0), so `trailing_zeros` never reaches the garbage.
-        let w = self.width();
-        let p = self.pointer();
-        let rotated = if p == 0 {
-            req
-        } else {
-            (req >> p) | (req << (w - p))
-        };
-        let first = rotated.trailing_zeros() as usize + p;
-        Some(if first >= w { first - w } else { first })
-    }
 }
 
 impl Arbiter for RoundRobinArbiter {
@@ -126,14 +138,12 @@ impl Arbiter for RoundRobinArbiter {
 
     #[inline]
     fn arbitrate(&mut self, requests: u32) -> Option<usize> {
-        let grant = self.scan(requests)?;
-        let next = grant as u8 + 1;
-        self.pointer = if next == self.width { 0 } else { next };
-        Some(grant)
+        round_robin(requests, &mut self.pointer, usize::from(self.width))
     }
 
     fn peek(&self, requests: u32) -> Option<usize> {
-        self.scan(requests)
+        let mut pointer = self.pointer;
+        round_robin(requests, &mut pointer, self.width())
     }
 
     fn reset(&mut self) {
@@ -439,7 +449,17 @@ mod tests {
 
     #[test]
     fn round_robin_stays_one_word() {
-        // 130 per router, copied whole when a network is forked.
-        assert!(std::mem::size_of::<RoundRobinArbiter>() <= 8);
+        // Ten per router (SA), copied whole when a network is forked.
+        assert_eq!(std::mem::size_of::<RoundRobinArbiter>(), 2);
+    }
+
+    #[test]
+    fn kernel_on_a_bare_pointer_matches_the_arbiter() {
+        let mut a = RoundRobinArbiter::new(20);
+        let mut pointer = 0u8;
+        for req in [0b1010u32, 0, 1 << 19, 0xF_FFFF, 1 << 25, 0b11] {
+            assert_eq!(round_robin(req, &mut pointer, 20), a.arbitrate(req));
+            assert_eq!(usize::from(pointer), a.pointer());
+        }
     }
 }

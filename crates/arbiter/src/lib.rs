@@ -23,5 +23,6 @@ pub mod arbiters;
 
 pub use allocator::{RequestMatrix, SeparableAllocator};
 pub use arbiters::{
-    Arbiter, ArbiterKind, FaultableArbiter, FixedPriorityArbiter, MatrixArbiter, RoundRobinArbiter,
+    round_robin, Arbiter, ArbiterKind, FaultableArbiter, FixedPriorityArbiter, MatrixArbiter,
+    RoundRobinArbiter,
 };

@@ -356,7 +356,7 @@ impl FaultState {
 
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, u64_field, Restore, Snapshot, SnapshotError,
+    arr_field, decode_field, u64_field, uint_field, Restore, Snapshot, SnapshotError,
 };
 
 impl Snapshot for FaultState {
@@ -413,13 +413,7 @@ impl Restore for FaultState {
             .map_err(|e| e.within("injected"))?;
         let transients = arr_field(v, "transients")?
             .iter()
-            .map(|e| {
-                Ok((
-                    site_of(e)?,
-                    u64_field(e, "at")?,
-                    u64_field(e, "duration")? as u32,
-                ))
-            })
+            .map(|e| Ok((site_of(e)?, u64_field(e, "at")?, uint_field(e, "duration")?)))
             .collect::<Result<_, SnapshotError>>()
             .map_err(|e| e.within("transients"))?;
         let refreshed_at = u64_field(v, "refreshed_at")?;

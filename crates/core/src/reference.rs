@@ -28,20 +28,33 @@ use noc_types::{
     Coord, Cycle, Mesh, Packet, PacketId, PacketKind, PortId, RouterConfig, VcGlobalState, VcId,
 };
 
-/// Straight-line round-robin arbitration: scan up to `width` positions
-/// from the pointer, grant the first requester, advance the pointer one
-/// past the grant. This is the definitional behaviour the rotate-and-ffs
-/// `RoundRobinArbiter::arbitrate` must reproduce.
-fn reference_arbitrate(arb: &mut RoundRobinArbiter, requests: u32) -> Option<usize> {
-    let w = arb.width();
-    let mask = if w >= 32 { !0u32 } else { (1u32 << w) - 1 };
+/// Straight-line round-robin arbitration over a `width`-line arbiter's
+/// pointer: scan up to `width` positions from the pointer, grant the
+/// first requester, advance the pointer one past the grant. This is the
+/// definitional behaviour the rotate-and-ffs `noc_arbiter::round_robin`
+/// kernel must reproduce.
+fn reference_arbitrate(pointer: &mut u8, width: usize, requests: u32) -> Option<usize> {
+    let mask = if width >= 32 {
+        !0u32
+    } else {
+        (1u32 << width) - 1
+    };
     let requests = requests & mask;
-    let start = arb.pointer();
-    let grant = (0..w)
-        .map(|k| (start + k) % w)
+    let start = usize::from(*pointer);
+    let grant = (0..width)
+        .map(|k| (start + k) % width)
         .find(|&i| requests & (1 << i) != 0)?;
-    arb.set_pointer((grant + 1) % w);
+    *pointer = ((grant + 1) % width) as u8;
     Some(grant)
+}
+
+/// [`reference_arbitrate`] on a [`RoundRobinArbiter`]'s pointer (the SA
+/// stages keep their arbiters whole).
+fn reference_arbiter(arb: &mut RoundRobinArbiter, requests: u32) -> Option<usize> {
+    let mut pointer = arb.pointer() as u8;
+    let grant = reference_arbitrate(&mut pointer, arb.width(), requests);
+    arb.set_pointer(usize::from(pointer));
+    grant
 }
 
 /// Whether `r` routes adaptively (an escape network is configured).
@@ -211,6 +224,7 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
             }
             let pick = reference_arbitrate(
                 &mut r.va1[(port_idx * v + owner.index()) * p + out.index()],
+                v,
                 req,
             );
             if let Some(ovc) = pick {
@@ -243,7 +257,8 @@ fn reference_va_stage(r: &mut Router, _cycle: Cycle) {
             {
                 continue;
             }
-            if let Some(winner) = reference_arbitrate(&mut r.va2[out_idx * v + ovc_idx], req) {
+            if let Some(winner) = reference_arbitrate(&mut r.va2[out_idx * v + ovc_idx], p * v, req)
+            {
                 let fields = r.store.fields_mut(winner);
                 fields.o = Some(VcId(ovc_idx as u8));
                 fields.g = VcGlobalState::Active;
@@ -326,7 +341,7 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
             continue;
         }
         if !r.faults.sa1_faulty(port_id) {
-            port_winner[port_idx] = reference_arbitrate(&mut r.ctl[port_idx].sa1, req_mask);
+            port_winner[port_idx] = reference_arbiter(&mut r.ctl[port_idx].sa1, req_mask);
             continue;
         }
         match r.kind {
@@ -372,7 +387,7 @@ fn reference_sa_stage(r: &mut Router, cycle: Cycle) {
         if r.faults.sa2_faulty(PortId(target_idx as u8)) {
             continue;
         }
-        if let Some(wport) = reference_arbitrate(&mut r.ctl[target_idx].sa2, mask) {
+        if let Some(wport) = reference_arbiter(&mut r.ctl[target_idx].sa2, mask) {
             let vc_idx = port_winner[wport].expect("stage-2 winner won stage 1");
             let req = requests[wport * v + vc_idx].expect("winner had a request");
             r.consume_credit(req.logical_out, req.out_vc);
@@ -935,26 +950,36 @@ fn bitmask_kernels_match_reference_at_the_word_edges() {
 
 #[test]
 fn rotate_and_ffs_matches_straight_line_scan() {
-    // The arbiter in isolation: random widths, pointers and request
-    // words — every grant and pointer step must match the straight-line
-    // scan, including full-width rotations and garbage bits above the
-    // width (which `arbitrate` must mask off).
+    // The kernel in isolation, on a bare pointer byte (as the VA stages
+    // hold it) and inside `RoundRobinArbiter` (as the SA stages hold
+    // it): random widths, pointers and request words — every grant and
+    // pointer step must match the straight-line scan, including
+    // full-width rotations and garbage bits above the width (which the
+    // kernel must mask off).
     let mut rng = Rng(0xA5A5_5A5A);
     for _ in 0..2000 {
         let width = rng.below(32) as usize + 1;
-        let mut real = RoundRobinArbiter::new(width);
-        let mut reference = RoundRobinArbiter::new(width);
-        let start = rng.below(width as u64) as usize;
-        real.set_pointer(start);
-        reference.set_pointer(start);
+        let start = rng.below(width as u64) as u8;
+        let mut kernel = start;
+        let mut arbiter = RoundRobinArbiter::new(width);
+        arbiter.set_pointer(usize::from(start));
+        let mut reference = start;
         for _ in 0..8 {
             let requests = rng.next() as u32;
+            let expected = reference_arbitrate(&mut reference, width, requests);
+            let context = format!("width {width}, requests {requests:#x}");
             assert_eq!(
-                noc_arbiter::Arbiter::arbitrate(&mut real, requests),
-                reference_arbitrate(&mut reference, requests),
-                "width {width}, requests {requests:#x}"
+                noc_arbiter::round_robin(requests, &mut kernel, width),
+                expected,
+                "{context}"
             );
-            assert_eq!(real.pointer(), reference.pointer());
+            assert_eq!(
+                noc_arbiter::Arbiter::arbitrate(&mut arbiter, requests),
+                expected,
+                "{context}"
+            );
+            assert_eq!(kernel, reference);
+            assert_eq!(arbiter.pointer(), usize::from(reference));
         }
     }
 }

@@ -4,7 +4,6 @@ use crate::crossbar::Crossbar;
 use crate::fault_state::FaultState;
 use crate::port::{FlitStore, PortCtl, VcView};
 use crate::stages::StageScratch;
-use noc_arbiter::RoundRobinArbiter;
 use noc_faults::{DetectionModel, FaultSite};
 use noc_telemetry::{Event, EventKind, NullObserver, Observer};
 use noc_topology::{Topology, VcClass};
@@ -302,13 +301,16 @@ pub struct Router {
     /// SA winners awaiting crossbar traversal (filled by SA at cycle t,
     /// drained by XB at t+1).
     pub(crate) xb_queue: Vec<XbGrant>,
-    /// VA stage 1: one `v:1` arbiter over downstream VCs per
-    /// `(port, vc, out)`, flat-indexed `(port * V + vc) * P + out`
-    /// (the paper's 100 4:1 arbiters).
-    pub(crate) va1: Vec<RoundRobinArbiter>,
-    /// VA stage 2: one `(P·V):1` arbiter per `(out, out_vc)`,
-    /// flat-indexed `out * V + out_vc` (the paper's 20 20:1 arbiters).
-    pub(crate) va2: Vec<RoundRobinArbiter>,
+    /// VA stage 1: one `V:1` round-robin arbiter over downstream VCs
+    /// per `(port, vc, out)`, flat-indexed `(port * V + vc) * P + out`
+    /// (the paper's 100 4:1 arbiters). Every arbiter of a stage has the
+    /// same width, so only its pointer byte is kept; the stage runs
+    /// [`noc_arbiter::round_robin`] over it.
+    pub(crate) va1: Box<[u8]>,
+    /// VA stage 2: one `(P·V):1` round-robin arbiter per
+    /// `(out, out_vc)`, flat-indexed `out * V + out_vc` (the paper's 20
+    /// 20:1 arbiters), as pointer bytes like `va1`.
+    pub(crate) va2: Box<[u8]>,
     pub(crate) stats: RouterStats,
     pub(crate) route: RoutingAlgorithm,
     pub(crate) id: u16,
@@ -350,8 +352,8 @@ impl Router {
             ctl: PortId::all(p)
                 .map(|port| PortCtl::new(port, p, v, cfg.buffer_depth as u8))
                 .collect(),
-            va1: (0..p * v * p).map(|_| RoundRobinArbiter::new(v)).collect(),
-            va2: (0..p * v).map(|_| RoundRobinArbiter::new(p * v)).collect(),
+            va1: vec![0; p * v * p].into_boxed_slice(),
+            va2: vec![0; p * v].into_boxed_slice(),
             xbar: Crossbar::new(p),
             faults: FaultState::new(&cfg, detection),
             xb_queue: Vec::with_capacity(p),
@@ -786,7 +788,7 @@ impl Router {
                                 router: self.id,
                                 kind: EventKind::FlitDrop {
                                     packet: flit.packet.0,
-                                    seq: flit.seq.0,
+                                    seq: u16::from(flit.seq.0),
                                     out_port: g.logical_out.0,
                                 },
                             });
@@ -819,7 +821,7 @@ impl Router {
                     router: self.id,
                     kind: EventKind::FlitHop {
                         packet: flit.packet.0,
-                        seq: flit.seq.0,
+                        seq: u16::from(flit.seq.0),
                         in_port: g.in_port.0,
                         out_port: g.logical_out.0,
                         secondary: g.mux != g.logical_out,

@@ -20,7 +20,8 @@ use crate::router::{Router, RouterStats, XbGrant};
 use noc_arbiter::RoundRobinArbiter;
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, field, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
+    arr_field, decode_field, field, narrow, u64_field, FromSnapshot, Restore, Snapshot,
+    SnapshotError,
 };
 use noc_types::Flit;
 
@@ -96,18 +97,36 @@ fn pointer_json(a: &RoundRobinArbiter) -> JsonValue {
     (a.pointer() as u64).into()
 }
 
-fn restore_pointer(a: &mut RoundRobinArbiter, v: &JsonValue) -> Result<(), SnapshotError> {
+/// Decode one arbiter pointer and check it is a line of a `width`-line
+/// arbiter.
+fn decode_pointer(v: &JsonValue, width: usize) -> Result<u8, SnapshotError> {
     let p = v
         .as_u64()
-        .ok_or_else(|| SnapshotError::new("arbiter pointer is not a number"))? as usize;
-    if p >= a.width() {
+        .ok_or_else(|| SnapshotError::new("arbiter pointer is not a number"))?;
+    if p >= width as u64 {
         return Err(SnapshotError::new(format!(
-            "arbiter pointer {p} out of range (width {})",
-            a.width()
+            "arbiter pointer {p} out of range (width {width})"
         )));
     }
-    a.set_pointer(p);
-    Ok(())
+    Ok(p as u8)
+}
+
+/// The entries of array `v`, which must have `len` of them.
+fn bank_entries<'a>(
+    v: &'a JsonValue,
+    len: usize,
+    name: &str,
+) -> Result<&'a [JsonValue], SnapshotError> {
+    let arr = v
+        .as_array()
+        .ok_or_else(|| SnapshotError::new(format!("`{name}` is not an array")))?;
+    if arr.len() != len {
+        return Err(SnapshotError::new(format!(
+            "`{name}` has {} entries but the router has {len}",
+            arr.len(),
+        )));
+    }
+    Ok(arr)
 }
 
 /// Restore a bank of arbiters from a snapshot array, enforcing matching
@@ -117,18 +136,25 @@ fn restore_bank<'a>(
     v: &JsonValue,
     name: &str,
 ) -> Result<(), SnapshotError> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| SnapshotError::new(format!("`{name}` is not an array")))?;
-    if arr.len() != bank.len() {
-        return Err(SnapshotError::new(format!(
-            "`{name}` has {} entries but the router has {}",
-            arr.len(),
-            bank.len()
-        )));
-    }
+    let arr = bank_entries(v, bank.len(), name)?;
     for (i, (a, p)) in bank.zip(arr).enumerate() {
-        restore_pointer(a, p).map_err(|e| e.within(&format!("{name}[{i}]")))?;
+        let p = decode_pointer(p, a.width()).map_err(|e| e.within(&format!("{name}[{i}]")))?;
+        a.set_pointer(usize::from(p));
+    }
+    Ok(())
+}
+
+/// Restore a bank of `width`-line arbiter pointers (a VA stage's row)
+/// from a snapshot array, enforcing matching length.
+fn restore_pointers(
+    bank: &mut [u8],
+    width: usize,
+    v: &JsonValue,
+    name: &str,
+) -> Result<(), SnapshotError> {
+    let arr = bank_entries(v, bank.len(), name)?;
+    for (i, (slot, p)) in bank.iter_mut().zip(arr).enumerate() {
+        *slot = decode_pointer(p, width).map_err(|e| e.within(&format!("{name}[{i}]")))?;
     }
     Ok(())
 }
@@ -202,9 +228,8 @@ impl Snapshot for Router {
                                         JsonValue::Arr(
                                             (0..p)
                                                 .map(|out| {
-                                                    pointer_json(
-                                                        &self.va1[(port * v + vc) * p + out],
-                                                    )
+                                                    u64::from(self.va1[(port * v + vc) * p + out])
+                                                        .into()
                                                 })
                                                 .collect(),
                                         )
@@ -222,7 +247,7 @@ impl Snapshot for Router {
                         .map(|o| {
                             JsonValue::Arr(
                                 (0..v)
-                                    .map(|ovc| pointer_json(&self.va2[o * v + ovc]))
+                                    .map(|ovc| u64::from(self.va2[o * v + ovc]).into())
                                     .collect(),
                             )
                         })
@@ -335,7 +360,8 @@ impl Restore for Router {
             for (vc, val) in arr.iter().enumerate() {
                 let c = val.as_u64().ok_or_else(|| {
                     SnapshotError::new(format!("`credits[{o}]` entry is not a number"))
-                })? as u8;
+                })?;
+                let c: u8 = narrow(c, &format!("credits[{o}][{vc}]"))?;
                 ctl.credits[vc] = c;
                 if c > 0 {
                     ctl.credited |= 1 << vc;
@@ -376,8 +402,8 @@ impl Restore for Router {
                 .filter(|a| a.len() == vcs)
                 .ok_or_else(|| SnapshotError::new(format!("`va1[{port}]` shape mismatch")))?;
             for (vc, row) in rows.iter().enumerate() {
-                let bank = self.va1[(port * vcs + vc) * p..][..p].iter_mut();
-                restore_bank(bank, row, &format!("va1[{port}][{vc}]"))?;
+                let bank = &mut self.va1[(port * vcs + vc) * p..][..p];
+                restore_pointers(bank, vcs, row, &format!("va1[{port}][{vc}]"))?;
             }
         }
 
@@ -386,8 +412,8 @@ impl Restore for Router {
             return Err(SnapshotError::new("`va2` outer length mismatch"));
         }
         for (o, row) in va2.iter().enumerate() {
-            let bank = self.va2[o * vcs..][..vcs].iter_mut();
-            restore_bank(bank, row, &format!("va2[{o}]"))?;
+            let bank = &mut self.va2[o * vcs..][..vcs];
+            restore_pointers(bank, p * vcs, row, &format!("va2[{o}]"))?;
         }
 
         let sa1 = self.ctl.iter_mut().map(|c| &mut c.sa1);

@@ -4,7 +4,7 @@
 use crate::router::{
     width_mask, Router, RouterKind, RoutingAlgorithm, XbGrant, DEFAULT_WINNER_PERIOD,
 };
-use noc_arbiter::Arbiter;
+use noc_arbiter::{round_robin, Arbiter};
 use noc_telemetry::{Event, EventKind, Observer};
 use noc_topology::dor::dirs_in;
 use noc_types::{Coord, Cycle, Direction, PortId, VcGlobalState, VcId};
@@ -528,8 +528,8 @@ impl Router {
                 if req == 0 {
                     continue; // no empty VC downstream: retry later
                 }
-                let pick =
-                    self.va1[(port_idx * v + owner.index()) * p + out.index()].arbitrate(req);
+                let pointer = &mut self.va1[(port_idx * v + owner.index()) * p + out.index()];
+                let pick = round_robin(req, pointer, v);
                 if let Some(ovc) = pick {
                     if owner != vc_id {
                         // Borrow protocol bookkeeping (Figure 4): the
@@ -585,7 +585,8 @@ impl Router {
                 if va2_faulty & (1 << ovc_idx) != 0 {
                     continue;
                 }
-                if let Some(winner) = self.va2[out_idx * v + ovc_idx].arbitrate(req) {
+                if let Some(winner) = round_robin(req, &mut self.va2[out_idx * v + ovc_idx], p * v)
+                {
                     let fields = self.store.fields_mut(winner);
                     fields.o = Some(VcId(ovc_idx as u8));
                     fields.g = VcGlobalState::Active;

@@ -6,29 +6,44 @@
 //! further cycles perform zero heap allocations — and that a fresh
 //! router needs no warm-up at all.
 //!
-//! Kept as a single `#[test]` so no sibling test can allocate
-//! concurrently and pollute the counter.
+//! The counter is per thread: the router steps on the test's own
+//! thread, and the test harness's threads (its main thread keeps
+//! allocating while a test runs) cannot land in the measured window.
 
 use noc_faults::FaultSite;
 use noc_types::{Coord, Direction, Flit, FlitKind, FlitSeq, Mesh, PacketId, RouterConfig, VcId};
 use shield_router::{Router, RouterKind, StepOutput};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread. A `const` cell without a
+    /// destructor: touching it never allocates, so the allocator can.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread being torn down still frees and allocates.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations this thread has made so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -153,9 +168,9 @@ fn steady_state_router_step_allocates_nothing() {
         // their steady capacity during the first cycles.
         run(&mut r, &mut out, 0..500, &mut id, &mut occupancy);
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let sent = run(&mut r, &mut out, 500..1000, &mut id, &mut occupancy);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
 
         assert!(sent > 0, "{label}: traffic must actually flow");
         assert_eq!(
@@ -173,9 +188,9 @@ fn steady_state_router_step_allocates_nothing() {
             r.inject_fault(f, 0);
         }
         let mut occupancy = [[0u32; 4]; 5];
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        let before = allocations();
         let sent = run(&mut r, &mut out, 0..300, &mut id, &mut occupancy);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let after = allocations();
         assert!(sent > 0, "{label}: traffic must actually flow");
         assert_eq!(
             after - before,

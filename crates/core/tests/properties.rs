@@ -188,7 +188,7 @@ fn protected_router_delivers_everything_with_one_fault_per_stage() {
         assert_eq!(delivered.len(), total, "all flits delivered (case {case})");
 
         // Per-packet: right output port, sequence strictly ordered.
-        let mut seen: HashMap<PacketId, u16> = HashMap::new();
+        let mut seen: HashMap<PacketId, u8> = HashMap::new();
         for (_, out_port, flit) in &delivered {
             let (_, dir) = expected[&flit.packet];
             assert_eq!(*out_port, dir.port(), "flit left on the XY port");

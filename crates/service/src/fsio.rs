@@ -1,12 +1,13 @@
 //! Durable filesystem primitives for the spool.
 //!
 //! Every "this survived the crash" claim the scheduler makes rests on
-//! these two functions: atomic same-directory tmp+rename replacement,
-//! with the data *and* the directory entry fsynced before the write is
-//! acknowledged. Renaming without syncing the directory leaves the new
-//! name in the kernel's page cache only — a power loss can roll the
-//! directory back to the old entry (or to neither), turning a
-//! "durable" spec/checkpoint/result into a missing file at recovery.
+//! these functions: atomic same-directory tmp+rename replacement, with
+//! the data *and* the directory entry fsynced before the write is
+//! acknowledged, and directory creation whose entry is fsynced too.
+//! Renaming without syncing the directory leaves the new name in the
+//! kernel's page cache only — a power loss can roll the directory back
+//! to the old entry (or to neither), turning a "durable"
+//! spec/checkpoint/result into a missing file at recovery.
 
 use std::fs;
 use std::io::Write;
@@ -22,6 +23,15 @@ pub(crate) fn fsync_parent_dir(path: &Path) -> std::io::Result<()> {
         Some(d) => fs::File::open(d)?.sync_all(),
         None => fs::File::open(".")?.sync_all(),
     }
+}
+
+/// Create directory `dir` (and any missing ancestors) and fsync its
+/// parent, so the new entry survives power loss. A file written into
+/// `dir` with [`write_atomic`] fsyncs `dir` itself, not `dir`'s entry in
+/// its parent: without this, a crash could lose the whole directory.
+pub(crate) fn create_dir_durable(dir: &Path) -> std::io::Result<()> {
+    fs::create_dir_all(dir)?;
+    fsync_parent_dir(dir)
 }
 
 /// Write `text` to `path` atomically and durably: same-directory tmp +
@@ -82,6 +92,22 @@ mod tests {
         let path = dir.join("nope").join("result.json");
         assert!(write_atomic(&path, "x").is_err());
         assert!(!path.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn creates_a_directory_durably_and_again_as_a_no_op() {
+        let dir = scratch("mkdir");
+        let job = dir.join("spool").join("job-000001");
+        create_dir_durable(&job).unwrap();
+        assert!(job.is_dir());
+        write_atomic(&job.join("spec.json"), "{}").unwrap();
+        create_dir_durable(&job).unwrap();
+        assert_eq!(fs::read_to_string(job.join("spec.json")).unwrap(), "{}");
+        // A file in the way is an error, not a silent success.
+        let blocked = dir.join("file");
+        fs::write(&blocked, "x").unwrap();
+        assert!(create_dir_durable(&blocked.join("job")).is_err());
         let _ = fs::remove_dir_all(&dir);
     }
 

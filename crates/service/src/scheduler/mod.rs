@@ -32,7 +32,12 @@ mod job;
 mod recover;
 mod worker;
 
-use crate::{fsio::write_atomic, obs::ObsLog, spec::CampaignSpec, stream::JsonlStream};
+use crate::{
+    fsio::{create_dir_durable, write_atomic},
+    obs::ObsLog,
+    spec::CampaignSpec,
+    stream::JsonlStream,
+};
 use job::{epoch_series, JobRecord, PartialHead};
 use noc_telemetry::JsonValue;
 use std::collections::{HashMap, VecDeque};
@@ -298,10 +303,11 @@ impl Scheduler {
             state.next_id += 1;
             id
         };
-        // Durable spec before the submission is acknowledged: a job the
-        // client was told about survives any crash from here on.
+        // Durable directory and spec before the submission is
+        // acknowledged: a job the client was told about survives any
+        // crash from here on.
         let dir = self.job_dir(&id);
-        let write = fs::create_dir_all(&dir)
+        let write = create_dir_durable(&dir)
             .and_then(|()| write_atomic(&dir.join("spec.json"), &spec.to_json().render()));
         if let Err(e) = write {
             self.inner.state().reserved -= 1;

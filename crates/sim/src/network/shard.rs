@@ -399,7 +399,7 @@ impl<O: Observer> ShardCtx<'_, O> {
                         router: (base + local) as u16,
                         kind: EventKind::FlitInject {
                             packet: flit.packet.0,
-                            seq: flit.seq.0,
+                            seq: u16::from(flit.seq.0),
                             vc: vc.0,
                         },
                     });
@@ -653,7 +653,7 @@ fn apply_arrival<O: Observer>(
                     router: node as u16,
                     kind: EventKind::FlitEject {
                         packet: flit.packet.0,
-                        seq: flit.seq.0,
+                        seq: u16::from(flit.seq.0),
                     },
                 });
             }

@@ -7,7 +7,9 @@
 //! reassembles packets, checks they reached the right node, and returns
 //! credits.
 
-use noc_types::{Coord, Cycle, DeliveredPacket, Flit, Packet, PacketId, PacketKind, VcId};
+use noc_types::{
+    Coord, Cycle, DeliveredPacket, Flit, FlitKind, Packet, PacketId, PacketKind, VcId,
+};
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -37,11 +39,31 @@ impl Hasher for IdHasher {
     }
 }
 
-/// An in-progress transmission on one local-input VC.
+/// An in-progress transmission on one local-input VC. It holds the
+/// packet, not its flits: each flit is made as it leaves.
 #[derive(Debug, Clone)]
 struct ActiveSend {
+    packet: Packet,
     vc: VcId,
-    remaining: VecDeque<Flit>,
+    /// Sequence number of the next flit to send (always below the
+    /// packet's length: a send retires with its tail).
+    next: u8,
+    /// Cycle the send started: every flit of the packet carries it.
+    injected_at: Cycle,
+}
+
+impl ActiveSend {
+    /// Flits still to send.
+    fn remaining(&self) -> usize {
+        self.packet.len_flits() - usize::from(self.next)
+    }
+
+    /// The `i`-th flit of the packet as it leaves the NI.
+    fn flit(&self, i: usize) -> Flit {
+        let mut f = self.packet.flit(i);
+        f.injected_at = self.injected_at;
+        f
+    }
 }
 
 /// Reassembly state for a packet being ejected.
@@ -66,10 +88,9 @@ pub struct NetworkInterface {
     credits: Vec<u8>,
     /// Local-input VCs currently owned by an in-progress send.
     vc_taken: Vec<bool>,
+    /// At most `vcs` entries (one per taken VC), so starting a packet
+    /// never grows it.
     sends: Vec<ActiveSend>,
-    /// Retired send buffers, recycled so starting a packet is
-    /// allocation-free in steady state (at most `vcs` entries).
-    spare: Vec<VecDeque<Flit>>,
     /// Round-robin pointer over `sends`.
     send_rr: usize,
     reassembly: HashMap<PacketId, Reassembly, BuildHasherDefault<IdHasher>>,
@@ -101,12 +122,6 @@ impl NetworkInterface {
             credits: vec![depth as u8; vcs],
             vc_taken: vec![false; vcs],
             sends: Vec::with_capacity(vcs),
-            // One buffer per VC, the concurrent-send bound, each sized
-            // for the largest packet kind: starting a packet never
-            // touches the allocator.
-            spare: (0..vcs)
-                .map(|_| VecDeque::with_capacity(PacketKind::Data.flits()))
-                .collect(),
             send_rr: 0,
             reassembly: HashMap::default(),
             offered: 0,
@@ -128,9 +143,9 @@ impl NetworkInterface {
         self.queue.len()
     }
 
-    /// Flits still held by in-progress sends.
+    /// Flits in-progress sends have yet to send.
     pub fn pending_flits(&self) -> usize {
-        self.sends.iter().map(|s| s.remaining.len()).sum()
+        self.sends.iter().map(ActiveSend::remaining).sum()
     }
 
     /// Whether any injection work remains (queued packets or in-progress
@@ -175,19 +190,12 @@ impl NetworkInterface {
         if !self.queue.is_empty() {
             if let Some(free) = (0..self.vcs).find(|&v| !self.vc_taken[v]) {
                 let packet = self.queue.pop_front().unwrap();
-                // The spare pool holds one buffer per VC (the
-                // concurrent-send bound), each with capacity for the
-                // largest packet kind: never empty here, never grows.
-                let mut flits = self.spare.pop().expect("one spare buffer per VC");
-                for i in 0..packet.len_flits() {
-                    let mut f = packet.flit(i);
-                    f.injected_at = cycle;
-                    flits.push_back(f);
-                }
                 self.vc_taken[free] = true;
                 self.sends.push(ActiveSend {
+                    packet,
                     vc: VcId(free as u8),
-                    remaining: flits,
+                    next: 0,
+                    injected_at: cycle,
                 });
             }
         }
@@ -203,13 +211,12 @@ impl NetworkInterface {
                 continue;
             }
             self.credits[vc.index()] -= 1;
-            let flit = self.sends[ix]
-                .remaining
-                .pop_front()
-                .expect("active send holds flits");
-            if self.sends[ix].remaining.is_empty() {
+            let send = &mut self.sends[ix];
+            let flit = send.flit(usize::from(send.next));
+            send.next += 1;
+            if send.remaining() == 0 {
                 self.vc_taken[vc.index()] = false;
-                self.spare.push(self.sends.swap_remove(ix).remaining);
+                self.sends.swap_remove(ix);
                 self.injected += 1;
                 self.send_rr = 0;
             } else {
@@ -263,7 +270,7 @@ impl NetworkInterface {
 
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
+    arr_field, decode_field, narrow, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
 
 impl Snapshot for NetworkInterface {
@@ -298,7 +305,9 @@ impl Snapshot for NetworkInterface {
                                 (
                                     "remaining",
                                     JsonValue::Arr(
-                                        s.remaining.iter().map(Snapshot::snapshot).collect(),
+                                        (usize::from(s.next)..s.packet.len_flits())
+                                            .map(|i| s.flit(i).snapshot())
+                                            .collect(),
                                     ),
                                 ),
                             ])
@@ -333,6 +342,46 @@ impl Snapshot for NetworkInterface {
     }
 }
 
+impl ActiveSend {
+    /// The send whose unsent flits are `remaining`: a non-empty,
+    /// contiguous suffix of one packet's flits, each as
+    /// [`ActiveSend::flit`] makes it (the layout snapshots render).
+    fn from_remaining(vc: VcId, remaining: &[Flit]) -> Result<ActiveSend, SnapshotError> {
+        let first = remaining
+            .first()
+            .ok_or_else(|| SnapshotError::new("an active send holds at least one flit"))?;
+        let kind = if first.kind == FlitKind::Single {
+            PacketKind::Control
+        } else {
+            PacketKind::Data
+        };
+        let send = ActiveSend {
+            packet: Packet::new(first.packet, kind, first.src, first.dst, first.created_at),
+            vc,
+            next: first.seq.0,
+            injected_at: first.injected_at,
+        };
+        if usize::from(send.next) + remaining.len() != kind.flits() {
+            return Err(SnapshotError::new(format!(
+                "{} flits from seq {} do not end a {}-flit packet",
+                remaining.len(),
+                send.next,
+                kind.flits()
+            )));
+        }
+        for (i, f) in remaining.iter().enumerate() {
+            if *f != send.flit(usize::from(send.next) + i) {
+                return Err(SnapshotError::new(format!(
+                    "[{i}] is not flit {} of packet {} as the send began it",
+                    usize::from(send.next) + i,
+                    first.packet.0
+                )));
+            }
+        }
+        Ok(send)
+    }
+}
+
 impl Restore for NetworkInterface {
     fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
         let credits = arr_field(v, "credits")?;
@@ -343,11 +392,11 @@ impl Restore for NetworkInterface {
         if vc_taken.len() != self.vc_taken.len() {
             return Err(SnapshotError::new("`vc_taken` length mismatch"));
         }
-        for (slot, e) in self.credits.iter_mut().zip(credits) {
-            *slot = e
+        for (vc, (slot, e)) in self.credits.iter_mut().zip(credits).enumerate() {
+            let c = e
                 .as_u64()
-                .ok_or_else(|| SnapshotError::new("`credits` entry is not a number"))?
-                as u8;
+                .ok_or_else(|| SnapshotError::new("`credits` entry is not a number"))?;
+            *slot = narrow(c, &format!("credits[{vc}]"))?;
         }
         for (slot, e) in self.vc_taken.iter_mut().zip(vc_taken) {
             *slot = match e {
@@ -361,23 +410,23 @@ impl Restore for NetworkInterface {
         )
         .map_err(|e| e.within("queue"))?
         .into();
-        self.sends = arr_field(v, "sends")?
-            .iter()
-            .enumerate()
-            .map(|(i, s)| {
-                let decoded = (|| {
-                    let remaining = Vec::<Flit>::from_snapshot(
-                        s.get("remaining")
-                            .ok_or_else(|| SnapshotError::new("missing field `remaining`"))?,
-                    )?;
-                    Ok(ActiveSend {
-                        vc: decode_field(s, "vc")?,
-                        remaining: remaining.into(),
-                    })
-                })();
-                decoded.map_err(|e: SnapshotError| e.within(&format!("sends[{i}]")))
-            })
-            .collect::<Result<_, _>>()?;
+        // Refilled in place: `sends` keeps its capacity of one entry a VC.
+        self.sends.clear();
+        for (i, s) in arr_field(v, "sends")?.iter().enumerate() {
+            let decoded = (|| {
+                let vc: VcId = decode_field(s, "vc")?;
+                if vc.index() >= self.vcs {
+                    return Err(SnapshotError::new(format!(
+                        "vc: {vc} of {} local-input VCs",
+                        self.vcs
+                    )));
+                }
+                let remaining: Vec<Flit> = decode_field(s, "remaining")?;
+                ActiveSend::from_remaining(vc, &remaining).map_err(|e| e.within("remaining"))
+            })();
+            let send = decoded.map_err(|e: SnapshotError| e.within(&format!("sends[{i}]")))?;
+            self.sends.push(send);
+        }
         self.send_rr = u64_field(v, "send_rr")? as usize;
         self.reassembly.clear();
         for (i, entry) in arr_field(v, "reassembly")?.iter().enumerate() {
@@ -467,6 +516,58 @@ mod tests {
         assert!(!n.offer(packet(3, PacketKind::Control)));
         assert_eq!(n.offered, 3);
         assert_eq!(n.accepted, 2);
+    }
+
+    #[test]
+    fn sends_round_trip_through_a_snapshot_mid_packet() {
+        let mut n = ni();
+        n.offer(packet(1, PacketKind::Data));
+        n.offer(packet(2, PacketKind::Control));
+        n.inject(10).unwrap();
+        n.inject(11).unwrap();
+        let doc = n.snapshot();
+        let mut back = ni();
+        back.restore(&doc).unwrap();
+        assert_eq!(back.snapshot().render(), doc.render());
+        assert_eq!(back.pending_flits(), n.pending_flits());
+        for cycle in 12..20 {
+            assert_eq!(back.inject(cycle), n.inject(cycle));
+        }
+    }
+
+    #[test]
+    fn a_remaining_list_must_be_a_contiguous_suffix_of_one_packet() {
+        let mut n = ni();
+        n.offer(packet(1, PacketKind::Data));
+        n.inject(10).unwrap();
+        let doc = n.snapshot();
+        // The four flits the send has yet to send, as it makes them.
+        let sent: Vec<Flit> = (1..5).map(|i| n.sends[0].flit(i)).collect();
+        let mut foreign = packet(2, PacketKind::Data).flit(4);
+        foreign.injected_at = 10;
+        let cases = [
+            ("a gap", vec![sent[0], sent[2], sent[3]]),
+            ("out of order", vec![sent[1], sent[0], sent[2], sent[3]]),
+            ("no tail", sent[..3].to_vec()),
+            ("two packets", vec![sent[0], sent[1], sent[2], foreign]),
+            ("empty", vec![]),
+        ];
+        for (what, remaining) in cases {
+            let mut v = doc.clone();
+            let JsonValue::Obj(fields) = &mut v else {
+                unreachable!("an NI snapshot is an object")
+            };
+            let sends = fields.iter_mut().find(|(k, _)| k == "sends").unwrap();
+            sends.1 = JsonValue::Arr(vec![obj([
+                ("vc", VcId(0).snapshot()),
+                ("remaining", remaining.snapshot()),
+            ])]);
+            let err = ni().restore(&v).expect_err(what);
+            assert!(
+                err.message.starts_with("sends[0]: remaining: "),
+                "{what}: {err}"
+            );
+        }
     }
 
     #[test]

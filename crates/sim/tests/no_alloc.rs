@@ -16,8 +16,10 @@
 //! allocations. The counter is process-wide, so worker-thread
 //! allocations are caught too.
 //!
-//! Kept as a single `#[test]` so no sibling test can allocate
-//! concurrently and pollute the counter.
+//! The heap a built network holds, per node, is bounded as well.
+//!
+//! Every test holds `SERIAL` while it runs, so no sibling test can
+//! allocate concurrently and pollute the counters.
 
 use noc_faults::FaultPlan;
 use noc_sim::{Network, NullStream, Simulator};
@@ -28,6 +30,13 @@ use noc_types::{
 use shield_router::RouterKind;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, PoisonError};
+
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> std::sync::MutexGuard<'static, ()> {
+    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 struct CountingAlloc;
 
@@ -126,6 +135,7 @@ fn tick(rng: &mut Rng, k: u8, cycle: u64, next_id: &mut u64, out: &mut Vec<Packe
 
 #[test]
 fn steady_state_network_step_allocates_nothing() {
+    let _serial = serial();
     // One shard (the default, and the path of four of the five
     // benchmark workloads) covers the SoA router stepper, the wheel
     // turn of phase A and the inline broadcast; it keeps no shard
@@ -319,5 +329,31 @@ fn steady_state_network_step_allocates_nothing() {
         long < short + 8 * 1024,
         "the heap's high-water mark grew with run length: {short} B at 20 k cycles, \
          {long} B at 200 k"
+    );
+}
+
+#[test]
+fn a_built_chiplet_network_holds_a_bounded_heap_per_node() {
+    let _serial = serial();
+    // The 1,024-router network of the two-thread benchmark, built as
+    // `noc-cli simulate --topology chipletmesh4x8:4:2` builds it. Most
+    // of a node is its router's input buffers (P·V·depth = 80 flits),
+    // its VA arbiter pointers and its NI.
+    let mut cfg = NetworkConfig::paper();
+    cfg.topology = TopologySpec::parse_arg("chipletmesh4x8:4:2", cfg.mesh_k).unwrap();
+    cfg.validate().unwrap();
+    let before = LIVE.load(Ordering::Relaxed);
+    let net = Network::new(cfg, RouterKind::Protected);
+    let held = LIVE.load(Ordering::Relaxed) - before;
+    let nodes = net.mesh().len() as u64;
+    assert_eq!(nodes, 1024);
+    let per_node = held / nodes;
+    // 4,635 B measured, rounded up to 256 B. With 40-byte flits, an NI
+    // holding a flit buffer per VC and 8-byte VA arbiters it was
+    // 7,131 B.
+    assert!(
+        per_node <= 4_864,
+        "a built chipletmesh4x8:4:2 network holds {per_node} B of heap a node \
+         ({held} B for {nodes} nodes)"
     );
 }

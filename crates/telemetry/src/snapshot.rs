@@ -135,6 +135,23 @@ pub fn u64_field(v: &JsonValue, key: &str) -> Result<u64, SnapshotError> {
         .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a u64")))
 }
 
+/// Narrow a decoded number to `T`. A value that does not fit is an
+/// error naming `what`, so a corrupt document cannot wrap (port 300
+/// restoring as port 44).
+pub fn narrow<T: TryFrom<u64>>(x: u64, what: &str) -> Result<T, SnapshotError> {
+    T::try_from(x).map_err(|_| {
+        SnapshotError::new(format!(
+            "{what} {x} does not fit a {}",
+            std::any::type_name::<T>()
+        ))
+    })
+}
+
+/// A required unsigned field that must fit `T` (see [`narrow`]).
+pub fn uint_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, SnapshotError> {
+    narrow(u64_field(v, key)?, &format!("field `{key}`"))
+}
+
 /// A required `usize` field.
 pub fn usize_field(v: &JsonValue, key: &str) -> Result<usize, SnapshotError> {
     Ok(u64_field(v, key)? as usize)
@@ -244,11 +261,10 @@ macro_rules! numeric_id {
         }
         impl FromSnapshot for $ty {
             fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-                v.as_u64()
-                    .ok_or_else(|| {
-                        SnapshotError::new(concat!(stringify!($ty), " must be a number"))
-                    })
-                    .map(|x| Self(x as $inner))
+                let x = v.as_u64().ok_or_else(|| {
+                    SnapshotError::new(concat!(stringify!($ty), " must be a number"))
+                })?;
+                narrow::<$inner>(x, stringify!($ty)).map(Self)
             }
         }
     };
@@ -257,7 +273,7 @@ macro_rules! numeric_id {
 numeric_id!(PortId, u8);
 numeric_id!(VcId, u8);
 numeric_id!(PacketId, u64);
-numeric_id!(FlitSeq, u16);
+numeric_id!(FlitSeq, u8);
 
 impl Snapshot for Coord {
     fn snapshot(&self) -> JsonValue {
@@ -278,7 +294,7 @@ impl FromSnapshot for Coord {
         let y = arr[1]
             .as_u64()
             .ok_or_else(|| SnapshotError::new("Coord.y must be a number"))?;
-        Ok(Coord::new(x as u8, y as u8))
+        Ok(Coord::new(narrow(x, "Coord.x")?, narrow(y, "Coord.y")?))
     }
 }
 
@@ -358,7 +374,7 @@ impl FromSnapshot for Flit {
             u64_field(v, "created_at")?,
         );
         flit.injected_at = u64_field(v, "injected_at")?;
-        flit.hops = u64_field(v, "hops")? as u16;
+        flit.hops = uint_field(v, "hops")?;
         Ok(flit)
     }
 }
@@ -412,7 +428,7 @@ impl FromSnapshot for DeliveredPacket {
             created_at: u64_field(v, "created_at")?,
             injected_at: u64_field(v, "injected_at")?,
             ejected_at: u64_field(v, "ejected_at")?,
-            hops: u64_field(v, "hops")? as u16,
+            hops: uint_field(v, "hops")?,
         })
     }
 }
@@ -470,7 +486,7 @@ impl FromSnapshot for VcStateFields {
             id: decode_field(v, "id")?,
             sp: decode_field(v, "sp")?,
             fsp: bool_field(v, "fsp")?,
-            vmask: u64_field(v, "vmask")? as u32,
+            vmask: uint_field(v, "vmask")?,
         })
     }
 }
@@ -625,6 +641,58 @@ mod tests {
         }
         assert!(parse_hex(&JsonValue::Str("1234".into())).is_err());
         assert!(parse_hex(&JsonValue::Num(3.0)).is_err());
+    }
+
+    /// Decode `doc` with field `key` set to `value` and return the error.
+    fn out_of_range<T: Snapshot + FromSnapshot + std::fmt::Debug>(
+        doc: T,
+        key: &str,
+        value: u64,
+    ) -> SnapshotError {
+        let mut v = doc.snapshot();
+        if let JsonValue::Obj(fields) = &mut v {
+            fields.iter_mut().find(|(k, _)| k == key).unwrap().1 = value.into();
+        }
+        T::from_snapshot(&v).expect_err("an out-of-range number must not wrap")
+    }
+
+    #[test]
+    fn out_of_range_numbers_are_errors_naming_the_field() {
+        let fields = VcStateFields {
+            g: VcGlobalState::VcAlloc,
+            r: Some(PortId(1)),
+            ..Default::default()
+        };
+        let err = out_of_range(fields, "r", 256);
+        assert_eq!(err.message, "r: PortId 256 does not fit a u8");
+        let err = out_of_range(fields, "o", 256);
+        assert_eq!(err.message, "o: VcId 256 does not fit a u8");
+
+        let flit = Flit::new(
+            PacketId(9),
+            FlitSeq(1),
+            FlitKind::Body,
+            Coord::new(0, 0),
+            Coord::new(3, 5),
+            10,
+        );
+        let err = out_of_range(flit, "seq", 256);
+        assert_eq!(err.message, "seq: FlitSeq 256 does not fit a u8");
+        let err = out_of_range(flit, "hops", 65_536);
+        assert_eq!(err.message, "field `hops` 65536 does not fit a u16");
+        // The largest values that fit still decode.
+        let mut v = flit.snapshot();
+        if let JsonValue::Obj(fields) = &mut v {
+            for (k, val) in fields.iter_mut() {
+                match k.as_str() {
+                    "seq" => *val = 255u64.into(),
+                    "hops" => *val = 65_535u64.into(),
+                    _ => {}
+                }
+            }
+        }
+        let back = Flit::from_snapshot(&v).unwrap();
+        assert_eq!((back.seq, back.hops), (FlitSeq(255), u16::MAX));
     }
 
     #[test]

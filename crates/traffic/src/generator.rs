@@ -4,7 +4,7 @@ use crate::apps::{AppId, AppModel};
 use crate::synthetic::SyntheticPattern;
 use noc_types::rng::Rng;
 use noc_types::{Coord, Cycle, Mesh, Packet, PacketId, PacketKind};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 
 /// What traffic to generate.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,8 +89,16 @@ pub struct TrafficGenerator {
     app: Option<AppModel>,
     /// Per-node burst state (on/off).
     node_on: Vec<bool>,
-    /// Responses keyed by release cycle.
-    pending: BTreeMap<Cycle, Vec<PendingResponse>>,
+    /// Under an app spec, node `i`'s home-directory candidates within
+    /// Manhattan distance 2 are `near[near_start[i]..near_start[i + 1]]`,
+    /// in `nodes` order; empty otherwise. Built once with the node set.
+    near_start: Vec<u32>,
+    near: Vec<Coord>,
+    /// Responses awaiting release, with their release cycles. Every
+    /// response waits the model's one service delay and cycles are
+    /// ticked in order, so release cycles never decrease along the
+    /// queue.
+    pending: VecDeque<(Cycle, PendingResponse)>,
     /// Total requests issued (diagnostics).
     pub requests_issued: u64,
     /// Total responses released (diagnostics).
@@ -111,7 +119,7 @@ impl TrafficGenerator {
             }
             TrafficSpec::Synthetic { .. } => None,
         };
-        TrafficGenerator {
+        let mut g = TrafficGenerator {
             cfg,
             mesh,
             nodes: mesh.coords().collect(),
@@ -120,10 +128,33 @@ impl TrafficGenerator {
             next_id: 0,
             app,
             node_on: vec![true; mesh.len()],
-            pending: BTreeMap::new(),
+            near_start: Vec::new(),
+            near: Vec::new(),
+            pending: VecDeque::new(),
             requests_issued: 0,
             responses_issued: 0,
+        };
+        g.build_near_lists();
+        g
+    }
+
+    /// Fill `near_start`/`near` from `nodes` (app specs only: synthetic
+    /// traffic never picks a home node).
+    fn build_near_lists(&mut self) {
+        self.near_start.clear();
+        self.near.clear();
+        if self.app.is_none() {
+            return;
         }
+        for &src in &self.nodes {
+            self.near_start.push(self.near.len() as u32);
+            self.near.extend(
+                self.nodes
+                    .iter()
+                    .filter(|&&c| c != src && c.manhattan(src) <= 2),
+            );
+        }
+        self.near_start.push(self.near.len() as u32);
     }
 
     /// Build a generator whose sources and destinations are the
@@ -142,6 +173,7 @@ impl TrafficGenerator {
         g.node_on = vec![true; nodes.len()];
         g.nodes = nodes;
         g.all_nodes = all_nodes;
+        g.build_near_lists();
         g
     }
 
@@ -222,8 +254,11 @@ impl TrafficGenerator {
         let model = self.app.expect("app spec has a model");
 
         // 1. Release matured directory responses.
-        let due: Vec<PendingResponse> = self.pending.remove(&cycle).unwrap_or_default();
-        for r in due {
+        while let Some(&(release, r)) = self.pending.front() {
+            if release > cycle {
+                break;
+            }
+            self.pending.pop_front();
             let id = self.fresh_id();
             out.push(Packet::new(id, r.kind, r.home, r.requester, cycle));
             self.responses_issued += 1;
@@ -253,7 +288,7 @@ impl TrafficGenerator {
                 continue;
             }
             // Issue a 1-flit request to the home directory.
-            let home = self.home_node(src, model.locality);
+            let home = self.home_node(ix, model.locality);
             let id = self.fresh_id();
             out.push(Packet::new(id, PacketKind::Control, src, home, cycle));
             self.requests_issued += 1;
@@ -264,27 +299,23 @@ impl TrafficGenerator {
                 PacketKind::Control
             };
             let release = cycle + model.service_delay;
-            self.pending
-                .entry(release)
-                .or_default()
-                .push(PendingResponse {
+            self.pending.push_back((
+                release,
+                PendingResponse {
                     home,
                     requester: src,
                     kind,
-                });
+                },
+            ));
         }
     }
 
-    /// Pick the home-directory node: within Manhattan distance 2 with
-    /// probability `locality`, uniform otherwise.
-    fn home_node(&mut self, src: Coord, locality: f64) -> Coord {
+    /// Pick the home-directory node for `nodes[ix]`: within Manhattan
+    /// distance 2 with probability `locality`, uniform otherwise.
+    fn home_node(&mut self, ix: usize, locality: f64) -> Coord {
+        let src = self.nodes[ix];
         if self.rng.next_f64() < locality {
-            let near: Vec<Coord> = self
-                .nodes
-                .iter()
-                .copied()
-                .filter(|&c| c != src && c.manhattan(src) <= 2)
-                .collect();
+            let near = &self.near[self.near_start[ix] as usize..self.near_start[ix + 1] as usize];
             if !near.is_empty() {
                 return near[self.rng.index(near.len())];
             }
@@ -319,10 +350,29 @@ impl Snapshot for TrafficGenerator {
     /// counter, per-node burst flags and the in-flight directory
     /// responses. The configuration (spec, mesh, node set, app model)
     /// is *not* stored — the generator is rebuilt from it before
-    /// [`Restore::restore`], and the iteration order of `pending` is the
-    /// `BTreeMap`'s sorted order, so equal state renders to equal bytes.
+    /// [`Restore::restore`]. `pending` renders as one group per release
+    /// cycle, in release order, so equal state renders to equal bytes.
     fn snapshot(&self) -> JsonValue {
         let rng = self.rng.state();
+        let mut groups: Vec<JsonValue> = Vec::new();
+        let mut entries: Vec<JsonValue> = Vec::new();
+        for (i, &(release, p)) in self.pending.iter().enumerate() {
+            entries.push(obj([
+                ("home", p.home.snapshot()),
+                ("requester", p.requester.snapshot()),
+                ("kind", p.kind.snapshot()),
+            ]));
+            if self
+                .pending
+                .get(i + 1)
+                .is_none_or(|&(next, _)| next != release)
+            {
+                groups.push(obj([
+                    ("release", release.into()),
+                    ("entries", JsonValue::Arr(std::mem::take(&mut entries))),
+                ]));
+            }
+        }
         obj([
             ("rng", JsonValue::Arr(rng.iter().map(|&w| hex(w)).collect())),
             ("next_id", self.next_id.into()),
@@ -330,34 +380,7 @@ impl Snapshot for TrafficGenerator {
                 "node_on",
                 JsonValue::Arr(self.node_on.iter().map(|&b| b.into()).collect()),
             ),
-            (
-                "pending",
-                JsonValue::Arr(
-                    self.pending
-                        .iter()
-                        .map(|(&release, entries)| {
-                            obj([
-                                ("release", release.into()),
-                                (
-                                    "entries",
-                                    JsonValue::Arr(
-                                        entries
-                                            .iter()
-                                            .map(|p| {
-                                                obj([
-                                                    ("home", p.home.snapshot()),
-                                                    ("requester", p.requester.snapshot()),
-                                                    ("kind", p.kind.snapshot()),
-                                                ])
-                                            })
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
+            ("pending", JsonValue::Arr(groups)),
             ("requests_issued", self.requests_issued.into()),
             ("responses_issued", self.responses_issued.into()),
         ])
@@ -393,22 +416,31 @@ impl Restore for TrafficGenerator {
         self.rng = rng;
         self.next_id = u64_field(v, "next_id")?;
         self.pending.clear();
-        for (i, entry) in arr_field(v, "pending")?.iter().enumerate() {
-            let release =
-                u64_field(entry, "release").map_err(|e| e.within(&format!("pending[{i}]")))?;
-            let entries = arr_field(entry, "entries")
-                .map_err(|e| e.within(&format!("pending[{i}]")))?
-                .iter()
-                .map(|p| {
-                    Ok(PendingResponse {
-                        home: decode_field(p, "home")?,
-                        requester: decode_field(p, "requester")?,
-                        kind: decode_field(p, "kind")?,
-                    })
-                })
-                .collect::<Result<Vec<_>, SnapshotError>>()
-                .map_err(|e| e.within(&format!("pending[{i}]")))?;
-            self.pending.insert(release, entries);
+        for (i, group) in arr_field(v, "pending")?.iter().enumerate() {
+            let decoded = (|| {
+                let release = u64_field(group, "release")?;
+                if self
+                    .pending
+                    .back()
+                    .is_some_and(|&(last, _)| last >= release)
+                {
+                    return Err(SnapshotError::new(format!(
+                        "release {release} does not follow the previous group's"
+                    )));
+                }
+                for p in arr_field(group, "entries")? {
+                    self.pending.push_back((
+                        release,
+                        PendingResponse {
+                            home: decode_field(p, "home")?,
+                            requester: decode_field(p, "requester")?,
+                            kind: decode_field(p, "kind")?,
+                        },
+                    ));
+                }
+                Ok(())
+            })();
+            decoded.map_err(|e: SnapshotError| e.within(&format!("pending[{i}]")))?;
         }
         self.requests_issued = u64_field(v, "requests_issued")?;
         self.responses_issued = u64_field(v, "responses_issued")?;
@@ -603,6 +635,26 @@ mod tests {
                 assert_eq!(original.tick(c), resumed.tick(c), "cycle {c}");
             }
         }
+    }
+
+    #[test]
+    fn pending_groups_must_come_in_release_order() {
+        let mut g = TrafficGenerator::new(TrafficConfig::app(AppId::Fft), mesh(), 42);
+        for c in 0..100 {
+            let _ = g.tick(c);
+        }
+        let mut snap = g.snapshot();
+        let JsonValue::Obj(fields) = &mut snap else {
+            panic!("snapshot is an object")
+        };
+        let (_, JsonValue::Arr(pending)) = fields.iter_mut().find(|(k, _)| k == "pending").unwrap()
+        else {
+            panic!("pending is an array")
+        };
+        assert!(pending.len() > 2, "responses of several cycles wait");
+        pending.swap(1, 2);
+        let err = g.restore(&snap).unwrap_err();
+        assert!(err.message.starts_with("pending[2]: release "), "{err}");
     }
 
     #[test]

@@ -85,8 +85,12 @@ impl std::fmt::Display for PacketId {
 }
 
 /// Position of a flit within its packet (head flit has sequence 0).
+///
+/// One byte: the longest packet kind is five flits (a const assertion
+/// in `packet.rs` keeps every kind within `u8`), and the narrow field
+/// is what makes a [`crate::Flit`] 32 bytes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct FlitSeq(pub u16);
+pub struct FlitSeq(pub u8);
 
 #[cfg(test)]
 mod tests {

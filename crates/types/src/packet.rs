@@ -19,6 +19,13 @@ pub enum PacketKind {
     Data,
 }
 
+// `Data` is the longest packet kind, and its last flit's sequence
+// number must fit `FlitSeq`'s byte.
+const _: () = assert!(
+    PacketKind::Control.flits() <= PacketKind::Data.flits()
+        && PacketKind::Data.flits() <= u8::MAX as usize + 1
+);
+
 impl PacketKind {
     /// Packet length in flits.
     #[inline]
@@ -83,7 +90,7 @@ impl Packet {
         };
         Flit::new(
             self.id,
-            FlitSeq(i as u16),
+            FlitSeq(i as u8),
             kind,
             self.src,
             self.dst,
@@ -167,7 +174,7 @@ mod tests {
         let p = packet(PacketKind::Data);
         for (i, f) in p.segment().iter().enumerate() {
             assert_eq!(f.packet, p.id);
-            assert_eq!(f.seq, FlitSeq(i as u16));
+            assert_eq!(f.seq, FlitSeq(i as u8));
             assert_eq!(f.src, p.src);
             assert_eq!(f.dst, p.dst);
             assert_eq!(f.created_at, p.created_at);
