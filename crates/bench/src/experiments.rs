@@ -1,7 +1,7 @@
 //! The latency figures (Figures 7 and 8): driver, table and CSV.
 
 use crate::export::{export_csv, figure_csv};
-use crate::harness::{run_simulation_with, Options};
+use crate::harness::{run_simulation_with, ExperimentScale, Options};
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::run_batch;
 use noc_traffic::{AppId, Suite, TrafficConfig};
@@ -208,7 +208,11 @@ fn figure(suite: Suite, opts: &Options) {
         Suite::Parsec => (8, "PARSEC", 13, "fig8_parsec"),
     };
     let scale = opts.scale;
-    eprintln!("running Figure {figure} at {scale:?} scale (pass --quick for a fast run)...");
+    let hint = match scale {
+        ExperimentScale::Full => " (pass --quick for a fast run)",
+        ExperimentScale::Quick => "",
+    };
+    eprintln!("running Figure {figure} at {scale:?} scale{hint}...");
     let result = run_figure(suite, &FigureConfig::paper(), opts);
     figure_table(&result).print();
     println!(
@@ -235,7 +239,7 @@ pub(crate) fn fig8_parsec(opts: &Options) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::harness::{run_simulation, ExperimentScale};
+    use crate::harness::run_simulation;
 
     #[test]
     fn quick_figure_runs_and_shows_nonnegative_increase() {

@@ -5,6 +5,7 @@ use crate::fault_state::FaultState;
 use crate::port::{FlitStore, PortCtl, VcView};
 use crate::stages::StageScratch;
 use noc_faults::{DetectionModel, FaultSite};
+pub use noc_telemetry::RouterStats;
 use noc_telemetry::{Event, EventKind, NullObserver, Observer};
 use noc_topology::{Topology, VcClass};
 use noc_types::{Coord, Cycle, Flit, Mesh, PortId, RouterConfig, VcGlobalState, VcId};
@@ -88,45 +89,6 @@ impl StepOutput {
         self.credits.clear();
         self.dropped.clear();
     }
-}
-
-/// Event counters exposed for experiments and invariant checks.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterStats {
-    /// Flits accepted into input buffers.
-    pub flits_in: u64,
-    /// Flits sent through the crossbar.
-    pub flits_out: u64,
-    /// Flits dropped by a faulty baseline crossbar mux.
-    pub flits_dropped: u64,
-    /// Head flits misrouted by a faulty baseline RC unit.
-    pub rc_misroutes: u64,
-    /// RC computations served by the duplicate unit.
-    pub rc_duplicate_uses: u64,
-    /// Successful VA allocations.
-    pub va_grants: u64,
-    /// VA allocations performed through a borrowed arbiter set.
-    pub va_borrows: u64,
-    /// Cycles a VC waited because its intended lender was busy
-    /// (the paper's Scenario 2 extra latency).
-    pub va_borrow_waits: u64,
-    /// SA grants issued.
-    pub sa_grants: u64,
-    /// SA grants issued through the bypass path (default winner).
-    pub sa_bypass_grants: u64,
-    /// VC-to-VC flit transfers performed for the bypass path.
-    pub vc_transfers: u64,
-    /// Flits that traversed the crossbar via a secondary path.
-    pub secondary_path_flits: u64,
-    /// Sum over executed steps of the flits buffered at step entry
-    /// (buffer-occupancy integral; divide by cycles for mean occupancy).
-    pub occ_integral: u64,
-    /// VC-allocation requests that went ungranted this cycle
-    /// (requesting VCs minus VA grants, summed per step).
-    pub va_stalls: u64,
-    /// Switch-allocation requests that went ungranted this cycle
-    /// (formed SA requests minus SA grants, summed per step).
-    pub sa_stalls: u64,
 }
 
 /// The routing computation a router's RC units perform, as a closed

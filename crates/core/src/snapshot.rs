@@ -16,12 +16,11 @@
 //! stage scratch is not router state: it lives in the caller's
 //! `StepOutput`.
 
-use crate::router::{Router, RouterStats, XbGrant};
+use crate::router::{Router, XbGrant};
 use noc_arbiter::RoundRobinArbiter;
 use noc_telemetry::json::{obj, JsonValue};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, field, narrow, u64_field, FromSnapshot, Restore, Snapshot,
-    SnapshotError,
+    arr_field, decode_field, field, narrow, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
 use noc_types::Flit;
 
@@ -45,50 +44,6 @@ impl FromSnapshot for XbGrant {
             logical_out: decode_field(v, "logical_out")?,
             mux: decode_field(v, "mux")?,
             out_vc: decode_field(v, "out_vc")?,
-        })
-    }
-}
-
-impl Snapshot for RouterStats {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("flits_in", self.flits_in.into()),
-            ("flits_out", self.flits_out.into()),
-            ("flits_dropped", self.flits_dropped.into()),
-            ("rc_misroutes", self.rc_misroutes.into()),
-            ("rc_duplicate_uses", self.rc_duplicate_uses.into()),
-            ("va_grants", self.va_grants.into()),
-            ("va_borrows", self.va_borrows.into()),
-            ("va_borrow_waits", self.va_borrow_waits.into()),
-            ("sa_grants", self.sa_grants.into()),
-            ("sa_bypass_grants", self.sa_bypass_grants.into()),
-            ("vc_transfers", self.vc_transfers.into()),
-            ("secondary_path_flits", self.secondary_path_flits.into()),
-            ("occ_integral", self.occ_integral.into()),
-            ("va_stalls", self.va_stalls.into()),
-            ("sa_stalls", self.sa_stalls.into()),
-        ])
-    }
-}
-
-impl FromSnapshot for RouterStats {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(RouterStats {
-            flits_in: u64_field(v, "flits_in")?,
-            flits_out: u64_field(v, "flits_out")?,
-            flits_dropped: u64_field(v, "flits_dropped")?,
-            rc_misroutes: u64_field(v, "rc_misroutes")?,
-            rc_duplicate_uses: u64_field(v, "rc_duplicate_uses")?,
-            va_grants: u64_field(v, "va_grants")?,
-            va_borrows: u64_field(v, "va_borrows")?,
-            va_borrow_waits: u64_field(v, "va_borrow_waits")?,
-            sa_grants: u64_field(v, "sa_grants")?,
-            sa_bypass_grants: u64_field(v, "sa_bypass_grants")?,
-            vc_transfers: u64_field(v, "vc_transfers")?,
-            secondary_path_flits: u64_field(v, "secondary_path_flits")?,
-            occ_integral: u64_field(v, "occ_integral")?,
-            va_stalls: u64_field(v, "va_stalls")?,
-            sa_stalls: u64_field(v, "sa_stalls")?,
         })
     }
 }

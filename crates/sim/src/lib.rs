@@ -74,5 +74,5 @@ pub use network::{IntervalProfile, Network};
 pub use ni::NetworkInterface;
 pub use pool::WorkerPool;
 pub use simulator::{Checkpoint, PacketSource, SimOutcome, Simulator};
-pub use stats::{LatencySummary, NetworkReport, RouterEventTotals, LATENCY_BUCKETS};
+pub use stats::{LatencySummary, NetworkReport, LATENCY_BUCKETS};
 pub use tally::{DeliveryTally, LatencyCounts};

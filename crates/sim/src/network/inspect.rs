@@ -5,9 +5,10 @@
 
 use super::wheel::Wire;
 use super::Network;
-use crate::stats::RouterEventTotals;
+use noc_telemetry::spatial::RAMP;
 use noc_telemetry::{
-    FlightRecord, RouterDump, SpatialGrid, VcDump, WaitEdge, WaitForGraph, WaitNode, WaitReason,
+    FlightRecord, RouterDump, RouterStats, SpatialGrid, VcDump, WaitEdge, WaitForGraph, WaitNode,
+    WaitReason,
 };
 use noc_types::{Cycle, Direction, PortId, VcGlobalState, VcId};
 
@@ -119,20 +120,9 @@ impl Network {
         }
     }
 
-    /// Sum router event counters across the mesh.
-    pub fn router_event_totals(&self) -> RouterEventTotals {
-        let mut t = RouterEventTotals::default();
-        for r in &self.routers {
-            let s = r.stats();
-            t.rc_duplicate_uses += s.rc_duplicate_uses;
-            t.rc_misroutes += s.rc_misroutes;
-            t.va_borrows += s.va_borrows;
-            t.va_borrow_waits += s.va_borrow_waits;
-            t.sa_bypass_grants += s.sa_bypass_grants;
-            t.vc_transfers += s.vc_transfers;
-            t.secondary_path_flits += s.secondary_path_flits;
-        }
-        t
+    /// Every router's event counters, summed across the mesh.
+    pub fn router_event_totals(&self) -> RouterStats {
+        self.routers.iter().map(|r| *r.stats()).sum()
     }
 
     /// Flits sent by `router` through each of its five output ports.
@@ -156,7 +146,6 @@ impl Network {
     pub fn utilisation_heatmap(&self) -> String {
         let util = self.utilisation();
         let max = util.iter().cloned().fold(0.0_f64, f64::max).max(1e-12);
-        const RAMP: [char; 6] = ['.', ':', '-', '=', '+', '#'];
         let w = self.mesh.w as usize;
         let h = self.mesh.h as usize;
         let mut out = String::new();
@@ -177,23 +166,12 @@ impl Network {
     /// them in row-major id order, so the result is bit-identical for
     /// every thread count (ARCHITECTURE.md §3).
     pub fn spatial_grid(&self) -> SpatialGrid {
-        let mut grid = SpatialGrid::new(self.mesh.w as usize, self.mesh.h as usize);
-        grid.chiplet_k = self.cfg.topology.chiplet_k().map(usize::from);
-        for (r, cell) in self.routers.iter().zip(grid.cells.iter_mut()) {
-            let s = r.stats();
-            *cell = noc_telemetry::CellStats {
-                flits_routed: s.flits_out,
-                occ_integral: s.occ_integral,
-                va_grants: s.va_grants,
-                va_stalls: s.va_stalls,
-                sa_grants: s.sa_grants,
-                sa_stalls: s.sa_stalls,
-                sa_bypass_grants: s.sa_bypass_grants,
-                va_borrows: s.va_borrows,
-                vc_transfers: s.vc_transfers,
-            };
+        SpatialGrid {
+            width: self.mesh.w as usize,
+            height: self.mesh.h as usize,
+            chiplet_k: self.cfg.topology.chiplet_k().map(usize::from),
+            cells: self.routers.iter().map(|r| *r.stats()).collect(),
         }
-        grid
     }
 
     /// Routers that are not provably idle right now (cycle-boundary

@@ -2,7 +2,7 @@
 
 use crate::network::Network;
 use noc_telemetry::json::{obj, JsonValue};
-use noc_telemetry::{FlightRecord, SpatialGrid, TimeSeries};
+use noc_telemetry::{FlightRecord, RouterStats, SpatialGrid, TimeSeries};
 use noc_types::Cycle;
 
 /// Number of log2 histogram buckets in a [`LatencySummary`].
@@ -117,8 +117,9 @@ pub struct NetworkReport {
     /// True when the watchdog saw no movement for its timeout while
     /// flits were buffered.
     pub deadlock_suspected: bool,
-    /// Aggregate router event counters (summed over all routers).
-    pub router_events: RouterEventTotals,
+    /// Every router's event counters, summed. The report renders the
+    /// [`RouterStats::MECHANISMS`] view of them.
+    pub router_events: RouterStats,
     /// Text heatmap of per-router output utilisation (`.` idle → `#`
     /// busiest), one row per mesh row.
     pub utilisation_heatmap: String,
@@ -138,40 +139,6 @@ pub struct NetworkReport {
     pub epochs: Option<TimeSeries>,
     /// Deadlock flight record, captured iff `deadlock_suspected`.
     pub deadlock: Option<FlightRecord>,
-}
-
-/// Network-wide sums of [`shield_router::RouterStats`] counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RouterEventTotals {
-    /// RC computations served by duplicate units.
-    pub rc_duplicate_uses: u64,
-    /// Head flits misrouted by faulty baseline RC units.
-    pub rc_misroutes: u64,
-    /// VA allocations via borrowed arbiter sets.
-    pub va_borrows: u64,
-    /// Cycles spent waiting for a lendable arbiter set.
-    pub va_borrow_waits: u64,
-    /// SA grants through the bypass path.
-    pub sa_bypass_grants: u64,
-    /// Bypass-register reprogrammings (the paper's VC transfers).
-    pub vc_transfers: u64,
-    /// Flits that used a crossbar secondary path.
-    pub secondary_path_flits: u64,
-}
-
-impl RouterEventTotals {
-    /// Canonical JSON rendering (see [`NetworkReport::to_json`]).
-    pub fn to_json(&self) -> JsonValue {
-        obj([
-            ("rc_duplicate_uses", self.rc_duplicate_uses.into()),
-            ("rc_misroutes", self.rc_misroutes.into()),
-            ("va_borrows", self.va_borrows.into()),
-            ("va_borrow_waits", self.va_borrow_waits.into()),
-            ("sa_bypass_grants", self.sa_bypass_grants.into()),
-            ("vc_transfers", self.vc_transfers.into()),
-            ("secondary_path_flits", self.secondary_path_flits.into()),
-        ])
-    }
 }
 
 impl NetworkReport {
@@ -254,7 +221,10 @@ impl NetworkReport {
             ("mean_hops", self.mean_hops.into()),
             ("throughput", self.throughput.into()),
             ("deadlock_suspected", self.deadlock_suspected.into()),
-            ("router_events", self.router_events.to_json()),
+            (
+                "router_events",
+                self.router_events.to_json(&RouterStats::MECHANISMS),
+            ),
             (
                 "utilisation_heatmap",
                 self.utilisation_heatmap.clone().into(),

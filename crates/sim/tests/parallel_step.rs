@@ -7,7 +7,6 @@
 mod common;
 
 use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
-use noc_sim::stats::RouterEventTotals;
 use noc_sim::{DeliveryTally, Network};
 use noc_types::rng::Rng;
 use noc_types::{
@@ -86,7 +85,7 @@ struct Fingerprint {
     deliveries: Vec<DeliveredPacket>,
     /// And what the reports read of them.
     tally: DeliveryTally,
-    event_totals: RouterEventTotals,
+    event_totals: RouterStats,
     per_router_stats: Vec<RouterStats>,
     link_flits: Vec<[u64; 5]>,
     /// Final credit counters for every (router, out port, vc).

@@ -1,12 +1,14 @@
 //! The structured event vocabulary emitted by instrumented routers.
 //!
-//! Every variant of [`EventKind`] is emitted at exactly the point where
-//! the corresponding `RouterStats` counter increments (or, for flit
-//! movement, where the flit crosses the boundary), so with a
-//! lossless ring the per-mechanism totals of a trace equal
-//! `RouterEventTotals` exactly — that invariant is what the telemetry
-//! CI leg checks.
+//! Every variant of [`EventKind`] that mirrors a counter is emitted at
+//! exactly the point where that [`RouterStats`] counter increments (or,
+//! for flit movement, where the flit crosses the boundary). So with a
+//! lossless ring the [`RouterStats::MECHANISMS`] view of a trace's
+//! [`EventCounts::stats`] equals the run report's `router_events`, the
+//! same view of the routers' counters summed: that invariant is what
+//! the telemetry CI leg checks.
 
+use crate::stats::RouterStats;
 use noc_faults::FaultSite;
 use noc_types::Cycle;
 
@@ -200,32 +202,22 @@ impl EventKind {
     }
 }
 
-/// Per-mechanism totals tallied from an event stream.
+/// Totals tallied from an event stream.
 ///
-/// Field names deliberately mirror the counters in
-/// `noc_sim::stats::RouterEventTotals`: with a lossless trace the two
-/// must be equal, which is the cross-check the telemetry tests and CI
-/// leg enforce.
+/// The events that mirror a router counter fill that counter of
+/// [`EventCounts::stats`]; the rest are counted on their own. With a
+/// lossless trace `stats` equals the routers' counters summed, for every
+/// counter an event mirrors, which is the cross-check the telemetry
+/// tests and CI leg enforce over [`RouterStats::MECHANISMS`].
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct EventCounts {
-    /// `RcComplete { duplicate: true }` events.
-    pub rc_duplicate_uses: u64,
-    /// `RcMisroute` events.
-    pub rc_misroutes: u64,
-    /// `VaBorrow` events.
-    pub va_borrows: u64,
-    /// `VaBorrowWait` events.
-    pub va_borrow_waits: u64,
-    /// `SaBypassGrant` events.
-    pub sa_bypass_grants: u64,
-    /// `VcTransfer` events.
-    pub vc_transfers: u64,
-    /// `FlitHop { secondary: true }` events.
-    pub secondary_path_flits: u64,
-    /// All `FlitHop` events (router departures, i.e. `flits_out`).
-    pub flit_hops: u64,
-    /// `FlitDrop` events.
-    pub flit_drops: u64,
+    /// The mirrored counters: `rc_duplicate_uses` (`RcComplete` with
+    /// `duplicate`), `rc_misroutes`, `va_grants`, `va_borrows`,
+    /// `va_borrow_waits`, `sa_grants`, `sa_bypass_grants`,
+    /// `vc_transfers`, `flits_out` (every `FlitHop`),
+    /// `secondary_path_flits` (`FlitHop` with `secondary`) and
+    /// `flits_dropped` (`FlitDrop`). The others stay zero.
+    pub stats: RouterStats,
     /// `FlitInject` events.
     pub flit_injects: u64,
     /// `FlitEject` events.
@@ -253,26 +245,21 @@ impl EventCounts {
     /// Fold one event into the totals.
     pub fn add(&mut self, ev: &Event) {
         self.total += 1;
+        let s = &mut self.stats;
         match ev.kind {
-            EventKind::RcComplete { duplicate, .. } => {
-                if duplicate {
-                    self.rc_duplicate_uses += 1;
-                }
-            }
-            EventKind::RcMisroute { .. } => self.rc_misroutes += 1,
-            EventKind::VaGrant { .. } => {}
-            EventKind::VaBorrow { .. } => self.va_borrows += 1,
-            EventKind::VaBorrowWait { .. } => self.va_borrow_waits += 1,
-            EventKind::SaGrant { .. } => {}
-            EventKind::SaBypassGrant { .. } => self.sa_bypass_grants += 1,
-            EventKind::VcTransfer { .. } => self.vc_transfers += 1,
+            EventKind::RcComplete { duplicate, .. } => s.rc_duplicate_uses += u64::from(duplicate),
+            EventKind::RcMisroute { .. } => s.rc_misroutes += 1,
+            EventKind::VaGrant { .. } => s.va_grants += 1,
+            EventKind::VaBorrow { .. } => s.va_borrows += 1,
+            EventKind::VaBorrowWait { .. } => s.va_borrow_waits += 1,
+            EventKind::SaGrant { .. } => s.sa_grants += 1,
+            EventKind::SaBypassGrant { .. } => s.sa_bypass_grants += 1,
+            EventKind::VcTransfer { .. } => s.vc_transfers += 1,
             EventKind::FlitHop { secondary, .. } => {
-                self.flit_hops += 1;
-                if secondary {
-                    self.secondary_path_flits += 1;
-                }
+                s.flits_out += 1;
+                s.secondary_path_flits += u64::from(secondary);
             }
-            EventKind::FlitDrop { .. } => self.flit_drops += 1,
+            EventKind::FlitDrop { .. } => s.flits_dropped += 1,
             EventKind::FlitInject { .. } => self.flit_injects += 1,
             EventKind::FlitEject { .. } => self.flit_ejects += 1,
             EventKind::FaultActivated { .. } => self.faults_activated += 1,
@@ -343,10 +330,10 @@ mod tests {
         ];
         let c = EventCounts::tally(&evs);
         assert_eq!(c.total, 5);
-        assert_eq!(c.rc_duplicate_uses, 1);
-        assert_eq!(c.flit_hops, 2);
-        assert_eq!(c.secondary_path_flits, 1);
-        assert_eq!(c.vc_transfers, 1);
-        assert_eq!(c.rc_misroutes, 0);
+        assert_eq!(c.stats.rc_duplicate_uses, 1);
+        assert_eq!(c.stats.flits_out, 2);
+        assert_eq!(c.stats.secondary_path_flits, 1);
+        assert_eq!(c.stats.vc_transfers, 1);
+        assert_eq!(c.stats.rc_misroutes, 0);
     }
 }

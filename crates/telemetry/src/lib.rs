@@ -34,6 +34,11 @@
 //! so a campaign can be checkpointed and resumed bit-identically
 //! (ARCHITECTURE.md §5). They live here because the hand-rolled
 //! [`JsonValue`] codec does.
+//!
+//! It also owns [`RouterStats`], the one per-router counter record,
+//! whose [`stats`] table names every counter once for the router
+//! snapshot, the [`SpatialGrid`] and the run report (ARCHITECTURE.md
+//! §3).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,6 +52,7 @@ pub mod ring;
 pub mod sampler;
 pub mod snapshot;
 pub mod spatial;
+pub mod stats;
 
 pub use event::{Event, EventCounts, EventKind};
 pub use export::{chrome_trace, jsonl};
@@ -56,4 +62,5 @@ pub use observer::{NullObserver, Observer};
 pub use ring::{EventRing, ShardedTracer};
 pub use sampler::{EpochSample, TimeSeries};
 pub use snapshot::{FromSnapshot, Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-pub use spatial::{CellStats, SpatialGrid};
+pub use spatial::SpatialGrid;
+pub use stats::RouterStats;

@@ -152,11 +152,6 @@ pub fn uint_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, Snapsh
     narrow(u64_field(v, key)?, &format!("field `{key}`"))
 }
 
-/// A required `usize` field.
-pub fn usize_field(v: &JsonValue, key: &str) -> Result<usize, SnapshotError> {
-    Ok(u64_field(v, key)? as usize)
-}
-
 /// A required `f64` field.
 pub fn f64_field(v: &JsonValue, key: &str) -> Result<f64, SnapshotError> {
     field(v, key)?

@@ -1,109 +1,22 @@
 //! The spatial metrics plane: a per-router counter grid.
 //!
-//! Every router already owns plain-`u64` event counters that only the
-//! shard stepping it mutates, so the grid inherits the parallel
-//! stepper's determinism for free: shard-local accumulation, merged in
-//! fixed shard order, makes serial and N-thread totals bit-identical
-//! (ARCHITECTURE.md §3). This module owns the *data model* — the grid
+//! Every router already owns plain-`u64` event counters
+//! ([`RouterStats`]) that only the shard stepping it mutates, so the
+//! grid inherits the parallel stepper's determinism for free:
+//! shard-local accumulation, merged in fixed shard order, makes serial
+//! and N-thread totals bit-identical (ARCHITECTURE.md §3). This module owns the *data model* — the grid
 //! itself plus its JSON / CSV / ASCII renderings — so the simulator,
 //! the service's `/jobs/:id/progress` endpoint and `noc-cli heatmap`
 //! all share one schema.
 
-use crate::json::{obj, JsonValue};
-use crate::snapshot::{u64_field, SnapshotError};
+use crate::json::JsonValue;
+use crate::snapshot::{uint_field, SnapshotError};
+use crate::stats::RouterStats;
 use noc_types::Coord;
 
-/// Per-router counter totals for one cell of the grid.
-///
-/// The first six fields localise congestion (where flits flow, where
-/// buffers fill, where allocation stalls); the last three localise the
-/// paper's Shield mechanisms (SA1 bypass grants, VA arbiter lending,
-/// default-winner transfer).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct CellStats {
-    /// Flits sent through the router's crossbar.
-    pub flits_routed: u64,
-    /// Buffer-occupancy integral (flit-cycles buffered).
-    pub occ_integral: u64,
-    /// Successful VC allocations.
-    pub va_grants: u64,
-    /// VC-allocation requests that went ungranted.
-    pub va_stalls: u64,
-    /// Switch-allocation grants.
-    pub sa_grants: u64,
-    /// Switch-allocation requests that went ungranted.
-    pub sa_stalls: u64,
-    /// SA grants issued through the bypass path (default winner).
-    pub sa_bypass_grants: u64,
-    /// VA allocations performed through a borrowed arbiter set.
-    pub va_borrows: u64,
-    /// Default-winner re-pointing transfers for the bypass path.
-    pub vc_transfers: u64,
-}
-
-/// Metric names accepted by [`SpatialGrid::metric`], in the column
-/// order of [`SpatialGrid::to_csv`].
-pub const METRIC_NAMES: [&str; 9] = [
-    "flits_routed",
-    "occ_integral",
-    "va_grants",
-    "va_stalls",
-    "sa_grants",
-    "sa_stalls",
-    "sa_bypass_grants",
-    "va_borrows",
-    "vc_transfers",
-];
-
-impl CellStats {
-    /// The named counter, or `None` for an unknown name (the valid
-    /// names are [`METRIC_NAMES`]).
-    pub fn metric(&self, name: &str) -> Option<u64> {
-        Some(match name {
-            "flits_routed" => self.flits_routed,
-            "occ_integral" => self.occ_integral,
-            "va_grants" => self.va_grants,
-            "va_stalls" => self.va_stalls,
-            "sa_grants" => self.sa_grants,
-            "sa_stalls" => self.sa_stalls,
-            "sa_bypass_grants" => self.sa_bypass_grants,
-            "va_borrows" => self.va_borrows,
-            "vc_transfers" => self.vc_transfers,
-            _ => return None,
-        })
-    }
-
-    fn json(&self) -> JsonValue {
-        obj([
-            ("flits_routed", self.flits_routed.into()),
-            ("occ_integral", self.occ_integral.into()),
-            ("va_grants", self.va_grants.into()),
-            ("va_stalls", self.va_stalls.into()),
-            ("sa_grants", self.sa_grants.into()),
-            ("sa_stalls", self.sa_stalls.into()),
-            ("sa_bypass_grants", self.sa_bypass_grants.into()),
-            ("va_borrows", self.va_borrows.into()),
-            ("vc_transfers", self.vc_transfers.into()),
-        ])
-    }
-
-    fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(CellStats {
-            flits_routed: u64_field(v, "flits_routed")?,
-            occ_integral: u64_field(v, "occ_integral")?,
-            va_grants: u64_field(v, "va_grants")?,
-            va_stalls: u64_field(v, "va_stalls")?,
-            sa_grants: u64_field(v, "sa_grants")?,
-            sa_stalls: u64_field(v, "sa_stalls")?,
-            sa_bypass_grants: u64_field(v, "sa_bypass_grants")?,
-            va_borrows: u64_field(v, "va_borrows")?,
-            vc_transfers: u64_field(v, "vc_transfers")?,
-        })
-    }
-}
-
-/// A `width × height` grid of [`CellStats`], keyed by [`Coord`] and
-/// stored row-major (`y * width + x`).
+/// A `width × height` grid of every router's [`RouterStats`], keyed by
+/// [`Coord`] and stored row-major (`y * width + x`). It renders the
+/// counters of the [`RouterStats::SPATIAL`] view, the grid's metrics.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SpatialGrid {
     /// Routers per row.
@@ -118,12 +31,12 @@ pub struct SpatialGrid {
     /// way.
     pub chiplet_k: Option<usize>,
     /// Row-major cells (`y * width + x`).
-    pub cells: Vec<CellStats>,
+    pub cells: Vec<RouterStats>,
 }
 
-/// Shade ramp for the normalised ASCII heatmap (same palette as the
-/// network utilisation heatmap).
-const RAMP: [char; 6] = ['.', ':', '-', '=', '+', '#'];
+/// Shade ramp of the text heatmaps, `.` idle to `#` busiest: the
+/// normalised ASCII grid here and the network utilisation heatmap.
+pub const RAMP: [char; 6] = ['.', ':', '-', '=', '+', '#'];
 
 impl SpatialGrid {
     /// An all-zero grid of the given dimensions.
@@ -132,7 +45,7 @@ impl SpatialGrid {
             width,
             height,
             chiplet_k: None,
-            cells: vec![CellStats::default(); width * height],
+            cells: vec![RouterStats::default(); width * height],
         }
     }
 
@@ -175,27 +88,20 @@ impl SpatialGrid {
     }
 
     /// The cell for `coord`.
-    pub fn cell(&self, coord: Coord) -> &CellStats {
+    pub fn cell(&self, coord: Coord) -> &RouterStats {
         &self.cells[coord.y as usize * self.width + coord.x as usize]
     }
 
     /// Mutable access to the cell for `coord`.
-    pub fn cell_mut(&mut self, coord: Coord) -> &mut CellStats {
+    pub fn cell_mut(&mut self, coord: Coord) -> &mut RouterStats {
         &mut self.cells[coord.y as usize * self.width + coord.x as usize]
     }
 
-    /// The named counter for every cell, row-major, or `None` for an
-    /// unknown metric name.
+    /// The named metric for every cell, row-major, or `None` for a name
+    /// outside [`RouterStats::SPATIAL`].
     pub fn metric(&self, name: &str) -> Option<Vec<u64>> {
-        if !METRIC_NAMES.contains(&name) {
-            return None;
-        }
-        Some(
-            self.cells
-                .iter()
-                .map(|c| c.metric(name).expect("name checked against METRIC_NAMES"))
-                .collect(),
-        )
+        let counter = RouterStats::SPATIAL.into_iter().find(|c| c.0 == name)?;
+        Some(self.cells.iter().map(|c| c.get(counter)).collect())
     }
 
     /// Render as a JSON object: dimensions plus a grid keyed by
@@ -206,7 +112,10 @@ impl SpatialGrid {
         let mut grid: Vec<(String, JsonValue)> = Vec::with_capacity(self.cells.len());
         for y in 0..self.height {
             for x in 0..self.width {
-                grid.push((self.key(x, y), self.cells[y * self.width + x].json()));
+                grid.push((
+                    self.key(x, y),
+                    self.cells[y * self.width + x].to_json(&RouterStats::SPATIAL),
+                ));
             }
         }
         let mut fields = vec![
@@ -220,10 +129,22 @@ impl SpatialGrid {
         JsonValue::Obj(fields)
     }
 
-    /// Rebuild a grid from its [`SpatialGrid::to_json`] rendering.
+    /// Rebuild a grid from its [`SpatialGrid::to_json`] rendering: the
+    /// [`RouterStats::SPATIAL`] counters of each cell (the others stay
+    /// zero). Fails on a zero or overflowing dimension, a cell count
+    /// that does not match the dimensions, and a key that is malformed,
+    /// outside the grid or names a cell twice.
     pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let width = u64_field(v, "width")? as usize;
-        let height = u64_field(v, "height")? as usize;
+        let width: usize = uint_field(v, "width")?;
+        let height: usize = uint_field(v, "height")?;
+        let cells = width
+            .checked_mul(height)
+            .filter(|&n| n > 0)
+            .ok_or_else(|| {
+                SnapshotError::new(format!(
+                    "grid dimensions {width}x{height} are zero or too large"
+                ))
+            })?;
         let chiplet_k = match v.get("chiplet_k") {
             None => None,
             Some(field) => Some(
@@ -238,15 +159,15 @@ impl SpatialGrid {
             Some(JsonValue::Obj(fields)) => fields,
             _ => return Err(SnapshotError::new("missing `grid` object")),
         };
-        if grid.len() != width * height {
+        if grid.len() != cells {
             return Err(SnapshotError::new(format!(
-                "`grid` has {} cells but dimensions say {}",
+                "`grid` has {} cells but dimensions say {cells}",
                 grid.len(),
-                width * height
             )));
         }
         let mut out = SpatialGrid::new(width, height);
         out.chiplet_k = chiplet_k;
+        let mut seen = vec![false; cells];
         for (key, cell) in grid {
             let (x, y) = out
                 .parse_key(key)
@@ -256,22 +177,28 @@ impl SpatialGrid {
                     "grid key `{key}` outside {width}x{height}"
                 )));
             }
-            out.cells[y * width + x] =
-                CellStats::from_json(cell).map_err(|e| e.within(&format!("grid[{key}]")))?;
+            let i = y * width + x;
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(SnapshotError::new(format!(
+                    "grid key `{key}` names cell ({x}, {y}) twice"
+                )));
+            }
+            out.cells[i] = RouterStats::from_json(cell, &RouterStats::SPATIAL)
+                .map_err(|e| e.within(&format!("grid[{key}]")))?;
         }
         Ok(out)
     }
 
     /// Render as CSV: one row per router, `x,y` first (prefixed with
     /// the `cx,cy` chiplet coordinate on hierarchical grids), then
-    /// every counter in [`METRIC_NAMES`] order.
+    /// every metric in [`RouterStats::SPATIAL`] order.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         if self.chiplet_k.is_some() {
             out.push_str("cx,cy,");
         }
         out.push_str("x,y,");
-        out.push_str(&METRIC_NAMES.join(","));
+        out.push_str(&RouterStats::SPATIAL.map(|c| c.0).join(","));
         out.push('\n');
         for y in 0..self.height {
             for x in 0..self.width {
@@ -279,18 +206,11 @@ impl SpatialGrid {
                 if let Some(k) = self.chiplet_k {
                     out.push_str(&format!("{},{},", x / k, y / k));
                 }
-                out.push_str(&format!(
-                    "{x},{y},{},{},{},{},{},{},{},{},{}\n",
-                    c.flits_routed,
-                    c.occ_integral,
-                    c.va_grants,
-                    c.va_stalls,
-                    c.sa_grants,
-                    c.sa_stalls,
-                    c.sa_bypass_grants,
-                    c.va_borrows,
-                    c.vc_transfers,
-                ));
+                out.push_str(&format!("{x},{y}"));
+                for counter in RouterStats::SPATIAL {
+                    out.push_str(&format!(",{}", c.get(counter)));
+                }
+                out.push('\n');
             }
         }
         out
@@ -352,8 +272,8 @@ mod tests {
         let mut g = SpatialGrid::new(3, 2);
         for (i, cell) in g.cells.iter_mut().enumerate() {
             let i = i as u64;
-            *cell = CellStats {
-                flits_routed: i * 10,
+            *cell = RouterStats {
+                flits_out: i * 10,
                 occ_integral: i * 7,
                 va_grants: i,
                 va_stalls: i * 2,
@@ -362,6 +282,7 @@ mod tests {
                 sa_bypass_grants: i % 2,
                 va_borrows: i % 3,
                 vc_transfers: i % 5,
+                ..RouterStats::default()
             };
         }
         g
@@ -382,18 +303,18 @@ mod tests {
         let csv = g.to_csv();
         let mut lines = csv.lines();
         let header = lines.next().unwrap();
-        assert_eq!(header.split(',').count(), 2 + METRIC_NAMES.len());
+        assert_eq!(header.split(',').count(), 2 + RouterStats::SPATIAL.len());
         assert_eq!(lines.count(), 6);
     }
 
     #[test]
     fn metric_and_cell_lookup_agree() {
         let g = sample_grid();
-        for name in METRIC_NAMES {
-            let values = g.metric(name).unwrap();
+        for counter in RouterStats::SPATIAL {
+            let values = g.metric(counter.0).unwrap();
             assert_eq!(values.len(), 6);
             // Row-major: (x=2, y=1) lives at index y*width + x = 5.
-            assert_eq!(values[5], g.cell(Coord::new(2, 1)).metric(name).unwrap());
+            assert_eq!(values[5], g.cell(Coord::new(2, 1)).get(counter));
         }
         assert!(g.metric("no_such_metric").is_none());
     }
@@ -405,7 +326,7 @@ mod tests {
         // the service progress endpoint and `noc-cli heatmap` both
         // parse it.
         let mut g = SpatialGrid::new(4, 4).with_chiplets(2);
-        g.cell_mut(Coord::new(3, 2)).flits_routed = 99;
+        g.cell_mut(Coord::new(3, 2)).flits_out = 99;
         let text = g.to_json().render();
         assert!(!text.contains("\"chiplet_k\":4"));
         assert!(text.contains("\"chiplet_k\":2"));
@@ -434,7 +355,7 @@ mod tests {
     fn chiplet_ascii_draws_die_boundaries() {
         let mut g = SpatialGrid::new(4, 4).with_chiplets(2);
         for (i, cell) in g.cells.iter_mut().enumerate() {
-            cell.flits_routed = i as u64;
+            cell.flits_out = i as u64;
         }
         let art = g.ascii("flits_routed").unwrap();
         let lines: Vec<&str> = art.lines().collect();
@@ -461,5 +382,38 @@ mod tests {
             .unwrap()
             .lines()
             .all(|l| l.ends_with("..")));
+    }
+
+    fn parse(text: &str) -> Result<SpatialGrid, SnapshotError> {
+        SpatialGrid::from_json(&JsonValue::parse(text).unwrap())
+    }
+
+    #[test]
+    fn dimensions_whose_product_overflows_are_rejected() {
+        // 2^32 × 2^32 wraps a 64-bit product to 0 cells, which an empty
+        // grid object would match.
+        let err = parse(r#"{"width":4294967296,"height":4294967296,"grid":{}}"#).unwrap_err();
+        assert!(err.message.contains("4294967296x4294967296"), "{err}");
+    }
+
+    #[test]
+    fn a_zero_dimension_is_rejected() {
+        for text in [
+            r#"{"width":0,"height":100000000,"grid":{}}"#,
+            r#"{"width":3,"height":0,"grid":{}}"#,
+        ] {
+            let err = parse(text).unwrap_err();
+            assert!(err.message.contains("zero"), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_cell_named_twice_is_rejected() {
+        // The JSON parser refuses a repeated key, but an alias (`01`
+        // parses as `1`) names cell (1, 0) twice and leaves (0, 0)
+        // unset while the cell count still matches.
+        let text = SpatialGrid::new(2, 1).to_json().render();
+        let err = parse(&text.replace("\"0,0\"", "\"01,0\"")).unwrap_err();
+        assert!(err.message.contains("names cell (1, 0) twice"), "{err}");
     }
 }

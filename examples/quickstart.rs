@@ -13,7 +13,7 @@
 //! Perfetto. CI runs this mode as its telemetry leg.
 
 use shield_noc::prelude::*;
-use shield_noc::telemetry::{chrome_trace, EventCounts, JsonValue};
+use shield_noc::telemetry::{chrome_trace, EventCounts, JsonValue, RouterStats};
 use shield_noc::traffic::TrafficGenerator;
 use shield_noc::types::{Mesh, SimConfig};
 
@@ -35,17 +35,13 @@ fn traced(net: NetworkConfig, traffic: TrafficConfig) {
 
     let merged = tracer.merged();
     let counts = EventCounts::tally(&merged);
-    let totals = &report.router_events;
-    assert_eq!(counts.rc_duplicate_uses, totals.rc_duplicate_uses);
-    assert_eq!(counts.rc_misroutes, totals.rc_misroutes);
-    assert_eq!(counts.va_borrows, totals.va_borrows);
-    assert_eq!(counts.va_borrow_waits, totals.va_borrow_waits);
-    assert_eq!(counts.sa_bypass_grants, totals.sa_bypass_grants);
-    assert_eq!(counts.vc_transfers, totals.vc_transfers);
-    assert_eq!(counts.secondary_path_flits, totals.secondary_path_flits);
-    assert_eq!(counts.flit_drops, report.flits_dropped);
+    for counter in RouterStats::MECHANISMS {
+        let (traced, kept) = (counts.stats.get(counter), report.router_events.get(counter));
+        assert_eq!(traced, kept, "{}", counter.0);
+    }
+    assert_eq!(counts.stats.flits_dropped, report.flits_dropped);
     println!(
-        "trace OK: {} events, per-mechanism counts equal RouterEventTotals",
+        "trace OK: {} events, per-mechanism counts equal the routers' counters",
         counts.total
     );
 

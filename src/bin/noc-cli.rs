@@ -35,6 +35,7 @@ use shield_noc::reliability::{AreaPowerModel, MttfReport, SpfAnalysis};
 use shield_noc::service::client::jobs;
 use shield_noc::service::daemon::{default_sigpipe, serve_foreground, ServeArgs};
 use shield_noc::service::CampaignSpec;
+use shield_noc::telemetry::RouterStats;
 use shield_noc::topology::Topology;
 use shield_noc::traffic::{AppId, Trace, TrafficGenerator};
 use shield_noc::types::args::Flags;
@@ -233,7 +234,8 @@ fn parse(args: &[String]) -> Result<Command, String> {
         }
         "heatmap" => {
             let mut file = None;
-            let mut metric = "flits_routed".to_string();
+            // The spatial view's first metric: flits routed.
+            let mut metric = RouterStats::SPATIAL[0].0.to_string();
             let mut csv = false;
             while let Some(flag) = flags.next() {
                 match flag {
@@ -576,7 +578,7 @@ fn heatmap_text(
     let ascii = grid.ascii(metric).ok_or_else(|| {
         format!(
             "unknown metric {metric:?} (one of: {})",
-            shield_noc::telemetry::spatial::METRIC_NAMES.join(", ")
+            RouterStats::SPATIAL.map(|c| c.0).join(", ")
         )
     })?;
     Ok(format!(
@@ -937,17 +939,17 @@ mod tests {
     /// requested metric, and dump the full CSV under `--csv`.
     #[test]
     fn heatmap_renders_ascii_and_csv_from_a_golden_report() {
-        use shield_noc::telemetry::{CellStats, JsonValue, SpatialGrid};
+        use shield_noc::telemetry::{JsonValue, SpatialGrid};
         use shield_noc::types::Coord;
 
         let mut grid = SpatialGrid::new(2, 2);
-        *grid.cell_mut(Coord::new(0, 0)) = CellStats {
-            flits_routed: 12,
+        *grid.cell_mut(Coord::new(0, 0)) = RouterStats {
+            flits_out: 12,
             occ_integral: 40,
             sa_bypass_grants: 3,
-            ..CellStats::default()
+            ..RouterStats::default()
         };
-        grid.cell_mut(Coord::new(1, 1)).flits_routed = 700;
+        grid.cell_mut(Coord::new(1, 1)).flits_out = 700;
         let fixture = JsonValue::Obj(vec![
             ("job".into(), "job-000001".into()),
             (
@@ -998,9 +1000,9 @@ mod tests {
 
         // 4×4 grid of 2×2 dies, one hot router per die quadrant.
         let mut grid = SpatialGrid::new(4, 4).with_chiplets(2);
-        grid.cell_mut(Coord::new(0, 0)).flits_routed = 5;
-        grid.cell_mut(Coord::new(3, 0)).flits_routed = 7;
-        grid.cell_mut(Coord::new(1, 3)).flits_routed = 9;
+        grid.cell_mut(Coord::new(0, 0)).flits_out = 5;
+        grid.cell_mut(Coord::new(3, 0)).flits_out = 7;
+        grid.cell_mut(Coord::new(1, 3)).flits_out = 9;
         let body = JsonValue::Obj(vec![
             ("progress".into(), 0.25.into()),
             ("heatmap".into(), grid.to_json()),

@@ -244,3 +244,46 @@ fn a_closed_stdout_is_a_quiet_exit() {
     assert_eq!(out.status.signal(), Some(SIGPIPE), "{:?}", out.status);
     assert_eq!(String::from_utf8_lossy(&out.stderr), "");
 }
+
+/// `noc-cli heatmap` refuses a crafted grid with exit status 2 and a
+/// message, printing nothing: dimensions whose product wraps to zero
+/// cells (which used to panic in the ASCII rendering), a zero side
+/// (which used to print 10^8 blank lines) and an aliased key that
+/// names one cell twice.
+#[test]
+fn heatmap_refuses_crafted_grids() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    let aliased = shield_noc::telemetry::SpatialGrid::new(1, 2)
+        .to_json()
+        .render()
+        .replace("\"0,0\"", "\"0,01\"");
+    for (name, grid, why) in [
+        (
+            "wrapping",
+            r#"{"width":4294967296,"height":4294967296,"grid":{}}"#,
+            "zero or too large",
+        ),
+        (
+            "zero",
+            r#"{"width":0,"height":100000000,"grid":{}}"#,
+            "zero or too large",
+        ),
+        ("aliased", aliased.as_str(), "twice"),
+    ] {
+        let path = dir.join(format!("heatmap_{name}.json"));
+        std::fs::write(&path, format!(r#"{{"spatial":{grid}}}"#)).expect("write fixture");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_noc-cli"))
+            .arg("heatmap")
+            .arg(&path)
+            .output()
+            .expect("noc-cli starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: {stderr}");
+        assert!(
+            stderr.contains("malformed spatial grid"),
+            "{name}: {stderr}"
+        );
+        assert!(stderr.contains(why), "{name}: {stderr}");
+        assert!(out.stdout.is_empty(), "{name}: printed a grid");
+    }
+}
