@@ -225,6 +225,40 @@ fn inherited_replay_variables_do_not_change_a_cli_run() {
     assert_eq!(clean, simulated(&[("NOC_ROUTING", "adaptive")]));
 }
 
+/// A recorded trace replays through `noc-cli simulate --trace-in` to
+/// the same report, line for line.
+#[test]
+fn a_recorded_trace_replays_to_a_pinned_report() {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("uniform_2000.trace");
+    let path = path.to_str().expect("a UTF-8 temp path");
+    let recorded = cli_stdout(
+        &[
+            "trace",
+            "--pattern",
+            "uniform_random",
+            "--rate",
+            "0.05",
+            "--cycles",
+            "2000",
+            "--out",
+            path,
+        ],
+        &[],
+    );
+    assert!(recorded.starts_with("recorded 6401 packets over 2000 cycles"));
+    let replayed = cli_stdout(&["simulate", "--trace-in", path, "--cycles", "2000"], &[]);
+    assert_eq!(
+        replayed,
+        "router          : Protected on a 8x8 mesh\n\
+         faults          : 0 permanent, 0 transient\n\
+         packets         : 5772 delivered, 0 misdelivered\n\
+         flits dropped   : 0\n\
+         latency (cycles): mean 28.60, p50 28, p95 48, p99 56, max 68\n\
+         throughput      : 0.1163 flits/node/cycle\n\
+         mean hops       : 6.34\n"
+    );
+}
+
 /// A reader that went away (`noc-cli … | head -1`) ends the process
 /// quietly — killed by SIGPIPE, never by a `println!` panic on stderr.
 /// The peer of stdout is closed before the child starts, so its first
