@@ -15,7 +15,7 @@
 //! count. They share their traffic, so each sibling is cycle-identical
 //! to the baseline until its first fault onset. A cell therefore builds
 //! one network and runs the baseline once, forking it by `Clone` at each
-//! sibling's first onset ([`run_cell`], ARCHITECTURE.md §8.3).
+//! sibling's first onset (`run_cell`, ARCHITECTURE.md §8.3).
 //! Parallelism comes from [`run_batch`] over independent cells (each
 //! simulated serially), with results placed by index, which keeps them
 //! bit-identical at any thread count.

@@ -9,7 +9,7 @@
 //! allocation.
 //!
 //! Control: each port's credits, busy and exclusion words, SA arbiters,
-//! RC pointer and bypass register are one cache-line [`PortCtl`] entry.
+//! RC pointer and bypass register are one cache-line `PortCtl` entry.
 
 use noc_arbiter::RoundRobinArbiter;
 use noc_types::{

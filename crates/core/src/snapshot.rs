@@ -11,7 +11,7 @@
 //!
 //! Deliberately *excluded* — pure functions of the construction-time
 //! configuration, reproduced by building the router afresh before
-//! calling [`Restore::restore`]: id, coordinates, [`RouterKind`], the
+//! calling [`Restore::restore`]: id, coordinates, [`crate::RouterKind`], the
 //! routing algorithm and the (stateless) crossbar topology. The per-cycle
 //! stage scratch is not router state: it lives in the caller's
 //! `StepOutput`.

@@ -1,55 +1,20 @@
 //! The per-cycle hot path must be allocation-free in steady state: all
 //! scratch the pipeline needs is preallocated at construction and reused
-//! (cleared, never reallocated) each cycle. This test wraps the global
-//! allocator in a counter, warms a router up under sustained traffic
-//! until every buffer has reached its steady capacity, then asserts that
+//! (cleared, never reallocated) each cycle. This check meters the heap
+//! (`noc-alloc-meter`), warms a router up under sustained traffic until
+//! every buffer has reached its steady capacity, then asserts that
 //! further cycles perform zero heap allocations — and that a fresh
 //! router needs no warm-up at all.
-//!
-//! The counter is per thread: the router steps on the test's own
-//! thread, and the test harness's threads (its main thread keeps
-//! allocating while a test runs) cannot land in the measured window.
 
+use noc_alloc_meter::measure;
 use noc_faults::FaultSite;
 use noc_types::{Coord, Direction, Flit, FlitKind, FlitSeq, Mesh, PacketId, RouterConfig, VcId};
 use shield_router::{Router, RouterKind, StepOutput};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 
-struct CountingAlloc;
-
-thread_local! {
-    /// Allocations made by this thread. A `const` cell without a
-    /// destructor: touching it never allocates, so the allocator can.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+fn main() {
+    steady_state_router_step_allocates_nothing();
+    println!("test steady_state_router_step_allocates_nothing ... ok");
 }
-
-fn count_one() {
-    // `try_with`: a thread being torn down still frees and allocates.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-/// Allocations this thread has made so far.
-fn allocations() -> u64 {
-    ALLOCATIONS.with(Cell::get)
-}
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 const HERE: Coord = Coord::new(3, 3);
 
@@ -110,7 +75,6 @@ fn run(
     sent
 }
 
-#[test]
 fn steady_state_router_step_allocates_nothing() {
     let mux = FaultSite::XbMux {
         out_port: Direction::East.port(),
@@ -168,15 +132,14 @@ fn steady_state_router_step_allocates_nothing() {
         // their steady capacity during the first cycles.
         run(&mut r, &mut out, 0..500, &mut id, &mut occupancy);
 
-        let before = allocations();
-        let sent = run(&mut r, &mut out, 500..1000, &mut id, &mut occupancy);
-        let after = allocations();
+        let (sent, heap) = measure(|| run(&mut r, &mut out, 500..1000, &mut id, &mut occupancy));
 
         assert!(sent > 0, "{label}: traffic must actually flow");
         assert_eq!(
-            after - before,
+            heap.allocations,
             0,
-            "{label}: steady-state step performed heap allocations"
+            "{label}: steady-state step performed heap allocations (sizes: {:?})",
+            heap.sizes()
         );
 
         // No warm-up for the buffers: a router's flit store is allocated
@@ -188,14 +151,13 @@ fn steady_state_router_step_allocates_nothing() {
             r.inject_fault(f, 0);
         }
         let mut occupancy = [[0u32; 4]; 5];
-        let before = allocations();
-        let sent = run(&mut r, &mut out, 0..300, &mut id, &mut occupancy);
-        let after = allocations();
+        let (sent, heap) = measure(|| run(&mut r, &mut out, 0..300, &mut id, &mut occupancy));
         assert!(sent > 0, "{label}: traffic must actually flow");
         assert_eq!(
-            after - before,
+            heap.allocations,
             0,
-            "{label}: a fresh router allocated after its first flit"
+            "{label}: a fresh router allocated after its first flit (sizes: {:?})",
+            heap.sizes()
         );
     }
 }

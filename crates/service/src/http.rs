@@ -289,7 +289,7 @@ fn handle(
 /// Accept connections until `should_stop` turns true. The loop sleeps
 /// in the kernel until a connection is pending, so a request is picked
 /// up within microseconds; `should_stop` is re-checked after every
-/// accept and at least every [`STOP_CHECK`], which bounds shutdown
+/// accept and at least every `STOP_CHECK`, which bounds shutdown
 /// latency to tens of milliseconds. Connections get the default
 /// 10-second request read deadline; request events go to `log` (pass
 /// [`ObsLog::disabled`] for silence).

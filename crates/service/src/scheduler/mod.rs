@@ -12,7 +12,7 @@
 //! spool/job-000001/error.txt        # terminal failure; job is dead
 //! ```
 //!
-//! Recovery on startup rescans the spool ([`recover`]): any job
+//! Recovery on startup rescans the spool (`recover`): any job
 //! directory with a spec but neither a result nor an error is
 //! re-queued, resuming from its checkpoint when one exists. Because a
 //! resumed run is byte-identical to an uninterrupted one (see the
@@ -20,12 +20,12 @@
 //! checkpoint interval plus one commit of work and never changes a
 //! result.
 //!
-//! A running `simulate` job is two threads ([`worker`]): the *worker*
+//! A running `simulate` job is two threads (`worker`): the *worker*
 //! steps the simulation and hands each checkpoint to the job's
 //! *writer*, which owns the spool files and makes it durable while the
-//! stepping goes on ([`commit`]; ARCHITECTURE.md §5.3 states the
+//! stepping goes on (`commit`; ARCHITECTURE.md §5.3 states the
 //! invariants). What the scheduler knows of a job is its record
-//! ([`job`]); this module is the handle and the documents it serves.
+//! (`job`); this module is the handle and the documents it serves.
 
 mod commit;
 mod job;
@@ -276,7 +276,7 @@ impl Scheduler {
     }
 
     /// Submit a campaign. Returns the job id, or a queue-full rejection
-    /// whose retry hint scales with the backlog (see [`retry_after_hint`]).
+    /// whose retry hint scales with the backlog (see `retry_after_hint`).
     pub fn submit(&self, spec: CampaignSpec) -> Result<String, SubmitError> {
         spec.validate().map_err(SubmitError::Invalid)?;
         // Take the id and a queue slot, but keep the job out of the

@@ -22,7 +22,7 @@
 //! holds one line of the stream, never the whole log.
 //!
 //! A running job does not append on its stepping thread: it steps
-//! against a [`QueuedStream`], which leaves each batch in a [`Mailbox`]
+//! against a `QueuedStream`, which leaves each batch in a `Mailbox`
 //! for the job's writer thread to append (ARCHITECTURE.md §5.3).
 
 use noc_sim::DeliveryStream;

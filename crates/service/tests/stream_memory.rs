@@ -4,11 +4,9 @@
 //! resuming from a stream of several MB raises the heap's high-water
 //! mark by a fixed bound, not by the stream's size. (Reading the file
 //! whole, and returning the prefix as a vector, would add the file and
-//! ~40 bytes an entry.)
-//!
-//! Kept as a single `#[test]` so no sibling test can allocate
-//! concurrently and pollute the counter.
+//! ~40 bytes an entry.) The heap is metered by `noc-alloc-meter`.
 
+use noc_alloc_meter::measure;
 use noc_faults::FaultPlan;
 use noc_service::JsonlStream;
 use noc_sim::Simulator;
@@ -18,46 +16,18 @@ use noc_topology::Topology;
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::{Coord, DeliveredPacket, NetworkConfig, PacketId, PacketKind, SimConfig};
 use shield_router::RouterKind;
-use std::alloc::{GlobalAlloc, Layout, System};
 use std::fs;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct HighWater;
-
-/// Bytes live on the heap now, and the most since the last reset.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
+fn main() {
+    resuming_from_a_stream_of_several_mb_holds_one_line_of_it();
+    println!("test resuming_from_a_stream_of_several_mb_holds_one_line_of_it ... ok");
 }
-
-unsafe impl GlobalAlloc for HighWater {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        grow(new_size);
-        LIVE.fetch_sub(layout.size() as u64, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: HighWater = HighWater;
 
 /// Deliveries put in front of the run's own: ~150 bytes a line.
 const FILLER: u64 = 50_000;
 /// What resuming may add to the heap's high-water mark.
 const BOUND: u64 = 1 << 20;
 
-#[test]
 fn resuming_from_a_stream_of_several_mb_holds_one_line_of_it() {
     let dir = std::env::temp_dir().join(format!("noc-stream-memory-{}", std::process::id()));
     let _ = fs::remove_dir_all(&dir);
@@ -127,14 +97,12 @@ fn resuming_from_a_stream_of_several_mb_holds_one_line_of_it() {
     }
     let doc = JsonValue::Obj(doc);
 
-    let base = LIVE.load(Ordering::Relaxed);
-    PEAK.store(base, Ordering::Relaxed);
-    let mut stream = JsonlStream::open(&path).unwrap();
-    let (resumed, _) = sim
-        .run_streamed(&mut generator(), &mut stream, Some(&doc), |_| true)
-        .unwrap();
-    let grew = PEAK.load(Ordering::Relaxed) - base;
-    drop(stream);
+    let ((resumed, _), heap) = measure(|| {
+        let mut stream = JsonlStream::open(&path).unwrap();
+        sim.run_streamed(&mut generator(), &mut stream, Some(&doc), |_| true)
+            .unwrap()
+    });
+    let grew = heap.peak_bytes;
     let _ = fs::remove_dir_all(&dir);
 
     assert_eq!(

@@ -83,8 +83,8 @@ fn past_the_end(held: u64, offset: u64) -> SnapshotError {
 
 /// A [`DeliveryStream`] that keeps nothing: it drops what it is handed
 /// and always holds no entries, so it truncates only to offset 0. Plain
-/// runs ([`crate::Simulator::run`], `run_with`, `run_traced`) spool to
-/// one, so their memory does not grow with run length.
+/// runs ([`crate::Simulator::run_with`], `run_traced`) spool to one, so
+/// their memory does not grow with run length.
 #[derive(Debug, Default)]
 pub struct NullStream;
 

@@ -75,7 +75,7 @@ const PROFILE_INTERVAL: Cycle = 1024;
 /// Profiling intervals retained by the stepper profile ring.
 const PROFILE_CAP: usize = 64;
 
-/// Wall-clock profile of one [`PROFILE_INTERVAL`]-cycle interval of a
+/// Wall-clock profile of one `PROFILE_INTERVAL`-cycle interval of a
 /// multi-shard stepper: how long each shard's phase B took and how many
 /// router steps it executed.
 ///

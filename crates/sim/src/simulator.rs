@@ -367,16 +367,10 @@ impl Simulator {
     /// Run the simulation.
     ///
     /// `source` is called once per cycle during warm-up and measurement
-    /// (never during drain) and returns the packets created that cycle;
-    /// each packet's `src` selects the injecting node. Returns the
-    /// report plus how the run ended.
-    pub fn run(&self, mut source: impl FnMut(Cycle) -> Vec<Packet>) -> (NetworkReport, SimOutcome) {
-        self.run_with(|cycle, out| out.extend(source(cycle)))
-    }
-
-    /// Allocation-free variant of [`Simulator::run`]: `source` appends
-    /// this cycle's packets into a buffer the simulator owns and clears,
-    /// so a steady-state cycle touches no allocator.
+    /// (never during drain) and appends the packets created that cycle
+    /// to a buffer the simulator owns and clears, so a steady-state
+    /// cycle touches no allocator; each packet's `src` selects the
+    /// injecting node. Returns the report plus how the run ended.
     pub fn run_with(
         &self,
         source: impl FnMut(Cycle, &mut Vec<Packet>),

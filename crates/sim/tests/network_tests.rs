@@ -75,22 +75,15 @@ fn zero_load_latency_is_exact() {
         drain_cycles: 200,
         seed: 1,
     };
-    let mut sent = false;
-    let (report, outcome) =
-        Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none()).run(|_cycle| {
-            if !sent {
-                sent = true;
-                vec![Packet::new(
-                    PacketId(1),
-                    PacketKind::Control,
-                    Coord::new(0, 0),
-                    Coord::new(3, 3),
-                    0,
-                )]
-            } else {
-                Vec::new()
-            }
-        });
+    let mut packet = Some(Packet::new(
+        PacketId(1),
+        PacketKind::Control,
+        Coord::new(0, 0),
+        Coord::new(3, 3),
+        0,
+    ));
+    let (report, outcome) = Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none())
+        .run_with(|_, out| out.extend(packet.take()));
     assert_eq!(outcome, SimOutcome::DrainedEarly);
     assert_eq!(report.delivered(), 1);
     assert_eq!(report.total_latency.mean, 28.0);
@@ -108,22 +101,15 @@ fn neighbour_packet_latency() {
         drain_cycles: 100,
         seed: 1,
     };
-    let mut sent = false;
-    let (report, _) =
-        Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none()).run(|_c| {
-            if !sent {
-                sent = true;
-                vec![Packet::new(
-                    PacketId(1),
-                    PacketKind::Control,
-                    Coord::new(1, 1),
-                    Coord::new(2, 1),
-                    0,
-                )]
-            } else {
-                Vec::new()
-            }
-        });
+    let mut packet = Some(Packet::new(
+        PacketId(1),
+        PacketKind::Control,
+        Coord::new(1, 1),
+        Coord::new(2, 1),
+        0,
+    ));
+    let (report, _) = Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none())
+        .run_with(|_, out| out.extend(packet.take()));
     assert_eq!(report.total_latency.mean, 8.0);
 }
 
@@ -137,22 +123,15 @@ fn data_packet_tail_latency_adds_serialisation() {
         drain_cycles: 100,
         seed: 1,
     };
-    let mut sent = false;
-    let (report, _) =
-        Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none()).run(|_c| {
-            if !sent {
-                sent = true;
-                vec![Packet::new(
-                    PacketId(1),
-                    PacketKind::Data,
-                    Coord::new(0, 0),
-                    Coord::new(1, 0),
-                    0,
-                )]
-            } else {
-                Vec::new()
-            }
-        });
+    let mut packet = Some(Packet::new(
+        PacketId(1),
+        PacketKind::Data,
+        Coord::new(0, 0),
+        Coord::new(1, 0),
+        0,
+    ));
+    let (report, _) = Simulator::new(net, sim, RouterKind::Protected, FaultPlan::none())
+        .run_with(|_, out| out.extend(packet.take()));
     assert_eq!(report.delivered(), 1);
     assert_eq!(report.total_latency.mean, 12.0);
 }
@@ -168,8 +147,8 @@ fn uniform_traffic_all_delivered_fault_free() {
             seed: 7,
         };
         let mut src = UniformSource::new(4, 0.02, 99);
-        let (report, outcome) =
-            Simulator::new(net, sim, kind, FaultPlan::none()).run(|c| src.tick(c));
+        let (report, outcome) = Simulator::new(net, sim, kind, FaultPlan::none())
+            .run_with(|c, out| out.extend(src.tick(c)));
         assert_eq!(outcome, SimOutcome::DrainedEarly, "{kind:?}");
         assert!(report.delivered() > 100, "{kind:?}: enough samples");
         assert_eq!(report.misdelivered, 0);
@@ -194,7 +173,7 @@ fn baseline_and_protected_match_exactly_when_fault_free() {
         };
         let mut src = UniformSource::new(4, 0.03, 1234);
         Simulator::new(net, sim, kind, FaultPlan::none())
-            .run(|c| src.tick(c))
+            .run_with(|c, out| out.extend(src.tick(c)))
             .0
     };
     let b = run(RouterKind::Baseline);
@@ -249,8 +228,8 @@ fn protected_network_tolerates_scattered_faults_without_loss() {
         noc_faults::DetectionModel::Ideal,
     );
     let mut src = UniformSource::new(4, 0.02, 42);
-    let (report, outcome) =
-        Simulator::new(net, sim, RouterKind::Protected, plan).run(|c| src.tick(c));
+    let (report, outcome) = Simulator::new(net, sim, RouterKind::Protected, plan)
+        .run_with(|c, out| out.extend(src.tick(c)));
     assert_eq!(outcome, SimOutcome::DrainedEarly);
     assert_eq!(report.misdelivered, 0);
     assert_eq!(report.flits_dropped, 0);
@@ -291,7 +270,7 @@ fn faulty_protected_latency_is_at_least_fault_free_latency() {
         };
         let mut src = UniformSource::new(4, 0.02, 42);
         Simulator::new(net, sim, RouterKind::Protected, plan)
-            .run(|c| src.tick(c))
+            .run_with(|c, out| out.extend(src.tick(c)))
             .0
     };
     let clean = run(false);
@@ -329,7 +308,8 @@ fn baseline_crossbar_fault_loses_flits() {
         noc_faults::DetectionModel::Ideal,
     );
     let mut src = UniformSource::new(4, 0.02, 77);
-    let (report, _) = Simulator::new(net, sim, RouterKind::Baseline, plan).run(|c| src.tick(c));
+    let (report, _) = Simulator::new(net, sim, RouterKind::Baseline, plan)
+        .run_with(|c, out| out.extend(src.tick(c)));
     assert!(report.flits_dropped > 0, "baseline loses flits: {report:?}");
 }
 
@@ -354,21 +334,15 @@ fn watchdog_detects_blocked_traffic() {
         )],
         noc_faults::DetectionModel::Ideal,
     );
-    let mut sent = false;
-    let (report, outcome) = Simulator::new(net, sim, RouterKind::Baseline, plan).run(|_c| {
-        if !sent {
-            sent = true;
-            vec![Packet::new(
-                PacketId(1),
-                PacketKind::Control,
-                Coord::new(0, 0),
-                Coord::new(1, 1),
-                0,
-            )]
-        } else {
-            Vec::new()
-        }
-    });
+    let mut packet = Some(Packet::new(
+        PacketId(1),
+        PacketKind::Control,
+        Coord::new(0, 0),
+        Coord::new(1, 1),
+        0,
+    ));
+    let (report, outcome) = Simulator::new(net, sim, RouterKind::Baseline, plan)
+        .run_with(|_, out| out.extend(packet.take()));
     assert_eq!(outcome, SimOutcome::DeadlockSuspected);
     assert!(report.deadlock_suspected);
     assert_eq!(report.delivered(), 0);
@@ -420,7 +394,7 @@ fn delayed_detection_still_delivers_with_higher_latency() {
         );
         let mut src = UniformSource::new(4, 0.015, 31);
         Simulator::new(net, sim, RouterKind::Protected, plan)
-            .run(|c| src.tick(c))
+            .run_with(|c, out| out.extend(src.tick(c)))
             .0
     };
     let ideal = run(noc_faults::DetectionModel::Ideal);
@@ -487,8 +461,8 @@ fn bounded_ni_queues_shed_offered_load_at_saturation() {
         seed: 21,
     };
     let mut src = UniformSource::new(4, 0.5, 77);
-    let (report, _) =
-        Simulator::new(cfg, sim, RouterKind::Protected, FaultPlan::none()).run(|c| src.tick(c));
+    let (report, _) = Simulator::new(cfg, sim, RouterKind::Protected, FaultPlan::none())
+        .run_with(|c, out| out.extend(src.tick(c)));
     assert!(
         report.offered > report.injected,
         "overload must be shed: offered {} vs injected {}",

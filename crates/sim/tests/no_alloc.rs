@@ -9,18 +9,16 @@
 //! length either: the high-water mark of a long run is within a few KB
 //! of a run a tenth as long.
 //!
-//! Same shape as the router-level test in `crates/core/tests/no_alloc.rs`:
-//! wrap the global allocator in a counter, warm the network up under
+//! Same shape as the router-level check in `crates/core/tests/no_alloc.rs`:
+//! meter the heap (`noc-alloc-meter`), warm the network up under
 //! sustained traffic, then assert further cycles — a window crossing
 //! the first close of a profiling interval — perform zero heap
-//! allocations. The counter is process-wide, so worker-thread
+//! allocations. The meter counts process-wide, so worker-thread
 //! allocations are caught too.
 //!
 //! The heap a built network holds, per node, is bounded as well.
-//!
-//! Every test holds `SERIAL` while it runs, so no sibling test can
-//! allocate concurrently and pollute the counters.
 
+use noc_alloc_meter::measure;
 use noc_faults::FaultPlan;
 use noc_sim::{Network, NullStream, Simulator};
 use noc_types::{
@@ -28,68 +26,13 @@ use noc_types::{
     VcId,
 };
 use shield_router::RouterKind;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
 
-static SERIAL: Mutex<()> = Mutex::new(());
-
-fn serial() -> std::sync::MutexGuard<'static, ()> {
-    SERIAL.lock().unwrap_or_else(PoisonError::into_inner)
+fn main() {
+    steady_state_network_step_allocates_nothing();
+    println!("test steady_state_network_step_allocates_nothing ... ok");
+    a_built_chiplet_network_holds_a_bounded_heap_per_node();
+    println!("test a_built_chiplet_network_holds_a_bounded_heap_per_node ... ok");
 }
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-/// Bytes live on the heap now, and the most there have been since the
-/// last reset.
-static LIVE: AtomicU64 = AtomicU64::new(0);
-static PEAK: AtomicU64 = AtomicU64::new(0);
-
-fn grow(bytes: usize) {
-    let live = LIVE.fetch_add(bytes as u64, Ordering::Relaxed) + bytes as u64;
-    PEAK.fetch_max(live, Ordering::Relaxed);
-}
-
-fn shrink(bytes: usize) {
-    LIVE.fetch_sub(bytes as u64, Ordering::Relaxed);
-}
-static TRAP: AtomicBool = AtomicBool::new(false);
-static SIZES: [AtomicU64; 32] = [const { AtomicU64::new(0) }; 32];
-static SIZES_LEN: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if TRAP.load(Ordering::Relaxed) {
-            let n = SIZES_LEN.fetch_add(1, Ordering::Relaxed) as usize;
-            if n < SIZES.len() {
-                SIZES[n].store(layout.size() as u64, Ordering::Relaxed);
-            }
-        }
-        grow(layout.size());
-        unsafe { System.alloc(layout) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        shrink(layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if TRAP.load(Ordering::Relaxed) {
-            let n = SIZES_LEN.fetch_add(1, Ordering::Relaxed) as usize;
-            if n < SIZES.len() {
-                SIZES[n].store(new_size as u64, Ordering::Relaxed);
-            }
-        }
-        grow(new_size);
-        shrink(layout.size());
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
 
 /// Tiny splitmix-style generator, inline so the traffic source provably
 /// touches no allocator itself.
@@ -133,9 +76,7 @@ fn tick(rng: &mut Rng, k: u8, cycle: u64, next_id: &mut u64, out: &mut Vec<Packe
     }
 }
 
-#[test]
 fn steady_state_network_step_allocates_nothing() {
-    let _serial = serial();
     // One shard (the default, and the path of four of the five
     // benchmark workloads) covers the SoA router stepper, the wheel
     // turn of phase A and the inline broadcast; it keeps no shard
@@ -187,17 +128,15 @@ fn steady_state_network_step_allocates_nothing() {
             net.hand_on_deliveries(&mut spool).unwrap();
         }
 
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
         let delivered_before = net.tally().seen();
-        TRAP.store(true, Ordering::Relaxed);
-        for cycle in WARMUP..WARMUP + 500 {
-            tick(&mut rng, k, cycle, &mut next_id, &mut packets);
-            net.offer_packets_from(&mut packets);
-            net.step(cycle);
-            net.hand_on_deliveries(&mut spool).unwrap();
-        }
-        TRAP.store(false, Ordering::Relaxed);
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let ((), heap) = measure(|| {
+            for cycle in WARMUP..WARMUP + 500 {
+                tick(&mut rng, k, cycle, &mut next_id, &mut packets);
+                net.offer_packets_from(&mut packets);
+                net.step(cycle);
+                net.hand_on_deliveries(&mut spool).unwrap();
+            }
+        });
         let fork = fork.expect("forked during the warm-up");
         assert_eq!(fork.cycle(), WARMUP / 2, "{label}: the fork did not move");
         drop(fork);
@@ -210,11 +149,11 @@ fn steady_state_network_step_allocates_nothing() {
             net.pending_deliveries().is_empty(),
             "{label}: all handed on"
         );
-        let sizes: Vec<u64> = SIZES.iter().map(|s| s.load(Ordering::Relaxed)).collect();
         assert_eq!(
-            after - before,
+            heap.allocations,
             0,
-            "{label}: steady-state network step performed heap allocations (sizes: {sizes:?})"
+            "{label}: steady-state network step performed heap allocations (sizes: {:?})",
+            heap.sizes()
         );
 
         // The zero-allocation window above must have exercised the
@@ -245,11 +184,9 @@ fn steady_state_network_step_allocates_nothing() {
     let routers = u64::from(k) * u64::from(k);
     let mut net = Network::new(cfg, RouterKind::Protected);
     fn clone_allocations<T: Clone>(x: &T) -> u64 {
-        let before = ALLOCATIONS.load(Ordering::Relaxed);
-        let copy = x.clone();
-        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        let (copy, heap) = measure(|| x.clone());
         drop(copy);
-        after - before
+        heap.allocations
     }
     let per_router = |net: &Network| {
         (0..net.mesh().len())
@@ -313,15 +250,14 @@ fn steady_state_network_step_allocates_nothing() {
         };
         let sim = Simulator::new(cfg, phases, RouterKind::Protected, FaultPlan::none());
         let (mut rng, mut next_id) = (Rng(0x11647), 0u64);
-        PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-        let base = LIVE.load(Ordering::Relaxed);
-        let (report, _) = sim.run_with(|cycle, out| tick(&mut rng, k, cycle, &mut next_id, out));
+        let ((report, _), heap) =
+            measure(|| sim.run_with(|cycle, out| tick(&mut rng, k, cycle, &mut next_id, out)));
         assert!(
             report.delivered > cycles,
             "traffic flows: {}",
             report.delivered
         );
-        PEAK.load(Ordering::Relaxed) - base
+        heap.peak_bytes
     };
     let short = high_water(20_000);
     let long = high_water(200_000);
@@ -332,9 +268,7 @@ fn steady_state_network_step_allocates_nothing() {
     );
 }
 
-#[test]
 fn a_built_chiplet_network_holds_a_bounded_heap_per_node() {
-    let _serial = serial();
     // The 1,024-router network of the two-thread benchmark, built as
     // `noc-cli simulate --topology chipletmesh4x8:4:2` builds it. Most
     // of a node is its router's input buffers (P·V·depth = 80 flits),
@@ -342,9 +276,8 @@ fn a_built_chiplet_network_holds_a_bounded_heap_per_node() {
     let mut cfg = NetworkConfig::paper();
     cfg.topology = TopologySpec::parse_arg("chipletmesh4x8:4:2", cfg.mesh_k).unwrap();
     cfg.validate().unwrap();
-    let before = LIVE.load(Ordering::Relaxed);
-    let net = Network::new(cfg, RouterKind::Protected);
-    let held = LIVE.load(Ordering::Relaxed) - before;
+    let (net, heap) = measure(|| Network::new(cfg, RouterKind::Protected));
+    let held = heap.held_bytes;
     let nodes = net.mesh().len() as u64;
     assert_eq!(nodes, 1024);
     let per_node = held / nodes;

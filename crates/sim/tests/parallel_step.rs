@@ -446,7 +446,7 @@ fn report_exposes_worklist_skip_rate() {
         next: 0,
     };
     let sim = noc_sim::Simulator::new(net_cfg, sim_cfg, RouterKind::Protected, FaultPlan::none());
-    let (report, _outcome) = sim.run(|cycle| src.tick(cycle));
+    let (report, _outcome) = sim.run_with(|cycle, out| out.extend(src.tick(cycle)));
     let considered = report.routers_stepped + report.routers_skipped;
     assert_eq!(
         considered,

@@ -74,8 +74,8 @@ fn fault_free_network_delivers_everything() {
             rate: rate_milli as f64 / 1_000.0,
             next: 0,
         };
-        let (report, outcome) =
-            Simulator::new(net, sim, kind, FaultPlan::none()).run(|c| src.tick(c));
+        let (report, outcome) = Simulator::new(net, sim, kind, FaultPlan::none())
+            .run_with(|c, out| out.extend(src.tick(c)));
         let ctx = format!("case {case}: k={k} rate={rate_milli}m seed={seed}");
         assert_eq!(outcome, SimOutcome::DrainedEarly, "{ctx}");
         assert_eq!(report.misdelivered, 0, "{ctx}");
@@ -120,7 +120,7 @@ fn tolerated_campaigns_never_lose_packets() {
         };
         let (report, outcome) =
             Simulator::new(net, sim, shield_router::RouterKind::Protected, plan)
-                .run(|c| src.tick(c));
+                .run_with(|c, out| out.extend(src.tick(c)));
         let ctx = format!("case {case}: k={k} seed={seed} fault_seed={fault_seed}");
         assert_eq!(outcome, SimOutcome::DrainedEarly, "{ctx}");
         assert_eq!(report.flits_dropped, 0, "{ctx}");
@@ -238,7 +238,7 @@ fn transient_storms_are_absorbed() {
             next: 0,
         };
         let (report, _) = Simulator::new(net, sim, shield_router::RouterKind::Protected, plan)
-            .run(|c| src.tick(c));
+            .run_with(|c, out| out.extend(src.tick(c)));
         let ctx = format!("case {case}: k={k} seed={seed} duration={duration}");
         assert_eq!(report.flits_dropped, 0, "{ctx}");
         assert_eq!(report.misdelivered, 0, "{ctx}");

@@ -89,7 +89,7 @@ impl EpochSample {
         ])
     }
 
-    /// Rebuild a sample from its [`EpochSample::json`] rendering. The
+    /// Rebuild a sample from its JSON rendering (`EpochSample::json`). The
     /// derived `skip_rate`/`throughput` fields are ignored — they are
     /// recomputed from the counters.
     pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {

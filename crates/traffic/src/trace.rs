@@ -43,17 +43,16 @@ pub struct Trace {
 impl Trace {
     /// Record `cycles` of a generator's output.
     pub fn record(generator: &mut TrafficGenerator, mesh_k: u8, cycles: Cycle) -> Trace {
-        let mut records = Vec::new();
+        let (mut records, mut packets) = (Vec::new(), Vec::new());
         for cycle in 0..cycles {
-            for p in generator.tick(cycle) {
-                records.push(TraceRecord {
-                    cycle,
-                    id: p.id,
-                    kind: p.kind,
-                    src: p.src,
-                    dst: p.dst,
-                });
-            }
+            generator.tick_into(cycle, &mut packets);
+            records.extend(packets.drain(..).map(|p| TraceRecord {
+                cycle,
+                id: p.id,
+                kind: p.kind,
+                src: p.src,
+                dst: p.dst,
+            }));
         }
         Trace { mesh_k, records }
     }
@@ -138,7 +137,7 @@ impl Trace {
         Trace::from_text(&text)
     }
 
-    /// A replayer implementing the same `tick` contract as
+    /// A replayer implementing the same `tick_into` contract as
     /// [`TrafficGenerator`].
     pub fn player(&self) -> TracePlayer<'_> {
         TracePlayer {
@@ -166,11 +165,11 @@ pub struct TracePlayer<'a> {
 }
 
 impl TracePlayer<'_> {
-    /// Packets created at `cycle`. Must be called with non-decreasing
-    /// cycles (records for skipped cycles are dropped, as a simulator
-    /// fast-forwarding past them would expect).
-    pub fn tick(&mut self, cycle: Cycle) -> Vec<Packet> {
-        let mut out = Vec::new();
+    /// Append the packets created at `cycle` to `out` (not cleared).
+    /// Must be called with non-decreasing cycles (records for skipped
+    /// cycles are dropped, as a simulator fast-forwarding past them
+    /// would expect).
+    pub fn tick_into(&mut self, cycle: Cycle, out: &mut Vec<Packet>) {
         while let Some(r) = self.trace.records.get(self.next) {
             if r.cycle > cycle {
                 break;
@@ -180,7 +179,6 @@ impl TracePlayer<'_> {
                 out.push(Packet::new(r.id, r.kind, r.src, r.dst, cycle));
             }
         }
-        out
     }
 
     /// Whether every record has been replayed.
@@ -219,7 +217,8 @@ mod tests {
         let mut player = trace.player();
         for cycle in 0..100 {
             let live: Vec<_> = g2.tick(cycle);
-            let replayed = player.tick(cycle);
+            let mut replayed = Vec::new();
+            player.tick_into(cycle, &mut replayed);
             assert_eq!(live.len(), replayed.len(), "cycle {cycle}");
             for (a, b) in live.iter().zip(&replayed) {
                 assert_eq!(a.id, b.id);
@@ -236,7 +235,8 @@ mod tests {
         let t = recorded();
         let mut p = t.player();
         // Jump straight past everything.
-        let out = p.tick(10_000);
+        let mut out = Vec::new();
+        p.tick_into(10_000, &mut out);
         assert!(out.is_empty());
         assert!(p.finished());
     }

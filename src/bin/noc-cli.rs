@@ -380,7 +380,7 @@ fn run_simulate(a: SimulateArgs) -> Result<(), String> {
             }
             let mut player = trace.player();
             let (report, _) = shield_noc::sim::Simulator::new(net, sim, kind, plan.clone())
-                .run(|c| player.tick(c));
+                .run_with(|c, out| player.tick_into(c, out));
             report
         }
         src => {

@@ -19,7 +19,7 @@
 //! * [`reliability`] — FIT/MTTF/SPF, area, power and critical-path models.
 //! * [`telemetry`] — zero-cost-when-off event tracing, epoch sampling
 //!   and the deadlock flight recorder.
-//! * [`bench`] — the experiment harness behind every table and figure.
+//! * [`bench`](mod@bench) — the experiment harness behind every table and figure.
 //! * [`campaign`] — mass fault-injection campaigns: thousands of seeded
 //!   link-fault scenarios per configuration, classified and aggregated
 //!   into faults-to-failure curves (static vs adaptive routing).
