@@ -18,7 +18,7 @@
 #![warn(missing_docs)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// The counting allocator, installed as the global allocator of every
 /// binary that links this crate.
@@ -30,23 +30,19 @@ static METER: Meter = Meter;
 /// How many allocation sizes a window keeps.
 const SIZES_KEPT: usize = 32;
 
+/// Allocations made since the current window opened, and the sizes of
+/// the first of them.
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static SIZES: [AtomicU64; SIZES_KEPT] = [const { AtomicU64::new(0) }; SIZES_KEPT];
 /// Bytes live on the heap now, and the most there have been since the
 /// current window opened.
 static LIVE: AtomicU64 = AtomicU64::new(0);
 static PEAK: AtomicU64 = AtomicU64::new(0);
-/// Whether a window is open, and the sizes of its first allocations.
-static TRAP: AtomicBool = AtomicBool::new(false);
-static SIZES: [AtomicU64; SIZES_KEPT] = [const { AtomicU64::new(0) }; SIZES_KEPT];
-static SIZES_LEN: AtomicU64 = AtomicU64::new(0);
 
 fn allocated(bytes: usize) {
-    ALLOCATIONS.fetch_add(1, Relaxed);
-    if TRAP.load(Relaxed) {
-        let n = SIZES_LEN.fetch_add(1, Relaxed) as usize;
-        if let Some(slot) = SIZES.get(n) {
-            slot.store(bytes as u64, Relaxed);
-        }
+    let n = ALLOCATIONS.fetch_add(1, Relaxed) as usize;
+    if let Some(slot) = SIZES.get(n) {
+        slot.store(bytes as u64, Relaxed);
     }
     let live = LIVE.fetch_add(bytes as u64, Relaxed) + bytes as u64;
     PEAK.fetch_max(live, Relaxed);
@@ -106,15 +102,12 @@ impl Usage {
 /// Run `f` and return its result with what the heap did meanwhile.
 /// Windows do not nest.
 pub fn measure<R>(f: impl FnOnce() -> R) -> (R, Usage) {
-    let allocations = ALLOCATIONS.load(Relaxed);
     let live = LIVE.load(Relaxed);
     PEAK.store(live, Relaxed);
-    SIZES_LEN.store(0, Relaxed);
-    TRAP.store(true, Relaxed);
+    ALLOCATIONS.store(0, Relaxed);
     let result = f();
-    TRAP.store(false, Relaxed);
     let usage = Usage {
-        allocations: ALLOCATIONS.load(Relaxed) - allocations,
+        allocations: ALLOCATIONS.load(Relaxed),
         peak_bytes: PEAK.load(Relaxed).saturating_sub(live),
         held_bytes: LIVE.load(Relaxed).saturating_sub(live),
         sizes: std::array::from_fn(|i| SIZES[i].load(Relaxed)),
