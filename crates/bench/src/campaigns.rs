@@ -325,11 +325,14 @@ fn timed_run(spec: &CampaignSpec, every: u64, dir: &std::path::Path) -> (f64, u6
     let _ = std::fs::remove_file(&stream_path);
     let mut stream = JsonlStream::open(&stream_path).expect("open delivery stream");
     let mut written = 0u64;
+    let mut text = String::new();
     let start = Instant::now();
     let (_report, _outcome) = sim
         .run_streamed(&mut gen, &mut stream, None, |checkpoint| {
             written += 1;
-            std::fs::write(&path, checkpoint.document().render()).expect("write checkpoint");
+            text.clear();
+            checkpoint.write_document(&mut text);
+            std::fs::write(&path, &text).expect("write checkpoint");
             true
         })
         .expect("campaign runs");

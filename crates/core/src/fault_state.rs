@@ -354,44 +354,35 @@ impl FaultState {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{
     arr_field, decode_field, u64_field, uint_field, Restore, Snapshot, SnapshotError,
 };
 
 impl Snapshot for FaultState {
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         // Only the *schedule* is stored. The `active`/`detected` maps are
         // pure functions of (schedule, detection model, refreshed_at) and
         // are re-derived on restore — see `Restore` below.
-        obj([
-            ("detection", self.detection.snapshot()),
-            ("refreshed_at", self.refreshed_at.into()),
-            (
-                "injected",
-                JsonValue::Arr(
-                    self.injected
-                        .iter()
-                        .map(|&(site, at)| obj([("site", site.snapshot()), ("at", at.into())]))
-                        .collect(),
-                ),
-            ),
-            (
-                "transients",
-                JsonValue::Arr(
-                    self.transients
-                        .iter()
-                        .map(|&(site, at, duration)| {
-                            obj([
-                                ("site", site.snapshot()),
-                                ("at", at.into()),
-                                ("duration", (duration as u64).into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        sink.obj(|sink| {
+            self.detection.encode(sink.field("detection"));
+            sink.field("refreshed_at").u64(self.refreshed_at);
+            sink.field("injected")
+                .arr(&self.injected, |sink, &(site, at)| {
+                    sink.obj(|sink| {
+                        site.encode(sink.field("site"));
+                        sink.field("at").u64(at);
+                    });
+                });
+            sink.field("transients")
+                .arr(&self.transients, |sink, &(site, at, duration)| {
+                    sink.obj(|sink| {
+                        site.encode(sink.field("site"));
+                        sink.field("at").u64(at);
+                        sink.field("duration").u64(duration as u64);
+                    });
+                });
+        });
     }
 }
 

@@ -300,18 +300,16 @@ impl<'a> VcView<'a> {
 // Snapshot
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::JsonSink;
 use noc_telemetry::snapshot::Snapshot;
 
 impl Snapshot for VcView<'_> {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("fields", self.fields.snapshot()),
-            (
-                "buffer",
-                JsonValue::Arr(self.iter().map(Snapshot::snapshot).collect()),
-            ),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.fields.encode(sink.field("fields"));
+            sink.field("buffer")
+                .arr(self.iter(), |sink, f| f.encode(sink));
+        });
     }
 }
 

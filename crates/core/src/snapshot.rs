@@ -18,21 +18,21 @@
 
 use crate::router::{Router, XbGrant};
 use noc_arbiter::RoundRobinArbiter;
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{
     arr_field, decode_field, field, narrow, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
 use noc_types::Flit;
 
 impl Snapshot for XbGrant {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("in_port", self.in_port.snapshot()),
-            ("in_vc", self.in_vc.snapshot()),
-            ("logical_out", self.logical_out.snapshot()),
-            ("mux", self.mux.snapshot()),
-            ("out_vc", self.out_vc.snapshot()),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.in_port.encode(sink.field("in_port"));
+            self.in_vc.encode(sink.field("in_vc"));
+            self.logical_out.encode(sink.field("logical_out"));
+            self.mux.encode(sink.field("mux"));
+            self.out_vc.encode(sink.field("out_vc"));
+        });
     }
 }
 
@@ -46,10 +46,6 @@ impl FromSnapshot for XbGrant {
             out_vc: decode_field(v, "out_vc")?,
         })
     }
-}
-
-fn pointer_json(a: &RoundRobinArbiter) -> JsonValue {
-    (a.pointer() as u64).into()
 }
 
 /// Decode one arbiter pointer and check it is a line of a `width`-line
@@ -120,133 +116,50 @@ impl Snapshot for Router {
     /// flat struct-of-arrays storage — snapshots produced before and
     /// after the data-oriented refactor are byte-identical (pinned by the
     /// golden checkpoint test).
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         let p = self.cfg.ports;
         let v = self.cfg.vcs;
-        obj([
-            (
-                "ports",
-                JsonValue::Arr(
-                    (0..p)
-                        .map(|port| {
-                            obj([(
-                                "vcs",
-                                JsonValue::Arr(
-                                    (0..v)
-                                        .map(|vc| self.store.view(port * v + vc).snapshot())
-                                        .collect(),
-                                ),
-                            )])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "credits",
-                JsonValue::Arr(
-                    self.ctl
-                        .iter()
-                        .map(|c| {
-                            JsonValue::Arr(
-                                c.credits[..v]
-                                    .iter()
-                                    .map(|&n| u64::from(n).into())
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "out_vc_busy",
-                JsonValue::Arr(
-                    self.ctl
-                        .iter()
-                        .map(|c| {
-                            JsonValue::Arr(
-                                (0..v)
-                                    .map(|vc| (c.out_vc_busy & (1 << vc) != 0).into())
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "va1",
-                JsonValue::Arr(
-                    (0..p)
-                        .map(|port| {
-                            JsonValue::Arr(
-                                (0..v)
-                                    .map(|vc| {
-                                        JsonValue::Arr(
-                                            (0..p)
-                                                .map(|out| {
-                                                    u64::from(self.va1[(port * v + vc) * p + out])
-                                                        .into()
-                                                })
-                                                .collect(),
-                                        )
-                                    })
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "va2",
-                JsonValue::Arr(
-                    (0..p)
-                        .map(|o| {
-                            JsonValue::Arr(
-                                (0..v)
-                                    .map(|ovc| u64::from(self.va2[o * v + ovc]).into())
-                                    .collect(),
-                            )
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "sa1",
-                JsonValue::Arr(self.ctl.iter().map(|c| pointer_json(&c.sa1)).collect()),
-            ),
-            (
-                "sa2",
-                JsonValue::Arr(self.ctl.iter().map(|c| pointer_json(&c.sa2)).collect()),
-            ),
-            (
-                "rc_pointer",
-                JsonValue::Arr(
-                    self.ctl
-                        .iter()
-                        .map(|c| u64::from(c.rc_pointer).into())
-                        .collect(),
-                ),
-            ),
-            (
-                "bypass_ptr",
-                JsonValue::Arr(
-                    self.ctl
-                        .iter()
-                        .map(|c| match c.bypass_vc {
-                            None => JsonValue::Null,
-                            Some(vc) => {
-                                JsonValue::Arr(vec![u64::from(vc).into(), c.bypass_period.into()])
-                            }
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "xb_queue",
-                JsonValue::Arr(self.xb_queue.iter().map(Snapshot::snapshot).collect()),
-            ),
-            ("faults", self.faults.snapshot()),
-            ("stats", self.stats.snapshot()),
-        ])
+        let pointer = |sink: &mut S, a: &RoundRobinArbiter| sink.u64(a.pointer() as u64);
+        sink.obj(|sink| {
+            sink.field("ports").arr(0..p, |sink, port| {
+                sink.obj(|sink| {
+                    sink.field("vcs")
+                        .arr(0..v, |sink, vc| self.store.view(port * v + vc).encode(sink));
+                });
+            });
+            sink.field("credits").arr(&self.ctl, |sink, c| {
+                sink.arr(&c.credits[..v], |sink, &n| sink.u64(u64::from(n)));
+            });
+            sink.field("out_vc_busy").arr(&self.ctl, |sink, c| {
+                sink.arr(0..v, |sink, vc| sink.bool(c.out_vc_busy & (1 << vc) != 0));
+            });
+            sink.field("va1").arr(0..p, |sink, port| {
+                sink.arr(0..v, |sink, vc| {
+                    let row = &self.va1[(port * v + vc) * p..][..p];
+                    sink.arr(row, |sink, &ptr| sink.u64(u64::from(ptr)));
+                });
+            });
+            sink.field("va2").arr(0..p, |sink, o| {
+                let row = &self.va2[o * v..][..v];
+                sink.arr(row, |sink, &ptr| sink.u64(u64::from(ptr)));
+            });
+            sink.field("sa1")
+                .arr(&self.ctl, |sink, c| pointer(sink, &c.sa1));
+            sink.field("sa2")
+                .arr(&self.ctl, |sink, c| pointer(sink, &c.sa2));
+            sink.field("rc_pointer")
+                .arr(&self.ctl, |sink, c| sink.u64(u64::from(c.rc_pointer)));
+            sink.field("bypass_ptr")
+                .arr(&self.ctl, |sink, c| match c.bypass_vc {
+                    None => sink.null(),
+                    Some(vc) => {
+                        sink.arr([u64::from(vc), c.bypass_period], |sink, n| sink.u64(n));
+                    }
+                });
+            self.xb_queue.encode(sink.field("xb_queue"));
+            self.faults.encode(sink.field("faults"));
+            self.stats.encode(sink.field("stats"));
+        });
     }
 }
 

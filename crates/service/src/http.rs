@@ -33,11 +33,13 @@ use std::time::{Duration, Instant};
 /// Largest request body we accept (a campaign spec is < 1 KiB).
 const MAX_BODY: usize = 1 << 20;
 
-/// Total time a connection gets to deliver its complete request.
-/// A per-read timeout alone is not enough: a client trickling one
-/// byte per few seconds (deliberately or not) would reset it forever
-/// and wedge a handler thread. The deadline bounds the whole read.
-const READ_DEADLINE: Duration = Duration::from_secs(10);
+/// Total time a connection gets to deliver its complete request, and
+/// then, afresh, to take its complete response. A per-read or
+/// per-write timeout alone is not enough: a client trickling one byte
+/// per few seconds (deliberately or not) would reset it forever and
+/// wedge a handler thread. The deadline bounds the whole read, and the
+/// whole write.
+const DEADLINE: Duration = Duration::from_secs(10);
 
 /// A parsed request: method, path, body.
 struct Request {
@@ -46,11 +48,12 @@ struct Request {
     body: String,
 }
 
-/// A [`Read`] adapter that re-arms the socket read timeout with the
-/// remaining deadline budget before *every* underlying read, and fails
-/// once the budget is spent. Re-arming per read (not per request line)
-/// matters: a client dripping one byte at a time completes each
-/// `recv` within its timeout, so only a shrinking per-read budget
+/// A [`Read`] and [`Write`] adapter that re-arms the socket's timeout
+/// with the remaining deadline budget before *every* underlying read or
+/// write, and fails once the budget is spent. Re-arming per call (not
+/// per request line or response) matters: a client dripping one byte at
+/// a time, or reading one segment at a time, completes each `recv` or
+/// `send` within its timeout, so only a shrinking per-call budget
 /// actually bounds the connection's total lifetime.
 struct DeadlineStream<'a> {
     stream: &'a TcpStream,
@@ -58,20 +61,47 @@ struct DeadlineStream<'a> {
     deadline: Duration,
 }
 
-impl Read for DeadlineStream<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let remaining = self
-            .deadline
+impl<'a> DeadlineStream<'a> {
+    /// `stream` with `deadline` from now.
+    fn new(stream: &'a TcpStream, deadline: Duration) -> Self {
+        DeadlineStream {
+            stream,
+            start: Instant::now(),
+            deadline,
+        }
+    }
+
+    /// The budget left, or a `TimedOut` error naming `what` once none is.
+    fn remaining(&self, what: &str) -> std::io::Result<Duration> {
+        self.deadline
             .checked_sub(self.start.elapsed())
             .filter(|d| !d.is_zero())
             .ok_or_else(|| {
                 std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
-                    "request read deadline exceeded",
+                    format!("{what} deadline exceeded"),
                 )
-            })?;
+            })
+    }
+}
+
+impl Read for DeadlineStream<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let remaining = self.remaining("request read")?;
         self.stream.set_read_timeout(Some(remaining))?;
         (&mut &*self.stream).read(buf)
+    }
+}
+
+impl Write for DeadlineStream<'_> {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        let remaining = self.remaining("response write")?;
+        self.stream.set_write_timeout(Some(remaining))?;
+        (&mut &*self.stream).write(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        (&mut &*self.stream).flush()
     }
 }
 
@@ -80,12 +110,8 @@ impl Read for DeadlineStream<'_> {
 /// malformed input or deadline expiry (the connection is just dropped —
 /// curl and our client both retry nothing on a request they never
 /// finished sending).
-fn read_request(stream: &mut TcpStream, deadline: Duration) -> Option<Request> {
-    let mut reader = BufReader::new(DeadlineStream {
-        stream,
-        start: Instant::now(),
-        deadline,
-    });
+fn read_request(stream: &TcpStream, deadline: Duration) -> Option<Request> {
+    let mut reader = BufReader::new(DeadlineStream::new(stream, deadline));
     let mut line = String::new();
     reader.read_line(&mut line).ok()?;
     let mut parts = line.split_whitespace();
@@ -144,7 +170,9 @@ impl Response {
         Response::json(status, reason, obj([("error", message.into())]).render())
     }
 
-    fn write(&self, stream: &mut TcpStream, request_id: &str) {
+    /// Send the response, giving the client `deadline` to take all of
+    /// it; a client that stops reading is dropped when it runs out.
+    fn write(&self, stream: &TcpStream, request_id: &str, deadline: Duration) {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
              Content-Length: {}\r\nConnection: close\r\nX-Request-Id: {request_id}\r\n",
@@ -157,9 +185,11 @@ impl Response {
             head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str("\r\n");
-        let _ = stream.write_all(head.as_bytes());
-        let _ = stream.write_all(self.body.as_bytes());
-        let _ = stream.flush();
+        let mut out = DeadlineStream::new(stream, deadline);
+        let _ = out
+            .write_all(head.as_bytes())
+            .and_then(|()| out.write_all(self.body.as_bytes()))
+            .and_then(|()| out.flush());
     }
 }
 
@@ -245,19 +275,19 @@ fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'stati
 }
 
 fn handle(
-    stream: &mut TcpStream,
+    stream: &TcpStream,
     sched: &Scheduler,
     metrics: &HttpMetrics,
     log: &ObsLog,
-    read_deadline: Duration,
+    deadline: Duration,
 ) {
-    let Some(req) = read_request(stream, read_deadline) else {
+    let Some(req) = read_request(stream, deadline) else {
         return;
     };
     let request_id = log.next_request_id();
     let started = Instant::now();
     let (endpoint, resp) = dispatch(&req, sched, metrics);
-    resp.write(stream, &request_id);
+    resp.write(stream, &request_id, deadline);
     let elapsed = started.elapsed();
     metrics.observe(endpoint, elapsed);
     // Correlate submissions with the job they created: the 201 body is
@@ -291,15 +321,16 @@ fn handle(
 /// up within microseconds; `should_stop` is re-checked after every
 /// accept and at least every `STOP_CHECK`, which bounds shutdown
 /// latency to tens of milliseconds. Connections get the default
-/// 10-second request read deadline; request events go to `log` (pass
-/// [`ObsLog::disabled`] for silence).
+/// 10-second deadline to send their request and again to take the
+/// response; request events go to `log` (pass [`ObsLog::disabled`] for
+/// silence).
 pub fn serve(
     listener: TcpListener,
     sched: Scheduler,
     log: ObsLog,
     should_stop: impl Fn() -> bool,
 ) -> std::io::Result<()> {
-    serve_with(listener, sched, READ_DEADLINE, log, should_stop)
+    serve_with(listener, sched, DEADLINE, log, should_stop)
 }
 
 /// Longest the accept loop waits for a connection before it looks at
@@ -353,13 +384,14 @@ fn wait_acceptable(_listener: &TcpListener, timeout: Duration) {
     std::thread::sleep(timeout);
 }
 
-/// [`serve`] with an explicit per-connection request read deadline
-/// (tests shrink it to drop stalled clients quickly). The deadline also
-/// bounds how long shutdown waits joining handler threads.
+/// [`serve`] with an explicit per-connection deadline (tests shrink it
+/// to drop stalled clients quickly): a connection gets it once to send
+/// its whole request and once more to take the whole response, so it
+/// also bounds how long shutdown waits joining handler threads.
 pub fn serve_with(
     listener: TcpListener,
     sched: Scheduler,
-    read_deadline: Duration,
+    deadline: Duration,
     log: ObsLog,
     should_stop: impl Fn() -> bool,
 ) -> std::io::Result<()> {
@@ -371,13 +403,13 @@ pub fn serve_with(
             break;
         }
         match listener.accept() {
-            Ok((mut stream, _addr)) => {
+            Ok((stream, _addr)) => {
                 let sched = sched.clone();
                 let metrics = Arc::clone(&metrics);
                 let log = log.clone();
                 handlers.push(std::thread::spawn(move || {
                     let _ = stream.set_nonblocking(false);
-                    handle(&mut stream, &sched, &metrics, &log, read_deadline);
+                    handle(&stream, &sched, &metrics, &log, deadline);
                 }));
                 handlers.retain(|h| !h.is_finished());
             }

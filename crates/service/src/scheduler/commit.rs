@@ -14,8 +14,8 @@ use std::{fs, path::Path, sync::atomic::Ordering, time::Instant};
 /// crash guarantee (I1): a checkpoint is never in place before the
 /// deliveries up to its `delivery_offset` are `sync_data`-durable.
 /// The checkpoint arrives as the worker left it, a copy of the run at
-/// its boundary: the writer, not the stepping thread, builds and
-/// renders its document.
+/// its boundary: the writer, not the stepping thread, encodes it, into
+/// `text`, the buffer the job's writer reuses from commit to commit.
 pub(super) fn commit(
     inner: &SchedInner,
     id: &str,
@@ -23,51 +23,52 @@ pub(super) fn commit(
     stream: &mut JsonlStream,
     batch: &[DeliveredPacket],
     checkpoint: Option<Checkpoint>,
+    text: &mut String,
 ) -> Result<(), String> {
     stream
         .append(batch)
         .map_err(|e| e.within("stream").to_string())?;
-    checkpoint.map_or(Ok(()), |c| spool_checkpoint(inner, id, path, c))
+    checkpoint.map_or(Ok(()), |c| spool_checkpoint(inner, id, path, c, text))
 }
 
 /// Make one checkpoint of job `id` durable and, only once the directory
 /// fsync behind the rename has returned (I2), publish it: progress and
-/// the `202` head on the job's record, the counters, the log. The text
-/// `checkpoint.json` holds and the head are both read off the one
-/// document built here.
+/// the `202` head on the job's record, the counters, the log. The
+/// checkpoint is written as text straight into `text` (cleared first),
+/// and the head is derived from its own cycle, offset and epochs: no
+/// document tree is built.
 pub(super) fn spool_checkpoint(
     inner: &SchedInner,
     id: &str,
     path: &Path,
     checkpoint: Checkpoint,
+    text: &mut String,
 ) -> Result<(), String> {
-    // The copy, then the tree, go as soon as they are spent: the
-    // writer's peak is one of them beside the text, not all three.
-    let doc = checkpoint.document();
+    text.clear();
+    checkpoint.write_document(text);
+    let series = checkpoint.epoch_series();
+    let head = PartialHead::new(checkpoint.cycle(), checkpoint.delivery_offset(), series);
+    // The copy goes as soon as it is spent.
     drop(checkpoint);
-    let (text, head) = (doc.render(), PartialHead::of(&doc));
-    drop(doc);
     let write_started = Instant::now();
-    write_atomic(path, &text).map_err(|e| format!("writing checkpoint: {e}"))?;
+    write_atomic(path, text).map_err(|e| format!("writing checkpoint: {e}"))?;
     let write = write_started.elapsed();
     inner.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
     inner
         .checkpoint_write_nanos
         .fetch_add(write.as_nanos() as u64, Ordering::Relaxed);
-    if let Some(head) = head {
-        let cycle = head.cycle;
-        if let Some(rec) = inner.state().jobs.get_mut(id) {
-            rec.resumes_from(head, Some(Instant::now()));
-        }
-        inner.log.event(
-            "job_checkpoint",
-            &[
-                ("job", id.into()),
-                ("cycle", cycle.into()),
-                ("write_secs", write.as_secs_f64().into()),
-            ],
-        );
+    let cycle = head.cycle;
+    if let Some(rec) = inner.state().jobs.get_mut(id) {
+        rec.resumes_from(head, Some(Instant::now()));
     }
+    inner.log.event(
+        "job_checkpoint",
+        &[
+            ("job", id.into()),
+            ("cycle", cycle.into()),
+            ("write_secs", write.as_secs_f64().into()),
+        ],
+    );
     Ok(())
 }
 
@@ -131,7 +132,9 @@ mod tests {
                     stream.append(&batch).unwrap();
                     assert_eq!(observable(sched, id), *before.borrow(), "appended");
                     let checkpoint = checkpoint.unwrap();
-                    spool_checkpoint(&sched.inner, id, &job.checkpoint_path, checkpoint).unwrap();
+                    let text = &mut String::new();
+                    spool_checkpoint(&sched.inner, id, &job.checkpoint_path, checkpoint, text)
+                        .unwrap();
                     job.mailbox.done(stream, Ok(true));
                     assert_ne!(observable(sched, id), *before.borrow(), "committed");
                 }

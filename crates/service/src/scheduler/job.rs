@@ -4,7 +4,8 @@
 
 use super::JobPhase;
 use crate::spec::CampaignSpec;
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{obj, JsonSink, JsonValue, JsonWriter};
+use noc_telemetry::Snapshot;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -174,24 +175,33 @@ pub(super) struct PartialHead {
 }
 
 impl PartialHead {
-    /// The head of a checkpoint document; `None` when it lacks the
-    /// cycle or the offset (then there is nothing to show a client).
-    pub(super) fn of(checkpoint: &JsonValue) -> Option<PartialHead> {
-        let cycle = checkpoint.get("cycle")?.as_u64()?;
-        let delivery_offset = checkpoint.get("delivery_offset")?.as_u64()?;
-        let mut open = obj([
-            ("cycle", cycle.into()),
-            ("delivery_offset", delivery_offset.into()),
-            ("epochs", epoch_series(checkpoint)),
-            ("deliveries", JsonValue::Arr(Vec::new())),
-        ])
-        .render();
-        open.truncate(open.len() - "]}".len());
-        Some(PartialHead {
+    /// The head of a checkpoint at `cycle` that vouches for
+    /// `delivery_offset` stream entries, with its epoch `series`
+    /// (`null` when the run does not sample). The one constructor: a
+    /// commit passes the checkpoint's own fields, recovery those of the
+    /// parsed file.
+    pub(super) fn new(cycle: u64, delivery_offset: u64, series: impl Snapshot) -> PartialHead {
+        let mut open = String::new();
+        let mut head = JsonWriter::new(&mut open);
+        head.begin_obj();
+        head.field("cycle").u64(cycle);
+        head.field("delivery_offset").u64(delivery_offset);
+        series.encode(head.field("epochs"));
+        head.field("deliveries").begin_arr();
+        PartialHead {
             open,
             cycle,
             delivery_offset,
-        })
+        }
+    }
+
+    /// The head of a parsed checkpoint document; `None` when it lacks
+    /// the cycle or the offset (then there is nothing to show a client).
+    pub(super) fn of(checkpoint: &JsonValue) -> Option<PartialHead> {
+        let cycle = checkpoint.get("cycle")?.as_u64()?;
+        let delivery_offset = checkpoint.get("delivery_offset")?.as_u64()?;
+        let series = checkpoint.get("epochs").and_then(|ep| ep.get("series"));
+        Some(PartialHead::new(cycle, delivery_offset, series))
     }
 }
 

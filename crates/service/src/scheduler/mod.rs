@@ -651,7 +651,8 @@ mod tests {
             polls_between_append_and_checkpoint
                 .set(polls_between_append_and_checkpoint.get() + u64::from(appended));
             assert_served_equals_reference(sched, id, "appended, checkpoint not yet renamed");
-            spool_checkpoint(&sched.inner, id, &job.checkpoint_path, checkpoint.unwrap()).unwrap();
+            let (path, text) = (&job.checkpoint_path, &mut String::new());
+            spool_checkpoint(&sched.inner, id, path, checkpoint.unwrap(), text).unwrap();
             job.mailbox.done(stream, Ok(true));
             *last_body.borrow_mut() = assert_served_equals_reference(sched, id, "committed");
         };

@@ -181,6 +181,7 @@ impl Played {
             &mut stream,
             &batch,
             checkpoint,
+            &mut String::new(),
         );
         self.mailbox.done(stream, result.map(|()| checkpointed));
         true

@@ -152,8 +152,17 @@ fn run_simulate_job(
         let writer = std::thread::Builder::new()
             .name("noc-service-writer".into())
             .spawn_scoped(scope, || {
+                let mut text = String::new();
                 mailbox.serve(|stream, batch, checkpoint| {
-                    commit(inner, id, &checkpoint_path, stream, batch, checkpoint)
+                    commit(
+                        inner,
+                        id,
+                        &checkpoint_path,
+                        stream,
+                        batch,
+                        checkpoint,
+                        &mut text,
+                    )
                 })
             })
             .map_err(|e| format!("starting the spool writer: {e}"))?;
@@ -163,7 +172,7 @@ fn run_simulate_job(
             panic!("injected into the job body");
         }
         // The worker leaves a copy of the run at the boundary and steps
-        // on; the writer builds and renders its document.
+        // on; the writer encodes its document.
         let run = sim.run_streamed(&mut gen, &mut stream, resume.as_ref(), |checkpoint| {
             mailbox.hand_over(checkpoint);
             if !inner.shutdown.load(Ordering::SeqCst) {

@@ -1,9 +1,10 @@
 //! The durable delivery stream: `spool/<id>/deliveries.jsonl`.
 //!
 //! One JSON object per line, in delivery order, each the
-//! [`noc_telemetry::snapshot::Snapshot`] rendering of a
-//! [`DeliveredPacket`], written without building the JSON tree
-//! (`write_line`). A batch is appended (fsynced) at every
+//! [`noc_telemetry::snapshot::Snapshot`] encoding of a
+//! [`DeliveredPacket`], written as text by its one encoder
+//! ([`Snapshot::write_json`]), no tree between. A batch is appended
+//! (fsynced) at every
 //! checkpoint boundary taken, *before* the checkpoint document that
 //! references the new offset is written, so after any crash the stream
 //! is at least as long as the latest durable checkpoint's
@@ -26,9 +27,9 @@
 //! for the job's writer thread to append (ARCHITECTURE.md §5.3).
 
 use noc_sim::DeliveryStream;
-use noc_telemetry::json::{write_escaped, write_number, JsonValue};
-use noc_telemetry::snapshot::{FromSnapshot, SnapshotError};
-use noc_types::{Coord, DeliveredPacket, PacketKind};
+use noc_telemetry::json::JsonValue;
+use noc_telemetry::snapshot::{FromSnapshot, Snapshot, SnapshotError};
+use noc_types::DeliveredPacket;
 use std::fs;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
@@ -199,44 +200,6 @@ impl JsonlStream {
     }
 }
 
-/// Append `d`'s stream line to `out`, newline included: the bytes of
-/// `d.snapshot().render()`, written without building the tree — the
-/// snapshot's keys in its order, every value through the renderer's own
-/// number and string writers (so an id or a cycle past 2^53 keeps the
-/// `f64` form the tree prints).
-fn write_line(out: &mut String, d: &DeliveredPacket) {
-    let pair = |out: &mut String, c: Coord| {
-        out.push('[');
-        write_number(out, f64::from(c.x));
-        out.push(',');
-        write_number(out, f64::from(c.y));
-        out.push(']');
-    };
-    out.push_str("{\"id\":");
-    write_number(out, d.id.0 as f64);
-    out.push_str(",\"kind\":");
-    write_escaped(
-        out,
-        match d.kind {
-            PacketKind::Control => "control",
-            PacketKind::Data => "data",
-        },
-    );
-    out.push_str(",\"src\":");
-    pair(out, d.src);
-    out.push_str(",\"dst\":");
-    pair(out, d.dst);
-    out.push_str(",\"created_at\":");
-    write_number(out, d.created_at as f64);
-    out.push_str(",\"injected_at\":");
-    write_number(out, d.injected_at as f64);
-    out.push_str(",\"ejected_at\":");
-    write_number(out, d.ejected_at as f64);
-    out.push_str(",\"hops\":");
-    write_number(out, f64::from(d.hops));
-    out.push_str("}\n");
-}
-
 impl DeliveryStream for JsonlStream {
     fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
         self.settle()?;
@@ -254,7 +217,8 @@ impl DeliveryStream for JsonlStream {
         let mut line = String::new();
         for d in batch {
             line.clear();
-            write_line(&mut line, d);
+            d.write_json(&mut line);
+            line.push('\n');
             out.write_all(line.as_bytes())
                 .map_err(|e| io_err("appending to stream", e))?;
         }
@@ -576,8 +540,7 @@ impl<C> Drop for QueuedStream<'_, C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use noc_telemetry::snapshot::Snapshot;
-    use noc_types::PacketId;
+    use noc_types::{Coord, PacketId, PacketKind};
 
     fn d(id: u64) -> DeliveredPacket {
         DeliveredPacket {
@@ -751,12 +714,12 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The tree-free line writer writes what rendering the snapshot
-    /// tree writes, on seeded packets and at the edges: ids and cycles
-    /// at 2^53 − 1, 2^53 and `u64::MAX` (where the tree's `f64` form
-    /// takes over), coordinates 0 and 255, both kinds. A stream it
-    /// wrote reads back through `truncate`, past 2^53 included, as the
-    /// numbers the tree form parses to.
+    /// An appended line is what rendering the snapshot tree writes, on
+    /// seeded packets and at the edges: ids and cycles at 2^53 − 1,
+    /// 2^53 and `u64::MAX` (where the tree's `f64` form takes over),
+    /// coordinates 0 and 255, both kinds. The stream reads back through
+    /// `truncate`, past 2^53 included, as the numbers the tree form
+    /// parses to.
     #[test]
     fn delivery_lines_equal_the_rendered_snapshot() {
         let mut rng = noc_types::rng::Rng::seeded(0x11E5);
@@ -797,15 +760,15 @@ mod tests {
                 hops: [0, u16::MAX][i % 2],
             });
         }
-        for d in &packets {
-            let mut line = String::new();
-            write_line(&mut line, d);
-            assert_eq!(line, d.snapshot().render() + "\n", "{d:?}");
-        }
-
         let dir = scratch("lines");
-        let mut s = JsonlStream::open(dir.join("deliveries.jsonl")).unwrap();
+        let path = dir.join("deliveries.jsonl");
+        let mut s = JsonlStream::open(&path).unwrap();
         s.append(&packets).unwrap();
+        let text = fs::read_to_string(&path).unwrap();
+        assert_eq!(text.lines().count(), packets.len());
+        for (line, d) in text.lines().zip(&packets) {
+            assert_eq!(line, d.snapshot().render(), "{d:?}");
+        }
         let read = cut(&mut s, packets.len() as u64).unwrap();
         // What the tree form round-trips to: exact below 2^53, the
         // nearest `f64` above it, read back saturated.

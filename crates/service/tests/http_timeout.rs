@@ -80,3 +80,71 @@ fn stalled_connection_is_dropped_while_live_requests_succeed() {
     sched.shutdown();
     let _ = std::fs::remove_dir_all(&spool);
 }
+
+/// A client that asks for a response and never reads it holds its
+/// handler only until the write deadline runs out: the body is larger
+/// than the loopback socket buffers can take, so the handler blocks in
+/// its write, and `serve_with` still returns promptly once stopped.
+#[test]
+fn a_client_that_never_reads_is_dropped_at_the_write_deadline() {
+    let spool = std::env::temp_dir().join(format!("noc-http-write-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&spool);
+    // A finished job whose result is far larger than the socket buffers.
+    let dir = spool.join("job-000001");
+    std::fs::create_dir_all(&dir).unwrap();
+    let spec = noc_service::CampaignSpec::default().to_json().render();
+    std::fs::write(dir.join("spec.json"), spec).unwrap();
+    let body_len = 16 << 20;
+    let result = format!("{{\"pad\":\"{}\"}}", "x".repeat(body_len));
+    std::fs::write(dir.join("result.json"), &result).unwrap();
+    drop(result);
+    let sched = Scheduler::start(ServiceConfig::new(&spool)).unwrap();
+
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let stop = Arc::new(AtomicBool::new(false));
+    let deadline = Duration::from_millis(500);
+    let (returned, served) = std::sync::mpsc::channel();
+    {
+        let sched = sched.clone();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            http::serve_with(listener, sched, deadline, ObsLog::disabled(), || {
+                stop.load(Ordering::SeqCst)
+            })
+            .unwrap();
+            returned.send(()).unwrap();
+        });
+    }
+
+    let mut client = TcpStream::connect(&addr).unwrap();
+    client
+        .write_all(b"GET /jobs/job-000001/result HTTP/1.1\r\nHost: x\r\n\r\n")
+        .unwrap();
+    // The handler is in its write, blocked on the full socket buffers.
+    std::thread::sleep(Duration::from_millis(200));
+    let asked = Instant::now();
+    stop.store(true, Ordering::SeqCst);
+    served
+        .recv_timeout(Duration::from_secs(10))
+        .expect("serve_with must return once the write deadline drops the stalled client");
+    let took = asked.elapsed();
+    assert!(took < Duration::from_secs(3), "serve_with took {took:?}");
+
+    // The connection was cut short of the body, so the client really
+    // had stalled the write.
+    client
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut received = 0;
+    let mut buf = vec![0u8; 1 << 16];
+    while let Ok(n @ 1..) = client.read(&mut buf) {
+        received += n;
+    }
+    assert!(
+        received < body_len,
+        "the client received the whole {received}-byte response"
+    );
+    sched.shutdown();
+    let _ = std::fs::remove_dir_all(&spool);
+}

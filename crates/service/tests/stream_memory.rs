@@ -1,15 +1,23 @@
+//! The job path's memory, metered by `noc-alloc-meter`.
+//!
 //! A resume reads its delivery stream in bounded memory: `JsonlStream`
 //! counts the file's lines a chunk at a time on `open`, and `truncate`
 //! folds the kept prefix into the network's tally a line at a time, so
 //! resuming from a stream of several MB raises the heap's high-water
 //! mark by a fixed bound, not by the stream's size. (Reading the file
 //! whole, and returning the prefix as a vector, would add the file and
-//! ~40 bytes an entry.) The heap is metered by `noc-alloc-meter`.
+//! ~40 bytes an entry.)
+//!
+//! A checkpoint is encoded straight to text, into the buffer the job's
+//! spool writer reuses from commit to commit: no document tree, so the
+//! heap rises by less than the text, in a few allocations. (Building
+//! the tree and rendering it rose by 580 KB in ~7,600 allocations for
+//! an 81 KB text.)
 
 use noc_alloc_meter::measure;
 use noc_faults::FaultPlan;
-use noc_service::JsonlStream;
-use noc_sim::Simulator;
+use noc_service::{CampaignSpec, JsonlStream};
+use noc_sim::{MemoryStream, Simulator};
 use noc_telemetry::json::JsonValue;
 use noc_telemetry::snapshot::Snapshot;
 use noc_topology::Topology;
@@ -21,6 +29,63 @@ use std::fs;
 fn main() {
     resuming_from_a_stream_of_several_mb_holds_one_line_of_it();
     println!("test resuming_from_a_stream_of_several_mb_holds_one_line_of_it ... ok");
+    a_checkpoint_is_encoded_without_a_tree();
+    println!("test a_checkpoint_is_encoded_without_a_tree ... ok");
+}
+
+/// The benchmark ledger's `daemon_jobs` job: 4×4, rate 0.08,
+/// checkpoints every 250 cycles.
+const LEDGER_JOB: &str = "{\"kind\":\"simulate\",\"mesh_k\":4,\"rate\":0.08,\
+    \"warmup_cycles\":200,\"measure_cycles\":1400,\"drain_cycles\":400,\
+    \"checkpoint_every\":250,\"seed\":1}";
+/// Most allocations encoding a checkpoint may make.
+const ENCODE_ALLOCATIONS: u64 = 8;
+
+/// The writer's commits, one after another into one buffer: the last
+/// checkpoint's encoding raises the heap's high-water mark by less
+/// than twice its text, in a few allocations.
+fn a_checkpoint_is_encoded_without_a_tree() {
+    let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
+    let sim = spec.simulator(spec.checkpoint_every).unwrap();
+    let mut checkpoints = Vec::new();
+    sim.run_streamed(
+        &mut spec.generator().unwrap(),
+        &mut MemoryStream::new(),
+        None,
+        |c| {
+            checkpoints.push(c);
+            true
+        },
+    )
+    .unwrap();
+    let late = checkpoints.pop().expect("the job took checkpoints");
+    assert!(
+        late.cycle() >= 1500,
+        "the last checkpoint is at {}",
+        late.cycle()
+    );
+    let mut text = String::new();
+    for earlier in &checkpoints {
+        text.clear();
+        earlier.write_document(&mut text);
+    }
+    let ((), heap) = measure(|| {
+        text.clear();
+        late.write_document(&mut text);
+    });
+    assert_eq!(text, late.document().render());
+    let len = text.len() as u64;
+    assert!(
+        heap.peak_bytes < 2 * len,
+        "encoding a {len}-byte checkpoint raised the heap's high-water mark by {} bytes",
+        heap.peak_bytes
+    );
+    assert!(
+        heap.allocations <= ENCODE_ALLOCATIONS,
+        "encoding a checkpoint made {} allocations, sized {:?}",
+        heap.allocations,
+        heap.sizes()
+    );
 }
 
 /// Deliveries put in front of the run's own: ~150 bytes a line.

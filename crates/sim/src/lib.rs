@@ -40,9 +40,9 @@
 //! O(campaign length); checkpoints record a stream offset and resume
 //! truncates the stream back to it, folding the kept prefix into the
 //! tally. `run_streamed` hands over each
-//! checkpoint as a [`Checkpoint`] — a copy of the network and two
-//! small snapshots — so the run steps on while the caller builds and
-//! renders the document elsewhere.
+//! checkpoint as a [`Checkpoint`] — a copy of the network, the epoch
+//! sampler and the source's state — so the run steps on while the
+//! caller encodes the document elsewhere.
 //!
 //! Telemetry: [`Network::step_observed`] threads a
 //! [`noc_telemetry::Observer`] per stepper shard through every router

@@ -5,7 +5,7 @@
 //! (pacing and utilisation, through each shard's disjoint slice of rows)
 //! and a link fault's unplug write it.
 
-use noc_telemetry::json::JsonValue;
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{arr_field, SnapshotError};
 use noc_topology::Topology;
 use noc_types::{Cycle, Direction, LinkClass, PortId};
@@ -137,19 +137,16 @@ impl Links {
         Some(other)
     }
 
-    /// The snapshot rows of one per-link counter: per router, its five
-    /// output ports' values.
-    pub(super) fn snapshot_rows(&self, get: fn(&Link) -> u64) -> JsonValue {
-        JsonValue::Arr(
-            self.rows
-                .iter()
-                .map(|row| JsonValue::Arr(row.iter().map(|l| get(l).into()).collect()))
-                .collect(),
-        )
+    /// Encode the snapshot rows of one per-link counter: per router,
+    /// its five output ports' values.
+    pub(super) fn encode_rows<S: JsonSink>(&self, get: fn(&Link) -> u64, sink: &mut S) {
+        sink.arr(&self.rows, |sink, row| {
+            sink.arr(row, |sink, l| sink.u64(get(l)))
+        });
     }
 
     /// Restore one per-link counter from the rows under `key` of the
-    /// network snapshot `v` (the inverse of [`Links::snapshot_rows`]).
+    /// network snapshot `v` (the inverse of [`Links::encode_rows`]).
     pub(super) fn restore_rows(
         &mut self,
         v: &JsonValue,

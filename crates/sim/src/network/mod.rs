@@ -67,9 +67,9 @@ use crate::pool::WorkerPool;
 use crate::tally::DeliveryTally;
 use links::Links;
 use noc_faults::{FaultPlan, LinkFaultEvent};
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter};
 use noc_telemetry::snapshot::{
-    arr_field, field, hex, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
+    arr_field, encode_hex, field, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
     SNAPSHOT_SCHEMA_VERSION,
 };
 use noc_telemetry::{NullObserver, Observer};
@@ -632,83 +632,74 @@ impl Network {
     }
 }
 
-/// Canonical rendering of the construction parameters a [`Network`]
+/// Canonical encoding of the construction parameters a [`Network`]
 /// snapshot was taken under. Stored in the snapshot and compared (as
 /// rendered bytes) on restore: a snapshot only restores into a network
 /// built from the *same* configuration.
-fn config_fingerprint(cfg: &NetworkConfig, kind: RouterKind) -> JsonValue {
-    let class = |c: LinkClass| {
-        obj([
-            ("latency", (c.latency as u64).into()),
-            ("width_denom", (c.width_denom as u64).into()),
-        ])
+fn encode_fingerprint<S: JsonSink>(cfg: &NetworkConfig, kind: RouterKind, sink: &mut S) {
+    let class = |sink: &mut S, c: LinkClass| {
+        sink.obj(|sink| {
+            sink.field("latency").u64(c.latency as u64);
+            sink.field("width_denom").u64(c.width_denom as u64);
+        });
     };
-    let topology = match cfg.topology {
-        TopologySpec::MeshK => obj([("kind", "mesh_k".into())]),
-        TopologySpec::Mesh { w, h } => obj([
-            ("kind", "mesh".into()),
-            ("w", (w as u64).into()),
-            ("h", (h as u64).into()),
-        ]),
-        TopologySpec::Torus { w, h } => obj([
-            ("kind", "torus".into()),
-            ("w", (w as u64).into()),
-            ("h", (h as u64).into()),
-        ]),
-        TopologySpec::CutMesh { w, h, cuts, seed } => obj([
-            ("kind", "cutmesh".into()),
-            ("w", (w as u64).into()),
-            ("h", (h as u64).into()),
-            ("cuts", (cuts as u64).into()),
-            ("seed", hex(seed)),
-        ]),
-        TopologySpec::ChipletMesh {
-            k_chip,
-            k_node,
-            d2d,
-        } => obj([
-            ("kind", "chipletmesh".into()),
-            ("k_chip", (k_chip as u64).into()),
-            ("k_node", (k_node as u64).into()),
-            ("d2d", class(d2d)),
-        ]),
-        TopologySpec::ChipletStar {
-            chiplets,
-            k_node,
-            d2d,
-            hub,
-        } => obj([
-            ("kind", "chipletstar".into()),
-            ("chiplets", (chiplets as u64).into()),
-            ("k_node", (k_node as u64).into()),
-            ("d2d", class(d2d)),
-            ("hub", class(hub)),
-        ]),
+    let w_h = |sink: &mut S, kind: &str, w: u8, h: u8| {
+        sink.field("kind").str(kind);
+        sink.field("w").u64(u64::from(w));
+        sink.field("h").u64(u64::from(h));
     };
-    let mut fp = obj([
-        ("mesh_k", (cfg.mesh_k as u64).into()),
-        ("topology", topology),
-        ("ports", (cfg.router.ports as u64).into()),
-        ("vcs", (cfg.router.vcs as u64).into()),
-        ("buffer_depth", (cfg.router.buffer_depth as u64).into()),
-        (
-            "flit_width_bits",
-            (cfg.router.flit_width_bits as u64).into(),
-        ),
-        ("link_latency", (cfg.link_latency as u64).into()),
-        ("ni_queue_packets", (cfg.ni_queue_packets as u64).into()),
-        ("router_kind", kind.tag().into()),
-    ]);
-    // The routing mode joined the config after the v4 golden
-    // checkpoints were recorded; fingerprint it only when it departs
-    // from the default so those checkpoints keep restoring byte-for-
-    // byte.
-    if cfg.routing != RoutingMode::Static {
-        if let JsonValue::Obj(pairs) = &mut fp {
-            pairs.push(("routing".to_string(), cfg.routing.tag().into()));
+    sink.obj(|sink| {
+        sink.field("mesh_k").u64(cfg.mesh_k as u64);
+        sink.field("topology").obj(|sink| match cfg.topology {
+            TopologySpec::MeshK => sink.field("kind").str("mesh_k"),
+            TopologySpec::Mesh { w, h } => w_h(sink, "mesh", w, h),
+            TopologySpec::Torus { w, h } => w_h(sink, "torus", w, h),
+            TopologySpec::CutMesh { w, h, cuts, seed } => {
+                w_h(sink, "cutmesh", w, h);
+                sink.field("cuts").u64(cuts as u64);
+                encode_hex(sink.field("seed"), seed);
+            }
+            TopologySpec::ChipletMesh {
+                k_chip,
+                k_node,
+                d2d,
+            } => {
+                sink.field("kind").str("chipletmesh");
+                sink.field("k_chip").u64(k_chip as u64);
+                sink.field("k_node").u64(k_node as u64);
+                class(sink.field("d2d"), d2d);
+            }
+            TopologySpec::ChipletStar {
+                chiplets,
+                k_node,
+                d2d,
+                hub,
+            } => {
+                sink.field("kind").str("chipletstar");
+                sink.field("chiplets").u64(chiplets as u64);
+                sink.field("k_node").u64(k_node as u64);
+                class(sink.field("d2d"), d2d);
+                class(sink.field("hub"), hub);
+            }
+        });
+        sink.field("ports").u64(cfg.router.ports as u64);
+        sink.field("vcs").u64(cfg.router.vcs as u64);
+        sink.field("buffer_depth")
+            .u64(cfg.router.buffer_depth as u64);
+        sink.field("flit_width_bits")
+            .u64(cfg.router.flit_width_bits as u64);
+        sink.field("link_latency").u64(cfg.link_latency as u64);
+        sink.field("ni_queue_packets")
+            .u64(cfg.ni_queue_packets as u64);
+        sink.field("router_kind").str(kind.tag());
+        // The routing mode joined the config after the v4 golden
+        // checkpoints were recorded; fingerprint it only when it departs
+        // from the default so those checkpoints keep restoring byte-for-
+        // byte.
+        if cfg.routing != RoutingMode::Static {
+            sink.field("routing").str(cfg.routing.tag());
         }
-    }
-    fp
+    });
 }
 
 impl Snapshot for Network {
@@ -726,30 +717,33 @@ impl Snapshot for Network {
     /// state), and the tally is rebuilt from it. Checkpoint envelopes
     /// record a stream offset; on restore the simulator truncates the
     /// stream to it and folds the retained prefix into the tally.
-    fn snapshot(&self) -> JsonValue {
-        let mut wires = vec![Vec::new(); self.part.wheel_len()];
-        self.part.for_each_wire(|k, w| wires[k].push(w.snapshot()));
-        obj([
-            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
-            ("config", config_fingerprint(&self.cfg, self.kind())),
-            ("cycles_stepped", self.cycles_stepped.into()),
-            ("routers_stepped", self.routers_stepped.into()),
-            ("routers_skipped", self.routers_skipped.into()),
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
+            encode_fingerprint(&self.cfg, self.kind(), sink.field("config"));
+            sink.field("cycles_stepped").u64(self.cycles_stepped);
+            sink.field("routers_stepped").u64(self.routers_stepped);
+            sink.field("routers_skipped").u64(self.routers_skipped);
             // The worklist is always on; the key stays for the schema.
-            ("skip_idle", true.into()),
-            ("flits_edge_dropped", self.flits_edge_dropped.into()),
-            ("flits_dropped", self.flits_dropped.into()),
-            ("flits_injected", self.flits_injected.into()),
-            ("last_activity", self.last_activity.into()),
-            (
-                "wires",
-                JsonValue::Arr(wires.into_iter().map(JsonValue::Arr).collect()),
-            ),
-            ("routers", self.routers.snapshot()),
-            ("nis", self.nis.snapshot()),
-            ("link_flits", self.links.snapshot_rows(|l| l.flits)),
-            ("link_free", self.links.snapshot_rows(|l| l.free_at)),
-        ])
+            sink.field("skip_idle").bool(true);
+            sink.field("flits_edge_dropped")
+                .u64(self.flits_edge_dropped);
+            sink.field("flits_dropped").u64(self.flits_dropped);
+            sink.field("flits_injected").u64(self.flits_injected);
+            sink.field("last_activity").u64(self.last_activity);
+            sink.field("wires")
+                .arr(0..self.part.wheel_len(), |sink, k| {
+                    sink.begin_arr();
+                    self.part.for_each_wire_in(k, |w| w.encode(sink));
+                    sink.end_arr();
+                });
+            self.routers.encode(sink.field("routers"));
+            self.nis.encode(sink.field("nis"));
+            self.links
+                .encode_rows(|l| l.flits, sink.field("link_flits"));
+            self.links
+                .encode_rows(|l| l.free_at, sink.field("link_free"));
+        });
     }
 }
 
@@ -761,7 +755,8 @@ impl Restore for Network {
                 "snapshot schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
             )));
         }
-        let expected = config_fingerprint(&self.cfg, self.kind()).render();
+        let mut expected = String::new();
+        encode_fingerprint(&self.cfg, self.kind(), &mut JsonWriter::new(&mut expected));
         let got = field(v, "config")?.render();
         if got != expected {
             return Err(SnapshotError::new(format!(

@@ -282,17 +282,22 @@ impl Partition {
     /// through here.
     pub(super) fn for_each_wire(&self, mut f: impl FnMut(usize, &Wire)) {
         for k in 0..self.wheel_len() {
-            let slots = || self.shards.iter().filter_map(move |s| s.wheel.slots.get(k));
-            let mut next = slots().filter_map(|s| s.runs.first()).map(|r| r.0).min();
-            while let Some(label) = next.take() {
-                for slot in slots() {
-                    for (i, &(l, _)) in slot.runs.iter().enumerate() {
-                        if l == label {
-                            slot.run(i).iter().for_each(|w| f(k, w));
-                        } else if l > label {
-                            next = Some(next.map_or(l, |n| n.min(l)));
-                            break;
-                        }
+            self.for_each_wire_in(k, |w| f(k, w));
+        }
+    }
+
+    /// [`Partition::for_each_wire`] over slot `k` alone.
+    pub(super) fn for_each_wire_in(&self, k: usize, mut f: impl FnMut(&Wire)) {
+        let slots = || self.shards.iter().filter_map(move |s| s.wheel.slots.get(k));
+        let mut next = slots().filter_map(|s| s.runs.first()).map(|r| r.0).min();
+        while let Some(label) = next.take() {
+            for slot in slots() {
+                for (i, &(l, _)) in slot.runs.iter().enumerate() {
+                    if l == label {
+                        slot.run(i).iter().for_each(&mut f);
+                    } else if l > label {
+                        next = Some(next.map_or(l, |n| n.min(l)));
+                        break;
                     }
                 }
             }

@@ -3,7 +3,7 @@
 //! bounds how long one can grow.
 
 use super::links::Links;
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{
     decode_field, str_field, u64_field, FromSnapshot, Snapshot, SnapshotError,
 };
@@ -228,41 +228,41 @@ impl Wheel {
 }
 
 impl Snapshot for Wire {
-    fn snapshot(&self) -> JsonValue {
-        match self {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| match self {
             Wire::Flit {
                 router,
                 port,
                 vc,
                 flit,
-            } => obj([
-                ("t", "flit".into()),
-                ("router", (*router as u64).into()),
-                ("port", port.snapshot()),
-                ("vc", vc.snapshot()),
-                ("flit", flit.snapshot()),
-            ]),
+            } => {
+                sink.field("t").str("flit");
+                sink.field("router").u64(*router as u64);
+                port.encode(sink.field("port"));
+                vc.encode(sink.field("vc"));
+                flit.encode(sink.field("flit"));
+            }
             Wire::Credit {
                 router,
                 out_port,
                 vc,
-            } => obj([
-                ("t", "credit".into()),
-                ("router", (*router as u64).into()),
-                ("out_port", out_port.snapshot()),
-                ("vc", vc.snapshot()),
-            ]),
-            Wire::Eject { node, flit } => obj([
-                ("t", "eject".into()),
-                ("node", (*node as u64).into()),
-                ("flit", flit.snapshot()),
-            ]),
-            Wire::NiCredit { router, vc } => obj([
-                ("t", "ni_credit".into()),
-                ("router", (*router as u64).into()),
-                ("vc", vc.snapshot()),
-            ]),
-        }
+            } => {
+                sink.field("t").str("credit");
+                sink.field("router").u64(*router as u64);
+                out_port.encode(sink.field("out_port"));
+                vc.encode(sink.field("vc"));
+            }
+            Wire::Eject { node, flit } => {
+                sink.field("t").str("eject");
+                sink.field("node").u64(*node as u64);
+                flit.encode(sink.field("flit"));
+            }
+            Wire::NiCredit { router, vc } => {
+                sink.field("t").str("ni_credit");
+                sink.field("router").u64(*router as u64);
+                vc.encode(sink.field("vc"));
+            }
+        });
     }
 }
 

@@ -268,7 +268,7 @@ impl NetworkInterface {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{
     arr_field, decode_field, narrow, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
@@ -277,68 +277,50 @@ impl Snapshot for NetworkInterface {
     /// Resumable state only; `node`/`vcs`/`depth`/`queue_cap` are
     /// construction parameters. The reassembly map is rendered sorted by
     /// packet id so equal state gives equal bytes regardless of the
-    /// `HashMap`'s internal order.
-    fn snapshot(&self) -> JsonValue {
-        let mut reassembly: Vec<(&PacketId, &Reassembly)> = self.reassembly.iter().collect();
-        reassembly.sort_by_key(|(id, _)| **id);
-        obj([
-            (
-                "queue",
-                JsonValue::Arr(self.queue.iter().map(Snapshot::snapshot).collect()),
-            ),
-            (
-                "credits",
-                JsonValue::Arr(self.credits.iter().map(|&c| (c as u64).into()).collect()),
-            ),
-            (
-                "vc_taken",
-                JsonValue::Arr(self.vc_taken.iter().map(|&b| b.into()).collect()),
-            ),
-            (
-                "sends",
-                JsonValue::Arr(
-                    self.sends
-                        .iter()
-                        .map(|s| {
-                            obj([
-                                ("vc", s.vc.snapshot()),
-                                (
-                                    "remaining",
-                                    JsonValue::Arr(
-                                        (usize::from(s.next)..s.packet.len_flits())
-                                            .map(|i| s.flit(i).snapshot())
-                                            .collect(),
-                                    ),
-                                ),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("send_rr", (self.send_rr as u64).into()),
-            (
-                "reassembly",
-                JsonValue::Arr(
-                    reassembly
-                        .into_iter()
-                        .map(|(id, re)| {
-                            obj([
-                                ("packet", id.snapshot()),
-                                ("injected_at", re.injected_at.into()),
-                                ("created_at", re.created_at.into()),
-                                ("flits_seen", (re.flits_seen as u64).into()),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            ("offered", self.offered.into()),
-            ("accepted", self.accepted.into()),
-            ("injected", self.injected.into()),
-            ("ejected", self.ejected.into()),
-            ("misdelivered", self.misdelivered.into()),
-            ("flits_ejected", self.flits_ejected.into()),
-        ])
+    /// `HashMap`'s internal order: picked smallest-next, since it holds
+    /// at most a packet a VC, so no sorted copy is allocated.
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("queue")
+                .arr(&self.queue, |sink, p| p.encode(sink));
+            sink.field("credits")
+                .arr(&self.credits, |sink, &c| sink.u64(u64::from(c)));
+            sink.field("vc_taken")
+                .arr(&self.vc_taken, |sink, &b| sink.bool(b));
+            sink.field("sends").arr(&self.sends, |sink, s| {
+                sink.obj(|sink| {
+                    s.vc.encode(sink.field("vc"));
+                    sink.field("remaining")
+                        .arr(usize::from(s.next)..s.packet.len_flits(), |sink, i| {
+                            s.flit(i).encode(sink)
+                        });
+                });
+            });
+            sink.field("send_rr").u64(self.send_rr as u64);
+            sink.field("reassembly").begin_arr();
+            let mut last = None;
+            while let Some((&id, re)) = self
+                .reassembly
+                .iter()
+                .filter(|(&id, _)| last.is_none_or(|last| id > last))
+                .min_by_key(|(&id, _)| id)
+            {
+                sink.obj(|sink| {
+                    id.encode(sink.field("packet"));
+                    sink.field("injected_at").u64(re.injected_at);
+                    sink.field("created_at").u64(re.created_at);
+                    sink.field("flits_seen").u64(re.flits_seen as u64);
+                });
+                last = Some(id);
+            }
+            sink.end_arr();
+            sink.field("offered").u64(self.offered);
+            sink.field("accepted").u64(self.accepted);
+            sink.field("injected").u64(self.injected);
+            sink.field("ejected").u64(self.ejected);
+            sink.field("misdelivered").u64(self.misdelivered);
+            sink.field("flits_ejected").u64(self.flits_ejected);
+        });
     }
 }
 
@@ -454,6 +436,7 @@ impl Restore for NetworkInterface {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_telemetry::json::obj;
     use noc_types::PacketKind;
 
     fn ni() -> NetworkInterface {

@@ -5,7 +5,7 @@ use crate::delivery::{DeliveryStream, MemoryStream, NullStream};
 use crate::network::Network;
 use crate::stats::NetworkReport;
 use noc_faults::FaultPlan;
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter, TreeBuilder};
 use noc_telemetry::snapshot::{
     field, u64_field, Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION,
 };
@@ -79,6 +79,7 @@ fn env_u64(raw: Option<&str>) -> Option<u64> {
 /// Rolling state for the epoch sampler: the counter values at the last
 /// epoch boundary, so each sample reports deltas, and a running count,
 /// latency sum and maximum of the open epoch's deliveries.
+#[derive(Clone)]
 struct EpochState {
     series: TimeSeries,
     epoch_start: Cycle,
@@ -93,7 +94,7 @@ struct EpochState {
 }
 
 /// The open epoch's deliveries: count, exact total-latency sum, maximum.
-#[derive(Default)]
+#[derive(Clone, Default)]
 struct OpenEpoch {
     count: u64,
     sum: u128,
@@ -157,18 +158,6 @@ impl EpochState {
         self.routers_skipped = net.routers_skipped();
     }
 
-    fn to_json(&self) -> JsonValue {
-        obj([
-            ("series", self.series.to_json()),
-            ("epoch_start", self.epoch_start.into()),
-            ("deliveries_seen", self.deliveries_seen.into()),
-            ("flits_ejected", self.flits_ejected.into()),
-            ("flits_injected", self.flits_injected.into()),
-            ("routers_stepped", self.routers_stepped.into()),
-            ("routers_skipped", self.routers_skipped.into()),
-        ])
-    }
-
     fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
         Ok(EpochState {
             series: TimeSeries::from_json(field(v, "series")?).map_err(|e| e.within("series"))?,
@@ -181,6 +170,22 @@ impl EpochState {
             routers_stepped: u64_field(v, "routers_stepped")?,
             routers_skipped: u64_field(v, "routers_skipped")?,
         })
+    }
+}
+
+/// The sampler's resumable state; the open epoch is refilled from the
+/// delivery stream on resume.
+impl Snapshot for EpochState {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.series.encode(sink.field("series"));
+            sink.field("epoch_start").u64(self.epoch_start);
+            sink.field("deliveries_seen").u64(self.deliveries_seen);
+            sink.field("flits_ejected").u64(self.flits_ejected);
+            sink.field("flits_injected").u64(self.flits_injected);
+            sink.field("routers_stepped").u64(self.routers_stepped);
+            sink.field("routers_skipped").u64(self.routers_skipped);
+        });
     }
 }
 
@@ -217,47 +222,70 @@ impl<F: FnMut(Cycle, &mut Vec<Packet>)> CoreSource for FnSource<'_, F> {
 
 /// A run's state at a checkpoint boundary, handed to the callback of
 /// [`Simulator::run_streamed`]. It is a copy, not a document: the epoch
-/// sampler and the packet source, snapshotted at the boundary (both are
-/// small), and a [`Clone`] of the network, whose deliveries are its
-/// tally (the ones since the last boundary were just handed on). The
-/// run steps on at once, and [`Checkpoint::document`] builds the
-/// checkpoint document from the copy whenever, and on whichever thread,
-/// the caller likes: the copy is independent of the live network, so
-/// the document is the one the boundary would have produced.
+/// sampler (a clone) and the packet source (its snapshot tree; both
+/// are small) at the boundary, and a [`Clone`] of the network, whose
+/// deliveries are its tally (the ones since the last boundary were just
+/// handed on). The run steps on at once, and the caller encodes the
+/// checkpoint from the copy whenever, and on whichever thread, it
+/// likes — as text into its own buffer ([`Checkpoint::write_document`])
+/// or as a tree ([`Checkpoint::document`]), the same encoder either
+/// way: the copy is independent of the live network, so the document
+/// is the one the boundary would have produced.
 pub struct Checkpoint {
     cycle: Cycle,
     delivery_offset: u64,
-    epochs: JsonValue,
+    epochs: Option<EpochState>,
     source: JsonValue,
     network: Network,
 }
 
 impl Checkpoint {
+    /// The cycle the run resumes at.
+    pub fn cycle(&self) -> Cycle {
+        self.cycle
+    }
+
     /// How many leading entries of the delivery stream this checkpoint
     /// vouches for.
     pub fn delivery_offset(&self) -> u64 {
         self.delivery_offset
     }
 
+    /// The epoch series so far, the document's `epochs.series`; `None`
+    /// when the run does not sample.
+    pub fn epoch_series(&self) -> Option<&TimeSeries> {
+        self.epochs.as_ref().map(|e| &e.series)
+    }
+
     /// The complete self-describing checkpoint document (schema v4):
     /// feed it back as `resume_from`, on a `Simulator` with the same
     /// configuration, to resume.
     pub fn document(&self) -> JsonValue {
-        obj([
-            ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
-            ("cycle", self.cycle.into()),
-            ("delivery_offset", self.delivery_offset.into()),
-            ("epochs", self.epochs.clone()),
-            ("source", self.source.clone()),
+        TreeBuilder::build(|tree| self.encode(tree))
+    }
+
+    /// Append the text of [`Checkpoint::document`] to `out`, without
+    /// building the tree: what a checkpoint file holds.
+    pub fn write_document(&self, out: &mut String) {
+        self.encode(&mut JsonWriter::new(out));
+    }
+
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
+            sink.field("cycle").u64(self.cycle);
+            sink.field("delivery_offset").u64(self.delivery_offset);
+            self.epochs.encode(sink.field("epochs"));
+            self.source.encode(sink.field("source"));
             // The live spatial grid, so observers (the service's
             // `/jobs/:id/progress`) can read a heatmap straight off the
             // last durable checkpoint. Deterministic (router-owned
             // counters), so resumed runs reproduce it exactly; the
             // restore path ignores it — the grid is re-derived from the
             // restored routers.
-            ("progress", self.network.spatial_grid().to_json()),
-            ("network", self.network.snapshot()),
-        ])
+            self.network.spatial_grid().encode(sink.field("progress"));
+            self.network.encode(sink.field("network"));
+        });
     }
 }
 
@@ -300,7 +328,7 @@ impl<S: PacketSource, F: FnMut(Checkpoint) -> bool> CoreSource for Checkpointing
         (self.sink)(Checkpoint {
             cycle: next,
             delivery_offset: self.offset,
-            epochs: epochs.as_ref().map_or(JsonValue::Null, EpochState::to_json),
+            epochs: epochs.clone(),
             source: self.source.snapshot(),
             network: net.clone(),
         })
@@ -418,10 +446,11 @@ impl Simulator {
     ///
     /// `on_checkpoint` receives each checkpoint as a [`Checkpoint`],
     /// an owned copy of the run's state at the boundary rather than a
-    /// document: the loop pays for a network clone and two small
-    /// snapshots and steps on, and the caller builds and renders
-    /// [`Checkpoint::document`] where it likes — the campaign service
-    /// does so on the job's spool writer thread. Returning `false`
+    /// document: the loop pays for a network clone, an epoch-sampler
+    /// clone and a small snapshot of the source and steps on, and the
+    /// caller encodes the checkpoint where it likes — the campaign
+    /// service writes [`Checkpoint::write_document`] on the job's spool
+    /// writer thread. Returning `false`
     /// interrupts the run right after it.
     ///
     /// New deliveries are appended to `stream` at every checkpoint

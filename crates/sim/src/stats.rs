@@ -2,7 +2,7 @@
 
 use crate::network::Network;
 use noc_telemetry::json::{obj, JsonValue};
-use noc_telemetry::{FlightRecord, RouterStats, SpatialGrid, TimeSeries};
+use noc_telemetry::{FlightRecord, RouterStats, Snapshot, SpatialGrid, TimeSeries};
 use noc_types::Cycle;
 
 /// Number of log2 histogram buckets in a [`LatencySummary`].
@@ -232,20 +232,8 @@ impl NetworkReport {
             ("routers_stepped", self.routers_stepped.into()),
             ("routers_skipped", self.routers_skipped.into()),
             ("worklist_skip_rate", self.worklist_skip_rate.into()),
-            (
-                "spatial",
-                match &self.spatial {
-                    Some(g) => g.to_json(),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "epochs",
-                match &self.epochs {
-                    Some(ts) => ts.to_json(),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("spatial", self.spatial.snapshot()),
+            ("epochs", self.epochs.snapshot()),
             (
                 "deadlock",
                 match &self.deadlock {

@@ -1,10 +1,14 @@
-//! A minimal JSON document model with a writer and a validating
-//! parser.
+//! A minimal JSON document model, one encoder interface with a text
+//! writer and a tree builder behind it, and a validating parser.
 //!
-//! Exporters hand-roll their JSON through this module. The parser
-//! exists so tests and the CI leg can *validate* what the exporters
-//! wrote — round-tripping our own output is the contract, not
-//! general-purpose JSON compliance, though the parser does accept
+//! Exporters hand-roll their JSON through this module. An encoder is a
+//! sequence of [`JsonSink`] calls; [`JsonWriter`] turns them into text
+//! as they come and [`TreeBuilder`] into a [`JsonValue`], so one
+//! encoder yields both forms and [`JsonValue::render`] is the writer
+//! run over a tree: the number and escape rules live in the writer
+//! alone. The parser exists so tests and the CI leg can *validate* what
+//! the exporters wrote — round-tripping our own output is the contract,
+//! not general-purpose JSON compliance, though the parser does accept
 //! arbitrary well-formed documents.
 
 use std::collections::BTreeMap;
@@ -72,40 +76,34 @@ impl JsonValue {
         }
     }
 
-    /// Serialise to compact JSON text.
+    /// Serialise to compact JSON text: [`JsonWriter`] over the tree.
     pub fn render(&self) -> String {
         let mut out = String::new();
-        self.render_into(&mut out);
+        self.encode(&mut JsonWriter::new(&mut out));
         out
     }
 
-    fn render_into(&self, out: &mut String) {
+    /// Replay the tree into `sink`, in document order.
+    pub fn encode<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-            JsonValue::Num(n) => write_number(out, *n),
-            JsonValue::Str(s) => write_escaped(out, s),
+            JsonValue::Null => sink.null(),
+            JsonValue::Bool(b) => sink.bool(*b),
+            JsonValue::Num(n) => sink.num(*n),
+            JsonValue::Str(s) => sink.str(s),
             JsonValue::Arr(items) => {
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    item.render_into(out);
+                sink.begin_arr();
+                for item in items {
+                    item.encode(sink);
                 }
-                out.push(']');
+                sink.end_arr();
             }
             JsonValue::Obj(pairs) => {
-                out.push('{');
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    write_escaped(out, k);
-                    out.push(':');
-                    v.render_into(out);
+                sink.begin_obj();
+                for (k, v) in pairs {
+                    sink.key(k);
+                    v.encode(sink);
                 }
-                out.push('}');
+                sink.end_obj();
             }
         }
     }
@@ -162,13 +160,238 @@ pub fn obj<const N: usize>(pairs: [(&str, JsonValue); N]) -> JsonValue {
     JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-/// Append the JSON form of `n` to `out`, as [`JsonValue::render`]
-/// writes every number: an integral value below 2^53 in magnitude as
+/// Where an encoder sends its document, one call per token in document
+/// order: a value is one of `null` .. `str` or a container, an object
+/// member is [`JsonSink::key`] followed by its value. Commas and colons
+/// are the sink's business. Encoders are written once against this
+/// trait, generic over the sink, and run into a [`JsonWriter`] for text
+/// or a [`TreeBuilder`] for a [`JsonValue`].
+pub trait JsonSink {
+    /// `null`.
+    fn null(&mut self);
+    /// `true` / `false`.
+    fn bool(&mut self, b: bool);
+    /// A number.
+    fn num(&mut self, n: f64);
+    /// A string.
+    fn str(&mut self, s: &str);
+    /// Open an array.
+    fn begin_arr(&mut self);
+    /// Close the innermost array.
+    fn end_arr(&mut self);
+    /// Open an object.
+    fn begin_obj(&mut self);
+    /// The key of the next member of the innermost object.
+    fn key(&mut self, k: &str);
+    /// Close the innermost object.
+    fn end_obj(&mut self);
+
+    /// An integer, as every counter and cycle is written (exact below
+    /// 2^53, the `f64` form past it).
+    fn u64(&mut self, n: u64) {
+        self.num(n as f64);
+    }
+
+    /// [`JsonSink::key`], returning the sink for the member's value:
+    /// `sink.field("cycle").u64(cycle)`.
+    fn field(&mut self, k: &str) -> &mut Self
+    where
+        Self: Sized,
+    {
+        self.key(k);
+        self
+    }
+
+    /// An object whose members `members` writes.
+    fn obj(&mut self, members: impl FnOnce(&mut Self))
+    where
+        Self: Sized,
+    {
+        self.begin_obj();
+        members(self);
+        self.end_obj();
+    }
+
+    /// An array of `items`' values, written by `each`.
+    fn arr<I: IntoIterator>(&mut self, items: I, mut each: impl FnMut(&mut Self, I::Item))
+    where
+        Self: Sized,
+    {
+        self.begin_arr();
+        for item in items {
+            each(self, item);
+        }
+        self.end_arr();
+    }
+}
+
+/// A [`JsonSink`] that appends compact JSON text to a `String` — the
+/// caller's, so one buffer can be reused across documents.
+pub struct JsonWriter<'a> {
+    out: &'a mut String,
+    /// A value was written at the current level, so the next one is
+    /// preceded by a comma.
+    comma: bool,
+}
+
+impl<'a> JsonWriter<'a> {
+    /// A writer appending to `out`.
+    pub fn new(out: &'a mut String) -> Self {
+        JsonWriter { out, comma: false }
+    }
+
+    fn value(&mut self) {
+        if self.comma {
+            self.out.push(',');
+        }
+        self.comma = true;
+    }
+}
+
+impl JsonSink for JsonWriter<'_> {
+    fn null(&mut self) {
+        self.value();
+        self.out.push_str("null");
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value();
+        self.out.push_str(if b { "true" } else { "false" });
+    }
+
+    fn num(&mut self, n: f64) {
+        self.value();
+        write_number(self.out, n);
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value();
+        write_escaped(self.out, s);
+    }
+
+    fn begin_arr(&mut self) {
+        self.value();
+        self.out.push('[');
+        self.comma = false;
+    }
+
+    fn end_arr(&mut self) {
+        self.out.push(']');
+        self.comma = true;
+    }
+
+    fn begin_obj(&mut self) {
+        self.value();
+        self.out.push('{');
+        self.comma = false;
+    }
+
+    fn key(&mut self, k: &str) {
+        if self.comma {
+            self.out.push(',');
+        }
+        write_escaped(self.out, k);
+        self.out.push(':');
+        self.comma = false;
+    }
+
+    fn end_obj(&mut self) {
+        self.out.push('}');
+        self.comma = true;
+    }
+}
+
+/// A [`JsonSink`] that builds the [`JsonValue`] of the document it is
+/// sent ([`TreeBuilder::build`]).
+pub struct TreeBuilder {
+    /// The open containers, outermost first, each with the key it goes
+    /// under in its parent.
+    open: Vec<(Option<String>, JsonValue)>,
+    /// The key of the next member of the innermost object.
+    key: Option<String>,
+    root: Option<JsonValue>,
+}
+
+impl TreeBuilder {
+    /// The tree `encode` sends to a builder. Panics if it sends no
+    /// value, or leaves a container open: the encoder is broken.
+    pub fn build(encode: impl FnOnce(&mut TreeBuilder)) -> JsonValue {
+        let mut tree = TreeBuilder {
+            open: Vec::new(),
+            key: None,
+            root: None,
+        };
+        encode(&mut tree);
+        assert!(tree.open.is_empty(), "an encoder left a container open");
+        tree.root.expect("an encoder sent no value")
+    }
+
+    fn value(&mut self, v: JsonValue) {
+        match self.open.last_mut() {
+            None => self.root = Some(v),
+            Some((_, JsonValue::Arr(items))) => items.push(v),
+            Some((_, JsonValue::Obj(pairs))) => {
+                let key = self.key.take().expect("an object member without a key");
+                pairs.push((key, v));
+            }
+            Some(_) => unreachable!("only containers are open"),
+        }
+    }
+
+    fn close(&mut self) {
+        let (key, v) = self.open.pop().expect("a close without an open");
+        self.key = key;
+        self.value(v);
+    }
+}
+
+impl JsonSink for TreeBuilder {
+    fn null(&mut self) {
+        self.value(JsonValue::Null);
+    }
+
+    fn bool(&mut self, b: bool) {
+        self.value(JsonValue::Bool(b));
+    }
+
+    fn num(&mut self, n: f64) {
+        self.value(JsonValue::Num(n));
+    }
+
+    fn str(&mut self, s: &str) {
+        self.value(JsonValue::Str(s.to_string()));
+    }
+
+    fn begin_arr(&mut self) {
+        self.open
+            .push((self.key.take(), JsonValue::Arr(Vec::new())));
+    }
+
+    fn end_arr(&mut self) {
+        self.close();
+    }
+
+    fn begin_obj(&mut self) {
+        self.open
+            .push((self.key.take(), JsonValue::Obj(Vec::new())));
+    }
+
+    fn key(&mut self, k: &str) {
+        self.key = Some(k.to_string());
+    }
+
+    fn end_obj(&mut self) {
+        self.close();
+    }
+}
+
+/// Append the JSON form of `n` to `out`, as [`JsonWriter`] writes
+/// every number: an integral value below 2^53 in magnitude as
 /// its decimal digits (`-0.0` as `0`), any other finite value in Rust's
 /// shortest round-trip form (so `2^53` and past keep the `f64` form
 /// `9007199254740992`, `1e21` reads `1000000000000000000000`), and NaN
 /// or ±∞ as `null`. The parser reads each back to the value written.
-pub fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; exporters only feed finite values, but
         // degrade to null rather than emitting an unparsable token.
@@ -197,12 +420,12 @@ pub fn write_number(out: &mut String, n: f64) {
     }
 }
 
-/// Append `s` to `out` as a JSON string literal, as
-/// [`JsonValue::render`] writes every string and key: quoted, with `"`
+/// Append `s` to `out` as a JSON string literal, as [`JsonWriter`]
+/// writes every string and key: quoted, with `"`
 /// and `\` escaped, `\n`, `\r` and `\t` by name and every other byte
 /// below 0x20 as `\u00XX`. The runs between escapes are copied whole,
 /// so a string that needs none is one copy.
-pub fn write_escaped(out: &mut String, s: &str) {
+fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
     let mut run = 0;
     for (at, b) in s.bytes().enumerate() {

@@ -4,8 +4,8 @@
 //! this module owns the data model and its CSV/JSON renderings so
 //! bench bins and tests share one schema.
 
-use crate::json::{obj, JsonValue};
-use crate::snapshot::{f64_field, u64_field, SnapshotError};
+use crate::json::{JsonSink, JsonValue};
+use crate::snapshot::{f64_field, u64_field, Snapshot, SnapshotError};
 use noc_types::Cycle;
 
 /// Aggregate network state over one epoch of `N` cycles.
@@ -68,28 +68,28 @@ impl EpochSample {
         }
     }
 
-    fn json(&self) -> JsonValue {
-        obj([
-            ("epoch", self.epoch.into()),
-            ("start_cycle", self.start_cycle.into()),
-            ("end_cycle", self.end_cycle.into()),
-            ("delivered_packets", self.delivered_packets.into()),
-            ("delivered_flits", self.delivered_flits.into()),
-            ("injected_flits", self.injected_flits.into()),
-            ("mean_latency", self.mean_latency.into()),
-            ("max_latency", self.max_latency.into()),
-            ("buffered_flits", self.buffered_flits.into()),
-            ("vc_occupancy", self.vc_occupancy.into()),
-            ("routers_stepped", self.routers_stepped.into()),
-            ("routers_skipped", self.routers_skipped.into()),
-            ("active_routers", self.active_routers.into()),
-            ("load_imbalance", self.load_imbalance.into()),
-            ("skip_rate", self.skip_rate().into()),
-            ("throughput", self.throughput().into()),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("epoch").u64(self.epoch);
+            sink.field("start_cycle").u64(self.start_cycle);
+            sink.field("end_cycle").u64(self.end_cycle);
+            sink.field("delivered_packets").u64(self.delivered_packets);
+            sink.field("delivered_flits").u64(self.delivered_flits);
+            sink.field("injected_flits").u64(self.injected_flits);
+            sink.field("mean_latency").num(self.mean_latency);
+            sink.field("max_latency").u64(self.max_latency);
+            sink.field("buffered_flits").u64(self.buffered_flits);
+            sink.field("vc_occupancy").num(self.vc_occupancy);
+            sink.field("routers_stepped").u64(self.routers_stepped);
+            sink.field("routers_skipped").u64(self.routers_skipped);
+            sink.field("active_routers").u64(self.active_routers);
+            sink.field("load_imbalance").num(self.load_imbalance);
+            sink.field("skip_rate").num(self.skip_rate());
+            sink.field("throughput").num(self.throughput());
+        });
     }
 
-    /// Rebuild a sample from its JSON rendering (`EpochSample::json`). The
+    /// Rebuild a sample from its JSON encoding. The
     /// derived `skip_rate`/`throughput` fields are ignored — they are
     /// recomputed from the counters.
     pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
@@ -166,18 +166,7 @@ impl TimeSeries {
         out
     }
 
-    /// Render as a JSON object (`every` + sample array).
-    pub fn to_json(&self) -> JsonValue {
-        obj([
-            ("every", self.every.into()),
-            (
-                "samples",
-                JsonValue::Arr(self.samples.iter().map(EpochSample::json).collect()),
-            ),
-        ])
-    }
-
-    /// Rebuild a series from its [`TimeSeries::to_json`] rendering.
+    /// Rebuild a series from its [`Snapshot`] encoding.
     pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
         let every = u64_field(v, "every")?;
         let samples = v
@@ -188,6 +177,17 @@ impl TimeSeries {
             .map(EpochSample::from_json)
             .collect::<Result<Vec<_>, _>>()?;
         Ok(TimeSeries { every, samples })
+    }
+}
+
+/// A JSON object: `every` and the sample array.
+impl Snapshot for TimeSeries {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("every").u64(self.every);
+            sink.field("samples")
+                .arr(&self.samples, |sink, s| s.encode(sink));
+        });
     }
 }
 
@@ -224,7 +224,7 @@ mod tests {
             });
         }
         assert_eq!(ts.to_csv().lines().count(), 4);
-        let json = ts.to_json();
+        let json = ts.snapshot();
         assert_eq!(json.get("every").unwrap().as_u64(), Some(100));
         assert_eq!(json.get("samples").unwrap().as_array().unwrap().len(), 3);
         // The rendering must survive our own parser.
@@ -251,9 +251,9 @@ mod tests {
             active_routers: 7,
             load_imbalance: 1.75,
         });
-        let doc = JsonValue::parse(&ts.to_json().render()).unwrap();
+        let doc = JsonValue::parse(&ts.snapshot().render()).unwrap();
         let back = TimeSeries::from_json(&doc).unwrap();
         assert_eq!(back, ts);
-        assert_eq!(back.to_json().render(), ts.to_json().render());
+        assert_eq!(back.snapshot().render(), ts.snapshot().render());
     }
 }

@@ -1,13 +1,17 @@
 //! Deterministic snapshot/restore of simulation state.
 //!
-//! Every stateful component of the stack can render itself into a
-//! self-describing [`JsonValue`] and be rebuilt from one, bit-identically:
+//! Every stateful component of the stack can encode itself as a
+//! self-describing JSON document and be rebuilt from one, bit-identically:
 //! the invariant the campaign service rests on is *resume ==
 //! uninterrupted, byte-for-byte on the final report* (ARCHITECTURE.md §5).
 //!
 //! Three traits split the work:
 //!
-//! * [`Snapshot`] — render state into a [`JsonValue`];
+//! * [`Snapshot`] — encode state, once per type, into any
+//!   [`JsonSink`]: straight to text ([`Snapshot::write_json`], what a
+//!   checkpoint is written with) or to a [`JsonValue`]
+//!   ([`Snapshot::snapshot`], for tests, restore and tools) — the same
+//!   calls, so the two forms cannot disagree;
 //! * [`FromSnapshot`] — value types that can be constructed straight from
 //!   a snapshot (flits, packets, VC state fields, …);
 //! * [`Restore`] — stateful components that are first rebuilt from their
@@ -29,10 +33,10 @@
 //!   numeric: they are bounded by simulated time and stay far below 2^53.
 //! * Enums encode as lowercase tag strings; fault sites reuse their
 //!   canonical `Display`/`FromStr` codec from `noc-faults`.
-//! * Object key order is fixed by construction and [`JsonValue::render`]
-//!   preserves it, so equal state renders to equal bytes.
+//! * Object key order is fixed by the encoder and both sinks keep it, so
+//!   equal state renders to equal bytes.
 
-use crate::json::{obj, JsonValue};
+use crate::json::{JsonSink, JsonValue, JsonWriter, TreeBuilder};
 use noc_faults::{DetectionModel, FaultSite};
 use noc_types::{
     Coord, DeliveredPacket, Flit, FlitKind, FlitSeq, Packet, PacketId, PacketKind, PortId,
@@ -95,10 +99,29 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// Render state into a self-describing JSON value.
+/// Encode state as a self-describing JSON document.
 pub trait Snapshot {
-    /// The component's complete resumable state.
-    fn snapshot(&self) -> JsonValue;
+    /// Send the component's complete resumable state to `sink`: the
+    /// type's one encoding, behind both forms below.
+    fn encode<S: JsonSink>(&self, sink: &mut S);
+
+    /// The state as a tree.
+    fn snapshot(&self) -> JsonValue {
+        TreeBuilder::build(|tree| self.encode(tree))
+    }
+
+    /// The state as compact text appended to `out`: the bytes of
+    /// `self.snapshot().render()`, with no tree between.
+    fn write_json(&self, out: &mut String) {
+        self.encode(&mut JsonWriter::new(out));
+    }
+}
+
+/// A document is its own snapshot.
+impl Snapshot for JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        JsonValue::encode(self, sink);
+    }
 }
 
 /// Value types constructible directly from a snapshot.
@@ -181,12 +204,17 @@ pub fn arr_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], Sna
         .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not an array")))
 }
 
-/// Encode a full-width `u64` (seed, RNG word) losslessly as `"0x…"`.
-pub fn hex(x: u64) -> JsonValue {
-    JsonValue::Str(format!("{x:#018x}"))
+/// Encode a full-width `u64` (seed, RNG word) losslessly as `"0x…"`:
+/// `0x` and sixteen lowercase digits, formatted on the stack.
+pub fn encode_hex<S: JsonSink>(sink: &mut S, x: u64) {
+    let mut text = *b"0x0000000000000000";
+    for (i, digit) in text[2..].iter_mut().enumerate() {
+        *digit = b"0123456789abcdef"[(x >> (60 - 4 * i)) as usize & 0xf];
+    }
+    sink.str(std::str::from_utf8(&text).expect("ASCII digits"));
 }
 
-/// Decode a `"0x…"` string produced by [`hex`].
+/// Decode a `"0x…"` string produced by [`encode_hex`].
 pub fn parse_hex(v: &JsonValue) -> Result<u64, SnapshotError> {
     let s = v
         .as_str()
@@ -207,9 +235,15 @@ pub fn decode_field<T: FromSnapshot>(v: &JsonValue, key: &str) -> Result<T, Snap
 // Blanket impls for containers
 // ---------------------------------------------------------------------
 
+impl<T: Snapshot + ?Sized> Snapshot for &T {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        (**self).encode(sink);
+    }
+}
+
 impl<T: Snapshot> Snapshot for Vec<T> {
-    fn snapshot(&self) -> JsonValue {
-        JsonValue::Arr(self.iter().map(Snapshot::snapshot).collect())
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.arr(self, |sink, x| x.encode(sink));
     }
 }
 
@@ -226,10 +260,10 @@ impl<T: FromSnapshot> FromSnapshot for Vec<T> {
 }
 
 impl<T: Snapshot> Snapshot for Option<T> {
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            None => JsonValue::Null,
-            Some(x) => x.snapshot(),
+            None => sink.null(),
+            Some(x) => x.encode(sink),
         }
     }
 }
@@ -250,8 +284,8 @@ impl<T: FromSnapshot> FromSnapshot for Option<T> {
 macro_rules! numeric_id {
     ($ty:ty, $inner:ty) => {
         impl Snapshot for $ty {
-            fn snapshot(&self) -> JsonValue {
-                (self.0 as u64).into()
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                sink.u64(self.0 as u64);
             }
         }
         impl FromSnapshot for $ty {
@@ -271,9 +305,9 @@ numeric_id!(PacketId, u64);
 numeric_id!(FlitSeq, u8);
 
 impl Snapshot for Coord {
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         // Compact pair form: coordinates appear in every buffered flit.
-        JsonValue::Arr(vec![(self.x as u64).into(), (self.y as u64).into()])
+        sink.arr([self.x, self.y], |sink, c| sink.u64(u64::from(c)));
     }
 }
 
@@ -294,14 +328,13 @@ impl FromSnapshot for Coord {
 }
 
 impl Snapshot for FlitKind {
-    fn snapshot(&self) -> JsonValue {
-        match self {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.str(match self {
             FlitKind::Head => "head",
             FlitKind::Body => "body",
             FlitKind::Tail => "tail",
             FlitKind::Single => "single",
-        }
-        .into()
+        });
     }
 }
 
@@ -318,12 +351,11 @@ impl FromSnapshot for FlitKind {
 }
 
 impl Snapshot for PacketKind {
-    fn snapshot(&self) -> JsonValue {
-        match self {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.str(match self {
             PacketKind::Control => "control",
             PacketKind::Data => "data",
-        }
-        .into()
+        });
     }
 }
 
@@ -338,20 +370,20 @@ impl FromSnapshot for PacketKind {
 }
 
 impl Snapshot for Flit {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("packet", self.packet.snapshot()),
-            ("seq", self.seq.snapshot()),
-            ("kind", self.kind.snapshot()),
-            ("src", self.src.snapshot()),
-            ("dst", self.dst.snapshot()),
-            ("created_at", self.created_at.into()),
-            ("injected_at", self.injected_at.into()),
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.packet.encode(sink.field("packet"));
+            self.seq.encode(sink.field("seq"));
+            self.kind.encode(sink.field("kind"));
+            self.src.encode(sink.field("src"));
+            self.dst.encode(sink.field("dst"));
+            sink.field("created_at").u64(self.created_at);
+            sink.field("injected_at").u64(self.injected_at);
             // Flits carry no payload; the key stays so documents keep
             // their bytes.
-            ("payload", "".into()),
-            ("hops", (self.hops as u64).into()),
-        ])
+            sink.field("payload").str("");
+            sink.field("hops").u64(u64::from(self.hops));
+        });
     }
 }
 
@@ -375,14 +407,14 @@ impl FromSnapshot for Flit {
 }
 
 impl Snapshot for Packet {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("id", self.id.snapshot()),
-            ("kind", self.kind.snapshot()),
-            ("src", self.src.snapshot()),
-            ("dst", self.dst.snapshot()),
-            ("created_at", self.created_at.into()),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.id.encode(sink.field("id"));
+            self.kind.encode(sink.field("kind"));
+            self.src.encode(sink.field("src"));
+            self.dst.encode(sink.field("dst"));
+            sink.field("created_at").u64(self.created_at);
+        });
     }
 }
 
@@ -399,17 +431,18 @@ impl FromSnapshot for Packet {
 }
 
 impl Snapshot for DeliveredPacket {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("id", self.id.snapshot()),
-            ("kind", self.kind.snapshot()),
-            ("src", self.src.snapshot()),
-            ("dst", self.dst.snapshot()),
-            ("created_at", self.created_at.into()),
-            ("injected_at", self.injected_at.into()),
-            ("ejected_at", self.ejected_at.into()),
-            ("hops", (self.hops as u64).into()),
-        ])
+    /// Also a line of the delivery stream.
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.id.encode(sink.field("id"));
+            self.kind.encode(sink.field("kind"));
+            self.src.encode(sink.field("src"));
+            self.dst.encode(sink.field("dst"));
+            sink.field("created_at").u64(self.created_at);
+            sink.field("injected_at").u64(self.injected_at);
+            sink.field("ejected_at").u64(self.ejected_at);
+            sink.field("hops").u64(u64::from(self.hops));
+        });
     }
 }
 
@@ -429,14 +462,13 @@ impl FromSnapshot for DeliveredPacket {
 }
 
 impl Snapshot for VcGlobalState {
-    fn snapshot(&self) -> JsonValue {
-        match self {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.str(match self {
             VcGlobalState::Idle => "idle",
             VcGlobalState::Routing => "routing",
             VcGlobalState::VcAlloc => "vc_alloc",
             VcGlobalState::Active => "active",
-        }
-        .into()
+        });
     }
 }
 
@@ -455,18 +487,18 @@ impl FromSnapshot for VcGlobalState {
 }
 
 impl Snapshot for VcStateFields {
-    fn snapshot(&self) -> JsonValue {
-        obj([
-            ("g", self.g.snapshot()),
-            ("r", self.r.snapshot()),
-            ("o", self.o.snapshot()),
-            ("r2", self.r2.snapshot()),
-            ("vf", self.vf.into()),
-            ("id", self.id.snapshot()),
-            ("sp", self.sp.snapshot()),
-            ("fsp", self.fsp.into()),
-            ("vmask", (self.vmask as u64).into()),
-        ])
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            self.g.encode(sink.field("g"));
+            self.r.encode(sink.field("r"));
+            self.o.encode(sink.field("o"));
+            self.r2.encode(sink.field("r2"));
+            sink.field("vf").bool(self.vf);
+            self.id.encode(sink.field("id"));
+            self.sp.encode(sink.field("sp"));
+            sink.field("fsp").bool(self.fsp);
+            sink.field("vmask").u64(u64::from(self.vmask));
+        });
     }
 }
 
@@ -491,10 +523,10 @@ impl FromSnapshot for VcStateFields {
 // ---------------------------------------------------------------------
 
 impl Snapshot for FaultSite {
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         // The canonical compact codec lives in noc-faults
         // (Display / FromStr round-trip, pinned by tests there).
-        self.to_string().into()
+        sink.str(&self.to_string());
     }
 }
 
@@ -509,10 +541,10 @@ impl FromSnapshot for FaultSite {
 }
 
 impl Snapshot for DetectionModel {
-    fn snapshot(&self) -> JsonValue {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
         match self {
-            DetectionModel::Ideal => "ideal".into(),
-            DetectionModel::Delayed(n) => JsonValue::Str(format!("delayed:{n}")),
+            DetectionModel::Ideal => sink.str("ideal"),
+            DetectionModel::Delayed(n) => sink.str(&format!("delayed:{n}")),
         }
     }
 }
@@ -538,6 +570,7 @@ impl FromSnapshot for DetectionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::obj;
 
     fn round_trip<T: Snapshot + FromSnapshot + PartialEq + std::fmt::Debug>(x: T) {
         let v = x.snapshot();
@@ -632,7 +665,9 @@ mod tests {
     #[test]
     fn hex_codec_is_lossless_at_full_width() {
         for x in [0u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_F00D] {
-            assert_eq!(parse_hex(&hex(x)).unwrap(), x);
+            let hex = TreeBuilder::build(|tree| encode_hex(tree, x));
+            assert_eq!(hex.as_str(), Some(format!("{x:#018x}").as_str()));
+            assert_eq!(parse_hex(&hex).unwrap(), x);
         }
         assert!(parse_hex(&JsonValue::Str("1234".into())).is_err());
         assert!(parse_hex(&JsonValue::Num(3.0)).is_err());

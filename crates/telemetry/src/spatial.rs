@@ -9,10 +9,11 @@
 //! the service's `/jobs/:id/progress` endpoint and `noc-cli heatmap`
 //! all share one schema.
 
-use crate::json::JsonValue;
-use crate::snapshot::{uint_field, SnapshotError};
+use crate::json::{JsonSink, JsonValue};
+use crate::snapshot::{uint_field, Snapshot, SnapshotError};
 use crate::stats::RouterStats;
 use noc_types::Coord;
+use std::fmt::Write as _;
 
 /// A `width × height` grid of every router's [`RouterStats`], keyed by
 /// [`Coord`] and stored row-major (`y * width + x`). It renders the
@@ -57,14 +58,15 @@ impl SpatialGrid {
         self
     }
 
-    /// The JSON grid key for the cell at global `(x, y)`: `"x,y"` on
-    /// flat grids, chiplet-major `"cx,cy:x,y"` (intra-chiplet `x,y`) on
-    /// hierarchical ones.
-    fn key(&self, x: usize, y: usize) -> String {
-        match self.chiplet_k {
-            Some(k) => format!("{},{}:{},{}", x / k, y / k, x % k, y % k),
-            None => format!("{x},{y}"),
-        }
+    /// Write the JSON grid key for the cell at global `(x, y)` over
+    /// `key`: `"x,y"` on flat grids, chiplet-major `"cx,cy:x,y"`
+    /// (intra-chiplet `x,y`) on hierarchical ones.
+    fn key(&self, x: usize, y: usize, key: &mut String) {
+        key.clear();
+        let _ = match self.chiplet_k {
+            Some(k) => write!(key, "{},{}:{},{}", x / k, y / k, x % k, y % k),
+            None => write!(key, "{x},{y}"),
+        };
     }
 
     /// Parse a JSON grid key back to global `(x, y)` under the grid's
@@ -104,29 +106,10 @@ impl SpatialGrid {
         Some(self.cells.iter().map(|c| c.get(counter)).collect())
     }
 
-    /// Render as a JSON object: dimensions plus a grid keyed by
-    /// coordinate (`"x,y"` flat, `"cx,cy:x,y"` hierarchical), cells in
-    /// row-major order. Flat grids omit the `chiplet_k` field, so their
-    /// rendering is byte-identical to the pre-chiplet schema.
+    /// The grid as a tree: its [`Snapshot`], under the name the reports
+    /// and the CLI use.
     pub fn to_json(&self) -> JsonValue {
-        let mut grid: Vec<(String, JsonValue)> = Vec::with_capacity(self.cells.len());
-        for y in 0..self.height {
-            for x in 0..self.width {
-                grid.push((
-                    self.key(x, y),
-                    self.cells[y * self.width + x].to_json(&RouterStats::SPATIAL),
-                ));
-            }
-        }
-        let mut fields = vec![
-            ("width".to_string(), (self.width as u64).into()),
-            ("height".to_string(), (self.height as u64).into()),
-        ];
-        if let Some(k) = self.chiplet_k {
-            fields.push(("chiplet_k".to_string(), (k as u64).into()));
-        }
-        fields.push(("grid".to_string(), JsonValue::Obj(grid)));
-        JsonValue::Obj(fields)
+        self.snapshot()
     }
 
     /// Rebuild a grid from its [`SpatialGrid::to_json`] rendering: the
@@ -261,6 +244,32 @@ impl SpatialGrid {
             out.push('\n');
         }
         Some(out)
+    }
+}
+
+/// A JSON object: dimensions plus a grid keyed by coordinate (`"x,y"`
+/// flat, `"cx,cy:x,y"` hierarchical), cells in row-major order. Flat
+/// grids omit the `chiplet_k` field, so their encoding is
+/// byte-identical to the pre-chiplet schema.
+impl Snapshot for SpatialGrid {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("width").u64(self.width as u64);
+            sink.field("height").u64(self.height as u64);
+            if let Some(k) = self.chiplet_k {
+                sink.field("chiplet_k").u64(k as u64);
+            }
+            sink.field("grid").obj(|sink| {
+                let mut key = String::new();
+                for y in 0..self.height {
+                    for x in 0..self.width {
+                        self.key(x, y, &mut key);
+                        let cell = &self.cells[y * self.width + x];
+                        cell.encode_view(&RouterStats::SPATIAL, sink.field(&key));
+                    }
+                }
+            });
+        });
     }
 }
 

@@ -15,7 +15,7 @@
 //! * [`RouterStats::MECHANISMS`] is a run report's `router_events`, the
 //!   Shield mechanism counters summed over routers.
 
-use crate::json::JsonValue;
+use crate::json::{JsonSink, JsonValue, TreeBuilder};
 use crate::snapshot::{u64_field, FromSnapshot, Snapshot, SnapshotError};
 use std::ops::AddAssign;
 
@@ -110,11 +110,16 @@ impl RouterStats {
 
     /// The counters of `view` as a JSON object, in view order.
     pub fn to_json(&self, view: &[Counter]) -> JsonValue {
-        JsonValue::Obj(
-            view.iter()
-                .map(|&c| (c.0.to_string(), self.get(c).into()))
-                .collect(),
-        )
+        TreeBuilder::build(|tree| self.encode_view(view, tree))
+    }
+
+    /// Send [`RouterStats::to_json`]'s object to `sink`.
+    pub fn encode_view<S: JsonSink>(&self, view: &[Counter], sink: &mut S) {
+        sink.obj(|sink| {
+            for &c in view {
+                sink.field(c.0).u64(self.get(c));
+            }
+        });
     }
 
     /// Decode the counters of `view` from their
@@ -146,8 +151,8 @@ impl std::iter::Sum for RouterStats {
 }
 
 impl Snapshot for RouterStats {
-    fn snapshot(&self) -> JsonValue {
-        self.to_json(&Self::COUNTERS)
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        self.encode_view(&Self::COUNTERS, sink);
     }
 }
 

@@ -340,9 +340,9 @@ impl TrafficGenerator {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{JsonSink, JsonValue};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, hex, parse_hex, u64_field, Restore, Snapshot, SnapshotError,
+    arr_field, decode_field, encode_hex, parse_hex, u64_field, Restore, Snapshot, SnapshotError,
 };
 
 impl Snapshot for TrafficGenerator {
@@ -352,38 +352,38 @@ impl Snapshot for TrafficGenerator {
     /// is *not* stored — the generator is rebuilt from it before
     /// [`Restore::restore`]. `pending` renders as one group per release
     /// cycle, in release order, so equal state renders to equal bytes.
-    fn snapshot(&self) -> JsonValue {
-        let rng = self.rng.state();
-        let mut groups: Vec<JsonValue> = Vec::new();
-        let mut entries: Vec<JsonValue> = Vec::new();
-        for (i, &(release, p)) in self.pending.iter().enumerate() {
-            entries.push(obj([
-                ("home", p.home.snapshot()),
-                ("requester", p.requester.snapshot()),
-                ("kind", p.kind.snapshot()),
-            ]));
-            if self
-                .pending
-                .get(i + 1)
-                .is_none_or(|&(next, _)| next != release)
-            {
-                groups.push(obj([
-                    ("release", release.into()),
-                    ("entries", JsonValue::Arr(std::mem::take(&mut entries))),
-                ]));
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.obj(|sink| {
+            sink.field("rng")
+                .arr(self.rng.state(), |sink, w| encode_hex(sink, w));
+            sink.field("next_id").u64(self.next_id);
+            sink.field("node_on")
+                .arr(&self.node_on, |sink, &b| sink.bool(b));
+            sink.field("pending").begin_arr();
+            for (i, &(release, p)) in self.pending.iter().enumerate() {
+                if i == 0 || self.pending[i - 1].0 != release {
+                    sink.begin_obj();
+                    sink.field("release").u64(release);
+                    sink.field("entries").begin_arr();
+                }
+                sink.obj(|sink| {
+                    p.home.encode(sink.field("home"));
+                    p.requester.encode(sink.field("requester"));
+                    p.kind.encode(sink.field("kind"));
+                });
+                if self
+                    .pending
+                    .get(i + 1)
+                    .is_none_or(|&(next, _)| next != release)
+                {
+                    sink.end_arr();
+                    sink.end_obj();
+                }
             }
-        }
-        obj([
-            ("rng", JsonValue::Arr(rng.iter().map(|&w| hex(w)).collect())),
-            ("next_id", self.next_id.into()),
-            (
-                "node_on",
-                JsonValue::Arr(self.node_on.iter().map(|&b| b.into()).collect()),
-            ),
-            ("pending", JsonValue::Arr(groups)),
-            ("requests_issued", self.requests_issued.into()),
-            ("responses_issued", self.responses_issued.into()),
-        ])
+            sink.end_arr();
+            sink.field("requests_issued").u64(self.requests_issued);
+            sink.field("responses_issued").u64(self.responses_issued);
+        });
     }
 }
 
