@@ -354,10 +354,8 @@ impl FaultState {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonSink, JsonValue};
-use noc_telemetry::snapshot::{
-    arr_field, decode_field, u64_field, uint_field, Restore, Snapshot, SnapshotError,
-};
+use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::snapshot::{Restore, Snapshot, SnapshotError};
 
 impl Snapshot for FaultState {
     fn encode<S: JsonSink>(&self, sink: &mut S) {
@@ -390,24 +388,36 @@ impl Restore for FaultState {
     /// Everything is decoded and every site checked against the
     /// router's shape before any field is written: a doctored or
     /// corrupt checkpoint fails typed, and leaves this state as it was.
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let site_of = |e: &JsonValue| -> Result<FaultSite, SnapshotError> {
-            let site = decode_field(e, "site")?;
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError> {
+        let site = |r: &mut JsonReader<'_>| -> Result<FaultSite, SnapshotError> {
+            let site = r.field("site")?;
             self.active.check(site).map_err(SnapshotError::new)?;
             Ok(site)
         };
-        let detection = decode_field(v, "detection")?;
-        let injected = arr_field(v, "injected")?
-            .iter()
-            .map(|e| Ok((site_of(e)?, u64_field(e, "at")?)))
-            .collect::<Result<_, SnapshotError>>()
-            .map_err(|e| e.within("injected"))?;
-        let transients = arr_field(v, "transients")?
-            .iter()
-            .map(|e| Ok((site_of(e)?, u64_field(e, "at")?, uint_field(e, "duration")?)))
-            .collect::<Result<_, SnapshotError>>()
-            .map_err(|e| e.within("transients"))?;
-        let refreshed_at = u64_field(v, "refreshed_at")?;
+        let (detection, refreshed_at, injected, transients) = r.obj(|r| {
+            let detection = r.field("detection")?;
+            let refreshed_at = r.field("refreshed_at")?;
+            let mut injected = Vec::new();
+            r.field_with("injected", |r| {
+                r.arr(|r, _| {
+                    r.obj(|r| {
+                        injected.push((site(r)?, r.field("at")?));
+                        Ok(())
+                    })
+                })
+            })?;
+            let mut transients = Vec::new();
+            r.field_with("transients", |r| {
+                r.arr(|r, _| {
+                    r.obj(|r| {
+                        let entry = (site(r)?, r.field("at")?, r.field("duration")?);
+                        transients.push(entry);
+                        Ok(())
+                    })
+                })
+            })?;
+            Ok((detection, refreshed_at, injected, transients))
+        })?;
         self.detection = detection;
         self.injected = injected;
         self.transients = transients;
@@ -636,7 +646,7 @@ mod tests {
                         let text = fs.snapshot().render();
                         let before = (fs.active, fs.detected);
                         fs = FaultState::new(&cfg, DetectionModel::Ideal);
-                        fs.restore(&JsonValue::parse(&text).unwrap()).unwrap();
+                        fs.restore_text(&text).unwrap();
                         assert_eq!((fs.active, fs.detected), before, "restored maps");
                         assert_eq!(fs.snapshot().render(), text);
                         true

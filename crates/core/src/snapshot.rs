@@ -18,94 +18,20 @@
 
 use crate::router::{Router, XbGrant};
 use noc_arbiter::RoundRobinArbiter;
-use noc_telemetry::json::{JsonSink, JsonValue};
-use noc_telemetry::snapshot::{
-    arr_field, decode_field, field, narrow, FromSnapshot, Restore, Snapshot, SnapshotError,
-};
-use noc_types::Flit;
+use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::snapshot::{below, Restore, Snapshot, SnapshotError};
+use noc_types::{Flit, PortId, VcId, VcStateFields};
 
-impl Snapshot for XbGrant {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.in_port.encode(sink.field("in_port"));
-            self.in_vc.encode(sink.field("in_vc"));
-            self.logical_out.encode(sink.field("logical_out"));
-            self.mux.encode(sink.field("mux"));
-            self.out_vc.encode(sink.field("out_vc"));
-        });
-    }
+noc_telemetry::record! {
+    XbGrant { in_port, in_vc, logical_out, mux, out_vc }
 }
 
-impl FromSnapshot for XbGrant {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(XbGrant {
-            in_port: decode_field(v, "in_port")?,
-            in_vc: decode_field(v, "in_vc")?,
-            logical_out: decode_field(v, "logical_out")?,
-            mux: decode_field(v, "mux")?,
-            out_vc: decode_field(v, "out_vc")?,
-        })
-    }
-}
-
-/// Decode one arbiter pointer and check it is a line of a `width`-line
+/// Check that every pointer of `bank` is a line of a `width`-line
 /// arbiter.
-fn decode_pointer(v: &JsonValue, width: usize) -> Result<u8, SnapshotError> {
-    let p = v
-        .as_u64()
-        .ok_or_else(|| SnapshotError::new("arbiter pointer is not a number"))?;
-    if p >= width as u64 {
-        return Err(SnapshotError::new(format!(
-            "arbiter pointer {p} out of range (width {width})"
-        )));
-    }
-    Ok(p as u8)
-}
-
-/// The entries of array `v`, which must have `len` of them.
-fn bank_entries<'a>(
-    v: &'a JsonValue,
-    len: usize,
-    name: &str,
-) -> Result<&'a [JsonValue], SnapshotError> {
-    let arr = v
-        .as_array()
-        .ok_or_else(|| SnapshotError::new(format!("`{name}` is not an array")))?;
-    if arr.len() != len {
-        return Err(SnapshotError::new(format!(
-            "`{name}` has {} entries but the router has {len}",
-            arr.len(),
-        )));
-    }
-    Ok(arr)
-}
-
-/// Restore a bank of arbiters from a snapshot array, enforcing matching
-/// length.
-fn restore_bank<'a>(
-    bank: impl ExactSizeIterator<Item = &'a mut RoundRobinArbiter>,
-    v: &JsonValue,
-    name: &str,
-) -> Result<(), SnapshotError> {
-    let arr = bank_entries(v, bank.len(), name)?;
-    for (i, (a, p)) in bank.zip(arr).enumerate() {
-        let p = decode_pointer(p, a.width()).map_err(|e| e.within(&format!("{name}[{i}]")))?;
-        a.set_pointer(usize::from(p));
-    }
-    Ok(())
-}
-
-/// Restore a bank of `width`-line arbiter pointers (a VA stage's row)
-/// from a snapshot array, enforcing matching length.
-fn restore_pointers(
-    bank: &mut [u8],
-    width: usize,
-    v: &JsonValue,
-    name: &str,
-) -> Result<(), SnapshotError> {
-    let arr = bank_entries(v, bank.len(), name)?;
-    for (i, (slot, p)) in bank.iter_mut().zip(arr).enumerate() {
-        *slot = decode_pointer(p, width).map_err(|e| e.within(&format!("{name}[{i}]")))?;
+fn pointers(key: &str, bank: &[u8], width: usize) -> Result<(), SnapshotError> {
+    for (i, &x) in bank.iter().enumerate() {
+        below::<u8>(u64::from(x), width, "arbiter pointer")
+            .map_err(|e| e.within(&format!("{key}[{i}]")))?;
     }
     Ok(())
 }
@@ -164,182 +90,144 @@ impl Snapshot for Router {
 }
 
 impl Router {
-    /// Overwrite input port `port`'s VCs from their snapshot, directly:
-    /// a snapshot captures mid-pipeline states (e.g. a non-head flit at
-    /// the front of an `Active` VC) that no arrival sequence could
-    /// reconstruct.
-    fn restore_port(&mut self, port: usize, v: &JsonValue) -> Result<(), SnapshotError> {
-        let vcs = self.cfg.vcs;
-        let arr = arr_field(v, "vcs")?;
-        if arr.len() != vcs {
-            return Err(SnapshotError::new(format!(
-                "snapshot has {} VCs but the port was built with {vcs}",
-                arr.len()
-            )));
-        }
-        for (vc, s) in arr.iter().enumerate() {
-            let within = |e: SnapshotError| e.within(&format!("vcs[{vc}]"));
-            let flits = Vec::<Flit>::from_snapshot(field(s, "buffer").map_err(within)?)
-                .map_err(|e| within(e.within("buffer")))?;
+    /// Overwrite input VC `i` from its snapshot, directly: a snapshot
+    /// captures mid-pipeline states (e.g. a non-head flit at the front
+    /// of an `Active` VC) that no arrival sequence could reconstruct.
+    fn restore_vc(&mut self, r: &mut JsonReader<'_>, i: usize) -> Result<(), SnapshotError> {
+        r.obj(|r| {
+            let fields: VcStateFields = r.field("fields")?;
+            let f = &fields;
+            let ports = [f.r, f.r2, f.sp].into_iter().flatten();
+            if !self.has(ports, [f.o, f.id].into_iter().flatten()) {
+                return Err(SnapshotError::new(self.outside("a port or VC")).within("fields"));
+            }
+            let flits: Vec<Flit> = r.field("buffer")?;
             let depth = self.store.depth();
             if flits.len() > depth {
-                return Err(within(SnapshotError::new(format!(
+                return Err(SnapshotError::new(format!(
                     "snapshot holds {} flits but the VC depth is {depth}",
                     flits.len()
-                ))));
+                )));
             }
-            let fields = decode_field(s, "fields").map_err(within)?;
-            self.store.overwrite(port * vcs + vc, fields, &flits);
+            self.store.overwrite(i, fields, &flits);
+            Ok(())
+        })
+    }
+
+    /// Whether `ports` and `vcs` are all this router's: the stage
+    /// kernels index with them unchecked.
+    fn has(
+        &self,
+        ports: impl IntoIterator<Item = PortId>,
+        vcs: impl IntoIterator<Item = VcId>,
+    ) -> bool {
+        ports.into_iter().all(|p| p.index() < self.cfg.ports)
+            && vcs.into_iter().all(|v| v.index() < self.cfg.vcs)
+    }
+
+    fn outside(&self, what: &str) -> String {
+        format!(
+            "{what} outside a {}-port {}-VC router",
+            self.cfg.ports, self.cfg.vcs
+        )
+    }
+
+    /// Check that `g` names ports, a mux and VCs this router has, and an
+    /// input VC holding the flit it switches.
+    fn check_grant(&self, g: &XbGrant) -> Result<(), SnapshotError> {
+        let grant = || {
+            format!(
+                "a grant {}.{} -> {} (mux {}) {}",
+                g.in_port, g.in_vc, g.logical_out, g.mux, g.out_vc
+            )
+        };
+        if !self.has([g.in_port, g.logical_out, g.mux], [g.in_vc, g.out_vc]) {
+            return Err(SnapshotError::new(self.outside(&grant())));
+        }
+        let vc = g.in_port.index() * self.cfg.vcs + g.in_vc.index();
+        if self.store.len(vc) == 0 {
+            return Err(SnapshotError::new(format!("{} from an empty VC", grant())));
         }
         Ok(())
     }
 }
 
 impl Restore for Router {
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError> {
         let p = self.cfg.ports;
-        let vcs = self.cfg.vcs;
-
-        let ports = arr_field(v, "ports")?;
-        if ports.len() != p {
-            return Err(SnapshotError::new(format!(
-                "snapshot has {} ports but the router has {p}",
-                ports.len()
-            )));
-        }
-        for (port, s) in ports.iter().enumerate() {
-            self.restore_port(port, s)
-                .map_err(|e| e.within(&format!("ports[{port}]")))?;
-        }
-        // The state words and the flit total are derived state (not
-        // serialised); re-derive them from the restored store.
-        self.sync_all();
-
-        let credits = arr_field(v, "credits")?;
-        if credits.len() != p {
-            return Err(SnapshotError::new("`credits` outer length mismatch"));
-        }
-        for (o, s) in credits.iter().enumerate() {
-            let arr = s.as_array().filter(|a| a.len() == vcs).ok_or_else(|| {
-                SnapshotError::new(format!("`credits[{o}]` is not a {vcs}-entry array"))
+        let v = self.cfg.vcs;
+        r.obj(|r| {
+            r.field_arr_of("ports", &[p], &mut |r, port| {
+                r.obj(|r| {
+                    r.field_arr_of("vcs", &[v], &mut |r, vc| self.restore_vc(r, port * v + vc))
+                })
             })?;
-            let ctl = &mut self.ctl[o];
-            ctl.credited = 0;
-            for (vc, val) in arr.iter().enumerate() {
-                let c = val.as_u64().ok_or_else(|| {
-                    SnapshotError::new(format!("`credits[{o}]` entry is not a number"))
-                })?;
-                let c: u8 = narrow(c, &format!("credits[{o}][{vc}]"))?;
-                ctl.credits[vc] = c;
-                if c > 0 {
-                    ctl.credited |= 1 << vc;
-                }
-            }
-        }
-
-        let busy = arr_field(v, "out_vc_busy")?;
-        if busy.len() != p {
-            return Err(SnapshotError::new("`out_vc_busy` outer length mismatch"));
-        }
-        for (o, s) in busy.iter().enumerate() {
-            let arr = s.as_array().filter(|a| a.len() == vcs).ok_or_else(|| {
-                SnapshotError::new(format!("`out_vc_busy[{o}]` is not a {vcs}-entry array"))
-            })?;
-            let mut mask = 0u32;
-            for (vc, val) in arr.iter().enumerate() {
-                match val {
-                    JsonValue::Bool(true) => mask |= 1 << vc,
-                    JsonValue::Bool(false) => {}
-                    _ => {
-                        return Err(SnapshotError::new(format!(
-                            "`out_vc_busy[{o}]` entry is not a bool"
-                        )))
-                    }
-                }
-            }
-            self.ctl[o].out_vc_busy = mask;
-        }
-
-        let va1 = arr_field(v, "va1")?;
-        if va1.len() != p {
-            return Err(SnapshotError::new("`va1` outer length mismatch"));
-        }
-        for (port, s) in va1.iter().enumerate() {
-            let rows = s
-                .as_array()
-                .filter(|a| a.len() == vcs)
-                .ok_or_else(|| SnapshotError::new(format!("`va1[{port}]` shape mismatch")))?;
-            for (vc, row) in rows.iter().enumerate() {
-                let bank = &mut self.va1[(port * vcs + vc) * p..][..p];
-                restore_pointers(bank, vcs, row, &format!("va1[{port}][{vc}]"))?;
-            }
-        }
-
-        let va2 = arr_field(v, "va2")?;
-        if va2.len() != p {
-            return Err(SnapshotError::new("`va2` outer length mismatch"));
-        }
-        for (o, row) in va2.iter().enumerate() {
-            let bank = &mut self.va2[o * vcs..][..vcs];
-            restore_pointers(bank, p * vcs, row, &format!("va2[{o}]"))?;
-        }
-
-        let sa1 = self.ctl.iter_mut().map(|c| &mut c.sa1);
-        restore_bank(sa1, field(v, "sa1")?, "sa1")?;
-        let sa2 = self.ctl.iter_mut().map(|c| &mut c.sa2);
-        restore_bank(sa2, field(v, "sa2")?, "sa2")?;
-
-        let rc = arr_field(v, "rc_pointer")?;
-        if rc.len() != p {
-            return Err(SnapshotError::new("`rc_pointer` length mismatch"));
-        }
-        for (ctl, val) in self.ctl.iter_mut().zip(rc) {
-            ctl.rc_pointer = val
-                .as_u64()
-                .filter(|&r| r < vcs as u64)
-                .ok_or_else(|| SnapshotError::new("`rc_pointer` entry is not a VC index"))?
-                as u8;
-        }
-
-        let bypass = arr_field(v, "bypass_ptr")?;
-        if bypass.len() != p {
-            return Err(SnapshotError::new("`bypass_ptr` length mismatch"));
-        }
-        for (i, (ctl, val)) in self.ctl.iter_mut().zip(bypass).enumerate() {
-            (ctl.bypass_vc, ctl.bypass_period) = match val {
-                JsonValue::Null => (None, 0),
-                JsonValue::Arr(pair) if pair.len() == 2 => {
-                    let vc = pair[0].as_u64().ok_or_else(|| {
-                        SnapshotError::new(format!("`bypass_ptr[{i}]` vc is not a number"))
-                    })? as usize;
-                    if vc >= vcs {
-                        return Err(SnapshotError::new(format!(
-                            "`bypass_ptr[{i}]` vc {vc} out of range"
-                        )));
-                    }
-                    let period = pair[1].as_u64().ok_or_else(|| {
-                        SnapshotError::new(format!("`bypass_ptr[{i}]` period is not a number"))
-                    })?;
-                    (Some(vc as u8), period)
-                }
-                _ => {
-                    return Err(SnapshotError::new(format!(
-                        "`bypass_ptr[{i}]` must be null or a [vc, period] pair"
-                    )))
-                }
+            // The state words and the flit total are derived state (not
+            // serialised); re-derive them from the restored store.
+            self.sync_all();
+            // The credited and busy masks, bit `vc` of each output's word.
+            let bit = |word: &mut u32, vc: usize, on: bool| {
+                *word = *word & !(1 << vc) | u32::from(on) << vc
             };
-        }
-
-        self.xb_queue = Vec::<XbGrant>::from_snapshot(field(v, "xb_queue")?)
-            .map_err(|e| e.within("xb_queue"))?;
-        self.faults
-            .restore(field(v, "faults")?)
-            .map_err(|e| e.within("faults"))?;
-        // The restored clock may be quiet at the next step, which then
-        // re-derives nothing: derive the tables from the restored maps.
-        self.refresh_fault_tables();
-        self.stats = decode_field(v, "stats")?;
-        Ok(())
+            // A credit past the downstream buffer's depth would overflow it.
+            let depth = self.store.depth();
+            r.field_arr_of("credits", &[p, v], &mut |r, i| {
+                let (ctl, vc) = (&mut self.ctl[i / v], i % v);
+                ctl.credits[vc] = below(r.u64()?, depth + 1, "credit count")?;
+                bit(&mut ctl.credited, vc, ctl.credits[vc] > 0);
+                Ok(())
+            })?;
+            r.field_arr_of("out_vc_busy", &[p, v], &mut |r, i| {
+                bit(&mut self.ctl[i / v].out_vc_busy, i % v, r.bool()?);
+                Ok(())
+            })?;
+            r.fill("va1", &[p, v, p], &mut self.va1)?;
+            pointers("va1", &self.va1, v)?;
+            r.fill("va2", &[p, v], &mut self.va2)?;
+            pointers("va2", &self.va2, p * v)?;
+            for key in ["sa1", "sa2"] {
+                r.field_arr_of(key, &[p], &mut |r, o| {
+                    let ctl = &mut self.ctl[o];
+                    let a = if key == "sa1" {
+                        &mut ctl.sa1
+                    } else {
+                        &mut ctl.sa2
+                    };
+                    a.set_pointer(below(r.u64()?, a.width(), "arbiter pointer")?);
+                    Ok(())
+                })?;
+            }
+            r.field_arr_of("rc_pointer", &[p], &mut |r, o| {
+                self.ctl[o].rc_pointer = below(r.u64()?, v, "rc_pointer")?;
+                Ok(())
+            })?;
+            r.field_arr_of("bypass_ptr", &[p], &mut |r, o| {
+                let ctl = &mut self.ctl[o];
+                (ctl.bypass_vc, ctl.bypass_period) = (None, 0);
+                if !r.take_null()? {
+                    let mut pair = [0u64; 2];
+                    r.arr_of(&[2], &mut |r, k| {
+                        pair[k] = r.u64()?;
+                        Ok(())
+                    })?;
+                    (ctl.bypass_vc, ctl.bypass_period) =
+                        (Some(below(pair[0], v, "bypass VC")?), pair[1]);
+                }
+                Ok(())
+            })?;
+            let grants: Vec<XbGrant> = r.field("xb_queue")?;
+            for (i, g) in grants.iter().enumerate() {
+                self.check_grant(g)
+                    .map_err(|e| e.within(&format!("xb_queue[{i}]")))?;
+            }
+            self.xb_queue = grants;
+            r.field_with("faults", |r| self.faults.restore_from(r))?;
+            // The restored clock may be quiet at the next step, which then
+            // re-derives nothing: derive the tables from the restored maps.
+            self.refresh_fault_tables();
+            self.stats = r.field("stats")?;
+            Ok(())
+        })
     }
 }
 

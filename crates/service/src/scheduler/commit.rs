@@ -46,8 +46,7 @@ pub(super) fn spool_checkpoint(
 ) -> Result<(), String> {
     text.clear();
     checkpoint.write_document(text);
-    let series = checkpoint.epoch_series();
-    let head = PartialHead::new(checkpoint.cycle(), checkpoint.delivery_offset(), series);
+    let head = PartialHead::new(checkpoint.head());
     // The copy goes as soon as it is spent.
     drop(checkpoint);
     let write_started = Instant::now();

@@ -4,6 +4,7 @@
 
 use super::JobPhase;
 use crate::spec::CampaignSpec;
+use noc_sim::CheckpointHead;
 use noc_telemetry::json::{obj, JsonSink, JsonValue, JsonWriter};
 use noc_telemetry::Snapshot;
 use std::sync::Arc;
@@ -175,33 +176,23 @@ pub(super) struct PartialHead {
 }
 
 impl PartialHead {
-    /// The head of a checkpoint at `cycle` that vouches for
-    /// `delivery_offset` stream entries, with its epoch `series`
-    /// (`null` when the run does not sample). The one constructor: a
-    /// commit passes the checkpoint's own fields, recovery those of the
-    /// parsed file.
-    pub(super) fn new(cycle: u64, delivery_offset: u64, series: impl Snapshot) -> PartialHead {
+    /// The `partial` head of a checkpoint's `head`. The one
+    /// constructor: a commit passes the head of the checkpoint it
+    /// writes, recovery the head read off the spooled file.
+    pub(super) fn new(head: &CheckpointHead) -> PartialHead {
+        let (cycle, delivery_offset) = (head.cycle(), head.delivery_offset());
         let mut open = String::new();
-        let mut head = JsonWriter::new(&mut open);
-        head.begin_obj();
-        head.field("cycle").u64(cycle);
-        head.field("delivery_offset").u64(delivery_offset);
-        series.encode(head.field("epochs"));
-        head.field("deliveries").begin_arr();
+        let mut w = JsonWriter::new(&mut open);
+        w.begin_obj();
+        w.field("cycle").u64(cycle);
+        w.field("delivery_offset").u64(delivery_offset);
+        head.epoch_series().encode(w.field("epochs"));
+        w.field("deliveries").begin_arr();
         PartialHead {
             open,
             cycle,
             delivery_offset,
         }
-    }
-
-    /// The head of a parsed checkpoint document; `None` when it lacks
-    /// the cycle or the offset (then there is nothing to show a client).
-    pub(super) fn of(checkpoint: &JsonValue) -> Option<PartialHead> {
-        let cycle = checkpoint.get("cycle")?.as_u64()?;
-        let delivery_offset = checkpoint.get("delivery_offset")?.as_u64()?;
-        let series = checkpoint.get("epochs").and_then(|ep| ep.get("series"));
-        Some(PartialHead::new(cycle, delivery_offset, series))
     }
 }
 

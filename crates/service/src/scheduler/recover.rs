@@ -1,8 +1,9 @@
 //! Recovery on startup: rebuild the job table from the spool.
 
 use super::job::{JobRecord, PartialHead};
-use super::{read_json, Scheduler};
+use super::Scheduler;
 use crate::spec::CampaignSpec;
+use noc_sim::CheckpointHead;
 use std::fs;
 
 impl Scheduler {
@@ -37,10 +38,10 @@ impl Scheduler {
                 rec.failed(fs::read_to_string(dir.join("error.txt")).ok());
             } else {
                 // An unfinished job shows a client its last durable
-                // checkpoint from the first poll on.
-                let checkpoint = read_json(&dir.join("checkpoint.json"));
-                if let Some(head) = checkpoint.as_ref().and_then(PartialHead::of) {
-                    rec.resumes_from(head, None);
+                // checkpoint from the first poll on (if it has one).
+                let checkpoint = fs::read_to_string(dir.join("checkpoint.json"));
+                if let Some(head) = checkpoint.ok().and_then(|t| CheckpointHead::of(&t).ok()) {
+                    rec.resumes_from(PartialHead::new(&head), None);
                 }
                 self.inner.log.event(
                     "job_recovered",

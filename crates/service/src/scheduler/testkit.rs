@@ -152,7 +152,7 @@ impl Played {
         let sim = self.spec.simulator(self.spec.checkpoint_every).unwrap();
         let mut gen = self.spec.generator().unwrap();
         let (report, outcome) = sim.run_streamed(&mut gen, stream, None, |checkpoint| {
-            let offset = checkpoint.delivery_offset();
+            let offset = checkpoint.head().delivery_offset();
             self.mailbox.hand_over(checkpoint);
             handed_over(offset);
             true

@@ -7,7 +7,6 @@ use super::{job::JobRecord, SchedInner};
 use crate::stream::{panic_message, JsonlStream, Mailbox};
 use crate::{fsio::write_atomic, spec::CampaignSpec};
 use noc_sim::SimOutcome;
-use noc_telemetry::JsonValue;
 use std::sync::{atomic::Ordering, Arc, PoisonError};
 use std::{fs, path::Path, time::Instant};
 
@@ -137,10 +136,9 @@ fn run_simulate_job(
     let mut gen = spec.generator()?;
     // Recovery has already shown this checkpoint on the job's record.
     let checkpoint_path = dir.join("checkpoint.json");
-    let resume = match fs::read_to_string(&checkpoint_path) {
-        Ok(text) => Some(JsonValue::parse(&text).map_err(|e| format!("bad checkpoint: {e}"))?),
-        Err(_) => None,
-    };
+    // Decoded straight from its text by the resume, and refused there
+    // before the stream is touched.
+    let resume = fs::read_to_string(&checkpoint_path).ok();
     let stream = JsonlStream::open(dir.join("deliveries.jsonl"))
         .map_err(|e| format!("opening delivery stream: {e}"))?;
     let mailbox = Mailbox::new(stream);
@@ -173,7 +171,7 @@ fn run_simulate_job(
         }
         // The worker leaves a copy of the run at the boundary and steps
         // on; the writer encodes its document.
-        let run = sim.run_streamed(&mut gen, &mut stream, resume.as_ref(), |checkpoint| {
+        let run = sim.run_streamed(&mut gen, &mut stream, resume.as_deref(), |checkpoint| {
             mailbox.hand_over(checkpoint);
             if !inner.shutdown.load(Ordering::SeqCst) {
                 return true;

@@ -27,7 +27,6 @@
 //! for the job's writer thread to append (ARCHITECTURE.md §5.3).
 
 use noc_sim::DeliveryStream;
-use noc_telemetry::json::JsonValue;
 use noc_telemetry::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use noc_types::DeliveredPacket;
 use std::fs;
@@ -179,25 +178,6 @@ impl JsonlStream {
             }
         }
     }
-
-    /// The first `offset` entries parsed one by one: what
-    /// [`JsonlStream::splice_prefix`] replaced, kept as the reference
-    /// the tests compare it with.
-    #[cfg(test)]
-    pub(crate) fn read_prefix(path: &Path, offset: u64) -> Option<Vec<JsonValue>> {
-        let text = fs::read_to_string(path).ok()?;
-        let mut out = Vec::with_capacity(offset as usize);
-        for line in text.split_inclusive('\n') {
-            if out.len() as u64 == offset {
-                break;
-            }
-            if !line.ends_with('\n') {
-                break; // torn tail: not a complete entry
-            }
-            out.push(JsonValue::parse(line.trim_end()).ok()?);
-        }
-        (out.len() as u64 == offset).then_some(out)
-    }
 }
 
 impl DeliveryStream for JsonlStream {
@@ -263,9 +243,7 @@ impl DeliveryStream for JsonlStream {
             if !line.ends_with('\n') {
                 break; // the end, or a torn tail: not a complete entry
             }
-            let parsed = JsonValue::parse(line.trim_end())
-                .map_err(|e| SnapshotError::new(format!("stream line {kept}: {e}")))?;
-            let d = DeliveredPacket::from_snapshot(&parsed)
+            let d = DeliveredPacket::from_text(line.trim_end())
                 .map_err(|e| e.within(&format!("stream line {kept}")))?;
             fold(&d);
             kept += 1;
@@ -538,8 +516,30 @@ impl<C> Drop for QueuedStream<'_, C> {
 }
 
 #[cfg(test)]
+impl JsonlStream {
+    /// The first `offset` entries parsed one by one: what
+    /// [`JsonlStream::splice_prefix`] replaced, kept as the reference
+    /// the tests compare it with.
+    pub(crate) fn read_prefix(path: &Path, offset: u64) -> Option<Vec<noc_telemetry::JsonValue>> {
+        let text = fs::read_to_string(path).ok()?;
+        let mut out = Vec::with_capacity(offset as usize);
+        for line in text.split_inclusive('\n') {
+            if out.len() as u64 == offset {
+                break;
+            }
+            if !line.ends_with('\n') {
+                break; // torn tail: not a complete entry
+            }
+            out.push(noc_telemetry::JsonValue::parse(line.trim_end()).ok()?);
+        }
+        (out.len() as u64 == offset).then_some(out)
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use noc_telemetry::json::JsonValue;
     use noc_types::{Coord, PacketId, PacketKind};
 
     fn d(id: u64) -> DeliveredPacket {
@@ -719,7 +719,8 @@ mod tests {
     /// 2^53 and `u64::MAX` (where the tree's `f64` form takes over),
     /// coordinates 0 and 255, both kinds. The stream reads back through
     /// `truncate`, past 2^53 included, as the numbers the tree form
-    /// parses to.
+    /// parses to — up to the line holding `u64::MAX`, whose `f64` form
+    /// (2^64) fits no integer field: reading it fails typed.
     #[test]
     fn delivery_lines_equal_the_rendered_snapshot() {
         let mut rng = noc_types::rng::Rng::seeded(0x11E5);
@@ -769,14 +770,23 @@ mod tests {
         for (line, d) in text.lines().zip(&packets) {
             assert_eq!(line, d.snapshot().render(), "{d:?}");
         }
-        let read = cut(&mut s, packets.len() as u64).unwrap();
+        let err = cut(&mut s, packets.len() as u64).unwrap_err();
+        let last = packets.len() - 1;
+        assert!(
+            err.message.starts_with(&format!("stream line {last}: ")),
+            "{err}"
+        );
+        let read = cut(&mut s, last as u64).unwrap();
         // What the tree form round-trips to: exact below 2^53, the
-        // nearest `f64` above it, read back saturated.
+        // nearest `f64` above it.
         let through_f64 = |d: &DeliveredPacket| {
             let parsed = JsonValue::parse(&d.snapshot().render()).unwrap();
             DeliveredPacket::from_snapshot(&parsed).unwrap()
         };
-        assert_eq!(read, packets.iter().map(through_f64).collect::<Vec<_>>());
+        assert_eq!(
+            read,
+            packets[..last].iter().map(through_f64).collect::<Vec<_>>()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

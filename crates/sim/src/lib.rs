@@ -73,6 +73,6 @@ pub use delivery::{DeliveryStream, MemoryStream, NullStream};
 pub use network::{IntervalProfile, Network};
 pub use ni::NetworkInterface;
 pub use pool::WorkerPool;
-pub use simulator::{Checkpoint, PacketSource, SimOutcome, Simulator};
+pub use simulator::{Checkpoint, CheckpointHead, PacketSource, SimOutcome, Simulator};
 pub use stats::{LatencySummary, NetworkReport, LATENCY_BUCKETS};
 pub use tally::{DeliveryTally, LatencyCounts};

@@ -5,8 +5,8 @@
 //! (pacing and utilisation, through each shard's disjoint slice of rows)
 //! and a link fault's unplug write it.
 
-use noc_telemetry::json::{JsonSink, JsonValue};
-use noc_telemetry::snapshot::{arr_field, SnapshotError};
+use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::snapshot::SnapshotError;
 use noc_topology::Topology;
 use noc_types::{Cycle, Direction, LinkClass, PortId};
 use std::ops::RangeBounds;
@@ -145,29 +145,33 @@ impl Links {
         });
     }
 
-    /// Restore one per-link counter from the rows under `key` of the
-    /// network snapshot `v` (the inverse of [`Links::encode_rows`]).
-    pub(super) fn restore_rows(
+    /// Read one per-link counter from the rows of member `key` (the
+    /// inverse of [`Links::encode_rows`]).
+    pub(super) fn decode_rows(
         &mut self,
-        v: &JsonValue,
+        r: &mut JsonReader<'_>,
         key: &str,
         set: fn(&mut Link) -> &mut u64,
     ) -> Result<(), SnapshotError> {
-        let rows = arr_field(v, key)?;
-        if rows.len() != self.rows.len() {
-            return Err(SnapshotError::new(format!("`{key}` length mismatch")));
-        }
-        for (row, s) in self.rows.iter_mut().zip(rows) {
-            let arr = s
-                .as_array()
-                .filter(|a| a.len() == 5)
-                .ok_or_else(|| SnapshotError::new(format!("`{key}` row is not a 5-entry array")))?;
-            for (link, e) in row.iter_mut().zip(arr) {
-                *set(link) = e
-                    .as_u64()
-                    .ok_or_else(|| SnapshotError::new(format!("`{key}` entry is not a number")))?;
+        let error = |what: &str| SnapshotError::new(format!("`{key}` {what}"));
+        let rows = &mut self.rows;
+        let n = r.member(key)?.arr(|r, i| {
+            let mut row = rows.get_mut(i);
+            let links = r.arr(|r, port| {
+                let x = r.u64().map_err(|_| error("entry is not a number"))?;
+                if let Some(link) = row.as_mut().and_then(|row| row.get_mut(port)) {
+                    *set(link) = x;
+                }
+                Ok(())
+            })?;
+            match links == 5 {
+                true => Ok(()),
+                false => Err(error("row is not a 5-entry array")),
             }
+        })?;
+        match n == rows.len() {
+            true => Ok(()),
+            false => Err(error("length mismatch")),
         }
-        Ok(())
     }
 }

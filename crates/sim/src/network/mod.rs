@@ -67,10 +67,9 @@ use crate::pool::WorkerPool;
 use crate::tally::DeliveryTally;
 use links::Links;
 use noc_faults::{FaultPlan, LinkFaultEvent};
-use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter};
+use noc_telemetry::json::{JsonReader, JsonSink, JsonWriter};
 use noc_telemetry::snapshot::{
-    arr_field, encode_hex, field, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
-    SNAPSHOT_SCHEMA_VERSION,
+    encode_hex, FromSnapshot, Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION,
 };
 use noc_telemetry::{NullObserver, Observer};
 use noc_topology::Topology;
@@ -747,84 +746,106 @@ impl Snapshot for Network {
     }
 }
 
+impl Network {
+    /// Check that wire `w` names a router (or NI), port and VC this
+    /// network has: the stepper indexes with them unchecked.
+    fn check_wire(&self, w: &Wire) -> Result<(), SnapshotError> {
+        let (ports, vcs) = (self.cfg.router.ports, self.cfg.router.vcs);
+        let (port, vc) = match *w {
+            Wire::Flit { port, vc, .. }
+            | Wire::Credit {
+                out_port: port, vc, ..
+            } => (port.index(), vc.index()),
+            Wire::NiCredit { vc, .. } => (0, vc.index()),
+            Wire::Eject { .. } => (0, 0),
+        };
+        let error = match w.dest() {
+            at if at >= self.routers.len() => format!("router {at} of {}", self.routers.len()),
+            _ if port >= ports => format!("port {port} of {ports}"),
+            _ if vc >= vcs => format!("VC {vc} of {vcs}"),
+            _ => return Ok(()),
+        };
+        Err(SnapshotError::new(format!("a wire to {error}")))
+    }
+}
+
 impl Restore for Network {
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let version = u64_field(v, "schema_version")?;
-        if version != SNAPSHOT_SCHEMA_VERSION {
-            return Err(SnapshotError::new(format!(
-                "snapshot schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
-            )));
-        }
-        let mut expected = String::new();
-        encode_fingerprint(&self.cfg, self.kind(), &mut JsonWriter::new(&mut expected));
-        let got = field(v, "config")?.render();
-        if got != expected {
-            return Err(SnapshotError::new(format!(
-                "configuration mismatch: snapshot taken under {got}, restoring into {expected}"
-            )));
-        }
-        let routers = arr_field(v, "routers")?;
-        if routers.len() != self.routers.len() {
-            return Err(SnapshotError::new("`routers` length mismatch"));
-        }
-        for (i, (r, s)) in self.routers.iter_mut().zip(routers).enumerate() {
-            r.restore(s)
-                .map_err(|e| e.within(&format!("routers[{i}]")))?;
-        }
-        let nis = arr_field(v, "nis")?;
-        if nis.len() != self.nis.len() {
-            return Err(SnapshotError::new("`nis` length mismatch"));
-        }
-        for (i, (n, s)) in self.nis.iter_mut().zip(nis).enumerate() {
-            n.restore(s).map_err(|e| e.within(&format!("nis[{i}]")))?;
-        }
-        // The wheel's base length is fixed by the link classes (which
-        // the config fingerprint pinned above), but serialisation
-        // pacing may have grown it past that, up to the horizon's bound;
-        // adopt the snapshot's length so in-flight wires land in the
-        // slots they left from.
-        let wires = arr_field(v, "wires")?;
-        let Horizon { base, max } = self.part.horizon;
-        if !(base..=max).contains(&wires.len()) {
-            return Err(SnapshotError::new(format!(
-                "`wires` has {} slots, outside the horizon's {base}..={max}",
-                wires.len(),
-            )));
-        }
-        self.part.reset_wheel(wires.len());
-        for (k, s) in wires.iter().enumerate() {
-            for w in Vec::<Wire>::from_snapshot(s).map_err(|e| e.within(&format!("wires[{k}]")))? {
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError> {
+        r.obj(|r| {
+            let version: u64 = r.field("schema_version")?;
+            if version != SNAPSHOT_SCHEMA_VERSION {
+                return Err(SnapshotError::new(format!(
+                    "snapshot schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
+                )));
+            }
+            let (mut expected, mut got) = (String::new(), String::new());
+            encode_fingerprint(&self.cfg, self.kind(), &mut JsonWriter::new(&mut expected));
+            r.member("config")?
+                .read_into(&mut JsonWriter::new(&mut got))?;
+            if got != expected {
+                return Err(SnapshotError::new(format!(
+                    "configuration mismatch: snapshot taken under {got}, restoring into {expected}"
+                )));
+            }
+            self.cycles_stepped = r.field("cycles_stepped")?;
+            self.routers_stepped = r.field("routers_stepped")?;
+            self.routers_skipped = r.field("routers_skipped")?;
+            // Written by every snapshot; the value cannot change a result.
+            r.member("skip_idle")?
+                .bool()
+                .map_err(|_| SnapshotError::new("`skip_idle` is not a bool"))?;
+            self.flits_edge_dropped = r.field("flits_edge_dropped")?;
+            self.flits_dropped = r.field("flits_dropped")?;
+            self.flits_injected = r.field("flits_injected")?;
+            self.last_activity = r.field("last_activity")?;
+            // The wheel's base length is fixed by the link classes (which
+            // the config fingerprint pinned above), but serialisation
+            // pacing may have grown it past that, up to the horizon's
+            // bound; adopt the snapshot's length so in-flight wires land
+            // in the slots they left from.
+            let mut wires = Vec::new();
+            let slots = r.field_with("wires", |r| {
+                r.arr(|r, k| {
+                    r.arr(|r, _| {
+                        let w = Wire::decode(r)?;
+                        self.check_wire(&w)?;
+                        wires.push((k, w));
+                        Ok(())
+                    })
+                    .map(drop)
+                })
+            })?;
+            let Horizon { base, max } = self.part.horizon;
+            if !(base..=max).contains(&slots) {
+                return Err(SnapshotError::new(format!(
+                    "`wires` has {slots} slots, outside the horizon's {base}..={max}"
+                )));
+            }
+            self.part.reset_wheel(slots);
+            for (k, w) in wires {
                 self.part.load(k, w);
             }
-        }
-        // The deliveries are not in the snapshot (the log lives in the
-        // delivery stream); clear the tally (keeping its window) and the
-        // pending ones so a restore into a used network cannot leak
-        // them. A resume folds the stream prefix in afterwards.
-        self.tally.clear();
-        self.pending.clear();
-        self.links.restore_rows(v, "link_flits", |l| &mut l.flits)?;
-        self.links
-            .restore_rows(v, "link_free", |l| &mut l.free_at)?;
-        self.cycles_stepped = u64_field(v, "cycles_stepped")?;
-        if self.cycles_stepped == 0 {
-            for r in self.routers.iter_mut() {
-                r.mark_unstepped();
+            r.field_arr_of("routers", &[self.routers.len()], &mut |r, i| {
+                self.routers[i].restore_from(r)
+            })?;
+            if self.cycles_stepped == 0 {
+                self.routers.iter_mut().for_each(Router::mark_unstepped);
             }
-        }
-        self.routers_stepped = u64_field(v, "routers_stepped")?;
-        self.routers_skipped = u64_field(v, "routers_skipped")?;
-        // Written by every snapshot; the value cannot change a result.
-        if !matches!(field(v, "skip_idle")?, JsonValue::Bool(_)) {
-            return Err(SnapshotError::new("`skip_idle` is not a bool"));
-        }
-        self.flits_edge_dropped = u64_field(v, "flits_edge_dropped")?;
-        self.flits_dropped = u64_field(v, "flits_dropped")?;
-        self.flits_injected = u64_field(v, "flits_injected")?;
-        self.last_activity = u64_field(v, "last_activity")?;
-        // The shard cut is left alone (the thread count is orthogonal
-        // to state); the wheel it holds was loaded above, and the rest
-        // of its scratch is empty at every cycle boundary.
-        Ok(())
+            r.field_arr_of("nis", &[self.nis.len()], &mut |r, i| {
+                self.nis[i].restore_from(r)
+            })?;
+            self.links.decode_rows(r, "link_flits", |l| &mut l.flits)?;
+            self.links.decode_rows(r, "link_free", |l| &mut l.free_at)?;
+            // The deliveries are not in the snapshot (the log lives in the
+            // delivery stream); clear the tally (keeping its window) and
+            // the pending ones so a restore into a used network cannot
+            // leak them. A resume folds the stream prefix in afterwards.
+            // The shard cut is left alone (the thread count is orthogonal
+            // to state), and the rest of its scratch is empty at every
+            // cycle boundary.
+            self.tally.clear();
+            self.pending.clear();
+            Ok(())
+        })
     }
 }

@@ -3,10 +3,6 @@
 //! bounds how long one can grow.
 
 use super::links::Links;
-use noc_telemetry::json::{JsonSink, JsonValue};
-use noc_telemetry::snapshot::{
-    decode_field, str_field, u64_field, FromSnapshot, Snapshot, SnapshotError,
-};
 use noc_types::{Cycle, Flit, NetworkConfig, PortId, VcId};
 
 /// A flit or credit in flight on a link.
@@ -227,69 +223,12 @@ impl Wheel {
     }
 }
 
-impl Snapshot for Wire {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| match self {
-            Wire::Flit {
-                router,
-                port,
-                vc,
-                flit,
-            } => {
-                sink.field("t").str("flit");
-                sink.field("router").u64(*router as u64);
-                port.encode(sink.field("port"));
-                vc.encode(sink.field("vc"));
-                flit.encode(sink.field("flit"));
-            }
-            Wire::Credit {
-                router,
-                out_port,
-                vc,
-            } => {
-                sink.field("t").str("credit");
-                sink.field("router").u64(*router as u64);
-                out_port.encode(sink.field("out_port"));
-                vc.encode(sink.field("vc"));
-            }
-            Wire::Eject { node, flit } => {
-                sink.field("t").str("eject");
-                sink.field("node").u64(*node as u64);
-                flit.encode(sink.field("flit"));
-            }
-            Wire::NiCredit { router, vc } => {
-                sink.field("t").str("ni_credit");
-                sink.field("router").u64(*router as u64);
-                vc.encode(sink.field("vc"));
-            }
-        });
-    }
-}
-
-impl FromSnapshot for Wire {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        match str_field(v, "t")? {
-            "flit" => Ok(Wire::Flit {
-                router: u64_field(v, "router")? as usize,
-                port: decode_field(v, "port")?,
-                vc: decode_field(v, "vc")?,
-                flit: decode_field(v, "flit")?,
-            }),
-            "credit" => Ok(Wire::Credit {
-                router: u64_field(v, "router")? as usize,
-                out_port: decode_field(v, "out_port")?,
-                vc: decode_field(v, "vc")?,
-            }),
-            "eject" => Ok(Wire::Eject {
-                node: u64_field(v, "node")? as usize,
-                flit: decode_field(v, "flit")?,
-            }),
-            "ni_credit" => Ok(Wire::NiCredit {
-                router: u64_field(v, "router")? as usize,
-                vc: decode_field(v, "vc")?,
-            }),
-            other => Err(SnapshotError::new(format!("unknown wire tag `{other}`"))),
-        }
+noc_telemetry::record! {
+    Wire by "t" {
+        "flit" => Flit { router, port, vc, flit },
+        "credit" => Credit { router, out_port, vc },
+        "eject" => Eject { node, flit },
+        "ni_credit" => NiCredit { router, vc },
     }
 }
 

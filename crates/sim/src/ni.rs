@@ -268,10 +268,8 @@ impl NetworkInterface {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonSink, JsonValue};
-use noc_telemetry::snapshot::{
-    arr_field, decode_field, narrow, u64_field, FromSnapshot, Restore, Snapshot, SnapshotError,
-};
+use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::snapshot::{below, Restore, Snapshot, SnapshotError};
 
 impl Snapshot for NetworkInterface {
     /// Resumable state only; `node`/`vcs`/`depth`/`queue_cap` are
@@ -354,7 +352,7 @@ impl ActiveSend {
         for (i, f) in remaining.iter().enumerate() {
             if *f != send.flit(usize::from(send.next) + i) {
                 return Err(SnapshotError::new(format!(
-                    "[{i}] is not flit {} of packet {} as the send began it",
+                    "entry {i} is not flit {} of packet {} as the send began it",
                     usize::from(send.next) + i,
                     first.packet.0
                 )));
@@ -365,71 +363,62 @@ impl ActiveSend {
 }
 
 impl Restore for NetworkInterface {
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let credits = arr_field(v, "credits")?;
-        if credits.len() != self.credits.len() {
-            return Err(SnapshotError::new("`credits` length mismatch"));
-        }
-        let vc_taken = arr_field(v, "vc_taken")?;
-        if vc_taken.len() != self.vc_taken.len() {
-            return Err(SnapshotError::new("`vc_taken` length mismatch"));
-        }
-        for (vc, (slot, e)) in self.credits.iter_mut().zip(credits).enumerate() {
-            let c = e
-                .as_u64()
-                .ok_or_else(|| SnapshotError::new("`credits` entry is not a number"))?;
-            *slot = narrow(c, &format!("credits[{vc}]"))?;
-        }
-        for (slot, e) in self.vc_taken.iter_mut().zip(vc_taken) {
-            *slot = match e {
-                JsonValue::Bool(b) => *b,
-                _ => return Err(SnapshotError::new("`vc_taken` entry is not a bool")),
-            };
-        }
-        self.queue = Vec::<Packet>::from_snapshot(
-            v.get("queue")
-                .ok_or_else(|| SnapshotError::new("missing field `queue`"))?,
-        )
-        .map_err(|e| e.within("queue"))?
-        .into();
-        // Refilled in place: `sends` keeps its capacity of one entry a VC.
-        self.sends.clear();
-        for (i, s) in arr_field(v, "sends")?.iter().enumerate() {
-            let decoded = (|| {
-                let vc: VcId = decode_field(s, "vc")?;
-                if vc.index() >= self.vcs {
-                    return Err(SnapshotError::new(format!(
-                        "vc: {vc} of {} local-input VCs",
-                        self.vcs
-                    )));
-                }
-                let remaining: Vec<Flit> = decode_field(s, "remaining")?;
-                ActiveSend::from_remaining(vc, &remaining).map_err(|e| e.within("remaining"))
-            })();
-            let send = decoded.map_err(|e: SnapshotError| e.within(&format!("sends[{i}]")))?;
-            self.sends.push(send);
-        }
-        self.send_rr = u64_field(v, "send_rr")? as usize;
-        self.reassembly.clear();
-        for (i, entry) in arr_field(v, "reassembly")?.iter().enumerate() {
-            let id: PacketId =
-                decode_field(entry, "packet").map_err(|e| e.within(&format!("reassembly[{i}]")))?;
-            self.reassembly.insert(
-                id,
-                Reassembly {
-                    injected_at: u64_field(entry, "injected_at")?,
-                    created_at: u64_field(entry, "created_at")?,
-                    flits_seen: u64_field(entry, "flits_seen")? as usize,
-                },
-            );
-        }
-        self.offered = u64_field(v, "offered")?;
-        self.accepted = u64_field(v, "accepted")?;
-        self.injected = u64_field(v, "injected")?;
-        self.ejected = u64_field(v, "ejected")?;
-        self.misdelivered = u64_field(v, "misdelivered")?;
-        self.flits_ejected = u64_field(v, "flits_ejected")?;
-        Ok(())
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError> {
+        r.obj(|r| {
+            let queue: Vec<Packet> = r.field("queue")?;
+            self.queue = queue.into();
+            // Past the router's buffer depth, credits would overflow it.
+            r.field_arr_of("credits", &[self.vcs], &mut |r, vc| {
+                self.credits[vc] = below(r.u64()?, self.depth + 1, "credit count")?;
+                Ok(())
+            })?;
+            r.fill("vc_taken", &[self.vcs], &mut self.vc_taken)?;
+            // Refilled in place: `sends` keeps its capacity of one entry a VC.
+            self.sends.clear();
+            r.field_with("sends", |r| {
+                r.arr(|r, _| {
+                    let send = r.obj(|r| {
+                        let vc: VcId = r.field("vc")?;
+                        if vc.index() >= self.vcs {
+                            return Err(SnapshotError::new(format!(
+                                "vc: {vc} of {} local-input VCs",
+                                self.vcs
+                            )));
+                        }
+                        let remaining: Vec<Flit> = r.field("remaining")?;
+                        ActiveSend::from_remaining(vc, &remaining)
+                            .map_err(|e| e.within("remaining"))
+                    })?;
+                    self.sends.push(send);
+                    Ok(())
+                })
+            })?;
+            // Round-robin over the sends: `inject` indexes with it.
+            let sends = self.sends.len().max(1);
+            self.send_rr = below(r.field("send_rr")?, sends, "`send_rr`")?;
+            self.reassembly.clear();
+            r.field_with("reassembly", |r| {
+                r.arr(|r, _| {
+                    r.obj(|r| {
+                        let id: PacketId = r.field("packet")?;
+                        let re = Reassembly {
+                            injected_at: r.field("injected_at")?,
+                            created_at: r.field("created_at")?,
+                            flits_seen: r.field("flits_seen")?,
+                        };
+                        self.reassembly.insert(id, re);
+                        Ok(())
+                    })
+                })
+            })?;
+            self.offered = r.field("offered")?;
+            self.accepted = r.field("accepted")?;
+            self.injected = r.field("injected")?;
+            self.ejected = r.field("ejected")?;
+            self.misdelivered = r.field("misdelivered")?;
+            self.flits_ejected = r.field("flits_ejected")?;
+            Ok(())
+        })
     }
 }
 
@@ -437,6 +426,7 @@ impl Restore for NetworkInterface {
 mod tests {
     use super::*;
     use noc_telemetry::json::obj;
+    use noc_telemetry::JsonValue;
     use noc_types::PacketKind;
 
     fn ni() -> NetworkInterface {

@@ -5,10 +5,8 @@ use crate::delivery::{DeliveryStream, MemoryStream, NullStream};
 use crate::network::Network;
 use crate::stats::NetworkReport;
 use noc_faults::FaultPlan;
-use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter, TreeBuilder};
-use noc_telemetry::snapshot::{
-    field, u64_field, Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION,
-};
+use noc_telemetry::json::{JsonReader, JsonSink, JsonValue, JsonWriter, TreeBuilder};
+use noc_telemetry::snapshot::{Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use noc_telemetry::{EpochSample, NullObserver, Observer, ShardedTracer, TimeSeries};
 use noc_traffic::TrafficGenerator;
 use noc_types::{Cycle, DeliveredPacket, NetworkConfig, Packet, SimConfig};
@@ -157,36 +155,15 @@ impl EpochState {
         self.routers_stepped = net.routers_stepped();
         self.routers_skipped = net.routers_skipped();
     }
-
-    fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(EpochState {
-            series: TimeSeries::from_json(field(v, "series")?).map_err(|e| e.within("series"))?,
-            epoch_start: u64_field(v, "epoch_start")?,
-            deliveries_seen: u64_field(v, "deliveries_seen")?,
-            // Refilled from the stream prefix past `deliveries_seen`.
-            open: OpenEpoch::default(),
-            flits_ejected: u64_field(v, "flits_ejected")?,
-            flits_injected: u64_field(v, "flits_injected")?,
-            routers_stepped: u64_field(v, "routers_stepped")?,
-            routers_skipped: u64_field(v, "routers_skipped")?,
-        })
-    }
 }
 
-/// The sampler's resumable state; the open epoch is refilled from the
-/// delivery stream on resume.
-impl Snapshot for EpochState {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.series.encode(sink.field("series"));
-            sink.field("epoch_start").u64(self.epoch_start);
-            sink.field("deliveries_seen").u64(self.deliveries_seen);
-            sink.field("flits_ejected").u64(self.flits_ejected);
-            sink.field("flits_injected").u64(self.flits_injected);
-            sink.field("routers_stepped").u64(self.routers_stepped);
-            sink.field("routers_skipped").u64(self.routers_skipped);
-        });
-    }
+// The sampler's resumable state; the open epoch is refilled from the
+// delivery stream on resume.
+noc_telemetry::record! {
+    EpochState {
+        series, epoch_start, deliveries_seen, flits_ejected, flits_injected, routers_stepped,
+        routers_skipped,
+    } skip { open }
 }
 
 /// What [`Simulator::run_core`] drives each cycle: a packet generator
@@ -232,33 +209,19 @@ impl<F: FnMut(Cycle, &mut Vec<Packet>)> CoreSource for FnSource<'_, F> {
 /// way: the copy is independent of the live network, so the document
 /// is the one the boundary would have produced.
 pub struct Checkpoint {
-    cycle: Cycle,
-    delivery_offset: u64,
-    epochs: Option<EpochState>,
+    head: CheckpointHead,
     source: JsonValue,
     network: Network,
 }
 
 impl Checkpoint {
-    /// The cycle the run resumes at.
-    pub fn cycle(&self) -> Cycle {
-        self.cycle
-    }
-
-    /// How many leading entries of the delivery stream this checkpoint
-    /// vouches for.
-    pub fn delivery_offset(&self) -> u64 {
-        self.delivery_offset
-    }
-
-    /// The epoch series so far, the document's `epochs.series`; `None`
-    /// when the run does not sample.
-    pub fn epoch_series(&self) -> Option<&TimeSeries> {
-        self.epochs.as_ref().map(|e| &e.series)
+    /// The cycle, the delivery offset and the epoch series it carries.
+    pub fn head(&self) -> &CheckpointHead {
+        &self.head
     }
 
     /// The complete self-describing checkpoint document (schema v4):
-    /// feed it back as `resume_from`, on a `Simulator` with the same
+    /// feed its text back as `resume_from`, on a `Simulator` with the same
     /// configuration, to resume.
     pub fn document(&self) -> JsonValue {
         TreeBuilder::build(|tree| self.encode(tree))
@@ -272,20 +235,80 @@ impl Checkpoint {
 
     fn encode<S: JsonSink>(&self, sink: &mut S) {
         sink.obj(|sink| {
-            sink.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
-            sink.field("cycle").u64(self.cycle);
-            sink.field("delivery_offset").u64(self.delivery_offset);
-            self.epochs.encode(sink.field("epochs"));
+            self.head.write(sink);
             self.source.encode(sink.field("source"));
             // The live spatial grid, so observers (the service's
             // `/jobs/:id/progress`) can read a heatmap straight off the
             // last durable checkpoint. Deterministic (router-owned
             // counters), so resumed runs reproduce it exactly; the
-            // restore path ignores it — the grid is re-derived from the
+            // restore path skips it — the grid is re-derived from the
             // restored routers.
             self.network.spatial_grid().encode(sink.field("progress"));
             self.network.encode(sink.field("network"));
         });
+    }
+}
+
+/// The leading members of a checkpoint document: its cycle, its
+/// delivery offset and the epoch sampler.
+pub struct CheckpointHead {
+    cycle: Cycle,
+    delivery_offset: u64,
+    epochs: Option<EpochState>,
+}
+
+impl CheckpointHead {
+    /// Write the head members into the open checkpoint object.
+    fn write<S: JsonSink>(&self, sink: &mut S) {
+        sink.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
+        sink.field("cycle").u64(self.cycle);
+        sink.field("delivery_offset").u64(self.delivery_offset);
+        self.epochs.encode(sink.field("epochs"));
+    }
+
+    /// Read the head members of the checkpoint object open at `r`.
+    fn read(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        let version: u64 = r.field("schema_version")?;
+        if version != SNAPSHOT_SCHEMA_VERSION {
+            return Err(SnapshotError::new(format!(
+                "checkpoint schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
+            )));
+        }
+        Ok(CheckpointHead {
+            cycle: r.field("cycle")?,
+            delivery_offset: r.field("delivery_offset")?,
+            epochs: r.field("epochs")?,
+        })
+    }
+
+    /// The head of checkpoint `text`, read off the text; the rest of the
+    /// document is checked for syntax only.
+    pub fn of(text: &str) -> Result<Self, SnapshotError> {
+        let mut r = JsonReader::new(text);
+        r.begin_obj()?;
+        let head = Self::read(&mut r)?;
+        while r.key()?.is_some() {
+            r.skip()?;
+        }
+        r.end()?;
+        Ok(head)
+    }
+
+    /// The cycle the run resumes at.
+    pub fn cycle(&self) -> Cycle {
+        self.cycle
+    }
+
+    /// How many leading entries of the delivery stream the checkpoint
+    /// vouches for.
+    pub fn delivery_offset(&self) -> u64 {
+        self.delivery_offset
+    }
+
+    /// The epoch series so far, the document's `epochs.series`; `None`
+    /// when the run does not sample.
+    pub fn epoch_series(&self) -> Option<&TimeSeries> {
+        self.epochs.as_ref().map(|e| &e.series)
     }
 }
 
@@ -326,9 +349,11 @@ impl<S: PacketSource, F: FnMut(Checkpoint) -> bool> CoreSource for Checkpointing
             return false;
         }
         (self.sink)(Checkpoint {
-            cycle: next,
-            delivery_offset: self.offset,
-            epochs: epochs.clone(),
+            head: CheckpointHead {
+                cycle: next,
+                delivery_offset: self.offset,
+                epochs: epochs.clone(),
+            },
             source: self.source.snapshot(),
             network: net.clone(),
         })
@@ -408,8 +433,9 @@ impl Simulator {
 
     /// Run a checkpointable simulation against a [`PacketSource`].
     ///
-    /// When `resume_from` is `Some`, the network, the source and the
-    /// epoch sampler are restored from the checkpoint and the loop
+    /// When `resume_from` is `Some` checkpoint text, the network, the
+    /// source and the epoch sampler are restored from it, read straight
+    /// off the text with no document tree between, and the loop
     /// continues from the checkpointed cycle; the returned report is
     /// **byte-for-byte identical** (via [`NetworkReport::to_json`]) to
     /// the report an uninterrupted run would have produced, for either
@@ -418,7 +444,7 @@ impl Simulator {
     /// When [`Simulator::with_checkpoint_every`] is set, `on_checkpoint`
     /// receives a complete self-describing checkpoint document every
     /// `n` cycles ([`Checkpoint::document`] of what
-    /// [`Simulator::run_streamed`] hands over); feed one back as
+    /// [`Simulator::run_streamed`] hands over); feed its text back as
     /// `resume_from` (on a `Simulator` with the same configuration) to
     /// resume. Returning `false` from the callback interrupts the run
     /// ([`SimOutcome::Interrupted`]) right after the checkpoint it was
@@ -426,7 +452,7 @@ impl Simulator {
     pub fn run_resumable<S: PacketSource>(
         &self,
         source: &mut S,
-        resume_from: Option<&JsonValue>,
+        resume_from: Option<&str>,
         mut on_checkpoint: impl FnMut(&JsonValue) -> bool,
     ) -> Result<(NetworkReport, SimOutcome), SnapshotError> {
         // A throwaway in-memory stream: fine for fresh runs and for
@@ -456,7 +482,7 @@ impl Simulator {
     /// New deliveries are appended to `stream` at every checkpoint
     /// boundary the stream is [`DeliveryStream::ready`] for, *before*
     /// the checkpoint (which records the resulting stream offset as
-    /// [`Checkpoint::delivery_offset`]) reaches `on_checkpoint`, and once
+    /// [`CheckpointHead::delivery_offset`]) reaches `on_checkpoint`, and once
     /// more when the run completes — so after a completed run the
     /// stream holds the full delivery log, and it is the only place the
     /// log is kept: between boundaries the network holds only the
@@ -477,7 +503,7 @@ impl Simulator {
         &self,
         source: &mut S,
         stream: &mut dyn DeliveryStream,
-        resume_from: Option<&JsonValue>,
+        resume_from: Option<&str>,
         on_checkpoint: impl FnMut(Checkpoint) -> bool,
     ) -> Result<(NetworkReport, SimOutcome), SnapshotError> {
         let mut net = self.build_network();
@@ -489,26 +515,27 @@ impl Simulator {
                     .map_err(|e| e.within("stream"))?;
                 (0, self.epochs_from(&net), 0)
             }
-            Some(v) => {
-                let version = u64_field(v, "schema_version")?;
-                if version != SNAPSHOT_SCHEMA_VERSION {
-                    return Err(SnapshotError::new(format!(
-                        "checkpoint schema version {version} != supported \
-                         {SNAPSHOT_SCHEMA_VERSION}"
-                    )));
-                }
-                let offset = u64_field(v, "delivery_offset")?;
-                // Validate the checkpoint before touching the stream,
-                // so a mismatched document cannot cost stream data.
-                net.restore(field(v, "network")?)
-                    .map_err(|e| e.within("network"))?;
+            Some(text) => {
+                let mut r = JsonReader::new(text);
+                let (head, source_text) = r.obj(|r| {
+                    let head = CheckpointHead::read(r)?;
+                    // The source is restored once the network is: a
+                    // mismatched document must not touch the caller's.
+                    let source_text = r.member("source")?.skip()?;
+                    // Informational: re-derived from the routers.
+                    r.member("progress")?.skip()?;
+                    r.field_with("network", |r| net.restore_from(r))?;
+                    Ok((head, source_text))
+                })?;
+                r.end()?;
                 source
-                    .restore(field(v, "source")?)
+                    .restore_text(source_text)
                     .map_err(|e| e.within("source"))?;
-                let mut epochs = match field(v, "epochs")? {
-                    JsonValue::Null => None,
-                    ep => Some(EpochState::from_json(ep).map_err(|e| e.within("epochs"))?),
-                };
+                let CheckpointHead {
+                    cycle,
+                    delivery_offset: offset,
+                    mut epochs,
+                } = head;
                 if let Some(ep) = epochs.as_ref().filter(|ep| ep.deliveries_seen > offset) {
                     return Err(SnapshotError::new(format!(
                         "`deliveries_seen` {} is past the delivery offset {offset}",
@@ -516,8 +543,10 @@ impl Simulator {
                     ))
                     .within("epochs"));
                 }
-                // The kept prefix is the tally's, and its entries past
-                // the open epoch's start are that epoch's.
+                // Validated before touching the stream, so a mismatched
+                // document cannot cost stream data. The kept prefix is
+                // the tally's, and its entries past the open epoch's
+                // start are that epoch's.
                 let mut index = 0u64;
                 stream
                     .truncate(offset, &mut |d| {
@@ -528,7 +557,7 @@ impl Simulator {
                         index += 1;
                     })
                     .map_err(|e| e.within("stream"))?;
-                (u64_field(v, "cycle")?, epochs, offset)
+                (cycle, epochs, offset)
             }
         };
         let mut nulls = vec![NullObserver; net.shard_count()];

@@ -183,7 +183,7 @@ fn checkpointed_and_resumed_runs_report_what_their_log_says() {
             let mut checkpoints = Vec::new();
             let (report, _) = sim
                 .run_streamed(&mut generator(), &mut stream, None, |c| {
-                    checkpoints.push(c.document());
+                    checkpoints.push(c.document().render());
                     true
                 })
                 .unwrap();

@@ -173,7 +173,7 @@ fn corrupt_network_checkpoints_fail_typed() {
         }
     }
     type Doctor = fn(&mut JsonValue);
-    let cases: [(&str, Doctor, &str); 5] = [
+    let cases: [(&str, Doctor, &str); 12] = [
         (
             "too few wire slots",
             |n| items(field_mut(n, "wires")).clear(),
@@ -199,6 +199,56 @@ fn corrupt_network_checkpoints_fail_typed() {
             |n| *field_mut(n, "skip_idle") = JsonValue::Num(1.0),
             "`skip_idle` is not a bool",
         ),
+        // The stepper indexes with a wire's router, port and VC, and
+        // with a grant's ports, mux and VCs, unchecked: each restored
+        // `Ok` once, then panicked at the next step or lost a flit.
+        (
+            "a flit wire to port 9",
+            |n| *field_mut(&mut items(&mut items(field_mut(n, "wires"))[0])[0], "port") = 9u64.into(),
+            "wires[0][0]: a wire to port 9 of 5",
+        ),
+        (
+            "a grant from input port 9",
+            |n| {
+                let router = &mut items(field_mut(n, "routers"))[1];
+                *field_mut(&mut items(field_mut(router, "xb_queue"))[0], "in_port") = 9u64.into();
+            },
+            "routers[1]: xb_queue[0]: a grant P9.VC1 -> P3 (mux P3) VC0 outside a 5-port 4-VC router",
+        ),
+        (
+            "a flit wire to router 995",
+            |n| *field_mut(&mut items(&mut items(field_mut(n, "wires"))[0])[0], "router") = 995u64.into(),
+            "wires[0][0]: a wire to router 995 of 16",
+        ),
+        (
+            "an active VC routed to port 9",
+            |n| {
+                let router = &mut items(field_mut(n, "routers"))[1];
+                let port = &mut items(field_mut(router, "ports"))[2];
+                let vc = &mut items(field_mut(port, "vcs"))[1];
+                *field_mut(field_mut(vc, "fields"), "r") = 9u64.into();
+            },
+            "routers[1]: ports[2]: vcs[1]: fields: a port or VC outside a 5-port 4-VC router",
+        ),
+        (
+            "credits past the buffer depth",
+            |n| {
+                let credits = field_mut(&mut items(field_mut(n, "routers"))[5], "credits");
+                items(&mut items(credits)[2])[3] = 200u64.into();
+            },
+            "routers[5]: credits[2][3]: credit count 200 is not below 5",
+        ),
+        // Integers read only a run of digits that fits their field.
+        (
+            "a send_rr past u64",
+            |n| *field_mut(&mut items(field_mut(n, "nis"))[15], "send_rr") = JsonValue::Num(1e20),
+            "nis[15]: send_rr: JSON parse error",
+        ),
+        (
+            "a send_rr past the sends",
+            |n| *field_mut(&mut items(field_mut(n, "nis"))[15], "send_rr") = 1u64.into(),
+            "nis[15]: `send_rr` 1 is not below 1",
+        ),
     ];
     let golden = JsonValue::parse(
         &std::fs::read_to_string(GOLDEN_PATH).expect("committed golden artefact exists"),
@@ -213,6 +263,39 @@ fn corrupt_network_checkpoints_fail_typed() {
         let err = net.restore(&doc).expect_err(case).to_string();
         assert!(err.contains(expected), "{case}: {err}");
     }
+    // A whole number written with a fraction is no integer either.
+    let network = golden.get("network").unwrap();
+    let (text, cycles) = (network.render(), network.get("cycles_stepped").unwrap());
+    let cycles = format!("\"cycles_stepped\":{},", cycles.render());
+    assert_eq!(text.matches(&cycles).count(), 1);
+    let doctored = text.replace(&cycles, &cycles.replace(',', ".0,"));
+    let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &FaultPlan::none());
+    let err = net
+        .restore_text(&doctored)
+        .expect_err("a fractional counter")
+        .to_string();
+    assert!(err.contains("cycles_stepped: JSON parse error"), "{err}");
+}
+
+/// A checkpoint cut short — a torn spool file — fails typed wherever
+/// it is cut: at every 251st byte of the golden network's text, and at
+/// every byte of its first and last 512.
+#[test]
+fn truncated_checkpoints_fail_typed() {
+    let golden = JsonValue::parse(
+        &std::fs::read_to_string(GOLDEN_PATH).expect("committed golden artefact exists"),
+    )
+    .unwrap();
+    let text = golden.get("network").unwrap().render();
+    let mut net_cfg = NetworkConfig::paper();
+    net_cfg.mesh_k = 4;
+    let mut net = Network::with_faults(net_cfg, RouterKind::Protected, &FaultPlan::none());
+    let ends = (0..512).chain(text.len() - 512..text.len());
+    for cut in (0..text.len()).step_by(251).chain(ends) {
+        assert!(net.restore_text(&text[..cut]).is_err(), "cut at byte {cut}");
+    }
+    net.restore_text(&text).expect("the whole text restores");
+    assert_eq!(net.snapshot().render(), text);
 }
 
 /// A tiny deterministic PRNG for the property tests (not `noc_types::rng`,

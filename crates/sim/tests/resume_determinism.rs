@@ -105,11 +105,10 @@ fn assert_resume_deterministic(cfg: NetworkConfig, kind: RouterKind, plan: Fault
         // truncate it back to the offset and re-execution must re-append
         // the discarded tail identically.
         for (i, text) in checkpoints.iter().enumerate() {
-            let doc = JsonValue::parse(text).expect("checkpoint must parse");
             let mut gen = generator(&cfg);
             let mut stream = MemoryStream::from_entries(reference_stream.clone());
             let (resumed, _) = sim
-                .run_streamed(&mut gen, &mut stream, Some(&doc), |_| true)
+                .run_streamed(&mut gen, &mut stream, Some(text), |_| true)
                 .unwrap();
             assert_eq!(
                 resumed.to_json().render(),
@@ -191,12 +190,12 @@ fn a_checkpoint_is_a_snapshot_of_its_boundary() {
                 );
                 assert_eq!(
                     doc.get("delivery_offset").and_then(JsonValue::as_u64),
-                    Some(checkpoint.delivery_offset()),
+                    Some(checkpoint.head().delivery_offset()),
                     "{case}"
                 );
                 let mut stream = MemoryStream::from_entries(reference_stream.clone());
                 let (resumed, _) = sim
-                    .run_streamed(&mut generator(&cfg), &mut stream, Some(&doc), |_| true)
+                    .run_streamed(&mut generator(&cfg), &mut stream, Some(rendered), |_| true)
                     .unwrap();
                 assert_eq!(resumed.to_json().render(), reference, "{case}");
                 assert_eq!(stream.entries(), &reference_stream[..], "{case}");
@@ -326,11 +325,11 @@ fn snapshots_and_resumes_do_not_depend_on_the_shard_count() {
         })
         .unwrap();
     let entries = stream.into_entries();
-    let doc = JsonValue::parse(&checkpoints[1]).unwrap();
+    let doc = &checkpoints[1];
     for threads in [1, 2] {
         let mut stream = MemoryStream::from_entries(entries.clone());
         let (resumed, _) = simulator(cfg, RouterKind::Protected, plan.clone(), threads)
-            .run_streamed(&mut generator(&cfg), &mut stream, Some(&doc), |_| true)
+            .run_streamed(&mut generator(&cfg), &mut stream, Some(doc), |_| true)
             .unwrap();
         assert_eq!(
             resumed.to_json().render(),
@@ -413,12 +412,12 @@ fn checkpoint_refuses_mismatched_configuration() {
         true
     })
     .unwrap();
-    let doc = JsonValue::parse(&checkpoints[0]).unwrap();
+    let doc = &checkpoints[0];
 
     // Same checkpoint, wrong router kind: restore must fail loudly
     // rather than resume into a different machine.
     let wrong = simulator(cfg, RouterKind::Baseline, FaultPlan::none(), 1);
     let mut gen = generator(&cfg);
-    let err = wrong.run_resumable(&mut gen, Some(&doc), |_| true);
+    let err = wrong.run_resumable(&mut gen, Some(doc), |_| true);
     assert!(err.is_err(), "restoring into the wrong kind must fail");
 }

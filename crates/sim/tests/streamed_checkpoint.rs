@@ -79,7 +79,7 @@ fn streamed_documents(
         assert!(
             *text == tree.render(),
             "{case}: the streamed checkpoint at cycle {} differs from the tree's",
-            c.cycle()
+            c.head().cycle()
         );
         assert_eq!(JsonValue::parse(text).unwrap(), tree, "{case}");
     };

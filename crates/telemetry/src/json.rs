@@ -1,17 +1,21 @@
 //! A minimal JSON document model, one encoder interface with a text
-//! writer and a tree builder behind it, and a validating parser.
+//! writer and a tree builder behind it, and one pull reader.
 //!
 //! Exporters hand-roll their JSON through this module. An encoder is a
 //! sequence of [`JsonSink`] calls; [`JsonWriter`] turns them into text
 //! as they come and [`TreeBuilder`] into a [`JsonValue`], so one
 //! encoder yields both forms and [`JsonValue::render`] is the writer
 //! run over a tree: the number and escape rules live in the writer
-//! alone. The parser exists so tests and the CI leg can *validate* what
-//! the exporters wrote — round-tripping our own output is the contract,
-//! not general-purpose JSON compliance, though the parser does accept
-//! arbitrary well-formed documents.
+//! alone. [`JsonReader`] is the one parser: snapshot decoders pull
+//! their tokens from it straight off the text, and
+//! [`JsonValue::parse`] is the reader replaying the text into a
+//! [`TreeBuilder`], so the syntax rules live in the reader alone.
+//! Round-tripping our own output is the contract, not general-purpose
+//! JSON compliance, though the reader accepts arbitrary well-formed
+//! documents.
 
-use std::collections::BTreeMap;
+use std::borrow::Cow;
+use std::collections::BTreeSet;
 use std::fmt::Write as _;
 
 /// A parsed or under-construction JSON value.
@@ -109,17 +113,14 @@ impl JsonValue {
     }
 
     /// Parse a JSON document, requiring it to be a single value with
-    /// nothing but whitespace after it.
+    /// nothing but whitespace after it: a [`JsonReader`] replaying the
+    /// text into a [`TreeBuilder`].
     pub fn parse(text: &str) -> Result<JsonValue, JsonError> {
-        let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != bytes.len() {
-            return Err(p.err("trailing characters after JSON value"));
-        }
-        Ok(v)
+        let mut tree = TreeBuilder::new();
+        let mut r = JsonReader::new(text);
+        r.read_into(&mut tree)?;
+        r.end()?;
+        Ok(tree.root.expect("a value was read"))
     }
 }
 
@@ -316,14 +317,18 @@ impl TreeBuilder {
     /// The tree `encode` sends to a builder. Panics if it sends no
     /// value, or leaves a container open: the encoder is broken.
     pub fn build(encode: impl FnOnce(&mut TreeBuilder)) -> JsonValue {
-        let mut tree = TreeBuilder {
-            open: Vec::new(),
-            key: None,
-            root: None,
-        };
+        let mut tree = TreeBuilder::new();
         encode(&mut tree);
         assert!(tree.open.is_empty(), "an encoder left a container open");
         tree.root.expect("an encoder sent no value")
+    }
+
+    fn new() -> Self {
+        TreeBuilder {
+            open: Vec::new(),
+            key: None,
+            root: None,
+        }
     }
 
     fn value(&mut self, v: JsonValue) {
@@ -468,12 +473,32 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over JSON text: the one JSON parser.
+///
+/// A decoder asks for the tokens it expects, in document order — open
+/// an object, a key, a number, … — and the reader checks the syntax as
+/// it goes, so a document is decoded straight from its text with no
+/// tree between. [`JsonReader::read_into`] replays the next value into
+/// any [`JsonSink`]; [`JsonValue::parse`] is that, into a
+/// [`TreeBuilder`]. Every error carries the byte offset it occurred at.
+pub struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
+    /// A value was read at the current level, so the next member or
+    /// item is preceded by a comma.
+    comma: bool,
 }
 
-impl<'a> Parser<'a> {
+impl<'a> JsonReader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            comma: false,
+        }
+    }
+
     fn err(&self, message: &str) -> JsonError {
         JsonError {
             at: self.pos,
@@ -482,191 +507,285 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
-    fn skip_ws(&mut self) {
+    /// Skip whitespace; the next byte.
+    fn next_byte(&mut self) -> Option<u8> {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
+        self.peek()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), JsonError> {
-        if self.peek() == Some(b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", b as char)))
+        if self.next_byte() != Some(b) {
+            return Err(self.err(&format!("expected '{}'", b as char)));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn literal(&mut self, lit: &str) -> Result<(), JsonError> {
+        if !self.text[self.pos..].starts_with(lit) {
+            return Err(self.err(&format!("expected '{lit}'")));
+        }
+        self.pos += lit.len();
+        Ok(())
+    }
+
+    /// Whether the next value is `null`, read if it is.
+    pub fn take_null(&mut self) -> Result<bool, JsonError> {
+        let null = self.next_byte() == Some(b'n');
+        if null {
+            self.literal("null")?;
+        }
+        Ok(null)
+    }
+
+    /// A `true` or `false`.
+    pub fn bool(&mut self) -> Result<bool, JsonError> {
+        match self.next_byte() {
+            Some(b't') => self.literal("true").map(|()| true),
+            Some(b'f') => self.literal("false").map(|()| false),
+            _ => Err(self.err("expected true or false")),
         }
     }
 
-    fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, JsonError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(v)
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self) -> Result<JsonValue, JsonError> {
-        match self.peek() {
-            Some(b'n') => self.literal("null", JsonValue::Null),
-            Some(b't') => self.literal("true", JsonValue::Bool(true)),
-            Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+    /// Any number.
+    pub fn num(&mut self) -> Result<f64, JsonError> {
+        match self.next_byte() {
             Some(b'-' | b'0'..=b'9') => self.number(),
-            Some(_) => Err(self.err("unexpected character")),
-            None => Err(self.err("unexpected end of input")),
+            _ => Err(self.err("expected a number")),
         }
     }
 
-    fn array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
+    /// A non-negative integer: a run of digits that fits a `u64`, and
+    /// nothing else — no sign, fraction or exponent (`100.0`, `1e20`).
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
+        self.next_byte();
+        let run = self.digits();
+        let digits = &self.text[self.pos..self.pos + run];
+        if run == 0
+            || matches!(
+                self.text.as_bytes().get(self.pos + run),
+                Some(b'.' | b'e' | b'E')
+            )
+        {
+            return Err(self.err("expected an unsigned integer"));
         }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Arr(items));
-                }
-                _ => return Err(self.err("expected ',' or ']' in array")),
-            }
-        }
+        let n = digits
+            .parse()
+            .map_err(|_| self.err("integer does not fit a u64"))?;
+        self.pos += run;
+        Ok(n)
     }
 
-    fn object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        let mut seen: BTreeMap<String, ()> = BTreeMap::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            if seen.insert(key.clone(), ()).is_some() {
-                return Err(self.err(&format!("duplicate object key {key:?}")));
-            }
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let val = self.value()?;
-            pairs.push((key, val));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Obj(pairs));
-                }
-                _ => return Err(self.err("expected ',' or '}' in object")),
-            }
-        }
+    /// The length of the run of digits at the reader.
+    fn digits(&self) -> usize {
+        let rest = &self.text.as_bytes()[self.pos..];
+        rest.iter().take_while(|b| b.is_ascii_digit()).count()
     }
 
-    fn string(&mut self) -> Result<String, JsonError> {
+    /// A string, borrowed from the text when it holds no escape.
+    pub fn str(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut out = Cow::Borrowed("");
         loop {
+            // Runs end at a quote or a backslash: ASCII, so a char
+            // boundary. Per-character work here once made parsing
+            // quadratic.
+            let rest = &self.text[self.pos..];
+            let run = rest.find(['"', '\\']).unwrap_or(rest.len());
+            match out {
+                Cow::Borrowed(_) => out = Cow::Borrowed(&rest[..run]),
+                Cow::Owned(ref mut s) => s.push_str(&rest[..run]),
+            }
+            self.pos += run;
             match self.peek() {
                 None => return Err(self.err("unterminated string")),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                _ => {
                     self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000C}'),
-                        Some(b'u') => {
-                            let start = self.pos + 1;
-                            let hex = self
-                                .bytes
-                                .get(start..start + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .ok_or_else(|| self.err("bad \\u escape"))?;
-                            // Surrogate pairs are not needed for our
-                            // own output; reject rather than mis-decode.
-                            let c = char::from_u32(hex)
-                                .ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("bad escape character")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume the whole run up to the next quote or
-                    // escape in one step. Validating per character
-                    // (str::from_utf8 on the full remaining input)
-                    // made parsing quadratic — minutes on the
-                    // multi-megabyte partial-result bodies.
-                    let rest = &self.bytes[self.pos..];
-                    let run = rest
-                        .iter()
-                        .position(|&b| b == b'"' || b == b'\\')
-                        .unwrap_or(rest.len());
-                    let s =
-                        std::str::from_utf8(&rest[..run]).map_err(|_| self.err("invalid UTF-8"))?;
-                    out.push_str(s);
-                    self.pos += run;
+                    self.escape(out.to_mut())?;
                 }
             }
         }
     }
 
-    fn number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Decode the escape after a backslash into `out`.
+    fn escape(&mut self, out: &mut String) -> Result<(), JsonError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{0008}',
+            Some(b'f') => '\u{000C}',
+            Some(b'u') => {
+                let hex = self.text.get(self.pos + 1..self.pos + 5);
+                let hex = hex.and_then(|h| u32::from_str_radix(h, 16).ok());
+                let hex = hex.ok_or_else(|| self.err("bad \\u escape"))?;
+                // Surrogate pairs are not needed for our own output;
+                // reject rather than mis-decode.
+                let c = char::from_u32(hex);
+                let c = c.ok_or_else(|| self.err("\\u escape is not a scalar value"))?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.err("bad escape character")),
+        };
+        out.push(c);
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn number(&mut self) -> Result<f64, JsonError> {
         let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
-            self.pos += 1;
-        }
+        self.pos += usize::from(self.peek() == Some(b'-'));
+        self.pos += self.digits();
         if self.peek() == Some(b'.') {
             self.pos += 1;
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.pos += self.digits();
         }
         if matches!(self.peek(), Some(b'e' | b'E')) {
             self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            while matches!(self.peek(), Some(b'0'..=b'9')) {
-                self.pos += 1;
-            }
+            self.pos += usize::from(matches!(self.peek(), Some(b'+' | b'-')));
+            self.pos += self.digits();
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.err("invalid number"))
+        let text = &self.text[start..self.pos];
+        text.parse().map_err(|_| self.err("invalid number"))
     }
+
+    /// Open an object.
+    pub fn begin_obj(&mut self) -> Result<(), JsonError> {
+        self.expect(b'{')?;
+        self.comma = false;
+        Ok(())
+    }
+
+    /// The key of the next member of the open object, its colon read;
+    /// `None` at the object's end, its `}` read.
+    pub fn key(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        let key = self.key_str()?;
+        if key.is_some() {
+            self.expect(b':')?;
+        }
+        Ok(key)
+    }
+
+    /// [`JsonReader::key`] up to the key's closing quote.
+    fn key_str(&mut self) -> Result<Option<Cow<'a, str>>, JsonError> {
+        match self.next_byte() {
+            Some(b'}') => {
+                self.pos += 1;
+                self.comma = true;
+                return Ok(None);
+            }
+            Some(b',') if self.comma => self.pos += 1,
+            _ if self.comma => return Err(self.err("expected ',' or '}' in object")),
+            _ => self.comma = true,
+        }
+        self.str().map(Some)
+    }
+
+    /// Open an array.
+    pub fn begin_arr(&mut self) -> Result<(), JsonError> {
+        self.expect(b'[')?;
+        self.comma = false;
+        Ok(())
+    }
+
+    /// Whether the open array has another item; at its end, its `]` is
+    /// read.
+    pub fn next_item(&mut self) -> Result<bool, JsonError> {
+        let more = match self.next_byte() {
+            Some(b']') => false,
+            Some(b',') if self.comma => true,
+            _ if self.comma => return Err(self.err("expected ',' or ']' in array")),
+            _ => {
+                self.comma = true;
+                return Ok(true);
+            }
+        };
+        self.pos += 1;
+        self.comma = true;
+        Ok(more)
+    }
+
+    /// Replay the next value into `sink`, checking its syntax — and that
+    /// no object repeats a key — on the way: the reader's side of
+    /// [`JsonValue::encode`].
+    pub fn read_into<S: JsonSink>(&mut self, sink: &mut S) -> Result<(), JsonError> {
+        match self.next_byte() {
+            Some(b'{') => {
+                self.begin_obj()?;
+                sink.begin_obj();
+                let mut seen = BTreeSet::new();
+                while let Some(key) = self.key_str()? {
+                    if !seen.insert(key.clone()) {
+                        return Err(self.err(&format!("duplicate object key {key:?}")));
+                    }
+                    self.expect(b':')?;
+                    sink.key(&key);
+                    self.read_into(sink)?;
+                }
+                sink.end_obj();
+            }
+            Some(b'[') => {
+                self.begin_arr()?;
+                sink.begin_arr();
+                while self.next_item()? {
+                    self.read_into(sink)?;
+                }
+                sink.end_arr();
+            }
+            Some(b'"') => sink.str(&self.str()?),
+            Some(b'n') => self.literal("null").map(|()| sink.null())?,
+            Some(b't' | b'f') => sink.bool(self.bool()?),
+            Some(b'-' | b'0'..=b'9') => sink.num(self.number()?),
+            Some(_) => return Err(self.err("unexpected character")),
+            None => return Err(self.err("unexpected end of input")),
+        }
+        Ok(())
+    }
+
+    /// Read past the next value, checking its syntax, and return its
+    /// text.
+    pub fn skip(&mut self) -> Result<&'a str, JsonError> {
+        self.next_byte();
+        let start = self.pos;
+        self.read_into(&mut Skip)?;
+        Ok(&self.text[start..self.pos])
+    }
+
+    /// Require nothing but whitespace after the last value read.
+    pub fn end(&mut self) -> Result<(), JsonError> {
+        match self.next_byte() {
+            None => Ok(()),
+            Some(_) => Err(self.err("trailing characters after JSON value")),
+        }
+    }
+}
+
+/// The [`JsonSink`] [`JsonReader::skip`] replays into: it keeps nothing.
+struct Skip;
+
+impl JsonSink for Skip {
+    fn null(&mut self) {}
+    fn bool(&mut self, _: bool) {}
+    fn num(&mut self, _: f64) {}
+    fn str(&mut self, _: &str) {}
+    fn begin_arr(&mut self) {}
+    fn end_arr(&mut self) {}
+    fn begin_obj(&mut self) {}
+    fn key(&mut self, _: &str) {}
+    fn end_obj(&mut self) {}
 }
 
 #[cfg(test)]

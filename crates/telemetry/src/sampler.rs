@@ -4,8 +4,6 @@
 //! this module owns the data model and its CSV/JSON renderings so
 //! bench bins and tests share one schema.
 
-use crate::json::{JsonSink, JsonValue};
-use crate::snapshot::{f64_field, u64_field, Snapshot, SnapshotError};
 use noc_types::Cycle;
 
 /// Aggregate network state over one epoch of `N` cycles.
@@ -50,7 +48,7 @@ pub struct EpochSample {
 impl EpochSample {
     /// Fraction of router steps the worklist skipped this epoch.
     pub fn skip_rate(&self) -> f64 {
-        let total = self.routers_stepped + self.routers_skipped;
+        let total = self.routers_stepped.saturating_add(self.routers_skipped);
         if total == 0 {
             0.0
         } else {
@@ -67,48 +65,15 @@ impl EpochSample {
             self.delivered_packets as f64 / cycles as f64
         }
     }
+}
 
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            sink.field("epoch").u64(self.epoch);
-            sink.field("start_cycle").u64(self.start_cycle);
-            sink.field("end_cycle").u64(self.end_cycle);
-            sink.field("delivered_packets").u64(self.delivered_packets);
-            sink.field("delivered_flits").u64(self.delivered_flits);
-            sink.field("injected_flits").u64(self.injected_flits);
-            sink.field("mean_latency").num(self.mean_latency);
-            sink.field("max_latency").u64(self.max_latency);
-            sink.field("buffered_flits").u64(self.buffered_flits);
-            sink.field("vc_occupancy").num(self.vc_occupancy);
-            sink.field("routers_stepped").u64(self.routers_stepped);
-            sink.field("routers_skipped").u64(self.routers_skipped);
-            sink.field("active_routers").u64(self.active_routers);
-            sink.field("load_imbalance").num(self.load_imbalance);
-            sink.field("skip_rate").num(self.skip_rate());
-            sink.field("throughput").num(self.throughput());
-        });
-    }
-
-    /// Rebuild a sample from its JSON encoding. The
-    /// derived `skip_rate`/`throughput` fields are ignored — they are
-    /// recomputed from the counters.
-    pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(EpochSample {
-            epoch: u64_field(v, "epoch")?,
-            start_cycle: u64_field(v, "start_cycle")?,
-            end_cycle: u64_field(v, "end_cycle")?,
-            delivered_packets: u64_field(v, "delivered_packets")?,
-            delivered_flits: u64_field(v, "delivered_flits")?,
-            injected_flits: u64_field(v, "injected_flits")?,
-            mean_latency: f64_field(v, "mean_latency")?,
-            max_latency: u64_field(v, "max_latency")?,
-            buffered_flits: u64_field(v, "buffered_flits")?,
-            vc_occupancy: f64_field(v, "vc_occupancy")?,
-            routers_stepped: u64_field(v, "routers_stepped")?,
-            routers_skipped: u64_field(v, "routers_skipped")?,
-            active_routers: u64_field(v, "active_routers")?,
-            load_imbalance: f64_field(v, "load_imbalance")?,
-        })
+crate::record! {
+    EpochSample {
+        epoch, start_cycle, end_cycle, delivered_packets, delivered_flits, injected_flits,
+        mean_latency, max_latency, buffered_flits, vc_occupancy, routers_stepped,
+        routers_skipped, active_routers, load_imbalance,
+        skip_rate: f64 = EpochSample::skip_rate,
+        throughput: f64 = EpochSample::throughput,
     }
 }
 
@@ -165,35 +130,16 @@ impl TimeSeries {
         }
         out
     }
-
-    /// Rebuild a series from its [`Snapshot`] encoding.
-    pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let every = u64_field(v, "every")?;
-        let samples = v
-            .get("samples")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| SnapshotError::new("missing `samples` array"))?
-            .iter()
-            .map(EpochSample::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(TimeSeries { every, samples })
-    }
 }
 
-/// A JSON object: `every` and the sample array.
-impl Snapshot for TimeSeries {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            sink.field("every").u64(self.every);
-            sink.field("samples")
-                .arr(&self.samples, |sink, s| s.encode(sink));
-        });
-    }
-}
+// A JSON object: `every` and the sample array.
+crate::record! { TimeSeries { every, samples } }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
+    use crate::snapshot::{FromSnapshot, Snapshot};
 
     #[test]
     fn derived_rates() {
@@ -252,7 +198,7 @@ mod tests {
             load_imbalance: 1.75,
         });
         let doc = JsonValue::parse(&ts.snapshot().render()).unwrap();
-        let back = TimeSeries::from_json(&doc).unwrap();
+        let back = TimeSeries::from_snapshot(&doc).unwrap();
         assert_eq!(back, ts);
         assert_eq!(back.snapshot().render(), ts.snapshot().render());
     }

@@ -5,23 +5,37 @@
 //! the invariant the campaign service rests on is *resume ==
 //! uninterrupted, byte-for-byte on the final report* (ARCHITECTURE.md §5).
 //!
-//! Three traits split the work:
+//! Three traits split the work, and all three work on the text:
 //!
 //! * [`Snapshot`] — encode state, once per type, into any
 //!   [`JsonSink`]: straight to text ([`Snapshot::write_json`], what a
 //!   checkpoint is written with) or to a [`JsonValue`]
-//!   ([`Snapshot::snapshot`], for tests, restore and tools) — the same
-//!   calls, so the two forms cannot disagree;
-//! * [`FromSnapshot`] — value types that can be constructed straight from
-//!   a snapshot (flits, packets, VC state fields, …);
+//!   ([`Snapshot::snapshot`], for tests and tools) — the same calls, so
+//!   the two forms cannot disagree;
+//! * [`FromSnapshot`] — value types decoded from a [`JsonReader`] over
+//!   the text (flits, packets, VC state fields, …);
 //! * [`Restore`] — stateful components that are first rebuilt from their
-//!   configuration and then have snapshot state written *into* them
-//!   (routers, networks, traffic generators) — restoring in place lets
-//!   the component keep everything that is a pure function of its config
-//!   (wiring tables, scratch buffers, thread pools) out of the snapshot.
+//!   configuration and then read snapshot state *into* themselves from a
+//!   [`JsonReader`] (routers, networks, traffic generators) — restoring
+//!   in place lets the component keep everything that is a pure function
+//!   of its config (wiring tables, scratch buffers, thread pools) out of
+//!   the snapshot.
 //!
-//! The traits live here (rather than `noc-types`) because [`JsonValue`]
-//! does, and the crates below telemetry in the dependency order
+//! Decoders read the text in the encoder's key order, through the
+//! reader's combinators ([`JsonReader::field`], [`JsonReader::obj`],
+//! [`JsonReader::arr_of`], …), which name the path of a failure as they
+//! go (`routers[3]: ports[1]: vcs[2]: …`). Every document on disk is
+//! encoder output; a key out of place is an error naming the key
+//! expected and the key found. The tree forms
+//! ([`FromSnapshot::from_snapshot`], [`Restore::restore`]) render the
+//! tree and read the text, for tests and tools.
+//!
+//! A *record* — a type whose encoding is one object of its fields, in
+//! order — names each field once, in a [`crate::record!`] list that
+//! both its encoder and its decoder are generated from.
+//!
+//! The traits live here (rather than `noc-types`) because the JSON
+//! model does, and the crates below telemetry in the dependency order
 //! (`noc-types`, `noc-faults`) get their implementations in this module —
 //! a local trait may be implemented for foreign types.
 //!
@@ -31,12 +45,13 @@
 //!   encoded as `"0x…"` hex strings — [`JsonValue::Num`] is an `f64` and
 //!   would silently round them. Cycle counts and event counters stay
 //!   numeric: they are bounded by simulated time and stay far below 2^53.
+//!   An integer field reads only a run of digits that fits its type.
 //! * Enums encode as lowercase tag strings; fault sites reuse their
 //!   canonical `Display`/`FromStr` codec from `noc-faults`.
 //! * Object key order is fixed by the encoder and both sinks keep it, so
 //!   equal state renders to equal bytes.
 
-use crate::json::{JsonSink, JsonValue, JsonWriter, TreeBuilder};
+use crate::json::{JsonError, JsonReader, JsonSink, JsonValue, JsonWriter, TreeBuilder};
 use noc_faults::{DetectionModel, FaultSite};
 use noc_types::{
     Coord, DeliveredPacket, Flit, FlitKind, FlitSeq, Packet, PacketId, PacketKind, PortId,
@@ -84,10 +99,22 @@ impl SnapshotError {
         }
     }
 
-    /// Wrap the error with the name of the enclosing field/component.
+    /// Wrap the error with the name of the enclosing field/component;
+    /// an index (`[3]: …`) joins the name of its array (`routers[3]: …`).
     pub fn within(mut self, context: &str) -> Self {
-        self.message = format!("{context}: {}", self.message);
+        let sep = if self.message.starts_with('[') {
+            ""
+        } else {
+            ": "
+        };
+        self.message = format!("{context}{sep}{}", self.message);
         self
+    }
+}
+
+impl From<JsonError> for SnapshotError {
+    fn from(e: JsonError) -> Self {
+        SnapshotError::new(e.to_string())
     }
 }
 
@@ -117,45 +144,172 @@ pub trait Snapshot {
     }
 }
 
-/// A document is its own snapshot.
-impl Snapshot for JsonValue {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        JsonValue::encode(self, sink);
-    }
-}
-
-/// Value types constructible directly from a snapshot.
+/// Value types decoded straight from a snapshot's text.
 pub trait FromSnapshot: Sized {
-    /// Rebuild the value. Fails on missing fields or malformed encodings.
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError>;
+    /// Read the value at `r`, in the encoder's key order. Fails on a
+    /// malformed, misordered or out-of-range encoding.
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError>;
+
+    /// [`FromSnapshot::decode`] as the value of member `key`, which an
+    /// error names.
+    fn decode_member(r: &mut JsonReader<'_>, key: &str) -> Result<Self, SnapshotError> {
+        Self::decode(r).map_err(|e| e.within(key))
+    }
+
+    /// Decode a whole document.
+    fn from_text(text: &str) -> Result<Self, SnapshotError> {
+        let mut r = JsonReader::new(text);
+        let v = Self::decode(&mut r)?;
+        r.end()?;
+        Ok(v)
+    }
+
+    /// The tree form: [`FromSnapshot::from_text`] of its rendering.
+    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
+        Self::from_text(&v.render())
+    }
 }
 
 /// Stateful components that restore snapshot state *into* themselves.
 ///
 /// The receiver must have been freshly built from the same configuration
-/// the snapshot was taken under; `restore` overwrites all dynamic state
-/// and validates structural agreement (port/VC counts, buffer depths)
-/// where cheap.
+/// the snapshot was taken under; a restore overwrites all dynamic state
+/// and validates structural agreement (port/VC counts, buffer depths,
+/// indices) where cheap.
 pub trait Restore {
-    /// Overwrite this component's dynamic state from the snapshot.
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError>;
+    /// Overwrite this component's dynamic state from the snapshot at `r`.
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError>;
+
+    /// Restore from a whole document.
+    fn restore_text(&mut self, text: &str) -> Result<(), SnapshotError> {
+        let mut r = JsonReader::new(text);
+        self.restore_from(&mut r)?;
+        Ok(r.end()?)
+    }
+
+    /// The tree form: [`Restore::restore_text`] of its rendering.
+    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
+        self.restore_text(&v.render())
+    }
 }
 
 // ---------------------------------------------------------------------
-// Decoding helpers
+// Decoding combinators
 // ---------------------------------------------------------------------
 
-/// Look up a required object field.
-pub fn field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SnapshotError> {
-    v.get(key)
-        .ok_or_else(|| SnapshotError::new(format!("missing field `{key}`")))
-}
+impl JsonReader<'_> {
+    /// Read the key of the next member of the open object, which must be
+    /// `key`.
+    pub fn member(&mut self, key: &str) -> Result<&mut Self, SnapshotError> {
+        match self.key()? {
+            Some(k) if k == key => Ok(self),
+            Some(k) => Err(SnapshotError::new(format!(
+                "expected key `{key}`, found `{k}`"
+            ))),
+            None => Err(SnapshotError::new(format!(
+                "expected key `{key}`, found the end of the object"
+            ))),
+        }
+    }
 
-/// A required `u64` field.
-pub fn u64_field(v: &JsonValue, key: &str) -> Result<u64, SnapshotError> {
-    field(v, key)?
-        .as_u64()
-        .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a u64")))
+    /// Member `key`, decoded.
+    pub fn field<T: FromSnapshot>(&mut self, key: &str) -> Result<T, SnapshotError> {
+        T::decode_member(self.member(key)?, key)
+    }
+
+    /// Member `key`, read by `read`; its errors name the key.
+    pub fn field_with<T>(
+        &mut self,
+        key: &str,
+        read: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        read(self.member(key)?).map_err(|e| e.within(key))
+    }
+
+    /// An object whose members `members` reads; a member it leaves is
+    /// an error.
+    pub fn obj<T>(
+        &mut self,
+        members: impl FnOnce(&mut Self) -> Result<T, SnapshotError>,
+    ) -> Result<T, SnapshotError> {
+        self.begin_obj()?;
+        let v = members(self)?;
+        match self.key()? {
+            None => Ok(v),
+            Some(k) => Err(SnapshotError::new(format!("unexpected key `{k}`"))),
+        }
+    }
+
+    /// An array, item `i` read by `item(reader, i)` with its errors
+    /// named `[i]`; the number of items.
+    pub fn arr(
+        &mut self,
+        mut item: impl FnMut(&mut Self, usize) -> Result<(), SnapshotError>,
+    ) -> Result<usize, SnapshotError> {
+        self.begin_arr()?;
+        let mut n = 0;
+        while self.next_item()? {
+            item(self, n).map_err(|e| e.within(&format!("[{n}]")))?;
+            n += 1;
+        }
+        Ok(n)
+    }
+
+    /// Nested arrays of exactly `dims` items a level — `[p, v]` is `p`
+    /// arrays of `v` — each innermost item read by `item` with its
+    /// row-major index. An array of another length is an error (items
+    /// past the length are checked for syntax only).
+    pub fn arr_of(
+        &mut self,
+        dims: &[usize],
+        item: &mut dyn FnMut(&mut Self, usize) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        self.arr_from(dims, 0, item)
+    }
+
+    fn arr_from(
+        &mut self,
+        dims: &[usize],
+        at: usize,
+        item: &mut dyn FnMut(&mut Self, usize) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        let [len, rest @ ..] = dims else {
+            return item(self, at);
+        };
+        let n = self.arr(|r, i| match i < *len {
+            true => r.arr_from(rest, at * len + i, item),
+            false => Ok(r.skip().map(drop)?),
+        })?;
+        match n == *len {
+            true => Ok(()),
+            false => Err(SnapshotError::new(format!(
+                "{n} entries where {len} belong"
+            ))),
+        }
+    }
+
+    /// Member `key`, read by [`JsonReader::arr_of`].
+    pub fn field_arr_of(
+        &mut self,
+        key: &str,
+        dims: &[usize],
+        item: &mut dyn FnMut(&mut Self, usize) -> Result<(), SnapshotError>,
+    ) -> Result<(), SnapshotError> {
+        self.field_with(key, |r| r.arr_of(dims, item))
+    }
+
+    /// [`JsonReader::field_arr_of`], each item decoded into `slots`.
+    pub fn fill<T: FromSnapshot>(
+        &mut self,
+        key: &str,
+        dims: &[usize],
+        slots: &mut [T],
+    ) -> Result<(), SnapshotError> {
+        self.field_arr_of(key, dims, &mut |r, i| {
+            slots[i] = T::decode(r)?;
+            Ok(())
+        })
+    }
 }
 
 /// Narrow a decoded number to `T`. A value that does not fit is an
@@ -170,38 +324,15 @@ pub fn narrow<T: TryFrom<u64>>(x: u64, what: &str) -> Result<T, SnapshotError> {
     })
 }
 
-/// A required unsigned field that must fit `T` (see [`narrow`]).
-pub fn uint_field<T: TryFrom<u64>>(v: &JsonValue, key: &str) -> Result<T, SnapshotError> {
-    narrow(u64_field(v, key)?, &format!("field `{key}`"))
-}
-
-/// A required `f64` field.
-pub fn f64_field(v: &JsonValue, key: &str) -> Result<f64, SnapshotError> {
-    field(v, key)?
-        .as_f64()
-        .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a number")))
-}
-
-/// A required boolean field.
-pub fn bool_field(v: &JsonValue, key: &str) -> Result<bool, SnapshotError> {
-    match field(v, key)? {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(SnapshotError::new(format!("field `{key}` is not a bool"))),
+/// Narrow `x`, which must be below `bound`, to `T`: an index, pointer or
+/// count the stepper uses unchecked. An error names `what` otherwise.
+pub fn below<T: TryFrom<u64>>(x: u64, bound: usize, what: &str) -> Result<T, SnapshotError> {
+    match x < bound as u64 {
+        true => narrow(x, what),
+        false => Err(SnapshotError::new(format!(
+            "{what} {x} is not below {bound}"
+        ))),
     }
-}
-
-/// A required string field.
-pub fn str_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, SnapshotError> {
-    field(v, key)?
-        .as_str()
-        .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a string")))
-}
-
-/// A required array field.
-pub fn arr_field<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SnapshotError> {
-    field(v, key)?
-        .as_array()
-        .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not an array")))
 }
 
 /// Encode a full-width `u64` (seed, RNG word) losslessly as `"0x…"`:
@@ -214,11 +345,9 @@ pub fn encode_hex<S: JsonSink>(sink: &mut S, x: u64) {
     sink.str(std::str::from_utf8(&text).expect("ASCII digits"));
 }
 
-/// Decode a `"0x…"` string produced by [`encode_hex`].
-pub fn parse_hex(v: &JsonValue) -> Result<u64, SnapshotError> {
-    let s = v
-        .as_str()
-        .ok_or_else(|| SnapshotError::new("hex value is not a string"))?;
+/// Decode a `"0x…"` string written by [`encode_hex`].
+pub fn decode_hex(r: &mut JsonReader<'_>) -> Result<u64, SnapshotError> {
+    let s = r.str()?;
     let digits = s
         .strip_prefix("0x")
         .ok_or_else(|| SnapshotError::new(format!("`{s}` lacks the 0x prefix")))?;
@@ -226,13 +355,102 @@ pub fn parse_hex(v: &JsonValue) -> Result<u64, SnapshotError> {
         .map_err(|e| SnapshotError::new(format!("`{s}` is not valid hex: {e}")))
 }
 
-/// Decode a required field of any [`FromSnapshot`] type.
-pub fn decode_field<T: FromSnapshot>(v: &JsonValue, key: &str) -> Result<T, SnapshotError> {
-    T::from_snapshot(field(v, key)?).map_err(|e| e.within(key))
+/// Implement [`Snapshot`] and [`FromSnapshot`] for a *record* — a type
+/// whose encoding is one object of its fields, in order — from its
+/// field list, so each key is named once.
+///
+/// An entry is a field, keyed by its name, written with its type's
+/// [`Snapshot`] and read with its type's [`FromSnapshot::decode_member`]
+/// (which narrows integers to the field's width), or a derived member
+/// `key: T = derive`: written as `derive(&record)`, and on decode
+/// required to equal what the decoded record derives. Fields the
+/// encoding leaves out are listed after `skip` and decode to their
+/// `Default`. An enum is a record per variant behind a tag member:
+/// `record!(Wire by "t" { "flit" => Flit { router, flit }, … })`.
+#[macro_export]
+macro_rules! record {
+    ($ty:ident by $tag:literal {
+        $($vtag:literal => $variant:ident { $($field:ident),* $(,)? }),* $(,)?
+    }) => {
+        impl $crate::snapshot::Snapshot for $ty {
+            fn encode<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+                sink.obj(|sink| match self {
+                    $($ty::$variant { $($field),* } => {
+                        sink.field($tag).str($vtag);
+                        $($crate::snapshot::Snapshot::encode($field, sink.field(stringify!($field)));)*
+                    })*
+                });
+            }
+        }
+        impl $crate::snapshot::FromSnapshot for $ty {
+            fn decode(
+                r: &mut $crate::json::JsonReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                r.obj(|r| {
+                    let tag = r.member($tag)?.str()?;
+                    match &*tag {
+                        $($vtag => Ok($ty::$variant { $($field: r.field(stringify!($field))?),* }),)*
+                        other => Err($crate::snapshot::SnapshotError::new(format!(
+                            "unknown `{}` tag `{other}`",
+                            $tag
+                        ))),
+                    }
+                })
+            }
+        }
+    };
+    ($ty:ident { $($key:ident $(: $dty:ty = $derive:expr)?),* $(,)? } $(skip { $($skipped:ident),* })?) => {
+        impl $crate::snapshot::Snapshot for $ty {
+            fn encode<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+                sink.obj(|sink| {
+                    $($crate::record!(@encode self sink $key $(= $derive)?);)*
+                });
+            }
+        }
+        impl $crate::snapshot::FromSnapshot for $ty {
+            fn decode(
+                r: &mut $crate::json::JsonReader<'_>,
+            ) -> Result<Self, $crate::snapshot::SnapshotError> {
+                r.obj(|r| {
+                    $(let $key $(: $dty)? = r.field(stringify!($key))?;)*
+                    let out = $crate::record!(@build $ty [$($($skipped)*)?] [] $($key $(: $dty = $derive)?,)*);
+                    $($crate::record!(@check out $key $(= $derive)?);)*
+                    Ok(out)
+                })
+            }
+        }
+    };
+    (@encode $self:ident $sink:ident $key:ident) => {
+        $crate::snapshot::Snapshot::encode(&$self.$key, $sink.field(stringify!($key)))
+    };
+    (@encode $self:ident $sink:ident $key:ident = $derive:expr) => {
+        $crate::snapshot::Snapshot::encode(&($derive)($self), $sink.field(stringify!($key)))
+    };
+    (@check $out:ident $key:ident) => {};
+    (@check $out:ident $key:ident = $derive:expr) => {
+        let derived = ($derive)(&$out);
+        if $key != derived {
+            return Err($crate::snapshot::SnapshotError::new(format!(
+                "{:?} is not the derived {:?}",
+                $key, derived
+            ))
+            .within(stringify!($key)));
+        }
+    };
+    (@build $ty:ident [$($skipped:ident)*] [$($done:ident)*]) => {
+        $ty { $($done,)* $($skipped: Default::default(),)* }
+    };
+    (@build $ty:ident [$($skipped:ident)*] [$($done:ident)*]
+        $key:ident : $dty:ty = $derive:expr, $($rest:tt)*) => {
+        $crate::record!(@build $ty [$($skipped)*] [$($done)*] $($rest)*)
+    };
+    (@build $ty:ident [$($skipped:ident)*] [$($done:ident)*] $key:ident, $($rest:tt)*) => {
+        $crate::record!(@build $ty [$($skipped)*] [$($done)* $key] $($rest)*)
+    };
 }
 
 // ---------------------------------------------------------------------
-// Blanket impls for containers
+// Containers and scalars
 // ---------------------------------------------------------------------
 
 impl<T: Snapshot + ?Sized> Snapshot for &T {
@@ -248,14 +466,13 @@ impl<T: Snapshot> Snapshot for Vec<T> {
 }
 
 impl<T: FromSnapshot> FromSnapshot for Vec<T> {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let arr = v
-            .as_array()
-            .ok_or_else(|| SnapshotError::new("expected an array"))?;
-        arr.iter()
-            .enumerate()
-            .map(|(i, e)| T::from_snapshot(e).map_err(|err| err.within(&format!("[{i}]"))))
-            .collect()
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        let mut out = Vec::new();
+        r.arr(|r, _| {
+            out.push(T::decode(r)?);
+            Ok(())
+        })?;
+        Ok(out)
     }
 }
 
@@ -269,11 +486,65 @@ impl<T: Snapshot> Snapshot for Option<T> {
 }
 
 impl<T: FromSnapshot> FromSnapshot for Option<T> {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        match v {
-            JsonValue::Null => Ok(None),
-            other => T::from_snapshot(other).map(Some),
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        match r.take_null()? {
+            true => Ok(None),
+            false => T::decode(r).map(Some),
         }
+    }
+}
+
+macro_rules! unsigned {
+    ($($t:ty),*) => {$(
+        impl Snapshot for $t {
+            #[allow(clippy::unnecessary_cast)]
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                sink.u64(*self as u64);
+            }
+        }
+        /// A run of digits that fits; a field's error names its key.
+        impl FromSnapshot for $t {
+            fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+                narrow(r.u64()?, stringify!($t))
+            }
+
+            fn decode_member(r: &mut JsonReader<'_>, key: &str) -> Result<Self, SnapshotError> {
+                let x = r.u64().map_err(|e| SnapshotError::from(e).within(key))?;
+                narrow(x, &format!("field `{key}`"))
+            }
+        }
+    )*};
+}
+
+unsigned!(u8, u16, u32, u64, usize);
+
+/// Scalars a sink and the reader have one call for.
+macro_rules! scalar {
+    ($($t:ty: $write:ident / $read:ident),*) => {$(
+        impl Snapshot for $t {
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                sink.$write(*self);
+            }
+        }
+        impl FromSnapshot for $t {
+            fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+                Ok(r.$read()?)
+            }
+        }
+    )*};
+}
+
+scalar!(bool: bool / bool, f64: num / num);
+
+impl Snapshot for str {
+    fn encode<S: JsonSink>(&self, sink: &mut S) {
+        sink.str(self);
+    }
+}
+
+impl FromSnapshot for String {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        Ok(r.str()?.into_owned())
     }
 }
 
@@ -282,241 +553,87 @@ impl<T: FromSnapshot> FromSnapshot for Option<T> {
 // ---------------------------------------------------------------------
 
 macro_rules! numeric_id {
-    ($ty:ty, $inner:ty) => {
+    ($($ty:ident($inner:ty)),*) => {$(
         impl Snapshot for $ty {
             fn encode<S: JsonSink>(&self, sink: &mut S) {
-                sink.u64(self.0 as u64);
+                self.0.encode(sink);
             }
         }
         impl FromSnapshot for $ty {
-            fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-                let x = v.as_u64().ok_or_else(|| {
-                    SnapshotError::new(concat!(stringify!($ty), " must be a number"))
-                })?;
-                narrow::<$inner>(x, stringify!($ty)).map(Self)
+            fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+                narrow::<$inner>(r.u64()?, stringify!($ty)).map(Self)
             }
         }
-    };
+    )*};
 }
 
-numeric_id!(PortId, u8);
-numeric_id!(VcId, u8);
-numeric_id!(PacketId, u64);
-numeric_id!(FlitSeq, u8);
+numeric_id!(PortId(u8), VcId(u8), PacketId(u64), FlitSeq(u8));
 
 impl Snapshot for Coord {
     fn encode<S: JsonSink>(&self, sink: &mut S) {
         // Compact pair form: coordinates appear in every buffered flit.
-        sink.arr([self.x, self.y], |sink, c| sink.u64(u64::from(c)));
+        sink.arr([self.x, self.y], |sink, c| c.encode(sink));
     }
 }
 
 impl FromSnapshot for Coord {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let arr = v
-            .as_array()
-            .filter(|a| a.len() == 2)
-            .ok_or_else(|| SnapshotError::new("Coord must be a [x, y] pair"))?;
-        let x = arr[0]
-            .as_u64()
-            .ok_or_else(|| SnapshotError::new("Coord.x must be a number"))?;
-        let y = arr[1]
-            .as_u64()
-            .ok_or_else(|| SnapshotError::new("Coord.y must be a number"))?;
-        Ok(Coord::new(narrow(x, "Coord.x")?, narrow(y, "Coord.y")?))
-    }
-}
-
-impl Snapshot for FlitKind {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.str(match self {
-            FlitKind::Head => "head",
-            FlitKind::Body => "body",
-            FlitKind::Tail => "tail",
-            FlitKind::Single => "single",
-        });
-    }
-}
-
-impl FromSnapshot for FlitKind {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        match v.as_str() {
-            Some("head") => Ok(FlitKind::Head),
-            Some("body") => Ok(FlitKind::Body),
-            Some("tail") => Ok(FlitKind::Tail),
-            Some("single") => Ok(FlitKind::Single),
-            other => Err(SnapshotError::new(format!("unknown flit kind {other:?}"))),
-        }
-    }
-}
-
-impl Snapshot for PacketKind {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.str(match self {
-            PacketKind::Control => "control",
-            PacketKind::Data => "data",
-        });
-    }
-}
-
-impl FromSnapshot for PacketKind {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        match v.as_str() {
-            Some("control") => Ok(PacketKind::Control),
-            Some("data") => Ok(PacketKind::Data),
-            other => Err(SnapshotError::new(format!("unknown packet kind {other:?}"))),
-        }
-    }
-}
-
-impl Snapshot for Flit {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.packet.encode(sink.field("packet"));
-            self.seq.encode(sink.field("seq"));
-            self.kind.encode(sink.field("kind"));
-            self.src.encode(sink.field("src"));
-            self.dst.encode(sink.field("dst"));
-            sink.field("created_at").u64(self.created_at);
-            sink.field("injected_at").u64(self.injected_at);
-            // Flits carry no payload; the key stays so documents keep
-            // their bytes.
-            sink.field("payload").str("");
-            sink.field("hops").u64(u64::from(self.hops));
-        });
-    }
-}
-
-impl FromSnapshot for Flit {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        if !str_field(v, "payload")?.is_empty() {
-            return Err(SnapshotError::new("payload: flits carry no payload"));
-        }
-        let mut flit = Flit::new(
-            decode_field(v, "packet")?,
-            decode_field(v, "seq")?,
-            decode_field(v, "kind")?,
-            decode_field(v, "src")?,
-            decode_field(v, "dst")?,
-            u64_field(v, "created_at")?,
-        );
-        flit.injected_at = u64_field(v, "injected_at")?;
-        flit.hops = uint_field(v, "hops")?;
-        Ok(flit)
-    }
-}
-
-impl Snapshot for Packet {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.id.encode(sink.field("id"));
-            self.kind.encode(sink.field("kind"));
-            self.src.encode(sink.field("src"));
-            self.dst.encode(sink.field("dst"));
-            sink.field("created_at").u64(self.created_at);
-        });
-    }
-}
-
-impl FromSnapshot for Packet {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(Packet::new(
-            decode_field(v, "id")?,
-            decode_field(v, "kind")?,
-            decode_field(v, "src")?,
-            decode_field(v, "dst")?,
-            u64_field(v, "created_at")?,
-        ))
-    }
-}
-
-impl Snapshot for DeliveredPacket {
-    /// Also a line of the delivery stream.
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.id.encode(sink.field("id"));
-            self.kind.encode(sink.field("kind"));
-            self.src.encode(sink.field("src"));
-            self.dst.encode(sink.field("dst"));
-            sink.field("created_at").u64(self.created_at);
-            sink.field("injected_at").u64(self.injected_at);
-            sink.field("ejected_at").u64(self.ejected_at);
-            sink.field("hops").u64(u64::from(self.hops));
-        });
-    }
-}
-
-impl FromSnapshot for DeliveredPacket {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(DeliveredPacket {
-            id: decode_field(v, "id")?,
-            kind: decode_field(v, "kind")?,
-            src: decode_field(v, "src")?,
-            dst: decode_field(v, "dst")?,
-            created_at: u64_field(v, "created_at")?,
-            injected_at: u64_field(v, "injected_at")?,
-            ejected_at: u64_field(v, "ejected_at")?,
-            hops: uint_field(v, "hops")?,
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        let mut xy = [0u8; 2];
+        r.arr_of(&[2], &mut |r, i| {
+            xy[i] = narrow(r.u64()?, "Coord")?;
+            Ok(())
         })
+        .map_err(|e| e.within("Coord"))?;
+        Ok(Coord::new(xy[0], xy[1]))
     }
 }
 
-impl Snapshot for VcGlobalState {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.str(match self {
-            VcGlobalState::Idle => "idle",
-            VcGlobalState::Routing => "routing",
-            VcGlobalState::VcAlloc => "vc_alloc",
-            VcGlobalState::Active => "active",
-        });
-    }
-}
-
-impl FromSnapshot for VcGlobalState {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        match v.as_str() {
-            Some("idle") => Ok(VcGlobalState::Idle),
-            Some("routing") => Ok(VcGlobalState::Routing),
-            Some("vc_alloc") => Ok(VcGlobalState::VcAlloc),
-            Some("active") => Ok(VcGlobalState::Active),
-            other => Err(SnapshotError::new(format!(
-                "unknown VC global state {other:?}"
-            ))),
+/// Codecs of enums written as lowercase tags, each tag named once.
+macro_rules! tags {
+    ($($ty:ident { $($variant:ident = $tag:literal),* $(,)? })*) => {$(
+        impl Snapshot for $ty {
+            fn encode<S: JsonSink>(&self, sink: &mut S) {
+                sink.str(match self {
+                    $($ty::$variant => $tag,)*
+                });
+            }
         }
+        impl FromSnapshot for $ty {
+            fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+                match &*r.str()? {
+                    $($tag => Ok($ty::$variant),)*
+                    other => Err(SnapshotError::new(format!(
+                        concat!("unknown ", stringify!($ty), " `{}`"),
+                        other
+                    ))),
+                }
+            }
+        }
+    )*};
+}
+
+tags! {
+    FlitKind { Head = "head", Body = "body", Tail = "tail", Single = "single" }
+    PacketKind { Control = "control", Data = "data" }
+    VcGlobalState { Idle = "idle", Routing = "routing", VcAlloc = "vc_alloc", Active = "active" }
+}
+
+record! {
+    Flit {
+        packet, seq, kind, src, dst, created_at, injected_at,
+        // Flits carry no payload; the key stays so documents keep their
+        // bytes.
+        payload: String = |_: &Flit| "",
+        hops,
     }
 }
 
-impl Snapshot for VcStateFields {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
-        sink.obj(|sink| {
-            self.g.encode(sink.field("g"));
-            self.r.encode(sink.field("r"));
-            self.o.encode(sink.field("o"));
-            self.r2.encode(sink.field("r2"));
-            sink.field("vf").bool(self.vf);
-            self.id.encode(sink.field("id"));
-            self.sp.encode(sink.field("sp"));
-            sink.field("fsp").bool(self.fsp);
-            sink.field("vmask").u64(u64::from(self.vmask));
-        });
-    }
-}
+record! { Packet { id, kind, src, dst, created_at } }
 
-impl FromSnapshot for VcStateFields {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Ok(VcStateFields {
-            g: decode_field(v, "g")?,
-            r: decode_field(v, "r")?,
-            o: decode_field(v, "o")?,
-            r2: decode_field(v, "r2")?,
-            vf: bool_field(v, "vf")?,
-            id: decode_field(v, "id")?,
-            sp: decode_field(v, "sp")?,
-            fsp: bool_field(v, "fsp")?,
-            vmask: uint_field(v, "vmask")?,
-        })
-    }
-}
+// Also a line of the delivery stream.
+record! { DeliveredPacket { id, kind, src, dst, created_at, injected_at, ejected_at, hops } }
+
+record! { VcStateFields { g, r, o, r2, vf, id, sp, fsp, vmask } }
 
 // ---------------------------------------------------------------------
 // Leaf types from noc-faults
@@ -531,10 +648,8 @@ impl Snapshot for FaultSite {
 }
 
 impl FromSnapshot for FaultSite {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| SnapshotError::new("fault site must be a string"))?;
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        let s = r.str()?;
         s.parse()
             .map_err(|e: String| SnapshotError::new(format!("fault site `{s}`: {e}")))
     }
@@ -550,10 +665,8 @@ impl Snapshot for DetectionModel {
 }
 
 impl FromSnapshot for DetectionModel {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| SnapshotError::new("detection model must be a string"))?;
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        let s = r.str()?;
         if s == "ideal" {
             return Ok(DetectionModel::Ideal);
         }
@@ -570,7 +683,6 @@ impl FromSnapshot for DetectionModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::obj;
 
     fn round_trip<T: Snapshot + FromSnapshot + PartialEq + std::fmt::Debug>(x: T) {
         let v = x.snapshot();
@@ -664,13 +776,14 @@ mod tests {
 
     #[test]
     fn hex_codec_is_lossless_at_full_width() {
+        let decode = |text: &str| decode_hex(&mut JsonReader::new(text));
         for x in [0u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_F00D] {
             let hex = TreeBuilder::build(|tree| encode_hex(tree, x));
             assert_eq!(hex.as_str(), Some(format!("{x:#018x}").as_str()));
-            assert_eq!(parse_hex(&hex).unwrap(), x);
+            assert_eq!(decode(&hex.render()).unwrap(), x);
         }
-        assert!(parse_hex(&JsonValue::Str("1234".into())).is_err());
-        assert!(parse_hex(&JsonValue::Num(3.0)).is_err());
+        assert!(decode("\"1234\"").is_err());
+        assert!(decode("3").is_err());
     }
 
     /// Decode `doc` with field `key` set to `value` and return the error.
@@ -727,10 +840,41 @@ mod tests {
 
     #[test]
     fn errors_carry_context() {
-        let v = obj([("a", JsonValue::Null)]);
-        let err = u64_field(&v, "b").unwrap_err();
-        assert!(err.message.contains("`b`"));
-        let err = decode_field::<Coord>(&v, "a").unwrap_err();
-        assert!(err.message.contains("a:"), "{}", err.message);
+        let mut r = JsonReader::new(r#"{"a":null,"b":[[1,2],[3,300]]}"#);
+        r.begin_obj().unwrap();
+        let err = r.field::<u64>("b").unwrap_err();
+        assert_eq!(err.message, "expected key `b`, found `a`");
+
+        let mut r = JsonReader::new(r#"{"b":[[1,2],[3,300]]}"#);
+        let err = r.obj(|r| r.field::<Vec<Coord>>("b")).unwrap_err();
+        assert_eq!(err.message, "b[1]: Coord[1]: Coord 300 does not fit a u8");
+
+        let mut r = JsonReader::new("[1,2,3]");
+        let err = r
+            .arr_of(&[2], &mut |r, _| {
+                r.u64()?;
+                Ok(())
+            })
+            .unwrap_err();
+        assert_eq!(err.message, "3 entries where 2 belong");
+    }
+
+    /// Integer fields read a digit run that fits, and nothing else.
+    #[test]
+    fn integers_must_be_digit_runs_that_fit() {
+        let read = |text: &str| u64::from_text(text);
+        assert_eq!(read("18446744073709551615"), Ok(u64::MAX));
+        for bad in [
+            "18446744073709551616",
+            "1e20",
+            "100.0",
+            "-1",
+            "\"7\"",
+            "null",
+        ] {
+            assert!(read(bad).is_err(), "{bad}");
+        }
+        assert_eq!(u16::from_text("65535"), Ok(u16::MAX));
+        assert!(u16::from_text("65536").is_err());
     }
 }

@@ -10,7 +10,7 @@
 //! all share one schema.
 
 use crate::json::{JsonSink, JsonValue};
-use crate::snapshot::{uint_field, Snapshot, SnapshotError};
+use crate::snapshot::{Snapshot, SnapshotError};
 use crate::stats::RouterStats;
 use noc_types::Coord;
 use std::fmt::Write as _;
@@ -118,8 +118,12 @@ impl SpatialGrid {
     /// that does not match the dimensions, and a key that is malformed,
     /// outside the grid or names a cell twice.
     pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let width: usize = uint_field(v, "width")?;
-        let height: usize = uint_field(v, "height")?;
+        let dim = |key: &str| {
+            let n = v.get(key).and_then(JsonValue::as_u64);
+            n.and_then(|n| usize::try_from(n).ok())
+                .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a usize")))
+        };
+        let (width, height) = (dim("width")?, dim("height")?);
         let cells = width
             .checked_mul(height)
             .filter(|&n| n > 0)

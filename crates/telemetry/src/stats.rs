@@ -15,8 +15,8 @@
 //! * [`RouterStats::MECHANISMS`] is a run report's `router_events`, the
 //!   Shield mechanism counters summed over routers.
 
-use crate::json::{JsonSink, JsonValue, TreeBuilder};
-use crate::snapshot::{u64_field, FromSnapshot, Snapshot, SnapshotError};
+use crate::json::{JsonReader, JsonSink, JsonValue, TreeBuilder};
+use crate::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use std::ops::AddAssign;
 
 /// Event counters a router keeps for experiments and invariant checks.
@@ -122,12 +122,14 @@ impl RouterStats {
         });
     }
 
-    /// Decode the counters of `view` from their
-    /// [`RouterStats::to_json`] rendering; the others stay zero.
+    /// Decode the counters of `view` from a [`RouterStats::to_json`]
+    /// tree, in any key order; the others stay zero.
     pub fn from_json(v: &JsonValue, view: &[Counter]) -> Result<Self, SnapshotError> {
         let mut s = RouterStats::default();
         for (key, field) in view {
-            *field(&mut s) = u64_field(v, key)?;
+            *field(&mut s) = v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
+                SnapshotError::new(format!("field `{key}` is missing or not a u64"))
+            })?;
         }
         Ok(s)
     }
@@ -157,8 +159,14 @@ impl Snapshot for RouterStats {
 }
 
 impl FromSnapshot for RouterStats {
-    fn from_snapshot(v: &JsonValue) -> Result<Self, SnapshotError> {
-        Self::from_json(v, &Self::COUNTERS)
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        r.obj(|r| {
+            let mut s = RouterStats::default();
+            for (key, field) in Self::COUNTERS {
+                *field(&mut s) = r.field(key)?;
+            }
+            Ok(s)
+        })
     }
 }
 

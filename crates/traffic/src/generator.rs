@@ -340,10 +340,14 @@ impl TrafficGenerator {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonSink, JsonValue};
+use noc_telemetry::json::{JsonReader, JsonSink};
 use noc_telemetry::snapshot::{
-    arr_field, decode_field, encode_hex, parse_hex, u64_field, Restore, Snapshot, SnapshotError,
+    decode_hex, encode_hex, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
+
+noc_telemetry::record! {
+    PendingResponse { home, requester, kind }
+}
 
 impl Snapshot for TrafficGenerator {
     /// The generator's resumable state: the RNG stream, the packet-id
@@ -366,11 +370,7 @@ impl Snapshot for TrafficGenerator {
                     sink.field("release").u64(release);
                     sink.field("entries").begin_arr();
                 }
-                sink.obj(|sink| {
-                    p.home.encode(sink.field("home"));
-                    p.requester.encode(sink.field("requester"));
-                    p.kind.encode(sink.field("kind"));
-                });
+                p.encode(sink);
                 if self
                     .pending
                     .get(i + 1)
@@ -388,69 +388,53 @@ impl Snapshot for TrafficGenerator {
 }
 
 impl Restore for TrafficGenerator {
-    fn restore(&mut self, v: &JsonValue) -> Result<(), SnapshotError> {
-        let rng = arr_field(v, "rng")?;
-        if rng.len() != 4 {
-            return Err(SnapshotError::new("`rng` must hold 4 state words"));
-        }
-        let mut words = [0u64; 4];
-        for (w, e) in words.iter_mut().zip(rng) {
-            *w = parse_hex(e).map_err(|e| e.within("rng"))?;
-        }
-        let rng = Rng::from_state(words)
-            .ok_or_else(|| SnapshotError::new("all four state words are zero").within("rng"))?;
-        let node_on = arr_field(v, "node_on")?;
-        if node_on.len() != self.node_on.len() {
-            return Err(SnapshotError::new(format!(
-                "`node_on` has {} entries but the generator drives {} nodes",
-                node_on.len(),
-                self.node_on.len()
-            )));
-        }
-        for (slot, e) in self.node_on.iter_mut().zip(node_on) {
-            *slot = match e {
-                JsonValue::Bool(b) => *b,
-                _ => return Err(SnapshotError::new("`node_on` entry is not a bool")),
-            };
-        }
-        self.rng = rng;
-        self.next_id = u64_field(v, "next_id")?;
-        self.pending.clear();
-        for (i, group) in arr_field(v, "pending")?.iter().enumerate() {
-            let decoded = (|| {
-                let release = u64_field(group, "release")?;
-                if self
-                    .pending
-                    .back()
-                    .is_some_and(|&(last, _)| last >= release)
-                {
-                    return Err(SnapshotError::new(format!(
-                        "release {release} does not follow the previous group's"
-                    )));
-                }
-                for p in arr_field(group, "entries")? {
-                    self.pending.push_back((
-                        release,
-                        PendingResponse {
-                            home: decode_field(p, "home")?,
-                            requester: decode_field(p, "requester")?,
-                            kind: decode_field(p, "kind")?,
-                        },
-                    ));
-                }
+    fn restore_from(&mut self, r: &mut JsonReader<'_>) -> Result<(), SnapshotError> {
+        r.obj(|r| {
+            let mut words = [0u64; 4];
+            r.field_arr_of("rng", &[4], &mut |r, i| {
+                words[i] = decode_hex(r)?;
                 Ok(())
-            })();
-            decoded.map_err(|e: SnapshotError| e.within(&format!("pending[{i}]")))?;
-        }
-        self.requests_issued = u64_field(v, "requests_issued")?;
-        self.responses_issued = u64_field(v, "responses_issued")?;
-        Ok(())
+            })?;
+            self.rng = Rng::from_state(words)
+                .ok_or_else(|| SnapshotError::new("all four state words are zero").within("rng"))?;
+            self.next_id = r.field("next_id")?;
+            r.fill("node_on", &[self.node_on.len()], &mut self.node_on)?;
+            self.pending.clear();
+            r.field_with("pending", |r| {
+                r.arr(|r, _| {
+                    r.obj(|r| {
+                        let release = r.field("release")?;
+                        if self
+                            .pending
+                            .back()
+                            .is_some_and(|&(last, _)| last >= release)
+                        {
+                            return Err(SnapshotError::new(format!(
+                                "release {release} does not follow the previous group's"
+                            )));
+                        }
+                        r.field_with("entries", |r| {
+                            r.arr(|r, _| {
+                                self.pending
+                                    .push_back((release, PendingResponse::decode(r)?));
+                                Ok(())
+                            })
+                        })?;
+                        Ok(())
+                    })
+                })
+            })?;
+            self.requests_issued = r.field("requests_issued")?;
+            self.responses_issued = r.field("responses_issued")?;
+            Ok(())
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use noc_telemetry::JsonValue;
 
     fn mesh() -> Mesh {
         Mesh::new(8)
