@@ -153,16 +153,28 @@ struct Response {
     content_type: &'static str,
     extra_headers: Vec<(&'static str, String)>,
     body: String,
+    /// The job a `201` created, for the request's log line.
+    job: Option<String>,
 }
 
 impl Response {
+    /// A `200 OK` of `content_type`.
+    fn ok(content_type: &'static str, body: String) -> Response {
+        Response {
+            status: 200,
+            reason: "OK",
+            content_type,
+            extra_headers: Vec::new(),
+            body,
+            job: None,
+        }
+    }
+
     fn json(status: u16, reason: &'static str, body: String) -> Response {
         Response {
             status,
             reason,
-            content_type: "application/json",
-            extra_headers: Vec::new(),
-            body,
+            ..Response::ok("application/json", body)
         }
     }
 
@@ -198,32 +210,20 @@ impl Response {
 /// the response to send.
 fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'static str, Response) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => (
-            "healthz",
-            Response {
-                status: 200,
-                reason: "OK",
-                content_type: "text/plain",
-                extra_headers: Vec::new(),
-                body: "ok\n".into(),
-            },
-        ),
-        ("GET", "/metrics") => (
-            "metrics",
-            Response {
-                status: 200,
-                reason: "OK",
-                content_type: "text/plain; version=0.0.4",
-                extra_headers: Vec::new(),
-                body: sched.metrics_text() + &metrics.render(),
-            },
-        ),
+        ("GET", "/healthz") => ("healthz", Response::ok("text/plain", "ok\n".into())),
+        ("GET", "/metrics") => {
+            let body = sched.metrics_text() + &metrics.render();
+            ("metrics", Response::ok("text/plain; version=0.0.4", body))
+        }
         ("POST", "/jobs") => (
             "submit",
             match CampaignSpec::from_text(&req.body) {
                 Err(e) => Response::error(400, "Bad Request", &e),
                 Ok(spec) => match sched.submit(spec) {
-                    Ok(id) => Response::json(201, "Created", obj([("id", id.into())]).render()),
+                    Ok(id) => Response {
+                        job: Some(id.clone()),
+                        ..Response::json(201, "Created", obj([("id", id.into())]).render())
+                    },
                     Err(SubmitError::QueueFull { retry_after_secs }) => {
                         let mut resp = Response::error(429, "Too Many Requests", "queue full");
                         resp.extra_headers
@@ -253,8 +253,8 @@ fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'stati
                 };
                 ("result", resp)
             } else if let Some(id) = rest.strip_suffix("/progress") {
-                let resp = match sched.progress_json(id) {
-                    Some(doc) => Response::json(200, "OK", doc.render()),
+                let resp = match sched.progress_text(id) {
+                    Some(body) => Response::json(200, "OK", body),
                     None => Response::error(404, "Not Found", "unknown job"),
                 };
                 ("progress", resp)
@@ -290,12 +290,8 @@ fn handle(
     resp.write(stream, &request_id, deadline);
     let elapsed = started.elapsed();
     metrics.observe(endpoint, elapsed);
-    // Correlate submissions with the job they created: the 201 body is
-    // `{"id": "job-NNNNNN"}`.
-    let job = (endpoint == "submit" && resp.status == 201)
-        .then(|| JsonValue::parse(&resp.body).ok())
-        .flatten()
-        .and_then(|doc| doc.get("id").and_then(JsonValue::as_str).map(String::from));
+    // Correlates a submission with the job it created.
+    let job = resp.job.map_or(JsonValue::Null, Into::into);
     log.event(
         "http_request",
         &[
@@ -305,13 +301,7 @@ fn handle(
             ("endpoint", endpoint.into()),
             ("status", u64::from(resp.status).into()),
             ("duration_ms", (elapsed.as_secs_f64() * 1e3).into()),
-            (
-                "job",
-                match &job {
-                    Some(id) => id.as_str().into(),
-                    None => JsonValue::Null,
-                },
-            ),
+            ("job", job),
         ],
     );
 }

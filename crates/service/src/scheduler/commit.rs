@@ -1,11 +1,14 @@
 //! A job's spool writes: the commit its writer runs at each checkpoint
 //! (I1, I2) and the result that supersedes the checkpoint (I3;
-//! ARCHITECTURE.md §5.3 states the invariants).
+//! ARCHITECTURE.md §5.3 states the invariants), beside what the
+//! progress endpoint reads back of the result.
 
 use super::{job::PartialHead, SchedInner};
 use crate::{fsio::write_atomic, spec::CampaignSpec, stream::JsonlStream};
 use noc_sim::{Checkpoint, DeliveryStream};
-use noc_telemetry::{json::obj, snapshot::SNAPSHOT_SCHEMA_VERSION, JsonValue};
+use noc_telemetry::json::{obj, JsonReader, JsonValue};
+use noc_telemetry::snapshot::{FromSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
+use noc_telemetry::{SpatialGrid, TimeSeries};
 use noc_types::DeliveredPacket;
 use std::{fs, path::Path, sync::atomic::Ordering, time::Instant};
 
@@ -92,6 +95,24 @@ pub(super) fn write_result(
         .map_err(|e| format!("writing result: {e}"))?;
     let _ = fs::remove_file(dir.join("checkpoint.json"));
     Ok(())
+}
+
+/// What a finished job's `result.json` shows a client: its report's
+/// `cycles_run`, `spatial` grid and `epochs` series, read off the text;
+/// the rest is checked for syntax only.
+pub(super) fn result_progress(
+    text: &str,
+) -> Result<(u64, Option<SpatialGrid>, Option<TimeSeries>), SnapshotError> {
+    let mut r = JsonReader::new(text);
+    r.begin_obj()?;
+    r.seek("report")?.begin_obj()?;
+    let cycle = r.seek("cycles_run")?.u64()?;
+    let grid = Option::decode_member(r.seek("spatial")?, "spatial")?;
+    let shown = (cycle, grid, r.field("epochs")?);
+    r.skip_rest()?; // the report's
+    r.skip_rest()?; // the document's
+    r.end()?;
+    Ok(shown)
 }
 
 #[cfg(test)]

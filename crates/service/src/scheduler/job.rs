@@ -196,16 +196,6 @@ impl PartialHead {
     }
 }
 
-/// The epoch series inside a checkpoint: the client-facing time series.
-/// The sampler counters around it are resume internals.
-pub(super) fn epoch_series(checkpoint: &JsonValue) -> JsonValue {
-    checkpoint
-        .get("epochs")
-        .and_then(|ep| ep.get("series"))
-        .cloned()
-        .unwrap_or(JsonValue::Null)
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::testkit::{busy_spec, scratch_spool, without_age, Played};

@@ -116,7 +116,7 @@ mod tests {
         };
         finish_job(&job.sched.inner, &job.id, done, 0.0);
         let from_report = |sched: &Scheduler| {
-            let progress = sched.progress_json(&job.id).unwrap();
+            let progress = JsonValue::parse(&sched.progress_text(&job.id).unwrap()).unwrap();
             assert_eq!(progress.get("phase").unwrap().as_str(), Some("completed"));
             assert_eq!(progress.get("as_of_cycle"), report.get("cycles_run"));
             assert_eq!(progress.get("heatmap"), report.get("spatial"));

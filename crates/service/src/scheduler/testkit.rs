@@ -1,10 +1,10 @@
 //! What the scheduler's tests share: scratch spools, the from-disk
-//! `202` reference, and [`Played`], a job whose worker and writer the
+//! `202` and progress references, and [`Played`], a job whose worker and writer the
 //! test plays itself.
 
 use super::commit::commit;
 use super::worker::next_job;
-use super::{Scheduler, ServiceConfig};
+use super::{JobPhase, Scheduler, ServiceConfig};
 use crate::obs::ObsLog;
 use crate::spec::CampaignSpec;
 use crate::stream::{JsonlStream, Mailbox, QueuedStream};
@@ -78,13 +78,80 @@ fn partial_json_from_disk(sched: &Scheduler, id: &str) -> Option<JsonValue> {
     Some(JsonValue::Obj(fields))
 }
 
-/// The served `202` against the from-disk reference, byte for byte.
+/// The progress body built the way it was before the reader: the
+/// spooled checkpoint, or else the result, parsed into a tree and each
+/// member looked up by name, a missing one `null`. The reference
+/// [`Scheduler::progress_text`] is compared with, byte for byte.
+fn progress_json_from_disk(sched: &Scheduler, id: &str) -> Option<JsonValue> {
+    let status = sched.status_json(id)?;
+    let phase = sched.inner.state().jobs[id].phase();
+    let dir = sched.job_dir(id);
+    let read_json = |name: &str| {
+        let text = fs::read_to_string(dir.join(name)).ok()?;
+        JsonValue::parse(&text).ok()
+    };
+    let field = |doc: &JsonValue, key: &str| doc.get(key).cloned().unwrap_or(JsonValue::Null);
+    let checkpoint = (phase != JobPhase::Completed)
+        .then(|| read_json("checkpoint.json"))
+        .flatten();
+    let (cycle, heatmap, series) = if let Some(doc) = checkpoint {
+        let epochs = field(&doc, "epochs");
+        (
+            field(&doc, "cycle"),
+            field(&doc, "progress"),
+            field(&epochs, "series"),
+        )
+    } else if let Some(doc) = read_json("result.json") {
+        let report = field(&doc, "report");
+        (
+            field(&report, "cycles_run"),
+            field(&report, "spatial"),
+            field(&report, "epochs"),
+        )
+    } else {
+        (JsonValue::Null, JsonValue::Null, JsonValue::Null)
+    };
+    let samples = series.get("samples").and_then(JsonValue::as_array);
+    let imbalance = samples.map_or(JsonValue::Null, |samples| {
+        let of = |sample: &JsonValue| sample.get("load_imbalance").cloned();
+        JsonValue::Arr(samples.iter().filter_map(of).collect())
+    });
+    let JsonValue::Obj(mut fields) = status else {
+        return Some(status);
+    };
+    fields.extend([
+        ("as_of_cycle".into(), cycle),
+        ("heatmap".into(), heatmap),
+        ("imbalance".into(), imbalance),
+        ("epochs".into(), series),
+    ]);
+    Some(JsonValue::Obj(fields))
+}
+
+/// The served `202` and progress bodies against their from-disk
+/// references, byte for byte; the `202` body.
 pub(super) fn assert_served_equals_reference(sched: &Scheduler, id: &str, when: &str) -> String {
     let served = sched.partial_text(id).expect("job is known");
     let reference = partial_json_from_disk(sched, id)
         .expect("job is known")
         .render();
     assert_eq!(without_age(&served), without_age(&reference), "{when}");
+    assert_progress_equals_reference(sched, id, when);
+    served
+}
+
+/// The served progress body against its from-disk reference, byte for
+/// byte; the body.
+pub(super) fn assert_progress_equals_reference(sched: &Scheduler, id: &str, when: &str) -> String {
+    let served = sched.progress_text(id).expect("job is known");
+    let reference = progress_json_from_disk(sched, id)
+        .expect("job is known")
+        .render();
+    assert_eq!(
+        without_age(&served),
+        without_age(&reference),
+        "progress {when}"
+    );
     served
 }
 

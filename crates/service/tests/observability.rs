@@ -8,7 +8,7 @@
 use noc_service::client::jobs;
 use noc_service::{validate_prometheus_text, CampaignSpec};
 use noc_telemetry::json::JsonValue;
-use noc_telemetry::SpatialGrid;
+use noc_telemetry::{FromSnapshot, SpatialGrid};
 use std::io::BufRead;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -170,7 +170,7 @@ fn metrics_progress_and_jsonl_logs_are_first_class() {
     });
     assert!(progressed, "progress must surface the checkpoint heatmap");
     let live = live.unwrap();
-    let grid = SpatialGrid::from_json(live.get("heatmap").unwrap())
+    let grid = SpatialGrid::from_snapshot(live.get("heatmap").unwrap())
         .expect("heatmap must parse as a spatial grid");
     assert_eq!((grid.width, grid.height), (4, 4), "default 4×4 mesh");
     assert!(
@@ -207,7 +207,7 @@ fn metrics_progress_and_jsonl_logs_are_first_class() {
     assert_eq!(resp.status, 200);
     let doc = JsonValue::parse(&resp.body).unwrap();
     assert_eq!(doc.get("phase").unwrap().as_str(), Some("completed"));
-    let final_grid = SpatialGrid::from_json(doc.get("heatmap").unwrap())
+    let final_grid = SpatialGrid::from_snapshot(doc.get("heatmap").unwrap())
         .expect("completed progress serves the report grid");
     assert_eq!((final_grid.width, final_grid.height), (4, 4));
     assert!(

@@ -12,9 +12,10 @@
 //! spool writer reuses from commit to commit: no document tree, so the
 //! heap rises by less than the text, in a few allocations. (Building
 //! the tree and rendering it rose by 580 KB in ~7,600 allocations for
-//! an 81 KB text.) A resume decodes it straight from the text, too: the
-//! heap rises by less than twice the text, where parsing it into a tree
-//! first rises by more.
+//! an 81 KB text.) A resume decodes it straight from the text, too, and
+//! so does the progress endpoint read its head and grid: the heap rises
+//! by less than twice the text, where parsing it into a tree first rises
+//! by more.
 
 use noc_alloc_meter::measure;
 use noc_faults::FaultPlan;
@@ -35,6 +36,8 @@ fn main() {
     println!("test a_checkpoint_is_encoded_without_a_tree ... ok");
     a_checkpoint_is_decoded_without_a_tree();
     println!("test a_checkpoint_is_decoded_without_a_tree ... ok");
+    what_a_checkpoint_shows_is_read_without_a_tree();
+    println!("test what_a_checkpoint_shows_is_read_without_a_tree ... ok");
 }
 
 /// The benchmark ledger's `daemon_jobs` job: 4×4, rate 0.08,
@@ -105,13 +108,8 @@ fn member<'a>(text: &'a str, key: &str) -> &'a str {
     panic!("no member `{key}`");
 }
 
-/// What resuming the ledger job's last checkpoint decodes — its head,
-/// its network and its traffic source, into a network and a generator
-/// built beforehand — raises the heap's high-water mark by less than
-/// twice the checkpoint's text. Decoding through a document tree, the
-/// control, does not stay under that bound.
-fn a_checkpoint_is_decoded_without_a_tree() {
-    let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
+/// The text of `spec`'s last checkpoint.
+fn last_checkpoint(spec: &CampaignSpec) -> String {
     let sim = spec.simulator(spec.checkpoint_every).unwrap();
     let mut text = String::new();
     sim.run_streamed(
@@ -125,6 +123,63 @@ fn a_checkpoint_is_decoded_without_a_tree() {
         },
     )
     .unwrap();
+    text
+}
+
+/// What the progress endpoint reads of the ledger job's last
+/// checkpoint — its head and its grid, through
+/// `CheckpointHead::with_grid` — raises the heap's high-water mark by
+/// less than twice the checkpoint's text. The control, the tree the
+/// endpoint once parsed the file into for the same members, does not
+/// stay under that bound.
+fn what_a_checkpoint_shows_is_read_without_a_tree() {
+    let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
+    let text = last_checkpoint(&spec);
+    let len = text.len() as u64;
+
+    let ((head, grid), heap) = measure(|| CheckpointHead::with_grid(&text).unwrap());
+    assert!(
+        head.cycle() >= 1500,
+        "the last checkpoint is at {}",
+        head.cycle()
+    );
+    assert_eq!(grid.snapshot().render(), member(&text, "progress"));
+    assert!(
+        heap.peak_bytes < 2 * len,
+        "reading a {len}-byte checkpoint's head and grid raised the heap's high-water mark \
+         by {} bytes",
+        heap.peak_bytes
+    );
+
+    let (shown, tree) = measure(|| {
+        let doc = JsonValue::parse(&text).unwrap();
+        let series = doc.get("epochs").and_then(|e| e.get("series")).cloned();
+        (
+            doc.get("cycle").cloned(),
+            doc.get("progress").cloned(),
+            series,
+        )
+    });
+    assert!(
+        shown.0.is_some() && shown.1.is_some(),
+        "the tree holds the members"
+    );
+    assert!(
+        tree.peak_bytes >= 2 * len,
+        "through a tree, reading raised the high-water mark by only {} bytes: \
+         the bound would not tell the two apart",
+        tree.peak_bytes
+    );
+}
+
+/// What resuming the ledger job's last checkpoint decodes — its head,
+/// its network and its traffic source, into a network and a generator
+/// built beforehand — raises the heap's high-water mark by less than
+/// twice the checkpoint's text. Decoding through a document tree, the
+/// control, does not stay under that bound.
+fn a_checkpoint_is_decoded_without_a_tree() {
+    let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
+    let text = last_checkpoint(&spec);
     let (network, source) = (member(&text, "network"), member(&text, "source"));
     let fresh = || {
         let net = spec.network_config().unwrap();

@@ -7,7 +7,7 @@ use crate::stats::NetworkReport;
 use noc_faults::FaultPlan;
 use noc_telemetry::json::{JsonReader, JsonSink, JsonValue, JsonWriter, TreeBuilder};
 use noc_telemetry::snapshot::{Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
-use noc_telemetry::{EpochSample, NullObserver, Observer, ShardedTracer, TimeSeries};
+use noc_telemetry::{EpochSample, NullObserver, Observer, ShardedTracer, SpatialGrid, TimeSeries};
 use noc_traffic::TrafficGenerator;
 use noc_types::{Cycle, DeliveredPacket, NetworkConfig, Packet, SimConfig};
 use shield_router::RouterKind;
@@ -281,17 +281,27 @@ impl CheckpointHead {
         })
     }
 
-    /// The head of checkpoint `text`, read off the text; the rest of the
-    /// document is checked for syntax only.
+    /// The head of checkpoint `text`: [`CheckpointHead::with_grid`]
+    /// without the grid.
     pub fn of(text: &str) -> Result<Self, SnapshotError> {
+        Self::with_grid(text).map(|(head, _)| head)
+    }
+
+    /// What checkpoint `text` shows a client — its head and its
+    /// `progress` grid — read off the text; the source and the network
+    /// are checked for syntax only. The one place outside the resume
+    /// that reads a checkpoint's layout.
+    pub fn with_grid(text: &str) -> Result<(Self, SpatialGrid), SnapshotError> {
         let mut r = JsonReader::new(text);
-        r.begin_obj()?;
-        let head = Self::read(&mut r)?;
-        while r.key()?.is_some() {
-            r.skip()?;
-        }
+        let shown = r.obj(|r| {
+            let head = Self::read(r)?;
+            r.member("source")?.skip()?;
+            let grid = r.field("progress")?;
+            r.member("network")?.skip()?;
+            Ok((head, grid))
+        })?;
         r.end()?;
-        Ok(head)
+        Ok(shown)
     }
 
     /// The cycle the run resumes at.

@@ -8,6 +8,7 @@ mod common;
 
 use noc_faults::{DetectionModel, FaultPlan, FaultSite, InjectionConfig};
 use noc_sim::{DeliveryTally, Network};
+use noc_telemetry::{FromSnapshot, SpatialGrid};
 use noc_types::rng::Rng;
 use noc_types::{
     Coord, DeliveredPacket, NetworkConfig, Packet, PacketId, PacketKind, PortId, RouterConfig,
@@ -558,10 +559,7 @@ fn spatial_grid_is_bit_identical_across_thread_counts() {
         let serial = grid_bytes(1);
         // A campaign this busy must actually light the heatmap up,
         // stalls included — otherwise "identical" is vacuous.
-        let grid = noc_telemetry::SpatialGrid::from_json(
-            &noc_telemetry::json::JsonValue::parse(&serial).unwrap(),
-        )
-        .unwrap();
+        let grid = SpatialGrid::from_text(&serial).unwrap();
         for metric in ["flits_routed", "occ_integral", "sa_stalls"] {
             assert!(
                 grid.metric(metric).unwrap().iter().sum::<u64>() > 0,
@@ -748,10 +746,7 @@ fn chiplet_spatial_grid_is_bit_identical_across_thread_counts() {
         net.spatial_grid().to_json().render()
     };
     let serial = grid_bytes(1);
-    let grid = noc_telemetry::SpatialGrid::from_json(
-        &noc_telemetry::json::JsonValue::parse(&serial).unwrap(),
-    )
-    .unwrap();
+    let grid = SpatialGrid::from_text(&serial).unwrap();
     assert_eq!(
         grid.chiplet_k,
         Some(3),

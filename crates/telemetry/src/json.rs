@@ -481,6 +481,8 @@ impl std::error::Error for JsonError {}
 /// tree between. [`JsonReader::read_into`] replays the next value into
 /// any [`JsonSink`]; [`JsonValue::parse`] is that, into a
 /// [`TreeBuilder`]. Every error carries the byte offset it occurred at.
+/// A clone reads on from the same place, independently: a look ahead.
+#[derive(Clone)]
 pub struct JsonReader<'a> {
     text: &'a str,
     pos: usize,

@@ -212,9 +212,45 @@ impl JsonReader<'_> {
         }
     }
 
+    /// Skip the open object's members up to member `key`, whose key it
+    /// reads: for a reader that wants a few members of a document and
+    /// does not decode the rest.
+    pub fn seek(&mut self, key: &str) -> Result<&mut Self, SnapshotError> {
+        while let Some(k) = self.key()? {
+            if k == key {
+                return Ok(self);
+            }
+            self.skip()?;
+        }
+        Err(SnapshotError::new(format!("no key `{key}`")))
+    }
+
+    /// Skip the open object's remaining members, its `}` read.
+    pub fn skip_rest(&mut self) -> Result<(), SnapshotError> {
+        while self.key()?.is_some() {
+            self.skip()?;
+        }
+        Ok(())
+    }
+
     /// Member `key`, decoded.
     pub fn field<T: FromSnapshot>(&mut self, key: &str) -> Result<T, SnapshotError> {
         T::decode_member(self.member(key)?, key)
+    }
+
+    /// Member `key`, decoded, when it is the next member of the open
+    /// object; `None`, with nothing read, when another member or the
+    /// object's end comes next. For a member the encoder writes only
+    /// sometimes.
+    pub fn opt_field<T: FromSnapshot>(&mut self, key: &str) -> Result<Option<T>, SnapshotError> {
+        let mut ahead = self.clone();
+        match ahead.key()? {
+            Some(k) if k == key => {
+                *self = ahead;
+                T::decode_member(self, key).map(Some)
+            }
+            _ => Ok(None),
+        }
     }
 
     /// Member `key`, read by `read`; its errors name the key.

@@ -9,8 +9,8 @@
 //! the service's `/jobs/:id/progress` endpoint and `noc-cli heatmap`
 //! all share one schema.
 
-use crate::json::{JsonSink, JsonValue};
-use crate::snapshot::{Snapshot, SnapshotError};
+use crate::json::{JsonReader, JsonSink, JsonValue};
+use crate::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use crate::stats::RouterStats;
 use noc_types::Coord;
 use std::fmt::Write as _;
@@ -69,26 +69,6 @@ impl SpatialGrid {
         };
     }
 
-    /// Parse a JSON grid key back to global `(x, y)` under the grid's
-    /// keying scheme.
-    fn parse_key(&self, key: &str) -> Option<(usize, usize)> {
-        let pair = |s: &str| -> Option<(usize, usize)> {
-            let (a, b) = s.split_once(',')?;
-            Some((a.parse().ok()?, b.parse().ok()?))
-        };
-        match self.chiplet_k {
-            Some(k) => {
-                let (chip, local) = key.split_once(':')?;
-                let ((cx, cy), (lx, ly)) = (pair(chip)?, pair(local)?);
-                if lx >= k || ly >= k {
-                    return None;
-                }
-                Some((cx * k + lx, cy * k + ly))
-            }
-            None => pair(key),
-        }
-    }
-
     /// The cell for `coord`.
     pub fn cell(&self, coord: Coord) -> &RouterStats {
         &self.cells[coord.y as usize * self.width + coord.x as usize]
@@ -110,70 +90,6 @@ impl SpatialGrid {
     /// and the CLI use.
     pub fn to_json(&self) -> JsonValue {
         self.snapshot()
-    }
-
-    /// Rebuild a grid from its [`SpatialGrid::to_json`] rendering: the
-    /// [`RouterStats::SPATIAL`] counters of each cell (the others stay
-    /// zero). Fails on a zero or overflowing dimension, a cell count
-    /// that does not match the dimensions, and a key that is malformed,
-    /// outside the grid or names a cell twice.
-    pub fn from_json(v: &JsonValue) -> Result<Self, SnapshotError> {
-        let dim = |key: &str| {
-            let n = v.get(key).and_then(JsonValue::as_u64);
-            n.and_then(|n| usize::try_from(n).ok())
-                .ok_or_else(|| SnapshotError::new(format!("field `{key}` is not a usize")))
-        };
-        let (width, height) = (dim("width")?, dim("height")?);
-        let cells = width
-            .checked_mul(height)
-            .filter(|&n| n > 0)
-            .ok_or_else(|| {
-                SnapshotError::new(format!(
-                    "grid dimensions {width}x{height} are zero or too large"
-                ))
-            })?;
-        let chiplet_k = match v.get("chiplet_k") {
-            None => None,
-            Some(field) => Some(
-                field
-                    .as_u64()
-                    .filter(|&k| k >= 1)
-                    .ok_or_else(|| SnapshotError::new("`chiplet_k` is not a positive number"))?
-                    as usize,
-            ),
-        };
-        let grid = match v.get("grid") {
-            Some(JsonValue::Obj(fields)) => fields,
-            _ => return Err(SnapshotError::new("missing `grid` object")),
-        };
-        if grid.len() != cells {
-            return Err(SnapshotError::new(format!(
-                "`grid` has {} cells but dimensions say {cells}",
-                grid.len(),
-            )));
-        }
-        let mut out = SpatialGrid::new(width, height);
-        out.chiplet_k = chiplet_k;
-        let mut seen = vec![false; cells];
-        for (key, cell) in grid {
-            let (x, y) = out
-                .parse_key(key)
-                .ok_or_else(|| SnapshotError::new(format!("bad grid key `{key}`")))?;
-            if x >= width || y >= height {
-                return Err(SnapshotError::new(format!(
-                    "grid key `{key}` outside {width}x{height}"
-                )));
-            }
-            let i = y * width + x;
-            if std::mem::replace(&mut seen[i], true) {
-                return Err(SnapshotError::new(format!(
-                    "grid key `{key}` names cell ({x}, {y}) twice"
-                )));
-            }
-            out.cells[i] = RouterStats::from_json(cell, &RouterStats::SPATIAL)
-                .map_err(|e| e.within(&format!("grid[{key}]")))?;
-        }
-        Ok(out)
     }
 
     /// Render as CSV: one row per router, `x,y` first (prefixed with
@@ -277,6 +193,56 @@ impl Snapshot for SpatialGrid {
     }
 }
 
+/// What a grid key out of place means.
+const OUT_OF_PLACE: &str =
+    " (cells are keyed row-major: one is missing, out of place or named twice)";
+
+/// Reads the encoder's order: `width`, `height`, `chiplet_k` when the
+/// grid has one, then `grid`, its cells row-major, each under the key
+/// its encoder writes (`SpatialGrid::key`); a cell carries the
+/// [`RouterStats::SPATIAL`] counters (the others stay zero). Fails on a
+/// zero or overflowing dimension and on a cell missing, out of place or
+/// named twice. Cells are kept as they are read, so a crafted size
+/// allocates nothing its text does not hold.
+impl FromSnapshot for SpatialGrid {
+    fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
+        r.obj(|r| {
+            let (width, height): (usize, usize) = (r.field("width")?, r.field("height")?);
+            let cells = width.checked_mul(height).filter(|&n| n > 0);
+            let cells = cells.ok_or_else(|| {
+                SnapshotError::new(format!(
+                    "grid dimensions {width}x{height} are zero or too large"
+                ))
+            })?;
+            let chiplet_k = r.opt_field("chiplet_k")?;
+            if chiplet_k == Some(0) {
+                return Err(SnapshotError::new("`chiplet_k` is not a positive number"));
+            }
+            let mut grid = SpatialGrid {
+                width,
+                height,
+                chiplet_k,
+                cells: Vec::new(),
+            };
+            let mut key = String::new();
+            r.field_with("grid", |r| {
+                r.obj(|r| {
+                    for i in 0..cells {
+                        grid.key(i % width, i / width, &mut key);
+                        r.member(&key)
+                            .map_err(|e| SnapshotError::new(e.message + OUT_OF_PLACE))?;
+                        let cell = RouterStats::decode_view(r, &RouterStats::SPATIAL);
+                        grid.cells
+                            .push(cell.map_err(|e| e.within(&format!("[{key}]")))?);
+                    }
+                    Ok(())
+                })
+            })?;
+            Ok(grid)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -305,7 +271,7 @@ mod tests {
     fn json_round_trips_byte_identically() {
         let g = sample_grid();
         let text = g.to_json().render();
-        let back = SpatialGrid::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let back = SpatialGrid::from_text(&text).unwrap();
         assert_eq!(back, g);
         assert_eq!(back.to_json().render(), text);
     }
@@ -345,19 +311,30 @@ mod tests {
         assert!(text.contains("\"chiplet_k\":2"));
         assert!(text.contains("\"1,1:1,0\":{\"flits_routed\":99"));
         assert!(text.contains("\"0,0:0,0\":"));
-        let back = SpatialGrid::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
+        let back = SpatialGrid::from_text(&text).unwrap();
         assert_eq!(back, g);
         assert_eq!(back.to_json().render(), text);
         // Flat keys are rejected on hierarchical grids and vice versa.
-        assert!(SpatialGrid::from_json(
-            &JsonValue::parse(&text.replace("\"1,1:1,0\"", "\"3,2\"")).unwrap()
-        )
-        .is_err());
+        let err = parse(&text.replace("\"1,1:1,0\"", "\"3,2\"")).unwrap_err();
+        assert!(
+            err.message.contains("expected key `1,1:1,0`, found `3,2`"),
+            "{err}"
+        );
+        let flat = SpatialGrid::new(4, 4).to_json().render();
+        let err = parse(&flat.replace("\"0,0\"", "\"0,0:0,0\"")).unwrap_err();
+        assert!(
+            err.message.contains("expected key `0,0`, found `0,0:0,0`"),
+            "{err}"
+        );
         // Intra-chiplet coordinates past the chiplet side are invalid.
-        assert!(SpatialGrid::from_json(
-            &JsonValue::parse(&text.replace("\"1,1:1,0\"", "\"1,1:2,0\"")).unwrap()
-        )
-        .is_err());
+        let err = parse(&text.replace("\"1,1:1,0\"", "\"1,1:2,0\"")).unwrap_err();
+        assert!(
+            err.message
+                .contains("expected key `1,1:1,0`, found `1,1:2,0`"),
+            "{err}"
+        );
+        let err = parse(&text.replace("\"chiplet_k\":2", "\"chiplet_k\":0")).unwrap_err();
+        assert!(err.message.contains("not a positive number"), "{err}");
         // CSV rows carry the chiplet coordinate first.
         let csv = g.to_csv();
         assert!(csv.starts_with("cx,cy,x,y,"));
@@ -398,7 +375,7 @@ mod tests {
     }
 
     fn parse(text: &str) -> Result<SpatialGrid, SnapshotError> {
-        SpatialGrid::from_json(&JsonValue::parse(text).unwrap())
+        SpatialGrid::from_text(text)
     }
 
     #[test]
@@ -421,12 +398,62 @@ mod tests {
     }
 
     #[test]
+    fn a_cell_count_that_does_not_match_the_dimensions_is_rejected() {
+        // A 3×2 grid holds six cells: four stop at the fifth key, seven
+        // meet a key past the last.
+        let six = sample_grid().to_json().render();
+        let four = SpatialGrid::new(2, 2).to_json().render();
+        let err = parse(&four.replacen("\"width\":2", "\"width\":3", 1)).unwrap_err();
+        assert!(
+            err.message.contains("expected key `2,0`, found `0,1`"),
+            "{err}"
+        );
+        let err = parse(&six.replacen("\"height\":2", "\"height\":1", 1)).unwrap_err();
+        assert!(err.message.contains("unexpected key `0,1`"), "{err}");
+        let one = SpatialGrid::new(1, 1).to_json().render();
+        let err = parse(&one.replacen("\"width\":1", "\"width\":2", 1)).unwrap_err();
+        assert!(
+            err.message
+                .contains("expected key `1,0`, found the end of the object"),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn a_cell_named_twice_is_rejected() {
         // The JSON parser refuses a repeated key, but an alias (`01`
-        // parses as `1`) names cell (1, 0) twice and leaves (0, 0)
-        // unset while the cell count still matches.
+        // for `0`) names a cell twice while the cell count still
+        // matches: the key read is not the one the cell's place gives.
         let text = SpatialGrid::new(2, 1).to_json().render();
         let err = parse(&text.replace("\"0,0\"", "\"01,0\"")).unwrap_err();
-        assert!(err.message.contains("names cell (1, 0) twice"), "{err}");
+        assert!(
+            err.message.contains("expected key `0,0`, found `01,0`"),
+            "{err}"
+        );
+        assert!(err.message.contains("named twice"), "{err}");
+    }
+
+    #[test]
+    fn a_reordered_grid_is_rejected() {
+        // Every key names a cell once, but not in row-major order.
+        let text = sample_grid().to_json().render();
+        let reordered = text
+            .replace("\"0,0\"", "\"tmp\"")
+            .replace("\"1,0\"", "\"0,0\"")
+            .replace("\"tmp\"", "\"1,0\"");
+        assert_ne!(reordered, text);
+        let err = parse(&reordered).unwrap_err();
+        assert!(
+            err.message
+                .contains("grid: expected key `0,0`, found `1,0`"),
+            "{err}"
+        );
+        // Members out of the encoder's order fail the same way.
+        let swapped = text.replacen("\"width\":3,\"height\":2", "\"height\":2,\"width\":3", 1);
+        let err = parse(&swapped).unwrap_err();
+        assert!(
+            err.message.contains("expected key `width`, found `height`"),
+            "{err}"
+        );
     }
 }

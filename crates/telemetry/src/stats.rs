@@ -122,16 +122,16 @@ impl RouterStats {
         });
     }
 
-    /// Decode the counters of `view` from a [`RouterStats::to_json`]
-    /// tree, in any key order; the others stay zero.
-    pub fn from_json(v: &JsonValue, view: &[Counter]) -> Result<Self, SnapshotError> {
-        let mut s = RouterStats::default();
-        for (key, field) in view {
-            *field(&mut s) = v.get(key).and_then(JsonValue::as_u64).ok_or_else(|| {
-                SnapshotError::new(format!("field `{key}` is missing or not a u64"))
-            })?;
-        }
-        Ok(s)
+    /// Read [`RouterStats::encode_view`]'s object: the counters of
+    /// `view`, in view order; the others stay zero.
+    pub fn decode_view(r: &mut JsonReader<'_>, view: &[Counter]) -> Result<Self, SnapshotError> {
+        r.obj(|r| {
+            let mut s = RouterStats::default();
+            for &(key, field) in view {
+                *field(&mut s) = r.field(key)?;
+            }
+            Ok(s)
+        })
     }
 }
 
@@ -160,13 +160,7 @@ impl Snapshot for RouterStats {
 
 impl FromSnapshot for RouterStats {
     fn decode(r: &mut JsonReader<'_>) -> Result<Self, SnapshotError> {
-        r.obj(|r| {
-            let mut s = RouterStats::default();
-            for (key, field) in Self::COUNTERS {
-                *field(&mut s) = r.field(key)?;
-            }
-            Ok(s)
-        })
+        Self::decode_view(r, &Self::COUNTERS)
     }
 }
 
@@ -249,11 +243,12 @@ mod tests {
         assert!(text.starts_with("{\"flits_in\":1,\"flits_out\":2,"));
         let back = RouterStats::from_snapshot(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, s);
-        let cell = s.to_json(&RouterStats::SPATIAL);
-        let decoded = RouterStats::from_json(&cell, &RouterStats::SPATIAL).unwrap();
+        let cell = s.to_json(&RouterStats::SPATIAL).render();
+        let view = |view| RouterStats::decode_view(&mut JsonReader::new(&cell), view);
+        let decoded = view(&RouterStats::SPATIAL).unwrap();
         assert_eq!(decoded.flits_out, s.flits_out);
         assert_eq!(decoded.flits_in, 0, "flits_in is outside the view");
-        assert!(RouterStats::from_json(&cell, &RouterStats::COUNTERS).is_err());
+        assert!(view(&RouterStats::COUNTERS).is_err());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use shield_noc::reliability::{AreaPowerModel, MttfReport, SpfAnalysis};
 use shield_noc::service::client::jobs;
 use shield_noc::service::daemon::{default_sigpipe, serve_foreground, ServeArgs};
 use shield_noc::service::CampaignSpec;
-use shield_noc::telemetry::RouterStats;
+use shield_noc::telemetry::{FromSnapshot, RouterStats};
 use shield_noc::topology::Topology;
 use shield_noc::traffic::{AppId, Trace, TrafficGenerator};
 use shield_noc::types::args::Flags;
@@ -570,7 +570,7 @@ fn heatmap_text(
         "no spatial grid in this document (expected a result/report JSON with a \
          `spatial` section, a progress body, or a checkpoint)",
     )?;
-    let grid = shield_noc::telemetry::SpatialGrid::from_json(grid_json)
+    let grid = shield_noc::telemetry::SpatialGrid::from_snapshot(grid_json)
         .map_err(|e| format!("malformed spatial grid: {e}"))?;
     if csv {
         return Ok(grid.to_csv());
