@@ -34,15 +34,23 @@ pub(crate) fn create_dir_durable(dir: &Path) -> std::io::Result<()> {
     fsync_parent_dir(dir)
 }
 
-/// Write `text` to `path` atomically and durably: same-directory tmp +
-/// fsync + rename + directory fsync. A crash mid-write never leaves a
-/// torn file for recovery to trip on, and once this returns `Ok` the
-/// file survives power loss.
+/// Write `text` to `path` atomically and durably: [`write_atomic_with`].
 pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    write_atomic_with(path, |f| f.write_all(text.as_bytes()))
+}
+
+/// Write to `path`, through `write`, atomically and durably:
+/// same-directory tmp + fsync + rename + directory fsync. A crash
+/// mid-write never leaves a torn file for recovery to trip on, and once
+/// this returns `Ok` the file survives power loss.
+pub(crate) fn write_atomic_with(
+    path: &Path,
+    write: impl FnOnce(&mut fs::File) -> std::io::Result<()>,
+) -> std::io::Result<()> {
     let tmp = path.with_extension("tmp");
     {
         let mut f = fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
+        write(&mut f)?;
         f.sync_all()?;
     }
     fs::rename(&tmp, path)?;

@@ -21,6 +21,7 @@
 //! duration), and `/metrics` includes the per-endpoint
 //! request/latency counters from [`HttpMetrics`].
 
+use crate::body::Body;
 use crate::obs::{HttpMetrics, ObsLog};
 use crate::scheduler::{Scheduler, SubmitError};
 use crate::spec::CampaignSpec;
@@ -152,25 +153,26 @@ struct Response {
     reason: &'static str,
     content_type: &'static str,
     extra_headers: Vec<(&'static str, String)>,
-    body: String,
+    /// Text, or text around a spool file copied as it is written.
+    body: Body,
     /// The job a `201` created, for the request's log line.
     job: Option<String>,
 }
 
 impl Response {
     /// A `200 OK` of `content_type`.
-    fn ok(content_type: &'static str, body: String) -> Response {
+    fn ok(content_type: &'static str, body: impl Into<Body>) -> Response {
         Response {
             status: 200,
             reason: "OK",
             content_type,
             extra_headers: Vec::new(),
-            body,
+            body: body.into(),
             job: None,
         }
     }
 
-    fn json(status: u16, reason: &'static str, body: String) -> Response {
+    fn json(status: u16, reason: &'static str, body: impl Into<Body>) -> Response {
         Response {
             status,
             reason,
@@ -183,25 +185,32 @@ impl Response {
     }
 
     /// Send the response, giving the client `deadline` to take all of
-    /// it; a client that stops reading is dropped when it runs out.
-    fn write(&self, stream: &TcpStream, request_id: &str, deadline: Duration) {
+    /// it; a client that stops reading is dropped when it runs out. The
+    /// error is the write's, or the body's when its spool file does not
+    /// hold what the head promised: the connection then closes short of
+    /// the `Content-Length`.
+    fn write(
+        &self,
+        stream: &TcpStream,
+        request_id: &str,
+        deadline: Duration,
+    ) -> std::io::Result<()> {
         let mut head = format!(
             "HTTP/1.1 {} {}\r\nContent-Type: {}\r\n\
              Content-Length: {}\r\nConnection: close\r\nX-Request-Id: {request_id}\r\n",
             self.status,
             self.reason,
             self.content_type,
-            self.body.len()
+            self.body.content_length()
         );
         for (name, value) in &self.extra_headers {
             head.push_str(&format!("{name}: {value}\r\n"));
         }
         head.push_str("\r\n");
         let mut out = DeadlineStream::new(stream, deadline);
-        let _ = out
-            .write_all(head.as_bytes())
-            .and_then(|()| out.write_all(self.body.as_bytes()))
-            .and_then(|()| out.flush());
+        out.write_all(head.as_bytes())?;
+        self.body.write_to(&mut out)?;
+        out.flush()
     }
 }
 
@@ -210,7 +219,7 @@ impl Response {
 /// the response to send.
 fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'static str, Response) {
     match (req.method.as_str(), req.path.as_str()) {
-        ("GET", "/healthz") => ("healthz", Response::ok("text/plain", "ok\n".into())),
+        ("GET", "/healthz") => ("healthz", Response::ok("text/plain", String::from("ok\n"))),
         ("GET", "/metrics") => {
             let body = sched.metrics_text() + &metrics.render();
             ("metrics", Response::ok("text/plain; version=0.0.4", body))
@@ -240,13 +249,13 @@ fn dispatch(req: &Request, sched: &Scheduler, metrics: &HttpMetrics) -> (&'stati
         ("GET", path) if path.starts_with("/jobs/") => {
             let rest = &path["/jobs/".len()..];
             if let Some(id) = rest.strip_suffix("/result") {
-                let resp = match sched.result_text(id) {
-                    Some(text) => Response::json(200, "OK", text),
+                let resp = match sched.result(id) {
+                    Some(result) => Response::json(200, "OK", result),
                     // Known but unfinished: stream what exists so
                     // far — the status doc plus a `partial` object
                     // (cycle, epoch series, deliveries) as of the
                     // job's last durable checkpoint.
-                    None => match sched.partial_text(id) {
+                    None => match sched.partial(id) {
                         Some(partial) => Response::json(202, "Accepted", partial),
                         None => Response::error(404, "Not Found", "unknown job"),
                     },
@@ -287,8 +296,25 @@ fn handle(
     let request_id = log.next_request_id();
     let started = Instant::now();
     let (endpoint, resp) = dispatch(&req, sched, metrics);
-    resp.write(stream, &request_id, deadline);
+    let written = resp.write(stream, &request_id, deadline);
     let elapsed = started.elapsed();
+    // A client that goes away or stops reading is its own business; a
+    // spool file that does not hold the body its head promised is the
+    // daemon's, and is logged.
+    let spool_fault = |e: &std::io::Error| {
+        use std::io::ErrorKind::{InvalidData, UnexpectedEof};
+        matches!(e.kind(), InvalidData | UnexpectedEof)
+    };
+    if let Some(e) = written.err().filter(spool_fault) {
+        log.event(
+            "response_aborted",
+            &[
+                ("request_id", request_id.as_str().into()),
+                ("path", req.path.as_str().into()),
+                ("error", e.to_string().into()),
+            ],
+        );
+    }
     metrics.observe(endpoint, elapsed);
     // Correlates a submission with the job it created.
     let job = resp.job.map_or(JsonValue::Null, Into::into);

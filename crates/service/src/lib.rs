@@ -15,7 +15,8 @@
 //! * [`http`] / [`client`] — a hand-rolled HTTP/1.1 server for the
 //!   `noc-serviced` binary, and the matching client used by the CLI
 //!   and the tests. `GET /jobs/:id/result` streams partial results
-//!   (202 + deliveries-so-far) while a job is still running, and
+//!   (202 + deliveries-so-far, copied from the spool a piece at a time
+//!   as a [`body::Body`]) while a job is still running, and
 //!   `GET /jobs/:id/progress` serves the live per-router heatmap and
 //!   load-imbalance series from the job's last durable checkpoint;
 //! * [`daemon`] — the flags, banner and foreground serve call that
@@ -36,6 +37,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod body;
 pub mod client;
 pub mod daemon;
 mod fsio;
@@ -45,6 +47,7 @@ pub mod scheduler;
 pub mod spec;
 pub mod stream;
 
+pub use body::Body;
 pub use obs::{validate_prometheus_text, HttpMetrics, ObsLog};
 pub use scheduler::{JobPhase, Scheduler, ServiceConfig, SubmitError};
 pub use spec::CampaignSpec;

@@ -1,12 +1,13 @@
 //! A job's spool writes: the commit its writer runs at each checkpoint
 //! (I1, I2) and the result that supersedes the checkpoint (I3;
 //! ARCHITECTURE.md §5.3 states the invariants), beside what the
-//! progress endpoint reads back of the result.
+//! progress endpoint reads back of them.
 
-use super::{job::PartialHead, SchedInner};
-use crate::{fsio::write_atomic, spec::CampaignSpec, stream::JsonlStream};
-use noc_sim::{Checkpoint, DeliveryStream};
-use noc_telemetry::json::{obj, JsonReader, JsonValue};
+use super::{job::PartialHead, JobPhase, SchedInner};
+use crate::fsio::{write_atomic, write_atomic_with};
+use crate::{spec::CampaignSpec, stream::JsonlStream};
+use noc_sim::{Checkpoint, CheckpointHead, DeliveryStream};
+use noc_telemetry::json::{obj, IoText, JsonReader, JsonValue};
 use noc_telemetry::snapshot::{FromSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use noc_telemetry::{SpatialGrid, TimeSeries};
 use noc_types::DeliveredPacket;
@@ -17,8 +18,7 @@ use std::{fs, path::Path, sync::atomic::Ordering, time::Instant};
 /// crash guarantee (I1): a checkpoint is never in place before the
 /// deliveries up to its `delivery_offset` are `sync_data`-durable.
 /// The checkpoint arrives as the worker left it, a copy of the run at
-/// its boundary: the writer, not the stepping thread, encodes it, into
-/// `text`, the buffer the job's writer reuses from commit to commit.
+/// its boundary: the writer, not the stepping thread, encodes it.
 pub(super) fn commit(
     inner: &SchedInner,
     id: &str,
@@ -26,34 +26,39 @@ pub(super) fn commit(
     stream: &mut JsonlStream,
     batch: &[DeliveredPacket],
     checkpoint: Option<Checkpoint>,
-    text: &mut String,
 ) -> Result<(), String> {
     stream
         .append(batch)
         .map_err(|e| e.within("stream").to_string())?;
-    checkpoint.map_or(Ok(()), |c| spool_checkpoint(inner, id, path, c, text))
+    checkpoint.map_or(Ok(()), |c| spool_checkpoint(inner, id, path, stream, c))
 }
 
 /// Make one checkpoint of job `id` durable and, only once the directory
 /// fsync behind the rename has returned (I2), publish it: progress and
 /// the `202` head on the job's record, the counters, the log. The
-/// checkpoint is written as text straight into `text` (cleared first),
-/// and the head is derived from its own cycle, offset and epochs: no
-/// document tree is built.
+/// checkpoint is encoded as text straight into the tmp file, through
+/// the writer's fixed buffer ([`IoText`]): neither a document tree nor
+/// the whole text is ever built. The head is derived from the
+/// checkpoint's own cycle, offset and epochs, and from `stream`, which
+/// holds the deliveries it names (and, at the end of a run, more).
 pub(super) fn spool_checkpoint(
     inner: &SchedInner,
     id: &str,
     path: &Path,
+    stream: &JsonlStream,
     checkpoint: Checkpoint,
-    text: &mut String,
 ) -> Result<(), String> {
-    text.clear();
-    checkpoint.write_document(text);
-    let head = PartialHead::new(checkpoint.head());
+    let named = stream.bytes_at(checkpoint.head().delivery_offset());
+    let head = PartialHead::new(checkpoint.head(), named);
+    let write_started = Instant::now();
+    write_atomic_with(path, |file| {
+        let mut text = IoText::new(file);
+        checkpoint.write_document(&mut text);
+        text.finish().map(drop)
+    })
+    .map_err(|e| format!("writing checkpoint: {e}"))?;
     // The copy goes as soon as it is spent.
     drop(checkpoint);
-    let write_started = Instant::now();
-    write_atomic(path, text).map_err(|e| format!("writing checkpoint: {e}"))?;
     let write = write_started.elapsed();
     inner.checkpoint_writes.fetch_add(1, Ordering::Relaxed);
     inner
@@ -97,10 +102,33 @@ pub(super) fn write_result(
     Ok(())
 }
 
+/// What the spool in `dir` shows of a job's progress in `phase`: its
+/// cycle, grid and epoch series, from the last durable checkpoint while
+/// it runs and from its result once it completes; `None` when neither
+/// file decodes. Each file is read whole: a checkpoint's size is the
+/// network's, not the delivery stream's.
+pub(super) fn progress_shown(
+    dir: &Path,
+    phase: JobPhase,
+) -> Option<(u64, Option<SpatialGrid>, Option<TimeSeries>)> {
+    let read = |name: &str| fs::read_to_string(dir.join(name)).ok();
+    // A completed job's checkpoint is spent, even where a crash left
+    // the file behind. A running job's result is read only in the
+    // moment between its write, which removes the checkpoint, and the
+    // job's booking as completed.
+    let checkpoint = (phase != JobPhase::Completed)
+        .then(|| read("checkpoint.json"))
+        .flatten();
+    match checkpoint.and_then(|text| CheckpointHead::with_grid(&text).ok()) {
+        Some((head, grid)) => Some((head.cycle(), Some(grid), head.epoch_series().cloned())),
+        None => read("result.json").and_then(|text| result_progress(&text).ok()),
+    }
+}
+
 /// What a finished job's `result.json` shows a client: its report's
 /// `cycles_run`, `spatial` grid and `epochs` series, read off the text;
 /// the rest is checked for syntax only.
-pub(super) fn result_progress(
+fn result_progress(
     text: &str,
 ) -> Result<(u64, Option<SpatialGrid>, Option<TimeSeries>), SnapshotError> {
     let mut r = JsonReader::new(text);
@@ -117,7 +145,9 @@ pub(super) fn result_progress(
 
 #[cfg(test)]
 mod tests {
-    use super::super::testkit::{busy_spec, observable, scratch_spool, Played};
+    use super::super::testkit::{
+        assert_served_equals_reference, busy_spec, observable, scratch_spool, served_202, Played,
+    };
     use super::super::worker::{finish_job, next_job, run_job, JobOutcome};
     use super::super::{Scheduler, ServiceConfig};
     use super::*;
@@ -152,8 +182,7 @@ mod tests {
                     stream.append(&batch).unwrap();
                     assert_eq!(observable(sched, id), *before.borrow(), "appended");
                     let checkpoint = checkpoint.unwrap();
-                    let text = &mut String::new();
-                    spool_checkpoint(&sched.inner, id, &job.checkpoint_path, checkpoint, text)
+                    spool_checkpoint(&sched.inner, id, &job.checkpoint_path, &stream, checkpoint)
                         .unwrap();
                     job.mailbox.done(stream, Ok(true));
                     assert_ne!(observable(sched, id), *before.borrow(), "committed");
@@ -216,6 +245,27 @@ mod tests {
         let inner = &job.sched.inner;
         assert_eq!(inner.checkpoint_writes.load(Ordering::Relaxed), 0);
         assert_eq!(job.published_offset(), None);
+    }
+
+    /// The deliveries past a run's last boundary join the batch of a
+    /// checkpoint still pending, so one commit can append more than its
+    /// checkpoint names: the `202` it publishes serves the checkpoint's
+    /// prefix, not the stream's.
+    #[test]
+    fn a_commit_that_appends_past_its_checkpoint_serves_the_checkpoints_prefix() {
+        let job = Played::new("past", busy_spec());
+        let mut stream = job.stream(|_| ());
+        // Only the first boundary finds the writer idle; it stays pending.
+        let mut named = 0;
+        job.run(&mut stream, |offset| named = offset).unwrap();
+        drop(stream); // closes the mailbox, keeping the checkpoint
+        assert!(job.commit_after(|on_disk, batch| {
+            assert!(on_disk.len() + (batch.len() as u64) > named + 100);
+        }));
+        assert_eq!(job.published_offset(), Some(named));
+        let (sched, id) = (&job.sched, job.id.as_str());
+        let body = assert_served_equals_reference(sched, id, "appended past");
+        assert!(body.contains(",\"deliveries\":[{"), "{body}");
     }
 
     /// Deliveries before their checkpoint (I1), pinned by making the
@@ -305,10 +355,7 @@ mod tests {
         assert_eq!(sched.inner.checkpoint_writes.load(Ordering::Relaxed), 0);
         let status = sched.status_json(&id).unwrap();
         assert_eq!(status.get("cycles_done").unwrap().as_u64(), Some(0));
-        assert!(sched
-            .partial_text(&id)
-            .unwrap()
-            .ends_with("\"partial\":null}"));
+        assert!(served_202(&sched, &id).ends_with("\"partial\":null}"));
         finish_job(&sched.inner, &id, JobOutcome::Failed(error.clone()), 0.0);
         let status = sched.status_json(&id).unwrap();
         assert_eq!(status.get("phase").unwrap().as_str(), Some("failed"));

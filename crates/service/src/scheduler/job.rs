@@ -162,9 +162,9 @@ impl JobRecord {
 /// The client-facing part of one durable checkpoint, rendered once when
 /// the checkpoint lands so that a `202` neither re-reads nor re-parses
 /// `checkpoint.json`. It holds the cycle, the stream offset and the
-/// epoch series, never the deliveries: those are spliced from
-/// `deliveries.jsonl` per request, so nothing that grows with the
-/// job's length stays in memory.
+/// epoch series, never the deliveries: those are copied from
+/// `deliveries.jsonl` to the socket per request, a piece at a time, so
+/// nothing that grows with the job's length stays in memory.
 pub(super) struct PartialHead {
     /// The `partial` object up to and including the `[` that opens its
     /// `deliveries` array.
@@ -173,13 +173,18 @@ pub(super) struct PartialHead {
     pub(super) cycle: u64,
     /// Leading entries of the delivery stream the checkpoint vouches for.
     pub(super) delivery_offset: u64,
+    /// The bytes those entries take in the stream, newlines included;
+    /// `None` when the stream did not hold them at recovery.
+    pub(super) stream_bytes: Option<u64>,
 }
 
 impl PartialHead {
-    /// The `partial` head of a checkpoint's `head`. The one
-    /// constructor: a commit passes the head of the checkpoint it
-    /// writes, recovery the head read off the spooled file.
-    pub(super) fn new(head: &CheckpointHead) -> PartialHead {
+    /// The `partial` head of a checkpoint's `head`, whose deliveries
+    /// take `stream_bytes` of the stream. The one constructor: a commit
+    /// passes the head of the checkpoint it writes and the length of the
+    /// stream it appended, recovery the head read off the spooled file
+    /// and the length it measured.
+    pub(super) fn new(head: &CheckpointHead, stream_bytes: Option<u64>) -> PartialHead {
         let (cycle, delivery_offset) = (head.cycle(), head.delivery_offset());
         let mut open = String::new();
         let mut w = JsonWriter::new(&mut open);
@@ -192,6 +197,7 @@ impl PartialHead {
             open,
             cycle,
             delivery_offset,
+            stream_bytes,
         }
     }
 }

@@ -33,14 +33,13 @@ mod recover;
 mod worker;
 
 use crate::{
+    body::Body,
     fsio::{create_dir_durable, write_atomic},
     obs::ObsLog,
     spec::CampaignSpec,
-    stream::JsonlStream,
 };
-use commit::result_progress;
+use commit::progress_shown;
 use job::{JobRecord, PartialHead};
-use noc_sim::CheckpointHead;
 use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter};
 use noc_telemetry::Snapshot;
 use std::collections::{HashMap, VecDeque};
@@ -350,18 +349,17 @@ impl Scheduler {
         // A finished job keeps no spec in memory; its echo is the
         // resolved document the spool holds, which recovery trusts too.
         let (spec, head) = live.unwrap_or_else(|| {
-            let spec = fs::read_to_string(self.job_dir(id).join("spec.json")).ok();
-            let spec = spec.and_then(|text| CampaignSpec::from_text(&text).ok());
+            let spec = recover::spooled_spec(&self.job_dir(id));
             (spec.map_or(JsonValue::Null, |spec| spec.to_json()), None)
         });
         Some((extended(status, [("spec", spec)]), phase, head))
     }
 
-    /// The completed result document (raw JSON text), `None` while the
-    /// job is unknown or unfinished.
-    pub fn result_text(&self, id: &str) -> Option<String> {
+    /// The completed result document, served from `result.json` as it
+    /// stands; `None` while the job is unknown or unfinished.
+    pub fn result(&self, id: &str) -> Option<Body> {
         let completed = self.inner.state().jobs.get(id)?.phase() == JobPhase::Completed;
-        completed.then(|| fs::read_to_string(self.job_dir(id).join("result.json")).ok())?
+        completed.then(|| Body::file(&self.job_dir(id).join("result.json")).ok())?
     }
 
     /// Mean wall-clock duration of completed jobs, `None` before the
@@ -371,34 +369,38 @@ impl Scheduler {
         self.inner.state().mean_job_secs()
     }
 
-    /// Partial-progress document (rendered) for a job that is not
-    /// finished yet: the status fields plus a `partial` object carrying
-    /// the cycle, epoch series and deliveries-so-far at the job's last
-    /// durable checkpoint (`partial` is `null` before the first
-    /// checkpoint). `None` for an unknown id.
+    /// Partial-progress document for a job that is not finished yet:
+    /// the status fields plus a `partial` object carrying the cycle,
+    /// epoch series and deliveries-so-far at the job's last durable
+    /// checkpoint (`partial` is `null` before the first checkpoint, and
+    /// when the stream is shorter than the checkpoint says). `None` for
+    /// an unknown id.
     ///
-    /// Nothing is parsed on this path: the head of `partial` was
-    /// rendered when the checkpoint landed, and the deliveries are the
-    /// stream's first `delivery_offset` lines as they stand on disk.
-    pub fn partial_text(&self, id: &str) -> Option<String> {
+    /// Nothing is parsed or read whole on this path: the head of
+    /// `partial` was rendered when the checkpoint landed, and the
+    /// deliveries are the stream's first `delivery_offset` lines, copied
+    /// from the file a piece at a time as the body is written.
+    pub fn partial(&self, id: &str) -> Option<Body> {
         let (status, _, head) = self.view(id)?;
         // `{status fields}` reopened to take `partial` as its last field.
-        let mut body = status.render();
-        body.pop();
-        body.push_str(",\"partial\":");
-        let before_partial = body.len();
-        let spliced = head.is_some_and(|head| {
-            body.push_str(&head.open);
-            let stream = self.job_dir(id).join("deliveries.jsonl");
-            JsonlStream::splice_prefix(&stream, head.delivery_offset, &mut body)
-        });
-        if spliced {
-            body.push_str("]}}");
-        } else {
-            body.truncate(before_partial);
-            body.push_str("null}");
-        }
-        Some(body)
+        let mut text = status.render();
+        text.pop();
+        text.push_str(",\"partial\":");
+        let stream = |head: &PartialHead| {
+            let len = head.stream_bytes?;
+            let file = fs::File::open(self.job_dir(id).join("deliveries.jsonl")).ok()?;
+            (file.metadata().ok()?.len() >= len).then_some((file, len))
+        };
+        Some(match head.as_deref().and_then(|h| Some((h, stream(h)?))) {
+            Some((head, (file, len))) => {
+                text.push_str(&head.open);
+                Body::lines(text, file, len, head.delivery_offset, "]}}")
+            }
+            None => {
+                text.push_str("null}");
+                Body::from(text)
+            }
+        })
     }
 
     /// Live spatial-progress document (rendered) for a job: the status
@@ -413,19 +415,7 @@ impl Scheduler {
     /// Both files are read straight from their text; no tree is built.
     pub fn progress_text(&self, id: &str) -> Option<String> {
         let (status, phase, _) = self.view(id)?;
-        let dir = self.job_dir(id);
-        let read = |name: &str| fs::read_to_string(dir.join(name)).ok();
-        // A completed job's checkpoint is spent, even where a crash left
-        // the file behind. A running job's result is read only in the
-        // moment between its write, which removes the checkpoint, and
-        // the job's booking as completed.
-        let checkpoint = (phase != JobPhase::Completed)
-            .then(|| read("checkpoint.json"))
-            .flatten();
-        let shown = match checkpoint.and_then(|text| CheckpointHead::with_grid(&text).ok()) {
-            Some((head, grid)) => Some((head.cycle(), Some(grid), head.epoch_series().cloned())),
-            None => read("result.json").and_then(|text| result_progress(&text).ok()),
-        };
+        let shown = progress_shown(&self.job_dir(id), phase);
         let (cycle, grid, series) = shown.map_or((None, None, None), |(c, g, s)| (Some(c), g, s));
         let imbalance: Option<Vec<f64>> = series
             .as_ref()
@@ -600,19 +590,20 @@ mod tests {
     use super::commit::{spool_checkpoint, write_result};
     use super::testkit::{
         assert_progress_equals_reference, assert_served_equals_reference, busy_spec, scratch_spool,
-        Played,
+        served_202, Played,
     };
     use super::worker::{finish_job, next_job, JobOutcome};
     use super::*;
+    use crate::stream::JsonlStream;
     use noc_sim::DeliveryStream;
     use std::cell::{Cell, RefCell};
 
     /// The one `202` construction in production (head kept in memory,
-    /// deliveries spliced from the stream) serves exactly the bytes of
-    /// the construction it replaced, at every state a poll can meet:
-    /// the writer is played one step at a time, and every other
-    /// checkpoint is left pending so that the boundary after it is
-    /// skipped.
+    /// deliveries copied from the stream as the body is written) serves
+    /// exactly the bytes, and the `Content-Length`, of the construction
+    /// it replaced, at every state a poll can meet: the writer is
+    /// played one step at a time, and every other checkpoint is left
+    /// pending so that the boundary after it is skipped.
     #[test]
     fn served_202_equals_the_from_disk_reference_at_every_poll_point() {
         let spec = CampaignSpec {
@@ -640,8 +631,8 @@ mod tests {
             polls_between_append_and_checkpoint
                 .set(polls_between_append_and_checkpoint.get() + u64::from(appended));
             assert_served_equals_reference(sched, id, "appended, checkpoint not yet renamed");
-            let (path, text) = (&job.checkpoint_path, &mut String::new());
-            spool_checkpoint(&sched.inner, id, path, checkpoint.unwrap(), text).unwrap();
+            let path = &job.checkpoint_path;
+            spool_checkpoint(&sched.inner, id, path, &stream, checkpoint.unwrap()).unwrap();
             job.mailbox.done(stream, Ok(true));
             *last_body.borrow_mut() = assert_served_equals_reference(sched, id, "committed");
         };
@@ -678,6 +669,26 @@ mod tests {
         let restarted =
             Scheduler::recovered(ServiceConfig::new(&job.spool), ObsLog::disabled()).unwrap();
         let body = assert_served_equals_reference(&restarted, id, "first poll after a restart");
+        assert_eq!(partial_of(&body), partial_of(&last_body));
+
+        // A stream cut short of the head's offset shows no `partial`, in
+        // this daemon and in one restarted on the spool: a body is never
+        // one the stream does not hold. Mended, it shows it again.
+        let whole = fs::read(&job.stream_path).unwrap();
+        let offset = job.published_offset().unwrap();
+        let len = JsonlStream::prefix_len(&job.stream_path, offset).unwrap();
+        fs::write(&job.stream_path, &whole[..len as usize - 1]).unwrap();
+        let cut_restarted =
+            Scheduler::recovered(ServiceConfig::new(&job.spool), ObsLog::disabled()).unwrap();
+        for (sched, when) in [
+            (sched, "cut short"),
+            (&cut_restarted, "cut short, restarted"),
+        ] {
+            let body = assert_served_equals_reference(sched, id, when);
+            assert!(body.ends_with(",\"partial\":null}"), "{when}: {body}");
+        }
+        fs::write(&job.stream_path, &whole).unwrap();
+        let body = assert_served_equals_reference(sched, id, "mended");
         assert_eq!(partial_of(&body), partial_of(&last_body));
 
         // The job completes: its progress comes from its report, in
@@ -846,7 +857,7 @@ mod tests {
         let second = sched.submit(CampaignSpec::default()).unwrap();
         let status = sched.status_json(&first).unwrap();
         assert_eq!(status.get("phase").unwrap().as_str(), Some("queued"));
-        let body = sched.partial_text(&second).unwrap();
+        let body = served_202(&sched, &second);
         assert!(body.ends_with(",\"partial\":null}"), "{body}");
         let metrics = sched.metrics_text();
         assert!(metrics.contains("noc_service_queue_depth 2\n"), "{metrics}");

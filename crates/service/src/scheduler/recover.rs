@@ -2,9 +2,16 @@
 
 use super::job::{JobRecord, PartialHead};
 use super::Scheduler;
-use crate::spec::CampaignSpec;
+use crate::{spec::CampaignSpec, stream::JsonlStream};
 use noc_sim::CheckpointHead;
-use std::fs;
+use std::{fs, path::Path};
+
+/// The spec spooled in job directory `dir`, if it is there and reads.
+/// Recovery trusts it, and a finished job's status echoes it.
+pub(super) fn spooled_spec(dir: &Path) -> Option<CampaignSpec> {
+    let text = fs::read_to_string(dir.join("spec.json")).ok()?;
+    CampaignSpec::from_text(&text).ok()
+}
 
 impl Scheduler {
     /// Scan the spool for jobs that were submitted but never finished
@@ -25,8 +32,7 @@ impl Scheduler {
             if let Some(n) = id.strip_prefix("job-").and_then(|s| s.parse::<u64>().ok()) {
                 state.next_id = state.next_id.max(n + 1);
             }
-            let spec = fs::read_to_string(dir.join("spec.json")).ok();
-            let Some(spec) = spec.and_then(|text| CampaignSpec::from_text(&text).ok()) else {
+            let Some(spec) = spooled_spec(&dir) else {
                 continue; // torn submission: no durable spec, nothing to run
             };
             let mut rec = JobRecord::queued(spec);
@@ -38,10 +44,14 @@ impl Scheduler {
                 rec.failed(fs::read_to_string(dir.join("error.txt")).ok());
             } else {
                 // An unfinished job shows a client its last durable
-                // checkpoint from the first poll on (if it has one).
+                // checkpoint from the first poll on (if it has one),
+                // with the length of the stream prefix it names,
+                // measured once here.
                 let checkpoint = fs::read_to_string(dir.join("checkpoint.json"));
                 if let Some(head) = checkpoint.ok().and_then(|t| CheckpointHead::of(&t).ok()) {
-                    rec.resumes_from(PartialHead::new(&head), None);
+                    let stream = dir.join("deliveries.jsonl");
+                    let bytes = JsonlStream::prefix_len(&stream, head.delivery_offset());
+                    rec.resumes_from(PartialHead::new(&head, bytes), None);
                 }
                 self.inner.log.event(
                     "job_recovered",
@@ -58,7 +68,7 @@ impl Scheduler {
 #[cfg(test)]
 mod tests {
     use super::super::commit::write_result;
-    use super::super::testkit::{busy_spec, Played};
+    use super::super::testkit::{busy_spec, served_202, Played};
     use super::super::worker::{finish_job, JobOutcome};
     use super::super::ServiceConfig;
     use super::*;
@@ -77,7 +87,7 @@ mod tests {
         let restarted =
             Scheduler::recovered(ServiceConfig::new(&job.spool), ObsLog::disabled()).unwrap();
         let status = restarted.status_json(&job.id).unwrap();
-        let body = JsonValue::parse(&restarted.partial_text(&job.id).unwrap()).unwrap();
+        let body = JsonValue::parse(&served_202(&restarted, &job.id)).unwrap();
         let cycle = body.get("partial").and_then(|p| p.get("cycle"));
         let cycle = cycle.and_then(JsonValue::as_u64).unwrap();
         assert!(cycle > 0);

@@ -44,7 +44,7 @@ pub(super) fn without_age(body: &str) -> String {
 
 /// The `202` body built the way it was before [`PartialHead`]: the
 /// spooled checkpoint re-read and re-parsed, every delivery line
-/// parsed and rendered again. The reference [`Scheduler::partial_text`]
+/// parsed and rendered again. The reference [`Scheduler::partial`]
 /// is compared with, byte for byte.
 ///
 /// [`PartialHead`]: super::job::PartialHead
@@ -128,10 +128,20 @@ fn progress_json_from_disk(sched: &Scheduler, id: &str) -> Option<JsonValue> {
     Some(JsonValue::Obj(fields))
 }
 
+/// The `202` body as the HTTP path writes it, after checking that it
+/// is as long as its `Content-Length` says.
+pub(super) fn served_202(sched: &Scheduler, id: &str) -> String {
+    let body = sched.partial(id).expect("job is known");
+    let mut wire = Vec::new();
+    body.write_to(&mut wire).expect("the body is written whole");
+    assert_eq!(wire.len() as u64, body.content_length());
+    String::from_utf8(wire).expect("the body is text")
+}
+
 /// The served `202` and progress bodies against their from-disk
 /// references, byte for byte; the `202` body.
 pub(super) fn assert_served_equals_reference(sched: &Scheduler, id: &str, when: &str) -> String {
-    let served = sched.partial_text(id).expect("job is known");
+    let served = served_202(sched, id);
     let reference = partial_json_from_disk(sched, id)
         .expect("job is known")
         .render();
@@ -158,7 +168,7 @@ pub(super) fn assert_progress_equals_reference(sched: &Scheduler, id: &str, when
 /// Everything a client or a scrape can see of a job's progress.
 pub(super) fn observable(sched: &Scheduler, id: &str) -> (String, String, u64) {
     (
-        without_age(&sched.partial_text(id).unwrap()),
+        without_age(&served_202(sched, id)),
         without_age(&sched.status_json(id).unwrap().render()),
         sched.inner.checkpoint_writes.load(Ordering::Relaxed),
     )
@@ -241,6 +251,7 @@ impl Played {
         };
         look(&stream, &batch);
         let checkpointed = checkpoint.is_some();
+        let document = checkpoint.as_ref().map(|c| c.document().render());
         let result = commit(
             &self.sched.inner,
             &self.id,
@@ -248,8 +259,11 @@ impl Played {
             &mut stream,
             &batch,
             checkpoint,
-            &mut String::new(),
         );
+        // The file the commit wrote is the checkpoint's document.
+        if let (Ok(()), Some(document)) = (&result, document) {
+            assert!(fs::read_to_string(&self.checkpoint_path).unwrap() == document);
+        }
         self.mailbox.done(stream, result.map(|()| checkpointed));
         true
     }
@@ -298,6 +312,9 @@ pub(super) struct Overheard<'a, F> {
 impl<F: Fn(bool)> DeliveryStream for Overheard<'_, F> {
     fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
         self.stream.append(batch)
+    }
+    fn append_vec(&mut self, batch: &mut Vec<DeliveredPacket>) -> Result<(), SnapshotError> {
+        self.stream.append_vec(batch)
     }
     fn ready(&self) -> bool {
         let ready = self.stream.ready();

@@ -150,17 +150,8 @@ fn run_simulate_job(
         let writer = std::thread::Builder::new()
             .name("noc-service-writer".into())
             .spawn_scoped(scope, || {
-                let mut text = String::new();
                 mailbox.serve(|stream, batch, checkpoint| {
-                    commit(
-                        inner,
-                        id,
-                        &checkpoint_path,
-                        stream,
-                        batch,
-                        checkpoint,
-                        &mut text,
-                    )
+                    commit(inner, id, &checkpoint_path, stream, batch, checkpoint)
                 })
             })
             .map_err(|e| format!("starting the spool writer: {e}"))?;

@@ -18,9 +18,10 @@
 //! to the last complete line, which is always safe for the same
 //! reason: a torn append's checkpoint was never written.
 //!
-//! Both reads of the file — `open` counting its lines, `truncate`
-//! replaying its prefix — go a chunk or a line at a time, so a resume
-//! holds one line of the stream, never the whole log.
+//! Every read of the file — `open` counting its lines, `truncate`
+//! replaying its prefix, recovery measuring a checkpoint's prefix, a
+//! `202` copying it to the socket — goes a chunk or a line at a time, so
+//! neither a resume nor a poll holds more than a piece of the log.
 //!
 //! A running job does not append on its stepping thread: it steps
 //! against a `QueuedStream`, which leaves each batch in a `Mailbox`
@@ -44,6 +45,8 @@ fn io_err(context: &str, e: std::io::Error) -> SnapshotError {
 pub struct JsonlStream {
     path: PathBuf,
     entries: u64,
+    /// The bytes the `entries` lines take, newlines included.
+    bytes: u64,
     /// `open` created the file and its directory entry is not yet
     /// durable: the first append fsyncs the directory first.
     unsettled: bool,
@@ -60,24 +63,10 @@ impl JsonlStream {
     /// the thread that appends pays for it, not the one that opens.
     pub fn open(path: impl Into<PathBuf>) -> Result<JsonlStream, SnapshotError> {
         let path = path.into();
-        let (entries, unsettled) = match fs::File::open(&path) {
-            Ok(mut f) => {
-                // Complete lines, and the length up to the last one.
-                let (mut complete, mut valid_len, mut len) = (0u64, 0u64, 0u64);
-                let mut chunk = vec![0u8; READ_CHUNK];
-                loop {
-                    let n = match f.read(&mut chunk) {
-                        Ok(0) => break,
-                        Ok(n) => n,
-                        Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                        Err(e) => return Err(io_err("reading stream", e)),
-                    };
-                    for (i, _) in chunk[..n].iter().enumerate().filter(|(_, &b)| b == b'\n') {
-                        complete += 1;
-                        valid_len = len + i as u64 + 1;
-                    }
-                    len += n as u64;
-                }
+        let (entries, bytes, unsettled) = match fs::File::open(&path) {
+            Ok(f) => {
+                let (complete, valid_len, len) =
+                    scan_lines(f, u64::MAX).map_err(|e| io_err("reading stream", e))?;
                 if valid_len != len {
                     let f = fs::OpenOptions::new()
                         .write(true)
@@ -88,19 +77,42 @@ impl JsonlStream {
                     f.sync_all()
                         .map_err(|e| io_err("syncing repaired stream", e))?;
                 }
-                (complete, false)
+                (complete, valid_len, false)
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
                 fs::File::create(&path).map_err(|e| io_err("creating stream", e))?;
-                (0, true)
+                (0, 0, true)
             }
             Err(e) => return Err(io_err("reading stream", e)),
         };
         Ok(JsonlStream {
             path,
             entries,
+            bytes,
             unsettled,
         })
+    }
+
+    /// The bytes the stream's first `offset` entries take on disk,
+    /// newlines included: the length of the prefix a checkpoint at
+    /// `offset` names. Counted by the appends when the entries are all
+    /// of the stream; else read off the file ([`JsonlStream::prefix_len`]),
+    /// as when a run's last deliveries join the batch of a checkpoint
+    /// still pending, and one commit appends past its checkpoint.
+    pub(crate) fn bytes_at(&self, offset: u64) -> Option<u64> {
+        match offset == self.entries {
+            true => Some(self.bytes),
+            false => Self::prefix_len(&self.path, offset),
+        }
+    }
+
+    /// The bytes the first `offset` entries of the stream at `path` take,
+    /// newlines included, read a chunk at a time; `None` when the file is
+    /// missing or holds fewer complete lines. What recovery records for
+    /// a checkpoint it finds.
+    pub(crate) fn prefix_len(path: &Path, offset: u64) -> Option<u64> {
+        let (lines, len, _) = scan_lines(fs::File::open(path).ok()?, offset).ok()?;
+        (lines == offset).then_some(len)
     }
 
     /// Make a stream [`JsonlStream::open`] created durable as a
@@ -128,56 +140,29 @@ impl JsonlStream {
     pub fn path(&self) -> &Path {
         &self.path
     }
+}
 
-    /// Append to `out` the first `offset` entries of the stream at
-    /// `path` as the items of a JSON array, comma-separated and without
-    /// the brackets — the non-destructive read used to serve partial
-    /// results. The lines are spliced as bytes, not parsed: each is the
-    /// canonical rendering [`DeliveryStream::append`] wrote, so
-    /// re-rendering its parse would reproduce it. The file is read
-    /// straight into `out`: a copy of the stream beside the body it
-    /// goes into doubled what every request thread's allocator arena
-    /// grew to, and a running job's writer adds an arena. Returns
-    /// `false`, with `out` as it was, when the file is missing or holds
-    /// fewer than `offset` complete lines (e.g. a read racing a
-    /// concurrent repair), which callers treat as "not available yet".
-    pub fn splice_prefix(path: &Path, offset: u64, out: &mut String) -> bool {
-        let start = out.len();
-        let mut bytes = std::mem::take(out).into_bytes();
-        let mut splice = || {
-            fs::File::open(path).ok()?.read_to_end(&mut bytes).ok()?;
-            let mut end = start;
-            for _ in 0..offset {
-                end += bytes[end..].iter().position(|&b| b == b'\n')? + 1;
-            }
-            // Drop the tail and the last newline; the inner ones become
-            // the separators (a rendered line holds no raw newline).
-            bytes.truncate(end.saturating_sub(1).max(start));
-            for b in &mut bytes[start..] {
-                if *b == b'\n' {
-                    *b = b',';
-                }
-            }
-            Some(())
+/// Read `f` a chunk at a time up to its `limit`-th newline (or its
+/// end): the complete lines seen, the bytes up to the last of them, and
+/// the bytes read.
+fn scan_lines(mut f: fs::File, limit: u64) -> std::io::Result<(u64, u64, u64)> {
+    let (mut lines, mut valid_len, mut len) = (0u64, 0u64, 0u64);
+    let mut chunk = vec![0u8; READ_CHUNK];
+    while lines < limit {
+        let n = match f.read(&mut chunk) {
+            Ok(0) => break,
+            Ok(n) => n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
         };
-        let spliced = splice().is_some();
-        if !spliced {
-            bytes.truncate(start);
+        let ends = chunk[..n].iter().enumerate().filter(|(_, &b)| b == b'\n');
+        for (i, _) in ends.take((limit - lines).try_into().unwrap_or(usize::MAX)) {
+            lines += 1;
+            valid_len = len + i as u64 + 1;
         }
-        match String::from_utf8(bytes) {
-            Ok(text) => {
-                *out = text;
-                spliced
-            }
-            // Not a stream `append` wrote: give `out` back as it was.
-            Err(e) => {
-                let mut bytes = e.into_bytes();
-                bytes.truncate(start);
-                *out = String::from_utf8(bytes).expect("what `out` held");
-                false
-            }
-        }
+        len += n as u64;
     }
+    Ok((lines, valid_len, len))
 }
 
 impl DeliveryStream for JsonlStream {
@@ -195,18 +180,21 @@ impl DeliveryStream for JsonlStream {
         // keeps (+14 % measured).
         let mut out = BufWriter::with_capacity(16 << 10, f);
         let mut line = String::new();
+        let mut bytes = 0;
         for d in batch {
             line.clear();
             d.write_json(&mut line);
             line.push('\n');
             out.write_all(line.as_bytes())
                 .map_err(|e| io_err("appending to stream", e))?;
+            bytes += line.len() as u64;
         }
         let f = out
             .into_inner()
             .map_err(|e| io_err("appending to stream", e.into_error()))?;
         f.sync_data().map_err(|e| io_err("syncing stream", e))?;
         self.entries += batch.len() as u64;
+        self.bytes += bytes;
         Ok(())
     }
 
@@ -268,6 +256,7 @@ impl DeliveryStream for JsonlStream {
             f.sync_all()
                 .map_err(|e| io_err("syncing truncated stream", e))?;
             self.entries = offset;
+            self.bytes = byte_end;
         }
         Ok(())
     }
@@ -295,7 +284,8 @@ struct Mail<C> {
     stream: Option<JsonlStream>,
     /// Deliveries handed over and not yet taken by the writer.
     batch: Vec<DeliveredPacket>,
-    /// The pending checkpoint, which names everything in `batch`.
+    /// The pending checkpoint, which names everything in `batch` but,
+    /// at the end of a run, the deliveries past its last boundary.
     checkpoint: Option<C>,
     /// Entries in the stream as the worker sees it: on disk, in flight
     /// and in `batch`.
@@ -468,15 +458,37 @@ pub(crate) struct QueuedStream<'a, C> {
     urgent: &'a AtomicBool,
 }
 
-impl<C> DeliveryStream for QueuedStream<'_, C> {
-    fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
+impl<C> QueuedStream<'_, C> {
+    /// Leave `n` deliveries in the mailbox's batch through `put`, unless
+    /// a commit has failed.
+    fn leave(
+        &mut self,
+        n: usize,
+        put: impl FnOnce(&mut Vec<DeliveredPacket>),
+    ) -> Result<(), SnapshotError> {
         let mut mail = self.mailbox.lock();
         if let Some(e) = &mail.error {
             return Err(SnapshotError::new(e.clone()));
         }
-        mail.batch.extend_from_slice(batch);
-        mail.entries += batch.len() as u64;
+        put(&mut mail.batch);
+        mail.entries += n as u64;
         Ok(())
+    }
+}
+
+impl<C> DeliveryStream for QueuedStream<'_, C> {
+    fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError> {
+        self.leave(batch.len(), |mail| mail.extend_from_slice(batch))
+    }
+
+    /// The vector moves into the mailbox, and the writer takes it from
+    /// there: a boundary's deliveries exist once, not in the network's
+    /// buffer and again in the batch.
+    fn append_vec(&mut self, batch: &mut Vec<DeliveredPacket>) -> Result<(), SnapshotError> {
+        self.leave(batch.len(), |mail| match mail.is_empty() {
+            true => *mail = std::mem::take(batch),
+            false => mail.append(batch),
+        })
     }
 
     fn ready(&self) -> bool {
@@ -517,9 +529,8 @@ impl<C> Drop for QueuedStream<'_, C> {
 
 #[cfg(test)]
 impl JsonlStream {
-    /// The first `offset` entries parsed one by one: what
-    /// [`JsonlStream::splice_prefix`] replaced, kept as the reference
-    /// the tests compare it with.
+    /// The first `offset` entries parsed one by one: the reference the
+    /// served `202` prefix is compared with.
     pub(crate) fn read_prefix(path: &Path, offset: u64) -> Option<Vec<noc_telemetry::JsonValue>> {
         let text = fs::read_to_string(path).ok()?;
         let mut out = Vec::with_capacity(offset as usize);
@@ -668,35 +679,39 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// The spliced prefix is, byte for byte, what rendering the parsed
-    /// prefix gives — at every offset, with a torn tail, and both are
-    /// absent together.
+    /// The prefix a `202` serves — measured as recovery measures it and
+    /// copied from the file as the HTTP path copies it — is, byte for
+    /// byte, what rendering the parsed prefix gives: at every offset,
+    /// with a torn tail, and both are absent together.
     #[test]
-    fn prefix_items_equal_the_rendered_parse_of_the_same_prefix() {
-        let dir = scratch("splice");
+    fn served_prefix_equals_the_rendered_parse_of_the_same_prefix() {
+        let dir = scratch("prefix-served");
         let path = dir.join("deliveries.jsonl");
         let mut s = JsonlStream::open(&path).unwrap();
         s.append(&[d(1), d(2)]).unwrap();
         s.append(&[d(3)]).unwrap();
+        let appended = s.bytes_at(3).unwrap();
         let mut f = fs::OpenOptions::new().append(true).open(&path).unwrap();
         f.write_all(b"{\"id\":4,\"kind").unwrap(); // torn append
         drop(f);
-        let spliced = |path: &Path, offset| {
-            let mut body = String::from("[");
-            let ok = JsonlStream::splice_prefix(path, offset, &mut body);
-            assert!(ok || body == "[", "a failed splice left {body:?}");
-            ok.then(|| body + "]")
+        let served = |path: &Path, offset| {
+            let len = JsonlStream::prefix_len(path, offset)?;
+            let file = fs::File::open(path).unwrap();
+            let body = crate::body::Body::lines("[".into(), file, len, offset, "]");
+            Some(body.to_text().unwrap())
         };
         for offset in 0..=4 {
             let parsed =
                 JsonlStream::read_prefix(&path, offset).map(|items| JsonValue::Arr(items).render());
-            let spliced = spliced(&path, offset);
-            assert_eq!(spliced, parsed, "offset {offset}");
-            assert_eq!(spliced.is_some(), offset <= 3, "offset {offset}");
+            let served = served(&path, offset);
+            assert_eq!(served, parsed, "offset {offset}");
+            assert_eq!(served.is_some(), offset <= 3, "offset {offset}");
         }
-        assert!(spliced(&dir.join("absent.jsonl"), 0).is_none());
-        fs::write(dir.join("binary.jsonl"), b"\xff\n").unwrap();
-        assert!(spliced(&dir.join("binary.jsonl"), 1).is_none());
+        assert_eq!(JsonlStream::prefix_len(&path, 3), Some(appended));
+        let reopened = JsonlStream::open(&path).unwrap();
+        assert_eq!(reopened.bytes_at(3), Some(appended));
+        assert_eq!(reopened.bytes_at(2), JsonlStream::prefix_len(&path, 2));
+        assert!(served(&dir.join("absent.jsonl"), 0).is_none());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -826,6 +841,31 @@ mod tests {
         assert!(stream.ready(), "in flight, but urgent");
         mailbox.done(on_disk, Ok(true));
         assert_eq!(mailbox.outcome(), Ok((1, 1)));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A batch the worker gives up moves into the mailbox, buffer and
+    /// all, and a later one joins it there; the worker's vector is left
+    /// empty either way, and the writer takes the first buffer.
+    #[test]
+    fn a_given_up_batch_moves_into_the_mailbox() {
+        let dir = scratch("move");
+        let mailbox = Mailbox::new(JsonlStream::open(dir.join("deliveries.jsonl")).unwrap());
+        let urgent = AtomicBool::new(false);
+        let mut stream = mailbox.queued(&urgent);
+        let mut batch = Vec::with_capacity(8);
+        batch.extend([d(1), d(2)]);
+        let buffer = batch.as_ptr();
+        stream.append_vec(&mut batch).unwrap();
+        assert_eq!((batch.len(), batch.capacity()), (0, 0), "moved, not copied");
+        let mut more = vec![d(3)];
+        stream.append_vec(&mut more).unwrap();
+        assert!(more.is_empty());
+        assert_eq!(stream.len(), 3);
+        mailbox.hand_over(3u64);
+        let (_, taken, _) = mailbox.take().unwrap();
+        assert_eq!(taken, vec![d(1), d(2), d(3)]);
+        assert_eq!(taken.as_ptr(), buffer, "the worker's own buffer");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -102,7 +102,8 @@ fn scheduler_completes_jobs_with_reference_identical_reports() {
     for (spec, id) in specs.iter().zip(&ids) {
         let status = sched.status_json(id).unwrap();
         assert_eq!(status.get("phase").unwrap().as_str(), Some("completed"));
-        let result = sched.result_text(id).expect("completed job has a result");
+        let result = sched.result(id).expect("completed job has a result");
+        let result = result.to_text().unwrap();
         assert_eq!(report_of(&result), reference_report(spec), "job {id}");
     }
     sched.shutdown();
@@ -137,7 +138,8 @@ fn scheduler_runs_fault_campaign_jobs_to_reference_identical_curves() {
 
     let status = sched.status_json(&id).unwrap();
     assert_eq!(status.get("phase").unwrap().as_str(), Some("completed"));
-    let result = sched.result_text(&id).expect("completed job has a result");
+    let result = sched.result(&id).expect("completed job has a result");
+    let result = result.to_text().unwrap();
     let doc = JsonValue::parse(&result).unwrap();
     let report = doc.get("report").expect("campaign result embeds a report");
     assert_eq!(

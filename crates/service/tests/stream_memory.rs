@@ -8,26 +8,34 @@
 //! whole, and returning the prefix as a vector, would add the file and
 //! ~40 bytes an entry.)
 //!
-//! A checkpoint is encoded straight to text, into the buffer the job's
-//! spool writer reuses from commit to commit: no document tree, so the
-//! heap rises by less than the text, in a few allocations. (Building
-//! the tree and rendering it rose by 580 KB in ~7,600 allocations for
-//! an 81 KB text.) A resume decodes it straight from the text, too, and
-//! so does the progress endpoint read its head and grid: the heap rises
-//! by less than twice the text, where parsing it into a tree first rises
-//! by more.
+//! A checkpoint is encoded straight to text, into its file through the
+//! spool writer's fixed buffer: no document tree and no whole text, so
+//! the heap rises by the buffer, in a few allocations. (Building the
+//! tree and rendering it rose by 580 KB in ~7,600 allocations for an
+//! 81 KB text; encoding it into a `String` rose by the text.) A resume
+//! decodes it straight from the text, too, and so does the progress
+//! endpoint read its head and grid: the heap rises by less than twice
+//! the text, where parsing it into a tree first rises by more, and the
+//! reader allocates nothing beyond the values it returns.
+//!
+//! A `202` poll copies the delivery stream's prefix from the file to the
+//! socket a piece at a time: its heap rises by a fixed bound, late in a
+//! ledger job and over a stream of several MB alike, where a body built
+//! whole rises by the stream.
 
 use noc_alloc_meter::measure;
 use noc_faults::FaultPlan;
-use noc_service::{CampaignSpec, JsonlStream};
-use noc_sim::{CheckpointHead, MemoryStream, Network, Simulator};
-use noc_telemetry::json::{JsonReader, JsonValue};
+use noc_service::{CampaignSpec, JsonlStream, Scheduler, ServiceConfig};
+use noc_sim::{CheckpointHead, MemoryStream, Network, SimOutcome, Simulator};
+use noc_telemetry::json::{IoText, JsonReader, JsonValue};
 use noc_telemetry::snapshot::{Restore, Snapshot};
 use noc_topology::Topology;
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::{Coord, DeliveredPacket, NetworkConfig, PacketId, PacketKind, SimConfig};
 use shield_router::RouterKind;
 use std::fs;
+use std::io::Write;
+use std::path::PathBuf;
 
 fn main() {
     resuming_from_a_stream_of_several_mb_holds_one_line_of_it();
@@ -38,6 +46,8 @@ fn main() {
     println!("test a_checkpoint_is_decoded_without_a_tree ... ok");
     what_a_checkpoint_shows_is_read_without_a_tree();
     println!("test what_a_checkpoint_shows_is_read_without_a_tree ... ok");
+    a_202_poll_holds_a_piece_of_the_stream();
+    println!("test a_202_poll_holds_a_piece_of_the_stream ... ok");
 }
 
 /// The benchmark ledger's `daemon_jobs` job: 4×4, rate 0.08,
@@ -47,10 +57,23 @@ const LEDGER_JOB: &str = "{\"kind\":\"simulate\",\"mesh_k\":4,\"rate\":0.08,\
     \"checkpoint_every\":250,\"seed\":1}";
 /// Most allocations encoding a checkpoint may make.
 const ENCODE_ALLOCATIONS: u64 = 8;
+/// What encoding a checkpoint into its file may add to the heap's
+/// high-water mark: the writer's buffer, and the spatial grid the
+/// encoder builds.
+const ENCODE_BOUND: u64 = IoText::<fs::File>::BUFFER as u64 + (4 << 10);
 
-/// The writer's commits, one after another into one buffer: the last
-/// checkpoint's encoding raises the heap's high-water mark by less
-/// than twice its text, in a few allocations.
+/// A fresh scratch directory named for `tag`.
+fn scratch(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("noc-stream-memory-{tag}-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+/// The writer's commit of the job's last checkpoint, into its file:
+/// the encoding raises the heap's high-water mark by the writer's
+/// buffer and little more, in a few allocations, and the file holds
+/// the document.
 fn a_checkpoint_is_encoded_without_a_tree() {
     let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
     let sim = spec.simulator(spec.checkpoint_every).unwrap();
@@ -71,19 +94,23 @@ fn a_checkpoint_is_encoded_without_a_tree() {
         "the last checkpoint is at {}",
         late.head().cycle()
     );
-    let mut text = String::new();
-    for earlier in &checkpoints {
-        text.clear();
-        earlier.write_document(&mut text);
-    }
-    let ((), heap) = measure(|| {
-        text.clear();
+    let dir = scratch("encode");
+    let path = dir.join("checkpoint.tmp");
+    let mut file = fs::File::create(&path).unwrap();
+    let (written, heap) = measure(|| {
+        let mut text = IoText::new(&mut file);
         late.write_document(&mut text);
+        text.finish().map(drop)
     });
-    assert_eq!(text, late.document().render());
+    written.unwrap();
+    drop(file);
+    let text = fs::read_to_string(&path).unwrap();
+    let _ = fs::remove_dir_all(&dir);
+    assert!(text == late.document().render(), "the file is the document");
     let len = text.len() as u64;
+    assert!(len > 4 * ENCODE_BOUND, "the checkpoint is only {len} bytes");
     assert!(
-        heap.peak_bytes < 2 * len,
+        heap.peak_bytes < ENCODE_BOUND,
         "encoding a {len}-byte checkpoint raised the heap's high-water mark by {} bytes",
         heap.peak_bytes
     );
@@ -129,15 +156,34 @@ fn last_checkpoint(spec: &CampaignSpec) -> String {
 /// What the progress endpoint reads of the ledger job's last
 /// checkpoint — its head and its grid, through
 /// `CheckpointHead::with_grid` — raises the heap's high-water mark by
-/// less than twice the checkpoint's text. The control, the tree the
-/// endpoint once parsed the file into for the same members, does not
-/// stay under that bound.
+/// less than twice the checkpoint's text, in the allocations its values
+/// need and no more: none per field read, none per object skipped. The
+/// control, the tree the endpoint once parsed the file into for the
+/// same members, does not stay under that bound.
 fn what_a_checkpoint_shows_is_read_without_a_tree() {
     let spec = CampaignSpec::from_text(LEDGER_JOB).unwrap();
     let text = last_checkpoint(&spec);
     let len = text.len() as u64;
 
     let ((head, grid), heap) = measure(|| CheckpointHead::with_grid(&text).unwrap());
+    // What the values themselves need: the grid's cells, pushed one by
+    // one into a vector that grows as they come (a decoder reserves
+    // nothing a crafted size names), and the epoch series.
+    let (_, need) = measure(|| {
+        let cells = grid.cells.iter().fold(Vec::new(), |mut cells, cell| {
+            cells.push(*cell);
+            cells
+        });
+        (cells, head.epoch_series().cloned())
+    });
+    assert!(
+        heap.allocations <= need.allocations,
+        "reading a checkpoint's head and grid made {} allocations, sized {:?}, where its \
+         values need {}",
+        heap.allocations,
+        heap.sizes(),
+        need.allocations
+    );
     assert!(
         head.cycle() >= 1500,
         "the last checkpoint is at {}",
@@ -223,6 +269,25 @@ fn a_checkpoint_is_decoded_without_a_tree() {
 
 /// Deliveries put in front of the run's own: ~150 bytes a line.
 const FILLER: u64 = 50_000;
+
+/// `n` delivery lines of ~150 bytes, as a stream holds them.
+fn filler_lines(n: u64) -> String {
+    (0..n)
+        .map(|i| {
+            let d = DeliveredPacket {
+                id: PacketId(1 << 40 | i),
+                kind: PacketKind::Data,
+                src: Coord::new(0, 0),
+                dst: Coord::new(3, 3),
+                created_at: i % 500,
+                injected_at: i % 500 + 2,
+                ejected_at: i % 500 + 20 + i % 7,
+                hops: 6,
+            };
+            d.snapshot().render() + "\n"
+        })
+        .collect()
+}
 /// What resuming may add to the heap's high-water mark.
 const BOUND: u64 = 1 << 20;
 
@@ -265,23 +330,8 @@ fn resuming_from_a_stream_of_several_mb_holds_one_line_of_it() {
 
     // Several MB of earlier deliveries in front of the run's own, and a
     // checkpoint whose offset takes them in.
-    let filler: String = (0..FILLER)
-        .map(|i| {
-            let d = DeliveredPacket {
-                id: PacketId(1 << 40 | i),
-                kind: PacketKind::Data,
-                src: Coord::new(0, 0),
-                dst: Coord::new(3, 3),
-                created_at: i % 500,
-                injected_at: i % 500 + 2,
-                ejected_at: i % 500 + 20 + i % 7,
-                hops: 6,
-            };
-            d.snapshot().render() + "\n"
-        })
-        .collect();
     let own = fs::read_to_string(&path).unwrap();
-    fs::write(&path, filler + &own).unwrap();
+    fs::write(&path, filler_lines(FILLER) + &own).unwrap();
     drop(own);
     let size = fs::metadata(&path).unwrap().len();
     assert!(size > 5 << 20, "the stream is only {size} bytes");
@@ -312,4 +362,105 @@ fn resuming_from_a_stream_of_several_mb_holds_one_line_of_it() {
         grew < BOUND,
         "resuming from a {size}-byte stream raised the heap's high-water mark by {grew} bytes"
     );
+}
+
+/// What serving a `202` may add to the heap's high-water mark: the
+/// status document, the `partial` head, an open file and change.
+const POLL_BOUND: u64 = 64 << 10;
+
+/// A `Write` that keeps nothing but the count of what it took.
+#[derive(Default)]
+struct Counted(u64);
+
+impl Write for Counted {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0 += buf.len() as u64;
+        Ok(buf.len())
+    }
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+/// A spool named for `tag` holding one job of the ledger's shape,
+/// stopped at its first checkpoint at or past `cycle`, with `filler`
+/// earlier deliveries put in front of its stream; and a scheduler
+/// recovered on it whose worker has been stopped, so that nothing runs
+/// beside a poll. The job runs far longer than the ledger's, so a
+/// worker that picks it up before the stop only takes it to a later
+/// checkpoint.
+fn stopped_job(tag: &str, cycle: u64, filler: u64) -> (Scheduler, PathBuf) {
+    let spool = scratch(tag);
+    let dir = spool.join("job-000001");
+    fs::create_dir_all(&dir).unwrap();
+    let spec = CampaignSpec {
+        measure_cycles: 1_000_000,
+        ..CampaignSpec::from_text(LEDGER_JOB).unwrap()
+    };
+    fs::write(dir.join("spec.json"), spec.to_json().render()).unwrap();
+    let stream_path = dir.join("deliveries.jsonl");
+    let mut stream = JsonlStream::open(&stream_path).unwrap();
+    let mut kept = None;
+    let sim = spec.simulator(spec.checkpoint_every).unwrap();
+    let (_, outcome) = sim
+        .run_streamed(&mut spec.generator().unwrap(), &mut stream, None, |c| {
+            let late = c.head().cycle() >= cycle;
+            kept = late.then(|| c.document());
+            !late
+        })
+        .unwrap();
+    assert_eq!(outcome, SimOutcome::Interrupted);
+    drop(stream);
+    let JsonValue::Obj(mut doc) = kept.expect("the run reached the cycle") else {
+        panic!("a checkpoint is an object");
+    };
+    if filler > 0 {
+        let own = fs::read_to_string(&stream_path).unwrap();
+        fs::write(&stream_path, filler_lines(filler) + &own).unwrap();
+        for (key, value) in &mut doc {
+            if key == "delivery_offset" {
+                *value = (value.as_u64().unwrap() + filler).into();
+            }
+        }
+    }
+    fs::write(dir.join("checkpoint.json"), JsonValue::Obj(doc).render()).unwrap();
+    let cfg = ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::new(&spool)
+    };
+    let sched = Scheduler::start(cfg).unwrap();
+    sched.shutdown();
+    (sched, spool)
+}
+
+/// `202` polls of a ledger job late in its run (~200 KB of stream), and
+/// of a job whose stream is several MB, each served into a sink that
+/// keeps nothing: the heap's high-water mark rises by less than one
+/// fixed bound for both, though the bodies are far longer than it.
+fn a_202_poll_holds_a_piece_of_the_stream() {
+    for (tag, filler, least) in [("late", 0, 150_000), ("several-mb", FILLER, 5 << 20)] {
+        let (sched, spool) = stopped_job(&format!("poll-{tag}"), 1750, filler);
+        let id = "job-000001";
+        let (served, heap) = measure(|| {
+            let body = sched.partial(id).expect("the job is known");
+            let mut wire = Counted::default();
+            body.write_to(&mut wire)
+                .map(|()| (wire.0, body.content_length()))
+        });
+        let (wire, len) = served.unwrap();
+        let body = sched.partial(id).unwrap().to_text().unwrap();
+        let _ = fs::remove_dir_all(&spool);
+        assert_eq!((wire, len), (body.len() as u64, body.len() as u64));
+        let served = JsonValue::parse(&body).unwrap();
+        let deliveries = served.get("partial").and_then(|p| p.get("deliveries"));
+        let deliveries = deliveries.and_then(JsonValue::as_array).unwrap().len() as u64;
+        let offset = served.get("partial").and_then(|p| p.get("delivery_offset"));
+        assert_eq!(Some(deliveries), offset.and_then(JsonValue::as_u64));
+        assert!(wire > least, "{tag}: the body is only {wire} bytes");
+        assert!(
+            heap.peak_bytes < POLL_BOUND,
+            "{tag}: serving a {wire}-byte 202 raised the heap's high-water mark by {} bytes",
+            heap.peak_bytes
+        );
+    }
 }

@@ -38,6 +38,17 @@ pub trait DeliveryStream {
     /// resume truncates away.
     fn append(&mut self, batch: &[DeliveredPacket]) -> Result<(), SnapshotError>;
 
+    /// [`DeliveryStream::append`] a batch the caller gives up, leaving
+    /// `batch` empty; on an error the batch stays where it was. The
+    /// default appends, then clears. A stream that keeps the deliveries
+    /// a while may take the vector itself instead of copying it, so that
+    /// they exist once; the caller's buffer then regrows from empty.
+    fn append_vec(&mut self, batch: &mut Vec<DeliveredPacket>) -> Result<(), SnapshotError> {
+        self.append(batch)?;
+        batch.clear();
+        Ok(())
+    }
+
     /// Whether the stream can take a checkpoint now. The simulator asks
     /// once at every due checkpoint boundary, before it appends or
     /// builds anything; on `false` it skips the boundary — no append,

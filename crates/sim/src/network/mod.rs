@@ -404,16 +404,17 @@ impl Network {
         &self.pending
     }
 
-    /// Append the pending deliveries to `stream` and forget them; the
-    /// buffer keeps its capacity, so a steady-state hand-on allocates
-    /// nothing here. On an error the deliveries stay pending.
+    /// Hand the pending deliveries to `stream` and forget them
+    /// ([`DeliveryStream::append_vec`]). A stream that copies them
+    /// leaves the buffer its capacity, so a steady-state hand-on
+    /// allocates nothing here; one that takes the vector leaves an
+    /// empty one. On an error the deliveries stay pending.
     pub fn hand_on_deliveries(
         &mut self,
         stream: &mut dyn DeliveryStream,
     ) -> Result<(), SnapshotError> {
         if !self.pending.is_empty() {
-            stream.append(&self.pending)?;
-            self.pending.clear();
+            stream.append_vec(&mut self.pending)?;
         }
         Ok(())
     }

@@ -227,9 +227,10 @@ impl Checkpoint {
         TreeBuilder::build(|tree| self.encode(tree))
     }
 
-    /// Append the text of [`Checkpoint::document`] to `out`, without
-    /// building the tree: what a checkpoint file holds.
-    pub fn write_document(&self, out: &mut String) {
+    /// Append the text of [`Checkpoint::document`] to `out` — a `String`,
+    /// or a file through an [`IoText`](noc_telemetry::json::IoText) —
+    /// without building the tree: what a checkpoint file holds.
+    pub fn write_document(&self, out: &mut impl std::fmt::Write) {
         self.encode(&mut JsonWriter::new(out));
     }
 

@@ -1,7 +1,8 @@
 //! A checkpoint written straight to text is the tree's rendering, byte
-//! for byte: [`Checkpoint::write_document`] (what the service spools)
-//! equals [`Checkpoint::document`]`.render()` (what tests, restore and
-//! tools see) on every topology family, both router kinds, no faults,
+//! for byte: [`Checkpoint::write_document`], into a `String` and through
+//! an [`IoText`] into a file (what the service spools), equals
+//! [`Checkpoint::document`]`.render()` (what tests, restore and tools
+//! see) on every topology family, both router kinds, no faults,
 //! accumulating permanent faults and a transient storm, at 1, 2 and 3
 //! stepper shards, at every boundary of the run — and both parse back
 //! to the same document.
@@ -12,10 +13,12 @@
 
 use noc_faults::{FaultPlan, InjectionConfig};
 use noc_sim::{Checkpoint, MemoryStream, Network, Simulator};
-use noc_telemetry::json::JsonValue;
+use noc_telemetry::json::{IoText, JsonValue};
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::{NetworkConfig, SimConfig, TopologySpec};
 use shield_router::RouterKind;
+use std::fs;
+use std::path::Path;
 
 const SEED: u64 = 0x7E47_5EED;
 const CYCLES: u64 = 700;
@@ -47,7 +50,17 @@ fn plans(cfg: &NetworkConfig, routers: usize) -> [(&'static str, FaultPlan); 3] 
     ]
 }
 
-/// Every boundary's text, after checking it against the tree.
+/// `c` encoded into the file at `path` as a job's spool writer encodes
+/// it, through the fixed buffer; the file's text.
+fn written_to_file(c: &Checkpoint, path: &Path) -> String {
+    let mut out = IoText::new(fs::File::create(path).unwrap());
+    c.write_document(&mut out);
+    out.finish().unwrap();
+    fs::read_to_string(path).unwrap()
+}
+
+/// Every boundary's text, after checking it, and the file, against the
+/// tree.
 fn streamed_documents(
     cfg: NetworkConfig,
     kind: RouterKind,
@@ -70,16 +83,22 @@ fn streamed_documents(
     let mut gen = TrafficGenerator::for_topology(traffic, topology.topology(), SEED);
     let mut texts = Vec::new();
     let mut text = String::new();
+    let file = std::env::temp_dir().join(format!("noc-streamed-checkpoint-{}", std::process::id()));
     let check = |c: Checkpoint, text: &mut String| {
         // Into a buffer that still holds the previous document: the
         // writer appends, the caller clears.
         text.clear();
         c.write_document(text);
         let tree = c.document();
+        let rendered = tree.render();
+        let cycle = c.head().cycle();
         assert!(
-            *text == tree.render(),
-            "{case}: the streamed checkpoint at cycle {} differs from the tree's",
-            c.head().cycle()
+            *text == rendered,
+            "{case}: the streamed checkpoint at cycle {cycle} differs from the tree's",
+        );
+        assert!(
+            written_to_file(&c, &file) == rendered,
+            "{case}: the checkpoint file at cycle {cycle} differs from the tree's",
         );
         assert_eq!(JsonValue::parse(text).unwrap(), tree, "{case}");
     };
@@ -89,6 +108,7 @@ fn streamed_documents(
         true
     })
     .unwrap();
+    let _ = fs::remove_file(&file);
     assert!(texts.len() >= 4, "{case}: only {} checkpoints", texts.len());
     texts
 }

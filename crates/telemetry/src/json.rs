@@ -3,8 +3,9 @@
 //!
 //! Exporters hand-roll their JSON through this module. An encoder is a
 //! sequence of [`JsonSink`] calls; [`JsonWriter`] turns them into text
-//! as they come and [`TreeBuilder`] into a [`JsonValue`], so one
-//! encoder yields both forms and [`JsonValue::render`] is the writer
+//! as they come — into a `String`, or through a fixed buffer into a
+//! file ([`IoText`]) — and [`TreeBuilder`] into a [`JsonValue`], so one
+//! encoder yields every form and [`JsonValue::render`] is the writer
 //! run over a tree: the number and escape rules live in the writer
 //! alone. [`JsonReader`] is the one parser: snapshot decoders pull
 //! their tokens from it straight off the text, and
@@ -16,7 +17,8 @@
 
 use std::borrow::Cow;
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt;
+use std::io::{self, Write as _};
 
 /// A parsed or under-construction JSON value.
 ///
@@ -226,38 +228,51 @@ pub trait JsonSink {
     }
 }
 
-/// A [`JsonSink`] that appends compact JSON text to a `String` — the
-/// caller's, so one buffer can be reused across documents.
-pub struct JsonWriter<'a> {
-    out: &'a mut String,
+/// A [`JsonSink`] that appends compact JSON text to its output: a
+/// `String` — the caller's, so one buffer can be reused across
+/// documents — or an [`IoText`], which writes through a fixed buffer
+/// into a file, so a document of any size costs the buffer alone.
+pub struct JsonWriter<'a, O: fmt::Write> {
+    out: &'a mut O,
     /// A value was written at the current level, so the next one is
     /// preceded by a comma.
     comma: bool,
 }
 
-impl<'a> JsonWriter<'a> {
+impl<'a, O: fmt::Write> JsonWriter<'a, O> {
     /// A writer appending to `out`.
-    pub fn new(out: &'a mut String) -> Self {
+    pub fn new(out: &'a mut O) -> Self {
         JsonWriter { out, comma: false }
     }
 
     fn value(&mut self) {
         if self.comma {
-            self.out.push(',');
+            push_char(self.out, ',');
         }
         self.comma = true;
     }
 }
 
-impl JsonSink for JsonWriter<'_> {
+/// Append `s` to `out`. Appending to a `String` cannot fail, and an
+/// [`IoText`] keeps its own first error.
+fn push(out: &mut impl fmt::Write, s: &str) {
+    let _ = out.write_str(s);
+}
+
+/// [`push`] for one character.
+fn push_char(out: &mut impl fmt::Write, c: char) {
+    let _ = out.write_char(c);
+}
+
+impl<O: fmt::Write> JsonSink for JsonWriter<'_, O> {
     fn null(&mut self) {
         self.value();
-        self.out.push_str("null");
+        push(self.out, "null");
     }
 
     fn bool(&mut self, b: bool) {
         self.value();
-        self.out.push_str(if b { "true" } else { "false" });
+        push(self.out, if b { "true" } else { "false" });
     }
 
     fn num(&mut self, n: f64) {
@@ -272,33 +287,80 @@ impl JsonSink for JsonWriter<'_> {
 
     fn begin_arr(&mut self) {
         self.value();
-        self.out.push('[');
+        push_char(self.out, '[');
         self.comma = false;
     }
 
     fn end_arr(&mut self) {
-        self.out.push(']');
+        push_char(self.out, ']');
         self.comma = true;
     }
 
     fn begin_obj(&mut self) {
         self.value();
-        self.out.push('{');
+        push_char(self.out, '{');
         self.comma = false;
     }
 
     fn key(&mut self, k: &str) {
         if self.comma {
-            self.out.push(',');
+            push_char(self.out, ',');
         }
         write_escaped(self.out, k);
-        self.out.push(':');
+        push_char(self.out, ':');
         self.comma = false;
     }
 
     fn end_obj(&mut self) {
-        self.out.push('}');
+        push_char(self.out, '}');
         self.comma = true;
+    }
+}
+
+/// A [`JsonWriter`]'s output into an `io::Write` (a file), through a
+/// buffer of fixed size: the text never exists whole in memory. The
+/// first I/O error is kept and everything written after it dropped;
+/// [`IoText::finish`] flushes the buffer and reports it.
+pub struct IoText<W: io::Write> {
+    out: io::BufWriter<W>,
+    error: Option<io::Error>,
+}
+
+impl<W: io::Write> IoText<W> {
+    /// Text for `inner`, buffered in `IoText::BUFFER` bytes.
+    pub fn new(inner: W) -> Self {
+        IoText {
+            out: io::BufWriter::with_capacity(Self::BUFFER, inner),
+            error: None,
+        }
+    }
+
+    /// The size of the buffer the text goes through.
+    pub const BUFFER: usize = 8 << 10;
+
+    /// Flush what is buffered and hand back the inner writer, or the
+    /// first error met.
+    pub fn finish(self) -> io::Result<W> {
+        if let Some(e) = self.error {
+            return Err(e);
+        }
+        self.out
+            .into_inner()
+            .map_err(io::IntoInnerError::into_error)
+    }
+}
+
+impl<W: io::Write> fmt::Write for IoText<W> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.error.is_none() {
+            if let Err(e) = self.out.write_all(s.as_bytes()) {
+                self.error = Some(e);
+            }
+        }
+        match self.error {
+            None => Ok(()),
+            Some(_) => Err(fmt::Error),
+        }
     }
 }
 
@@ -396,11 +458,11 @@ impl JsonSink for TreeBuilder {
 /// shortest round-trip form (so `2^53` and past keep the `f64` form
 /// `9007199254740992`, `1e21` reads `1000000000000000000000`), and NaN
 /// or ±∞ as `null`. The parser reads each back to the value written.
-fn write_number(out: &mut String, n: f64) {
+fn write_number(out: &mut impl fmt::Write, n: f64) {
     if !n.is_finite() {
         // JSON has no NaN/Inf; exporters only feed finite values, but
         // degrade to null rather than emitting an unparsable token.
-        out.push_str("null");
+        push(out, "null");
     } else if n.fract() == 0.0 && n.abs() < 9.007_199_254_740_992e15 {
         // What `write!(out, "{}", n as i64)` writes, without the
         // formatter: the digits, least significant first, into a
@@ -417,9 +479,12 @@ fn write_number(out: &mut String, n: f64) {
             }
         }
         if n < 0.0 {
-            out.push('-');
+            push_char(out, '-');
         }
-        out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+        push(
+            out,
+            std::str::from_utf8(&digits[at..]).expect("ASCII digits"),
+        );
     } else {
         let _ = write!(out, "{n}");
     }
@@ -430,8 +495,8 @@ fn write_number(out: &mut String, n: f64) {
 /// and `\` escaped, `\n`, `\r` and `\t` by name and every other byte
 /// below 0x20 as `\u00XX`. The runs between escapes are copied whole,
 /// so a string that needs none is one copy.
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
+fn write_escaped(out: &mut impl fmt::Write, s: &str) {
+    push_char(out, '"');
     let mut run = 0;
     for (at, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -444,16 +509,16 @@ fn write_escaped(out: &mut String, s: &str) {
             _ => continue,
         };
         // An ASCII byte is a char boundary, so both slices are whole.
-        out.push_str(&s[run..at]);
+        push(out, &s[run..at]);
         if escape.is_empty() {
             let _ = write!(out, "\\u{b:04x}");
         } else {
-            out.push_str(escape);
+            push(out, escape);
         }
         run = at + 1;
     }
-    out.push_str(&s[run..]);
-    out.push('"');
+    push(out, &s[run..]);
+    push_char(out, '"');
 }
 
 /// A parse failure, with the byte offset it occurred at.
@@ -728,7 +793,7 @@ impl<'a> JsonReader<'a> {
             Some(b'{') => {
                 self.begin_obj()?;
                 sink.begin_obj();
-                let mut seen = BTreeSet::new();
+                let mut seen = SeenKeys::default();
                 while let Some(key) = self.key_str()? {
                     if !seen.insert(key.clone()) {
                         return Err(self.err(&format!("duplicate object key {key:?}")));
@@ -772,6 +837,41 @@ impl<'a> JsonReader<'a> {
             None => Ok(()),
             Some(_) => Err(self.err("trailing characters after JSON value")),
         }
+    }
+}
+
+/// The keys of the object [`JsonReader::read_into`] is reading, for
+/// its duplicate check: the first `INLINE_KEYS` in place, so an object
+/// that narrow — every object a snapshot writes — is checked without
+/// the heap; a wider one moves them all into a set.
+#[derive(Default)]
+struct SeenKeys<'a> {
+    inline: [Cow<'a, str>; INLINE_KEYS],
+    len: usize,
+    wide: BTreeSet<Cow<'a, str>>,
+}
+
+/// The keys [`SeenKeys`] holds in place.
+const INLINE_KEYS: usize = 16;
+
+impl<'a> SeenKeys<'a> {
+    /// Whether `key` is new, noting it.
+    fn insert(&mut self, key: Cow<'a, str>) -> bool {
+        if self.len < INLINE_KEYS {
+            if self.inline[..self.len].contains(&key) {
+                return false;
+            }
+            self.inline[self.len] = key;
+        } else {
+            if self.len == INLINE_KEYS {
+                self.wide.extend(self.inline.iter_mut().map(std::mem::take));
+            }
+            if !self.wide.insert(key) {
+                return false;
+            }
+        }
+        self.len += 1;
+        true
     }
 }
 
@@ -937,6 +1037,33 @@ mod tests {
             assert_eq!(out, format!("x{}", escaped_reference(s)), "{s:?}");
             assert_eq!(JsonValue::parse(&out[1..]).unwrap().as_str(), Some(s));
         }
+    }
+
+    /// A repeated key is refused in an object of any width, in place
+    /// or past it, and a wide object without one reads back whole.
+    #[test]
+    fn duplicate_keys_are_refused_at_every_width() {
+        for width in [
+            1,
+            2,
+            INLINE_KEYS - 1,
+            INLINE_KEYS,
+            INLINE_KEYS + 1,
+            3 * INLINE_KEYS,
+        ] {
+            let keys: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
+            let doc = JsonValue::Obj(keys.iter().map(|k| (k.clone(), 1u64.into())).collect());
+            let text = doc.render();
+            assert_eq!(JsonValue::parse(&text).unwrap(), doc, "width {width}");
+            for repeated in [0, width / 2, width - 1] {
+                let dup = format!("{},\"{}\":2}}", &text[..text.len() - 1], keys[repeated]);
+                let err = JsonValue::parse(&dup).unwrap_err();
+                let expected = format!("duplicate object key {:?}", keys[repeated]);
+                assert_eq!(err.message, expected, "width {width}");
+            }
+        }
+        // An escaped spelling is the same key.
+        assert!(JsonValue::parse("{\"a\":1,\"\\u0061\":2}").is_err());
     }
 
     #[test]

@@ -546,7 +546,9 @@ macro_rules! unsigned {
 
             fn decode_member(r: &mut JsonReader<'_>, key: &str) -> Result<Self, SnapshotError> {
                 let x = r.u64().map_err(|e| SnapshotError::from(e).within(key))?;
-                narrow(x, &format!("field `{key}`"))
+                // The error's context is built only for a value that
+                // does not fit.
+                Self::try_from(x).or_else(|_| narrow(x, &format!("field `{key}`")))
             }
         }
     )*};

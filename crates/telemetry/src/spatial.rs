@@ -58,15 +58,19 @@ impl SpatialGrid {
         self
     }
 
-    /// Write the JSON grid key for the cell at global `(x, y)` over
-    /// `key`: `"x,y"` on flat grids, chiplet-major `"cx,cy:x,y"`
-    /// (intra-chiplet `x,y`) on hierarchical ones.
-    fn key(&self, x: usize, y: usize, key: &mut String) {
-        key.clear();
+    /// The JSON grid key for the cell at global `(x, y)`: `"x,y"` on
+    /// flat grids, chiplet-major `"cx,cy:x,y"` (intra-chiplet `x,y`) on
+    /// hierarchical ones.
+    fn key(&self, x: usize, y: usize) -> GridKey {
+        let mut key = GridKey {
+            text: [0; GridKey::MAX],
+            len: 0,
+        };
         let _ = match self.chiplet_k {
             Some(k) => write!(key, "{},{}:{},{}", x / k, y / k, x % k, y % k),
             None => write!(key, "{x},{y}"),
         };
+        key
     }
 
     /// The cell for `coord`.
@@ -180,16 +184,41 @@ impl Snapshot for SpatialGrid {
                 sink.field("chiplet_k").u64(k as u64);
             }
             sink.field("grid").obj(|sink| {
-                let mut key = String::new();
                 for y in 0..self.height {
                     for x in 0..self.width {
-                        self.key(x, y, &mut key);
+                        let key = self.key(x, y);
                         let cell = &self.cells[y * self.width + x];
-                        cell.encode_view(&RouterStats::SPATIAL, sink.field(&key));
+                        cell.encode_view(&RouterStats::SPATIAL, sink.field(key.as_str()));
                     }
                 }
             });
         });
+    }
+}
+
+/// A grid key, formatted on the stack: a grid is encoded and decoded
+/// without a heap buffer for its keys.
+struct GridKey {
+    text: [u8; GridKey::MAX],
+    len: usize,
+}
+
+impl GridKey {
+    /// The longest key: four `usize`s and three separators.
+    const MAX: usize = 4 * 20 + 3;
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.text[..self.len]).expect("digits and separators")
+    }
+}
+
+impl std::fmt::Write for GridKey {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        let end = self.len + s.len();
+        let room = self.text.get_mut(self.len..end).ok_or(std::fmt::Error)?;
+        room.copy_from_slice(s.as_bytes());
+        self.len = end;
+        Ok(())
     }
 }
 
@@ -224,12 +253,12 @@ impl FromSnapshot for SpatialGrid {
                 chiplet_k,
                 cells: Vec::new(),
             };
-            let mut key = String::new();
             r.field_with("grid", |r| {
                 r.obj(|r| {
                     for i in 0..cells {
-                        grid.key(i % width, i / width, &mut key);
-                        r.member(&key)
+                        let key = grid.key(i % width, i / width);
+                        let key = key.as_str();
+                        r.member(key)
                             .map_err(|e| SnapshotError::new(e.message + OUT_OF_PLACE))?;
                         let cell = RouterStats::decode_view(r, &RouterStats::SPATIAL);
                         grid.cells
