@@ -221,3 +221,32 @@ fn scenario_results_are_pinned() {
         assert_eq!(run_fnv(&run), fnv, "{label}: every scenario field");
     }
 }
+
+/// 64-bit FNV-1a, hex-rendered.
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The campaign report holds its bytes, its two wall-clock fields
+/// (`elapsed_ms`, `scenarios_per_sec`) nulled.
+#[test]
+fn campaign_report_bytes_are_pinned() {
+    let run = run_campaign(&small_campaign(4, 4, 2)).expect("campaign runs");
+    let text = report_json(&run).render();
+    let mut doc = JsonValue::parse(&text).unwrap();
+    assert_eq!(doc.render(), text, "the report is canonical text");
+    let JsonValue::Obj(fields) = &mut doc else {
+        panic!("the report is an object");
+    };
+    for (key, value) in fields.iter_mut() {
+        if key == "elapsed_ms" || key == "scenarios_per_sec" {
+            *value = JsonValue::Null;
+        }
+    }
+    assert_eq!(fnv1a(doc.render().as_bytes()), "e3092eb9b09e7745");
+}

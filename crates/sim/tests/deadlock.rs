@@ -155,3 +155,24 @@ fn watchdog_dump_names_the_circular_wait() {
         "render names the cycle:\n{text}"
     );
 }
+
+/// 64-bit FNV-1a, hex-rendered.
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The wedged ring's whole report, its flight record included, holds
+/// its bytes: the record's wait-for graph, cycle and VC dump render as
+/// they did when the digest was taken.
+#[test]
+fn wedged_ring_report_bytes_are_pinned() {
+    let (report, _) = run_wedged(|sim| sim);
+    let text = report.to_json().render();
+    assert!(text.contains("\"cycle_edges\":[{"), "{text}");
+    assert_eq!(fnv1a(text.as_bytes()), "98de9086c3747e23");
+}

@@ -259,3 +259,40 @@ fn chrome_trace_shows_sa_bypass_penalty() {
         "the register re-point is the cycle the penalty is spent on"
     );
 }
+
+/// 64-bit FNV-1a, hex-rendered.
+fn fnv1a(bytes: &[u8]) -> String {
+    let mut h: u64 = 0xcbf29ce484222325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    format!("{h:016x}")
+}
+
+/// The exporters hold their bytes: the JSONL log and the Chrome trace
+/// of each fault campaign's traced run, which between them carry every
+/// event kind.
+#[test]
+fn exporter_bytes_are_pinned() {
+    let digests: Vec<[String; 2]> = campaigns(4)
+        .into_iter()
+        .map(|(name, kind, plan)| {
+            let (_, merged, dropped) = traced_run(4, kind, plan, 1);
+            assert_eq!(dropped, 0, "{name}");
+            [
+                fnv1a(jsonl(&merged).as_bytes()),
+                fnv1a(chrome_trace(&merged, 1).as_bytes()),
+            ]
+        })
+        .collect();
+    // `(jsonl, chrome_trace)` per campaign, in `campaigns` order.
+    assert_eq!(
+        digests,
+        [
+            ["5ffca3dc8ce496b6", "9a2c9069b6465141"],
+            ["8483479101cc046d", "b5d24ae5042fe18c"],
+            ["f6e81a7dd8442fbe", "85b63e024fcfd2e7"],
+        ]
+    );
+}
