@@ -35,5 +35,7 @@ pub mod report;
 pub mod scenario;
 
 pub use engine::{run_campaign, CampaignConfig, CampaignRun, Outcome, ScenarioResult};
-pub use report::{render_table, report_json, summarise, ModeSummary, CAMPAIGN_SCHEMA_VERSION};
+pub use report::{
+    encode_report, render_table, report_json, summarise, ModeSummary, CAMPAIGN_SCHEMA_VERSION,
+};
 pub use scenario::LinkPool;

@@ -3,11 +3,11 @@
 //! The per-scenario results collapse into one faults-to-failure curve
 //! per routing mode ([`FaultsToFailureCurve`]), rendered in the same
 //! `NetworkReport`-style JSON the rest of the stack emits: flat,
-//! versioned, and parseable by [`noc_telemetry::json::JsonValue`].
+//! versioned, and written by the one [`noc_telemetry::json::JsonWriter`].
 
 use crate::engine::{CampaignRun, Outcome, ScenarioResult};
 use noc_reliability::{CurvePoint, FaultsToFailureCurve};
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{to_tree, JsonValue, JsonWriter};
 use noc_topology::Topology;
 use noc_types::RoutingMode;
 
@@ -98,59 +98,53 @@ pub fn summarise(run: &CampaignRun) -> Vec<ModeSummary> {
         .collect()
 }
 
-/// Render the campaign report as JSON.
+/// The campaign report as a tree: the parse of [`encode_report`]'s
+/// text.
 pub fn report_json(run: &CampaignRun) -> JsonValue {
+    to_tree(|w| encode_report(run, w))
+}
+
+/// Write the campaign report as one JSON object.
+pub fn encode_report(run: &CampaignRun, w: &mut JsonWriter<'_>) {
     let cc = &run.config;
     let topo = Topology::from_spec(&cc.base);
-    let modes: Vec<JsonValue> = summarise(run)
-        .into_iter()
-        .map(|s| {
-            let curve: Vec<JsonValue> = s
-                .curve
-                .points
-                .iter()
-                .zip(&s.outcome_counts)
-                .map(|(p, &(_, ok, deg, lost, dead))| {
-                    obj([
-                        ("faults", u64::from(p.faults).into()),
-                        ("scenarios", u64::from(p.total).into()),
-                        ("delivered_all", u64::from(ok).into()),
-                        ("degraded", u64::from(deg).into()),
-                        ("lost_packets", u64::from(lost).into()),
-                        ("deadlocked", u64::from(dead).into()),
-                        ("survival", p.survival().into()),
-                        ("delivered_fraction", p.delivered_fraction.into()),
-                    ])
-                })
-                .collect();
-            obj([
-                ("routing", s.mode.tag().into()),
-                ("baseline_latency_x100", s.baseline_latency_x100.into()),
-                (
-                    "mean_faults_to_failure",
-                    s.curve.mean_faults_to_failure().into(),
-                ),
-                ("curve", JsonValue::Arr(curve)),
-            ])
-        })
-        .collect();
-    obj([
-        ("schema_version", CAMPAIGN_SCHEMA_VERSION.into()),
-        ("kind", "fault_campaign".into()),
-        ("topology", topo.tag().into()),
-        ("mesh_k", u64::from(cc.base.mesh_k).into()),
-        ("seed", cc.seed.into()),
-        ("max_faults", u64::from(cc.max_faults).into()),
-        (
-            "scenarios_per_point",
-            u64::from(cc.scenarios_per_point).into(),
-        ),
-        ("inject_cycles", cc.inject_cycles.into()),
-        ("rate_permille", cc.rate_permille.into()),
-        ("elapsed_ms", run.elapsed_ms.into()),
-        ("scenarios_per_sec", run.scenarios_per_sec.into()),
-        ("modes", JsonValue::Arr(modes)),
-    ])
+    w.obj(|w| {
+        w.field("schema_version").u64(CAMPAIGN_SCHEMA_VERSION);
+        w.field("kind").str("fault_campaign");
+        w.field("topology").str(topo.tag());
+        w.field("mesh_k").u64(u64::from(cc.base.mesh_k));
+        w.field("seed").u64(cc.seed);
+        w.field("max_faults").u64(u64::from(cc.max_faults));
+        w.field("scenarios_per_point")
+            .u64(u64::from(cc.scenarios_per_point));
+        w.field("inject_cycles").u64(cc.inject_cycles);
+        w.field("rate_permille").u64(cc.rate_permille);
+        w.field("elapsed_ms").u64(run.elapsed_ms);
+        w.field("scenarios_per_sec").num(run.scenarios_per_sec);
+        w.field("modes").arr(summarise(run), |w, s| {
+            w.obj(|w| {
+                w.field("routing").str(s.mode.tag());
+                w.field("baseline_latency_x100")
+                    .u64(s.baseline_latency_x100);
+                w.field("mean_faults_to_failure")
+                    .num(s.curve.mean_faults_to_failure());
+                let points = s.curve.points.iter().zip(&s.outcome_counts);
+                w.field("curve")
+                    .arr(points, |w, (p, &(_, ok, deg, lost, dead))| {
+                        w.obj(|w| {
+                            w.field("faults").u64(u64::from(p.faults));
+                            w.field("scenarios").u64(u64::from(p.total));
+                            w.field("delivered_all").u64(u64::from(ok));
+                            w.field("degraded").u64(u64::from(deg));
+                            w.field("lost_packets").u64(u64::from(lost));
+                            w.field("deadlocked").u64(u64::from(dead));
+                            w.field("survival").num(p.survival());
+                            w.field("delivered_fraction").num(p.delivered_fraction);
+                        })
+                    });
+            })
+        });
+    });
 }
 
 /// Render a compact fixed-width table of the curves for terminals.

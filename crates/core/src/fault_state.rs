@@ -354,11 +354,11 @@ impl FaultState {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::json::{JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{Restore, Snapshot, SnapshotError};
 
 impl Snapshot for FaultState {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         // Only the *schedule* is stored. The `active`/`detected` maps are
         // pure functions of (schedule, detection model, refreshed_at) and
         // are re-derived on restore — see `Restore` below.

@@ -300,11 +300,11 @@ impl<'a> VcView<'a> {
 // Snapshot
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::JsonSink;
+use noc_telemetry::json::JsonWriter;
 use noc_telemetry::snapshot::Snapshot;
 
 impl Snapshot for VcView<'_> {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             self.fields.encode(sink.field("fields"));
             sink.field("buffer")

@@ -18,7 +18,7 @@
 
 use crate::router::{Router, XbGrant};
 use noc_arbiter::RoundRobinArbiter;
-use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::json::{JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{below, Restore, Snapshot, SnapshotError};
 use noc_types::{Flit, PortId, VcId, VcStateFields};
 
@@ -42,10 +42,11 @@ impl Snapshot for Router {
     /// flat struct-of-arrays storage — snapshots produced before and
     /// after the data-oriented refactor are byte-identical (pinned by the
     /// golden checkpoint test).
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         let p = self.cfg.ports;
         let v = self.cfg.vcs;
-        let pointer = |sink: &mut S, a: &RoundRobinArbiter| sink.u64(a.pointer() as u64);
+        let pointer =
+            |sink: &mut JsonWriter<'_>, a: &RoundRobinArbiter| sink.u64(a.pointer() as u64);
         sink.obj(|sink| {
             sink.field("ports").arr(0..p, |sink, port| {
                 sink.obj(|sink| {

@@ -17,7 +17,7 @@
 //!   counters ending in `_total`), pinned by tests so `/metrics`
 //!   can never drift from the conventions.
 
-use noc_telemetry::json::JsonValue;
+use noc_telemetry::json::{JsonValue, JsonWriter};
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -79,13 +79,14 @@ impl ObsLog {
             .duration_since(UNIX_EPOCH)
             .unwrap_or_default()
             .as_millis() as u64;
-        let mut doc: Vec<(String, JsonValue)> = Vec::with_capacity(fields.len() + 2);
-        doc.push(("ts_ms".into(), ts_ms.into()));
-        doc.push(("event".into(), event.into()));
-        for (name, value) in fields {
-            doc.push(((*name).into(), value.clone()));
-        }
-        let line = JsonValue::Obj(doc).render();
+        let mut line = String::new();
+        JsonWriter::new(&mut line).obj(|w| {
+            w.field("ts_ms").u64(ts_ms);
+            w.field("event").str(event);
+            for (name, value) in fields {
+                value.encode(w.field(name));
+            }
+        });
         if let Ok(mut w) = sink.lock() {
             let _ = writeln!(w, "{line}");
             let _ = w.flush();

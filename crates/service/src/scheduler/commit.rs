@@ -4,10 +4,10 @@
 //! progress endpoint reads back of them.
 
 use super::{job::PartialHead, JobPhase, SchedInner};
-use crate::fsio::{write_atomic, write_atomic_with};
+use crate::fsio::write_atomic_with;
 use crate::{spec::CampaignSpec, stream::JsonlStream};
 use noc_sim::{Checkpoint, CheckpointHead, DeliveryStream};
-use noc_telemetry::json::{obj, IoText, JsonReader, JsonValue};
+use noc_telemetry::json::{IoText, JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{FromSnapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION};
 use noc_telemetry::{SpatialGrid, TimeSeries};
 use noc_types::DeliveredPacket;
@@ -79,7 +79,9 @@ pub(super) fn spool_checkpoint(
     Ok(())
 }
 
-/// A job's last write: its result document, atomically, in `dir`. The
+/// A job's last write: its result document, atomically, in `dir`,
+/// encoded straight into the tmp file through the writer's fixed
+/// buffer ([`IoText`]), its `report` member written by `report`. The
 /// checkpoint is spent then and goes; the delivery stream stays — it
 /// holds the campaign's full delivery log.
 pub(super) fn write_result(
@@ -87,17 +89,20 @@ pub(super) fn write_result(
     id: &str,
     outcome: &str,
     spec: &CampaignSpec,
-    report: JsonValue,
+    report: &dyn Fn(&mut JsonWriter<'_>),
 ) -> Result<(), String> {
-    let doc = obj([
-        ("schema_version", SNAPSHOT_SCHEMA_VERSION.into()),
-        ("job", id.into()),
-        ("outcome", outcome.into()),
-        ("spec", spec.to_json()),
-        ("report", report),
-    ]);
-    write_atomic(&dir.join("result.json"), &doc.render())
-        .map_err(|e| format!("writing result: {e}"))?;
+    write_atomic_with(&dir.join("result.json"), |file| {
+        let mut text = IoText::new(file);
+        JsonWriter::new(&mut text).obj(|w| {
+            w.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
+            w.field("job").str(id);
+            w.field("outcome").str(outcome);
+            spec.encode(w.field("spec"));
+            report(w.field("report"));
+        });
+        text.finish().map(drop)
+    })
+    .map_err(|e| format!("writing result: {e}"))?;
     let _ = fs::remove_file(dir.join("checkpoint.json"));
     Ok(())
 }

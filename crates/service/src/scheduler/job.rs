@@ -5,7 +5,7 @@
 use super::JobPhase;
 use crate::spec::CampaignSpec;
 use noc_sim::CheckpointHead;
-use noc_telemetry::json::{obj, JsonSink, JsonValue, JsonWriter};
+use noc_telemetry::json::JsonWriter;
 use noc_telemetry::Snapshot;
 use std::sync::Arc;
 use std::time::Instant;
@@ -139,23 +139,23 @@ impl JobRecord {
         (secs > 0.0).then(|| cycles as f64 / secs)
     }
 
-    /// The job's status document up to its closing `spec` echo.
-    pub(super) fn status(&self, id: &str) -> JsonValue {
+    /// Write the members of the job's status document up to its
+    /// closing `spec` echo into the object open at `w`.
+    pub(super) fn write_status(&self, id: &str, w: &mut JsonWriter<'_>) {
         let total = self.total_cycles;
         // A job of no cycles has done none: its progress reads 0.
         let progress = (self.cycles_done as f64 / total.max(1) as f64).min(1.0);
-        let age = self.checkpoint_age().map_or(JsonValue::Null, Into::into);
-        let error = self.error.clone().map_or(JsonValue::Null, Into::into);
-        obj([
-            ("id", id.into()),
-            ("name", self.name.clone().into()),
-            ("phase", self.phase.tag().into()),
-            ("cycles_done", self.cycles_done.into()),
-            ("total_cycles", total.into()),
-            ("progress", progress.into()),
-            ("checkpoint_age_secs", age),
-            ("error", error),
-        ])
+        w.field("id").str(id);
+        w.field("name").str(&self.name);
+        w.field("phase").str(self.phase.tag());
+        w.field("cycles_done").u64(self.cycles_done);
+        w.field("total_cycles").u64(total);
+        w.field("progress").num(progress);
+        self.checkpoint_age().encode(w.field("checkpoint_age_secs"));
+        match &self.error {
+            Some(error) => w.field("error").str(error),
+            None => w.field("error").null(),
+        }
     }
 }
 

@@ -40,7 +40,7 @@ use crate::{
 };
 use commit::progress_shown;
 use job::{JobRecord, PartialHead};
-use noc_telemetry::json::{JsonSink, JsonValue, JsonWriter};
+use noc_telemetry::json::{to_text, to_tree, JsonValue, JsonWriter};
 use noc_telemetry::Snapshot;
 use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
@@ -204,15 +204,6 @@ fn retry_after_hint(
     }
 }
 
-/// `status` with `extra` appended as its last fields.
-fn extended<const N: usize>(status: JsonValue, extra: [(&str, JsonValue); N]) -> JsonValue {
-    let JsonValue::Obj(mut fields) = status else {
-        return status;
-    };
-    fields.extend(extra.map(|(key, value)| (key.to_string(), value)));
-    JsonValue::Obj(fields)
-}
-
 impl Scheduler {
     /// Create the spool (if missing), recover any interrupted jobs and
     /// start the worker threads. Logging is off; the daemon uses
@@ -304,7 +295,7 @@ impl Scheduler {
         // crash from here on.
         let dir = self.job_dir(&id);
         let write = create_dir_durable(&dir)
-            .and_then(|()| write_atomic(&dir.join("spec.json"), &spec.to_json().render()));
+            .and_then(|()| write_atomic(&dir.join("spec.json"), &to_text(|w| spec.encode(w))));
         if let Err(e) = write {
             self.inner.state().reserved -= 1;
             return Err(SubmitError::Io(e));
@@ -331,28 +322,52 @@ impl Scheduler {
         self.inner.cfg.spool.join(id)
     }
 
-    /// Status document for one job, or `None` for an unknown id.
-    pub fn status_json(&self, id: &str) -> Option<JsonValue> {
-        self.view(id).map(|(status, ..)| status)
+    /// The status document of one job (the `GET /jobs/:id` body), or
+    /// `None` for an unknown id.
+    pub fn status_text(&self, id: &str) -> Option<String> {
+        let mut text = String::new();
+        let mut w = JsonWriter::new(&mut text);
+        self.view(id, &mut w)?;
+        w.end_obj();
+        Some(text)
     }
 
-    /// One job as of one instant: its status document (the whole `GET
-    /// /jobs/:id` body and the leading fields of the `202` and progress
-    /// bodies), its phase and its `202` head.
-    fn view(&self, id: &str) -> Option<(JsonValue, JobPhase, Option<Arc<PartialHead>>)> {
-        let (status, phase, live) = {
+    /// [`Scheduler::status_text`] as a tree.
+    pub fn status_json(&self, id: &str) -> Option<JsonValue> {
+        let text = self.status_text(id)?;
+        Some(to_tree(|w| w.raw(&text)))
+    }
+
+    /// One job as of one instant: its status document, written to `w`
+    /// with the object left open — closed, it is the whole `GET
+    /// /jobs/:id` body; the `202` and progress bodies append their
+    /// members — and its phase and `202` head. Writes nothing for an
+    /// unknown id.
+    fn view(
+        &self,
+        id: &str,
+        w: &mut JsonWriter<'_>,
+    ) -> Option<(JobPhase, Option<Arc<PartialHead>>)> {
+        let (phase, live) = {
             let state = self.inner.state();
             let rec = state.jobs.get(id)?;
-            let live = rec.live().map(|l| (l.spec.to_json(), l.partial.clone()));
-            (rec.status(id), rec.phase(), live)
+            w.begin_obj();
+            rec.write_status(id, w);
+            let live = rec.live().map(|l| {
+                l.spec.encode(w.field("spec"));
+                l.partial.clone()
+            });
+            (rec.phase(), live)
         };
         // A finished job keeps no spec in memory; its echo is the
         // resolved document the spool holds, which recovery trusts too.
-        let (spec, head) = live.unwrap_or_else(|| {
-            let spec = recover::spooled_spec(&self.job_dir(id));
-            (spec.map_or(JsonValue::Null, |spec| spec.to_json()), None)
-        });
-        Some((extended(status, [("spec", spec)]), phase, head))
+        if live.is_none() {
+            match recover::spooled_spec(&self.job_dir(id)) {
+                Some(spec) => spec.encode(w.field("spec")),
+                None => w.field("spec").null(),
+            }
+        }
+        Some((phase, live.flatten()))
     }
 
     /// The completed result document, served from `result.json` as it
@@ -381,11 +396,11 @@ impl Scheduler {
     /// deliveries are the stream's first `delivery_offset` lines, copied
     /// from the file a piece at a time as the body is written.
     pub fn partial(&self, id: &str) -> Option<Body> {
-        let (status, _, head) = self.view(id)?;
-        // `{status fields}` reopened to take `partial` as its last field.
-        let mut text = status.render();
-        text.pop();
-        text.push_str(",\"partial\":");
+        let mut text = String::new();
+        let mut w = JsonWriter::new(&mut text);
+        let (_, head) = self.view(id, &mut w)?;
+        // `partial` is the status document's last member.
+        w.key("partial");
         let stream = |head: &PartialHead| {
             let len = head.stream_bytes?;
             let file = fs::File::open(self.job_dir(id).join("deliveries.jsonl")).ok()?;
@@ -397,7 +412,8 @@ impl Scheduler {
                 Body::lines(text, file, len, head.delivery_offset, "]}}")
             }
             None => {
-                text.push_str("null}");
+                w.null();
+                w.end_obj();
                 Body::from(text)
             }
         })
@@ -414,17 +430,15 @@ impl Scheduler {
     ///
     /// Both files are read straight from their text; no tree is built.
     pub fn progress_text(&self, id: &str) -> Option<String> {
-        let (status, phase, _) = self.view(id)?;
+        let mut body = String::new();
+        let mut w = JsonWriter::new(&mut body);
+        let (phase, _) = self.view(id, &mut w)?;
         let shown = progress_shown(&self.job_dir(id), phase);
         let (cycle, grid, series) = shown.map_or((None, None, None), |(c, g, s)| (Some(c), g, s));
         let imbalance: Option<Vec<f64>> = series
             .as_ref()
             .map(|series| series.samples.iter().map(|s| s.load_imbalance).collect());
-        // `{status fields}` reopened to take the four as its last fields.
-        let mut body = status.render();
-        body.pop();
-        body.push(',');
-        let mut w = JsonWriter::new(&mut body);
+        // The four are the status document's last members.
         cycle.encode(w.field("as_of_cycle"));
         grid.encode(w.field("heatmap"));
         imbalance.encode(w.field("imbalance"));
@@ -694,7 +708,10 @@ mod tests {
         // The job completes: its progress comes from its report, in
         // this daemon and in one restarted on the spool.
         let report = JsonValue::parse(&report).unwrap();
-        write_result(&sched.job_dir(id), id, "completed", &spec, report).unwrap();
+        write_result(&sched.job_dir(id), id, "completed", &spec, &|w| {
+            report.encode(w)
+        })
+        .unwrap();
         let done = JobOutcome::Completed {
             written: 0,
             skipped: 0,

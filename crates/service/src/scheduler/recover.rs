@@ -115,7 +115,10 @@ mod tests {
             .unwrap();
         let report = JsonValue::parse(&report).unwrap();
         let dir = job.sched.job_dir(&job.id);
-        write_result(&dir, &job.id, "completed", &busy_spec(), report.clone()).unwrap();
+        write_result(&dir, &job.id, "completed", &busy_spec(), &|w| {
+            report.encode(w)
+        })
+        .unwrap();
         let stale = stale.expect("a checkpoint was committed");
         fs::write(&job.checkpoint_path, &stale).unwrap();
         let stale_cycle = JsonValue::parse(&stale).unwrap().get("cycle").cloned();

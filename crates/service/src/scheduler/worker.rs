@@ -193,7 +193,7 @@ fn run_simulate_job(
         (report, SimOutcome::DrainedEarly) => (report, "drained_early"),
         (report, SimOutcome::DeadlockSuspected) => (report, "deadlock_suspected"),
     };
-    write_result(dir, id, outcome, spec, report.to_json())?;
+    write_result(dir, id, outcome, spec, &|w| report.encode(w))?;
     Ok(JobOutcome::Completed { written, skipped })
 }
 
@@ -217,7 +217,9 @@ fn run_campaign_job(
         ],
     );
     let run = noc_campaign::run_campaign(&cc)?;
-    write_result(dir, id, "completed", spec, noc_campaign::report_json(&run))?;
+    write_result(dir, id, "completed", spec, &|w| {
+        noc_campaign::encode_report(&run, w)
+    })?;
     inner.log.event(
         "campaign_completed",
         &[

@@ -4,7 +4,7 @@
 
 use noc_faults::FaultPlan;
 use noc_sim::Simulator;
-use noc_telemetry::json::{obj, JsonValue};
+use noc_telemetry::json::{to_tree, JsonValue, JsonWriter};
 use noc_topology::Topology;
 use noc_traffic::{SyntheticPattern, TrafficConfig, TrafficGenerator};
 use noc_types::{NetworkConfig, RoutingMode, SimConfig, TopologySpec};
@@ -183,27 +183,33 @@ impl CampaignSpec {
         CampaignSpec::from_json(&doc)
     }
 
-    /// The fully-resolved spec as JSON.
+    /// The fully-resolved spec as a tree: the parse of
+    /// [`CampaignSpec::encode`]'s text.
     pub fn to_json(&self) -> JsonValue {
-        obj([
-            ("kind", self.kind.clone().into()),
-            ("name", self.name.clone().into()),
-            ("mesh_k", (self.mesh_k as u64).into()),
-            ("topology", self.topology.clone().into()),
-            ("router_kind", self.router_kind.tag().into()),
-            ("pattern", self.pattern.clone().into()),
-            ("rate", self.rate.into()),
-            ("warmup_cycles", self.warmup_cycles.into()),
-            ("measure_cycles", self.measure_cycles.into()),
-            ("drain_cycles", self.drain_cycles.into()),
-            ("seed", self.seed.into()),
-            ("threads", (self.threads as u64).into()),
-            ("sample_every", self.sample_every.into()),
-            ("checkpoint_every", self.checkpoint_every.into()),
-            ("routing", self.routing.clone().into()),
-            ("scenarios", u64::from(self.scenarios).into()),
-            ("max_faults", u64::from(self.max_faults).into()),
-        ])
+        to_tree(|w| self.encode(w))
+    }
+
+    /// Write the fully-resolved spec as one JSON object.
+    pub fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("kind").str(&self.kind);
+            w.field("name").str(&self.name);
+            w.field("mesh_k").u64(self.mesh_k as u64);
+            w.field("topology").str(&self.topology);
+            w.field("router_kind").str(self.router_kind.tag());
+            w.field("pattern").str(&self.pattern);
+            w.field("rate").num(self.rate);
+            w.field("warmup_cycles").u64(self.warmup_cycles);
+            w.field("measure_cycles").u64(self.measure_cycles);
+            w.field("drain_cycles").u64(self.drain_cycles);
+            w.field("seed").u64(self.seed);
+            w.field("threads").u64(self.threads as u64);
+            w.field("sample_every").u64(self.sample_every);
+            w.field("checkpoint_every").u64(self.checkpoint_every);
+            w.field("routing").str(&self.routing);
+            w.field("scenarios").u64(u64::from(self.scenarios));
+            w.field("max_faults").u64(u64::from(self.max_faults));
+        });
     }
 
     /// Cheap validation: everything needed to build the simulator parses

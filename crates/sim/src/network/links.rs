@@ -5,7 +5,7 @@
 //! (pacing and utilisation, through each shard's disjoint slice of rows)
 //! and a link fault's unplug write it.
 
-use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::json::{JsonReader, JsonWriter};
 use noc_telemetry::snapshot::SnapshotError;
 use noc_topology::Topology;
 use noc_types::{Cycle, Direction, LinkClass, PortId};
@@ -139,7 +139,7 @@ impl Links {
 
     /// Encode the snapshot rows of one per-link counter: per router,
     /// its five output ports' values.
-    pub(super) fn encode_rows<S: JsonSink>(&self, get: fn(&Link) -> u64, sink: &mut S) {
+    pub(super) fn encode_rows(&self, get: fn(&Link) -> u64, sink: &mut JsonWriter<'_>) {
         sink.arr(&self.rows, |sink, row| {
             sink.arr(row, |sink, l| sink.u64(get(l)))
         });

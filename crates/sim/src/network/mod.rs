@@ -67,7 +67,7 @@ use crate::pool::WorkerPool;
 use crate::tally::DeliveryTally;
 use links::Links;
 use noc_faults::{FaultPlan, LinkFaultEvent};
-use noc_telemetry::json::{JsonReader, JsonSink, JsonWriter};
+use noc_telemetry::json::{to_text, JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{
     encode_hex, FromSnapshot, Restore, Snapshot, SnapshotError, SNAPSHOT_SCHEMA_VERSION,
 };
@@ -634,16 +634,16 @@ impl Network {
 
 /// Canonical encoding of the construction parameters a [`Network`]
 /// snapshot was taken under. Stored in the snapshot and compared (as
-/// rendered bytes) on restore: a snapshot only restores into a network
+/// text, byte for byte) on restore: a snapshot only restores into a network
 /// built from the *same* configuration.
-fn encode_fingerprint<S: JsonSink>(cfg: &NetworkConfig, kind: RouterKind, sink: &mut S) {
-    let class = |sink: &mut S, c: LinkClass| {
+fn encode_fingerprint(cfg: &NetworkConfig, kind: RouterKind, sink: &mut JsonWriter<'_>) {
+    let class = |sink: &mut JsonWriter<'_>, c: LinkClass| {
         sink.obj(|sink| {
             sink.field("latency").u64(c.latency as u64);
             sink.field("width_denom").u64(c.width_denom as u64);
         });
     };
-    let w_h = |sink: &mut S, kind: &str, w: u8, h: u8| {
+    let w_h = |sink: &mut JsonWriter<'_>, kind: &str, w: u8, h: u8| {
         sink.field("kind").str(kind);
         sink.field("w").u64(u64::from(w));
         sink.field("h").u64(u64::from(h));
@@ -717,7 +717,7 @@ impl Snapshot for Network {
     /// state), and the tally is rebuilt from it. Checkpoint envelopes
     /// record a stream offset; on restore the simulator truncates the
     /// stream to it and folds the retained prefix into the tally.
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             sink.field("schema_version").u64(SNAPSHOT_SCHEMA_VERSION);
             encode_fingerprint(&self.cfg, self.kind(), sink.field("config"));
@@ -779,10 +779,8 @@ impl Restore for Network {
                     "snapshot schema version {version} != supported {SNAPSHOT_SCHEMA_VERSION}"
                 )));
             }
-            let (mut expected, mut got) = (String::new(), String::new());
-            encode_fingerprint(&self.cfg, self.kind(), &mut JsonWriter::new(&mut expected));
-            r.member("config")?
-                .read_into(&mut JsonWriter::new(&mut got))?;
+            let expected = to_text(|w| encode_fingerprint(&self.cfg, self.kind(), w));
+            let got = r.member("config")?.skip()?;
             if got != expected {
                 return Err(SnapshotError::new(format!(
                     "configuration mismatch: snapshot taken under {got}, restoring into {expected}"

@@ -268,7 +268,7 @@ impl NetworkInterface {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::json::{JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{below, Restore, Snapshot, SnapshotError};
 
 impl Snapshot for NetworkInterface {
@@ -277,7 +277,7 @@ impl Snapshot for NetworkInterface {
     /// packet id so equal state gives equal bytes regardless of the
     /// `HashMap`'s internal order: picked smallest-next, since it holds
     /// at most a packet a VC, so no sorted copy is allocated.
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             sink.field("queue")
                 .arr(&self.queue, |sink, p| p.encode(sink));

@@ -12,7 +12,8 @@
 //! this module owns the data model, the cycle detector and the
 //! renderings.
 
-use crate::json::{obj, JsonValue};
+use crate::json::{to_tree, JsonValue, JsonWriter};
+use crate::snapshot::Snapshot;
 use noc_types::{Cycle, VcGlobalState};
 
 /// Why one VC waits on another.
@@ -251,47 +252,39 @@ impl FlightRecord {
         out
     }
 
-    /// JSON rendering for machine consumption.
+    /// JSON rendering for machine consumption: the parse of
+    /// [`FlightRecord::encode`]'s text.
     pub fn to_json(&self) -> JsonValue {
-        let edge_json = |e: &WaitEdge| {
-            obj([
-                ("from", node_json(e.from)),
-                ("to", node_json(e.to)),
-                ("reason", e.reason.to_string().into()),
-            ])
+        to_tree(|w| self.encode(w))
+    }
+
+    /// Write the record as one JSON object.
+    pub fn encode(&self, w: &mut JsonWriter<'_>) {
+        let edge = |w: &mut JsonWriter<'_>, e: &WaitEdge| {
+            w.obj(|w| {
+                e.from.encode(w.field("from"));
+                e.to.encode(w.field("to"));
+                w.field("reason").str(&e.reason.to_string());
+            })
         };
-        obj([
-            ("cycle", self.cycle.into()),
-            ("last_activity", self.last_activity.into()),
-            ("in_flight", self.in_flight.into()),
-            ("queued", self.queued.into()),
-            (
-                "cycle_edges",
-                match &self.cycle_edges {
-                    Some(c) => JsonValue::Arr(c.iter().map(edge_json).collect()),
-                    None => JsonValue::Null,
-                },
-            ),
-            (
-                "wait_for",
-                JsonValue::Arr(self.graph.edges.iter().map(edge_json).collect()),
-            ),
-            (
-                "routers",
-                JsonValue::Arr(
-                    self.routers
-                        .iter()
-                        .map(|r| {
-                            obj([
-                                ("router", u64::from(r.router).into()),
-                                ("buffered_flits", r.buffered_flits.into()),
-                                ("vcs", JsonValue::Arr(r.vcs.iter().map(vc_json).collect())),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ])
+        w.obj(|w| {
+            w.field("cycle").u64(self.cycle);
+            w.field("last_activity").u64(self.last_activity);
+            w.field("in_flight").u64(self.in_flight);
+            w.field("queued").u64(self.queued);
+            match &self.cycle_edges {
+                Some(c) => w.field("cycle_edges").arr(c, edge),
+                None => w.field("cycle_edges").null(),
+            }
+            w.field("wait_for").arr(&self.graph.edges, edge);
+            w.field("routers").arr(&self.routers, |w, r| {
+                w.obj(|w| {
+                    w.field("router").u64(u64::from(r.router));
+                    w.field("buffered_flits").u64(r.buffered_flits);
+                    w.field("vcs").arr(&r.vcs, |w, v| v.encode(w));
+                })
+            });
+        });
     }
 }
 
@@ -299,29 +292,29 @@ fn fmt_opt<T: std::fmt::Display>(v: Option<T>) -> String {
     v.map_or("-".to_string(), |x| x.to_string())
 }
 
-fn opt_json<T: Into<JsonValue>>(v: Option<T>) -> JsonValue {
-    v.map_or(JsonValue::Null, Into::into)
+impl WaitNode {
+    fn encode(self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("router").u64(u64::from(self.router));
+            w.field("port").u64(u64::from(self.port));
+            w.field("vc").u64(u64::from(self.vc));
+        });
+    }
 }
 
-fn node_json(n: WaitNode) -> JsonValue {
-    obj([
-        ("router", u64::from(n.router).into()),
-        ("port", u64::from(n.port).into()),
-        ("vc", u64::from(n.vc).into()),
-    ])
-}
-
-fn vc_json(v: &VcDump) -> JsonValue {
-    obj([
-        ("port", u64::from(v.port).into()),
-        ("vc", u64::from(v.vc).into()),
-        ("state", format!("{:?}", v.state).into()),
-        ("occupancy", v.occupancy.into()),
-        ("route", opt_json(v.route.map(u64::from))),
-        ("out_vc", opt_json(v.out_vc.map(u64::from))),
-        ("credits", opt_json(v.credits.map(u64::from))),
-        ("head_packet", opt_json(v.head_packet)),
-    ])
+impl VcDump {
+    fn encode(&self, w: &mut JsonWriter<'_>) {
+        w.obj(|w| {
+            w.field("port").u64(u64::from(self.port));
+            w.field("vc").u64(u64::from(self.vc));
+            w.field("state").str(&format!("{:?}", self.state));
+            w.field("occupancy").u64(self.occupancy as u64);
+            self.route.encode(w.field("route"));
+            self.out_vc.encode(w.field("out_vc"));
+            self.credits.encode(w.field("credits"));
+            self.head_packet.encode(w.field("head_packet"));
+        });
+    }
 }
 
 #[cfg(test)]

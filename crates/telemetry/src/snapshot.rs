@@ -7,11 +7,11 @@
 //!
 //! Three traits split the work, and all three work on the text:
 //!
-//! * [`Snapshot`] — encode state, once per type, into any
-//!   [`JsonSink`]: straight to text ([`Snapshot::write_json`], what a
-//!   checkpoint is written with) or to a [`JsonValue`]
-//!   ([`Snapshot::snapshot`], for tests and tools) — the same calls, so
-//!   the two forms cannot disagree;
+//! * [`Snapshot`] — encode state, once per type, through the one
+//!   [`JsonWriter`] straight to text ([`Snapshot::write_json`], what a
+//!   checkpoint is written with); the tree form ([`Snapshot::snapshot`],
+//!   for tests and tools) is the parse of that text, so the two forms
+//!   cannot disagree;
 //! * [`FromSnapshot`] — value types decoded from a [`JsonReader`] over
 //!   the text (flits, packets, VC state fields, …);
 //! * [`Restore`] — stateful components that are first rebuilt from their
@@ -48,10 +48,10 @@
 //!   An integer field reads only a run of digits that fits its type.
 //! * Enums encode as lowercase tag strings; fault sites reuse their
 //!   canonical `Display`/`FromStr` codec from `noc-faults`.
-//! * Object key order is fixed by the encoder and both sinks keep it, so
-//!   equal state renders to equal bytes.
+//! * Object key order is fixed by the encoder, and the parser keeps it
+//!   in a tree, so equal state renders to equal bytes.
 
-use crate::json::{JsonError, JsonReader, JsonSink, JsonValue, JsonWriter, TreeBuilder};
+use crate::json::{to_tree, JsonError, JsonReader, JsonValue, JsonWriter};
 use noc_faults::{DetectionModel, FaultSite};
 use noc_types::{
     Coord, DeliveredPacket, Flit, FlitKind, FlitSeq, Packet, PacketId, PacketKind, PortId,
@@ -128,17 +128,16 @@ impl std::error::Error for SnapshotError {}
 
 /// Encode state as a self-describing JSON document.
 pub trait Snapshot {
-    /// Send the component's complete resumable state to `sink`: the
+    /// Write the component's complete resumable state to `sink`: the
     /// type's one encoding, behind both forms below.
-    fn encode<S: JsonSink>(&self, sink: &mut S);
+    fn encode(&self, sink: &mut JsonWriter<'_>);
 
-    /// The state as a tree.
+    /// The state as a tree: the parse of its text.
     fn snapshot(&self) -> JsonValue {
-        TreeBuilder::build(|tree| self.encode(tree))
+        to_tree(|w| self.encode(w))
     }
 
-    /// The state as compact text appended to `out`: the bytes of
-    /// `self.snapshot().render()`, with no tree between.
+    /// The state as compact text appended to `out`.
     fn write_json(&self, out: &mut String) {
         self.encode(&mut JsonWriter::new(out));
     }
@@ -373,7 +372,7 @@ pub fn below<T: TryFrom<u64>>(x: u64, bound: usize, what: &str) -> Result<T, Sna
 
 /// Encode a full-width `u64` (seed, RNG word) losslessly as `"0x…"`:
 /// `0x` and sixteen lowercase digits, formatted on the stack.
-pub fn encode_hex<S: JsonSink>(sink: &mut S, x: u64) {
+pub fn encode_hex(sink: &mut JsonWriter<'_>, x: u64) {
     let mut text = *b"0x0000000000000000";
     for (i, digit) in text[2..].iter_mut().enumerate() {
         *digit = b"0123456789abcdef"[(x >> (60 - 4 * i)) as usize & 0xf];
@@ -409,7 +408,7 @@ macro_rules! record {
         $($vtag:literal => $variant:ident { $($field:ident),* $(,)? }),* $(,)?
     }) => {
         impl $crate::snapshot::Snapshot for $ty {
-            fn encode<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut $crate::json::JsonWriter<'_>) {
                 sink.obj(|sink| match self {
                     $($ty::$variant { $($field),* } => {
                         sink.field($tag).str($vtag);
@@ -437,7 +436,7 @@ macro_rules! record {
     };
     ($ty:ident { $($key:ident $(: $dty:ty = $derive:expr)?),* $(,)? } $(skip { $($skipped:ident),* })?) => {
         impl $crate::snapshot::Snapshot for $ty {
-            fn encode<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut $crate::json::JsonWriter<'_>) {
                 sink.obj(|sink| {
                     $($crate::record!(@encode self sink $key $(= $derive)?);)*
                 });
@@ -490,13 +489,13 @@ macro_rules! record {
 // ---------------------------------------------------------------------
 
 impl<T: Snapshot + ?Sized> Snapshot for &T {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         (**self).encode(sink);
     }
 }
 
 impl<T: Snapshot> Snapshot for Vec<T> {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.arr(self, |sink, x| x.encode(sink));
     }
 }
@@ -513,7 +512,7 @@ impl<T: FromSnapshot> FromSnapshot for Vec<T> {
 }
 
 impl<T: Snapshot> Snapshot for Option<T> {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         match self {
             None => sink.null(),
             Some(x) => x.encode(sink),
@@ -534,7 +533,7 @@ macro_rules! unsigned {
     ($($t:ty),*) => {$(
         impl Snapshot for $t {
             #[allow(clippy::unnecessary_cast)]
-            fn encode<S: JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut JsonWriter<'_>) {
                 sink.u64(*self as u64);
             }
         }
@@ -560,7 +559,7 @@ unsigned!(u8, u16, u32, u64, usize);
 macro_rules! scalar {
     ($($t:ty: $write:ident / $read:ident),*) => {$(
         impl Snapshot for $t {
-            fn encode<S: JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut JsonWriter<'_>) {
                 sink.$write(*self);
             }
         }
@@ -575,7 +574,7 @@ macro_rules! scalar {
 scalar!(bool: bool / bool, f64: num / num);
 
 impl Snapshot for str {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.str(self);
     }
 }
@@ -593,7 +592,7 @@ impl FromSnapshot for String {
 macro_rules! numeric_id {
     ($($ty:ident($inner:ty)),*) => {$(
         impl Snapshot for $ty {
-            fn encode<S: JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut JsonWriter<'_>) {
                 self.0.encode(sink);
             }
         }
@@ -608,7 +607,7 @@ macro_rules! numeric_id {
 numeric_id!(PortId(u8), VcId(u8), PacketId(u64), FlitSeq(u8));
 
 impl Snapshot for Coord {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         // Compact pair form: coordinates appear in every buffered flit.
         sink.arr([self.x, self.y], |sink, c| c.encode(sink));
     }
@@ -630,7 +629,7 @@ impl FromSnapshot for Coord {
 macro_rules! tags {
     ($($ty:ident { $($variant:ident = $tag:literal),* $(,)? })*) => {$(
         impl Snapshot for $ty {
-            fn encode<S: JsonSink>(&self, sink: &mut S) {
+            fn encode(&self, sink: &mut JsonWriter<'_>) {
                 sink.str(match self {
                     $($ty::$variant => $tag,)*
                 });
@@ -678,7 +677,7 @@ record! { VcStateFields { g, r, o, r2, vf, id, sp, fsp, vmask } }
 // ---------------------------------------------------------------------
 
 impl Snapshot for FaultSite {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         // The canonical compact codec lives in noc-faults
         // (Display / FromStr round-trip, pinned by tests there).
         sink.str(&self.to_string());
@@ -694,7 +693,7 @@ impl FromSnapshot for FaultSite {
 }
 
 impl Snapshot for DetectionModel {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         match self {
             DetectionModel::Ideal => sink.str("ideal"),
             DetectionModel::Delayed(n) => sink.str(&format!("delayed:{n}")),
@@ -816,7 +815,7 @@ mod tests {
     fn hex_codec_is_lossless_at_full_width() {
         let decode = |text: &str| decode_hex(&mut JsonReader::new(text));
         for x in [0u64, 1, u64::MAX, 0xDEAD_BEEF_CAFE_F00D] {
-            let hex = TreeBuilder::build(|tree| encode_hex(tree, x));
+            let hex = to_tree(|w| encode_hex(w, x));
             assert_eq!(hex.as_str(), Some(format!("{x:#018x}").as_str()));
             assert_eq!(decode(&hex.render()).unwrap(), x);
         }

@@ -9,7 +9,7 @@
 //! the service's `/jobs/:id/progress` endpoint and `noc-cli heatmap`
 //! all share one schema.
 
-use crate::json::{JsonReader, JsonSink, JsonValue};
+use crate::json::{JsonReader, JsonValue, JsonWriter};
 use crate::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use crate::stats::RouterStats;
 use noc_types::Coord;
@@ -90,8 +90,8 @@ impl SpatialGrid {
         Some(self.cells.iter().map(|c| c.get(counter)).collect())
     }
 
-    /// The grid as a tree: its [`Snapshot`], under the name the reports
-    /// and the CLI use.
+    /// The grid as a tree — the parse of its [`Snapshot`] text — under
+    /// the name the reports and the CLI use.
     pub fn to_json(&self) -> JsonValue {
         self.snapshot()
     }
@@ -176,7 +176,7 @@ impl SpatialGrid {
 /// grids omit the `chiplet_k` field, so their encoding is
 /// byte-identical to the pre-chiplet schema.
 impl Snapshot for SpatialGrid {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             sink.field("width").u64(self.width as u64);
             sink.field("height").u64(self.height as u64);

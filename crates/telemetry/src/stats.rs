@@ -15,7 +15,7 @@
 //! * [`RouterStats::MECHANISMS`] is a run report's `router_events`, the
 //!   Shield mechanism counters summed over routers.
 
-use crate::json::{JsonReader, JsonSink, JsonValue, TreeBuilder};
+use crate::json::{to_tree, JsonReader, JsonValue, JsonWriter};
 use crate::snapshot::{FromSnapshot, Snapshot, SnapshotError};
 use std::ops::AddAssign;
 
@@ -108,13 +108,14 @@ impl RouterStats {
         *(counter.1)(&mut self)
     }
 
-    /// The counters of `view` as a JSON object, in view order.
+    /// The counters of `view` as a JSON object, in view order: the
+    /// parse of [`RouterStats::encode_view`]'s text.
     pub fn to_json(&self, view: &[Counter]) -> JsonValue {
-        TreeBuilder::build(|tree| self.encode_view(view, tree))
+        to_tree(|w| self.encode_view(view, w))
     }
 
-    /// Send [`RouterStats::to_json`]'s object to `sink`.
-    pub fn encode_view<S: JsonSink>(&self, view: &[Counter], sink: &mut S) {
+    /// Write the counters of `view` as one object, in view order.
+    pub fn encode_view(&self, view: &[Counter], sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             for &c in view {
                 sink.field(c.0).u64(self.get(c));
@@ -153,7 +154,7 @@ impl std::iter::Sum for RouterStats {
 }
 
 impl Snapshot for RouterStats {
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         self.encode_view(&Self::COUNTERS, sink);
     }
 }

@@ -340,7 +340,7 @@ impl TrafficGenerator {
 // Snapshot / restore
 // ---------------------------------------------------------------------
 
-use noc_telemetry::json::{JsonReader, JsonSink};
+use noc_telemetry::json::{JsonReader, JsonWriter};
 use noc_telemetry::snapshot::{
     decode_hex, encode_hex, FromSnapshot, Restore, Snapshot, SnapshotError,
 };
@@ -356,7 +356,7 @@ impl Snapshot for TrafficGenerator {
     /// is *not* stored — the generator is rebuilt from it before
     /// [`Restore::restore`]. `pending` renders as one group per release
     /// cycle, in release order, so equal state renders to equal bytes.
-    fn encode<S: JsonSink>(&self, sink: &mut S) {
+    fn encode(&self, sink: &mut JsonWriter<'_>) {
         sink.obj(|sink| {
             sink.field("rng")
                 .arr(self.rng.state(), |sink, w| encode_hex(sink, w));

@@ -590,7 +590,8 @@ fn heatmap_text(
 /// Run a mass fault-injection campaign and print the
 /// faults-to-failure curves; optionally write the JSON report.
 fn run_campaign_cmd(c: CampaignArgs) -> Result<(), String> {
-    use shield_noc::campaign::{render_table, report_json, run_campaign, CampaignConfig};
+    use shield_noc::campaign::{encode_report, render_table, run_campaign, CampaignConfig};
+    use shield_noc::telemetry::json::to_text;
 
     let net = network(c.mesh, &c.topology)?;
     let mut cc = if c.quick {
@@ -623,7 +624,7 @@ fn run_campaign_cmd(c: CampaignArgs) -> Result<(), String> {
     );
     print!("{}", render_table(&run));
     if let Some(path) = &c.out {
-        std::fs::write(path, report_json(&run).render())
+        std::fs::write(path, to_text(|w| encode_report(&run, w)))
             .map_err(|e| format!("writing {path}: {e}"))?;
         println!("report          : {path}");
     }
