@@ -32,8 +32,8 @@
 //! Since PR 5 this crate also hosts the [`snapshot`] layer: the
 //! [`Snapshot`]/[`Restore`] traits every stateful component implements
 //! so a campaign can be checkpointed and resumed bit-identically
-//! (ARCHITECTURE.md §5). They live here because the hand-rolled
-//! [`JsonValue`] codec does.
+//! (ARCHITECTURE.md §5). They live here because the one JSON writer
+//! and reader ([`json`]) do.
 //!
 //! It also owns [`RouterStats`], the one per-router counter record,
 //! whose [`stats`] table names every counter once for the router
